@@ -3,8 +3,8 @@
 // The old shape (fault::FailureDetector) asks one question per producer:
 // 1000 apps means 1000 queries, each taking a shard lock, forcing a flush,
 // and copying one summary. The hub-backed FleetDetector::sweep answers the
-// same question for the whole fleet in ONE HubView pass: one lock + flush +
-// bulk copy per shard, then pure math over the summaries. This bench pins
+// same question for the whole fleet in ONE HeartbeatHub::snapshot(): one
+// publish per shard, then pure math over the summaries. This bench pins
 // the gap down at fleet scale on a deterministic ManualClock fleet with
 // injected dead / slow / erratic producers, and verifies both approaches
 // agree on every verdict.
@@ -23,7 +23,6 @@
 
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "util/clock.hpp"
 #include "util/time.hpp"
 
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
   opts.window_capacity = 64;
   opts.clock = clock;
   hb::hub::HeartbeatHub hub(opts);
-  hb::hub::HubView view(hub);
 
   // A mixed fleet on 25ms ticks: every 10th app dies halfway (stops
   // beating), every 7th is slow (2.5 b/s against a 4.0 min), every 5th is
@@ -98,7 +96,8 @@ int main(int argc, char** argv) {
   for (int s = 0; s < sweeps; ++s) {
     for (int i = 0; i < apps; ++i) {
       polled[static_cast<std::size_t>(i)] =
-          detector.classify(*view.app(names[static_cast<std::size_t>(i)]));
+          detector.classify(
+              hub.summary(hub.id_of(names[static_cast<std::size_t>(i)])));
     }
   }
   const double poll_s = seconds_since(poll_start);
@@ -106,7 +105,7 @@ int main(int argc, char** argv) {
   // One-pass fleet sweep.
   hb::fault::FleetReport report;
   const auto sweep_start = std::chrono::steady_clock::now();
-  for (int s = 0; s < sweeps; ++s) report = detector.sweep(view);
+  for (int s = 0; s < sweeps; ++s) report = detector.sweep(hub.snapshot());
   const double sweep_s = seconds_since(sweep_start);
 
   // Both approaches must agree on every verdict.

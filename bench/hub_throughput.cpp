@@ -37,7 +37,6 @@
 
 #include "bench_json.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 
 namespace {
 
@@ -104,10 +103,10 @@ RunResult run_once(int producers, int shards, std::uint64_t total_beats,
   res.beats_per_sec = res.seconds > 0 ? static_cast<double>(res.beats) / res.seconds : 0.0;
 
   // Sanity: the hub must have seen every beat (batched, not dropped).
-  hb::hub::HubView view(hub);
-  if (view.cluster().total_beats != res.beats) {
+  const std::uint64_t ingested = hub.snapshot()->cluster().total_beats;
+  if (ingested != res.beats) {
     std::fprintf(stderr, "BUG: ingested %llu of %llu beats\n",
-                 static_cast<unsigned long long>(view.cluster().total_beats),
+                 static_cast<unsigned long long>(ingested),
                  static_cast<unsigned long long>(res.beats));
     std::exit(2);
   }

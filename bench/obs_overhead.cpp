@@ -31,39 +31,28 @@
 // < 5% on ingest at 4k apps). Exit: 0 ok, 2 on a correctness failure, 3 on
 // a blown overhead gate (full mode only — smoke runs on shared CI cores
 // report the number without gating on it).
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "ab.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
 
 constexpr int kProducers = 4;
 
-double timed(const auto& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 // One full multi-producer ingest pass: kProducers threads beat the fleet
 // round-robin from staggered offsets, then a flush settles the batches.
 double ingest_pass(hb::hub::HeartbeatHub& hub,
                    const std::vector<hb::hub::AppId>& ids,
                    std::uint64_t per_thread) {
-  return timed([&] {
+  return hb::bench::timed([&] {
     std::vector<std::thread> threads;
     threads.reserve(kProducers);
     for (int t = 0; t < kProducers; ++t) {
@@ -83,26 +72,15 @@ double ingest_pass(hb::hub::HeartbeatHub& hub,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* json_path = nullptr;
+  const hb::bench::AbArgs args = hb::bench::parse_ab_args(argc, argv);
   int apps = 4000;
   std::uint64_t per_thread = 150000;
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (smoke) {
+  if (args.smoke) {
     per_thread = 30000;
   } else {
-    if (positional.size() > 0) apps = std::atoi(positional[0]);
-    if (positional.size() > 1) {
-      per_thread = std::strtoull(positional[1], nullptr, 10);
+    if (args.positional.size() > 0) apps = std::atoi(args.positional[0]);
+    if (args.positional.size() > 1) {
+      per_thread = std::strtoull(args.positional[1], nullptr, 10);
     }
   }
   if (apps < 16 || per_thread < 1000) {
@@ -125,34 +103,17 @@ int main(int argc, char** argv) {
   }
   ingest_pass(hub, ids, 2000);  // warm-up: windows filled, allocations done
 
-  // Interleaved best-of: enabled / disabled alternate within each rep, and
-  // the rep order flips each time (on-off, off-on, ...) so neither a slow
-  // host ramp (frequency scaling warming up across the whole run) nor a
-  // neighbor waking mid-rep can masquerade as telemetry overhead — each
-  // side samples both the early-slow and late-fast ends of every rep.
-  const int reps = smoke ? 4 : 6;
-  double enabled_s = 1e18, disabled_s = 1e18;
+  const int reps = args.smoke ? 4 : 6;
+  const double total = static_cast<double>(per_thread) * kProducers;
   std::printf("mode,rep,apps,beats,seconds,beats_per_sec\n");
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool on_first = (rep % 2) == 0;
-    hb::obs::set_enabled(on_first);
-    const double first = ingest_pass(hub, ids, per_thread);
-    hb::obs::set_enabled(!on_first);
-    const double second = ingest_pass(hub, ids, per_thread);
-    hb::obs::set_enabled(true);
-    const double on = on_first ? first : second;
-    const double off = on_first ? second : first;
-    enabled_s = std::min(enabled_s, on);
-    disabled_s = std::min(disabled_s, off);
-    const double total = static_cast<double>(per_thread) * kProducers;
-    std::printf("obs_on,%d,%d,%.0f,%.4f,%.0f\n", rep, apps, total, on,
-                on > 0 ? total / on : 0.0);
-    std::printf("obs_off,%d,%d,%.0f,%.4f,%.0f\n", rep, apps, total, off,
-                off > 0 ? total / off : 0.0);
-    std::fflush(stdout);
-  }
-  const double overhead_pct =
-      disabled_s > 0.0 ? (enabled_s - disabled_s) / disabled_s * 100.0 : 0.0;
+  const hb::bench::AbResult result = hb::bench::run_ab(
+      reps, [&] { return ingest_pass(hub, ids, per_thread); },
+      [&](int rep, double on, double off) {
+        std::printf("obs_on,%d,%d,%.0f,%.4f,%.0f\n", rep, apps, total, on,
+                    on > 0 ? total / on : 0.0);
+        std::printf("obs_off,%d,%d,%.0f,%.4f,%.0f\n", rep, apps, total, off,
+                    off > 0 ? total / off : 0.0);
+      });
 
   // ---- correctness coda: disabled means frozen, not deferred ------------
   auto& reg = hb::obs::MetricsRegistry::global();
@@ -174,44 +135,17 @@ int main(int argc, char** argv) {
   }
   // Ingest totals are tracked by the hub itself regardless of telemetry:
   // no beat may be lost in either mode.
-  hb::hub::HubView view(hub);
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kProducers) *
       (2000 +  // warm-up
        static_cast<std::uint64_t>(reps) * 2 * per_thread +
        (hb::obs::kCompiledIn ? 2 * 2000 : 0));
-  if (view.cluster().total_beats != expected) ok = false;
+  if (hub.snapshot()->cluster().total_beats != expected) ok = false;
 
-  std::printf("\n# hb_obs_compiled_in=%s\n",
-              hb::obs::kCompiledIn ? "yes" : "no");
-  std::printf("# obs_overhead_pct=%.2f (enabled %.4fs vs disabled %.4fs)\n",
-              overhead_pct, enabled_s, disabled_s);
-  std::printf("# disabled_counter_delta=%llu (must be 0)\n",
-              static_cast<unsigned long long>(frozen_delta));
-  std::printf("# correctness=%s\n", ok ? "ok" : "FAILED");
-
-  if (json_path) {
-    hb::bench::JsonRecord rec("obs_overhead");
-    rec.config("apps", apps);
-    rec.config("beats_per_producer", per_thread);
-    rec.config("producers", kProducers);
-    rec.config("reps", reps);
-    rec.config("smoke", smoke);
-    rec.config("hb_obs_compiled_in", hb::obs::kCompiledIn);
-    rec.metric("enabled_best_s", enabled_s);
-    rec.metric("disabled_best_s", disabled_s);
-    rec.metric("obs_overhead_pct", overhead_pct);
-    rec.metric("disabled_counter_delta", frozen_delta);
-    rec.metric("correctness", ok);
-    rec.write(json_path);
-  }
-
-  if (!ok) return 2;
-  if (!smoke && overhead_pct >= 5.0) {
-    std::printf("# overhead_ok=no\n");
-    return 3;
-  }
-  std::printf("# overhead_ok=%s\n",
-              overhead_pct < 5.0 ? "yes" : "n/a(smoke)");
-  return 0;
+  hb::bench::JsonRecord rec("obs_overhead");
+  rec.config("apps", apps);
+  rec.config("beats_per_producer", per_thread);
+  rec.config("producers", kProducers);
+  return hb::bench::finish_ab(args, result, std::move(rec), "obs_overhead_pct",
+                              "disabled_counter_delta", frozen_delta, ok);
 }

@@ -42,7 +42,6 @@
 #include "bench_json.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "policy/action_sink.hpp"
 #include "policy/policy_engine.hpp"
 #include "util/clock.hpp"
@@ -105,7 +104,6 @@ int main(int argc, char** argv) {
   opts.window_capacity = 64;
   opts.clock = clock;
   hb::hub::HeartbeatHub hub(opts);
-  hb::hub::HubView view(hub);
 
   // Racked fleet, everyone healthy at 10 b/s.
   std::vector<hb::hub::AppId> ids;
@@ -128,7 +126,7 @@ int main(int argc, char** argv) {
   const hb::fault::FleetDetector detector(
       {.absolute_staleness_ns = 3 * kNsPerSec});
   hb::policy::PolicyEngine engine;  // sinkless: measure the engine itself
-  engine.observe(detector.sweep(view));  // prime per-app state
+  engine.observe(detector.sweep(hub.snapshot()));  // prime per-app state
 
   // Interleave the two measured loops best-of-5, so slow drift on a busy
   // host (frequency scaling, a neighbor waking up) hits both sides alike
@@ -142,7 +140,7 @@ int main(int argc, char** argv) {
     for (int s = 0; s < sweeps; ++s) {
       beat_all(1, /*skip_rack=*/-1);  // not timed: keep epochs advancing
       total += timed([&] {
-        report = detector.sweep(view);
+        report = detector.sweep(hub.snapshot());
         if (with_policy) engine.observe(report);
       });
     }
@@ -168,7 +166,7 @@ int main(int argc, char** argv) {
   engine.add_sink(sink);
 
   beat_all(35, /*skip_rack=*/1);  // 3.5 s of silence for rack1: all dead
-  engine.observe(detector.sweep(view));
+  engine.observe(detector.sweep(hub.snapshot()));
   const auto folded = sink->count(hb::policy::EventKind::kCorrelatedFailure);
   std::size_t folded_apps = 0;
   for (const auto& ev : sink->events()) {
@@ -177,11 +175,11 @@ int main(int argc, char** argv) {
     }
   }
   // Edge semantics: nothing changes, nothing fires.
-  engine.observe(detector.sweep(view));
-  engine.observe(detector.sweep(view));
+  engine.observe(detector.sweep(hub.snapshot()));
+  engine.observe(detector.sweep(hub.snapshot()));
   const auto after_holds = sink->events().size();
   beat_all(100, /*skip_rack=*/-1);  // rack1 revives and re-warms
-  engine.observe(detector.sweep(view));
+  engine.observe(detector.sweep(hub.snapshot()));
   const auto revived =
       engine.stats().revivals;  // every rack1 member came back from dead
 

@@ -32,21 +32,18 @@
 // shape: < 5% on the pipeline at 4k apps). Exit: 0 ok, 2 on a correctness
 // failure, 3 on a blown overhead gate (full mode only — smoke runs on
 // shared CI cores report the number without gating on it).
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "ab.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "policy/policy_engine.hpp"
@@ -55,14 +52,6 @@
 namespace {
 
 constexpr int kProducers = 4;
-
-double timed(const auto& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 struct Pipeline {
   std::shared_ptr<hb::util::ManualClock> clock;
@@ -79,7 +68,7 @@ struct Pipeline {
 // recorder's worst case: the clock advances one fine interval per sweep,
 // so EVERY sweep cuts a frame when recording is enabled.
 double pipeline_pass(Pipeline& p, int sweeps, std::uint64_t per_thread) {
-  return timed([&] {
+  return hb::bench::timed([&] {
     for (int s = 0; s < sweeps; ++s) {
       std::vector<std::thread> threads;
       threads.reserve(kProducers);
@@ -95,9 +84,9 @@ double pipeline_pass(Pipeline& p, int sweeps, std::uint64_t per_thread) {
       for (auto& th : threads) th.join();
       p.clock->advance(hb::util::kNsPerSec);
       p.hub->flush();
-      p.hub->snapshot();  // rebuild -> note_publish on the recorder
+      // The rebuild fires note_publish on the recorder.
       auto report = std::make_shared<const hb::fault::FleetReport>(
-          p.detector.sweep(hb::hub::HubView(*p.hub)));
+          p.detector.sweep(p.hub->snapshot()));
       p.recorder->record_report(report);
       p.engine.observe(*report);
     }
@@ -107,28 +96,17 @@ double pipeline_pass(Pipeline& p, int sweeps, std::uint64_t per_thread) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* json_path = nullptr;
+  const hb::bench::AbArgs args = hb::bench::parse_ab_args(argc, argv);
   int apps = 4000;
   std::uint64_t per_thread = 20000;
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
   int sweeps = 8;
-  if (smoke) {
+  if (args.smoke) {
     per_thread = 4000;
     sweeps = 4;
   } else {
-    if (positional.size() > 0) apps = std::atoi(positional[0]);
-    if (positional.size() > 1) {
-      per_thread = std::strtoull(positional[1], nullptr, 10);
+    if (args.positional.size() > 0) apps = std::atoi(args.positional[0]);
+    if (args.positional.size() > 1) {
+      per_thread = std::strtoull(args.positional[1], nullptr, 10);
     }
   }
   if (apps < 16 || per_thread < 1000) {
@@ -159,33 +137,18 @@ int main(int argc, char** argv) {
 
   pipeline_pass(p, 4, 2000);  // warm-up: windows filled, fleet healthy
 
-  // Interleaved best-of, rep order flipped each time (on-off, off-on, ...):
-  // neither a slow host ramp nor a neighbor waking mid-rep can masquerade
-  // as recorder overhead — each side samples both ends of every rep.
-  const int reps = smoke ? 4 : 6;
-  double enabled_s = 1e18, disabled_s = 1e18;
-  std::printf("mode,rep,apps,sweeps,beats,seconds,beats_per_sec\n");
+  const int reps = args.smoke ? 4 : 6;
   const double total =
       static_cast<double>(per_thread) * kProducers * sweeps;
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool on_first = (rep % 2) == 0;
-    hb::obs::set_enabled(on_first);
-    const double first = pipeline_pass(p, sweeps, per_thread);
-    hb::obs::set_enabled(!on_first);
-    const double second = pipeline_pass(p, sweeps, per_thread);
-    hb::obs::set_enabled(true);
-    const double on = on_first ? first : second;
-    const double off = on_first ? second : first;
-    enabled_s = std::min(enabled_s, on);
-    disabled_s = std::min(disabled_s, off);
-    std::printf("recorder_on,%d,%d,%d,%.0f,%.4f,%.0f\n", rep, apps, sweeps,
-                total, on, on > 0 ? total / on : 0.0);
-    std::printf("recorder_off,%d,%d,%d,%.0f,%.4f,%.0f\n", rep, apps, sweeps,
-                total, off, off > 0 ? total / off : 0.0);
-    std::fflush(stdout);
-  }
-  const double overhead_pct =
-      disabled_s > 0.0 ? (enabled_s - disabled_s) / disabled_s * 100.0 : 0.0;
+  std::printf("mode,rep,apps,sweeps,beats,seconds,beats_per_sec\n");
+  const hb::bench::AbResult result = hb::bench::run_ab(
+      reps, [&] { return pipeline_pass(p, sweeps, per_thread); },
+      [&](int rep, double on, double off) {
+        std::printf("recorder_on,%d,%d,%d,%.0f,%.4f,%.0f\n", rep, apps,
+                    sweeps, total, on, on > 0 ? total / on : 0.0);
+        std::printf("recorder_off,%d,%d,%d,%.0f,%.4f,%.0f\n", rep, apps,
+                    sweeps, total, off, off > 0 ? total / off : 0.0);
+      });
 
   // ---- correctness coda: disabled means frozen, not deferred ------------
   bool ok = true;
@@ -213,38 +176,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n# hb_obs_compiled_in=%s\n",
-              hb::obs::kCompiledIn ? "yes" : "no");
-  std::printf(
-      "# recorder_overhead_pct=%.2f (enabled %.4fs vs disabled %.4fs)\n",
-      overhead_pct, enabled_s, disabled_s);
-  std::printf("# disabled_recorder_delta=%llu (must be 0)\n",
-              static_cast<unsigned long long>(frozen_delta));
-  std::printf("# correctness=%s\n", ok ? "ok" : "FAILED");
-
-  if (json_path) {
-    hb::bench::JsonRecord rec("recorder_overhead");
-    rec.config("apps", apps);
-    rec.config("beats_per_producer_per_sweep", per_thread);
-    rec.config("producers", kProducers);
-    rec.config("sweeps", sweeps);
-    rec.config("reps", reps);
-    rec.config("smoke", smoke);
-    rec.config("hb_obs_compiled_in", hb::obs::kCompiledIn);
-    rec.metric("enabled_best_s", enabled_s);
-    rec.metric("disabled_best_s", disabled_s);
-    rec.metric("recorder_overhead_pct", overhead_pct);
-    rec.metric("disabled_recorder_delta", frozen_delta);
-    rec.metric("correctness", ok);
-    rec.write(json_path);
-  }
-
-  if (!ok) return 2;
-  if (!smoke && overhead_pct >= 5.0) {
-    std::printf("# overhead_ok=no\n");
-    return 3;
-  }
-  std::printf("# overhead_ok=%s\n",
-              overhead_pct < 5.0 ? "yes" : "n/a(smoke)");
-  return 0;
+  hb::bench::JsonRecord rec("recorder_overhead");
+  rec.config("apps", apps);
+  rec.config("beats_per_producer_per_sweep", per_thread);
+  rec.config("producers", kProducers);
+  rec.config("sweeps", sweeps);
+  return hb::bench::finish_ab(args, result, std::move(rec),
+                              "recorder_overhead_pct",
+                              "disabled_recorder_delta", frozen_delta, ok);
 }

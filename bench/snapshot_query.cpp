@@ -44,7 +44,6 @@
 #include "bench_json.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "util/clock.hpp"
 #include "util/time.hpp"
 
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
   opts.window_capacity = 64;
   opts.clock = clock;
   hb::hub::HeartbeatHub hub(opts);
-  hb::hub::HubView view(hub);
 
   // Warm fleet: everyone beating 10 b/s against a [4, 1000] band.
   std::vector<hb::hub::AppId> ids;
@@ -119,11 +117,13 @@ int main(int argc, char** argv) {
   hb::fault::FleetReport cached_report;
   const auto hits_before = hub.snapshot_stats();
   const double cached_cluster_s = timed([&] {
-    for (int q = 0; q < queries; ++q) cached_cluster = view.cluster();
+    for (int q = 0; q < queries; ++q) {
+      cached_cluster = hub.snapshot()->cluster();
+    }
   });
   const double cached_sweep_s = timed([&] {
     for (int q = 0; q < queries / 10; ++q) {
-      cached_report = detector.sweep(view);
+      cached_report = detector.sweep(hub.snapshot());
     }
   });
   const auto hits_after = hub.snapshot_stats();
@@ -137,13 +137,13 @@ int main(int argc, char** argv) {
   const double rebuild_cluster_s = timed([&] {
     for (int q = 0; q < queries; ++q) {
       clock->advance(kNsPerMs);
-      rebuilt_cluster = view.cluster();
+      rebuilt_cluster = hub.snapshot()->cluster();
     }
   });
   const double rebuild_sweep_s = timed([&] {
     for (int q = 0; q < queries / 10; ++q) {
       clock->advance(kNsPerMs);
-      rebuilt_report = detector.sweep(view);
+      rebuilt_report = detector.sweep(hub.snapshot());
     }
   });
 
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     observer = std::thread([&] {
       // relaxed: stop flag only; join() is the synchronization point.
       while (!stop.load(std::memory_order_relaxed)) {
-        (void)view.cluster();
+        (void)hub.snapshot()->cluster();
         clock->advance(kNsPerMs);  // keep the cache honest: epochs advance
       }
     });
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
   // --- correctness: cached and rebuilt answers describe the same fleet,
   // the cache actually hit, sweeps carry a coherent epoch, and no beat was
   // lost under the concurrent observer.
-  const auto final_cluster = view.cluster();
+  const auto final_cluster = hub.snapshot()->cluster();
   const std::uint64_t expected_beats =
       static_cast<std::uint64_t>(apps) * 30 + per_thread * kProducers;
   const std::uint64_t cached_hits =

@@ -24,6 +24,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "core/heartbeat.hpp"
@@ -31,7 +33,6 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 
@@ -81,7 +82,15 @@ int main() {
     return 1;
   }
   if (pid == 0) ::_exit(child_main());
-  hb::hub::HubView view(hub);
+  // The pump registers "worker" with the hub on its first drained beat;
+  // until then the hub has nothing to report.
+  const auto worker_summary = [&hub]() -> std::optional<hb::hub::AppSummary> {
+    try {
+      return hub.summary(hub.id_of("worker"));
+    } catch (const std::out_of_range&) {
+      return std::nullopt;
+    }
+  };
   hb::fault::FleetDetector fleet_detector(
       {.absolute_staleness_ns = 1000 * hb::util::kNsPerMs,
        .staleness_slack_ns = 100 * hb::util::kNsPerMs});
@@ -100,7 +109,7 @@ int main() {
   for (int s = 0; s < 40; ++s) {
     pump.poll();
     std::string hub_cell = "-,-,unseen";
-    if (const auto summary = view.app("worker")) {
+    if (const auto summary = worker_summary()) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%llu,%.1f,%s",
                     static_cast<unsigned long long>(summary->total_beats),
@@ -128,7 +137,7 @@ int main() {
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   pump.poll();
   auto reader = registry.reader("worker");
-  const auto summary = view.app("worker");
+  const auto summary = worker_summary();
   std::printf("final,%llu,%.1f,%s,%llu,%.1f,%s\n",
               static_cast<unsigned long long>(reader.count()),
               reader.current_rate(),

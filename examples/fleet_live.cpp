@@ -29,7 +29,6 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
        .absolute_staleness_ns = 600 * hb::util::kNsPerMs,
        .staleness_slack_ns = kPollMs * hb::util::kNsPerMs +
                              20 * hb::util::kNsPerMs});
-  const hb::fault::FleetReport report = detector.sweep(hb::hub::HubView(hub));
+  const hb::fault::FleetReport report = detector.sweep(hub.snapshot());
   std::printf("\n");
   hb::fault::print_fleet_report(stdout, report);  // hbmon's exact table
 

@@ -8,7 +8,6 @@
 #include "core/memory_store.hpp"
 #include "fault/failure_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "obs/flight_recorder.hpp"
 #include "policy/policy_engine.hpp"
 #include "util/time.hpp"

@@ -68,8 +68,9 @@ class CloudSim {
   /// every beat the sim emits is mirrored into the hub, stamped from the
   /// sim's clock — so hub rates match per-VM reader rates whatever clock
   /// the hub holds. Give the hub the sim's ManualClock if you also want
-  /// meaningful HubView::staleness_ns. Cluster managers can then watch the
-  /// whole fleet through one HubView instead of one reader per VM.
+  /// meaningful AppSummary::staleness_ns. Cluster managers can then watch
+  /// the whole fleet through one HeartbeatHub::snapshot() instead of one
+  /// reader per VM.
   /// VM names should be unique — the hub keys apps by name.
   void attach_hub(std::shared_ptr<hub::HeartbeatHub> hub);
 

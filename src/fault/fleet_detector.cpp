@@ -117,10 +117,6 @@ int print_fleet_report(std::FILE* out, const FleetReport& report) {
   return fleet.dead == 0 ? 0 : 3;  // scripts can alert on the exit code
 }
 
-FleetReport FleetDetector::sweep(const hub::HubView& view) const {
-  return sweep(view.snapshot());
-}
-
 FleetReport FleetDetector::sweep(
     const std::shared_ptr<const hub::FleetSnapshot>& snap) const {
   const SweepMetrics& metrics = SweepMetrics::get();

@@ -5,10 +5,11 @@
 // that a machine is about to fail." fault::FailureDetector answers that for
 // ONE producer by polling its HeartbeatReader; at fleet scale (thousands of
 // VMs feeding one hub) per-producer polling is the wrong shape. FleetDetector
-// instead sweeps every registered app in a single HubView pass — one flush
-// per shard, no per-app reader queries — and derives each verdict from the
-// app's hub summary alone: staleness stamped on the hub clock, windowed rate
-// against the registered target, and exact interval mean/stddev for jitter.
+// instead sweeps every registered app in one HeartbeatHub::snapshot() — one
+// publish per shard, no per-app reader queries — and derives each verdict
+// from the app's hub summary alone: staleness stamped on the hub clock,
+// windowed rate against the registered target, and exact interval
+// mean/stddev for jitter.
 //
 // The verdict vocabulary is shared with FailureDetector (fault::Health), so
 // consumers that graduate from one-reader monitoring to fleet sweeps keep
@@ -23,7 +24,6 @@
 #include "fault/failure_detector.hpp"
 #include "hub/snapshot.hpp"
 #include "hub/summary.hpp"
-#include "hub/view.hpp"
 #include "util/time.hpp"
 
 namespace hb::fault {
@@ -139,10 +139,6 @@ class FleetDetector {
   /// concurrent flush cannot tear the sweep across windows.
   FleetReport sweep(const std::shared_ptr<const hub::FleetSnapshot>& snap)
       const;
-
-  /// Convenience: grab the view's current snapshot (publishing pending
-  /// beats) and sweep it. Same cost as sweep(view.snapshot()).
-  FleetReport sweep(const hub::HubView& view) const;
 
   /// Verdict for a single app from its hub summary alone (no hub access).
   Health classify(const hub::AppSummary& summary) const;

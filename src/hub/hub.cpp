@@ -195,6 +195,16 @@ std::shared_ptr<const FleetSnapshot> HeartbeatHub::snapshot() {
   return result;
 }
 
+AppSummary HeartbeatHub::summary(AppId id) {
+  // shard() and the slot check both throw out_of_range for foreign ids.
+  const auto snap = shard(app_id_shard(id)).publish();
+  const std::uint32_t slot = app_id_slot(id);
+  if (slot >= snap->apps.size()) {
+    throw std::out_of_range("HeartbeatHub: AppId slot not registered here");
+  }
+  return snap->apps[slot];
+}
+
 void HeartbeatHub::set_flight_recorder(
     std::shared_ptr<obs::FlightRecorder> recorder) {
   util::MutexLock lock(snap_mu_);

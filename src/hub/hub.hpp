@@ -12,14 +12,15 @@
 //                                │  raw-record batch (batch_capacity)
 //                                ▼  flush: amortized window + histogram
 //                              per-app sliding-window summaries
-//                                ▼
-//   HubView ◀── per-app / per-tag / cluster rollups (copies, coherent)
+//                                ▼  publish: immutable ShardSnapshot
+//   snapshot() ◀── FleetSnapshot: per-app / per-tag / cluster rollups
+//   summary(id) ◀── one app, publishing only its owning shard
 //
 // Determinism: all timestamps flow through the hub's util::Clock, shard
-// assignment uses a fixed FNV-1a hash (not std::hash), and view queries
-// force a flush first — so a single-threaded driver under a ManualClock
-// gets bit-identical summaries on every run (the LabOps-style CI-testable
-// simulation discipline).
+// assignment uses a fixed FNV-1a hash (not std::hash), and both read calls
+// publish pending beats first — so a single-threaded driver under a
+// ManualClock gets bit-identical summaries on every run (the LabOps-style
+// CI-testable simulation discipline).
 #pragma once
 
 #include <atomic>
@@ -145,8 +146,9 @@ class HeartbeatHub {
   void evict(AppId id);
 
   /// Force every shard to drain its batch, age time windows, re-stamp
-  /// staleness, apply auto-eviction, and republish its snapshot. Every
-  /// HubView query does this implicitly via snapshot().
+  /// staleness, apply auto-eviction, and republish its snapshot. snapshot()
+  /// and summary() publish implicitly; flush() additionally ignores
+  /// HubOptions::snapshot_min_interval_ns.
   void flush();
 
   /// The read side: a coherent, epoch-stamped view of the whole fleet.
@@ -155,6 +157,15 @@ class HeartbeatHub {
   /// queries between flushes are pointer reads — or composes and caches a
   /// new one. Thread-safe; the returned snapshot is immutable and shared.
   std::shared_ptr<const FleetSnapshot> snapshot() HB_EXCLUDES(snap_mu_);
+
+  /// One app's windowed summary, publishing only its OWNING shard — a
+  /// per-app poller never forces the rest of the fleet to republish. Worst
+  /// case per call is that one shard's republish (O(apps/shard)); hot
+  /// polling loops behind a real clock should set a nonzero
+  /// snapshot_min_interval_ns, or read the fleet once via snapshot().
+  /// Evicted apps still answer. Throws std::out_of_range for an id that
+  /// did not come from this hub. Thread-safe.
+  AppSummary summary(AppId id);
 
   /// Cache effectiveness counters for snapshot() (rebuilds vs hits).
   SnapshotStats snapshot_stats() const HB_EXCLUDES(snap_mu_);
@@ -193,7 +204,7 @@ class HeartbeatHub {
   /// window_ns comparison lives on.
   const std::shared_ptr<util::Clock>& clock() const { return opts_.clock; }
 
-  /// Internal access for HubView (shards flush on query). Bounds-checked:
+  /// One lock stripe, for per-shard stats() and publish(). Bounds-checked:
   /// an AppId from a different hub throws instead of indexing wild.
   HubShard& shard(std::size_t i) { return *shards_.at(i); }
 

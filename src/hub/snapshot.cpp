@@ -71,17 +71,4 @@ std::shared_ptr<const FleetSnapshot> FleetSnapshot::compose(
   return snap;
 }
 
-const std::vector<AppSummary>& FleetSnapshot::apps_sorted() const {
-  std::call_once(sorted_once_, [this] {
-    sorted_.reserve(app_count_);
-    for_each_app([this](const AppSummary& app) { sorted_.push_back(app); },
-                 /*include_evicted=*/false);
-    std::sort(sorted_.begin(), sorted_.end(),
-              [](const AppSummary& a, const AppSummary& b) {
-                return a.name < b.name;
-              });
-  });
-  return sorted_;
-}
-
 }  // namespace hb::hub

@@ -13,7 +13,7 @@
 //   HeartbeatHub::snapshot() ──▶ FleetSnapshot (composed, cached)
 //                                        │ rebuilt only when some shard's
 //                                        ▼ epoch advanced
-//   HubView / FleetDetector / GlobalScheduler / PolicyEngine / hbmon
+//   FleetDetector / GlobalScheduler / PolicyEngine / hbmon
 //
 // Invariants:
 //   * A ShardSnapshot is immutable after publication. Readers never hold a
@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "hub/summary.hpp"
@@ -81,8 +80,7 @@ struct SnapshotStats {
 };
 
 /// A coherent whole-fleet view: one ShardSnapshot pointer per shard, all
-/// grabbed in one composition pass, plus the composed rollups. Immutable
-/// (the lazily sorted apps list is built at most once, thread-safely).
+/// grabbed in one composition pass, plus the composed rollups. Immutable.
 ///
 /// Coherence guarantee: everything reachable from one FleetSnapshot —
 /// cluster(), tags(), each shard's apps — derives from the SAME set of
@@ -138,11 +136,6 @@ class FleetSnapshot {
     }
   }
 
-  /// Live (non-evicted) apps sorted by name. Built at most ONCE per
-  /// snapshot, on first use, then reused — repeated HubView::apps() calls
-  /// between flushes stopped paying an O(n log n) sort when this landed.
-  const std::vector<AppSummary>& apps_sorted() const;
-
  private:
   FleetSnapshot() = default;
 
@@ -152,9 +145,6 @@ class FleetSnapshot {
   std::size_t app_count_ = 0;
   ClusterSummary cluster_;
   std::vector<TagSummary> tags_;
-
-  mutable std::once_flag sorted_once_;
-  mutable std::vector<AppSummary> sorted_;
 };
 
 }  // namespace hb::hub

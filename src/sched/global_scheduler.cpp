@@ -15,9 +15,10 @@ GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts) : opts_(opts) {
   if (opts_.min_cores_per_app < 0) opts_.min_cores_per_app = 0;
 }
 
-GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts, hub::HubView view)
+GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts,
+                                 hub::HeartbeatHub& hub)
     : GlobalScheduler(opts) {
-  view_ = std::move(view);
+  hub_ = &hub;
 }
 
 int GlobalScheduler::add_app_impl(App app) {
@@ -43,10 +44,10 @@ int GlobalScheduler::add_app(std::string name, core::HeartbeatReader reader,
 }
 
 int GlobalScheduler::add_app(std::string name, Actuator actuator) {
-  if (!view_) {
+  if (!hub_) {
     throw std::logic_error(
         "GlobalScheduler: hub-backed add_app requires construction from a "
-        "HubView");
+        "HeartbeatHub");
   }
   App app;
   app.name = std::move(name);
@@ -80,8 +81,8 @@ std::vector<GlobalScheduler::Snapshot> GlobalScheduler::observe() const {
   // classify() below turns it into snap.dead.
   std::unordered_map<std::string, const hub::AppSummary*> by_name;
   std::shared_ptr<const hub::FleetSnapshot> fleet;
-  if (view_) {
-    fleet = view_->snapshot();
+  if (hub_) {
+    fleet = hub_->snapshot();
     by_name.reserve(fleet->app_count());
     fleet->for_each_app(
         [&by_name](const hub::AppSummary& s) { by_name.emplace(s.name, &s); },

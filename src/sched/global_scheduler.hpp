@@ -18,7 +18,7 @@
 //
 // Observation sources: each app is watched either through its own
 // HeartbeatReader (the paper's one-observer-per-channel shape) or through a
-// hub::HubView. Hub-backed scheduling grabs ONE epoch-coherent
+// hub::HeartbeatHub. Hub-backed scheduling grabs ONE epoch-coherent
 // FleetSnapshot per poll — every app's windowed rate, beat count, and
 // target behind a single shared pointer — instead of polling channels one
 // by one; polls between hub flushes reuse the cached snapshot outright,
@@ -33,7 +33,10 @@
 
 #include "core/reader.hpp"
 #include "fault/fleet_detector.hpp"
-#include "hub/view.hpp"
+
+namespace hb::hub {
+class HeartbeatHub;
+}
 
 namespace hb::sched {
 
@@ -69,9 +72,10 @@ class GlobalScheduler {
 
   explicit GlobalScheduler(GlobalSchedulerOptions opts = {});
 
-  /// Hub-backed scheduler: apps added by name are observed through `view`'s
-  /// cluster snapshot (one query per poll for all of them).
-  GlobalScheduler(GlobalSchedulerOptions opts, hub::HubView view);
+  /// Hub-backed scheduler: apps added by name are observed through `hub`'s
+  /// fleet snapshot (one query per poll for all of them). Non-owning: `hub`
+  /// must outlive the scheduler.
+  GlobalScheduler(GlobalSchedulerOptions opts, hub::HeartbeatHub& hub);
 
   /// Register an application observed through its own reader. Initial
   /// allocation is min_cores_per_app (actuated immediately). Returns the
@@ -79,7 +83,7 @@ class GlobalScheduler {
   int add_app(std::string name, core::HeartbeatReader reader,
               Actuator actuator);
 
-  /// Register an application observed through the hub view (hub-backed
+  /// Register an application observed through the hub (hub-backed
   /// constructor only; throws std::logic_error otherwise). The name must be
   /// the one registered with the hub.
   int add_app(std::string name, Actuator actuator);
@@ -93,7 +97,7 @@ class GlobalScheduler {
   std::size_t app_count() const { return apps_.size(); }
   int free_cores() const;
   std::uint64_t moves() const { return moves_; }
-  bool hub_backed() const { return view_.has_value(); }
+  bool hub_backed() const { return hub_ != nullptr; }
 
  private:
   struct App {
@@ -122,7 +126,7 @@ class GlobalScheduler {
   static double normalized_error(const Snapshot& snap);
 
   GlobalSchedulerOptions opts_;
-  std::optional<hub::HubView> view_;
+  hub::HeartbeatHub* hub_ = nullptr;
   std::vector<App> apps_;
   std::uint64_t moves_ = 0;
   int cooldown_left_ = 0;

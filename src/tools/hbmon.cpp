@@ -70,7 +70,6 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
@@ -362,7 +361,7 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
   hb::fault::FleetDetector detector(
       {.absolute_staleness_ns =
            static_cast<hb::util::TimeNs>(dead_ms) * 1000000});
-  hb::fault::FleetReport report = detector.sweep(hb::hub::HubView(hub));
+  hb::fault::FleetReport report = detector.sweep(hub.snapshot());
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_snapshot_footer(hub, report.snapshot_epoch);
   maybe_print_metrics_footer(metrics);
@@ -416,6 +415,37 @@ LivePipeline make_live_pipeline(const hb::transport::Registry& registry,
   return p;
 }
 
+// The one live loop every ring-fed mode runs: drain the ring, call on_tick
+// once per period, and park on the ring's doorbell until the next tick or
+// the deadline, whichever is sooner — a quiet fleet costs ~0 CPU, a beat
+// wakes the pump immediately. Stops after run_ms (run_ms <= 0: never) or on
+// SIGINT/SIGTERM once handle_stop is installed, then drains once more so
+// the caller's final read sees everything. A stalled process (SIGSTOP,
+// laptop sleep) can fall many periods behind; missed ticks are skipped
+// rather than burst-replayed — each tick reads current state, so replays
+// add nothing.
+template <typename OnTick>
+void run_live(LivePipeline& p, int run_ms, int period_ms, OnTick&& on_tick) {
+  using Clock = std::chrono::steady_clock;
+  const auto period = std::chrono::milliseconds(period_ms);
+  const auto deadline = run_ms > 0
+                            ? Clock::now() + std::chrono::milliseconds(run_ms)
+                            : Clock::time_point::max();
+  auto next_tick = Clock::now() + period;
+  while (!g_stop && Clock::now() < deadline) {
+    p.pump->poll();
+    if (Clock::now() >= next_tick) {
+      on_tick();
+      next_tick += period;
+      if (next_tick < Clock::now()) next_tick = Clock::now() + period;
+    }
+    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::min(next_tick, deadline) - Clock::now());
+    p.pump->wait(budget.count());
+  }
+  p.pump->poll();
+}
+
 // Sweep LIVE producers: external processes publish beats into the fleet
 // ingest ring (transport/ShmIngestQueue, well-known path in the registry
 // dir); we pump the ring into a hub for run_ms and classify the fleet from
@@ -425,27 +455,10 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
   if (run_ms <= 0) run_ms = 2000;
   if (poll_ms <= 0) poll_ms = 50;
   LivePipeline p = make_live_pipeline(registry, poll_ms, dead_ms);
-
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
   // Pulse the hub's snapshot path during the run: each pulse publishes the
   // shards AND fires the self heartbeat, so by the final sweep
   // "__hub/self" has a cadence to be judged on instead of one lone beat.
-  auto next_pulse = Clock::now() + std::chrono::milliseconds(250);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_pulse) {
-      p.hub->snapshot();
-      next_pulse += std::chrono::milliseconds(250);
-    }
-    // Park on the ring's doorbell until the next pulse or the deadline,
-    // whichever is sooner: a quiet fleet costs ~0 CPU, a beat wakes the
-    // pump immediately.
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_pulse, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();  // final drain so the sweep sees everything
+  run_live(p, run_ms, 250, [&p] { p.hub->snapshot(); });
 
   const auto stats = p.pump->stats();
   std::fprintf(stderr, "live: %llu beats from %llu producers via %s\n",
@@ -462,8 +475,7 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
     return 0;
   }
 
-  hb::fault::FleetReport report =
-      p.detector.sweep(hb::hub::HubView(*p.hub));
+  hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_transport_footer(stats);
   print_snapshot_footer(*p.hub, report.snapshot_epoch);
@@ -517,37 +529,14 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
                p.queue->file().c_str(), sweep_ms,
                run_ms > 0 ? "bounded run" : "until SIGINT/SIGTERM");
 
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::milliseconds(run_ms);
-  auto next_sweep = start + std::chrono::milliseconds(sweep_ms);
   hb::fault::FleetReport report;
-  while (!g_stop && (run_ms <= 0 || Clock::now() < deadline)) {
-    p.pump->poll();
-    if (Clock::now() >= next_sweep) {
-      report = p.detector.sweep(hb::hub::HubView(*p.hub));
-      recorder->record_report(report);
-      engine.observe(report);
-      next_sweep += std::chrono::milliseconds(sweep_ms);
-      // A stalled process (SIGSTOP, laptop sleep) can fall many intervals
-      // behind; skip the missed ones rather than burst-sweeping to catch
-      // up — each sweep reads current state, so replays add nothing.
-      if (next_sweep < Clock::now()) {
-        next_sweep = Clock::now() + std::chrono::milliseconds(sweep_ms);
-      }
-    }
-    // Park on the doorbell, but never past the next sweep: the futex wake
-    // bounds ingest latency while the sweep deadline bounds the park.
-    const auto until_sweep =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(next_sweep -
-                                                             Clock::now());
-    p.pump->wait(until_sweep.count());
-  }
-
-  p.pump->poll();  // final drain: the exit table reflects everything
-  report = p.detector.sweep(hb::hub::HubView(*p.hub));
-  recorder->record_report(report);
-  engine.observe(report);
+  const auto sweep = [&] {
+    report = p.detector.sweep(p.hub->snapshot());
+    recorder->record_report(report);
+    engine.observe(report);
+  };
+  run_live(p, run_ms, sweep_ms, sweep);
+  sweep();  // the exit table reflects everything
   std::printf("\n");
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_transport_footer(p.pump->stats());
@@ -586,21 +575,8 @@ void run_pipeline_briefly(const hb::transport::Registry& registry, int run_ms,
                           int poll_ms) {
   LivePipeline p = make_live_pipeline(registry, poll_ms, 5000);
   hb::policy::PolicyEngine engine;
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
-  auto next_pulse = Clock::now() + std::chrono::milliseconds(100);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_pulse) {
-      p.hub->snapshot();
-      next_pulse += std::chrono::milliseconds(100);
-    }
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_pulse, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();
-  engine.observe(p.detector.sweep(hb::hub::HubView(*p.hub)));
+  run_live(p, run_ms, 100, [&p] { p.hub->snapshot(); });
+  engine.observe(p.detector.sweep(p.hub->snapshot()));
 }
 
 int cmd_metrics(const hb::transport::Registry& registry, int run_ms,
@@ -674,27 +650,13 @@ int cmd_timeline(const hb::transport::Registry& registry, int run_ms,
   // Anchor rendered stamps to the start of the run (event times live on
   // the hub's monotonic clock — machine uptime — which nobody wants raw).
   const hb::util::TimeNs base_ns = p.hub->clock()->now();
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
-  auto next_sweep = Clock::now() + std::chrono::milliseconds(sweep_ms);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_sweep) {
-      const hb::fault::FleetReport report =
-          p.detector.sweep(hb::hub::HubView(*p.hub));
-      recorder->record_report(report);
-      engine.observe(report);
-      next_sweep += std::chrono::milliseconds(sweep_ms);
-    }
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_sweep, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();
-  const hb::fault::FleetReport last =
-      p.detector.sweep(hb::hub::HubView(*p.hub));
-  recorder->record_report(last);
-  engine.observe(last);
+  const auto sweep = [&] {
+    const hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
+    recorder->record_report(report);
+    engine.observe(report);
+  };
+  run_live(p, run_ms, sweep_ms, sweep);
+  sweep();
 
   hb::util::TimeNs since_ns = 0;
   if (since_ms > 0) {

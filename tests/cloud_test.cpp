@@ -10,7 +10,6 @@
 #include "cloud/cloud_sim.hpp"
 #include "fault/failure_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "util/clock.hpp"
 
 namespace hb::cloud {
@@ -221,19 +220,16 @@ TEST_F(CloudFixture, AttachedHubMirrorsVmBeats) {
 
   for (int i = 0; i < 100; ++i) sim.step(0.1);
 
-  hub::HubView view(*hub);
-  const auto early = view.app("early");
-  const auto late = view.app("late");
-  ASSERT_TRUE(early.has_value());
-  ASSERT_TRUE(late.has_value());
+  const hub::AppSummary early = hub->summary(hub->id_of("early"));
+  const hub::AppSummary late = hub->summary(hub->id_of("late"));
   // The hub saw exactly the beats the VM channels emitted, with identical
   // timestamps, so windowed rates agree bit-for-bit.
-  EXPECT_EQ(early->total_beats, sim.reader(before).count());
-  EXPECT_EQ(late->total_beats, sim.reader(after).count());
-  EXPECT_DOUBLE_EQ(early->rate_bps, sim.reader(before).current_rate(8));
-  EXPECT_DOUBLE_EQ(late->rate_bps, sim.reader(after).current_rate(8));
+  EXPECT_EQ(early.total_beats, sim.reader(before).count());
+  EXPECT_EQ(late.total_beats, sim.reader(after).count());
+  EXPECT_DOUBLE_EQ(early.rate_bps, sim.reader(before).current_rate(8));
+  EXPECT_DOUBLE_EQ(late.rate_bps, sim.reader(after).current_rate(8));
   // Targets registered from the VmSpecs.
-  EXPECT_DOUBLE_EQ(early->target.min_bps, 0.9 * 2.0);
+  EXPECT_DOUBLE_EQ(early.target.min_bps, 0.9 * 2.0);
 }
 
 TEST_F(CloudFixture, HubWithDifferentClockStillGetsExactRates) {
@@ -250,9 +246,9 @@ TEST_F(CloudFixture, HubWithDifferentClockStillGetsExactRates) {
   const int v = sim.add_vm(light_vm("vm", 2.0));
   for (int i = 0; i < 100; ++i) sim.step(0.1);
 
-  hub::HubView view(*hub);
-  EXPECT_EQ(view.app("vm")->total_beats, sim.reader(v).count());
-  EXPECT_DOUBLE_EQ(view.app("vm")->rate_bps, sim.reader(v).current_rate(8));
+  const hub::AppSummary s = hub->summary(hub->id_of("vm"));
+  EXPECT_EQ(s.total_beats, sim.reader(v).count());
+  EXPECT_DOUBLE_EQ(s.rate_bps, sim.reader(v).current_rate(8));
 }
 
 // The multi-producer stress scenario: a whole fleet beating through one hub,
@@ -296,16 +292,16 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
     consolidator.poll(sim);
   }
 
-  hub::HubView view(*hub);
   // Exactness: every VM's hub summary equals its own channel.
   std::uint64_t channel_total = 0;
   for (const int v : vms) {
-    const auto s = view.app("vm-" + std::to_string(v));
-    ASSERT_TRUE(s.has_value());
-    EXPECT_EQ(s->total_beats, sim.reader(v).count()) << "vm " << v;
+    const hub::AppSummary s =
+        hub->summary(hub->id_of("vm-" + std::to_string(v)));
+    EXPECT_EQ(s.total_beats, sim.reader(v).count()) << "vm " << v;
     channel_total += sim.reader(v).count();
   }
-  const hub::ClusterSummary c = view.cluster();
+  const auto snap = hub->snapshot();
+  const hub::ClusterSummary& c = snap->cluster();
   EXPECT_EQ(c.apps, static_cast<std::uint64_t>(kVms));
   EXPECT_EQ(c.total_beats, channel_total);
   EXPECT_GT(c.total_beats, 1000u);
@@ -315,7 +311,9 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
   // Most of the fleet meets its goal once the consolidator settles.
   EXPECT_GT(c.meeting_target, static_cast<std::uint64_t>(kVms / 2));
   // Tag rollup sees every VM (tag 0 beats from all of them).
-  EXPECT_EQ(view.tag(0).apps, static_cast<std::uint32_t>(kVms));
+  ASSERT_FALSE(snap->tags().empty());
+  EXPECT_EQ(snap->tags().front().tag, 0u);  // ascending: tag 0 leads
+  EXPECT_EQ(snap->tags().front().apps, static_cast<std::uint32_t>(kVms));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Fleet-wide failure detection over the hub (paper §2.6 at fleet scale):
-// verdicts from aggregated summaries alone, one HubView pass per sweep,
+// verdicts from aggregated summaries alone, one hub snapshot per sweep,
 // wired through CloudSim fleets and the hub-backed GlobalScheduler.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "cloud/cloud_sim.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "policy/policy_engine.hpp"
 #include "sched/global_scheduler.hpp"
 #include "test_support.hpp"
@@ -177,7 +176,7 @@ TEST(FleetSweep, MixedHubFleetRollsUp) {
   }
 
   FleetDetector det({.absolute_staleness_ns = 20 * kNsPerSec});
-  const FleetReport report = det.sweep(hub::HubView(hub));
+  const FleetReport report = det.sweep(hub.snapshot());
 
   ASSERT_EQ(report.apps.size(), 5u);
   for (const AppHealth& app : report.apps) {
@@ -225,7 +224,7 @@ TEST(FleetSweep, WorstOffendersAreCappedAndExcludeWarmUps) {
   }
   test::beat_apps(hub, *clock, slow, /*rounds=*/10, 100 * kNsPerMs);
   FleetDetector det({.max_worst = 3});
-  const FleetReport report = det.sweep(hub::HubView(hub));
+  const FleetReport report = det.sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.slow, 10u);
   EXPECT_EQ(report.fleet.warming_up, 10u);
   // Capped, and a freshly registered app is not an "offender": every entry
@@ -250,9 +249,9 @@ TEST(FleetSweep, AutoEvictedDeathsStayInTheReport) {
   test::beat_apps(hub, *clock, {live, doomed}, /*rounds=*/20, 100 * kNsPerMs);
   // 4s of silence for doomed.
   test::beat_apps(hub, *clock, {live}, /*rounds=*/40, 100 * kNsPerMs);
-  ASSERT_TRUE(hub::HubView(hub).app("doomed")->evicted);
+  ASSERT_TRUE(hub.summary(doomed).evicted);
 
-  const FleetReport report = FleetDetector().sweep(hub::HubView(hub));
+  const FleetReport report = FleetDetector().sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.apps, 2u);
   EXPECT_EQ(report.fleet.dead, 1u);
   EXPECT_EQ(report.fleet.evicted, 1u);
@@ -278,39 +277,36 @@ TEST(FleetSweep, EvictionRevivalChurnStaysConsistent) {
   const FleetDetector det;
   policy::PolicyEngine engine(
       {.flap_window_ns = 1000 * kNsPerSec, .flap_threshold = 100});
-  hub::HubView view(hub);
 
   constexpr int kCycles = 3;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     // Active: both beat at 10 b/s for 2 s.
     test::beat_apps(hub, *clock, {churn, steady}, /*rounds=*/20,
                     100 * kNsPerMs);
-    FleetReport up = det.sweep(view);
+    FleetReport up = det.sweep(hub.snapshot());
     engine.observe(up);
     EXPECT_EQ(up.fleet.apps, 2u) << "cycle " << cycle;
     EXPECT_EQ(up.fleet.dead, 0u) << "cycle " << cycle;
     EXPECT_EQ(up.fleet.evicted, 0u) << "cycle " << cycle;
-    const auto revived = view.app("churn");
-    ASSERT_TRUE(revived.has_value());
-    EXPECT_FALSE(revived->evicted);
+    const hub::AppSummary revived = hub.summary(churn);
+    EXPECT_FALSE(revived.evicted);
     // Lifetime beats survive every eviction so far.
-    EXPECT_EQ(revived->total_beats,
+    EXPECT_EQ(revived.total_beats,
               static_cast<std::uint64_t>(20 * (cycle + 1)));
 
     // Silent: churn stops for 4 s — past the relative death bound AND the
     // eviction bound; steady keeps beating.
     test::beat_apps(hub, *clock, {steady}, /*rounds=*/40, 100 * kNsPerMs);
-    FleetReport down = det.sweep(view);
+    FleetReport down = det.sweep(hub.snapshot());
     engine.observe(down);
     EXPECT_EQ(down.fleet.apps, 2u) << "cycle " << cycle;
     EXPECT_EQ(down.fleet.dead, 1u) << "cycle " << cycle;
     EXPECT_EQ(down.fleet.evicted, 1u) << "cycle " << cycle;
     ASSERT_EQ(down.fleet.dead_apps.size(), 1u);
     EXPECT_EQ(down.fleet.dead_apps[0], "churn");
-    const auto evicted = view.app("churn");
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_TRUE(evicted->evicted);
-    EXPECT_EQ(evicted->total_beats,
+    const hub::AppSummary evicted = hub.summary(churn);
+    EXPECT_TRUE(evicted.evicted);
+    EXPECT_EQ(evicted.total_beats,
               static_cast<std::uint64_t>(20 * (cycle + 1)));
   }
   // One death and one revival edge per cycle — no double-counted deaths
@@ -322,7 +318,7 @@ TEST(FleetSweep, EvictionRevivalChurnStaysConsistent) {
   // Come back one last time: the fleet ends clean.
   test::beat_apps(hub, *clock, {churn, steady}, /*rounds=*/20,
                   100 * kNsPerMs);
-  const FleetReport healed = det.sweep(view);
+  const FleetReport healed = det.sweep(hub.snapshot());
   engine.observe(healed);
   EXPECT_EQ(healed.fleet.dead, 0u);
   EXPECT_EQ(engine.stats().revivals, static_cast<std::uint64_t>(kCycles));
@@ -341,8 +337,8 @@ TEST(FleetSweep, AgedOutDeadProducerIsReportedDeadWithoutAbsoluteBound) {
   const hub::AppId id = hub.register_app("quiet");
   test::beat_apps(hub, *clock, {id}, /*rounds=*/20, 100 * kNsPerMs);
   clock->advance(10 * kNsPerSec);  // window fully drained
-  ASSERT_EQ(hub::HubView(hub).app("quiet")->window_beats, 0u);
-  const FleetReport report = FleetDetector().sweep(hub::HubView(hub));
+  ASSERT_EQ(hub.summary(id).window_beats, 0u);
+  const FleetReport report = FleetDetector().sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.dead, 1u);
 }
 
@@ -353,7 +349,7 @@ TEST(FleetSweep, FreshFleetHasNoWorstOffenders) {
   hub::HeartbeatHub hub(opts);
   for (int i = 0; i < 5; ++i) hub.register_app("new-" + std::to_string(i));
   clock->advance(kNsPerSec);
-  const FleetReport report = FleetDetector().sweep(hub::HubView(hub));
+  const FleetReport report = FleetDetector().sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.warming_up, 5u);
   EXPECT_TRUE(report.fleet.worst.empty());
 }
@@ -362,7 +358,7 @@ TEST(FleetSweep, FreshFleetHasNoWorstOffenders) {
 
 // The acceptance scenario: a 1000-VM fleet feeding one hub, with injected
 // kills (silent), overcommitted targets (slow), and bursty phase schedules
-// (erratic). One sweep — a single HubView pass, no per-VM reader queries —
+// (erratic). One sweep — a single hub snapshot, no per-VM reader queries —
 // must classify every injected fault correctly under the ManualClock.
 TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   auto clock = std::make_shared<util::ManualClock>();
@@ -435,8 +431,8 @@ TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   EXPECT_EQ(report.fleet.healthy + report.fleet.slow + report.fleet.erratic,
             static_cast<std::uint64_t>(kVms) - killed.size());
   // The sweep drained every shard in its one pass: nothing left buffered.
-  for (const auto& s : hub::HubView(*hub).shard_stats()) {
-    EXPECT_EQ(s.pending, 0u);
+  for (std::size_t i = 0; i < hub->shard_count(); ++i) {
+    EXPECT_EQ(hub->shard(i).stats().pending, 0u);
   }
 
   // Restart heals: after enough fresh beats wash out the gap, the rollup
@@ -476,7 +472,7 @@ TEST(FleetScheduler, DeadAppsDonateTheirCores) {
        .cooldown_polls = 0,
        .detect_failures = true,
        .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      hub::HubView(hub));
+      *hub);
   int cores_a = 0, cores_b = 0;
   scheduler.add_app("a", [&](int c) { cores_a = c; });
   scheduler.add_app("b", [&](int c) { cores_b = c; });
@@ -534,7 +530,7 @@ TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
        .cooldown_polls = 0,
        .detect_failures = true,
        .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      hub::HubView(hub));
+      *hub);
   int cores_b = 0;
   scheduler.add_app("a", [](int) {});
   scheduler.add_app("b", [&](int c) { cores_b = c; });
@@ -576,7 +572,7 @@ TEST(FleetScheduler, NotYetRegisteredAppsAreWarmingUpNotDead) {
        .cooldown_polls = 0,
        .detect_failures = true,
        .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      hub::HubView(hub));
+      *hub);
   int cores_a = 0, cores_late = 0;
   scheduler.add_app("a", [&](int c) { cores_a = c; });
   scheduler.add_app("late", [&](int c) { cores_late = c; });  // not in hub yet
@@ -626,7 +622,7 @@ TEST(FleetScheduler, HubEvictedAppsReadAsDead) {
        .cooldown_polls = 0,
        .detect_failures = true,
        .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      hub::HubView(hub));
+      *hub);
   int cores_a = 0, cores_b = 0;
   scheduler.add_app("a", [&](int c) { cores_a = c; });
   scheduler.add_app("b", [&](int c) { cores_b = c; });
@@ -647,7 +643,7 @@ TEST(FleetScheduler, HubEvictedAppsReadAsDead) {
     clock->advance(100 * kNsPerMs);
     hub->beat(a);
   }
-  EXPECT_TRUE(hub::HubView(*hub).app("b")->evicted);
+  EXPECT_TRUE(hub->summary(b).evicted);
   hub->set_target(a, {30.0, inf});  // a needy at ~10 b/s
   EXPECT_TRUE(scheduler.poll());
   EXPECT_EQ(cores_b, 1);

@@ -8,7 +8,6 @@
 #include "core/memory_store.hpp"
 #include "core/reader.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "sched/global_scheduler.hpp"
 #include "sim/machine.hpp"
 #include "util/clock.hpp"
@@ -200,7 +199,7 @@ TEST(GlobalSchedulerClosedLoop, ShiftsCoresBetweenPhasedApps) {
 
 // ------------------------------------------------- hub-backed observation
 
-// The scheduler built from a HubView: one cluster snapshot per poll instead
+// The scheduler built on a hub: one fleet snapshot per poll instead
 // of one reader query per app, same policy decisions.
 struct HubBackedFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
@@ -216,7 +215,7 @@ struct HubBackedFixture : ::testing::Test {
       }());
   GlobalScheduler scheduler{
       {.total_cores = 8, .min_cores_per_app = 1, .cooldown_polls = 0},
-      hub::HubView(hub)};
+      *hub};
 
   hub::AppId beats(const std::string& name, int n, util::TimeNs interval) {
     const hub::AppId id = hub->id_of(name);
@@ -228,7 +227,7 @@ struct HubBackedFixture : ::testing::Test {
   }
 };
 
-TEST_F(HubBackedFixture, ConstructedFromHubViewGrantsFreeCores) {
+TEST_F(HubBackedFixture, ConstructedFromHubGrantsFreeCores) {
   hub->register_app("a", core::TargetRate{10.0, 20.0});
   hub->register_app("b", core::TargetRate{0.1, 20.0});
   std::vector<int> allocs_a;
@@ -265,7 +264,7 @@ TEST_F(HubBackedFixture, AppsUnknownToTheHubStayAtMinimum) {
   EXPECT_EQ(scheduler.allocation(0), 1);
 }
 
-TEST(HubBackedErrors, NameOnlyAddAppRequiresHubView) {
+TEST(HubBackedErrors, NameOnlyAddAppRequiresHub) {
   GlobalScheduler plain({.total_cores = 4});
   EXPECT_THROW(plain.add_app("a", [](int) {}), std::logic_error);
 }
@@ -275,7 +274,7 @@ TEST_F(HubBackedFixture, TaxesSurplusDonorForNeedyApp) {
   hub->register_app("rich", core::TargetRate{0.05, 0.2});
   GlobalScheduler tight({.total_cores = 2, .min_cores_per_app = 0,
                          .cooldown_polls = 0},
-                        hub::HubView(hub));
+                        *hub);
   tight.add_app("needy", [](int) {});
   tight.add_app("rich", [](int) {});
 

@@ -1,17 +1,18 @@
-// The snapshot plane: epoch semantics, fleet-cache hits, sort-once reuse,
-// and sweep coherence under threaded ingest (no torn reports).
+// The snapshot plane: epoch semantics, fleet-cache hits, the single-shard
+// per-app query, and sweep coherence under threaded ingest (no torn
+// reports).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "test_support.hpp"
 #include "util/clock.hpp"
 #include "util/time.hpp"
@@ -33,22 +34,21 @@ TEST(SnapshotEpochs, RepeatedQueriesBetweenFlushesReuseTheSnapshot) {
   HeartbeatHub hub(manual_hub_opts(clock));
   const AppId a = hub.register_app("a");
   const AppId b = hub.register_app("b");
-  HubView view(hub);
 
   clock->advance(kNsPerMs);
   hub.beat(a);
   hub.beat(b);
 
   // First query publishes and composes...
-  const auto snap1 = view.snapshot();
+  const auto snap1 = hub.snapshot();
   const auto stats1 = hub.snapshot_stats();
   EXPECT_GE(stats1.fleet_rebuilds, 1u);
 
   // ...and with a frozen clock and no new beats, every further query —
   // whatever its shape — is the SAME snapshot object: pointer reads.
-  const auto snap2 = view.snapshot();
-  const ClusterSummary c1 = view.cluster();
-  const ClusterSummary c2 = view.cluster();
+  const auto snap2 = hub.snapshot();
+  const ClusterSummary c1 = hub.snapshot()->cluster();
+  const ClusterSummary c2 = hub.snapshot()->cluster();
   EXPECT_EQ(snap1.get(), snap2.get());
   EXPECT_EQ(snap1->epoch(), snap2->epoch());
   EXPECT_EQ(c1.total_beats, c2.total_beats);
@@ -59,13 +59,13 @@ TEST(SnapshotEpochs, RepeatedQueriesBetweenFlushesReuseTheSnapshot) {
   // A new beat advances exactly the owning shard's epoch; the fleet view
   // recomposes once and the total epoch strictly increases.
   hub.beat(a);
-  const auto snap3 = view.snapshot();
+  const auto snap3 = hub.snapshot();
   EXPECT_NE(snap3.get(), snap1.get());
   EXPECT_GT(snap3->epoch(), snap1->epoch());
 
   // Clock movement alone (staleness must restamp) also republishes.
   clock->advance(kNsPerSec);
-  const auto snap4 = view.snapshot();
+  const auto snap4 = hub.snapshot();
   EXPECT_GT(snap4->epoch(), snap3->epoch());
   EXPECT_EQ(snap4->find(b)->staleness_ns, kNsPerSec);  // b's last beat: t=1ms
 }
@@ -74,20 +74,19 @@ TEST(SnapshotEpochs, DirtyStateRepublishesWithoutBeats) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/1));
   const AppId id = hub.register_app("a");
-  HubView view(hub);
   clock->advance(kNsPerMs);
   hub.beat(id);
 
-  const auto before = view.snapshot();
+  const auto before = hub.snapshot();
   // set_target with a frozen clock and no beats must still reach readers.
   hub.set_target(id, {2.5, 80.0});
-  const auto after = view.snapshot();
+  const auto after = hub.snapshot();
   EXPECT_GT(after->epoch(), before->epoch());
   EXPECT_DOUBLE_EQ(after->find(id)->target.min_bps, 2.5);
 
   // Eviction too.
   hub.evict(id);
-  const auto evicted = view.snapshot();
+  const auto evicted = hub.snapshot();
   EXPECT_GT(evicted->epoch(), after->epoch());
   EXPECT_TRUE(evicted->find(id)->evicted);
 }
@@ -98,31 +97,30 @@ TEST(SnapshotEpochs, FreshnessToleranceSkipsSubToleranceRepublishes) {
   opts.snapshot_min_interval_ns = 100 * kNsPerMs;
   HeartbeatHub hub(opts);
   const AppId id = hub.register_app("a");
-  HubView view(hub);
   clock->advance(kNsPerMs);
   hub.beat(id);
 
-  const auto snap1 = view.snapshot();
+  const auto snap1 = hub.snapshot();
   // The clock moved, but less than the tolerance: the published snapshot
   // stands (staleness is allowed to lag up to the tolerance).
   clock->advance(50 * kNsPerMs);
-  const auto snap2 = view.snapshot();
+  const auto snap2 = hub.snapshot();
   EXPECT_EQ(snap1.get(), snap2.get());
   // An explicit flush cuts through the tolerance: maintenance (staleness
   // stamps, aging, auto-eviction) must catch up NOW, as documented.
   hub.flush();
-  const auto forced = view.snapshot();
+  const auto forced = hub.snapshot();
   EXPECT_GT(forced->epoch(), snap2->epoch());
   EXPECT_EQ(forced->find(id)->staleness_ns, 50 * kNsPerMs);
   // Past the tolerance (measured from the forced publish) the republish
   // happens on its own.
   clock->advance(110 * kNsPerMs);
-  const auto snap3 = view.snapshot();
+  const auto snap3 = hub.snapshot();
   EXPECT_GT(snap3->epoch(), forced->epoch());
   EXPECT_EQ(snap3->find(id)->staleness_ns, 160 * kNsPerMs);
   // New beats always cut through the tolerance: data, not time.
   hub.beat(id);
-  const auto snap4 = view.snapshot();
+  const auto snap4 = hub.snapshot();
   EXPECT_GT(snap4->epoch(), snap3->epoch());
 }
 
@@ -137,58 +135,53 @@ TEST(SnapshotEpochs, OverflowDrainedBeatsAlwaysReachTheNextSnapshot) {
   opts.snapshot_min_interval_ns = kNsPerSec;  // tolerance must not hide data
   HeartbeatHub hub(opts);
   const AppId id = hub.register_app("a");
-  HubView view(hub);
 
   clock->advance(kNsPerMs);
   hub.beat(id);
-  EXPECT_EQ(view.cluster().total_beats, 1u);
+  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 1u);
 
   // Exactly one full batch, clock frozen: all 4 beats overflow-drain.
   for (int i = 0; i < 4; ++i) hub.beat(id);
-  EXPECT_EQ(view.cluster().total_beats, 5u);
+  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 5u);
 
   // Same shape through the span path and an idempotent re-evict.
   std::vector<core::HeartbeatRecord> recs(4);
   for (auto& r : recs) r.timestamp_ns = clock->now();
   hub.ingest_batch(id, recs);
-  EXPECT_EQ(view.cluster().total_beats, 9u);
+  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 9u);
 }
 
-// ------------------------------------------------- sort-once regression
+// ----------------------------------------------------- per-app query
 
-TEST(SnapshotSortOnce, AppsAreSortedOncePerEpochAndReused) {
+// summary(id) publishes only the owning shard: a per-app poller never
+// forces the rest of the fleet to republish.
+TEST(SnapshotPerApp, SummaryPublishesOnlyTheOwningShard) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_hub_opts(clock));
-  // Registration order deliberately unsorted.
-  hub.register_app("charlie");
-  hub.register_app("alpha");
-  hub.register_app("bravo");
-  clock->advance(kNsPerMs);
-  hub.flush();
-  HubView view(hub);
-
-  const auto snap = view.snapshot();
-  const auto& sorted1 = snap->apps_sorted();
-  const auto& sorted2 = snap->apps_sorted();
-  // Same vector object: the sort ran at most once for this epoch.
-  EXPECT_EQ(&sorted1, &sorted2);
-  ASSERT_EQ(sorted1.size(), 3u);
-  EXPECT_EQ(sorted1[0].name, "alpha");
-  EXPECT_EQ(sorted1[1].name, "bravo");
-  EXPECT_EQ(sorted1[2].name, "charlie");
-
-  // The view adapter serves repeated apps() from the same snapshot: the
-  // query-cost regression guard — many calls, exactly one composition
-  // (and therefore exactly one sort), while the answers stay correct.
-  const auto stats_before = hub.snapshot_stats();
-  for (int i = 0; i < 100; ++i) {
-    const auto apps = view.apps();
-    ASSERT_EQ(apps.size(), 3u);
-    EXPECT_EQ(apps.front().name, "alpha");
+  HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/4, /*batch=*/64));
+  const AppId a = hub.register_app("app-0");
+  AppId b = a;
+  for (int k = 1; app_id_shard(b) == app_id_shard(a); ++k) {
+    b = hub.register_app("app-" + std::to_string(k));
   }
-  const auto stats_after = hub.snapshot_stats();
-  EXPECT_EQ(stats_after.fleet_rebuilds, stats_before.fleet_rebuilds);
-  EXPECT_GE(stats_after.fleet_hits, stats_before.fleet_hits + 100);
+  HubShard& shard_i = hub.shard(app_id_shard(a));
+  HubShard& shard_j = hub.shard(app_id_shard(b));
+
+  clock->advance(kNsPerMs);
+  for (int k = 0; k < 3; ++k) {
+    hub.beat(a);
+    hub.beat(b);
+  }
+  const std::uint64_t epoch_j = shard_j.stats().epoch;
+
+  EXPECT_EQ(hub.summary(a).total_beats, 3u);
+  EXPECT_EQ(shard_i.stats().pending, 0u);     // i's beats applied
+  EXPECT_EQ(shard_j.stats().epoch, epoch_j);  // j never republished
+  EXPECT_EQ(shard_j.stats().pending, 3u);
+
+  // A slot past the shard's registered apps is foreign to this hub.
+  const auto past_end = static_cast<std::uint32_t>(shard_i.stats().apps);
+  EXPECT_THROW(hub.summary(make_app_id(app_id_shard(a), past_end)),
+               std::out_of_range);
 }
 
 // ------------------------------------------------------- sweep coherence
@@ -201,7 +194,6 @@ TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
   auto clock = std::make_shared<util::ManualClock>();
   HubOptions opts = manual_hub_opts(clock, /*shards=*/8, /*batch=*/16);
   HeartbeatHub hub(opts);
-  HubView view(hub);
 
   constexpr int kApps = 96;
   constexpr int kProducers = 4;
@@ -229,7 +221,7 @@ TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
       {.absolute_staleness_ns = 60 * kNsPerSec});
   std::uint64_t last_epoch = 0;
   for (int sweep = 0; sweep < 200; ++sweep) {
-    const fault::FleetReport report = detector.sweep(view);
+    const fault::FleetReport report = detector.sweep(hub.snapshot());
 
     // One coherent epoch per report, monotone across sweeps.
     EXPECT_GE(report.snapshot_epoch, last_epoch);
@@ -252,7 +244,7 @@ TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
 
     // Cluster view from the same cache: internally consistent with itself
     // (apps + evicted == registered) at whatever epoch it reflects.
-    const ClusterSummary cluster = view.cluster();
+    const ClusterSummary cluster = hub.snapshot()->cluster();
     EXPECT_EQ(cluster.apps + cluster.evicted,
               static_cast<std::uint64_t>(kApps));
   }
@@ -265,11 +257,12 @@ TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
   // every producer sent (batched handoffs included).
   hub.flush();
   std::uint64_t ingested = 0;
-  for (const auto& s : view.shard_stats()) {
+  for (std::size_t i = 0; i < hub.shard_count(); ++i) {
+    const ShardStats s = hub.shard(i).stats();
     ingested += s.ingested;
     EXPECT_EQ(s.pending, 0u);
   }
-  EXPECT_EQ(view.cluster().total_beats, ingested);
+  EXPECT_EQ(hub.snapshot()->cluster().total_beats, ingested);
 }
 
 // The report's epoch is the snapshot's epoch — pinned exactly in a
@@ -278,18 +271,17 @@ TEST(SnapshotCoherence, ReportEpochMatchesTheSnapshotItWasDerivedFrom) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_hub_opts(clock, 2));
   const AppId id = hub.register_app("a");
-  HubView view(hub);
   clock->advance(kNsPerMs);
   hub.beat(id);
 
   const fault::FleetDetector detector;
-  const auto snap = view.snapshot();
+  const auto snap = hub.snapshot();
   const fault::FleetReport report = detector.sweep(snap);
   EXPECT_EQ(report.snapshot_epoch, snap->epoch());
   EXPECT_EQ(report.fleet.swept_at_ns, snap->composed_at_ns());
 
-  // Sweeping through the view with nothing changed reuses the same epoch.
-  const fault::FleetReport again = detector.sweep(view);
+  // Sweeping a fresh snapshot with nothing changed reuses the same epoch.
+  const fault::FleetReport again = detector.sweep(hub.snapshot());
   EXPECT_EQ(again.snapshot_epoch, report.snapshot_epoch);
 }
 

@@ -3,6 +3,7 @@
 // deterministic behavior under fake clocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -17,7 +18,6 @@
 #include "core/rate.hpp"
 #include "hub/hub.hpp"
 #include "hub/sink.hpp"
-#include "hub/view.hpp"
 #include "transport/registry.hpp"
 #include "util/clock.hpp"
 #include "util/time.hpp"
@@ -37,6 +37,27 @@ HubOptions manual_opts(std::shared_ptr<util::ManualClock> clock,
   opts.window_capacity = window;
   opts.clock = std::move(clock);
   return opts;
+}
+
+// One tag's fleet rollup; zeroed when nobody emitted it.
+TagSummary tag_of(HeartbeatHub& hub, std::uint64_t tag) {
+  const auto snap = hub.snapshot();
+  for (const TagSummary& t : snap->tags()) {
+    if (t.tag == tag) return t;
+  }
+  return TagSummary{};
+}
+
+// Live apps in display order (the snapshot itself iterates shard order).
+std::vector<AppSummary> sorted_live_apps(HeartbeatHub& hub) {
+  std::vector<AppSummary> out;
+  hub.snapshot()->for_each_app(
+      [&out](const AppSummary& s) { out.push_back(s); });
+  std::sort(out.begin(), out.end(),
+            [](const AppSummary& a, const AppSummary& b) {
+              return a.name < b.name;
+            });
+  return out;
 }
 
 // ------------------------------------------------------------ shard routing
@@ -60,9 +81,8 @@ TEST(HubRouting, HashSpreadsAppsAcrossShards) {
   for (int i = 0; i < 256; ++i) {
     hub.register_app("tenant-" + std::to_string(i));
   }
-  HubView view(hub);
-  for (const ShardStats& s : view.shard_stats()) {
-    EXPECT_GT(s.apps, 0u) << "shard " << s.shard << " got no apps";
+  for (std::size_t i = 0; i < hub.shard_count(); ++i) {
+    EXPECT_GT(hub.shard(i).stats().apps, 0u) << "shard " << i;
   }
 }
 
@@ -82,8 +102,8 @@ TEST(HubRouting, RegisterIsIdempotent) {
   const AppId again = hub.register_app("x", core::TargetRate{9.0, 9.0});
   EXPECT_EQ(first, again);
   EXPECT_EQ(hub.app_count(), 1u);
-  HubView view(hub);
-  EXPECT_DOUBLE_EQ(view.app("x")->target.min_bps, 1.0);  // kept the original
+  // Kept the original target.
+  EXPECT_DOUBLE_EQ(hub.summary(first).target.min_bps, 1.0);
 }
 
 TEST(HubRouting, SetTargetIsVisibleWithoutAnyBeats) {
@@ -94,9 +114,9 @@ TEST(HubRouting, SetTargetIsVisibleWithoutAnyBeats) {
   HeartbeatHub hub(manual_opts(clock));
   const AppId id = hub.register_app("x", core::TargetRate{1.0, 2.0});
   hub.set_target(id, core::TargetRate{5.0, 6.0});
-  HubView view(hub);
-  EXPECT_DOUBLE_EQ(view.app("x")->target.min_bps, 5.0);
-  EXPECT_DOUBLE_EQ(view.app("x")->target.max_bps, 6.0);
+  const AppSummary s = hub.summary(id);
+  EXPECT_DOUBLE_EQ(s.target.min_bps, 5.0);
+  EXPECT_DOUBLE_EQ(s.target.max_bps, 6.0);
 }
 
 TEST(HubRouting, ForeignAppIdsThrowInsteadOfCorrupting) {
@@ -110,17 +130,15 @@ TEST(HubRouting, ForeignAppIdsThrowInsteadOfCorrupting) {
   core::HeartbeatRecord rec;
   EXPECT_THROW(hub.ingest(foreign_slot, rec), std::out_of_range);
   EXPECT_THROW(hub.beat(foreign_shard), std::out_of_range);
-  EXPECT_THROW(HubView(hub).app(foreign_slot), std::out_of_range);
+  EXPECT_THROW(hub.summary(foreign_slot), std::out_of_range);
+  EXPECT_THROW(hub.summary(foreign_shard), std::out_of_range);
 }
 
-TEST(HubRouting, UnknownNamesAreNulloptOrThrow) {
+TEST(HubRouting, UnknownNamesThrow) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock));
-  HubView view(hub);
-  EXPECT_FALSE(view.app("nope").has_value());
-  EXPECT_FALSE(view.staleness_ns("nope").has_value());
-  EXPECT_DOUBLE_EQ(view.rate("nope"), 0.0);
   EXPECT_THROW(hub.id_of("nope"), std::out_of_range);
+  EXPECT_EQ(hub.snapshot()->find(make_app_id(0, 0)), nullptr);
 }
 
 // --------------------------------------------------------- batched ingestion
@@ -129,20 +147,19 @@ TEST(HubBatching, BeatsBufferUntilBatchCapacity) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, /*shards=*/1, /*batch=*/8));
   const AppId id = hub.register_app("a");
-  HubView view(hub);
 
   for (int i = 0; i < 7; ++i) {
     clock->advance(kNsPerMs);
     hub.beat(id);
   }
-  ShardStats s = view.shard_stats()[0];
+  ShardStats s = hub.shard(0).stats();
   EXPECT_EQ(s.pending, 7u);   // still buffered
   EXPECT_EQ(s.flushes, 0u);
   EXPECT_EQ(s.ingested, 7u);
 
   clock->advance(kNsPerMs);
   hub.beat(id);               // 8th beat fills the batch
-  s = view.shard_stats()[0];
+  s = hub.shard(0).stats();
   EXPECT_EQ(s.pending, 0u);
   EXPECT_EQ(s.flushes, 1u);
 }
@@ -151,14 +168,13 @@ TEST(HubBatching, QueriesFlushPendingBeats) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1, /*batch=*/1024));
   const AppId id = hub.register_app("a");
-  HubView view(hub);
   for (int i = 0; i < 5; ++i) {
     clock->advance(kNsPerMs);
     hub.beat(id);
   }
   // Far below batch capacity, but the query must still see every beat.
-  EXPECT_EQ(view.app("a")->total_beats, 5u);
-  EXPECT_EQ(view.shard_stats()[0].pending, 0u);
+  EXPECT_EQ(hub.summary(id).total_beats, 5u);
+  EXPECT_EQ(hub.shard(0).stats().pending, 0u);
 }
 
 TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
@@ -171,11 +187,10 @@ TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
     recs[i].tag = 7;
   }
   hub.ingest_batch(id, recs);
-  HubView view(hub);
-  const AppSummary s = *view.app("a");
+  const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.total_beats, 10u);
-  EXPECT_EQ(view.tag(7).beats, 10u);
-  EXPECT_GE(view.shard_stats()[0].flushes, 2u);  // 10 beats / batch of 4
+  EXPECT_EQ(tag_of(hub, 7).beats, 10u);
+  EXPECT_GE(hub.shard(0).stats().flushes, 2u);  // 10 beats / batch of 4
 }
 
 // ----------------------------------------------------------- rate semantics
@@ -184,14 +199,13 @@ TEST(HubRates, WindowedRateMatchesCoreSemantics) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 2, 8, /*window=*/64));
   const AppId id = hub.register_app("a");
-  HubView view(hub);
   // 21 beats 100ms apart: 20 intervals over 2s -> 10 beats/s.
   for (int i = 0; i < 21; ++i) {
     clock->advance(kNsPerSec / 10);
     hub.beat(id);
   }
-  EXPECT_DOUBLE_EQ(view.rate("a"), 10.0);
-  const AppSummary s = *view.app("a");
+  const AppSummary s = hub.summary(id);
+  EXPECT_DOUBLE_EQ(s.rate_bps, 10.0);
   EXPECT_EQ(s.window_beats, 21u);
   EXPECT_EQ(s.last_beat_ns, clock->now());
 }
@@ -212,7 +226,7 @@ TEST(HubRates, RateWindowOptionLimitsTheSpan) {
     clock->advance(kNsPerSec / 100);
     hub.beat(id);
   }
-  EXPECT_DOUBLE_EQ(HubView(hub).rate("a"), 100.0);
+  EXPECT_DOUBLE_EQ(hub.summary(id).rate_bps, 100.0);
 }
 
 TEST(HubRates, RateWindowOfOneIsInstantaneousLikeCore) {
@@ -230,19 +244,18 @@ TEST(HubRates, RateWindowOfOneIsInstantaneousLikeCore) {
   }
   clock->advance(kNsPerSec / 10);  // one fast interval
   hub.beat(id);
-  EXPECT_DOUBLE_EQ(HubView(hub).rate("a"), 10.0);
+  EXPECT_DOUBLE_EQ(hub.summary(id).rate_bps, 10.0);
 }
 
 TEST(HubRates, FewerThanTwoBeatsIsZeroRate) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock));
   const AppId id = hub.register_app("a");
-  HubView view(hub);
-  EXPECT_DOUBLE_EQ(view.rate("a"), 0.0);
+  EXPECT_DOUBLE_EQ(hub.summary(id).rate_bps, 0.0);
   clock->advance(kNsPerSec);
   hub.beat(id);
-  EXPECT_DOUBLE_EQ(view.rate("a"), 0.0);
-  EXPECT_EQ(view.app("a")->total_beats, 1u);
+  EXPECT_DOUBLE_EQ(hub.summary(id).rate_bps, 0.0);
+  EXPECT_EQ(hub.summary(id).total_beats, 1u);
 }
 
 // ------------------------------------------------- percentile summaries
@@ -261,7 +274,7 @@ TEST(HubPercentiles, IntervalDistributionOverTheWindow) {
     clock->advance(50 * kNsPerMs);
     hub.beat(id);
   }
-  const AppSummary s = *HubView(hub).app("a");
+  const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.window_beats, 101u);
   EXPECT_EQ(s.interval_min_ns, static_cast<std::uint64_t>(kNsPerMs));
   EXPECT_EQ(s.interval_max_ns, static_cast<std::uint64_t>(50 * kNsPerMs));
@@ -290,7 +303,7 @@ TEST(HubPercentiles, SlidingWindowEvictsOldIntervals) {
     clock->advance(kNsPerMs);  // fast era: 1ms intervals
     hub.beat(id);
   }
-  const AppSummary s = *HubView(hub).app("a");
+  const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.window_beats, 8u);
   EXPECT_EQ(s.total_beats, 28u);
   EXPECT_EQ(s.interval_min_ns, static_cast<std::uint64_t>(kNsPerMs));
@@ -313,7 +326,7 @@ TEST(HubPercentiles, IntervalStatsCoverOnlyWindowSpannedIntervals) {
   hub.beat(id);                 // t = 2s
   clock->advance(99 * kNsPerSec);
   hub.beat(id);                 // t = 101s
-  const AppSummary s = *HubView(hub).app("a");
+  const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.window_beats, 2u);
   EXPECT_EQ(s.interval_min_ns, static_cast<std::uint64_t>(99 * kNsPerSec));
   EXPECT_EQ(s.interval_max_ns, static_cast<std::uint64_t>(99 * kNsPerSec));
@@ -336,15 +349,14 @@ TEST(HubTags, WindowedTagRollupAcrossApps) {
     hub.beat(b, /*tag=*/1);
     hub.beat(b, /*tag=*/2);
   }
-  HubView view(hub);
-  const TagSummary t1 = view.tag(1);
+  const TagSummary t1 = tag_of(hub, 1);
   EXPECT_EQ(t1.beats, 15u);
   EXPECT_EQ(t1.apps, 2u);
-  const TagSummary t2 = view.tag(2);
+  const TagSummary t2 = tag_of(hub, 2);
   EXPECT_EQ(t2.beats, 5u);
   EXPECT_EQ(t2.apps, 1u);
-  EXPECT_EQ(view.tag(99).beats, 0u);
-  EXPECT_EQ(view.tags().size(), 2u);
+  EXPECT_EQ(tag_of(hub, 99).beats, 0u);
+  EXPECT_EQ(hub.snapshot()->tags().size(), 2u);
 }
 
 TEST(HubTags, TagCountsSlideWithTheWindow) {
@@ -359,9 +371,8 @@ TEST(HubTags, TagCountsSlideWithTheWindow) {
     clock->advance(kNsPerMs);
     hub.beat(id, /*tag=*/2);
   }
-  HubView view(hub);
-  EXPECT_EQ(view.tag(1).beats, 0u);  // fully evicted
-  EXPECT_EQ(view.tag(2).beats, 4u);
+  EXPECT_EQ(tag_of(hub, 1).beats, 0u);  // fully evicted
+  EXPECT_EQ(tag_of(hub, 2).beats, 4u);
 }
 
 // --------------------------------------------------------- cluster rollups
@@ -379,7 +390,7 @@ TEST(HubCluster, RollupAggregatesAcrossShards) {
     if (i % 10 == 9) hub.beat(slow);
   }
   (void)idle;
-  const ClusterSummary c = HubView(hub).cluster();
+  const ClusterSummary c = hub.snapshot()->cluster();
   EXPECT_EQ(c.apps, 3u);
   EXPECT_EQ(c.total_beats, 55u);
   EXPECT_NEAR(c.aggregate_rate_bps, 11.0, 0.2);
@@ -401,7 +412,7 @@ TEST(HubCluster, WarmingUpAppsDoNotInflateTheDeficit) {
   const AppId once = hub.register_app("once", core::TargetRate{5.0, 100.0});
   clock->advance(kNsPerSec);
   hub.beat(once);  // 1 beat: still no interval, still no rate
-  const ClusterSummary c = HubView(hub).cluster();
+  const ClusterSummary c = hub.snapshot()->cluster();
   EXPECT_EQ(c.apps, 2u);
   EXPECT_EQ(c.warming_up, 2u);
   EXPECT_EQ(c.deficient, 0u);
@@ -417,9 +428,9 @@ TEST(HubCluster, InfiniteRateDoesNotMeetTarget) {
   const AppId id = hub.register_app("sametick", core::TargetRate{
       1.0, std::numeric_limits<double>::infinity()});
   for (int i = 0; i < 4; ++i) hub.beat(id);  // clock never advances
-  const ClusterSummary c = HubView(hub).cluster();
+  const ClusterSummary c = hub.snapshot()->cluster();
   EXPECT_EQ(c.apps, 1u);
-  EXPECT_TRUE(std::isinf(HubView(hub).app("sametick")->rate_bps));
+  EXPECT_TRUE(std::isinf(hub.summary(id).rate_bps));
   EXPECT_EQ(c.meeting_target, 0u);
   EXPECT_EQ(c.deficient, 0u);
   EXPECT_EQ(c.warming_up, 0u);  // measurable window, just zero-span
@@ -433,7 +444,6 @@ TEST(HubTimeWindow, BeatsAgeOutAtTheConfiguredHorizon) {
   opts.window_ns = kNsPerSec;  // 1s horizon
   HeartbeatHub hub(opts);
   const AppId id = hub.register_app("a");
-  HubView view(hub);
 
   // 20 beats at 100ms: t = 0.1s .. 2.0s.
   for (int i = 0; i < 20; ++i) {
@@ -441,21 +451,21 @@ TEST(HubTimeWindow, BeatsAgeOutAtTheConfiguredHorizon) {
     hub.beat(id);
   }
   // At t=2.0s the horizon starts at 1.0s: beats 0.1..0.9s are gone.
-  AppSummary s = *view.app("a");
+  AppSummary s = hub.summary(id);
   EXPECT_EQ(s.total_beats, 20u);
   EXPECT_EQ(s.window_beats, 11u);
   EXPECT_DOUBLE_EQ(s.rate_bps, 10.0);
 
   // Silence ages the window further even with no new beats.
   clock->advance(kNsPerSec / 2);  // t = 2.5s, horizon 1.5s
-  s = *view.app("a");
+  s = hub.summary(id);
   EXPECT_EQ(s.window_beats, 6u);  // 1.5 .. 2.0s
   EXPECT_DOUBLE_EQ(s.rate_bps, 10.0);
   EXPECT_EQ(s.staleness_ns, kNsPerSec / 2);
 
   // Long enough silence empties it entirely: no rate evidence left.
   clock->advance(2 * kNsPerSec);  // t = 4.5s
-  s = *view.app("a");
+  s = hub.summary(id);
   EXPECT_EQ(s.window_beats, 0u);
   EXPECT_DOUBLE_EQ(s.rate_bps, 0.0);
   EXPECT_EQ(s.total_beats, 20u);
@@ -478,7 +488,7 @@ TEST(HubTimeWindow, IntervalStatsTrackOnlyUnexpiredBeats) {
     clock->advance(10 * kNsPerMs);  // 10ms intervals
     hub.beat(id);
   }
-  const AppSummary s = *HubView(hub).app("a");
+  const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.interval_max_ns, static_cast<std::uint64_t>(10 * kNsPerMs));
   EXPECT_EQ(s.interval_min_ns, static_cast<std::uint64_t>(10 * kNsPerMs));
   EXPECT_DOUBLE_EQ(s.interval_stddev_ns, 0.0);
@@ -493,16 +503,15 @@ TEST(HubTimeWindow, ResumingAfterFullAgeOutStartsAFreshWindow) {
   opts.window_ns = kNsPerSec;
   HeartbeatHub hub(opts);
   const AppId id = hub.register_app("a");
-  HubView view(hub);
   for (int i = 0; i < 5; ++i) {
     clock->advance(100 * kNsPerMs);
     hub.beat(id);
   }
   clock->advance(10 * kNsPerSec);
-  EXPECT_EQ(view.app("a")->window_beats, 0u);  // all aged
+  EXPECT_EQ(hub.summary(id).window_beats, 0u);  // all aged
   clock->advance(100 * kNsPerMs);
   hub.beat(id);
-  const AppSummary s = *view.app("a");
+  const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.window_beats, 1u);
   EXPECT_EQ(s.interval_max_ns, 0u);  // no 10s gap interval
   EXPECT_EQ(s.total_beats, 6u);
@@ -517,7 +526,7 @@ TEST(HubTimeWindow, StddevSummarizesWindowJitter) {
     clock->advance((i % 2 == 0 ? 10 : 30) * kNsPerMs);
     hub.beat(id);
   }
-  const AppSummary s = *HubView(hub).app("a");
+  const AppSummary s = hub.summary(id);
   EXPECT_NEAR(s.interval_mean_ns, 20.0 * kNsPerMs, 1.0);
   EXPECT_NEAR(s.interval_stddev_ns, 10.0 * kNsPerMs, 1.0);
 }
@@ -536,17 +545,16 @@ TEST(HubEviction, EvictedAppsLeaveEveryRollup) {
   }
   hub.evict(drop);
 
-  HubView view(hub);
-  const auto listed = view.apps();
+  const auto listed = sorted_live_apps(hub);
   ASSERT_EQ(listed.size(), 1u);
   EXPECT_EQ(listed[0].name, "keep");
-  const ClusterSummary c = view.cluster();
+  const ClusterSummary c = hub.snapshot()->cluster();
   EXPECT_EQ(c.apps, 1u);
   EXPECT_EQ(c.evicted, 1u);
   EXPECT_EQ(c.total_beats, 10u);
-  EXPECT_EQ(view.tag(2).beats, 0u);  // windowed tags went with it
+  EXPECT_EQ(tag_of(hub, 2).beats, 0u);  // windowed tags went with it
   // Direct queries still answer, flagged, with lifetime count intact.
-  const AppSummary s = *view.app("drop");
+  const AppSummary s = hub.summary(drop);
   EXPECT_TRUE(s.evicted);
   EXPECT_EQ(s.total_beats, 10u);
   EXPECT_EQ(s.window_beats, 0u);
@@ -561,15 +569,15 @@ TEST(HubEviction, ANewBeatRevives) {
     hub.beat(id);
   }
   hub.evict(id);
-  EXPECT_TRUE(HubView(hub).app("phoenix")->evicted);
+  EXPECT_TRUE(hub.summary(id).evicted);
 
   clock->advance(kNsPerMs);
   hub.beat(id);
-  const AppSummary s = *HubView(hub).app("phoenix");
+  const AppSummary s = hub.summary(id);
   EXPECT_FALSE(s.evicted);
   EXPECT_EQ(s.total_beats, 6u);
   EXPECT_EQ(s.window_beats, 1u);  // the window restarted clean
-  EXPECT_EQ(HubView(hub).cluster().apps, 1u);
+  EXPECT_EQ(hub.snapshot()->cluster().apps, 1u);
 }
 
 TEST(HubEviction, FreshRegistrationsMeasureStalenessFromBirth) {
@@ -581,14 +589,14 @@ TEST(HubEviction, FreshRegistrationsMeasureStalenessFromBirth) {
   HubOptions opts = manual_opts(clock, 1);
   opts.evict_after_ns = 5 * kNsPerSec;
   HeartbeatHub hub(opts);
-  hub.register_app("newborn");
+  const AppId id = hub.register_app("newborn");
   clock->advance(kNsPerSec);
-  HubView view(hub);
-  EXPECT_FALSE(view.app("newborn")->evicted);
-  EXPECT_EQ(*view.staleness_ns("newborn"), kNsPerSec);  // 1s, not 501s
+  const AppSummary s = hub.summary(id);
+  EXPECT_FALSE(s.evicted);
+  EXPECT_EQ(s.staleness_ns, kNsPerSec);  // 1s, not 501s
   // Still silent past the bound: now it genuinely evicts.
   clock->advance(10 * kNsPerSec);
-  EXPECT_TRUE(view.app("newborn")->evicted);
+  EXPECT_TRUE(hub.summary(id).evicted);
 }
 
 TEST(HubEviction, AutoEvictionAfterTheStalenessBound) {
@@ -608,10 +616,9 @@ TEST(HubEviction, AutoEvictionAfterTheStalenessBound) {
     clock->advance(100 * kNsPerMs);
     hub.beat(live);
   }
-  HubView view(hub);
-  EXPECT_TRUE(view.app("dead")->evicted);
-  EXPECT_FALSE(view.app("live")->evicted);
-  const ClusterSummary c = view.cluster();
+  EXPECT_TRUE(hub.summary(dead).evicted);
+  EXPECT_FALSE(hub.summary(live).evicted);
+  const ClusterSummary c = hub.snapshot()->cluster();
   EXPECT_EQ(c.apps, 1u);
   EXPECT_EQ(c.evicted, 1u);
 }
@@ -635,7 +642,7 @@ std::vector<AppSummary> scripted_run() {
       }
     }
   }
-  return HubView(hub).apps();
+  return sorted_live_apps(hub);
 }
 
 TEST(HubDeterminism, ScriptedRunsAreBitIdentical) {
@@ -683,20 +690,19 @@ TEST(HubConcurrency, EightProducerThreadsLoseNoBeats) {
   }
   for (auto& th : threads) th.join();
 
-  HubView view(hub);
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(view.app(ids[t]).total_beats,
+    EXPECT_EQ(hub.summary(ids[t]).total_beats,
               static_cast<std::uint64_t>(kBeatsPerThread));
   }
-  EXPECT_EQ(view.app("shared")->total_beats,
+  EXPECT_EQ(hub.summary(shared_app).total_beats,
             static_cast<std::uint64_t>(kThreads * (kBeatsPerThread / 10)));
-  const ClusterSummary c = view.cluster();
+  const ClusterSummary c = hub.snapshot()->cluster();
   EXPECT_EQ(c.total_beats, static_cast<std::uint64_t>(
                                kThreads * kBeatsPerThread +
                                kThreads * (kBeatsPerThread / 10)));
   // Per-thread tags survived intact.
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_GT(view.tag(static_cast<std::uint64_t>(t)).beats, 0u);
+    EXPECT_GT(tag_of(hub, static_cast<std::uint64_t>(t)).beats, 0u);
   }
 }
 
@@ -722,9 +728,8 @@ TEST(HubConcurrency, RegistrationRacesWithIngestion) {
   registrar.join();
   producer.join();
 
-  HubView view(hub);
   EXPECT_EQ(hub.app_count(), 201u);
-  EXPECT_GE(view.app("steady")->total_beats, 100u);
+  EXPECT_GE(hub.summary(hub.id_of("steady")).total_beats, 100u);
 }
 
 // ------------------------------------------------------------------ HubSink
@@ -746,19 +751,17 @@ TEST(HubSink, MirrorsHeartbeatProducersIntoTheHub) {
     producer.beat(static_cast<std::uint64_t>(i % 3));
   }
 
-  HubView view(*hub);
-  const auto summary = view.app("x264");
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->total_beats, 30u);
-  EXPECT_DOUBLE_EQ(summary->rate_bps, 25.0);
+  const AppSummary summary = hub->summary(hub->id_of("x264"));
+  EXPECT_EQ(summary.total_beats, 30u);
+  EXPECT_DOUBLE_EQ(summary.rate_bps, 25.0);
   // Target registered through the store flows into the hub summary.
-  EXPECT_DOUBLE_EQ(summary->target.min_bps, 20.0);
-  EXPECT_DOUBLE_EQ(summary->target.max_bps, 40.0);
+  EXPECT_DOUBLE_EQ(summary.target.min_bps, 20.0);
+  EXPECT_DOUBLE_EQ(summary.target.max_bps, 40.0);
   // The producer's own channel still works (inner store untouched).
   EXPECT_EQ(producer.global().count(), 30u);
   EXPECT_NEAR(producer.global().rate(20), 25.0, 1e-9);
   // Hub rate agrees with the channel's own full-window view.
-  EXPECT_DOUBLE_EQ(view.rate("x264"),
+  EXPECT_DOUBLE_EQ(summary.rate_bps,
                    core::window_rate(producer.global().history(64)));
 }
 
@@ -778,7 +781,7 @@ TEST(HubSink, LocalChannelsAreNotMirrored) {
   clock->advance(kNsPerMs);
   producer.beat_local();
 
-  EXPECT_EQ(HubView(*hub).app("app")->total_beats, 1u);
+  EXPECT_EQ(hub->summary(hub->id_of("app")).total_beats, 1u);
   EXPECT_EQ(producer.local().count(), 2u);
 }
 
@@ -805,8 +808,9 @@ TEST(HubSink, WrapsExistingTransports) {
   }
 
   // Hub sees the beats...
-  EXPECT_EQ(HubView(*hub).app("legacy")->total_beats, 10u);
-  EXPECT_DOUBLE_EQ(HubView(*hub).rate("legacy"), 5.0);
+  const AppSummary summary = hub->summary(hub->id_of("legacy"));
+  EXPECT_EQ(summary.total_beats, 10u);
+  EXPECT_DOUBLE_EQ(summary.rate_bps, 5.0);
   // ...and so does a completely independent observer attaching to the log.
   EXPECT_EQ(registry.reader("legacy", clock).count(), 10u);
   fs::remove_all(dir);
@@ -818,14 +822,13 @@ TEST(HubLiveness, StalenessTracksTheHubClock) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock));
   const AppId id = hub.register_app("a");
-  HubView view(hub);
 
   clock->advance(5 * kNsPerSec);
-  EXPECT_EQ(*view.staleness_ns("a"), 5 * kNsPerSec);  // never beat
+  EXPECT_EQ(hub.summary(id).staleness_ns, 5 * kNsPerSec);  // never beat
 
   hub.beat(id);
   clock->advance(3 * kNsPerSec);
-  EXPECT_EQ(*view.staleness_ns("a"), 3 * kNsPerSec);
+  EXPECT_EQ(hub.summary(id).staleness_ns, 3 * kNsPerSec);
 }
 
 }  // namespace

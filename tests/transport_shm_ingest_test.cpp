@@ -22,7 +22,6 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 #include "util/clock.hpp"
@@ -656,8 +655,8 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
 
   const fault::FleetDetector detector(
       {.absolute_staleness_ns = 500 * kNsPerMs});
-  const auto ring_report = detector.sweep(hub::HubView(via_ring));
-  const auto direct_report = detector.sweep(hub::HubView(in_process));
+  const auto ring_report = detector.sweep(via_ring.snapshot());
+  const auto direct_report = detector.sweep(in_process.snapshot());
 
   ASSERT_EQ(ring_report.apps.size(), static_cast<std::size_t>(kProducers));
   ASSERT_EQ(direct_report.apps.size(), ring_report.apps.size());
