@@ -1,8 +1,8 @@
 // Fleet health: per-app polling vs one hub sweep.
 //
-// The old shape (fault::FailureDetector) asks one question per producer:
-// 1000 apps means 1000 queries, each taking a shard lock, forcing a flush,
-// and copying one summary. The hub-backed FleetDetector::sweep answers the
+// The per-producer shape asks one question per app: 1000 apps means 1000
+// queries, each taking a shard lock, forcing a flush, and copying one
+// summary. The hub-backed FleetDetector::sweep answers the
 // same question for the whole fleet in ONE HeartbeatHub::snapshot(): one
 // publish per shard, then pure math over the summaries. This bench pins
 // the gap down at fleet scale on a deterministic ManualClock fleet with

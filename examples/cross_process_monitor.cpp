@@ -29,7 +29,6 @@
 #include <thread>
 
 #include "core/heartbeat.hpp"
-#include "fault/failure_detector.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
@@ -101,8 +100,8 @@ int main() {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
-  hb::fault::FailureDetector detector(
-      {.staleness_factor = 50.0, .window = 32, .min_beats = 8});
+  hb::fault::FleetDetector reader_detector(
+      {.staleness_factor = 50.0, .min_beats = 8});
   std::printf(
       "sample,reader_beats,reader_rate,reader_health,hub_beats,hub_rate,"
       "hub_health\n");
@@ -122,7 +121,7 @@ int main() {
       std::printf("%d,%llu,%.1f,%s,%s\n", s,
                   static_cast<unsigned long long>(reader.count()),
                   reader.current_rate(),
-                  hb::fault::to_string(detector.assess(reader)),
+                  hb::fault::to_string(reader_detector.classify(reader)),
                   hub_cell.c_str());
     } catch (const std::exception& e) {
       std::printf("%d,-,-,unpublished (%s),%s\n", s, e.what(),
@@ -141,7 +140,7 @@ int main() {
   std::printf("final,%llu,%.1f,%s,%llu,%.1f,%s\n",
               static_cast<unsigned long long>(reader.count()),
               reader.current_rate(),
-              hb::fault::to_string(detector.assess(reader)),
+              hb::fault::to_string(reader_detector.classify(reader)),
               static_cast<unsigned long long>(summary ? summary->total_beats
                                                       : 0),
               summary ? summary->rate_bps : 0.0,

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/memory_store.hpp"
-#include "fault/failure_detector.hpp"
 #include "hub/hub.hpp"
 #include "obs/flight_recorder.hpp"
 #include "policy/policy_engine.hpp"
@@ -237,7 +236,7 @@ int HeartbeatConsolidator::poll(CloudSim& sim) {
 
   int moved = 0;
   const int n = static_cast<int>(sim.vm_count());
-  const fault::FailureDetector detector;
+  const fault::FleetDetector detector;
   for (int v = 0; v < n; ++v) {
     if (sim.vm_finished(v)) continue;
     const auto reader = sim.reader(v);
@@ -247,7 +246,7 @@ int HeartbeatConsolidator::poll(CloudSim& sim) {
     // A dead VM's windowed rate is stale, not low — migrating it to
     // "dedicated resources" would rescue nobody. Heartbeat silence is the
     // only signal used (§2.6); the sim's killed flag stays ground truth.
-    if (detector.assess(reader) == fault::Health::kDead) continue;
+    if (detector.classify(reader) == fault::Health::kDead) continue;
 
     if (rate < target) {
       // Struggling: move to the machine with the most headroom (other than

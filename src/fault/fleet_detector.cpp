@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/rate.hpp"
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,7 +26,47 @@ struct SweepMetrics {
   }
 };
 
+// Beats of reader history per verdict: enough intervals for a stable mean
+// and jitter, few enough to follow a cadence change within a second or so.
+constexpr std::size_t kReaderWindow = 16;
+
 }  // namespace
+
+const char* to_string(Health h) {
+  switch (h) {
+    case Health::kWarmingUp: return "warming-up";
+    case Health::kHealthy: return "healthy";
+    case Health::kSlow: return "slow";
+    case Health::kErratic: return "erratic";
+    case Health::kDead: return "dead";
+  }
+  return "unknown";
+}
+
+Health FleetDetector::classify(const core::HeartbeatReader& reader) const {
+  const auto history = reader.history(kReaderWindow);
+  hub::AppSummary s;
+  s.total_beats = reader.count();
+  s.staleness_ns = reader.staleness_ns();
+  s.window_beats = history.size();
+  s.interval_mean_ns = core::mean_interval_ns(history);
+  s.rate_bps = core::window_rate(history);
+  s.target = reader.target();
+  // Population stddev, the formula HubShard::refresh_locked uses, so the
+  // same beats get the same jitter verdict from a reader and from a hub.
+  if (history.size() >= 2) {
+    double sumsq = 0.0;
+    for (std::size_t i = 1; i < history.size(); ++i) {
+      const double d = static_cast<double>(history[i].timestamp_ns -
+                                           history[i - 1].timestamp_ns);
+      sumsq += d * d;
+    }
+    const double n = static_cast<double>(history.size() - 1);
+    const double mean = s.interval_mean_ns;
+    s.interval_stddev_ns = std::sqrt(std::max(0.0, sumsq / n - mean * mean));
+  }
+  return classify(s);
+}
 
 Health FleetDetector::classify(const hub::AppSummary& s) const {
   // An evicted app was already judged dead by the hub's staleness bound.

@@ -1,19 +1,18 @@
-// Fleet-wide heartbeat failure detection over the aggregation hub.
+// Heartbeat-based failure detection: one verdict rule, two sources.
 //
 // Paper, Section 2.6: "A lack of heartbeats from a particular node would
 // indicate that it has failed, and slow or erratic heartbeats could indicate
-// that a machine is about to fail." fault::FailureDetector answers that for
-// ONE producer by polling its HeartbeatReader; at fleet scale (thousands of
-// VMs feeding one hub) per-producer polling is the wrong shape. FleetDetector
-// instead sweeps every registered app in one HeartbeatHub::snapshot() — one
-// publish per shard, no per-app reader queries — and derives each verdict
-// from the app's hub summary alone: staleness stamped on the hub clock,
-// windowed rate against the registered target, and exact interval
-// mean/stddev for jitter.
+// that a machine is about to fail." FleetDetector turns those facts into a
+// Health verdict with ONE rule, classify(AppSummary): staleness against the
+// windowed mean interval (dead), windowed rate against the registered
+// target (slow), and the interval coefficient of variation (erratic) —
+// no knowledge of the application.
 //
-// The verdict vocabulary is shared with FailureDetector (fault::Health), so
-// consumers that graduate from one-reader monitoring to fleet sweeps keep
-// their switch statements.
+// At fleet scale (thousands of VMs feeding one hub) sweep() judges every
+// registered app from one HeartbeatHub::snapshot() — one publish per
+// shard, no per-app queries. A single producer watched through its
+// HeartbeatReader goes through the same rule: classify(reader) summarizes
+// the reader's recent beats the way a hub shard would and judges that.
 #pragma once
 
 #include <cstdint>
@@ -21,19 +20,30 @@
 #include <string>
 #include <vector>
 
-#include "fault/failure_detector.hpp"
+#include "core/reader.hpp"
 #include "hub/snapshot.hpp"
 #include "hub/summary.hpp"
 #include "util/time.hpp"
 
 namespace hb::fault {
 
+enum class Health {
+  kWarmingUp,  ///< too few beats to judge
+  kHealthy,    ///< beating on time and meeting its target
+  kSlow,       ///< beating, but below its registered minimum rate
+  kErratic,    ///< beating at rate, but with anomalous interval jitter
+  kDead,       ///< beats stopped (staleness way beyond the expected interval)
+};
+
+const char* to_string(Health h);
+
 struct FleetDetectorOptions {
   /// Dead when staleness exceeds this multiple of the windowed mean
   /// inter-beat interval.
   double staleness_factor = 8.0;
   /// Erratic when the interval coefficient of variation (stddev / mean)
-  /// exceeds this (same rule as FailureDetectorOptions::jitter_factor).
+  /// exceeds this. Steady producers sit near 0; an alternating
+  /// fast/stalled pattern approaches 1.
   double jitter_factor = 0.8;
   /// Lifetime beats required before any verdict other than warming-up/dead.
   std::uint64_t min_beats = 4;
@@ -53,25 +63,6 @@ struct FleetDetectorOptions {
   /// Cap on FleetHealth::worst (the most-stale non-healthy apps).
   std::size_t max_worst = 5;
 };
-
-/// The same thresholds expressed for the per-reader FailureDetector, so
-/// consumers that watch some apps through readers and some through the hub
-/// (e.g. GlobalScheduler) apply one rule set. Caveat: thresholds, not
-/// observations — the reader detector estimates mean/jitter over its own
-/// `window` beats (default 16) while hub summaries cover the hub's
-/// configured window, so a cadence shift can cross a threshold in one
-/// source before the other. staleness_slack_ns has no reader-side
-/// counterpart (readers observe the store directly, with no transport
-/// lag to discount) and is not carried over.
-inline FailureDetectorOptions to_failure_detector_options(
-    const FleetDetectorOptions& opts) {
-  FailureDetectorOptions out;
-  out.staleness_factor = opts.staleness_factor;
-  out.jitter_factor = opts.jitter_factor;
-  out.min_beats = opts.min_beats;
-  out.absolute_staleness_ns = opts.absolute_staleness_ns;
-  return out;
-}
 
 /// One app's verdict plus the summary facts that produced it.
 struct AppHealth {
@@ -142,6 +133,12 @@ class FleetDetector {
 
   /// Verdict for a single app from its hub summary alone (no hub access).
   Health classify(const hub::AppSummary& summary) const;
+
+  /// Verdict for one producer observed through its reader: the reader's
+  /// last 16 beats summarized as a hub shard would (population interval
+  /// stddev, core (n-1)/span rate), then judged by classify(summary) —
+  /// every option applies, staleness_slack_ns included.
+  Health classify(const core::HeartbeatReader& reader) const;
 
   const FleetDetectorOptions& options() const { return opts_; }
 

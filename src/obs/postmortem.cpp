@@ -8,7 +8,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "fault/failure_detector.hpp"
+#include "fault/fleet_detector.hpp"
 #include "obs/trace.hpp"
 #include "policy/policy_engine.hpp"
 

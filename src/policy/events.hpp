@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/failure_detector.hpp"
+#include "fault/fleet_detector.hpp"
 #include "hub/summary.hpp"
 #include "util/time.hpp"
 

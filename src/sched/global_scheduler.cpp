@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "fault/failure_detector.hpp"
 #include "hub/hub.hpp"
 
 namespace hb::sched {
@@ -89,9 +88,7 @@ std::vector<GlobalScheduler::Snapshot> GlobalScheduler::observe() const {
         /*include_evicted=*/true);
   }
 
-  const fault::FleetDetector fleet_detector(opts_.fault_options);
-  const fault::FailureDetector reader_detector(
-      fault::to_failure_detector_options(opts_.fault_options));
+  const fault::FleetDetector detector(opts_.fault_options);
 
   for (std::size_t i = 0; i < apps_.size(); ++i) {
     const App& app = apps_[i];
@@ -101,15 +98,14 @@ std::vector<GlobalScheduler::Snapshot> GlobalScheduler::observe() const {
       snap.beats = app.reader->count();
       snap.target = app.reader->target();
       if (opts_.detect_failures) {
-        snap.dead = reader_detector.assess(*app.reader) == fault::Health::kDead;
+        snap.dead = detector.classify(*app.reader) == fault::Health::kDead;
       }
     } else if (auto it = by_name.find(app.name); it != by_name.end()) {
       snap.rate = it->second->rate_bps;
       snap.beats = it->second->total_beats;
       snap.target = it->second->target;
       if (opts_.detect_failures) {
-        snap.dead =
-            fleet_detector.classify(*it->second) == fault::Health::kDead;
+        snap.dead = detector.classify(*it->second) == fault::Health::kDead;
       }
     }
     // Unknown hub names stay zeroed: the producer has not registered yet,

@@ -59,9 +59,9 @@ struct GlobalSchedulerOptions {
   /// (fault_options) and skips dead apps when reallocating: a dead app is
   /// never a receiver, and its cores are reclaimed before any live app is
   /// taxed — "a lack of heartbeats ... would indicate that it has failed"
-  /// (paper, Section 2.6). Hub-backed apps classify straight from the
-  /// cluster snapshot; reader-backed apps through a FailureDetector with
-  /// the equivalent thresholds.
+  /// (paper, Section 2.6). Hub-backed apps classify from the cluster
+  /// snapshot, reader-backed apps from their reader — one FleetDetector,
+  /// one rule.
   bool detect_failures = false;
   fault::FleetDetectorOptions fault_options{};
 };

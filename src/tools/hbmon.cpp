@@ -66,7 +66,6 @@
 #include <vector>
 
 #include "core/tags.hpp"
-#include "fault/failure_detector.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
@@ -268,7 +267,7 @@ int cmd_list(const hb::transport::Registry& registry) {
 int cmd_show(const hb::transport::Registry& registry, const std::string& app,
              std::uint32_t window) {
   const auto reader = registry.reader(app);
-  hb::fault::FailureDetector detector;
+  hb::fault::FleetDetector detector;
   std::printf("application:    %s\n", app.c_str());
   std::printf("beats:          %llu\n",
               static_cast<unsigned long long>(reader.count()));
@@ -281,13 +280,13 @@ int cmd_show(const hb::transport::Registry& registry, const std::string& app,
               static_cast<double>(reader.staleness_ns()) / 1e6);
   std::printf("jitter:         %.3f ms\n", reader.jitter_ns() / 1e6);
   std::printf("health:         %s\n",
-              hb::fault::to_string(detector.assess(reader)));
+              hb::fault::to_string(detector.classify(reader)));
   return 0;
 }
 
 int cmd_watch(const hb::transport::Registry& registry, const std::string& app,
               int samples, int interval_ms, std::uint32_t window) {
-  hb::fault::FailureDetector detector;
+  hb::fault::FleetDetector detector;
   std::printf("sample,beats,rate_bps,staleness_ms,health\n");
   for (int s = 0; s < samples; ++s) {
     const auto reader = registry.reader(app);
@@ -295,7 +294,7 @@ int cmd_watch(const hb::transport::Registry& registry, const std::string& app,
                 static_cast<unsigned long long>(reader.count()),
                 reader.current_rate(window),
                 static_cast<double>(reader.staleness_ns()) / 1e6,
-                hb::fault::to_string(detector.assess(reader)));
+                hb::fault::to_string(detector.classify(reader)));
     std::fflush(stdout);
     if (s + 1 < samples) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));

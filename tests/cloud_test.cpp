@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "cloud/cloud_sim.hpp"
-#include "fault/failure_detector.hpp"
+#include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "util/clock.hpp"
 
@@ -143,13 +143,13 @@ TEST_F(CloudFixture, DeadVmDetectedByStaleness) {
   // it has failed." A VM whose phases end stops beating; the failure
   // detector flags it from heartbeat staleness alone.
   const int v = sim.add_vm(light_vm("mortal", 2.0, /*duration=*/5.0));
-  fault::FailureDetector detector;
+  fault::FleetDetector detector;
   for (int i = 0; i < 45; ++i) sim.step(0.1);  // t = 4.5: alive
   auto r1 = sim.reader(v);
-  EXPECT_EQ(detector.assess(r1), fault::Health::kHealthy);
+  EXPECT_EQ(detector.classify(r1), fault::Health::kHealthy);
   for (int i = 0; i < 200; ++i) sim.step(0.1);  // long past the end
   auto r2 = sim.reader(v);
-  EXPECT_EQ(detector.assess(r2), fault::Health::kDead);
+  EXPECT_EQ(detector.classify(r2), fault::Health::kDead);
 }
 
 TEST_F(CloudFixture, KilledVmGoesSilentAndRestartResumes) {
@@ -169,14 +169,14 @@ TEST_F(CloudFixture, KilledVmGoesSilentAndRestartResumes) {
   EXPECT_EQ(sim.used_machines(), 1);
   EXPECT_FALSE(sim.vm_finished(v));  // frozen mid-phase, not done
 
-  fault::FailureDetector detector;
-  EXPECT_EQ(detector.assess(sim.reader(v)), fault::Health::kDead);
+  fault::FleetDetector detector;
+  EXPECT_EQ(detector.classify(sim.reader(v)), fault::Health::kDead);
 
   sim.restart_vm(v);
   EXPECT_FALSE(sim.vm_killed(v));
   for (int i = 0; i < 100; ++i) sim.step(0.1);
   EXPECT_GT(sim.reader(v).count(), beats_at_kill);
-  EXPECT_EQ(detector.assess(sim.reader(v)), fault::Health::kHealthy);
+  EXPECT_EQ(detector.classify(sim.reader(v)), fault::Health::kHealthy);
 }
 
 TEST_F(CloudFixture, ConsolidatorLeavesDeadVmsAlone) {

@@ -7,8 +7,8 @@
 #include "core/channel.hpp"
 #include "core/memory_store.hpp"
 #include "core/reader.hpp"
-#include "fault/failure_detector.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/fleet_detector.hpp"
 #include "sim/machine.hpp"
 #include "util/clock.hpp"
 
@@ -85,7 +85,7 @@ TEST(FaultPlan, DrivesMachineCoreFailures) {
   EXPECT_EQ(machine.healthy_cores(), 5);
 }
 
-// -------------------------------------------------------- FailureDetector
+// ------------------------------------------ FleetDetector::classify(reader)
 
 struct DetectorFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
@@ -94,7 +94,7 @@ struct DetectorFixture : ::testing::Test {
       std::make_shared<core::MemoryStore>(256, true, 16);
   core::Channel producer{store, clock};
   core::HeartbeatReader reader{store, clock};
-  FailureDetector detector{};
+  FleetDetector detector{};
 
   void beats(int n, util::TimeNs interval) {
     for (int i = 0; i < n; ++i) {
@@ -105,33 +105,33 @@ struct DetectorFixture : ::testing::Test {
 };
 
 TEST_F(DetectorFixture, WarmingUpBeforeMinBeats) {
-  EXPECT_EQ(detector.assess(reader), Health::kWarmingUp);
+  EXPECT_EQ(detector.classify(reader), Health::kWarmingUp);
   beats(2, kNsPerSec);
-  EXPECT_EQ(detector.assess(reader), Health::kWarmingUp);
+  EXPECT_EQ(detector.classify(reader), Health::kWarmingUp);
 }
 
 TEST_F(DetectorFixture, HealthyOnSteadyBeat) {
   beats(20, kNsPerSec / 10);
-  EXPECT_EQ(detector.assess(reader), Health::kHealthy);
+  EXPECT_EQ(detector.classify(reader), Health::kHealthy);
 }
 
 TEST_F(DetectorFixture, DeadWhenBeatsStop) {
   beats(20, kNsPerSec / 10);
   // Mean interval 0.1s; staleness_factor 8 -> dead beyond 0.8s of silence.
   clock->advance(kNsPerSec);
-  EXPECT_EQ(detector.assess(reader), Health::kDead);
+  EXPECT_EQ(detector.classify(reader), Health::kDead);
 }
 
 TEST_F(DetectorFixture, NotDeadJustUnderThreshold) {
   beats(20, kNsPerSec / 10);
   clock->advance(kNsPerSec / 2);  // 0.5s < 0.8s threshold
-  EXPECT_NE(detector.assess(reader), Health::kDead);
+  EXPECT_NE(detector.classify(reader), Health::kDead);
 }
 
 TEST_F(DetectorFixture, SlowWhenBelowRegisteredTarget) {
   producer.set_target(100.0, 200.0);
   beats(20, kNsPerSec / 10);  // 10 beats/s, target min 100
-  EXPECT_EQ(detector.assess(reader), Health::kSlow);
+  EXPECT_EQ(detector.classify(reader), Health::kSlow);
 }
 
 TEST_F(DetectorFixture, ErraticOnHighJitter) {
@@ -141,15 +141,15 @@ TEST_F(DetectorFixture, ErraticOnHighJitter) {
     clock->advance(i % 2 == 0 ? kNsPerSec / 100 : kNsPerSec);
     producer.beat();
   }
-  EXPECT_EQ(detector.assess(reader), Health::kErratic);
+  EXPECT_EQ(detector.classify(reader), Health::kErratic);
 }
 
 TEST_F(DetectorFixture, AbsoluteStalenessCatchesNeverBeating) {
-  FailureDetector strict(
+  FleetDetector strict(
       {.absolute_staleness_ns = 2 * kNsPerSec});
-  EXPECT_EQ(strict.assess(reader), Health::kWarmingUp);
+  EXPECT_EQ(strict.classify(reader), Health::kWarmingUp);
   clock->advance(3 * kNsPerSec);
-  EXPECT_EQ(strict.assess(reader), Health::kDead);
+  EXPECT_EQ(strict.classify(reader), Health::kDead);
 }
 
 TEST_F(DetectorFixture, AbsoluteStalenessAppliesAfterWarmUpToo) {
@@ -157,24 +157,24 @@ TEST_F(DetectorFixture, AbsoluteStalenessAppliesAfterWarmUpToo) {
   // has mean_ns == 0, so the relative staleness_factor bound can never
   // fire. The absolute bound used to be checked only during warm-up, so
   // such an app could go silent forever and still read as healthy.
-  FailureDetector strict({.absolute_staleness_ns = 2 * kNsPerSec});
+  FleetDetector strict({.absolute_staleness_ns = 2 * kNsPerSec});
   for (int i = 0; i < 10; ++i) producer.beat();  // 10 beats, one tick
-  EXPECT_NE(strict.assess(reader), Health::kDead);  // fresh: not stale yet
+  EXPECT_NE(strict.classify(reader), Health::kDead);  // fresh: not stale yet
   clock->advance(3 * kNsPerSec);
-  EXPECT_EQ(strict.assess(reader), Health::kDead);
+  EXPECT_EQ(strict.classify(reader), Health::kDead);
   // The default detector (no absolute bound) still cannot judge this case;
   // that is exactly why FleetDetectorOptions recommend setting one.
-  EXPECT_NE(detector.assess(reader), Health::kDead);
+  EXPECT_NE(detector.classify(reader), Health::kDead);
 }
 
 TEST_F(DetectorFixture, RecoversAfterBeatsResume) {
   beats(20, kNsPerSec / 10);
   clock->advance(2 * kNsPerSec);
-  EXPECT_EQ(detector.assess(reader), Health::kDead);
+  EXPECT_EQ(detector.classify(reader), Health::kDead);
   // App comes back: fresh steady beats wash out the gap once the window
   // no longer spans it.
   beats(20, kNsPerSec / 10);
-  EXPECT_EQ(detector.assess(reader), Health::kHealthy);
+  EXPECT_EQ(detector.classify(reader), Health::kHealthy);
 }
 
 TEST(HealthToString, AllValuesNamed) {

@@ -11,6 +11,9 @@
 #include <vector>
 
 #include "cloud/cloud_sim.hpp"
+#include "core/channel.hpp"
+#include "core/memory_store.hpp"
+#include "core/reader.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "policy/policy_engine.hpp"
@@ -83,8 +86,9 @@ TEST(FleetClassify, StalenessSlackDiscountsTransportLag) {
 }
 
 TEST(FleetClassify, DeadPastAbsoluteStalenessEvenWithZeroMean) {
-  // The hub-side twin of the FailureDetector regression: all-one-tick beats
-  // leave mean 0; only the absolute bound can declare death.
+  // The summary-side twin of DetectorFixture.AbsoluteStalenessAppliesAfter-
+  // WarmUpToo: all-one-tick beats leave mean 0; only the absolute bound can
+  // declare death.
   FleetDetector det({.absolute_staleness_ns = 2 * kNsPerSec});
   hub::AppSummary s = base_summary();
   s.interval_mean_ns = 0.0;
@@ -152,6 +156,62 @@ TEST(FleetClassify, EmptyWindowAfterAgingIsWarmingUpNotSlow) {
   s.target.min_bps = 20.0;
   s.staleness_ns = 10 * kNsPerMs;  // just resumed: nowhere near 8x cadence
   EXPECT_EQ(det.classify(s), Health::kWarmingUp);
+}
+
+TEST(FleetClassify, ReaderAndHubAgree) {
+  // The same beats, fed to a MemoryStore channel and to a hub under one
+  // clock, must get the same verdict whichever way they are observed.
+  struct Row {
+    const char* name;
+    double target_min;
+    std::vector<util::TimeNs> intervals;  // one beat after each
+    util::TimeNs silence;                 // after the last beat
+    Health expected;
+  };
+  const auto repeat = [](int n, util::TimeNs interval) {
+    return std::vector<util::TimeNs>(static_cast<std::size_t>(n), interval);
+  };
+  std::vector<util::TimeNs> alternating;  // 10 ms / 1 s, CV 0.88
+  for (int i = 0; i < 10; ++i) {
+    alternating.push_back(i % 2 == 0 ? 10 * kNsPerMs : kNsPerSec);
+  }
+  // 10 beats whose 9 intervals are 5 x 120 ms and 4 x 10 ms: population
+  // CV 0.769 (healthy), but the sample stddev would read CV 0.815 (erratic).
+  std::vector<util::TimeNs> borderline = {kNsPerMs};  // lead-in to beat 1
+  for (int i = 0; i < 9; ++i) {
+    borderline.push_back(i % 2 == 0 ? 120 * kNsPerMs : 10 * kNsPerMs);
+  }
+  const Row rows[] = {
+      {"warming-up", 1.0, repeat(2, 100 * kNsPerMs), 100 * kNsPerSec,
+       Health::kWarmingUp},
+      {"healthy", 1.0, repeat(10, 100 * kNsPerMs), 0, Health::kHealthy},
+      {"slow", 100.0, repeat(10, 100 * kNsPerMs), 0, Health::kSlow},
+      {"erratic", 1.0, alternating, 0, Health::kErratic},
+      {"dead", 1.0, repeat(10, 100 * kNsPerMs), kNsPerSec, Health::kDead},
+      {"jitter-borderline", 1.0, borderline, 0, Health::kHealthy},
+  };
+
+  const FleetDetector det;
+  const auto inf = std::numeric_limits<double>::infinity();
+  for (const Row& row : rows) {
+    auto clock = std::make_shared<util::ManualClock>();
+    auto store = std::make_shared<core::MemoryStore>(256, true, 16);
+    core::Channel producer{store, clock};
+    producer.set_target(row.target_min, inf);
+    hub::HeartbeatHub hub(test::manual_hub_opts(clock));
+    const hub::AppId id = hub.register_app(row.name, {row.target_min, inf});
+    for (const util::TimeNs interval : row.intervals) {
+      clock->advance(interval);
+      producer.beat();
+      hub.beat(id);
+    }
+    clock->advance(row.silence);
+
+    const Health from_reader =
+        det.classify(core::HeartbeatReader(store, clock));
+    EXPECT_EQ(from_reader, det.classify(hub.summary(id))) << row.name;
+    EXPECT_EQ(from_reader, row.expected) << row.name;
+  }
 }
 
 // -------------------------------------------------------------- hub sweeps
@@ -507,6 +567,60 @@ TEST(FleetScheduler, DeadAppsDonateTheirCores) {
   EXPECT_EQ(cores_b, 1);  // taxed down to the min floor
   EXPECT_EQ(cores_a, 3);
   // At the floor the dead app has nothing left to give; no further moves.
+  EXPECT_FALSE(scheduler.poll());
+}
+
+TEST(FleetScheduler, DeadReaderBackedAppsDonateTheirCores) {
+  // The reader-backed twin of DeadAppsDonateTheirCores: apps observed
+  // through their own HeartbeatReaders are judged by the same rule.
+  auto clock = std::make_shared<util::ManualClock>();
+  auto store_a = std::make_shared<core::MemoryStore>(512, true, 8);
+  auto store_b = std::make_shared<core::MemoryStore>(512, true, 8);
+  core::Channel a{store_a, clock};
+  core::Channel b{store_b, clock};
+  const auto inf = std::numeric_limits<double>::infinity();
+  a.set_target(10.0, inf);
+  b.set_target(30.0, inf);
+
+  sched::GlobalScheduler scheduler(
+      {.total_cores = 4,
+       .min_cores_per_app = 1,
+       .cooldown_polls = 0,
+       .detect_failures = true,
+       .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}});
+  int cores_a = 0, cores_b = 0;
+  scheduler.add_app("a", core::HeartbeatReader(store_a, clock),
+                    [&](int c) { cores_a = c; });
+  scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
+                    [&](int c) { cores_b = c; });
+
+  // a beats at 10 b/s (on target), b at 20 b/s while alive (needy).
+  auto beat = [&](int n, bool with_b) {
+    for (int i = 0; i < n; ++i) {
+      clock->advance(50 * kNsPerMs);
+      if (with_b) b.beat();
+      clock->advance(50 * kNsPerMs);
+      a.beat();
+      if (with_b) b.beat();
+    }
+  };
+  beat(10, true);
+  EXPECT_TRUE(scheduler.poll());  // b gets the 2 free cores
+  EXPECT_TRUE(scheduler.poll());
+  EXPECT_EQ(cores_b, 3);
+  EXPECT_EQ(scheduler.free_cores(), 0);
+
+  // b dies; a turns mildly deficient. b's frozen window still reads the
+  // deeper deficit (20 vs 30 b/s), so only its death verdict stops it
+  // from outranking a and keeping its cores.
+  beat(30, false);  // b silent for 3s > 2s bound
+  a.set_target(12.0, inf);
+  EXPECT_TRUE(scheduler.poll());
+  EXPECT_EQ(cores_b, 2);  // dead donor taxed first
+  EXPECT_EQ(cores_a, 2);
+  EXPECT_TRUE(scheduler.poll());
+  EXPECT_EQ(cores_b, 1);  // taxed down to the min floor
+  EXPECT_EQ(cores_a, 3);
   EXPECT_FALSE(scheduler.poll());
 }
 

@@ -18,7 +18,7 @@
 #include "core/heartbeat.hpp"
 #include "core/reader.hpp"
 #include "core/tags.hpp"
-#include "fault/failure_detector.hpp"
+#include "fault/fleet_detector.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_store.hpp"
 #include "util/clock.hpp"
@@ -163,10 +163,10 @@ TEST_F(IntegrationTest, HangVisibleThroughRegistryAttach) {
     hb.beat();
   }
   core::HeartbeatReader observer(registry.attach("hangs.global"), clock);
-  fault::FailureDetector detector;
-  EXPECT_EQ(detector.assess(observer), fault::Health::kHealthy);
+  fault::FleetDetector detector;
+  EXPECT_EQ(detector.classify(observer), fault::Health::kHealthy);
   clock->advance(10 * kNsPerSec);  // the app stops beating
-  EXPECT_EQ(detector.assess(observer), fault::Health::kDead);
+  EXPECT_EQ(detector.classify(observer), fault::Health::kDead);
 }
 
 }  // namespace

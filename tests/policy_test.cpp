@@ -326,6 +326,30 @@ TEST_F(RestartFixture, RestartsDeadVmsWithinBudgetOnly) {
   EXPECT_EQ(sink.stats().suppressed_budget, 1u);
 }
 
+TEST_F(RestartFixture, StillDeadAcrossSweepsIsRestartedOnce) {
+  // A restarted VM reads dead until its fresh beats reach the detector.
+  // Events are edges, not levels, so those sweeps restart it no further.
+  const int v = add_vm("vm");
+  PolicyEngine engine;
+  CloudRestartSink sink(sim, {.restart_budget = 10});
+
+  FleetScript fleet;
+  const hub::AppId id = fleet.add("vm", Health::kHealthy);
+  util::TimeNs now = kNsPerSec;
+  engine.observe(fleet.at(now));
+
+  sim.kill_vm(v);
+  fleet.set(id, Health::kDead);
+  for (int sweep = 0; sweep < 10; ++sweep) {
+    for (const auto& ev : engine.observe(fleet.at(now += kNsPerSec))) {
+      sink.on_event(engine, ev);
+    }
+  }
+  EXPECT_FALSE(sim.vm_killed(v));
+  EXPECT_EQ(sink.stats().restarts, 1u);
+  EXPECT_EQ(engine.stats().deaths, 1u);
+}
+
 TEST_F(RestartFixture, QuarantinedAndUnknownAppsAreNeverRestarted) {
   const int v = add_vm("flappy");
   PolicyEngine engine({.flap_threshold = 2});
