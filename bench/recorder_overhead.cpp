@@ -42,11 +42,10 @@
 #include <vector>
 
 #include "ab.hpp"
-#include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "policy/policy_engine.hpp"
+#include "policy/monitor.hpp"
 #include "util/clock.hpp"
 
 namespace {
@@ -55,11 +54,8 @@ constexpr int kProducers = 4;
 
 struct Pipeline {
   std::shared_ptr<hb::util::ManualClock> clock;
-  std::shared_ptr<hb::hub::HeartbeatHub> hub;
+  std::unique_ptr<hb::policy::Monitor> monitor;
   std::vector<hb::hub::AppId> ids;
-  hb::fault::FleetDetector detector;
-  std::shared_ptr<hb::obs::FlightRecorder> recorder;
-  hb::policy::PolicyEngine engine;
 };
 
 // One timed pass: `sweeps` rounds of multi-producer ingest followed by the
@@ -68,6 +64,7 @@ struct Pipeline {
 // recorder's worst case: the clock advances one fine interval per sweep,
 // so EVERY sweep cuts a frame when recording is enabled.
 double pipeline_pass(Pipeline& p, int sweeps, std::uint64_t per_thread) {
+  hb::hub::HeartbeatHub& hub = *p.monitor->hub();
   return hb::bench::timed([&] {
     for (int s = 0; s < sweeps; ++s) {
       std::vector<std::thread> threads;
@@ -77,18 +74,14 @@ double pipeline_pass(Pipeline& p, int sweeps, std::uint64_t per_thread) {
           const std::size_t offset =
               static_cast<std::size_t>(t) * p.ids.size() / kProducers;
           for (std::uint64_t k = 0; k < per_thread; ++k) {
-            p.hub->beat(p.ids[(offset + k) % p.ids.size()]);
+            hub.beat(p.ids[(offset + k) % p.ids.size()]);
           }
         });
       }
       for (auto& th : threads) th.join();
       p.clock->advance(hb::util::kNsPerSec);
-      p.hub->flush();
-      // The rebuild fires note_publish on the recorder.
-      auto report = std::make_shared<const hb::fault::FleetReport>(
-          p.detector.sweep(p.hub->snapshot()));
-      p.recorder->record_report(report);
-      p.engine.observe(*report);
+      hub.flush();
+      p.monitor->tick();  // the rebuild fires note_publish on the recorder
     }
   });
 }
@@ -125,15 +118,14 @@ int main(int argc, char** argv) {
   opts.batch_capacity = 64;
   opts.window_capacity = 64;
   opts.clock = p.clock;
-  p.hub = std::make_shared<hb::hub::HeartbeatHub>(opts);
+  p.monitor = std::make_unique<hb::policy::Monitor>(
+      std::make_shared<hb::hub::HeartbeatHub>(opts));
   p.ids.reserve(static_cast<std::size_t>(apps));
   for (int i = 0; i < apps; ++i) {
-    p.ids.push_back(
-        p.hub->register_app("app-" + std::to_string(i), {4.0, 1e6}));
+    p.ids.push_back(p.monitor->hub()->register_app("app-" + std::to_string(i),
+                                                   {4.0, 1e6}));
   }
-  p.recorder = std::make_shared<hb::obs::FlightRecorder>();
-  p.hub->set_flight_recorder(p.recorder);
-  p.engine.add_sink(p.recorder->event_sink());
+  const auto& recorder = p.monitor->recorder();
 
   pipeline_pass(p, 4, 2000);  // warm-up: windows filled, fleet healthy
 
@@ -154,24 +146,24 @@ int main(int argc, char** argv) {
   bool ok = true;
   std::uint64_t frozen_delta = 0;
   if (hb::obs::kCompiledIn) {
-    const hb::obs::FlightRecorderStats before = p.recorder->stats();
+    const hb::obs::FlightRecorderStats before = recorder->stats();
     hb::obs::set_enabled(false);
     pipeline_pass(p, 2, 2000);
-    const hb::obs::FlightRecorderStats frozen = p.recorder->stats();
+    const hb::obs::FlightRecorderStats frozen = recorder->stats();
     hb::obs::set_enabled(true);
     pipeline_pass(p, 2, 2000);
-    const hb::obs::FlightRecorderStats resumed = p.recorder->stats();
+    const hb::obs::FlightRecorderStats resumed = recorder->stats();
     frozen_delta = (frozen.frames_cut - before.frames_cut) +
                    (frozen.reports_recorded - before.reports_recorded) +
                    (frozen.publishes_noted - before.publishes_noted);
     ok = frozen_delta == 0 &&
          resumed.frames_cut >= frozen.frames_cut + 2 &&
          resumed.reports_recorded >= frozen.reports_recorded + 2;
-    if (p.recorder->timeline().empty()) ok = false;  // history exists
+    if (recorder->timeline().empty()) ok = false;  // history exists
   } else {
     // Compiled out: the recorder must hold NOTHING.
-    if (!p.recorder->timeline().empty() ||
-        p.recorder->stats().frames_cut != 0) {
+    if (!recorder->timeline().empty() ||
+        recorder->stats().frames_cut != 0) {
       ok = false;
     }
   }

@@ -4,8 +4,8 @@
 // shared-memory ingest ring (transport/ShmIngestQueue) at the registry's
 // well-known path, forks N producer processes that publish heartbeats
 // through a ShmHubSink store factory — the producers never link the hub —
-// and pumps the ring into a HeartbeatHub while they run. At the end one
-// FleetDetector sweep classifies the whole fleet, exactly the table
+// and a policy::Monitor pumps the ring into a HeartbeatHub while they run.
+// The monitor's final tick classifies the whole fleet, exactly the table
 // `hbmon fleet --live` prints (run hbmon in another terminal while this is
 // running to watch the same fleet from a third process).
 //
@@ -29,6 +29,7 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
+#include "policy/monitor.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 
@@ -83,13 +84,22 @@ int main(int argc, char** argv) {
   const auto queue_path = registry.ingest_queue_path();
   std::filesystem::create_directories(registry.dir());
   std::filesystem::remove(queue_path);  // stale ring from a previous run
-  auto queue = hb::transport::ShmIngestQueue::open(
-      queue_path, hb::transport::Registry::kDefaultIngestCapacity);
 
-  hb::hub::HubOptions hub_opts;
-  hub_opts.shard_count = 8;
-  hb::hub::HeartbeatHub hub(hub_opts);
-  hb::hub::ShmIngestPump pump(queue, hub);
+  // The hub keeps self_beat off, so the table lists exactly the producers.
+  // Death is governed by the generous absolute bound: the relative
+  // cadence bound (8 x a 4 ms interval) would read an ordinary CI
+  // scheduler stall as death, and this fleet seeds exactly one real one.
+  constexpr int kTickMs = 500;
+  hb::policy::Monitor monitor(
+      hb::transport::ShmIngestQueue::open(
+          queue_path, hb::transport::Registry::kDefaultIngestCapacity),
+      std::make_shared<hb::hub::HeartbeatHub>(), {},
+      {.staleness_factor = 50.0,
+       .absolute_staleness_ns = 600 * hb::util::kNsPerMs,
+       // Transport lag: the producers' 20 ms batch hold plus 25 ms for the
+       // pump to wake and drain.
+       .staleness_slack_ns = 45 * hb::util::kNsPerMs});
+  const hb::hub::ShmIngestPump& pump = *monitor.pump();
 
   std::printf("fleet_live: %d producer processes -> %s for %d ms\n", producers,
               queue_path.c_str(), duration_ms);
@@ -106,39 +116,22 @@ int main(int argc, char** argv) {
     pids.push_back(pid);
   }
 
-  // Pump while the fleet runs; sweep just before the healthy producers
-  // finish so the table reflects a LIVE fleet (only the seeded early-exit
-  // producer reads dead).
-  constexpr int kPollMs = 25;
+  // Pump and tick while the fleet runs; the final tick lands just before
+  // the healthy producers finish, so the table reflects a LIVE fleet (only
+  // the seeded early-exit producer reads dead).
   const auto start = Clock::now();
-  const auto sweep_at = start + std::chrono::milliseconds(duration_ms - 300);
-  auto next_progress = start + std::chrono::milliseconds(500);
-  while (Clock::now() < sweep_at) {
-    pump.poll();
-    if (Clock::now() >= next_progress) {
-      const auto st = pump.stats();
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                                start);
-      std::printf("  t+%lldms: %llu beats from %llu producers\n",
-                  static_cast<long long>(elapsed.count()),
-                  static_cast<unsigned long long>(st.consumed),
-                  static_cast<unsigned long long>(st.apps));
-      next_progress += std::chrono::milliseconds(500);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
-  }
-  pump.poll();
-
-  // Death is governed by the generous absolute bound: the relative
-  // cadence bound (8 x a 4 ms interval) would read an ordinary CI
-  // scheduler stall as death, and this fleet seeds exactly one real one.
-  hb::fault::FleetDetector detector(
-      {.staleness_factor = 50.0,
-       .absolute_staleness_ns = 600 * hb::util::kNsPerMs,
-       .staleness_slack_ns = kPollMs * hb::util::kNsPerMs +
-                             20 * hb::util::kNsPerMs});
-  const hb::fault::FleetReport report = detector.sweep(hub.snapshot());
+  monitor.run((duration_ms - 300) * hb::util::kNsPerMs,
+              kTickMs * hb::util::kNsPerMs, nullptr, [&] {
+                const auto st = pump.stats();
+                const auto elapsed =
+                    std::chrono::duration_cast<std::chrono::milliseconds>(
+                        Clock::now() - start);
+                std::printf("  t+%lldms: %llu beats from %llu producers\n",
+                            static_cast<long long>(elapsed.count()),
+                            static_cast<unsigned long long>(st.consumed),
+                            static_cast<unsigned long long>(st.apps));
+              });
+  const hb::fault::FleetReport& report = *monitor.last_report();
   std::printf("\n");
   hb::fault::print_fleet_report(stdout, report);  // hbmon's exact table
 

@@ -29,6 +29,7 @@
 #include "hub/hub.hpp"
 #include "policy/action_sink.hpp"
 #include "policy/cloud_restart_sink.hpp"
+#include "policy/monitor.hpp"
 #include "policy/policy_engine.hpp"
 #include "sim/scenario.hpp"
 #include "util/clock.hpp"
@@ -48,14 +49,15 @@ int run_refill_scenario() {
 
   auto clock = std::make_shared<hb::util::ManualClock>();
   hb::cloud::CloudSim sim(4, /*capacity=*/100.0, clock);
-  auto hub = std::make_shared<hb::hub::HeartbeatHub>([&] {
-    hb::hub::HubOptions opts;
-    opts.shard_count = 4;
-    opts.window_capacity = 64;
-    opts.clock = clock;
-    return opts;
-  }());
-  sim.attach_hub(hub);
+  hb::hub::HubOptions hub_opts;
+  hub_opts.shard_count = 4;
+  hub_opts.window_capacity = 64;
+  hub_opts.clock = clock;
+  auto monitor = std::make_shared<hb::policy::Monitor>(
+      std::make_shared<hb::hub::HeartbeatHub>(hub_opts),
+      hb::fault::FleetDetectorOptions{.absolute_staleness_ns = 5 * kNsPerSec},
+      hb::policy::PolicyOptions{.flap_threshold = 100});
+  sim.attach_hub(monitor->hub());
 
   int storm = -1;
   for (int v = 0; v < 4; ++v) {
@@ -67,20 +69,18 @@ int run_refill_scenario() {
     if (v == 0) storm = id;
   }
 
-  auto engine = std::make_shared<hb::policy::PolicyEngine>(
-      hb::policy::PolicyOptions{.flap_threshold = 100});
+  hb::policy::PolicyEngine& engine = monitor->engine();
   auto restarter = std::make_shared<hb::policy::CloudRestartSink>(
       sim, hb::policy::CloudRestartSink::Options{
                .restart_budget = 2,
                .budget_refill_ns = 30 * kNsPerSec});
-  engine->add_sink(std::make_shared<hb::policy::LogSink>(stdout));
-  engine->add_sink(restarter);
-  sim.set_policy(engine, {.absolute_staleness_ns = 5 * kNsPerSec},
-                 /*period_s=*/0.5);
+  engine.add_sink(std::make_shared<hb::policy::LogSink>(stdout));
+  engine.add_sink(restarter);
+  sim.set_monitor(monitor, /*period_s=*/0.5);
 
   std::printf("self_healing_fleet --refill: budget 2, one credit back per "
               "30s quiet\n\n");
-  const hb::hub::AppId storm_id = hub->id_of("storm-vm");
+  const hb::hub::AppId storm_id = monitor->hub()->id_of("storm-vm");
 
   // Storm: kill storm-vm again once the policy loop has SEEN it alive
   // (the engine is edge-triggered — a kill landing before any sweep
@@ -102,7 +102,7 @@ int run_refill_scenario() {
     }
     if (storming && !operator_done) {
       if (!sim.vm_killed(storm) &&
-          engine->last_health(storm_id) != hb::fault::Health::kDead &&
+          engine.last_health(storm_id) != hb::fault::Health::kDead &&
           now - last_kill_s > 3.0) {
         sim.kill_vm(storm);
         last_kill_s = now;
@@ -126,9 +126,7 @@ int run_refill_scenario() {
     }
   }
 
-  const hb::fault::FleetReport report =
-      sim.fleet_health(hb::fault::FleetDetector(
-          {.absolute_staleness_ns = 5 * kNsPerSec}));
+  const hb::fault::FleetReport report = sim.fleet_health(monitor->detector());
   const auto& rstats = restarter->stats();
   std::printf("\nrestarts: %llu automatic, %llu suppressed by budget, "
               "%llu credits refilled; %llu dead at end (snapshot epoch "

@@ -7,8 +7,7 @@
 
 #include "core/memory_store.hpp"
 #include "hub/hub.hpp"
-#include "obs/flight_recorder.hpp"
-#include "policy/policy_engine.hpp"
+#include "policy/monitor.hpp"
 #include "util/time.hpp"
 
 namespace hb::cloud {
@@ -104,14 +103,13 @@ int CloudSim::find_vm(const std::string& name) const {
   return it == vm_by_name_.end() ? -1 : it->second;
 }
 
-void CloudSim::set_policy(std::shared_ptr<policy::PolicyEngine> engine,
-                          fault::FleetDetectorOptions detector_opts,
-                          double period_s) {
-  if (engine && !hub_) {
-    throw std::logic_error("CloudSim::set_policy: attach_hub first");
+void CloudSim::set_monitor(std::shared_ptr<policy::Monitor> monitor,
+                           double period_s) {
+  if (monitor && monitor->hub() != hub_) {
+    throw std::logic_error(hub_ ? "CloudSim::set_monitor: foreign hub"
+                                : "CloudSim::set_monitor: attach_hub first");
   }
-  policy_ = std::move(engine);
-  policy_detector_ = fault::FleetDetector(detector_opts);
+  monitor_ = std::move(monitor);
   policy_period_s_ = period_s > 0.0 ? period_s : 1.0;
   last_policy_s_ = -1e18;
 }
@@ -201,17 +199,11 @@ void CloudSim::step(double dt_seconds) {
   for (auto& vm : vms_) {
     if (!vm.killed) vm.elapsed_s += dt_seconds;  // killed VMs are frozen
   }
-  // The decide/act tick: sweep + policy at most once per policy period,
-  // after physics, so sink actions (restarts) shape the NEXT step. The
-  // flight recorder (when attached) sees the report BEFORE the engine
-  // dispatches it: a postmortem capture fired by a sink then reads the
-  // exact report that emitted the trigger as recorder->last_report().
-  if (policy_ && now_seconds() - last_policy_s_ >= policy_period_s_) {
+  // The decide/act tick at most once per policy period, after physics, so
+  // sink actions (restarts) shape the NEXT step.
+  if (monitor_ && now_seconds() - last_policy_s_ >= policy_period_s_) {
     last_policy_s_ = now_seconds();
-    auto report = std::make_shared<const fault::FleetReport>(
-        fleet_health(policy_detector_));
-    if (recorder_) recorder_->record_report(report);
-    policy_->observe(*report);
+    monitor_->tick();
   }
 }
 

@@ -20,7 +20,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/channel.hpp"
@@ -34,11 +33,7 @@ class HeartbeatHub;
 }
 
 namespace hb::policy {
-class PolicyEngine;
-}
-
-namespace hb::obs {
-class FlightRecorder;
+class Monitor;
 }
 
 namespace hb::cloud {
@@ -123,33 +118,12 @@ class CloudSim {
   fault::FleetReport fleet_health(const fault::FleetDetector& detector) const;
 
   /// Attach the decide/act layer: every `period_s` of simulated time,
-  /// step() runs one fleet_health sweep (with `detector_opts`) and feeds
-  /// the report to `engine` — whose sinks may act back on the sim (a
-  /// CloudRestartSink makes the fleet self-heal with no external driver).
-  /// The sweep runs at the END of a step, after physics and beat
-  /// mirroring, so sink actions take effect from the next step on.
-  /// Requires attach_hub first (throws std::logic_error otherwise); pass
-  /// nullptr to detach. The engine is shared: inspect its stats/events
-  /// from the outside between steps.
-  void set_policy(std::shared_ptr<policy::PolicyEngine> engine,
-                  fault::FleetDetectorOptions detector_opts = {},
-                  double period_s = 1.0);
-  const std::shared_ptr<policy::PolicyEngine>& policy() const {
-    return policy_;
-  }
-
-  /// Attach the fleet-history plane: each policy tick records its
-  /// FleetReport into the recorder BEFORE the engine observes it, so a
-  /// postmortem capture triggered mid-dispatch reads the very report that
-  /// emitted the trigger. Independent of set_policy order; pass nullptr
-  /// to detach. The recorder's events come from its own ActionSink
-  /// (FlightRecorder::event_sink), not from here.
-  void set_flight_recorder(std::shared_ptr<obs::FlightRecorder> recorder) {
-    recorder_ = std::move(recorder);
-  }
-  const std::shared_ptr<obs::FlightRecorder>& flight_recorder() const {
-    return recorder_;
-  }
+  /// step() ends with one monitor->tick(), whose sinks may act back on the
+  /// sim (a CloudRestartSink makes the fleet self-heal); their actions take
+  /// effect from the next step on. Throws std::logic_error without
+  /// attach_hub or for a monitor on another hub. nullptr detaches.
+  void set_monitor(std::shared_ptr<policy::Monitor> monitor,
+                   double period_s = 1.0);
 
  private:
   struct Vm {
@@ -171,9 +145,7 @@ class CloudSim {
   std::shared_ptr<hub::HeartbeatHub> hub_;
   std::vector<hub::AppId> hub_ids_;  ///< parallel to vms_ when hub_ is set
 
-  std::shared_ptr<policy::PolicyEngine> policy_;
-  std::shared_ptr<obs::FlightRecorder> recorder_;
-  fault::FleetDetector policy_detector_;
+  std::shared_ptr<policy::Monitor> monitor_;
   double policy_period_s_ = 1.0;
   double last_policy_s_ = -1e18;
 };

@@ -125,7 +125,6 @@ class ShmIngestPump {
 
   ShmIngestPumpStats stats() const;
 
-  HeartbeatHub& hub() const { return *hub_; }
   const std::shared_ptr<transport::ShmIngestQueue>& queue() const {
     return queue_;
   }

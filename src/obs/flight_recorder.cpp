@@ -63,11 +63,6 @@ void FlightRecorder::record_report(
   cut_frame_locked(*last_report_);
 }
 
-void FlightRecorder::record_report(const fault::FleetReport& report) {
-  if (!enabled()) return;
-  record_report(std::make_shared<const fault::FleetReport>(report));
-}
-
 void FlightRecorder::record_event(const policy::FleetEvent& event) {
   if (!enabled()) return;
   util::MutexLock lock(mu_);

@@ -119,21 +119,17 @@ class FlightRecorder {
   /// One detector sweep. May cut a TimelineFrame (see
   /// FlightRecorderOptions::fine_interval_ns); always retained as
   /// last_report() so a capture triggered mid-dispatch sees the report
-  /// that produced the triggering event. Prefer this overload on the
-  /// sweep cadence — it shares the report instead of copying 4k
-  /// AppHealth entries.
+  /// that produced the triggering event. The report is shared, not
+  /// copied (4k AppHealth entries at fleet scale).
   void record_report(std::shared_ptr<const fault::FleetReport> report)
       HB_EXCLUDES(mu_);
-  /// Convenience overload: copies.
-  void record_report(const fault::FleetReport& report) HB_EXCLUDES(mu_);
 
   /// One policy event, buffered into the next frame cut. The buffering
   /// sweep's frame is forced regardless of fine_interval_ns spacing.
   void record_event(const policy::FleetEvent& event) HB_EXCLUDES(mu_);
 
-  /// An ActionSink adapter feeding record_event — register it on the
-  /// PolicyEngine BEFORE any capturing sink (postmortems read back what
-  /// the recorder has seen so far, in dispatch order). The sink borrows
+  /// An ActionSink adapter feeding record_event; policy::Monitor registers
+  /// it as the engine's first sink, ahead of any capturing sink. Borrows
   /// this recorder: keep the recorder alive as long as the engine.
   std::shared_ptr<policy::ActionSink> event_sink();
 

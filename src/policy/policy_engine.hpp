@@ -3,9 +3,8 @@
 // The paper's premise (§2.6) is that heartbeats exist so an EXTERNAL agent
 // can act on them: consolidate the light VMs, restart the dead ones, page
 // someone about a rack. FleetDetector observes; this engine decides. Feed
-// it successive FleetReports (from any sweep cadence — CloudSim::step,
-// hbmon fleet --watch, your own loop) and it derives edge-triggered
-// FleetEvents from the deltas:
+// it successive FleetReports (policy::Monitor::tick does, on any cadence)
+// and it derives edge-triggered FleetEvents from the deltas:
 //
 //   - verdict TRANSITIONS per app (healthy->dead, dead->warming-up, ...)
 //     emitted once per change, never re-asserted per sweep;
@@ -23,9 +22,8 @@
 // kept until the next observe() for the caller to inspect.
 //
 // Threading: observe() mutates engine state and must be externally
-// serialized (one decide loop per engine — the CloudSim tick hook and
-// hbmon --watch are both single-threaded). Query methods are safe between
-// observes and from sinks during dispatch.
+// serialized (one decide loop per engine, as policy::Monitor runs it).
+// Query methods are safe between observes and from sinks during dispatch.
 #pragma once
 
 #include <atomic>

@@ -126,48 +126,45 @@ void ScenarioRunner::build_world() {
   hub_opts.batch_capacity = 64;
   hub_opts.window_capacity = 64;
   hub_opts.clock = clock_;
-  hub_ = std::make_shared<hub::HeartbeatHub>(hub_opts);
-  sim_->attach_hub(hub_);
 
-  engine_ = std::make_shared<policy::PolicyEngine>(policy::PolicyOptions{
-      .flap_window_ns = 60 * util::kNsPerSec,
-      .flap_threshold = 4,
-      .quarantine_cooldown_ns = 120 * util::kNsPerSec,
-      .correlated_min_apps = 3});
+  // The history plane rides every drill: the monitor's recorder cuts frames
+  // on the policy cadence from the ManualClock, so the timeline is as
+  // replayable as the event stream.
+  monitor_ = std::make_shared<policy::Monitor>(
+      std::make_shared<hub::HeartbeatHub>(hub_opts),
+      fault::FleetDetectorOptions{.absolute_staleness_ns = 5 * util::kNsPerSec},
+      policy::PolicyOptions{.flap_window_ns = 60 * util::kNsPerSec,
+                            .flap_threshold = 4,
+                            .quarantine_cooldown_ns = 120 * util::kNsPerSec,
+                            .correlated_min_apps = 3});
+  sim_->attach_hub(monitor_->hub());
+  policy::PolicyEngine& engine = monitor_->engine();
   events_ = std::make_shared<policy::TestSink>();
-  engine_->add_sink(events_);
-  engine_->add_sink(std::make_shared<ScenarioLogSink>(&log_));
-
-  // The history plane rides every drill: frames cut on the policy cadence
-  // from the ManualClock, so the timeline is as replayable as the event
-  // stream. The recorder's sink registers BEFORE any capturing sink —
-  // postmortems read back what the recorder has seen, in dispatch order.
-  recorder_ = std::make_shared<obs::FlightRecorder>();
-  hub_->set_flight_recorder(recorder_);
-  sim_->set_flight_recorder(recorder_);
-  engine_->add_sink(recorder_->event_sink());
+  engine.add_sink(events_);
+  engine.add_sink(std::make_shared<ScenarioLogSink>(&log_));
   if (!capture_dir_.empty()) {
     obs::PostmortemOptions pm;
     pm.dir = capture_dir_;
     // Deterministic capture: no spans, no metrics, no wall stamps — every
     // byte in the bundle flows from (spec, config, seed).
     pm.source = "scenario " + spec_.name + " seed=" + std::to_string(seed_);
-    postmortem_ = std::make_shared<obs::PostmortemSink>(recorder_, pm);
-    engine_->add_sink(postmortem_);
+    postmortem_ = std::make_shared<obs::PostmortemSink>(recorder(), pm);
+    engine.add_sink(postmortem_);
   }
 
   if (config_.restart_budget > 0) {
     restarter_ = std::make_shared<policy::CloudRestartSink>(
         *sim_, policy::CloudRestartSinkOptions{
                    .restart_budget = config_.restart_budget});
-    engine_->add_sink(restarter_);
+    engine.add_sink(restarter_);
   }
 
   world_.config = &config_;
   world_.rng = &rng_;
   world_.clock = clock_.get();
   world_.sim = sim_.get();
-  world_.engine = engine_.get();
+  world_.monitor = monitor_.get();
+  world_.engine = &engine;
   world_.events = events_.get();
   world_.restarter = restarter_.get();
   world_.plan = &plan_;
@@ -190,9 +187,7 @@ void ScenarioRunner::build_world() {
     }
   }
 
-  sim_->set_policy(engine_,
-                   {.absolute_staleness_ns = 5 * util::kNsPerSec},
-                   config_.policy_period_s);
+  sim_->set_monitor(monitor_, config_.policy_period_s);
 }
 
 void ScenarioRunner::enable_capture(std::string dir) {
@@ -272,13 +267,11 @@ const ScenarioResult& ScenarioRunner::run() {
 }
 
 void ScenarioRunner::append_digest() {
-  // One read-only sweep with the same thresholds the policy loop uses —
-  // the end-of-run ground truth the goldens pin.
-  const fault::FleetDetector detector(
-      {.absolute_staleness_ns = 5 * util::kNsPerSec});
-  const fault::FleetReport report = sim_->fleet_health(detector);
+  // One read-only sweep through the policy loop's own detector — the
+  // end-of-run ground truth the goldens pin.
+  const fault::FleetReport report = sim_->fleet_health(monitor_->detector());
   result_.final_fleet = report.fleet;
-  result_.policy = engine_->stats();
+  result_.policy = monitor_->engine().stats();
   if (restarter_) result_.restarts = restarter_->stats();
 
   const auto& f = result_.final_fleet;

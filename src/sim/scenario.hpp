@@ -54,14 +54,11 @@
 #include "obs/postmortem.hpp"
 #include "policy/action_sink.hpp"
 #include "policy/cloud_restart_sink.hpp"
+#include "policy/monitor.hpp"
 #include "policy/policy_engine.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
-
-namespace hb::hub {
-class HeartbeatHub;
-}
 
 namespace hb::sim {
 
@@ -127,7 +124,8 @@ struct ScenarioWorld {
   util::Rng* rng = nullptr;  ///< the ONLY allowed randomness
   util::ManualClock* clock = nullptr;  ///< the run's virtual clock
   cloud::CloudSim* sim = nullptr;
-  policy::PolicyEngine* engine = nullptr;
+  policy::Monitor* monitor = nullptr;  ///< the policy loop (sim ticks it)
+  policy::PolicyEngine* engine = nullptr;  ///< monitor->engine()
   policy::TestSink* events = nullptr;
   policy::CloudRestartSink* restarter = nullptr;  ///< null when budget == 0
   fault::FleetFaultPlan* plan = nullptr;
@@ -194,7 +192,7 @@ class ScenarioRunner {
   // Post-run world access (tests extend drills past the scripted run —
   // the policy_test rack-kill drill steps the sim further by hand).
   cloud::CloudSim& sim() { return *sim_; }
-  policy::PolicyEngine& engine() { return *engine_; }
+  policy::PolicyEngine& engine() { return monitor_->engine(); }
   const policy::TestSink& events() const { return *events_; }
   /// Null when the config's restart_budget is 0 (observe-only scenarios).
   const policy::CloudRestartSink* restarter() const {
@@ -206,7 +204,7 @@ class ScenarioRunner {
   /// policy cadence from the ManualClock, so the timeline is part of the
   /// deterministic surface — see obs::render_timeline_text).
   const std::shared_ptr<obs::FlightRecorder>& recorder() const {
-    return recorder_;
+    return monitor_->recorder();
   }
   /// The capture sink, or null unless enable_capture() was called.
   const obs::PostmortemSink* postmortem() const { return postmortem_.get(); }
@@ -222,11 +220,9 @@ class ScenarioRunner {
 
   std::shared_ptr<util::ManualClock> clock_;
   std::unique_ptr<cloud::CloudSim> sim_;
-  std::shared_ptr<hub::HeartbeatHub> hub_;
-  std::shared_ptr<policy::PolicyEngine> engine_;
+  std::shared_ptr<policy::Monitor> monitor_;
   std::shared_ptr<policy::TestSink> events_;
   std::shared_ptr<policy::CloudRestartSink> restarter_;
-  std::shared_ptr<obs::FlightRecorder> recorder_;
   std::shared_ptr<obs::PostmortemSink> postmortem_;
   std::string capture_dir_;
   fault::FleetFaultPlan plan_;

@@ -52,13 +52,11 @@ void expect(ScenarioResult& res, bool ok, const std::string& what) {
 
 std::string num(std::uint64_t v) { return std::to_string(v); }
 
-/// End-of-run per-app verdicts: one more read-only sweep with the same
-/// thresholds the policy loop used, keyed by name.
+/// End-of-run per-app verdicts: one more read-only sweep through the policy
+/// loop's own detector, keyed by name.
 std::map<std::string, fault::Health> final_health(ScenarioWorld& w) {
-  const fault::FleetDetector detector(
-      {.absolute_staleness_ns = 5 * util::kNsPerSec});
   std::map<std::string, fault::Health> out;
-  for (const auto& app : w.sim->fleet_health(detector).apps)
+  for (const auto& app : w.sim->fleet_health(w.monitor->detector()).apps)
     out[app.name] = app.health;
   return out;
 }

@@ -50,6 +50,7 @@
 //
 // Registry directory: $HB_DIR or <tmp>/heartbeats.
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <csignal>
@@ -74,6 +75,7 @@
 #include "obs/postmortem.hpp"
 #include "obs/trace.hpp"
 #include "policy/action_sink.hpp"
+#include "policy/monitor.hpp"
 #include "policy/policy_engine.hpp"
 #include "sim/scenario.hpp"
 #include "transport/registry.hpp"
@@ -106,8 +108,14 @@ int usage() {
   return 2;
 }
 
-volatile std::sig_atomic_t g_stop = 0;
-void handle_stop(int) { g_stop = 1; }
+hb::util::TimeNs ms(int v) {
+  return static_cast<hb::util::TimeNs>(v) * hb::util::kNsPerMs;
+}
+
+std::atomic<bool> g_stop{false};  // lock-free: safe to set from a signal
+static_assert(std::atomic<bool>::is_always_lock_free);
+// relaxed: the flag only ends Monitor::run's loop; it publishes no data.
+void handle_stop(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 // The transport-loss footer both ring-fed fleet modes print under the
 // verdict table: ring drops/torn slots are lost evidence — an operator who
@@ -367,82 +375,33 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
   return code;
 }
 
-// Shared wiring for the ring-fed fleet modes (--live, --watch): the ingest
-// queue at the registry's well-known path, a hub on the producers'
+// Shared wiring for every ring-fed mode: a policy::Monitor over the
+// ingest queue at the registry's well-known path, a hub on the producers'
 // monotonic epoch, an adaptively polled pump (floor 1 ms behind a busy
 // ring, backing off to poll_ms while it is quiet), and a detector whose
 // staleness slack discounts transport lag — a beat can be one poll
 // interval old before the pump sees it, plus the producer-side batch
 // hold. One function, so the slack formula can never diverge between the
-// modes. Sweeps read the hub's published FleetSnapshot: the detector never
-// holds a stripe lock across summary copies, so a sweep can never block
-// the pump's ingest path mid-drain (shard ingest contends only on its own
-// batch-buffer lock).
-struct LivePipeline {
-  std::shared_ptr<hb::transport::ShmIngestQueue> queue;
-  std::shared_ptr<hb::hub::HeartbeatHub> hub;
-  std::unique_ptr<hb::hub::ShmIngestPump> pump;
-  hb::fault::FleetDetector detector;
-};
-
-LivePipeline make_live_pipeline(const hb::transport::Registry& registry,
-                                int poll_ms, int dead_ms,
-                                hb::util::TimeNs evict_after_ns = 0) {
-  LivePipeline p;
-  p.queue = hb::transport::ShmIngestQueue::open(
-      registry.ingest_queue_path(),
-      hb::transport::Registry::kDefaultIngestCapacity);
+// modes.
+hb::policy::Monitor make_live_pipeline(const hb::transport::Registry& registry,
+                                       int poll_ms, int dead_ms,
+                                       hb::util::TimeNs evict_after_ns = 0) {
   hb::hub::HubOptions opts;
   opts.shard_count = 8;
   opts.evict_after_ns = evict_after_ns;
   // The monitor monitors itself: a wedged pump/snapshot loop in THIS
   // process reads as "__hub/self" going stale in the very table it serves.
   opts.self_beat = true;
-  p.hub = std::make_shared<hb::hub::HeartbeatHub>(opts);
-  p.pump = std::make_unique<hb::hub::ShmIngestPump>(
-      p.queue, p.hub,
-      hb::hub::ShmIngestPumpOptions{
-          .idle_sleep_min_ns = hb::util::kNsPerMs,
-          .idle_sleep_max_ns =
-              static_cast<hb::util::TimeNs>(poll_ms) * hb::util::kNsPerMs});
-  p.detector = hb::fault::FleetDetector(
-      {.absolute_staleness_ns =
-           static_cast<hb::util::TimeNs>(dead_ms) * hb::util::kNsPerMs,
+  return hb::policy::Monitor(
+      hb::transport::ShmIngestQueue::open(
+          registry.ingest_queue_path(),
+          hb::transport::Registry::kDefaultIngestCapacity),
+      std::make_shared<hb::hub::HeartbeatHub>(opts),
+      {.idle_sleep_min_ns = hb::util::kNsPerMs,
+       .idle_sleep_max_ns = ms(poll_ms)},
+      {.absolute_staleness_ns = ms(dead_ms),
        .staleness_slack_ns =
-           static_cast<hb::util::TimeNs>(poll_ms) * hb::util::kNsPerMs +
-           hb::transport::ShmHubSinkOptions{}.max_hold_ns});
-  return p;
-}
-
-// The one live loop every ring-fed mode runs: drain the ring, call on_tick
-// once per period, and park on the ring's doorbell until the next tick or
-// the deadline, whichever is sooner — a quiet fleet costs ~0 CPU, a beat
-// wakes the pump immediately. Stops after run_ms (run_ms <= 0: never) or on
-// SIGINT/SIGTERM once handle_stop is installed, then drains once more so
-// the caller's final read sees everything. A stalled process (SIGSTOP,
-// laptop sleep) can fall many periods behind; missed ticks are skipped
-// rather than burst-replayed — each tick reads current state, so replays
-// add nothing.
-template <typename OnTick>
-void run_live(LivePipeline& p, int run_ms, int period_ms, OnTick&& on_tick) {
-  using Clock = std::chrono::steady_clock;
-  const auto period = std::chrono::milliseconds(period_ms);
-  const auto deadline = run_ms > 0
-                            ? Clock::now() + std::chrono::milliseconds(run_ms)
-                            : Clock::time_point::max();
-  auto next_tick = Clock::now() + period;
-  while (!g_stop && Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_tick) {
-      on_tick();
-      next_tick += period;
-      if (next_tick < Clock::now()) next_tick = Clock::now() + period;
-    }
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_tick, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();
+           ms(poll_ms) + hb::transport::ShmHubSinkOptions{}.max_hold_ns});
 }
 
 // Sweep LIVE producers: external processes publish beats into the fleet
@@ -453,31 +412,28 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
                    int poll_ms, int dead_ms, bool metrics) {
   if (run_ms <= 0) run_ms = 2000;
   if (poll_ms <= 0) poll_ms = 50;
-  LivePipeline p = make_live_pipeline(registry, poll_ms, dead_ms);
-  // Pulse the hub's snapshot path during the run: each pulse publishes the
-  // shards AND fires the self heartbeat, so by the final sweep
-  // "__hub/self" has a cadence to be judged on instead of one lone beat.
-  run_live(p, run_ms, 250, [&p] { p.hub->snapshot(); });
+  hb::policy::Monitor monitor = make_live_pipeline(registry, poll_ms, dead_ms);
+  // Tick during the run: each tick publishes the shards AND fires the self
+  // heartbeat, so by the final sweep "__hub/self" has a cadence to be
+  // judged on instead of one lone beat.
+  monitor.run(ms(run_ms), ms(250));
 
-  const auto stats = p.pump->stats();
+  const auto stats = monitor.pump()->stats();
+  const std::string& ring = monitor.pump()->queue()->file();
+  const hb::fault::FleetReport& report = *monitor.last_report();
   std::fprintf(stderr, "live: %llu beats from %llu producers via %s\n",
                static_cast<unsigned long long>(stats.consumed),
-               static_cast<unsigned long long>(stats.apps),
-               p.queue->file().c_str());
+               static_cast<unsigned long long>(stats.apps), ring.c_str());
+  // Nothing ingested does NOT mean nothing happened: a lapped ring or a
+  // producer that died mid-publish still leaves loss counters to report.
+  int code = 0;
   if (stats.consumed == 0) {
-    std::printf("no live producers on %s\n", p.queue->file().c_str());
-    // Nothing ingested does NOT mean nothing happened: a lapped ring or a
-    // producer that died mid-publish still leaves loss counters to report.
-    print_transport_footer(stats);
-    print_snapshot_footer(*p.hub, p.hub->snapshot()->epoch());
-    maybe_print_metrics_footer(metrics);
-    return 0;
+    std::printf("no live producers on %s\n", ring.c_str());
+  } else {
+    code = hb::fault::print_fleet_report(stdout, report);
   }
-
-  hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
-  const int code = hb::fault::print_fleet_report(stdout, report);
   print_transport_footer(stats);
-  print_snapshot_footer(*p.hub, report.snapshot_epoch);
+  print_snapshot_footer(*monitor.hub(), report.snapshot_epoch);
   maybe_print_metrics_footer(metrics);
   return code;
 }
@@ -496,22 +452,14 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
   // Long watches accumulate dead producers; evict them once they are far
   // beyond the death bound so sweeps do not slow down over hours. Evicted
   // apps still classify dead (and revive on their next beat).
-  LivePipeline p = make_live_pipeline(
-      registry, poll_ms, dead_ms,
-      20 * static_cast<hb::util::TimeNs>(dead_ms) * hb::util::kNsPerMs);
-
-  hb::policy::PolicyEngine engine;
+  hb::policy::Monitor monitor =
+      make_live_pipeline(registry, poll_ms, dead_ms, 20 * ms(dead_ms));
+  hb::policy::PolicyEngine& engine = monitor.engine();
   // Event stamps live on the hub's monotonic clock (machine uptime);
   // anchor the printed lines to the start of this watch.
   engine.add_sink(std::make_shared<hb::policy::LogSink>(
-      stdout, p.hub->clock()->now()));
-  // The history plane: hub publish ticks, sweep reports, and policy edges
-  // all flow into one FlightRecorder; incident edges freeze bundles under
-  // the registry dir. The recorder's sink registers before the capture
-  // sink so a bundle sees the edges of its own sweep (dispatch order).
-  auto recorder = std::make_shared<hb::obs::FlightRecorder>();
-  p.hub->set_flight_recorder(recorder);
-  engine.add_sink(recorder->event_sink());
+      stdout, monitor.hub()->clock()->now()));
+  // Incident edges freeze fleet history into bundles under the registry dir.
   hb::obs::PostmortemOptions pm_opts;
   pm_opts.dir = (registry.dir() / "postmortems").string();
   pm_opts.source = "hbmon fleet --watch";
@@ -519,26 +467,20 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
   pm_opts.capture_metrics = true;
   pm_opts.stamp_wall_time = true;
   auto postmortem =
-      std::make_shared<hb::obs::PostmortemSink>(recorder, pm_opts);
+      std::make_shared<hb::obs::PostmortemSink>(monitor.recorder(), pm_opts);
   engine.add_sink(postmortem);
 
   std::signal(SIGINT, handle_stop);
   std::signal(SIGTERM, handle_stop);
   std::fprintf(stderr, "watch: ring %s, sweep every %d ms, %s\n",
-               p.queue->file().c_str(), sweep_ms,
+               monitor.pump()->queue()->file().c_str(), sweep_ms,
                run_ms > 0 ? "bounded run" : "until SIGINT/SIGTERM");
 
-  hb::fault::FleetReport report;
-  const auto sweep = [&] {
-    report = p.detector.sweep(p.hub->snapshot());
-    recorder->record_report(report);
-    engine.observe(report);
-  };
-  run_live(p, run_ms, sweep_ms, sweep);
-  sweep();  // the exit table reflects everything
+  monitor.run(ms(run_ms), ms(sweep_ms), &g_stop);
+  const hb::fault::FleetReport& report = *monitor.last_report();
   std::printf("\n");
   const int code = hb::fault::print_fleet_report(stdout, report);
-  print_transport_footer(p.pump->stats());
+  print_transport_footer(monitor.pump()->stats());
   const auto& pstats = engine.stats();
   std::printf("policy: %llu sweeps, %llu transitions, %llu correlated "
               "failures, %llu quarantines (%zu active)\n",
@@ -547,7 +489,7 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
               static_cast<unsigned long long>(pstats.correlated_failures),
               static_cast<unsigned long long>(pstats.quarantines),
               engine.quarantined_apps().size());
-  const auto rstats = recorder->stats();
+  const auto rstats = monitor.recorder()->stats();
   const auto& pmstats = postmortem->stats();
   std::printf("history: %llu frames cut (%llu fine + %llu coarse retained), "
               "%llu postmortems from %llu triggers -> %s\n",
@@ -561,27 +503,21 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
     std::fprintf(stderr, "hbmon: %llu postmortem bundle writes FAILED\n",
                  static_cast<unsigned long long>(pmstats.write_failures));
   }
-  print_snapshot_footer(*p.hub, report.snapshot_epoch);
+  print_snapshot_footer(*monitor.hub(), report.snapshot_epoch);
   maybe_print_metrics_footer(metrics);
   return code;
 }
 
-// Shared body for `hbmon metrics` and `hbmon trace`: run the live pipeline
-// for run_ms — pumping the ring, pulsing snapshots, and closing the loop
-// with one detector sweep + policy observe — so every stage's instrument
-// sites have fired at least once by the time we dump the registry or ring.
+// Shared body for `hbmon metrics` and `hbmon trace`: tick the full stack
+// every 100 ms for run_ms, so every stage's instrument sites have fired.
 void run_pipeline_briefly(const hb::transport::Registry& registry, int run_ms,
                           int poll_ms) {
-  LivePipeline p = make_live_pipeline(registry, poll_ms, 5000);
-  hb::policy::PolicyEngine engine;
-  run_live(p, run_ms, 100, [&p] { p.hub->snapshot(); });
-  engine.observe(p.detector.sweep(p.hub->snapshot()));
+  make_live_pipeline(registry, poll_ms > 0 ? poll_ms : 50, 5000)
+      .run(ms(run_ms > 0 ? run_ms : 500), ms(100));
 }
 
 int cmd_metrics(const hb::transport::Registry& registry, int run_ms,
                 int poll_ms, bool json) {
-  if (run_ms <= 0) run_ms = 500;
-  if (poll_ms <= 0) poll_ms = 50;
   run_pipeline_briefly(registry, run_ms, poll_ms);
   const hb::obs::MetricsSnapshot snap =
       hb::obs::MetricsRegistry::global().snapshot();
@@ -595,8 +531,6 @@ int cmd_metrics(const hb::transport::Registry& registry, int run_ms,
 
 int cmd_trace(const hb::transport::Registry& registry, int run_ms,
               int poll_ms, const char* out_path) {
-  if (run_ms <= 0) run_ms = 500;
-  if (poll_ms <= 0) poll_ms = 50;
   run_pipeline_briefly(registry, run_ms, poll_ms);
   const auto& ring = hb::obs::TraceRing::global();
   std::FILE* out = std::strcmp(out_path, "-") == 0
@@ -639,32 +573,20 @@ int cmd_timeline(const hb::transport::Registry& registry, int run_ms,
   if (run_ms <= 0) run_ms = 2000;
   if (poll_ms <= 0) poll_ms = 50;
   if (sweep_ms <= 0) sweep_ms = 500;
-  LivePipeline p = make_live_pipeline(registry, poll_ms, 5000);
-
-  auto recorder = std::make_shared<hb::obs::FlightRecorder>();
-  p.hub->set_flight_recorder(recorder);
-  hb::policy::PolicyEngine engine;
-  engine.add_sink(recorder->event_sink());
+  hb::policy::Monitor monitor = make_live_pipeline(registry, poll_ms, 5000);
 
   // Anchor rendered stamps to the start of the run (event times live on
   // the hub's monotonic clock — machine uptime — which nobody wants raw).
-  const hb::util::TimeNs base_ns = p.hub->clock()->now();
-  const auto sweep = [&] {
-    const hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
-    recorder->record_report(report);
-    engine.observe(report);
-  };
-  run_live(p, run_ms, sweep_ms, sweep);
-  sweep();
+  const hb::util::TimeNs base_ns = monitor.hub()->clock()->now();
+  monitor.run(ms(run_ms), ms(sweep_ms));
 
   hb::util::TimeNs since_ns = 0;
   if (since_ms > 0) {
-    const hb::util::TimeNs now_ns = p.hub->clock()->now();
-    const hb::util::TimeNs span =
-        static_cast<hb::util::TimeNs>(since_ms) * hb::util::kNsPerMs;
+    const hb::util::TimeNs now_ns = monitor.hub()->clock()->now();
+    const hb::util::TimeNs span = ms(since_ms);
     since_ns = now_ns > span ? now_ns - span : 0;
   }
-  auto frames = recorder->timeline(since_ns);
+  auto frames = monitor.recorder()->timeline(since_ns);
   if (app_filter && *app_filter) {
     std::vector<std::shared_ptr<const hb::obs::TimelineFrame>> kept;
     for (const auto& frame : frames) {
@@ -694,7 +616,7 @@ int cmd_timeline(const hb::transport::Registry& registry, int run_ms,
                  stdout);
     }
   }
-  const auto stats = recorder->stats();
+  const auto stats = monitor.recorder()->stats();
   std::fprintf(stderr,
                "timeline: %llu frames cut over %d ms (%llu fine + %llu "
                "coarse retained), %llu sweeps recorded, %llu publishes\n",

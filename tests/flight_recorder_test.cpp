@@ -31,13 +31,14 @@ namespace {
 namespace fs = std::filesystem;
 using util::kNsPerSec;
 
-fault::FleetReport make_report(util::TimeNs at_ns, std::uint64_t epoch,
-                               std::uint64_t healthy = 2) {
-  fault::FleetReport r;
-  r.snapshot_epoch = epoch;
-  r.fleet.swept_at_ns = at_ns;
-  r.fleet.apps = healthy;
-  r.fleet.healthy = healthy;
+std::shared_ptr<fault::FleetReport> make_report(util::TimeNs at_ns,
+                                                std::uint64_t epoch,
+                                                std::uint64_t healthy = 2) {
+  auto r = std::make_shared<fault::FleetReport>();
+  r->snapshot_epoch = epoch;
+  r->fleet.swept_at_ns = at_ns;
+  r->fleet.apps = healthy;
+  r->fleet.healthy = healthy;
   return r;
 }
 
@@ -251,13 +252,13 @@ TEST(PostmortemSink, FirstTriggerCapturesImmediately) {
 TEST(PostmortemSink, BundleIsSelfContainedJson) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   auto rec = std::make_shared<obs::FlightRecorder>();
-  fault::FleetReport report = make_report(10 * kNsPerSec, 5, /*healthy=*/1);
+  const auto report = make_report(10 * kNsPerSec, 5, /*healthy=*/1);
   fault::AppHealth app;
   app.name = "vm-1";
   app.health = fault::Health::kDead;
   app.staleness_ns = 2500 * util::kNsPerMs;
   app.total_beats = 66;
-  report.apps.push_back(app);
+  report->apps.push_back(app);
   rec->record_report(report);
 
   obs::PostmortemOptions opts;

@@ -14,6 +14,7 @@
 #include "hub/hub.hpp"
 #include "policy/action_sink.hpp"
 #include "policy/cloud_restart_sink.hpp"
+#include "policy/monitor.hpp"
 #include "policy/policy_engine.hpp"
 #include "sim/scenario.hpp"
 #include "test_support.hpp"
@@ -459,9 +460,16 @@ TEST_F(RestartFixture, RefillNeverBanksCreditsAboveTheBudget) {
   EXPECT_TRUE(sim.vm_killed(v));
 }
 
-TEST_F(RestartFixture, SetPolicyRequiresAttachedHub) {
-  EXPECT_THROW(sim.set_policy(std::make_shared<PolicyEngine>()),
+TEST_F(RestartFixture, SetMonitorRequiresAttachedHub) {
+  auto hub = std::make_shared<hub::HeartbeatHub>();
+  EXPECT_THROW(sim.set_monitor(std::make_shared<Monitor>(hub)),
                std::logic_error);
+  // A monitor on another hub would sweep a fleet that never beats.
+  sim.attach_hub(std::make_shared<hub::HeartbeatHub>());
+  EXPECT_THROW(sim.set_monitor(std::make_shared<Monitor>(hub)),
+               std::logic_error);
+  sim.attach_hub(hub);
+  EXPECT_NO_THROW(sim.set_monitor(std::make_shared<Monitor>(hub)));
 }
 
 // --------------------------------------- the 1000-VM self-healing drill
