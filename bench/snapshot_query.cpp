@@ -130,8 +130,7 @@ int main(int argc, char** argv) {
 
   // --- rebuild: advance the clock before every query, forcing full
   // per-shard maintenance + republish each time (the pre-snapshot
-  // per-query cost, and the upper bound a real-clock poller pays with
-  // snapshot_min_interval_ns = 0).
+  // per-query cost, and what a real-clock poller pays per query).
   hb::hub::ClusterSummary rebuilt_cluster;
   hb::fault::FleetReport rebuilt_report;
   const double rebuild_cluster_s = timed([&] {

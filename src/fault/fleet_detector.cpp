@@ -87,23 +87,19 @@ Health FleetDetector::classify(const hub::AppSummary& s) const {
 
   if (s.total_beats < opts_.min_beats) return Health::kWarmingUp;
 
-  // Staleness vs cadence. Fall back to the last non-empty window's mean
-  // when time-based aging has drained the current one — a producer that
-  // went silent long enough for its whole window to expire must not lose
-  // its death verdict along with its intervals. (Flip side, by design: a
-  // producer that slows to a cadence far beyond its historical one reads
-  // dead until its next beat revives it — silence past staleness_factor
-  // times the last known cadence IS the §2.6 failure signal.)
-  const double mean_ns = s.interval_mean_ns > 0.0 ? s.interval_mean_ns
-                                                  : s.last_interval_mean_ns;
-  if (mean_ns > 0.0 &&
-      static_cast<double>(staleness) > opts_.staleness_factor * mean_ns) {
+  // Staleness vs cadence. (By design, a producer that slows to a cadence
+  // far beyond its windowed one reads dead until its next beat revives it
+  // — silence past staleness_factor times the known cadence IS the §2.6
+  // failure signal.)
+  if (s.interval_mean_ns > 0.0 &&
+      static_cast<double>(staleness) >
+          opts_.staleness_factor * s.interval_mean_ns) {
     return Health::kDead;
   }
 
   // Warmed up by lifetime beats, but the window holds too little evidence
-  // for a rate or jitter verdict (e.g. everything aged past window_ns and
-  // the app only just resumed): not provably dead, not provably anything.
+  // for a rate or jitter verdict (e.g. revived by one beat after an
+  // eviction): not provably dead, not provably anything.
   if (s.window_beats < 2) return Health::kWarmingUp;
 
   // A zero-span window reads as an infinite rate — unmeasurably fast is
@@ -113,7 +109,8 @@ Health FleetDetector::classify(const hub::AppSummary& s) const {
     return Health::kSlow;
   }
 
-  if (mean_ns > 0.0 && s.interval_stddev_ns > opts_.jitter_factor * mean_ns) {
+  if (s.interval_mean_ns > 0.0 &&
+      s.interval_stddev_ns > opts_.jitter_factor * s.interval_mean_ns) {
     return Health::kErratic;
   }
   return Health::kHealthy;

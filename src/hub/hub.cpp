@@ -42,12 +42,8 @@ HubOptions normalize(HubOptions opts) {
 }  // namespace
 
 HeartbeatHub::HeartbeatHub(HubOptions opts) : opts_(normalize(std::move(opts))) {
-  const ShardConfig config{opts_.batch_capacity,
-                           opts_.window_capacity,
-                           opts_.rate_window,
-                           opts_.window_ns,
-                           opts_.evict_after_ns,
-                           opts_.snapshot_min_interval_ns,
+  const ShardConfig config{opts_.batch_capacity, opts_.window_capacity,
+                           opts_.rate_window, opts_.evict_after_ns,
                            opts_.clock};
   shards_.reserve(opts_.shard_count);
   for (std::size_t i = 0; i < opts_.shard_count; ++i) {
@@ -126,7 +122,7 @@ void HeartbeatHub::evict(AppId id) {
 }
 
 void HeartbeatHub::flush() {
-  for (auto& shard : shards_) shard->flush();
+  for (auto& shard : shards_) shard->publish();
   // The beat lands in its shard's batch and is applied by the next flush
   // or publish — what matters for the staleness signal is that the
   // timestamp was stamped *now*, while the maintenance loop was alive.

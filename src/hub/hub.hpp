@@ -62,25 +62,9 @@ struct HubOptions {
   std::size_t window_capacity = 256;
   /// Beats per rate computation; 0 = the whole sliding window.
   std::uint32_t rate_window = 0;
-  /// Time-based sliding window: beats whose timestamps age beyond this
-  /// bound (on the hub clock) leave rate/percentile state, evaluated lazily
-  /// at every flush. 0 = beat-count window only.
-  util::TimeNs window_ns = 0;
   /// Auto-evict apps whose staleness exceeds this bound (dead producers
   /// stop costing rollup time; a new beat revives them). 0 = never.
   util::TimeNs evict_after_ns = 0;
-  /// Snapshot freshness tolerance: a query that finds no new beats and no
-  /// dirty state reuses the published snapshot while it is younger than
-  /// this, instead of re-stamping staleness and rebuilding. 0 (default)
-  /// republishes whenever the clock advanced — the exact pre-snapshot
-  /// per-query semantics. Monitoring loops polling much faster than their
-  /// decision cadence should set this to a fraction of that cadence. The
-  /// observable effect: ALL time-driven maintenance — staleness_ns,
-  /// window_ns aging, evict_after_ns auto-eviction — may lag queries by
-  /// up to the tolerance (see ShardSnapshot::published_at_ns). New beats,
-  /// target changes, and evictions always cut through, and an explicit
-  /// HeartbeatHub::flush() always catches maintenance up regardless.
-  util::TimeNs snapshot_min_interval_ns = 0;
   /// Self-telemetry: register the hub itself as app kSelfAppName and beat
   /// it through the ordinary ingest path once per fleet-snapshot rebuild
   /// and once per explicit flush(). The hub then shows up in its own
@@ -90,8 +74,8 @@ struct HubOptions {
   /// every snapshot a rebuild (the self beat dirties its shard), which
   /// single-purpose embedders and the snapshot-cache benches do not want.
   bool self_beat = false;
-  /// Timestamp source for beat(), staleness stamping, and time-based
-  /// aging; null selects the process monotonic clock.
+  /// Timestamp source for beat(), staleness stamping, and auto-eviction;
+  /// null selects the process monotonic clock.
   std::shared_ptr<util::Clock> clock;
 };
 
@@ -100,7 +84,8 @@ struct HubOptions {
 /// only on the owning shard's stripe lock, registration additionally on
 /// the name table. All timestamps are nanoseconds on the hub clock's
 /// epoch (HubOptions::clock; producers feeding pre-stamped records must
-/// share that epoch or be restamped at ingest — see hub/ShmIngestPump).
+/// share that epoch — same-host ShmIngestPump producers do, via
+/// CLOCK_MONOTONIC).
 class HeartbeatHub {
  public:
   explicit HeartbeatHub(HubOptions opts = {});
@@ -145,10 +130,9 @@ class HeartbeatHub {
   /// staleness exceeds HubOptions::evict_after_ns.
   void evict(AppId id);
 
-  /// Force every shard to drain its batch, age time windows, re-stamp
-  /// staleness, apply auto-eviction, and republish its snapshot. snapshot()
-  /// and summary() publish implicitly; flush() additionally ignores
-  /// HubOptions::snapshot_min_interval_ns.
+  /// Publish every shard — drain its batch, re-stamp staleness, apply
+  /// auto-eviction — without composing a fleet snapshot, then self-beat.
+  /// snapshot() and summary() publish implicitly.
   void flush();
 
   /// The read side: a coherent, epoch-stamped view of the whole fleet.
@@ -161,8 +145,8 @@ class HeartbeatHub {
   /// One app's windowed summary, publishing only its OWNING shard — a
   /// per-app poller never forces the rest of the fleet to republish. Worst
   /// case per call is that one shard's republish (O(apps/shard)); hot
-  /// polling loops behind a real clock should set a nonzero
-  /// snapshot_min_interval_ns, or read the fleet once via snapshot().
+  /// polling loops over many apps should read the fleet once via
+  /// snapshot() instead.
   /// Evicted apps still answer. Throws std::out_of_range for an id that
   /// did not come from this hub. Thread-safe.
   AppSummary summary(AppId id);
@@ -201,7 +185,7 @@ class HeartbeatHub {
   /// The normalized construction options (clock always non-null).
   const HubOptions& options() const { return opts_; }
   /// The hub's timestamp source — the epoch every staleness_ns and
-  /// window_ns comparison lives on.
+  /// evict_after_ns comparison lives on.
   const std::shared_ptr<util::Clock>& clock() const { return opts_.clock; }
 
   /// One lock stripe, for per-shard stats() and publish(). Bounds-checked:

@@ -120,8 +120,8 @@ void HubShard::drain_overflow() {
   // Contends with readers on state_mu_, never with other producers.
   // The dirty mark is what makes the next publish rebuild even when it
   // finds nothing left to apply itself (a beat count that is an exact
-  // multiple of batch_capacity drains entirely here): applied data must
-  // always cut through the snapshot freshness tolerance.
+  // multiple of batch_capacity drains entirely here) and the clock has
+  // not moved.
   util::MutexLock lock(state_mu_);
   if (apply_pending_locked(/*include_partial=*/false)) state_dirty_ = true;
 }
@@ -193,29 +193,19 @@ void HubShard::evict(std::uint32_t slot) {
   }
 }
 
-std::shared_ptr<const ShardSnapshot> HubShard::publish(bool force_fresh) {
+std::shared_ptr<const ShardSnapshot> HubShard::publish() {
   util::MutexLock lock(state_mu_);
   const bool applied = apply_pending_locked(/*include_partial=*/true);
   const util::TimeNs now = config_.clock ? config_.clock->now() : 0;
 
   // Freshness: rebuild when new beats landed, when state changed without
   // beats (targets, evictions, registrations), or when the clock moved
-  // past the tolerance (staleness stamps and time windows must catch up;
-  // a forced flush shrinks the tolerance to "any movement at all").
-  // Otherwise the published snapshot is still the truth — hand it back and
-  // leave the epoch alone, so fleet caches keep hitting.
-  const util::TimeNs tolerance =
-      force_fresh ? 1
-                  : std::max<util::TimeNs>(config_.snapshot_min_interval_ns, 1);
-  bool stale = false;
+  // (staleness stamps must catch up). Otherwise the published snapshot is
+  // still the truth — hand it back and leave the epoch alone, so fleet
+  // caches keep hitting.
   {
     util::MutexLock snap_lock(snap_mu_);
-    if (!snap_) {
-      stale = true;
-    } else if (config_.clock && now > snap_->published_at_ns &&
-               now - snap_->published_at_ns >= tolerance) {
-      stale = true;
-    }
+    const bool stale = !snap_ || now > snap_->published_at_ns;
     if (!applied && !state_dirty_ && !stale) {
       ShardMetrics::get().publish_skips->add(1);
       return snap_;
@@ -322,9 +312,6 @@ ShardStats HubShard::stats() const {
 }
 
 void HubShard::maintain_locked(AppState& app, util::TimeNs now) {
-  if (config_.window_ns > 0 && !app.evicted && now > config_.window_ns) {
-    age_window_locked(app, now - config_.window_ns);
-  }
   // Staleness since the last beat, or since registration for an app that
   // has not beaten yet ("registered and silent since it appeared").
   const util::TimeNs since =
@@ -337,14 +324,6 @@ void HubShard::maintain_locked(AppState& app, util::TimeNs now) {
   app.cached.staleness_ns = staleness;
 }
 
-void HubShard::age_window_locked(AppState& app, util::TimeNs cutoff_ns) {
-  while (app.window.size() > 0 &&
-         app.window.back(app.window.size() - 1).timestamp_ns < cutoff_ns) {
-    drop_oldest_locked(app);
-    app.dirty = true;
-  }
-}
-
 void HubShard::retire_oldest_tag_locked(AppState& app) {
   const core::HeartbeatRecord& oldest = app.window.back(app.window.size() - 1);
   auto it = app.tag_counts.find(oldest.tag);
@@ -353,24 +332,11 @@ void HubShard::retire_oldest_tag_locked(AppState& app) {
   }
 }
 
-void HubShard::drop_oldest_locked(AppState& app) {
-  // Remove the oldest record from the windowed tag counts...
-  retire_oldest_tag_locked(app);
-  app.window.drop_oldest();
-  // ...and keep the N-records/N-1-intervals pairing: the oldest interval
-  // (which ended at the second-oldest record) leaves with it.
-  if (app.intervals.size() > 0 && app.intervals.size() >= app.window.size()) {
-    app.hist.forget(app.intervals.back(app.intervals.size() - 1));
-    app.intervals.drop_oldest();
-  }
-}
-
 void HubShard::evict_locked(AppState& app) {
   app.window.clear();
   app.intervals.clear();
   app.hist.reset();
   app.tag_counts.clear();
-  app.last_mean_ns = 0.0;
   app.evicted = true;
   app.dirty = true;
 }
@@ -383,9 +349,9 @@ void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec
   if (app.window.size() > 0) {
     // Interval since the newest record still inside the window. Out-of-order
     // or same-tick beats clamp to a zero interval rather than wrapping; the
-    // rate math keeps its own zero-span convention. After eviction or full
-    // time-aging the window is empty and the first new beat starts fresh —
-    // the silent gap is staleness, not an interval.
+    // rate math keeps its own zero-span convention. After eviction the
+    // window is empty and the first new beat starts fresh — the silent gap
+    // is staleness, not an interval.
     const util::TimeNs prev_ns = app.window.back(0).timestamp_ns;
     const std::uint64_t interval =
         rec.timestamp_ns > prev_ns
@@ -396,10 +362,6 @@ void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec
     }
     app.intervals.push(interval);
     app.hist.record(interval);
-    // Record the cadence at apply time, not at refresh: maintenance may
-    // age this interval out before any refresh runs, and the "last known
-    // cadence" yardstick must not depend on which query path ran first.
-    app.last_mean_ns = app.hist.mean();
   }
   app.last_beat_ns = rec.timestamp_ns;
 
@@ -419,7 +381,6 @@ void HubShard::refresh_locked(AppState& app) {
   s.window_beats = app.window.size();
   s.last_beat_ns = app.last_beat_ns;
   s.evicted = app.evicted;
-  s.last_interval_mean_ns = app.last_mean_ns;
 
   // Windowed rate, same (n-1)/span semantics as core::window_rate, computed
   // straight off the ring ends (no copy). As in core/reader.cpp, a rate
@@ -446,8 +407,6 @@ void HubShard::refresh_locked(AppState& app) {
     s.interval_mean_ns = 0.0;
     s.interval_stddev_ns = 0.0;
     s.interval_p50_ns = s.interval_p95_ns = s.interval_p99_ns = 0;
-    // last_mean_ns keeps its value: the yardstick for "how stale is too
-    // stale" must survive the window draining (see AppSummary doc).
   } else {
     std::uint64_t lo = app.intervals.back(0), hi = lo;
     double sum = static_cast<double>(lo);

@@ -19,7 +19,7 @@
 //   across summary copies.
 //
 // A publish that finds nothing new (no pending beats, no dirty targets or
-// evictions, clock within the freshness tolerance) republishes nothing:
+// evictions, clock unmoved since the last publish) republishes nothing:
 // the epoch stands still and fleet-level caches keep serving pointer
 // reads. This is what makes repeated cluster queries between flushes
 // nearly free (bench/snapshot_query).
@@ -51,23 +51,13 @@ struct ShardConfig {
   std::size_t batch_capacity = 64;    ///< raw records buffered before a flush
   std::size_t window_capacity = 256;  ///< sliding-window beats per app
   std::uint32_t rate_window = 0;      ///< beats for rate; 0 = whole window
-  /// Time-based window: beats older than this age out of rate/percentile
-  /// state, evaluated lazily at every publish. 0 = beat-count window only.
-  util::TimeNs window_ns = 0;
   /// Auto-evict an app whose staleness exceeds this bound (checked at
   /// publish). 0 = never auto-evict.
   util::TimeNs evict_after_ns = 0;
-  /// Snapshot freshness tolerance: a query-forced publish that finds no new
-  /// beats and no dirty state skips the rebuild while the published
-  /// snapshot is younger than this. 0 = republish whenever the clock
-  /// advanced at all (exactly the pre-snapshot per-query staleness
-  /// semantics; under a ManualClock that never moves between queries, the
-  /// cache still hits). See HubOptions::snapshot_min_interval_ns.
-  util::TimeNs snapshot_min_interval_ns = 0;
-  /// Clock for aging / staleness stamping. HeartbeatHub always installs
-  /// one (normalize() defaults to the monotonic clock); null is only
-  /// reachable when a shard is constructed standalone, and then disables
-  /// time-based maintenance entirely.
+  /// Clock for staleness stamping and auto-eviction. HeartbeatHub always
+  /// installs one (normalize() defaults to the monotonic clock); null is
+  /// only reachable when a shard is constructed standalone, and then
+  /// disables time-based maintenance entirely.
   std::shared_ptr<util::Clock> clock;
 };
 
@@ -105,23 +95,15 @@ class HubShard {
   void evict(std::uint32_t slot) HB_EXCLUDES(state_mu_);
 
   /// Apply all pending beats, run time maintenance, and (re)publish the
-  /// shard snapshot if anything changed. Returns the current snapshot —
-  /// the one true read entry point. Never null. `force_fresh` ignores the
-  /// snapshot_min_interval_ns tolerance: any clock movement republishes
-  /// (an explicit flush must re-stamp staleness, age windows, and apply
-  /// auto-eviction NOW, not within-the-tolerance-eventually).
-  std::shared_ptr<const ShardSnapshot> publish(bool force_fresh = false)
+  /// shard snapshot if anything changed — including any clock movement,
+  /// which re-stamps staleness. Returns the current snapshot — the one
+  /// true read entry point. Never null.
+  std::shared_ptr<const ShardSnapshot> publish()
       HB_EXCLUDES(state_mu_, ingest_mu_, snap_mu_);
 
   /// The last published snapshot without forcing a publish (may be null
   /// before the first publish). Lock held only for the pointer grab.
   std::shared_ptr<const ShardSnapshot> published() const HB_EXCLUDES(snap_mu_);
-
-  /// Forced-fresh publish for callers that ignore the result
-  /// (HeartbeatHub::flush): time maintenance always catches up.
-  void flush() HB_EXCLUDES(state_mu_, ingest_mu_, snap_mu_) {
-    publish(/*force_fresh=*/true);
-  }
 
   ShardStats stats() const HB_EXCLUDES(state_mu_, ingest_mu_);
 
@@ -140,9 +122,6 @@ class HubShard {
     util::RingBuffer<core::HeartbeatRecord> window;
     util::RingBuffer<std::uint64_t> intervals;  ///< windowed, drives `hist`
     util::LatencyHistogram hist;                ///< exactly the ring's values
-    double last_mean_ns = 0.0;  ///< window mean as of the last applied
-                                ///< interval; survives aging, cleared by
-                                ///< eviction ("last known cadence")
     std::unordered_map<std::uint64_t, std::uint64_t> tag_counts;  ///< windowed
     AppSummary cached;
     bool dirty = false;
@@ -171,15 +150,11 @@ class HubShard {
       HB_REQUIRES(state_mu_);
   void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);
   void check_slot(std::uint32_t slot) const;  ///< throws out_of_range
-  /// Per-app time maintenance: age past window_ns, stamp staleness,
-  /// auto-evict past evict_after_ns.
+  /// Per-app time maintenance: stamp staleness, auto-evict past
+  /// evict_after_ns.
   void maintain_locked(AppState& app, util::TimeNs now) HB_REQUIRES(state_mu_);
-  void age_window_locked(AppState& app, util::TimeNs cutoff_ns)
-      HB_REQUIRES(state_mu_);
-  /// Tag count bookkeeping.
+  /// Tag count bookkeeping for the record the next push overwrites.
   void retire_oldest_tag_locked(AppState& app) HB_REQUIRES(state_mu_);
-  /// One record + its interval.
-  void drop_oldest_locked(AppState& app) HB_REQUIRES(state_mu_);
   void evict_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Build the next ShardSnapshot from current app state (one walk:
   /// maintenance + refresh + copy + rollups) and swap it in. Caller holds

@@ -46,9 +46,10 @@ struct PumpMetrics {
 
 ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
                              HeartbeatHub& hub, ShmIngestPumpOptions opts)
-    : queue_(std::move(queue)), hub_(&hub), opts_(opts) {
-  if (!opts_.from_start) cursor_ = queue_->tail_cursor();
-}
+    : queue_(std::move(queue)),
+      hub_(&hub),
+      opts_(opts),
+      cursor_(queue_->tail_cursor()) {}
 
 ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
                              std::shared_ptr<HeartbeatHub> hub,
@@ -56,9 +57,8 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
     : queue_(std::move(queue)),
       hub_(hub.get()),
       owner_(std::move(hub)),
-      opts_(opts) {
-  if (!opts_.from_start) cursor_ = queue_->tail_cursor();
-}
+      opts_(opts),
+      cursor_(queue_->tail_cursor()) {}
 
 void ShmIngestPump::route(std::string_view app,
                           const core::HeartbeatRecord& rec,
@@ -88,9 +88,6 @@ void ShmIngestPump::route(std::string_view app,
   AppEntry& entry = it->second;
   if (entry.pending.empty()) touched_.push_back(&entry);
   entry.pending.push_back(rec);
-  if (opts_.restamp_arrival) {
-    entry.pending.back().timestamp_ns = hub_->clock()->now();
-  }
 }
 
 std::size_t ShmIngestPump::poll() {
@@ -131,40 +128,37 @@ std::size_t ShmIngestPump::poll() {
 bool ShmIngestPump::wait(util::TimeNs budget_ns) {
   if (budget_ns <= 0) return false;
   using transport::ShmIngestQueue;
-  if (opts_.use_doorbell) {
-    const PumpMetrics& metrics = PumpMetrics::get();
-    const util::TimeNs timeout =
-        std::min(budget_ns, std::max<util::TimeNs>(opts_.doorbell_timeout_ns, 1));
-    switch (queue_->wait_for_frames(cursor_, timeout)) {
-      case ShmIngestQueue::WaitResult::kReady:
-        // Frames were already pending — no park happened; poll now.
-        return true;
-      case ShmIngestQueue::WaitResult::kWoken:
-        ++parks_;
-        ++doorbell_wakes_;
-        metrics.parks->add(1);
-        metrics.wakes->add(1);
-        // The wake says producers just published: restart the backoff at
-        // the floor (the satellite fix — wakes, not empty polls, are the
-        // "ring went busy" signal for anyone still consulting
-        // suggested_sleep_ns()).
-        empty_polls_ = 0;
-        if (!queue_->has_frames(cursor_)) {
-          // Signal/EINTR or a ring for frames another consumer's cursor
-          // covers — rare; count it so an unhealthy rate is visible.
-          ++spurious_wakes_;
-          metrics.spurious_wakes->add(1);
-        }
-        return true;
-      case ShmIngestQueue::WaitResult::kTimeout:
-        ++parks_;
-        ++wait_timeouts_;
-        metrics.parks->add(1);
-        metrics.wait_timeouts->add(1);
-        return false;
-      case ShmIngestQueue::WaitResult::kUnsupported:
-        break;  // fall through to the portable backoff nap
-    }
+  const PumpMetrics& metrics = PumpMetrics::get();
+  const util::TimeNs timeout =
+      std::min(budget_ns, std::max<util::TimeNs>(opts_.doorbell_timeout_ns, 1));
+  switch (queue_->wait_for_frames(cursor_, timeout)) {
+    case ShmIngestQueue::WaitResult::kReady:
+      // Frames were already pending — no park happened; poll now.
+      return true;
+    case ShmIngestQueue::WaitResult::kWoken:
+      ++parks_;
+      ++doorbell_wakes_;
+      metrics.parks->add(1);
+      metrics.wakes->add(1);
+      // The wake says producers just published: restart the backoff at
+      // the floor (wakes, not empty polls, are the "ring went busy"
+      // signal for anyone still consulting suggested_sleep_ns()).
+      empty_polls_ = 0;
+      if (!queue_->has_frames(cursor_)) {
+        // Signal/EINTR or a ring for frames another consumer's cursor
+        // covers — rare; count it so an unhealthy rate is visible.
+        ++spurious_wakes_;
+        metrics.spurious_wakes->add(1);
+      }
+      return true;
+    case ShmIngestQueue::WaitResult::kTimeout:
+      ++parks_;
+      ++wait_timeouts_;
+      metrics.parks->add(1);
+      metrics.wait_timeouts->add(1);
+      return false;
+    case ShmIngestQueue::WaitResult::kUnsupported:
+      break;  // fall through to the portable backoff nap
   }
   std::this_thread::sleep_for(std::chrono::nanoseconds(
       std::min(budget_ns, suggested_sleep_ns())));

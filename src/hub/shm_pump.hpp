@@ -40,21 +40,10 @@ namespace hb::hub {
 class HeartbeatHub;
 
 struct ShmIngestPumpOptions {
-  /// Replace producer timestamps with the hub clock's "now" at drain time.
-  /// Off by default: same-host producers share the CLOCK_MONOTONIC epoch,
-  /// so their own stamps give true rates AND comparable staleness. Turn on
-  /// for producers on a foreign epoch (replayed logs, ManualClock tests) —
-  /// rates then measure arrival cadence, not production cadence.
-  bool restamp_arrival = false;
   /// Drains a claimed-but-unpublished frame may block on before the pump
   /// skips it as torn (crashed producer). Forwarded to
   /// transport::ShmIngestQueue::drain.
   std::uint32_t max_stall_polls = 3;
-  /// Consume the ring's full retained backlog (up to capacity frames per
-  /// stream) instead of starting at the current heads. Off by default: a
-  /// live monitor wants beats produced while it watches, not a replay of
-  /// whatever a previous session left in the ring.
-  bool from_start = false;
   /// Idle-backoff floor for suggested_sleep_ns(): the sleep after a poll
   /// that drained records (the ring is busy — stay close).
   util::TimeNs idle_sleep_min_ns = 1 * util::kNsPerMs;
@@ -62,10 +51,6 @@ struct ShmIngestPumpOptions {
   /// the floor up to this bound (a quiet ring costs ~1 wakeup per cap
   /// interval instead of a busy-spin). Clamped to >= idle_sleep_min_ns.
   util::TimeNs idle_sleep_max_ns = 64 * util::kNsPerMs;
-  /// Block on the ring's futex doorbell in wait() instead of sleeping the
-  /// backoff schedule. Ignored (with automatic fallback) on platforms
-  /// without futex.
-  bool use_doorbell = true;
   /// Longest single doorbell block. This bounds the missed-wake window the
   /// producers' relaxed parked-check admits AND doubles as a liveness
   /// heartbeat for the poll loop; it is NOT a staleness bound (a beat rings

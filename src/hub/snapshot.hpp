@@ -20,7 +20,7 @@
 //     shard lock across summary copies — they copy from the snapshot.
 //   * Epochs are per-shard, monotone, and advance exactly when a rebuild
 //     publishes new state (new beats applied, dirty targets/evictions, or
-//     the clock moved past the freshness tolerance).
+//     the clock moved at all, so staleness stamps catch up).
 //   * A FleetSnapshot holds one ShardSnapshot pointer per shard, grabbed
 //     once at composition: every derived view (cluster, tags, sweep) is
 //     coherent — no app can be counted under two different windows within

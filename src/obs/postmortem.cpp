@@ -242,7 +242,7 @@ std::string PostmortemSink::render_bundle(const policy::FleetEvent& event,
 
   // The history: every retained frame inside the lookback window, plus the
   // edges of the trigger's own sweep that have not been framed yet.
-  const auto frames = recorder_->timeline(event.at_ns - opts_.lookback_ns);
+  const auto frames = recorder_->timeline(event.at_ns - kPostmortemLookbackNs);
   out += "\"timeline\":";
   out += render_timeline_json(frames);
   // render_timeline_json ends with "\n]\n" — keep the bundle one line per
@@ -263,9 +263,9 @@ std::string PostmortemSink::render_bundle(const policy::FleetEvent& event,
   if (opts_.capture_spans) {
     std::uint64_t skipped = 0;
     std::vector<SpanRecord> spans = TraceRing::global().snapshot(&skipped);
-    if (spans.size() > opts_.max_spans) {
-      spans.erase(spans.begin(),
-                  spans.end() - static_cast<std::ptrdiff_t>(opts_.max_spans));
+    if (spans.size() > kPostmortemMaxSpans) {
+      spans.erase(spans.begin(), spans.end() - static_cast<std::ptrdiff_t>(
+                                                   kPostmortemMaxSpans));
     }
     append_u64(out, "count", spans.size());
     append_u64(out, "skipped", skipped);

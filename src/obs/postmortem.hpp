@@ -42,13 +42,16 @@
 
 namespace hb::obs {
 
+/// Timeline window a bundle preserves before its trigger.
+inline constexpr util::TimeNs kPostmortemLookbackNs = 120 * util::kNsPerSec;
+/// Newest TraceRing spans a bundle keeps when capture_spans is on.
+inline constexpr std::size_t kPostmortemMaxSpans = 64;
+
 struct PostmortemOptions {
   /// Directory bundles land in (created on demand). Convention:
   /// $HB_DIR/postmortems — transport::Registry::default_dir() +
   /// "/postmortems" (hbmon wires exactly that).
   std::string dir;
-  /// Timeline window preserved before the trigger.
-  util::TimeNs lookback_ns = 120 * util::kNsPerSec;
   /// Minimum spacing between captures. Triggers inside the window are
   /// counted but not captured — one incident, one bundle, even when a
   /// rack death folds into dozens of edges across a few sweeps.
@@ -59,7 +62,6 @@ struct PostmortemOptions {
   /// Include the recent TraceRing spans in the bundle. Live-fleet mode
   /// only: span timestamps are raw monotonic, not ManualClock.
   bool capture_spans = false;
-  std::size_t max_spans = 64;  ///< newest spans kept when capturing
   /// Include a MetricsRegistry::global() snapshot. Live-fleet mode only.
   bool capture_metrics = false;
   /// Stamp the bundle with the wall clock ("captured_wall_ns"). Live-fleet

@@ -68,9 +68,8 @@ void PolicyEngine::add_sink(std::shared_ptr<ActionSink> sink) {
   if (sink) sinks_.push_back(std::move(sink));
 }
 
-std::string_view PolicyEngine::group_of(std::string_view app, char delimiter) {
-  if (delimiter == 0) return {};
-  const std::size_t pos = app.find(delimiter);
+std::string_view PolicyEngine::group_of(std::string_view app) {
+  const std::size_t pos = app.find(kGroupDelimiter);
   return pos == std::string_view::npos ? std::string_view{}
                                        : app.substr(0, pos);
 }
@@ -175,15 +174,13 @@ const std::vector<FleetEvent>& PolicyEngine::observe(
   // ordinary per-app transition. Group order follows first appearance in
   // the sweep, so emission stays deterministic.
   std::unordered_map<std::string_view, std::size_t> group_counts;
-  if (opts_.group_delimiter != 0) {
-    for (const Death& d : deaths) {
-      const auto group = group_of(d.app->name, opts_.group_delimiter);
-      if (!group.empty()) ++group_counts[group];
-    }
+  for (const Death& d : deaths) {
+    const auto group = group_of(d.app->name);
+    if (!group.empty()) ++group_counts[group];
   }
   std::unordered_map<std::string_view, std::size_t> folded;  // group -> event
   for (const Death& d : deaths) {
-    const auto group = group_of(d.app->name, opts_.group_delimiter);
+    const auto group = group_of(d.app->name);
     const bool fold = !group.empty() &&
                       group_counts[group] >= opts_.correlated_min_apps;
     if (!fold) {

@@ -15,7 +15,7 @@
 //     its restart budget, or anyone's attention, forever);
 //   - CORRELATED failures: >= correlated_min_apps deaths in one sweep
 //     sharing a failure-domain group (the name prefix before
-//     group_delimiter, e.g. "rack3/vm-7" -> "rack3") fold into ONE
+//     kGroupDelimiter, e.g. "rack3/vm-7" -> "rack3") fold into ONE
 //     kCorrelatedFailure event instead of N alerts.
 //
 // Events are dispatched to registered ActionSinks in emission order, then
@@ -56,11 +56,12 @@ struct PolicyOptions {
   /// Minimum apps of one failure-domain group dying in the SAME sweep to
   /// fold their deaths into one kCorrelatedFailure event.
   std::size_t correlated_min_apps = 3;
-  /// An app's failure-domain group is its name up to the FIRST occurrence
-  /// of this delimiter ("rack3/vm-7" -> "rack3"); names without the
-  /// delimiter are ungrouped and never fold. 0 disables grouping.
-  char group_delimiter = '/';
 };
+
+/// An app's failure-domain group is its name up to the FIRST occurrence
+/// of this delimiter ("rack3/vm-7" -> "rack3"); names without the
+/// delimiter are ungrouped and never fold.
+inline constexpr char kGroupDelimiter = '/';
 
 /// Cumulative engine counters (all monotonic since construction).
 struct PolicyStats {
@@ -114,9 +115,9 @@ class PolicyEngine {
   const PolicyStats& stats() const { return stats_; }
   const PolicyOptions& options() const { return opts_; }
 
-  /// The failure-domain group of an app name under `delimiter` ("" when
-  /// ungrouped). Exposed so tests and sinks share the exact rule.
-  static std::string_view group_of(std::string_view app, char delimiter);
+  /// The failure-domain group of an app name under kGroupDelimiter (""
+  /// when ungrouped). Exposed so tests and sinks share the exact rule.
+  static std::string_view group_of(std::string_view app);
 
  private:
   struct AppState {

@@ -249,7 +249,8 @@ void* map_existing(const std::filesystem::path& file, std::size_t& bytes_out,
   }
   if (magic != kShmIngestMagic || hdr->version != kShmIngestVersion ||
       hdr->slot_size != sizeof(ShmIngestSlot) ||
-      hdr->lane_count != kIngestLanes || hdr->lane_capacity < 2 ||
+      hdr->lane_count != kIngestLanes || hdr->capacity < 2 ||
+      hdr->lane_capacity < 2 ||
       bytes < shm_ingest_segment_size(hdr->capacity, hdr->lane_capacity)) {
     ::munmap(base, bytes);
     throw std::runtime_error("ShmIngestQueue::attach: bad segment format: " +

@@ -2,9 +2,8 @@
 //
 // Backing store for in-process heartbeat history. Appends overwrite the
 // oldest element once full (the paper's Section 3: "When the buffer fills,
-// old heartbeats are simply dropped"), and the owner may also retire the
-// oldest element early with drop_oldest() (time-based window aging in the
-// hub). Not internally synchronized; callers own the locking policy
+// old heartbeats are simply dropped"). Not internally synchronized; callers
+// own the locking policy
 // (per-thread channels need none, the global channel wraps it in a mutex).
 #pragma once
 
@@ -26,7 +25,10 @@ class RingBuffer {
   std::size_t capacity() const { return buf_.size(); }
 
   /// Number of elements currently retained (<= capacity).
-  std::size_t size() const { return static_cast<std::size_t>(total_ - front_); }
+  std::size_t size() const {
+    return total_ < buf_.size() ? static_cast<std::size_t>(total_)
+                                : buf_.size();
+  }
 
   /// Number of elements ever pushed (monotonic).
   std::uint64_t total_pushed() const { return total_; }
@@ -36,15 +38,6 @@ class RingBuffer {
   void push(const T& v) {
     buf_[static_cast<std::size_t>(total_ % buf_.size())] = v;
     ++total_;
-    if (total_ - front_ > buf_.size()) front_ = total_ - buf_.size();
-  }
-
-  /// Retire the oldest retained element without overwriting it (early
-  /// eviction, e.g. a value aging past a time-based window).
-  /// Precondition: !empty().
-  void drop_oldest() {
-    assert(!empty());
-    ++front_;
   }
 
   /// Element `i` steps back from the most recent one; back(0) is the newest.
@@ -76,15 +69,11 @@ class RingBuffer {
     return out;
   }
 
-  void clear() {
-    total_ = 0;
-    front_ = 0;
-  }
+  void clear() { total_ = 0; }
 
  private:
   std::vector<T> buf_;
   std::uint64_t total_ = 0;
-  std::uint64_t front_ = 0;  ///< count of elements retired from the front
 };
 
 }  // namespace hb::util

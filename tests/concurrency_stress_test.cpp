@@ -80,7 +80,6 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
     while (!stop.load(std::memory_order_acquire)) {
       shard.publish();
     }
-    shard.publish(/*force_fresh=*/true);
   });
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&] {  // snapshot readers
@@ -113,7 +112,7 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
 
   // Conservation: every enqueued beat is applied exactly once.
-  auto snap = shard.publish(/*force_fresh=*/true);
+  auto snap = shard.publish();
   std::uint64_t total = 0;
   for (const auto& app : snap->apps) total += app.total_beats;
   EXPECT_EQ(total, kProducers * beats_per_producer);

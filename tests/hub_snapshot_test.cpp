@@ -91,49 +91,14 @@ TEST(SnapshotEpochs, DirtyStateRepublishesWithoutBeats) {
   EXPECT_TRUE(evicted->find(id)->evicted);
 }
 
-TEST(SnapshotEpochs, FreshnessToleranceSkipsSubToleranceRepublishes) {
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_hub_opts(clock, 2);
-  opts.snapshot_min_interval_ns = 100 * kNsPerMs;
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-  clock->advance(kNsPerMs);
-  hub.beat(id);
-
-  const auto snap1 = hub.snapshot();
-  // The clock moved, but less than the tolerance: the published snapshot
-  // stands (staleness is allowed to lag up to the tolerance).
-  clock->advance(50 * kNsPerMs);
-  const auto snap2 = hub.snapshot();
-  EXPECT_EQ(snap1.get(), snap2.get());
-  // An explicit flush cuts through the tolerance: maintenance (staleness
-  // stamps, aging, auto-eviction) must catch up NOW, as documented.
-  hub.flush();
-  const auto forced = hub.snapshot();
-  EXPECT_GT(forced->epoch(), snap2->epoch());
-  EXPECT_EQ(forced->find(id)->staleness_ns, 50 * kNsPerMs);
-  // Past the tolerance (measured from the forced publish) the republish
-  // happens on its own.
-  clock->advance(110 * kNsPerMs);
-  const auto snap3 = hub.snapshot();
-  EXPECT_GT(snap3->epoch(), forced->epoch());
-  EXPECT_EQ(snap3->find(id)->staleness_ns, 160 * kNsPerMs);
-  // New beats always cut through the tolerance: data, not time.
-  hub.beat(id);
-  const auto snap4 = hub.snapshot();
-  EXPECT_GT(snap4->epoch(), snap3->epoch());
-}
-
 TEST(SnapshotEpochs, OverflowDrainedBeatsAlwaysReachTheNextSnapshot) {
   // Regression: a beat count that is an exact multiple of batch_capacity
   // drains entirely through the producer-side overflow path, leaving
-  // nothing for the query-forced apply. The publish must still rebuild —
-  // applied data cuts through the freshness tolerance, frozen clock or
-  // not — or those beats stay invisible until the clock moves.
+  // nothing for the query-forced apply. The publish must still rebuild
+  // under a frozen clock, or those beats stay invisible until the clock
+  // moves.
   auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_hub_opts(clock, /*shards=*/1, /*batch=*/4);
-  opts.snapshot_min_interval_ns = kNsPerSec;  // tolerance must not hide data
-  HeartbeatHub hub(opts);
+  HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/1, /*batch=*/4));
   const AppId id = hub.register_app("a");
 
   clock->advance(kNsPerMs);

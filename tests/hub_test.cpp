@@ -436,86 +436,7 @@ TEST(HubCluster, InfiniteRateDoesNotMeetTarget) {
   EXPECT_EQ(c.warming_up, 0u);  // measurable window, just zero-span
 }
 
-// ------------------------------------------------------- time-based windows
-
-TEST(HubTimeWindow, BeatsAgeOutAtTheConfiguredHorizon) {
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, /*window=*/256);
-  opts.window_ns = kNsPerSec;  // 1s horizon
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-
-  // 20 beats at 100ms: t = 0.1s .. 2.0s.
-  for (int i = 0; i < 20; ++i) {
-    clock->advance(kNsPerSec / 10);
-    hub.beat(id);
-  }
-  // At t=2.0s the horizon starts at 1.0s: beats 0.1..0.9s are gone.
-  AppSummary s = hub.summary(id);
-  EXPECT_EQ(s.total_beats, 20u);
-  EXPECT_EQ(s.window_beats, 11u);
-  EXPECT_DOUBLE_EQ(s.rate_bps, 10.0);
-
-  // Silence ages the window further even with no new beats.
-  clock->advance(kNsPerSec / 2);  // t = 2.5s, horizon 1.5s
-  s = hub.summary(id);
-  EXPECT_EQ(s.window_beats, 6u);  // 1.5 .. 2.0s
-  EXPECT_DOUBLE_EQ(s.rate_bps, 10.0);
-  EXPECT_EQ(s.staleness_ns, kNsPerSec / 2);
-
-  // Long enough silence empties it entirely: no rate evidence left.
-  clock->advance(2 * kNsPerSec);  // t = 4.5s
-  s = hub.summary(id);
-  EXPECT_EQ(s.window_beats, 0u);
-  EXPECT_DOUBLE_EQ(s.rate_bps, 0.0);
-  EXPECT_EQ(s.total_beats, 20u);
-  EXPECT_EQ(s.interval_p99_ns, 0u);
-}
-
-TEST(HubTimeWindow, IntervalStatsTrackOnlyUnexpiredBeats) {
-  // Slow era then fast era; a 1s horizon must forget the slow intervals
-  // even though the beat-count window could still hold them.
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, /*window=*/256);
-  opts.window_ns = kNsPerSec;
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-  for (int i = 0; i < 5; ++i) {
-    clock->advance(kNsPerSec);  // 1s intervals
-    hub.beat(id);
-  }
-  for (int i = 0; i < 50; ++i) {
-    clock->advance(10 * kNsPerMs);  // 10ms intervals
-    hub.beat(id);
-  }
-  const AppSummary s = hub.summary(id);
-  EXPECT_EQ(s.interval_max_ns, static_cast<std::uint64_t>(10 * kNsPerMs));
-  EXPECT_EQ(s.interval_min_ns, static_cast<std::uint64_t>(10 * kNsPerMs));
-  EXPECT_DOUBLE_EQ(s.interval_stddev_ns, 0.0);
-  EXPECT_NEAR(s.rate_bps, 100.0, 1e-9);
-}
-
-TEST(HubTimeWindow, ResumingAfterFullAgeOutStartsAFreshWindow) {
-  // The silent gap is staleness, not an interval: a beat after the window
-  // fully aged out must not record a gap-spanning interval.
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 1, /*window=*/64);
-  opts.window_ns = kNsPerSec;
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-  for (int i = 0; i < 5; ++i) {
-    clock->advance(100 * kNsPerMs);
-    hub.beat(id);
-  }
-  clock->advance(10 * kNsPerSec);
-  EXPECT_EQ(hub.summary(id).window_beats, 0u);  // all aged
-  clock->advance(100 * kNsPerMs);
-  hub.beat(id);
-  const AppSummary s = hub.summary(id);
-  EXPECT_EQ(s.window_beats, 1u);
-  EXPECT_EQ(s.interval_max_ns, 0u);  // no 10s gap interval
-  EXPECT_EQ(s.total_beats, 6u);
-}
+// ------------------------------------------------------- window statistics
 
 TEST(HubTimeWindow, StddevSummarizesWindowJitter) {
   auto clock = std::make_shared<util::ManualClock>();

@@ -448,6 +448,20 @@ TEST_F(ShmIngestTest, VersionMismatchRejectedOnAttach) {
   EXPECT_THROW(ShmIngestQueue::attach(file()), std::runtime_error);
 }
 
+TEST_F(ShmIngestTest, ZeroCapacityRejectedOnAttach) {
+  auto q = ShmIngestQueue::create(file(), 64);
+  q.reset();
+  // Zero the header's capacity field (offset 16). Every append indexes the
+  // shared ring by seq % capacity, so such a ring must never attach.
+  std::FILE* f = std::fopen(file().c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t zero = 0;
+  ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
+  std::fwrite(&zero, sizeof(zero), 1, f);
+  std::fclose(f);
+  EXPECT_THROW(ShmIngestQueue::attach(file()), std::runtime_error);
+}
+
 TEST_F(ShmIngestTest, LaneReclaimAfterProducerCrash) {
   auto q = ShmIngestQueue::create(file(), 32);
   // A child process claims a lane, publishes one record tagged with its
@@ -602,6 +616,17 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
   };
 
   auto queue = ShmIngestQueue::create(file(), 4096);
+  // Both hubs live on the same ManualClock, frozen at the timeline's end.
+  auto clock = std::make_shared<util::ManualClock>(kEnd);
+  hub::HubOptions hub_opts;
+  hub_opts.shard_count = 4;
+  hub_opts.clock = clock;
+
+  // The pump starts at the ring's tail cursor, so build it before any
+  // child publishes: on the empty ring that cursor is the start.
+  hub::HeartbeatHub via_ring(hub_opts);
+  hub::ShmIngestPump pump(queue, via_ring);
+
   std::vector<pid_t> pids;
   for (int p = 0; p < kProducers; ++p) {
     const pid_t pid = ::fork();
@@ -626,14 +651,6 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
     ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   }
 
-  // Both hubs live on the same ManualClock, frozen at the timeline's end.
-  auto clock = std::make_shared<util::ManualClock>(kEnd);
-  hub::HubOptions hub_opts;
-  hub_opts.shard_count = 4;
-  hub_opts.clock = clock;
-
-  hub::HeartbeatHub via_ring(hub_opts);
-  hub::ShmIngestPump pump(queue, via_ring, {.from_start = true});
   std::size_t total = 0;
   for (int i = 0; i < 4; ++i) total += pump.poll();
   const auto pump_stats = pump.stats();
