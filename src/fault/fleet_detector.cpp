@@ -7,6 +7,7 @@
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/exact_moments.hpp"
 
 namespace hb::fault {
 
@@ -49,22 +50,21 @@ Health FleetDetector::classify(const core::HeartbeatReader& reader) const {
   s.total_beats = reader.count();
   s.staleness_ns = reader.staleness_ns();
   s.window_beats = history.size();
-  s.interval_mean_ns = core::mean_interval_ns(history);
   s.rate_bps = core::window_rate(history);
   s.target = reader.target();
-  // Population stddev, the formula HubShard::refresh_locked uses, so the
-  // same beats get the same jitter verdict from a reader and from a hub.
-  if (history.size() >= 2) {
-    double sumsq = 0.0;
-    for (std::size_t i = 1; i < history.size(); ++i) {
-      const double d = static_cast<double>(history[i].timestamp_ns -
-                                           history[i - 1].timestamp_ns);
-      sumsq += d * d;
-    }
-    const double n = static_cast<double>(history.size() - 1);
-    const double mean = s.interval_mean_ns;
-    s.interval_stddev_ns = std::sqrt(std::max(0.0, sumsq / n - mean * mean));
+  // Mean and population stddev of the intervals, clamped and accumulated
+  // exactly as HubShard::apply_locked does, so the same beats get the same
+  // jitter verdict from a reader and from a hub.
+  util::ExactMoments intervals;
+  for (std::size_t i = 1; i < history.size(); ++i) {
+    const util::TimeNs prev_ns = history[i - 1].timestamp_ns;
+    const util::TimeNs ns = history[i].timestamp_ns;
+    intervals.add(ns > prev_ns ? static_cast<std::uint64_t>(ns) -
+                                     static_cast<std::uint64_t>(prev_ns)
+                               : 0);
   }
+  s.interval_mean_ns = intervals.mean();
+  s.interval_stddev_ns = intervals.stddev();
   return classify(s);
 }
 

@@ -1,6 +1,7 @@
 #include "hub/shard.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -37,14 +38,6 @@ struct ShardMetrics {
     return m;
   }
 };
-
-/// Clamp a histogram percentile into the window-exact [min, max] range
-/// (the histogram's own bounds cover everything since reset, which may be
-/// wider than the current sliding window after evictions).
-std::uint64_t clamped_percentile(const util::LatencyHistogram& hist, double p,
-                                 std::uint64_t lo, std::uint64_t hi) {
-  return std::clamp(hist.percentile(p), lo, hi);
-}
 
 }  // namespace
 
@@ -234,8 +227,6 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
   ClusterSummary& sum = next->cluster_part;
   std::map<std::uint64_t, TagSummary> by_tag;
   for (AppState& app : apps_) {
-    // One walk does everything the old per-query collect paths did:
-    // time maintenance, dirty refresh, summary copy, rollup accumulation.
     if (config_.clock) maintain_locked(app, now);
     if (app.dirty) refresh_locked(app);
     next->apps.push_back(app.cached);
@@ -268,7 +259,6 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
     }
     sum.last_beat_ns = std::max(sum.last_beat_ns, s.last_beat_ns);
     if (app.intervals.size() > 0) {
-      next->intervals.merge(app.hist);
       if (!next->any_interval) {
         sum.interval_min_ns = s.interval_min_ns;
         sum.interval_max_ns = s.interval_max_ns;
@@ -285,6 +275,8 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
       ++t.apps;
     }
   }
+  // After the walk: maintenance above may have evicted apps out of it.
+  next->intervals = live_intervals_;
   next->tags.reserve(by_tag.size());
   for (const auto& [_, t] : by_tag) next->tags.push_back(t);
   state_dirty_ = false;
@@ -333,9 +325,11 @@ void HubShard::retire_oldest_tag_locked(AppState& app) {
 }
 
 void HubShard::evict_locked(AppState& app) {
+  live_intervals_.subtract(app.hist);
   app.window.clear();
   app.intervals.clear();
   app.hist.reset();
+  app.moments.clear();
   app.tag_counts.clear();
   app.evicted = true;
   app.dirty = true;
@@ -351,17 +345,14 @@ void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec
     // or same-tick beats clamp to a zero interval rather than wrapping; the
     // rate math keeps its own zero-span convention. After eviction the
     // window is empty and the first new beat starts fresh — the silent gap
-    // is staleness, not an interval.
+    // is staleness, not an interval. The difference is taken unsigned:
+    // producer timestamps are untrusted and may span more than INT64_MAX.
     const util::TimeNs prev_ns = app.window.back(0).timestamp_ns;
-    const std::uint64_t interval =
-        rec.timestamp_ns > prev_ns
-            ? static_cast<std::uint64_t>(rec.timestamp_ns - prev_ns)
-            : 0;
-    if (app.intervals.size() == app.intervals.capacity()) {
-      app.hist.forget(app.intervals.back(app.intervals.size() - 1));
-    }
-    app.intervals.push(interval);
-    app.hist.record(interval);
+    push_interval_locked(
+        app, rec.timestamp_ns > prev_ns
+                 ? static_cast<std::uint64_t>(rec.timestamp_ns) -
+                       static_cast<std::uint64_t>(prev_ns)
+                 : 0);
   }
   app.last_beat_ns = rec.timestamp_ns;
 
@@ -372,6 +363,38 @@ void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec
   app.window.push(rec);
   ++app.tag_counts[rec.tag];
   app.dirty = true;
+}
+
+void HubShard::push_interval_locked(AppState& app, std::uint64_t interval) {
+  if (app.intervals.size() == app.intervals.capacity()) {
+    // The push below overwrites the oldest interval: retire it everywhere.
+    const std::uint64_t old = app.intervals.back(app.intervals.size() - 1);
+    app.hist.forget(old);
+    live_intervals_.forget(old);
+    app.moments.remove(old);
+    if (old == app.min) --app.min_copies;
+    if (old == app.max) --app.max_copies;
+  }
+  const bool first = app.intervals.empty();
+  app.intervals.push(interval);
+  app.hist.record(interval);
+  live_intervals_.record(interval);
+  app.moments.add(interval);
+  // A bound whose copies all left stays stale (count 0) until a new
+  // interval beats or equals it; refresh_locked rescans if it is still
+  // stale then.
+  if (first || interval < app.min) {
+    app.min = interval;
+    app.min_copies = 1;
+  } else if (interval == app.min) {
+    ++app.min_copies;
+  }
+  if (first || interval > app.max) {
+    app.max = interval;
+    app.max_copies = 1;
+  } else if (interval == app.max) {
+    ++app.max_copies;
+  }
 }
 
 void HubShard::refresh_locked(AppState& app) {
@@ -401,35 +424,41 @@ void HubShard::refresh_locked(AppState& app) {
                      : std::numeric_limits<double>::infinity();
   }
 
-  const std::size_t n_intervals = app.intervals.size();
-  if (n_intervals == 0) {
+  if (app.intervals.empty()) {
     s.interval_min_ns = s.interval_max_ns = 0;
     s.interval_mean_ns = 0.0;
     s.interval_stddev_ns = 0.0;
     s.interval_p50_ns = s.interval_p95_ns = s.interval_p99_ns = 0;
   } else {
-    std::uint64_t lo = app.intervals.back(0), hi = lo;
-    double sum = static_cast<double>(lo);
-    double sumsq = sum * sum;
-    for (std::size_t i = 1; i < n_intervals; ++i) {
-      const std::uint64_t v = app.intervals.back(i);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-      const double d = static_cast<double>(v);
-      sum += d;
-      sumsq += d * d;
+    if (app.min_copies == 0 || app.max_copies == 0) {
+      // The last copy of a bound left the window: one walk of the ring
+      // re-derives both bounds and their copy counts.
+      app.min = app.max = app.intervals.back(0);
+      app.min_copies = app.max_copies = 0;
+      app.intervals.for_each_newest_first([&app](std::uint64_t v) {
+        if (v < app.min) {
+          app.min = v;
+          app.min_copies = 0;
+        }
+        if (v > app.max) {
+          app.max = v;
+          app.max_copies = 0;
+        }
+        app.min_copies += v == app.min;
+        app.max_copies += v == app.max;
+      });
     }
-    s.interval_min_ns = lo;
-    s.interval_max_ns = hi;
-    s.interval_mean_ns = app.hist.mean();
-    // Exact population stddev over the windowed intervals — the jitter
-    // signal ("slow or erratic heartbeats", paper Section 2.6).
-    const double n = static_cast<double>(n_intervals);
-    const double mean = sum / n;
-    s.interval_stddev_ns = std::sqrt(std::max(0.0, sumsq / n - mean * mean));
-    s.interval_p50_ns = clamped_percentile(app.hist, 50.0, lo, hi);
-    s.interval_p95_ns = clamped_percentile(app.hist, 95.0, lo, hi);
-    s.interval_p99_ns = clamped_percentile(app.hist, 99.0, lo, hi);
+    s.interval_min_ns = app.min;
+    s.interval_max_ns = app.max;
+    s.interval_mean_ns = app.moments.mean();
+    // Population stddev over the windowed intervals — the jitter signal
+    // ("slow or erratic heartbeats", paper Section 2.6).
+    s.interval_stddev_ns = app.moments.stddev();
+    std::array<std::uint64_t, kIntervalPercentiles.size()> q;
+    app.hist.percentiles(kIntervalPercentiles, app.min, app.max, q);
+    s.interval_p50_ns = q[0];
+    s.interval_p95_ns = q[1];
+    s.interval_p99_ns = q[2];
   }
   app.dirty = false;
 }

@@ -11,12 +11,21 @@
 //   to the fresh batch. The ingest critical section never contains window
 //   maintenance, summary refresh, or snapshot construction.
 //
-//   PUBLISH stage (state_mu_): the expensive work — applying batches,
-//   sliding-window maintenance, interval histograms, summary refresh —
-//   runs at publish time and ends by swapping in an immutable, epoch-
-//   stamped ShardSnapshot (shared_ptr). Readers grab the pointer under a
-//   third, trivially short lock (snap_mu_) and never hold any shard lock
-//   across summary copies.
+//   PUBLISH stage (state_mu_): applying batches, sliding-window
+//   maintenance, summary refresh and snapshot construction run at publish
+//   time and end by swapping in an immutable, epoch-stamped ShardSnapshot
+//   (shared_ptr). Readers grab the pointer under a third, trivially short
+//   lock (snap_mu_) and never hold any shard lock across summary copies.
+//
+// Window statistics are maintained per beat, so a publish does O(1) work
+// per changed app. Applying a beat updates the app's exact integer sum
+// and sum of squares, its min and max with a count of their copies, its
+// interval histogram, and the shard's live interval histogram (the sum
+// of every app's). A refresh then reads those off: the percentiles in
+// one walk over the buckets between the window's min and max, and a
+// rescan of the interval ring only when the last copy of the min or max
+// has left the window. The publish copies the shard histogram once
+// instead of merging every app's.
 //
 // A publish that finds nothing new (no pending beats, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
@@ -38,6 +47,7 @@
 #include "hub/snapshot.hpp"
 #include "hub/summary.hpp"
 #include "util/clock.hpp"
+#include "util/exact_moments.hpp"
 #include "util/histogram.hpp"
 #include "util/mutex.hpp"
 #include "util/ring_buffer.hpp"
@@ -120,8 +130,15 @@ class HubShard {
     util::TimeNs born_ns = 0;
     bool evicted = false;
     util::RingBuffer<core::HeartbeatRecord> window;
-    util::RingBuffer<std::uint64_t> intervals;  ///< windowed, drives `hist`
-    util::LatencyHistogram hist;                ///< exactly the ring's values
+    /// The window's intervals, and views of exactly those values:
+    util::RingBuffer<std::uint64_t> intervals;
+    util::LatencyHistogram hist;  ///< percentiles
+    util::ExactMoments moments;   ///< mean, stddev
+    /// Lower / upper bound of every interval in the ring, and how many
+    /// copies of it the ring holds. A count of 0 means the last copy left
+    /// the window: the bound is stale until the next refresh rescans.
+    std::uint64_t min = 0, max = 0;
+    std::size_t min_copies = 0, max_copies = 0;
     std::unordered_map<std::uint64_t, std::uint64_t> tag_counts;  ///< windowed
     AppSummary cached;
     bool dirty = false;
@@ -148,6 +165,10 @@ class HubShard {
   void drain_overflow() HB_EXCLUDES(state_mu_, ingest_mu_);
   void apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec)
       HB_REQUIRES(state_mu_);
+  /// Push one interval into the app's window statistics and the shard
+  /// histogram, retiring the one it overwrites.
+  void push_interval_locked(AppState& app, std::uint64_t interval)
+      HB_REQUIRES(state_mu_);
   void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);
   void check_slot(std::uint32_t slot) const;  ///< throws out_of_range
   /// Per-app time maintenance: stamp staleness, auto-evict past
@@ -156,9 +177,10 @@ class HubShard {
   /// Tag count bookkeeping for the record the next push overwrites.
   void retire_oldest_tag_locked(AppState& app) HB_REQUIRES(state_mu_);
   void evict_locked(AppState& app) HB_REQUIRES(state_mu_);
-  /// Build the next ShardSnapshot from current app state (one walk:
-  /// maintenance + refresh + copy + rollups) and swap it in. Caller holds
-  /// state_mu_; the swap itself takes snap_mu_ only.
+  /// Build the next ShardSnapshot from current app state and swap it in:
+  /// per app, time maintenance, an O(1) refresh if it changed, the summary
+  /// copy and its rollup counts; then one copy of the shard histogram.
+  /// Caller holds state_mu_; the swap itself takes snap_mu_ only.
   void rebuild_snapshot_locked(util::TimeNs now)
       HB_REQUIRES(state_mu_) HB_EXCLUDES(snap_mu_);
 
@@ -175,6 +197,9 @@ class HubShard {
   /// Set by add_app/set_target/evict: state changed without any beat, so
   /// the next publish must rebuild even if no records arrive.
   bool state_dirty_ HB_GUARDED_BY(state_mu_) = false;
+  /// Every app's `hist` summed: the windowed intervals of the live apps
+  /// (evicted apps hold none). Updated per interval, published by copy.
+  util::LatencyHistogram live_intervals_ HB_GUARDED_BY(state_mu_);
 
   /// INGEST stage. Guards batch_, overflow_, ingested_. Producers touch
   /// nothing else on the hot path.

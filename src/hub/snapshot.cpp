@@ -1,6 +1,7 @@
 #include "hub/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
 namespace hb::hub {
@@ -55,15 +56,14 @@ std::shared_ptr<const FleetSnapshot> FleetSnapshot::compose(
     }
   }
   if (any_interval) {
-    // Clamp the bucketed percentiles into the window-exact [min, max], the
-    // same rule the per-shard publish applies to per-app summaries.
-    const auto clamp = [&](double p) {
-      return std::clamp(intervals.percentile(p), sum.interval_min_ns,
-                        sum.interval_max_ns);
-    };
-    sum.interval_p50_ns = clamp(50.0);
-    sum.interval_p95_ns = clamp(95.0);
-    sum.interval_p99_ns = clamp(99.0);
+    // Bucketed percentiles within the window-exact [min, max], the same
+    // rule the per-shard publish applies to per-app summaries.
+    std::array<std::uint64_t, kIntervalPercentiles.size()> q;
+    intervals.percentiles(kIntervalPercentiles, sum.interval_min_ns,
+                          sum.interval_max_ns, q);
+    sum.interval_p50_ns = q[0];
+    sum.interval_p95_ns = q[1];
+    sum.interval_p99_ns = q[2];
   }
   snap->tags_.reserve(by_tag.size());
   for (const auto& [_, t] : by_tag) snap->tags_.push_back(t);

@@ -62,8 +62,9 @@ struct ShardSnapshot {
   /// Percentile fields are left zero: they only exist fleet-wide, composed
   /// from `intervals` below.
   ClusterSummary cluster_part;
-  /// Merged inter-beat interval histogram across this shard's live apps'
-  /// windows (drives the composed cluster percentiles).
+  /// Inter-beat interval histogram of this shard's live apps' windows
+  /// (drives the composed cluster percentiles). Its counts are exact; its
+  /// min()/max() are not window-exact — cluster_part's bounds are.
   util::LatencyHistogram intervals;
   bool any_interval = false;
 

@@ -7,6 +7,7 @@
 // keep ingesting.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -62,6 +63,10 @@ struct AppSummary {
   std::uint64_t interval_p95_ns = 0;
   std::uint64_t interval_p99_ns = 0;
 };
+
+/// The interval percentiles AppSummary and ClusterSummary carry (p50, p95,
+/// p99), ascending — the order LatencyHistogram::percentiles() walks.
+inline constexpr std::array<double, 3> kIntervalPercentiles{50.0, 95.0, 99.0};
 
 /// Rollup of one tag value across every app's sliding window (frame types,
 /// phase ids, shard-wide progress markers — paper, Section 3).

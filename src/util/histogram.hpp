@@ -13,10 +13,13 @@
 // ManualClock.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 namespace hb::util {
 
@@ -55,8 +58,8 @@ class LatencyHistogram {
 
   /// Remove one previously record()ed value (sliding-window eviction).
   /// min()/max() keep tracking the extremes seen since the last reset();
-  /// callers that need window-exact bounds clamp externally (the hub scans
-  /// its interval ring). Precondition: `v` was recorded and not yet
+  /// callers that need window-exact bounds track them themselves and pass
+  /// them to percentiles(). Precondition: `v` was recorded and not yet
   /// forgotten.
   void forget(std::uint64_t v) {
     --counts_[bucket_index(v)];
@@ -75,40 +78,77 @@ class LatencyHistogram {
     }
   }
 
+  /// Pointwise difference: undoes a merge(other) (a shard rollup dropping
+  /// one evicted app). min()/max() keep the extremes seen since reset(), as
+  /// after forget(). Precondition: every value counted in `other` is still
+  /// counted here.
+  void subtract(const LatencyHistogram& other) {
+    for (std::size_t i = 0; i < kBucketCount; ++i) counts_[i] -= other.counts_[i];
+    count_ -= other.count_;
+    sum_ -= other.sum_;
+  }
+
   void reset() { *this = LatencyHistogram{}; }
 
   std::uint64_t count() const { return count_; }
   std::uint64_t min() const { return count_ ? min_ : 0; }  ///< exact
   std::uint64_t max() const { return count_ ? max_ : 0; }  ///< exact
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+  /// Per-bucket counts, indexed by bucket_index().
+  const std::array<std::uint64_t, kBucketCount>& counts() const {
+    return counts_;
+  }
 
   /// Nearest-rank percentile, p in [0, 100]: the upper bound of the bucket
   /// holding the ceil(p/100 * count)'th smallest value, clamped to the exact
   /// observed [min, max]. Returns 0 when empty. Out-of-range p clamps to
   /// [min, max]; a NaN p reads as 0 (casting NaN to an integer rank would
-  /// be undefined behavior, so it must not reach the rank math).
+  /// be undefined behavior, so it must not reach the rank math). Every
+  /// counted value lies in the since-reset [min, max], so this is the
+  /// bounded walk below with those bounds.
   std::uint64_t percentile(double p) const {
-    if (count_ == 0) return 0;
-    if (!(p > 0.0)) return min();  // p <= 0, and NaN
-    if (p >= 100.0) return max();
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(count_)));
-    if (rank == 0) rank = 1;
-    if (rank > count_) rank = count_;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-      seen += counts_[i];
-      if (seen >= rank) {
-        const std::uint64_t v = bucket_upper(i);
-        if (v < min_) return min_;
-        if (v > max_) return max_;
-        return v;
+    std::uint64_t out = 0;
+    percentiles({&p, 1}, min(), max(), {&out, 1});
+    return out;
+  }
+
+  /// Nearest-rank percentiles for several ascending `ps` in one walk that
+  /// visits only the buckets of [lo, hi], each answer clamped into [lo, hi]
+  /// (p <= 0 and NaN read lo, p >= 100 reads hi). A sliding window passes
+  /// its exact min and max: then every counted value lies in [lo, hi] (the
+  /// precondition) and out[k] == clamp(percentile(ps[k]), lo, hi), however
+  /// wide the since-reset min()/max() have drifted. Empty histograms answer
+  /// 0. Precondition: out.size() >= ps.size().
+  void percentiles(std::span<const double> ps, std::uint64_t lo,
+                   std::uint64_t hi, std::span<std::uint64_t> out) const {
+    assert(out.size() >= ps.size() && lo <= hi);
+    std::size_t i = bucket_index(lo);
+    const std::size_t last = bucket_index(hi);
+    std::uint64_t seen = 0;  // values in buckets before i
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+      const double p = ps[k];
+      if (count_ == 0) {
+        out[k] = 0;
+      } else if (!(p > 0.0)) {  // p <= 0, and NaN
+        out[k] = lo;
+      } else if (p >= 100.0) {
+        out[k] = hi;
+      } else {
+        const std::uint64_t rank = rank_of(p);
+        while (i < last && seen + counts_[i] < rank) seen += counts_[i++];
+        out[k] = std::clamp(bucket_upper(i), lo, hi);
       }
     }
-    return max_;
   }
 
  private:
+  /// Nearest rank of percentile p in (0, 100), within [1, count_].
+  std::uint64_t rank_of(double p) const {
+    const auto rank = static_cast<std::uint64_t>(
+        std::ceil(p / 100.0 * static_cast<double>(count_)));
+    return std::clamp<std::uint64_t>(rank, 1, count_);
+  }
+
   std::array<std::uint64_t, kBucketCount> counts_{};
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

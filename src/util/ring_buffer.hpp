@@ -36,7 +36,8 @@ class RingBuffer {
   bool empty() const { return size() == 0; }
 
   void push(const T& v) {
-    buf_[static_cast<std::size_t>(total_ % buf_.size())] = v;
+    buf_[head_] = v;
+    if (++head_ == buf_.size()) head_ = 0;
     ++total_;
   }
 
@@ -44,8 +45,18 @@ class RingBuffer {
   /// Precondition: i < size().
   const T& back(std::size_t i = 0) const {
     assert(i < size());
-    const std::uint64_t idx = (total_ - 1 - i) % buf_.size();
-    return buf_[static_cast<std::size_t>(idx)];
+    const std::size_t k = i + 1;
+    return buf_[head_ >= k ? head_ - k : head_ + buf_.size() - k];
+  }
+
+  /// Call `fn(element)` for every retained element, newest first — the
+  /// order back(0), back(1), ... — as two contiguous runs of the backing
+  /// store, with no per-step index arithmetic.
+  template <typename Fn>
+  void for_each_newest_first(Fn&& fn) const {
+    std::size_t left = size();
+    for (std::size_t i = head_; i > 0 && left > 0; --left) fn(buf_[--i]);
+    for (std::size_t i = buf_.size(); left > 0; --left) fn(buf_[--i]);
   }
 
   /// Copy the most recent `n` elements into `out`, oldest first.
@@ -69,10 +80,14 @@ class RingBuffer {
     return out;
   }
 
-  void clear() { total_ = 0; }
+  void clear() {
+    total_ = 0;
+    head_ = 0;
+  }
 
  private:
   std::vector<T> buf_;
+  std::size_t head_ = 0;  ///< slot the next push writes (== total_ % capacity)
   std::uint64_t total_ = 0;
 };
 

@@ -452,6 +452,32 @@ TEST(HubTimeWindow, StddevSummarizesWindowJitter) {
   EXPECT_NEAR(s.interval_stddev_ns, 10.0 * kNsPerMs, 1.0);
 }
 
+TEST(HubTimeWindow, MeanForgetsHugeIntervalsThatLeftTheWindow) {
+  // Regression: the windowed mean was a running double, added to and
+  // subtracted from forever. Intervals near 2^55 ns round in it, and the
+  // residue outlived them: after 4000 such beats a window of three 1000 ns
+  // intervals read a mean of about -4320 ns. The mean is now the exact
+  // integer sum over the count, so it is exactly 1000.
+  auto clock = std::make_shared<util::ManualClock>();
+  HeartbeatHub hub(manual_opts(clock, 1, 8, /*window=*/4));
+  const AppId id = hub.register_app("a");
+  core::HeartbeatRecord rec;
+  for (util::TimeNs i = 0; i < 4000; ++i) {
+    // Even beats jump ~2^55 + 2i ns ahead; odd beats step back (interval 0).
+    rec.timestamp_ns = i % 2 == 0 ? (util::TimeNs{1} << 55) + 3 * i : i;
+    hub.ingest(id, rec);
+  }
+  for (util::TimeNs i = 0; i < 8; ++i) {
+    rec.timestamp_ns = kNsPerSec + 1000 * i;
+    hub.ingest(id, rec);
+  }
+  const AppSummary s = hub.summary(id);
+  EXPECT_EQ(s.interval_min_ns, 1000u);
+  EXPECT_EQ(s.interval_max_ns, 1000u);
+  EXPECT_EQ(s.interval_mean_ns, 1000.0);
+  EXPECT_EQ(s.interval_stddev_ns, 0.0);
+}
+
 // ----------------------------------------------------------------- eviction
 
 TEST(HubEviction, EvictedAppsLeaveEveryRollup) {

@@ -2,11 +2,15 @@
 // hub's per-app latency summaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "util/histogram.hpp"
+#include "util/rng.hpp"
 
 namespace hb::util {
 namespace {
@@ -204,6 +208,107 @@ TEST(LatencyHistogram, DeterministicAcrossRuns) {
   }
   EXPECT_EQ(h1.min(), h2.min());
   EXPECT_EQ(h1.max(), h2.max());
+}
+
+// ------------------------------------------------ sliding-window helpers
+
+// Values spread over many octaves, with repeats: ~1 ns to ~2^40 ns.
+std::vector<std::uint64_t> spread_values(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(rng.next_u64() >> (24 + rng.next_below(40)));
+  }
+  return out;
+}
+
+TEST(LatencyHistogram, SubtractUndoesMerge) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    LatencyHistogram a, b;
+    for (std::uint64_t v : spread_values(seed, 300)) a.record(v);
+    for (std::uint64_t v : spread_values(seed + 100, 200)) b.record(v);
+    LatencyHistogram ab = a;
+    ab.merge(b);
+    ab.subtract(b);
+    EXPECT_EQ(ab.count(), a.count());
+    EXPECT_TRUE(ab.counts() == a.counts());
+    for (double p : {1.0, 50.0, 99.0}) {
+      EXPECT_EQ(ab.percentile(p), a.percentile(p)) << p;
+    }
+    // Subtracting everything leaves an empty histogram.
+    ab.subtract(a);
+    EXPECT_EQ(ab.count(), 0u);
+    EXPECT_TRUE(ab.counts() == LatencyHistogram{}.counts());
+  }
+}
+
+// The grid every multi-percentile check walks: the edges, NaN, and the
+// interior, ascending (NaN reads as p <= 0, so it leads).
+const std::vector<double> kPercentileGrid = {
+    std::numeric_limits<double>::quiet_NaN(), -5.0, 0.0, 0.001, 0.5, 1.0, 5.0,
+    10.0, 25.0, 33.3, 50.0, 66.7, 75.0, 90.0, 95.0, 99.0, 99.9, 99.999,
+    100.0, 250.0};
+
+// Brute-force nearest-rank percentile of `values` (non-empty), as the
+// histogram reports it: the upper bound of the bucket holding the
+// ceil(p/100 * n)'th smallest value, clamped to the values' exact
+// [min, max]; p <= 0 and NaN read min, p >= 100 reads max.
+std::uint64_t reference_percentile(std::vector<std::uint64_t> values,
+                                   double p) {
+  std::sort(values.begin(), values.end());
+  const std::uint64_t lo = values.front(), hi = values.back();
+  if (!(p > 0.0)) return lo;
+  if (p >= 100.0) return hi;
+  const auto n = static_cast<double>(values.size());
+  const auto rank = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(p / 100.0 * n)), 1, values.size());
+  return std::clamp(LatencyHistogram::bucket_upper(
+                        LatencyHistogram::bucket_index(values[rank - 1])),
+                    lo, hi);
+}
+
+TEST(LatencyHistogram, PercentilesEqualBruteForceNearestRank) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    LatencyHistogram h;
+    const auto values = spread_values(seed, 1 + seed * 37);
+    for (std::uint64_t v : values) h.record(v);
+    std::vector<std::uint64_t> out(kPercentileGrid.size());
+    h.percentiles(kPercentileGrid, h.min(), h.max(), out);
+    for (std::size_t k = 0; k < kPercentileGrid.size(); ++k) {
+      const std::uint64_t want = reference_percentile(values, kPercentileGrid[k]);
+      EXPECT_EQ(out[k], want) << "seed " << seed << " p " << kPercentileGrid[k];
+      EXPECT_EQ(h.percentile(kPercentileGrid[k]), want)
+          << "seed " << seed << " p " << kPercentileGrid[k];
+    }
+  }
+}
+
+TEST(LatencyHistogram, BoundedPercentilesClampToTheWindowAfterForget) {
+  // A sliding window: record 400 values, forget the oldest 250. The
+  // histogram's own min()/max() still remember the forgotten extremes; the
+  // walk bounded by the window's exact [lo, hi] answers as if only the
+  // window had ever been recorded.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto values = spread_values(seed, 400);
+    LatencyHistogram h;
+    for (std::uint64_t v : values) h.record(v);
+    for (std::size_t i = 0; i < 250; ++i) h.forget(values[i]);
+    const std::vector<std::uint64_t> window(values.begin() + 250, values.end());
+    const auto [lo, hi] = std::minmax_element(window.begin(), window.end());
+    std::vector<std::uint64_t> out(kPercentileGrid.size());
+    h.percentiles(kPercentileGrid, *lo, *hi, out);
+    for (std::size_t k = 0; k < kPercentileGrid.size(); ++k) {
+      EXPECT_EQ(out[k], reference_percentile(window, kPercentileGrid[k]))
+          << "seed " << seed << " p " << kPercentileGrid[k];
+    }
+  }
+}
+
+TEST(LatencyHistogram, BoundedPercentilesOfEmptyAreZero) {
+  const LatencyHistogram h;
+  std::array<std::uint64_t, 3> out{1, 1, 1};
+  h.percentiles(std::array<double, 3>{0.0, 50.0, 100.0}, 0, 0, out);
+  EXPECT_EQ(out, (std::array<std::uint64_t, 3>{0, 0, 0}));
 }
 
 }  // namespace

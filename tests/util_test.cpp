@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -11,6 +13,7 @@
 
 #include "util/clock.hpp"
 #include "util/csv.hpp"
+#include "util/exact_moments.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -172,6 +175,87 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 7, 64, 1024),
                        ::testing::Values<std::size_t>(0, 1, 5, 63, 64, 65,
                                                       4096)));
+
+// Property, exhaustive over small shapes: the newest-first walk visits
+// exactly back(0), back(1), ..., back(size() - 1), in that order, for every
+// wrap position — including after a clear() mid-stream.
+TEST(RingBuffer, NewestFirstWalkMatchesBack) {
+  for (std::size_t capacity = 1; capacity <= 9; ++capacity) {
+    for (std::size_t pushes = 0; pushes <= 3 * capacity; ++pushes) {
+      for (const bool clear_midway : {false, true}) {
+        RingBuffer<std::size_t> rb(capacity);
+        for (std::size_t i = 0; i < pushes; ++i) {
+          if (clear_midway && i == pushes / 2) rb.clear();
+          rb.push(i);
+        }
+        std::vector<std::size_t> walked;
+        rb.for_each_newest_first([&](std::size_t v) { walked.push_back(v); });
+        ASSERT_EQ(walked.size(), rb.size())
+            << "capacity " << capacity << " pushes " << pushes;
+        for (std::size_t i = 0; i < walked.size(); ++i) {
+          EXPECT_EQ(walked[i], rb.back(i))
+              << "capacity " << capacity << " pushes " << pushes << " i " << i;
+          EXPECT_EQ(walked[i], pushes - 1 - i);
+        }
+      }
+    }
+  }
+}
+
+// ----------------------------------------------------------- exact moments
+
+TEST(ExactMoments, MeanAndStddevOfSmallSets) {
+  ExactMoments m;
+  EXPECT_EQ(m.mean(), 0.0);
+  EXPECT_EQ(m.stddev(), 0.0);
+  for (std::uint64_t v : {2, 4, 4, 4, 5, 5, 7, 9}) m.add(v);
+  EXPECT_EQ(m.count(), 8u);
+  EXPECT_EQ(m.mean(), 5.0);
+  EXPECT_EQ(m.stddev(), 2.0);
+  m.remove(9);
+  m.remove(2);
+  EXPECT_EQ(m.mean(), 29.0 / 6.0);
+  EXPECT_NEAR(m.stddev(), std::sqrt(147.0 / 6.0 - (29.0 / 6.0) * (29.0 / 6.0)),
+              1e-12);
+}
+
+TEST(ExactMoments, IdenticalValuesHaveZeroSpreadAtAnyMagnitude) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1000}, std::uint64_t{1} << 62,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    ExactMoments m;
+    for (int i = 0; i < 300; ++i) m.add(v);
+    EXPECT_EQ(m.mean(), static_cast<double>(v));
+    EXPECT_EQ(m.stddev(), 0.0) << v;
+  }
+}
+
+TEST(ExactMoments, RemoveCancelsExactlyAfterHugeValues) {
+  // 2^64 - 1 squared overflows 128 bits after two adds; the 192-bit sum of
+  // squares must still cancel to nothing.
+  ExactMoments m;
+  const std::uint64_t huge = std::numeric_limits<std::uint64_t>::max();
+  for (int i = 0; i < 255; ++i) m.add(huge - static_cast<std::uint64_t>(i));
+  m.add(10);
+  m.add(20);
+  for (int i = 0; i < 255; ++i) m.remove(huge - static_cast<std::uint64_t>(i));
+  EXPECT_EQ(m.count(), 2u);
+  EXPECT_EQ(m.mean(), 15.0);
+  EXPECT_EQ(m.stddev(), 5.0);
+}
+
+TEST(ExactMoments, SpreadOfHugeValuesIsExactToDoublePrecision) {
+  // {2^63 - 1, 0} alternating: mean 2^62 - 0.5, stddev the same.
+  ExactMoments m;
+  const std::uint64_t top = (std::uint64_t{1} << 63) - 1;
+  for (int i = 0; i < 128; ++i) {
+    m.add(top);
+    m.add(0);
+  }
+  const double half = static_cast<double>(top) / 2.0;
+  EXPECT_EQ(m.mean(), half);
+  EXPECT_NEAR(m.stddev() / half, 1.0, 1e-15);
+}
 
 // ------------------------------------------------------------- statistics
 
