@@ -37,7 +37,9 @@ class JsonRecord {
     add(config_, key, v ? "true" : "false");
   }
   void config(const char* key, const char* v) {
-    add(config_, key, "\"" + std::string(v) + "\"");
+    std::string quoted(1, '"');
+    quoted.append(v).push_back('"');
+    add(config_, key, std::move(quoted));
   }
 
   void metric(const char* key, long long v) { add(metrics_, key, num(v)); }

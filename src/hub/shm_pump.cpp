@@ -107,12 +107,12 @@ std::size_t ShmIngestPump::poll() {
   }
   touched_.clear();
   // Only a genuinely idle poll (cursor caught up to every stream head)
-  // feeds the backoff. A drain that returned nothing while frames are
-  // pending is BLOCKED — head-of-line slot claimed but unpublished (a
-  // producer crashed mid-batch) — and that is exactly when the loop must
-  // keep polling at the floor: the stall budget should be spent at floor
-  // pace so the committed frames queued behind the torn run reach the
-  // hub promptly.
+  // feeds the backoff and lets the next wait() park. A drain that returned
+  // nothing while frames are pending is BLOCKED — head-of-line slot
+  // claimed but unpublished (a producer preempted, or crashed mid-batch)
+  // — and counts as busy: wait() naps at the floor, so the stall budget is
+  // spent at floor pace and the committed frames queued behind a torn run
+  // reach the hub within max_stall_polls naps.
   if (drained == 0 && !queue_->has_frames(cursor_)) {
     if (empty_polls_ < 31) ++empty_polls_;  // cap the shift, not the count
     metrics.empty_polls->add(1);
@@ -127,6 +127,16 @@ std::size_t ShmIngestPump::poll() {
 
 bool ShmIngestPump::wait(util::TimeNs budget_ns) {
   if (budget_ns <= 0) return false;
+  if (empty_polls_ == 0) {
+    // The last poll left the ring busy (it drained records, or it is
+    // blocked on a claimed slot): nap at the floor without advertising
+    // `parked`, so producers publishing meanwhile skip the futex wake and
+    // the next poll drains what they coalesced — and a stalled slot's
+    // budget is spent at floor pace, not in microseconds.
+    std::this_thread::sleep_for(std::chrono::nanoseconds(
+        std::min(budget_ns, suggested_sleep_ns())));
+    return true;
+  }
   using transport::ShmIngestQueue;
   const PumpMetrics& metrics = PumpMetrics::get();
   const util::TimeNs timeout =
@@ -140,9 +150,8 @@ bool ShmIngestPump::wait(util::TimeNs budget_ns) {
       ++doorbell_wakes_;
       metrics.parks->add(1);
       metrics.wakes->add(1);
-      // The wake says producers just published: restart the backoff at
-      // the floor (wakes, not empty polls, are the "ring went busy"
-      // signal for anyone still consulting suggested_sleep_ns()).
+      // The wake says producers just published: back to the floor, so a
+      // wait() before the next poll naps instead of parking again.
       empty_polls_ = 0;
       if (!queue_->has_frames(cursor_)) {
         // Signal/EINTR or a ring for frames another consumer's cursor
@@ -158,7 +167,7 @@ bool ShmIngestPump::wait(util::TimeNs budget_ns) {
       metrics.wait_timeouts->add(1);
       return false;
     case ShmIngestQueue::WaitResult::kUnsupported:
-      break;  // fall through to the portable backoff nap
+      break;  // no futex: sleep the backoff schedule instead of parking
   }
   std::this_thread::sleep_for(std::chrono::nanoseconds(
       std::min(budget_ns, suggested_sleep_ns())));

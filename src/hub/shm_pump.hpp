@@ -10,12 +10,24 @@
 // sweeps, hbmon, and every other hub consumer without any of them linking
 // the producers.
 //
-// Idle behavior: wait() blocks on the ring's futex doorbell (near-zero CPU
-// while the fleet is quiet, sub-millisecond wake at the first beat), with a
-// bounded timeout and a portable fallback to the suggested_sleep_ns
-// exponential backoff when futex is unavailable. The canonical loop is
+// The canonical loop is
 //
 //   for (;;) { pump.poll(); pump.wait(budget_to_next_deadline); }
+//
+// and wait() picks one of two sleeps from what the last poll() saw:
+//
+//   * NAP — the poll left the ring busy (it drained records, or it is
+//     blocked on a claimed but unpublished slot). wait() sleeps
+//     idle_sleep_min_ns (capped by the budget) WITHOUT advertising itself
+//     as parked, so producers publishing meanwhile pay no futex wake; the
+//     next poll drains everything they coalesced in one pass.
+//   * PARK — the poll found every stream empty. wait() blocks on the
+//     ring's futex doorbell (near-zero CPU while the fleet is quiet); the
+//     first producer to publish rings it and the pump wakes at once.
+//
+// So a busy ring is drained about once per idle_sleep_min_ns and producers
+// ring only after the pump found the ring empty. Without futex, wait()
+// sleeps the suggested_sleep_ns backoff instead of parking.
 //
 // Threading: a pump is single-consumer by construction (it owns its
 // cursor). Call poll()/wait() from one thread — typically a poll loop
@@ -40,18 +52,24 @@ namespace hb::hub {
 class HeartbeatHub;
 
 struct ShmIngestPumpOptions {
-  /// Drains a claimed-but-unpublished frame may block on before the pump
-  /// skips it as torn (crashed producer). Forwarded to
+  /// Polls a claimed-but-unpublished frame may block before the pump skips
+  /// it as torn (crashed producer). A blocked poll counts as busy, so the
+  /// polls come one nap apart: a claimed slot may stall for about
+  /// max_stall_polls × idle_sleep_min_ns (~3 ms by default) — room for a
+  /// page-faulting or preempted producer to finish its publish, while a
+  /// crashed one is still skipped within milliseconds. Forwarded to
   /// transport::ShmIngestQueue::drain.
   std::uint32_t max_stall_polls = 3;
-  /// Idle-backoff floor for suggested_sleep_ns(): the sleep after a poll
-  /// that drained records (the ring is busy — stay close).
+  /// The coalescing interval: wait()'s nap after a poll that drained
+  /// records or was blocked on a claimed slot. Also the floor of
+  /// suggested_sleep_ns() and the pace at which the stall budget is spent.
   util::TimeNs idle_sleep_min_ns = 1 * util::kNsPerMs;
-  /// Idle-backoff cap: consecutive empty polls double the suggestion from
-  /// the floor up to this bound (a quiet ring costs ~1 wakeup per cap
-  /// interval instead of a busy-spin). Clamped to >= idle_sleep_min_ns.
+  /// Cap of the suggested_sleep_ns() backoff, which consecutive empty polls
+  /// double from the floor. wait() only sleeps it where futex is missing
+  /// (a quiet ring then costs ~1 wakeup per cap interval instead of a
+  /// busy-spin). Clamped to >= idle_sleep_min_ns.
   util::TimeNs idle_sleep_max_ns = 64 * util::kNsPerMs;
-  /// Longest single doorbell block. This bounds the missed-wake window the
+  /// Longest single doorbell park. This bounds the missed-wake window the
   /// producers' relaxed parked-check admits AND doubles as a liveness
   /// heartbeat for the poll loop; it is NOT a staleness bound (a beat rings
   /// the doorbell and wakes the pump immediately).
@@ -90,22 +108,19 @@ class ShmIngestPump {
   /// ingested. Returns the number of records ingested by this call.
   std::size_t poll();
 
-  /// Sleep until there is (likely) work, for at most `budget_ns`: the
-  /// doorbell block when available (clamped to doorbell_timeout_ns), else
-  /// a suggested_sleep_ns backoff nap. Returns true when frames are (or
-  /// are likely) pending — callers poll() immediately; false means the
-  /// budget or timeout lapsed quietly. A doorbell wake resets the idle
-  /// backoff, so fallback pollers resume at the floor after real work.
+  /// Sleep until the next poll() is worth making, for at most `budget_ns`.
+  /// After a busy poll (records drained, or blocked on a claimed slot) or a
+  /// doorbell wake: nap idle_sleep_min_ns without parking and return true.
+  /// After an empty poll: park on the doorbell (clamped to
+  /// doorbell_timeout_ns) and return true on a wake, false when the budget
+  /// or timeout lapsed quietly; without futex, sleep suggested_sleep_ns()
+  /// and return false. Callers poll() next either way.
   bool wait(util::TimeNs budget_ns);
 
-  /// How long the poll loop should sleep before the next poll(): the
-  /// idle-backoff schedule. idle_sleep_min_ns right after a poll that
-  /// drained records (or a doorbell wake), doubling per consecutive empty
-  /// poll up to idle_sleep_max_ns — so a busy ring is drained promptly and
-  /// a quiet one stops being busy-spun. Purely advisory; the pump never
-  /// sleeps in poll() (callers own their loop and may cap this further,
-  /// e.g. to a sweep deadline). Loops should prefer wait(), which blocks
-  /// on the doorbell and only falls back to this schedule.
+  /// The backoff schedule wait() follows: idle_sleep_min_ns after a busy
+  /// poll or a doorbell wake, doubling per consecutive empty poll up to
+  /// idle_sleep_max_ns. At the floor wait() naps; past it wait() parks on
+  /// the doorbell, and sleeps this value only where futex is missing.
   util::TimeNs suggested_sleep_ns() const;
 
   ShmIngestPumpStats stats() const;
@@ -132,7 +147,8 @@ class ShmIngestPump {
 
   transport::ShmIngestQueue::Cursor cursor_;
   std::uint64_t polls_ = 0;
-  std::uint32_t empty_polls_ = 0;  ///< consecutive polls that drained nothing
+  /// Consecutive empty polls; 0 means busy, so the next wait() naps.
+  std::uint32_t empty_polls_ = 0;
   std::uint64_t parks_ = 0;
   std::uint64_t doorbell_wakes_ = 0;
   std::uint64_t spurious_wakes_ = 0;

@@ -7,9 +7,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -578,6 +580,171 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
   const auto stats = pump.stats();
   EXPECT_GE(stats.parks, 2u);
   EXPECT_GE(stats.doorbell_wakes, 1u);
+}
+
+TEST_F(ShmIngestTest, PumpDefaultStallBudgetOutlastsABriefClaim) {
+  // A live producer preempted between claim and publish must not lose its
+  // frame. A blocked poll counts as busy, so under the default options the
+  // pump naps at the floor between stall polls: the 3-poll budget lasts
+  // ~3 ms, not the microseconds three back-to-back polls take.
+  using Clock = std::chrono::steady_clock;
+  auto q = ShmIngestQueue::create(file(), 32);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+
+  const std::uint64_t seq = q->claim(1);
+  std::atomic<Clock::rep> published_at{0};
+  std::thread producer([&q, &published_at, seq] {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    q->publish(seq, "slow", rec_at(kNsPerMs, 1), {});
+    published_at.store(Clock::now().time_since_epoch().count(),
+                       std::memory_order_release);
+  });
+  pump.poll();  // blocked on the claimed slot (unless already published)
+  const Clock::time_point first_poll = Clock::now();
+  for (int i = 0; i < 20 && pump.stats().consumed + pump.stats().torn == 0;
+       ++i) {
+    pump.wait(50 * kNsPerMs);
+    pump.poll();
+  }
+  producer.join();
+  EXPECT_EQ(pump.stats().consumed + pump.stats().torn, 1u);
+  // Each blocked poll is followed by a nap of at least the 1 ms floor, so
+  // the poll that would skip the slot starts >= 3 ms after the first one:
+  // a publish that returned before then is always delivered. A host too
+  // loaded to run the producer within those 3 ms may tear it legitimately,
+  // so only the in-budget case is judged.
+  const Clock::time_point published{
+      Clock::duration(published_at.load(std::memory_order_acquire))};
+  if (published - first_poll < std::chrono::milliseconds(3)) {
+    EXPECT_EQ(pump.stats().torn, 0u);
+    EXPECT_EQ(pump.stats().consumed, 1u);
+  }
+
+  // A claim that is never published (the producer crashed) is still
+  // skipped as torn within max_stall_polls naps — without ever parking —
+  // and the record queued behind it arrives.
+  const hub::ShmIngestPumpStats before = pump.stats();
+  q->claim(1);
+  q->append("live", rec_at(2 * kNsPerMs, 2), {});
+  const auto t0 = Clock::now();
+  int polls = 0;
+  while (pump.stats().consumed == before.consumed && polls < 20) {
+    pump.poll();
+    ++polls;
+    if (pump.stats().consumed == before.consumed) pump.wait(50 * kNsPerMs);
+  }
+  const auto elapsed = Clock::now() - t0;
+  EXPECT_EQ(pump.stats().consumed, before.consumed + 1);
+  EXPECT_EQ(pump.stats().torn, before.torn + 1);
+  EXPECT_EQ(polls, 4);  // max_stall_polls blocked polls, then the skip
+  EXPECT_EQ(pump.stats().parks, before.parks);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(3));  // three floor naps
+  // Nominally ~3 ms; the bound leaves room for a loaded host while staying
+  // below the 100 ms doorbell timeout a park would have cost.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+}
+
+TEST_F(ShmIngestTest, PumpNapsWhileBusyAndParksWhenEmpty) {
+  if (!ShmIngestQueue::doorbell_supported()) {
+    GTEST_SKIP() << "no futex on this platform";
+  }
+  auto q = ShmIngestQueue::create(file(), 32);
+  hub::HeartbeatHub hub;
+  // A wide floor so the producer's append lands inside the nap.
+  constexpr util::TimeNs kFloor = 20 * kNsPerMs;
+  hub::ShmIngestPump pump(q, hub, {.idle_sleep_min_ns = kFloor});
+
+  // Busy: after a productive poll, wait() naps the floor without parking,
+  // so an append made meanwhile does not ring the doorbell.
+  q->append("a", rec_at(1), {});
+  ASSERT_EQ(pump.poll(), 1u);
+  const std::uint64_t parks = pump.stats().parks;
+  const std::uint64_t rings = q->doorbell_rings();
+  std::thread producer([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    q->append("a", rec_at(2), {});
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(pump.wait(50 * kNsPerMs));
+  const auto napped = std::chrono::steady_clock::now() - t0;
+  producer.join();
+  EXPECT_GE(napped, std::chrono::nanoseconds(kFloor));
+  EXPECT_EQ(pump.stats().parks, parks);
+  EXPECT_EQ(q->doorbell_rings(), rings);
+  EXPECT_EQ(pump.poll(), 1u);  // the append coalesced during the nap
+
+  // Empty: after a poll that found nothing, wait() parks, and a producer's
+  // append rings the doorbell and wakes it.
+  EXPECT_EQ(pump.poll(), 0u);
+  std::thread late([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q->append("a", rec_at(3), {});
+  });
+  bool woke = false;
+  for (int i = 0; i < 100 && !woke; ++i) woke = pump.wait(5000 * kNsPerMs);
+  late.join();
+  EXPECT_TRUE(woke);
+  EXPECT_GE(q->doorbell_rings(), rings + 1);
+  EXPECT_GE(pump.stats().parks, parks + 1);
+  EXPECT_GE(pump.stats().doorbell_wakes, 1u);
+  EXPECT_EQ(pump.poll(), 1u);
+}
+
+TEST_F(ShmIngestTest, PumpDrillLosesNothingAndRarelyRings) {
+  // Default options, four producer threads (two on fast lanes, two on the
+  // shared ring) beating with short random pauses, and the canonical
+  // poll()/wait() loop: every record arrives, none torn or dropped, and
+  // the pump — napping while the ring is busy — is almost never parked
+  // when a producer publishes, so rings stay far below beats.
+  constexpr int kProducers = 4;
+  constexpr int kBeats = 1000;
+  constexpr std::uint64_t kTotal = kProducers * kBeats;
+  auto q = ShmIngestQueue::create(file(), 8192, 2048);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  const int lanes[kProducers] = {q->claim_lane(), q->claim_lane(), -1, -1};
+  ASSERT_GE(lanes[0], 0);
+  ASSERT_GE(lanes[1], 0);
+
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&q, &done, lane = lanes[p], p] {
+      const std::string app = "drill" + std::to_string(p);
+      std::mt19937 rng(static_cast<std::uint32_t>(p + 1));
+      std::uniform_int_distribution<int> pause_us(0, 200);
+      for (int i = 0; i < kBeats; ++i) {
+        core::HeartbeatRecord rec = rec_at((i + 1) * kNsPerMs);
+        rec.seq = static_cast<std::uint64_t>(i);
+        if (lane >= 0) {
+          q->append_batch_lane(lane, app, std::span(&rec, 1), {});
+        } else {
+          q->append(app, rec, {});
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(pause_us(rng)));
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  // Poll until the producers are done and everything they published is in
+  // (bounded, so a lost record fails the test instead of hanging it).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const bool finished = done.load(std::memory_order_acquire) == kProducers;
+    pump.poll();
+    if (finished && pump.stats().consumed >= kTotal) break;
+    pump.wait(50 * kNsPerMs);
+  }
+  for (auto& t : threads) t.join();
+
+  const auto stats = pump.stats();
+  EXPECT_EQ(stats.consumed, kTotal);
+  EXPECT_EQ(stats.torn, 0u);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_GT(stats.lane_records, 0u);
+  EXPECT_LT(q->doorbell_rings(), kTotal / 10);
 }
 
 // The acceptance-shaping smoke: P forked producer processes feed the ring;
