@@ -58,7 +58,9 @@ struct HubOptions {
   std::size_t shard_count = 8;
   /// Raw beats buffered per shard before a flush (the ingest batch).
   std::size_t batch_capacity = 64;
-  /// Sliding-window size per app, in beats.
+  /// Sliding-window size per app, in beats: clamped to >= 2; above
+  /// kMaxWindowCapacity (65535) the constructor throws
+  /// std::invalid_argument.
   std::size_t window_capacity = 256;
   /// Beats per rate computation; 0 = the whole sliding window.
   std::uint32_t rate_window = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -43,6 +44,12 @@ struct ShardMetrics {
 
 HubShard::HubShard(std::uint32_t index, ShardConfig config)
     : index_(index), config_(config) {
+  if (config_.window_capacity < 2 ||
+      config_.window_capacity > kMaxWindowCapacity) {
+    throw std::invalid_argument("hub: window_capacity " +
+                                std::to_string(config_.window_capacity) +
+                                " is outside [2, 65535]");
+  }
   batch_.reserve(config_.batch_capacity);
 }
 
@@ -258,7 +265,7 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
       }
     }
     sum.last_beat_ns = std::max(sum.last_beat_ns, s.last_beat_ns);
-    if (app.intervals.size() > 0) {
+    if (app.window.size() > 1) {
       if (!next->any_interval) {
         sum.interval_min_ns = s.interval_min_ns;
         sum.interval_max_ns = s.interval_max_ns;
@@ -268,12 +275,12 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
         sum.interval_max_ns = std::max(sum.interval_max_ns, s.interval_max_ns);
       }
     }
-    for (const auto& [tag, count] : app.tag_counts) {
-      TagSummary& t = by_tag[tag];
-      t.tag = tag;
-      t.beats += count;
+    app.tags.for_each([&by_tag](const TagTable::Entry& e) {
+      TagSummary& t = by_tag[e.tag];
+      t.tag = e.tag;
+      t.beats += e.count;
       ++t.apps;
-    }
+    });
   }
   // After the walk: maintenance above may have evicted apps out of it.
   next->intervals = live_intervals_;
@@ -316,67 +323,125 @@ void HubShard::maintain_locked(AppState& app, util::TimeNs now) {
   app.cached.staleness_ns = staleness;
 }
 
-void HubShard::retire_oldest_tag_locked(AppState& app) {
-  const core::HeartbeatRecord& oldest = app.window.back(app.window.size() - 1);
-  auto it = app.tag_counts.find(oldest.tag);
-  if (it != app.tag_counts.end() && --it->second == 0) {
-    app.tag_counts.erase(it);
-  }
-}
-
 void HubShard::evict_locked(AppState& app) {
   live_intervals_.subtract(app.hist);
   app.window.clear();
-  app.intervals.clear();
   app.hist.reset();
   app.moments.clear();
-  app.tag_counts.clear();
+  app.tags.clear();
   app.evicted = true;
   app.dirty = true;
+}
+
+namespace {
+
+/// Interval between a beat and the one before it. Out-of-order or
+/// same-tick beats clamp to a zero interval rather than wrapping; the rate
+/// math keeps its own zero-span convention. The difference is taken
+/// unsigned: producer timestamps are untrusted and may span more than
+/// INT64_MAX.
+std::uint64_t interval_between(util::TimeNs prev_ns, util::TimeNs next_ns) {
+  return next_ns > prev_ns ? static_cast<std::uint64_t>(next_ns) -
+                                 static_cast<std::uint64_t>(prev_ns)
+                           : 0;
+}
+
+}  // namespace
+
+std::size_t HubShard::TagTable::lower_bound(std::uint64_t tag) const {
+  std::size_t lo = 0, hi = size_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (at(mid).tag < tag) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+void HubShard::TagTable::add(std::uint64_t tag) {
+  std::size_t i = size_;
+  if (size_ > 0 && tag <= at(size_ - 1).tag) {  // not a new newest tag
+    i = tag == at(size_ - 1).tag ? size_ - 1 : lower_bound(tag);
+    if (at(i).tag == tag) {
+      ++at(i).count;
+      return;
+    }
+  }
+  if (size_ == slots_.size()) {
+    // Full: move into twice the slots, entry 0 first.
+    std::vector<Entry> grown(std::max<std::size_t>(1, 2 * size_));
+    for (std::size_t k = 0; k < size_; ++k) grown[k] = at(k);
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  // Open entry i by shifting the shorter side of it outward one slot.
+  if (i < size_ - i) {
+    head_ = (head_ + slots_.size() - 1) & (slots_.size() - 1);
+    for (std::size_t k = 0; k < i; ++k) at(k) = at(k + 1);
+  } else {
+    for (std::size_t k = size_; k > i; --k) at(k) = at(k - 1);
+  }
+  at(i) = Entry{tag, 1};
+  ++size_;
+}
+
+void HubShard::TagTable::remove(std::uint64_t tag) {
+  // The oldest beat's tag is most often the smallest one counted.
+  const std::size_t i = at(0).tag == tag ? 0 : lower_bound(tag);
+  assert(i < size_ && at(i).tag == tag);
+  if (--at(i).count > 0) return;
+  // Close entry i by shifting the shorter side of it inward one slot.
+  if (i < size_ - 1 - i) {
+    for (std::size_t k = i; k > 0; --k) at(k) = at(k - 1);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+  } else {
+    for (std::size_t k = i; k + 1 < size_; ++k) at(k) = at(k + 1);
+  }
+  --size_;
 }
 
 void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec) {
   AppState& app = apps_[slot];
   ++app.total_beats;
   app.evicted = false;  // any beat revives an evicted app
-
-  if (app.window.size() > 0) {
-    // Interval since the newest record still inside the window. Out-of-order
-    // or same-tick beats clamp to a zero interval rather than wrapping; the
-    // rate math keeps its own zero-span convention. After eviction the
-    // window is empty and the first new beat starts fresh — the silent gap
-    // is staleness, not an interval. The difference is taken unsigned:
-    // producer timestamps are untrusted and may span more than INT64_MAX.
-    const util::TimeNs prev_ns = app.window.back(0).timestamp_ns;
-    push_interval_locked(
-        app, rec.timestamp_ns > prev_ns
-                 ? static_cast<std::uint64_t>(rec.timestamp_ns) -
-                       static_cast<std::uint64_t>(prev_ns)
-                 : 0);
-  }
   app.last_beat_ns = rec.timestamp_ns;
 
   if (app.window.size() == app.window.capacity()) {
-    // The push below overwrites the oldest record: retire its tag count.
-    retire_oldest_tag_locked(app);
+    // The push below overwrites the oldest beat: retire its tag, and the
+    // interval that joined it to the next-oldest beat.
+    app.tags.remove(app.window.back(app.window.size() - 1).tag);
+    if (app.window.size() > 1) retire_oldest_interval_locked(app);
   }
-  app.window.push(rec);
-  ++app.tag_counts[rec.tag];
+  // The interval since the newest beat still inside the window. After
+  // eviction the window is empty and the first new beat starts fresh: the
+  // silent gap is staleness, not an interval.
+  if (app.window.size() > 0) {
+    add_interval_locked(app, interval_between(app.window.back(0).timestamp_ns,
+                                              rec.timestamp_ns));
+  }
+  app.window.push(Beat{rec.timestamp_ns, rec.tag});
+  app.tags.add(rec.tag);
   app.dirty = true;
 }
 
-void HubShard::push_interval_locked(AppState& app, std::uint64_t interval) {
-  if (app.intervals.size() == app.intervals.capacity()) {
-    // The push below overwrites the oldest interval: retire it everywhere.
-    const std::uint64_t old = app.intervals.back(app.intervals.size() - 1);
-    app.hist.forget(old);
-    live_intervals_.forget(old);
-    app.moments.remove(old);
-    if (old == app.min) --app.min_copies;
-    if (old == app.max) --app.max_copies;
-  }
-  const bool first = app.intervals.empty();
-  app.intervals.push(interval);
+void HubShard::retire_oldest_interval_locked(AppState& app) {
+  const std::size_t n = app.window.size();
+  const std::uint64_t old = interval_between(
+      app.window.back(n - 1).timestamp_ns, app.window.back(n - 2).timestamp_ns);
+  app.hist.forget(old);
+  live_intervals_.forget(old);
+  app.moments.remove(old);
+  if (old == app.min) --app.min_copies;
+  if (old == app.max) --app.max_copies;
+}
+
+void HubShard::add_interval_locked(AppState& app, std::uint64_t interval) {
+  // The window held one beat, or two when the retired interval was its
+  // only one: no interval is left to compare against.
+  const bool first = app.moments.count() == 0;
   app.hist.record(interval);
   live_intervals_.record(interval);
   app.moments.add(interval);
@@ -424,28 +489,36 @@ void HubShard::refresh_locked(AppState& app) {
                      : std::numeric_limits<double>::infinity();
   }
 
-  if (app.intervals.empty()) {
+  if (have < 2) {
     s.interval_min_ns = s.interval_max_ns = 0;
     s.interval_mean_ns = 0.0;
     s.interval_stddev_ns = 0.0;
     s.interval_p50_ns = s.interval_p95_ns = s.interval_p99_ns = 0;
   } else {
     if (app.min_copies == 0 || app.max_copies == 0) {
-      // The last copy of a bound left the window: one walk of the ring
-      // re-derives both bounds and their copy counts.
-      app.min = app.max = app.intervals.back(0);
+      // The last copy of a bound left the window: one walk over its
+      // consecutive timestamp pairs re-derives both bounds and their copy
+      // counts.
+      app.min = std::numeric_limits<std::uint64_t>::max();
+      app.max = 0;
       app.min_copies = app.max_copies = 0;
-      app.intervals.for_each_newest_first([&app](std::uint64_t v) {
-        if (v < app.min) {
-          app.min = v;
-          app.min_copies = 0;
+      const Beat* newer = nullptr;
+      app.window.for_each_newest_first([&app, &newer](const Beat& b) {
+        if (newer) {
+          const std::uint64_t v =
+              interval_between(b.timestamp_ns, newer->timestamp_ns);
+          if (v < app.min) {
+            app.min = v;
+            app.min_copies = 0;
+          }
+          if (v > app.max) {
+            app.max = v;
+            app.max_copies = 0;
+          }
+          app.min_copies += v == app.min;
+          app.max_copies += v == app.max;
         }
-        if (v > app.max) {
-          app.max = v;
-          app.max_copies = 0;
-        }
-        app.min_copies += v == app.min;
-        app.max_copies += v == app.max;
+        newer = &b;
       });
     }
     s.interval_min_ns = app.min;

@@ -23,9 +23,21 @@
 // interval histogram, and the shard's live interval histogram (the sum
 // of every app's). A refresh then reads those off: the percentiles in
 // one walk over the buckets between the window's min and max, and a
-// rescan of the interval ring only when the last copy of the min or max
-// has left the window. The publish copies the shard histogram once
-// instead of merging every app's.
+// rescan of the window only when the last copy of the min or max has
+// left it. The publish copies the shard histogram once instead of
+// merging every app's.
+//
+// Per-app layout. An app keeps only what a publish reads, about 16 bytes
+// per windowed beat plus about 1.5 KB (5.6 KB at the default window of
+// 256 beats):
+//   * the window: a ring of 16-byte Beats (timestamp, tag);
+//   * no stored intervals: a window's intervals are its consecutive
+//     timestamp pairs, so the interval a push retires is derived from the
+//     two oldest beats, and a min/max rescan walks the pairs;
+//   * an interval histogram with uint16 bucket counts (a window holds at
+//     most kMaxWindowCapacity - 1 intervals);
+//   * the exact moments and the min/max copy counts;
+//   * a TagTable: one (tag, count) entry per distinct windowed tag.
 //
 // A publish that finds nothing new (no pending beats, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
@@ -37,10 +49,10 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/record.hpp"
@@ -55,11 +67,18 @@
 
 namespace hb::hub {
 
+/// Largest sliding window, in beats: an app's interval histogram counts in
+/// uint16, and a window of N beats spans N - 1 intervals.
+inline constexpr std::size_t kMaxWindowCapacity = 65535;
+
 /// Sizing knobs a shard needs (subset of HubOptions, kept separately so the
 /// shard does not depend on the hub header).
 struct ShardConfig {
   std::size_t batch_capacity = 64;    ///< raw records buffered before a flush
-  std::size_t window_capacity = 256;  ///< sliding-window beats per app
+  /// Sliding-window beats per app, in [2, kMaxWindowCapacity] (a window
+  /// of one beat spans no interval); the shard constructor throws
+  /// std::invalid_argument outside that range.
+  std::size_t window_capacity = 256;
   std::uint32_t rate_window = 0;      ///< beats for rate; 0 = whole window
   /// Auto-evict an app whose staleness exceeds this bound (checked at
   /// publish). 0 = never auto-evict.
@@ -118,6 +137,61 @@ class HubShard {
   ShardStats stats() const HB_EXCLUDES(state_mu_, ingest_mu_);
 
  private:
+  /// One windowed beat: the two fields of a record that a publish reads.
+  struct Beat {
+    util::TimeNs timestamp_ns;
+    std::uint64_t tag;
+  };
+  static_assert(sizeof(Beat) == 16, "a windowed beat costs 16 bytes");
+
+  /// Per-app interval histogram: a window holds at most
+  /// kMaxWindowCapacity - 1 intervals, so uint16 bucket counts never wrap.
+  using AppHistogram = util::BasicLatencyHistogram<std::uint16_t>;
+  static_assert(kMaxWindowCapacity - 1 <=
+                std::numeric_limits<std::uint16_t>::max());
+  static_assert(sizeof(AppHistogram) <= 1024,
+                "the per-app histogram stays within 1 KB");
+
+  /// Windowed beat count per tag: a flat table of (tag, count) entries,
+  /// sorted by tag and stored as a ring, so both ends move in O(1). The
+  /// common streams hit a fast path: one constant tag is the newest
+  /// entry, and a per-beat sequence number appends a new newest entry
+  /// and retires the oldest. Other tags binary-search and shift the
+  /// shorter side. Storage grows to the most distinct tags the window has
+  /// held and is never freed, so a warm app allocates nothing.
+  class TagTable {
+   public:
+    struct Entry {
+      std::uint64_t tag;
+      std::uint64_t count;
+    };
+
+    void add(std::uint64_t tag);
+    /// Precondition: `tag` is counted.
+    void remove(std::uint64_t tag);
+    void clear() { head_ = size_ = 0; }
+
+    /// Call `fn(entry)` for every entry, ascending by tag.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (std::size_t i = 0; i < size_; ++i) fn(at(i));
+    }
+
+   private:
+    Entry& at(std::size_t i) {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    const Entry& at(std::size_t i) const {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    /// Index of the first entry whose tag is not below `tag`.
+    std::size_t lower_bound(std::uint64_t tag) const;
+
+    std::vector<Entry> slots_;  ///< ring storage, power-of-two size
+    std::size_t head_ = 0;      ///< slot of entry 0
+    std::size_t size_ = 0;
+  };
+
   struct AppState {
     std::string name;
     core::TargetRate target;
@@ -129,27 +203,21 @@ class HubShard {
     /// instantly auto-evicted / classified dead.
     util::TimeNs born_ns = 0;
     bool evicted = false;
-    util::RingBuffer<core::HeartbeatRecord> window;
-    /// The window's intervals, and views of exactly those values:
-    util::RingBuffer<std::uint64_t> intervals;
-    util::LatencyHistogram hist;  ///< percentiles
-    util::ExactMoments moments;   ///< mean, stddev
-    /// Lower / upper bound of every interval in the ring, and how many
-    /// copies of it the ring holds. A count of 0 means the last copy left
-    /// the window: the bound is stale until the next refresh rescans.
+    bool dirty = false;
+    util::RingBuffer<Beat> window;
+    /// Views of exactly the window's intervals:
+    AppHistogram hist;           ///< percentiles
+    util::ExactMoments moments;  ///< mean, stddev
+    /// Lower / upper bound of every windowed interval, and how many copies
+    /// of it the window holds. A count of 0 means the last copy left the
+    /// window: the bound is stale until the next refresh rescans.
     std::uint64_t min = 0, max = 0;
     std::size_t min_copies = 0, max_copies = 0;
-    std::unordered_map<std::uint64_t, std::uint64_t> tag_counts;  ///< windowed
+    TagTable tags;  ///< windowed
     AppSummary cached;
-    bool dirty = false;
 
-    // A window of N records spans N-1 intervals; sizing the interval ring
-    // any larger would leak one interval older than the sliding window
-    // into min/max/percentiles.
     explicit AppState(const ShardConfig& config)
-        : window(config.window_capacity),
-          intervals(config.window_capacity > 1 ? config.window_capacity - 1
-                                               : 1) {}
+        : window(config.window_capacity) {}
   };
 
   using Batch = std::vector<std::pair<std::uint32_t, core::HeartbeatRecord>>;
@@ -165,17 +233,18 @@ class HubShard {
   void drain_overflow() HB_EXCLUDES(state_mu_, ingest_mu_);
   void apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec)
       HB_REQUIRES(state_mu_);
-  /// Push one interval into the app's window statistics and the shard
-  /// histogram, retiring the one it overwrites.
-  void push_interval_locked(AppState& app, std::uint64_t interval)
+  /// Count one new windowed interval in the app's window statistics and
+  /// the shard histogram.
+  void add_interval_locked(AppState& app, std::uint64_t interval)
       HB_REQUIRES(state_mu_);
+  /// Uncount the interval between the window's two oldest beats, which the
+  /// next push retires.
+  void retire_oldest_interval_locked(AppState& app) HB_REQUIRES(state_mu_);
   void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);
   void check_slot(std::uint32_t slot) const;  ///< throws out_of_range
   /// Per-app time maintenance: stamp staleness, auto-evict past
   /// evict_after_ns.
   void maintain_locked(AppState& app, util::TimeNs now) HB_REQUIRES(state_mu_);
-  /// Tag count bookkeeping for the record the next push overwrites.
-  void retire_oldest_tag_locked(AppState& app) HB_REQUIRES(state_mu_);
   void evict_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Build the next ShardSnapshot from current app state and swap it in:
   /// per app, time maintenance, an O(1) refresh if it changed, the summary

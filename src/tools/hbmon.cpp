@@ -930,8 +930,17 @@ int main(int argc, char** argv) {
                               parse_flag(argc, argv, "-i", 50),
                               parse_flag(argc, argv, "-s", 5000), metrics);
       }
+      // -n sizes the hub window, so it must fit one before any app is read.
+      const int history_beats = parse_flag(argc, argv, "-n", 64);
+      if (history_beats < 1 ||
+          static_cast<std::size_t>(history_beats) >
+              hb::hub::kMaxWindowCapacity) {
+        std::fprintf(stderr, "hbmon: -n history_beats must be in [1, %zu]\n",
+                     hb::hub::kMaxWindowCapacity);
+        return usage();
+      }
       return cmd_fleet(registry, parse_flag(argc, argv, "-s", 5000),
-                       parse_flag(argc, argv, "-n", 64), metrics);
+                       history_beats, metrics);
     }
     if (cmd == "scenario") {
       if (has_flag(argc, argv, "--list")) return cmd_scenario_list();

@@ -5,8 +5,14 @@
 // ranges — nanoseconds to minutes — without storing samples. This is the
 // standard fixed-bucket recipe (cf. HdrHistogram): log2 bucketing with 8
 // linear sub-buckets per octave, giving <= 12.5% relative error per bucket
-// at a fixed 496 * 8 bytes of state. record() is a couple of bit ops plus
-// one increment, so it is safe inside a shard's ingest critical section.
+// at a fixed 496 bucket counts of state. record() is a couple of bit ops
+// plus one increment, so it is safe inside a shard's ingest critical
+// section.
+//
+// The bucket count type is a template parameter. LatencyHistogram counts
+// in uint64 (496 * 8 bytes); a per-app window histogram, which never holds
+// more than the window's intervals, counts in uint16 (496 * 2 bytes) and
+// is subtracted from the uint64 shard total when the app is evicted.
 //
 // Deterministic: identical value sequences produce identical summaries on
 // every host, which is what lets hub tests pin exact expectations under a
@@ -20,11 +26,15 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 namespace hb::util {
 
-class LatencyHistogram {
+template <typename Count>
+class BasicLatencyHistogram {
  public:
+  static_assert(std::is_unsigned_v<Count>, "bucket counts are unsigned");
+
   /// 8 exact buckets for values 0..7, then 8 sub-buckets per octave up to
   /// 2^64-1: (60 + 1) * 8 + 8 = 496 buckets total.
   static constexpr std::size_t kBucketCount = 496;
@@ -68,7 +78,7 @@ class LatencyHistogram {
   }
 
   /// Pointwise sum of two histograms (shard -> cluster rollups).
-  void merge(const LatencyHistogram& other) {
+  void merge(const BasicLatencyHistogram& other) {
     for (std::size_t i = 0; i < kBucketCount; ++i) counts_[i] += other.counts_[i];
     count_ += other.count_;
     sum_ += other.sum_;
@@ -78,26 +88,29 @@ class LatencyHistogram {
     }
   }
 
-  /// Pointwise difference: undoes a merge(other) (a shard rollup dropping
-  /// one evicted app). min()/max() keep the extremes seen since reset(), as
+  /// Pointwise difference: undoes a merge(other), or the records of a
+  /// narrower-count histogram (a shard rollup dropping one evicted app). min()/max() keep the extremes seen since reset(), as
   /// after forget(). Precondition: every value counted in `other` is still
   /// counted here.
-  void subtract(const LatencyHistogram& other) {
-    for (std::size_t i = 0; i < kBucketCount; ++i) counts_[i] -= other.counts_[i];
-    count_ -= other.count_;
-    sum_ -= other.sum_;
+  template <typename C>
+  void subtract(const BasicLatencyHistogram<C>& other) {
+    for (std::size_t i = 0; i < kBucketCount; ++i) {
+      counts_[i] -= other.counts()[i];
+    }
+    count_ -= other.count();
+    sum_ -= other.sum();
   }
 
-  void reset() { *this = LatencyHistogram{}; }
+  void reset() { *this = BasicLatencyHistogram{}; }
 
   std::uint64_t count() const { return count_; }
   std::uint64_t min() const { return count_ ? min_ : 0; }  ///< exact
   std::uint64_t max() const { return count_ ? max_ : 0; }  ///< exact
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+  /// Running sum of the counted values (what mean() divides).
+  double sum() const { return sum_; }
   /// Per-bucket counts, indexed by bucket_index().
-  const std::array<std::uint64_t, kBucketCount>& counts() const {
-    return counts_;
-  }
+  const std::array<Count, kBucketCount>& counts() const { return counts_; }
 
   /// Nearest-rank percentile, p in [0, 100]: the upper bound of the bucket
   /// holding the ceil(p/100 * count)'th smallest value, clamped to the exact
@@ -149,11 +162,13 @@ class LatencyHistogram {
     return std::clamp<std::uint64_t>(rank, 1, count_);
   }
 
-  std::array<std::uint64_t, kBucketCount> counts_{};
+  std::array<Count, kBucketCount> counts_{};
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   std::uint64_t min_ = ~std::uint64_t{0};
   std::uint64_t max_ = 0;
 };
+
+using LatencyHistogram = BasicLatencyHistogram<std::uint64_t>;
 
 }  // namespace hb::util

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,6 +133,19 @@ TEST(HubRouting, ForeignAppIdsThrowInsteadOfCorrupting) {
   EXPECT_THROW(hub.beat(foreign_shard), std::out_of_range);
   EXPECT_THROW(hub.summary(foreign_slot), std::out_of_range);
   EXPECT_THROW(hub.summary(foreign_shard), std::out_of_range);
+}
+
+TEST(HubRouting, WindowCapacityIsBoundedAtConstruction) {
+  auto clock = std::make_shared<util::ManualClock>();
+  // The per-app interval histogram counts in uint16: a window of 65535
+  // beats (65534 intervals) is the largest that cannot wrap a bucket.
+  EXPECT_EQ(kMaxWindowCapacity, 65535u);
+  EXPECT_NO_THROW(HeartbeatHub(manual_opts(clock, 1, 8, kMaxWindowCapacity)));
+  EXPECT_THROW(HeartbeatHub(manual_opts(clock, 1, 8, kMaxWindowCapacity + 1)),
+               std::invalid_argument);
+  // The low end still clamps instead of throwing.
+  HeartbeatHub tiny(manual_opts(clock, 1, 8, 0));
+  EXPECT_EQ(tiny.options().window_capacity, 2u);
 }
 
 TEST(HubRouting, UnknownNamesThrow) {

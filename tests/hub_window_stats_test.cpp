@@ -12,6 +12,8 @@
 //   * out-of-order and repeated timestamps (zero intervals);
 //   * intervals near 2^63, whose squares overflow 128-bit sums;
 //   * explicit and staleness-driven evictions, revivals, and set_target.
+// The per-tag rollups are recomputed from the same model windows, including
+// apps whose every windowed beat carries a distinct tag.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +47,14 @@ enum class Stream {
 };
 constexpr int kStreamKinds = 6;
 
+/// How an app tags its beats.
+enum class Tags {
+  kCycle,       ///< beats % 3
+  kAscending,   ///< the per-app sequence number: every beat a new tag
+  kDescending,  ///< the sequence number counted down from 2^64-1
+  kRandom,      ///< seeded draws from [0, 512): arbitrary order, repeats
+};
+
 constexpr util::TimeNs kTick = 20'000'000;  // the 50 Hz cadence, in ns
 
 /// One app: its stream generator and the brute-force model of the state
@@ -57,6 +68,7 @@ struct App {
   std::deque<core::HeartbeatRecord> window;  ///< oldest first
   core::TargetRate target;
   bool evicted = false;
+  Tags tags = Tags::kCycle;
 };
 
 util::TimeNs next_timestamp(App& app, util::TimeNs base, util::Rng& rng) {
@@ -157,6 +169,9 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
     core::HeartbeatRecord rec;
     rec.timestamp_ns = next_timestamp(app, clock_->now(), rng_);
     rec.tag = app.beats % 3;
+    if (app.tags == Tags::kAscending) rec.tag = app.beats;
+    if (app.tags == Tags::kDescending) rec.tag = ~app.beats;
+    if (app.tags == Tags::kRandom) rec.tag = rng_.next_below(512);
     hub_->ingest(app.id, rec);
     app.last_ts = rec.timestamp_ns;
     ++app.beats;
@@ -239,6 +254,8 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
       fleet_max = std::max(fleet_max, *hi);
     }
 
+    check_tags(*snap);
+
     // The shard histograms and the cluster percentiles equal a from-scratch
     // merge over the live apps.
     for (std::size_t i = 0; i < by_shard.size(); ++i) {
@@ -256,6 +273,43 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
     EXPECT_EQ(c.interval_p50_ns, fleet.percentile(50.0));
     EXPECT_EQ(c.interval_p95_ns, fleet.percentile(95.0));
     EXPECT_EQ(c.interval_p99_ns, fleet.percentile(99.0));
+  }
+
+  /// The per-tag rollups, per shard and fleet-wide, equal a from-scratch
+  /// count over the live apps' model windows.
+  void check_tags(const FleetSnapshot& snap) {
+    std::vector<std::map<std::uint64_t, TagSummary>> by_shard(
+        hub_->shard_count());
+    std::map<std::uint64_t, TagSummary> fleet;
+    for (const App& app : apps_) {
+      std::map<std::uint64_t, std::uint64_t> counts;
+      for (const core::HeartbeatRecord& rec : app.window) ++counts[rec.tag];
+      for (const auto& [tag, beats] : counts) {
+        for (auto* rollup : {&by_shard[app_id_shard(app.id)], &fleet}) {
+          TagSummary& t = (*rollup)[tag];
+          t.tag = tag;
+          t.beats += beats;
+          ++t.apps;
+        }
+      }
+    }
+    const auto expect_equal = [](const std::vector<TagSummary>& got,
+                                 const std::map<std::uint64_t, TagSummary>&
+                                     want) {
+      ASSERT_EQ(got.size(), want.size());
+      auto it = want.begin();
+      for (const TagSummary& t : got) {
+        EXPECT_EQ(t.tag, it->second.tag);
+        EXPECT_EQ(t.beats, it->second.beats) << "tag " << t.tag;
+        EXPECT_EQ(t.apps, it->second.apps) << "tag " << t.tag;
+        ++it;
+      }
+    };
+    for (std::size_t i = 0; i < by_shard.size(); ++i) {
+      SCOPED_TRACE("shard " + std::to_string(i));
+      expect_equal(snap.shard(i).tags, by_shard[i]);
+    }
+    expect_equal(snap.tags(), fleet);
   }
 
   util::Rng rng_{GetParam().seed};
@@ -292,6 +346,42 @@ TEST_P(HubWindowStats, IncrementalStatsEqualABruteForceRecompute) {
   check();
 }
 
+// Apps whose tags are a per-beat sequence number (up and down) or seeded
+// draws join the fleet. A sequence number gives every windowed beat a
+// distinct tag, the worst case for the per-app tag table: each push adds a
+// tag and retires another. Sequence numbers repeat across apps, so the
+// rollups' app counts are exercised too.
+TEST_P(HubWindowStats, TagRollupsEqualABruteForceRecompute) {
+  int n = 0;
+  for (const Tags tags : {Tags::kAscending, Tags::kDescending, Tags::kRandom}) {
+    for (int i = 0; i < kStreamKinds; ++i) {
+      App app;
+      app.stream = static_cast<Stream>(i);
+      app.tags = tags;
+      app.id = hub_->register_app("tagged" + std::to_string(n++), app.target);
+      app.born_ns = clock_->now();
+      app.last_ts = clock_->now();
+      apps_.push_back(app);
+    }
+  }
+  for (int op = 0; op < 6000; ++op) {
+    App& app = apps_[rng_.next_below(apps_.size())];
+    if (rng_.next_below(100) < 2) {
+      hub_->evict(app.id);
+      app.window.clear();
+      app.evicted = true;
+    } else {
+      beat(app);
+    }
+    clock_->advance(static_cast<util::TimeNs>(rng_.next_below(kTick / 4)));
+    if (op % 7 == 0) {
+      check();
+      if (HasFailure()) FAIL() << "diverged at op " << op;
+    }
+  }
+  check();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Windows, HubWindowStats,
     ::testing::Values(Config{2, 0, 1, 0, 1}, Config{3, 0, 4, 0, 2},
@@ -299,6 +389,66 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{64, 0, 16, 0, 5}, Config{256, 0, 64, 0, 6},
                       Config{16, 0, 8, 400'000'000, 7},
                       Config{64, 1, 5, 150'000'000, 8}));
+
+// The largest window holds 65534 intervals, the most a uint16 bucket of
+// the per-app histogram may count. Fed one interval well past wrap-around,
+// that bucket sits at 65534: the summary stays exact, and evicting the app
+// subtracts exactly its counts from the shard's uint64 histogram.
+TEST(HubWindowLimits, AFullLargestWindowCountsWithoutWrapping) {
+  auto clock = std::make_shared<util::ManualClock>(1'000'000'000);
+  HubOptions opts;
+  opts.shard_count = 1;
+  opts.window_capacity = kMaxWindowCapacity;
+  opts.clock = clock;
+  HeartbeatHub hub(opts);
+
+  // A neighbour in the same shard, one of whose intervals shares the full
+  // app's bucket.
+  const AppId other = hub.register_app("other");
+  util::LatencyHistogram other_intervals;
+  util::TimeNs ts = 0;
+  for (const util::TimeNs step : {0, 1000, 2000, 7000}) {
+    core::HeartbeatRecord rec;
+    rec.timestamp_ns = ts += step;
+    hub.ingest(other, rec);
+    if (step > 0) other_intervals.record(static_cast<std::uint64_t>(step));
+  }
+
+  constexpr std::uint64_t kInterval = 1000;
+  const AppId full = hub.register_app("full");
+  std::vector<core::HeartbeatRecord> recs(kMaxWindowCapacity + 5000);
+  for (std::size_t k = 0; k < recs.size(); ++k) {
+    recs[k].timestamp_ns = static_cast<util::TimeNs>(k * kInterval);
+    recs[k].tag = k;
+  }
+  hub.ingest_batch(full, recs);
+
+  auto snap = hub.snapshot();
+  const AppSummary* s = snap->find(full);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->window_beats, kMaxWindowCapacity);
+  EXPECT_EQ(s->interval_min_ns, kInterval);
+  EXPECT_EQ(s->interval_max_ns, kInterval);
+  EXPECT_EQ(s->interval_p50_ns, kInterval);
+  EXPECT_EQ(s->interval_p95_ns, kInterval);
+  EXPECT_EQ(s->interval_p99_ns, kInterval);
+  EXPECT_EQ(s->interval_mean_ns, static_cast<double>(kInterval));
+  EXPECT_EQ(s->interval_stddev_ns, 0.0);
+  const std::size_t bucket = util::LatencyHistogram::bucket_index(kInterval);
+  const util::LatencyHistogram& shard = snap->shard(0).intervals;
+  EXPECT_EQ(shard.counts()[bucket], 65534u + other_intervals.counts()[bucket]);
+  EXPECT_EQ(shard.count(), 65534u + other_intervals.count());
+  std::uint64_t windowed_tags = 0;
+  for (const TagSummary& t : snap->tags()) windowed_tags += t.beats;
+  EXPECT_EQ(windowed_tags, kMaxWindowCapacity + 4);
+
+  hub.evict(full);
+  snap = hub.snapshot();
+  const util::LatencyHistogram& left = snap->shard(0).intervals;
+  EXPECT_TRUE(left.counts() == other_intervals.counts());
+  EXPECT_EQ(left.count(), other_intervals.count());
+  EXPECT_EQ(left.sum(), other_intervals.sum());
+}
 
 }  // namespace
 }  // namespace hb::hub

@@ -242,6 +242,41 @@ TEST(LatencyHistogram, SubtractUndoesMerge) {
   }
 }
 
+// A uint16-count histogram (the hub's per-app one) answers like a uint64
+// one over the same values, and subtracts exactly from a uint64 total that
+// recorded them.
+TEST(LatencyHistogram, NarrowCountsSubtractFromAWideTotal) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    BasicLatencyHistogram<std::uint16_t> narrow;
+    LatencyHistogram total;
+    for (std::uint64_t v : spread_values(seed + 100, 200)) total.record(v);
+    const LatencyHistogram before = total;
+    for (std::uint64_t v : spread_values(seed, 300)) {
+      narrow.record(v);
+      total.record(v);
+    }
+    LatencyHistogram wide;
+    for (std::uint64_t v : spread_values(seed, 300)) wide.record(v);
+    for (double p : {1.0, 50.0, 99.0}) {
+      EXPECT_EQ(narrow.percentile(p), wide.percentile(p)) << p;
+    }
+    total.subtract(narrow);
+    EXPECT_EQ(total.count(), before.count());
+    EXPECT_TRUE(total.counts() == before.counts());
+  }
+  // A full bucket: 65535 copies of one value fit the count type.
+  BasicLatencyHistogram<std::uint16_t> full;
+  LatencyHistogram total;
+  for (int i = 0; i < 65535; ++i) {
+    full.record(1000);
+    total.record(1000);
+  }
+  EXPECT_EQ(full.counts()[LatencyHistogram::bucket_index(1000)], 65535u);
+  total.subtract(full);
+  EXPECT_EQ(total.count(), 0u);
+  EXPECT_TRUE(total.counts() == LatencyHistogram{}.counts());
+}
+
 // The grid every multi-percentile check walks: the edges, NaN, and the
 // interior, ascending (NaN reads as p <= 0, so it leads).
 const std::vector<double> kPercentileGrid = {
