@@ -100,9 +100,14 @@ void HeartbeatHub::ingest(AppId id, const core::HeartbeatRecord& rec) {
   shards_.at(app_id_shard(id))->enqueue(app_id_slot(id), rec);
 }
 
-void HeartbeatHub::ingest_batch(AppId id,
-                                std::span<const core::HeartbeatRecord> recs) {
-  shards_.at(app_id_shard(id))->enqueue(app_id_slot(id), recs);
+void HeartbeatHub::ingest_batch(std::span<const AppRecord> recs) {
+  while (!recs.empty()) {
+    const std::uint32_t shard = app_id_shard(recs.front().id);
+    std::size_t run = 1;
+    while (run < recs.size() && app_id_shard(recs[run].id) == shard) ++run;
+    shards_.at(shard)->ingest_batch(recs.first(run));
+    recs = recs.subspan(run);
+  }
 }
 
 void HeartbeatHub::beat(AppId id, std::uint64_t tag) {

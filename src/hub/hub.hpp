@@ -11,7 +11,9 @@
 //   producers ──beat/ingest──▶ shard[hash(app) % N]   (lock-striped)
 //                                │  raw-record batch (batch_capacity)
 //                                ▼  flush: amortized window + histogram
-//                              per-app sliding-window summaries
+//   shm pump ──ingest_batch───▶ per-app sliding-window summaries
+//     (one apply per shard          │
+//      per poll, no batch)          │
 //                                ▼  publish: immutable ShardSnapshot
 //   snapshot() ◀── FleetSnapshot: per-app / per-tag / cluster rollups
 //   summary(id) ◀── one app, publishing only its owning shard
@@ -113,10 +115,15 @@ class HeartbeatHub {
   /// Thread-safe; contends only on the owning shard's stripe lock.
   void ingest(AppId id, const core::HeartbeatRecord& rec);
 
-  /// Ingest a batch of pre-stamped records for one app in one shard-lock
-  /// acquire — the bulk entry point for transport adapters (the shm ingest
-  /// pump, registry replays). Thread-safe.
-  void ingest_batch(AppId id, std::span<const core::HeartbeatRecord> recs);
+  /// Ingest pre-stamped records for any registered apps — the bulk entry
+  /// point for transport adapters (the shm ingest pump, registry replays).
+  /// Each run of consecutive records on one shard is applied straight to
+  /// app state under one shard-lock acquire, after that shard's pending
+  /// ingest() batch; pass the records grouped by shard to pay one acquire
+  /// per shard. Per app, records apply in span order. Throws
+  /// std::out_of_range, before applying a run, if an id in it did not come
+  /// from this hub. Thread-safe.
+  void ingest_batch(std::span<const AppRecord> recs);
 
   /// Producer convenience: stamp "now" on the hub clock and ingest.
   /// Thread-safe. A beat on an evicted app revives it.

@@ -40,6 +40,23 @@ struct ShardMetrics {
   }
 };
 
+/// Records apply_run_locked looks ahead: an app's leading fields are
+/// prefetched kApplyFetchAhead records before its apply, and what they
+/// point at kApplyTargetAhead records before it — by then the first
+/// fetch has landed.
+constexpr std::size_t kApplyFetchAhead = 8;
+constexpr std::size_t kApplyTargetAhead = 4;
+/// Apps rebuild_snapshot_locked looks ahead.
+constexpr std::size_t kPublishFetchAhead = 4;
+
+/// Prefetch, for writing, every cache line of the bytes [first, end).
+void prefetch_lines(const void* first, const void* end) {
+  constexpr std::size_t kLine = 64;
+  const auto* p = static_cast<const char*>(first);
+  const auto* e = static_cast<const char*>(end);
+  for (; p < e; p += kLine) __builtin_prefetch(p, 1);
+}
+
 }  // namespace
 
 HubShard::HubShard(std::uint32_t index, ShardConfig config)
@@ -81,28 +98,19 @@ void HubShard::check_slot(std::uint32_t slot) const {
 }
 
 void HubShard::enqueue(std::uint32_t slot, const core::HeartbeatRecord& rec) {
-  enqueue(slot, std::span<const core::HeartbeatRecord>(&rec, 1));
-}
-
-void HubShard::enqueue(std::uint32_t slot,
-                       std::span<const core::HeartbeatRecord> recs) {
   check_slot(slot);
   std::size_t handed_off = 0;
-  bool overflowed = false;
   {
     util::MutexLock lock(ingest_mu_);
-    for (const auto& rec : recs) {
-      batch_.emplace_back(slot, rec);
-      ++ingested_;
-      if (batch_.size() >= config_.batch_capacity) {
-        // O(1) handoff: the full batch joins the apply FIFO and producers
-        // keep filling a fresh one. The drain below runs off this lock.
-        handed_off += batch_.size();
-        overflow_.push_back(std::move(batch_));
-        batch_ = Batch();
-        batch_.reserve(config_.batch_capacity);
-        overflowed = true;
-      }
+    batch_.push_back(AppRecord{make_app_id(index_, slot), rec});
+    ++ingested_;
+    if (batch_.size() >= config_.batch_capacity) {
+      // O(1) handoff: the full batch joins the apply FIFO and producers
+      // keep filling a fresh one. The drain below runs off this lock.
+      handed_off = batch_.size();
+      overflow_.push_back(std::move(batch_));
+      batch_ = Batch();
+      batch_.reserve(config_.batch_capacity);
     }
   }
   // hb.hub.ingested counts at batch-handoff granularity, not per beat: one
@@ -110,8 +118,28 @@ void HubShard::enqueue(std::uint32_t slot,
   // inside its <5% ingest budget (bench/obs_overhead). The partial batch a
   // flush drains is counted by apply_pending_locked when it leaves, so
   // after any flush the counter equals the beats actually taken in.
-  if (handed_off > 0) ShardMetrics::get().ingested->add(handed_off);
-  if (overflowed) drain_overflow();
+  if (handed_off > 0) {
+    ShardMetrics::get().ingested->add(handed_off);
+    drain_overflow();
+  }
+}
+
+void HubShard::ingest_batch(std::span<const AppRecord> recs) {
+  if (recs.empty()) return;
+  for (const AppRecord& r : recs) check_slot(app_id_slot(r.id));
+  const ShardMetrics& metrics = ShardMetrics::get();
+  util::MutexLock lock(state_mu_);
+  // Beats still in the batch arrived before these: apply them first.
+  apply_pending_locked(/*include_partial=*/true);
+  {
+    util::MutexLock ingest_lock(ingest_mu_);
+    ingested_ += recs.size();
+  }
+  metrics.ingested->add(recs.size());
+  apply_run_locked(recs);
+  metrics.applied->add(recs.size());
+  ++flushes_;
+  state_dirty_ = true;
 }
 
 void HubShard::drain_overflow() {
@@ -163,7 +191,7 @@ bool HubShard::apply_pending_locked(bool include_partial) {
     if (partial) ShardMetrics::get().ingested->add(batch.size());
     // FIFO is global: handoffs preserve arrival order and every apply pops
     // under state_mu_, so batches land in the order their beats arrived.
-    for (const auto& [slot, rec] : batch) apply_locked(slot, rec);
+    apply_run_locked(batch);
     ShardMetrics::get().applied->add(batch.size());
     ++flushes_;
     any = true;
@@ -233,7 +261,23 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
 
   ClusterSummary& sum = next->cluster_part;
   std::map<std::uint64_t, TagSummary> by_tag;
-  for (AppState& app : apps_) {
+  for (std::size_t k = 0; k < apps_.size(); ++k) {
+    if (k + kPublishFetchAhead < apps_.size()) {
+      // Fetch what this walk and a refresh read of the app a few slots
+      // ahead: its leading fields and cached summary; when it is dirty,
+      // also its window ends (the rate span) and its min bucket, where
+      // the percentile walk starts.
+      const AppState& ahead = apps_[k + kPublishFetchAhead];
+      prefetch_lines(&ahead, &ahead.hist);
+      prefetch_lines(&ahead.cached, &ahead.cached + 1);
+      if (ahead.dirty && !ahead.window.empty()) {
+        __builtin_prefetch(&ahead.window.back(0));
+        __builtin_prefetch(&ahead.window.back(ahead.window.size() - 1));
+        __builtin_prefetch(
+            &ahead.hist.counts()[AppHistogram::bucket_index(ahead.min)]);
+      }
+    }
+    AppState& app = apps_[k];
     if (config_.clock) maintain_locked(app, now);
     if (app.dirty) refresh_locked(app);
     next->apps.push_back(app.cached);
@@ -401,6 +445,50 @@ void HubShard::TagTable::remove(std::uint64_t tag) {
     for (std::size_t k = i; k + 1 < size_; ++k) at(k) = at(k + 1);
   }
   --size_;
+}
+
+void HubShard::apply_run_locked(std::span<const AppRecord> recs) {
+  // Group prefetching: while record i is applied, record i + kApplyFetchAhead
+  // has its app's leading lines in flight and record i + kApplyTargetAhead,
+  // whose lines have landed by now, has its window ends and buckets in
+  // flight — so an app's misses overlap the applies before it.
+  const std::size_t n = recs.size();
+  for (std::size_t i = 0; i < std::min(n, kApplyFetchAhead); ++i) {
+    prefetch_app_locked(app_id_slot(recs[i].id));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kApplyFetchAhead < n) {
+      prefetch_app_locked(app_id_slot(recs[i + kApplyFetchAhead].id));
+    }
+    if (i + kApplyTargetAhead < n) {
+      const AppRecord& ahead = recs[i + kApplyTargetAhead];
+      prefetch_beat_targets_locked(app_id_slot(ahead.id),
+                                   ahead.rec.timestamp_ns);
+    }
+    apply_locked(app_id_slot(recs[i].id), recs[i].rec);
+  }
+}
+
+void HubShard::prefetch_app_locked(std::uint32_t slot) const {
+  const AppState& app = apps_[slot];
+  prefetch_lines(&app, &app.tags + 1);
+}
+
+void HubShard::prefetch_beat_targets_locked(std::uint32_t slot,
+                                            util::TimeNs timestamp_ns) const {
+  const AppState& app = apps_[slot];
+  app.tags.prefetch_ends();
+  const std::size_t n = app.window.size();
+  if (n == 0) return;  // no interval comes: the window starts fresh
+  __builtin_prefetch(&app.window.back(0));
+  // A full window's push overwrites its oldest beat, after retiring it.
+  if (n == app.window.capacity()) __builtin_prefetch(&app.window.back(n - 1), 1);
+  // The newest windowed beat is the last one applied, so last_beat_ns
+  // predicts the coming interval without reading the window.
+  const std::size_t bucket =
+      AppHistogram::bucket_index(interval_between(app.last_beat_ns, timestamp_ns));
+  __builtin_prefetch(&app.hist.counts()[bucket], 1);
+  __builtin_prefetch(&live_intervals_.counts()[bucket], 1);
 }
 
 void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec) {

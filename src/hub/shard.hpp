@@ -3,13 +3,19 @@
 // A shard owns a subset of the registered apps (assigned by name hash) and
 // is split into two stages with separate locks:
 //
-//   INGEST stage (ingest_mu_): producers pay a mutex acquire plus a vector
-//   push per beat. When the batch fills it is moved wholesale onto a FIFO
-//   of full batches — still under ingest_mu_, still O(1) — and the
-//   producer then drains the FIFO into app state under state_mu_, where it
-//   contends with readers but NOT with other producers, who keep appending
-//   to the fresh batch. The ingest critical section never contains window
-//   maintenance, summary refresh, or snapshot construction.
+//   INGEST stage (ingest_mu_): in-process producers (ingest, beat) pay a
+//   mutex acquire plus a vector push per beat. When the batch fills it is
+//   moved wholesale onto a FIFO of full batches — still under ingest_mu_,
+//   still O(1) — and the producer then drains the FIFO into app state
+//   under state_mu_, where it contends with readers but NOT with other
+//   producers, who keep appending to the fresh batch. The ingest critical
+//   section never contains window maintenance, summary refresh, or
+//   snapshot construction.
+//
+//   BULK apply (ingest_batch): a transport adapter that already holds many
+//   records — the shm pump's per-poll share of this shard, a registry
+//   replay — skips the batch and applies them under one state_mu_
+//   acquisition, after whatever the batch held, so arrival order holds.
 //
 //   PUBLISH stage (state_mu_): applying batches, sliding-window
 //   maintenance, summary refresh and snapshot construction run at publish
@@ -38,6 +44,14 @@
 //     most kMaxWindowCapacity - 1 intervals);
 //   * the exact moments and the min/max copy counts;
 //   * a TagTable: one (tag, count) entry per distinct windowed tag.
+// The fields a beat's apply touches come first and fill the app's first
+// four cache lines; the histogram and the cached summary follow.
+//
+// Apply and publish each walk many apps whose state was last written on
+// another CPU, so both prefetch ahead: apply fetches the app a fixed
+// number of records ahead in two stages (its first lines, then the
+// window ends and histogram buckets those lines point at), and publish
+// fetches the summary, moments and bounds of the app four slots ahead.
 //
 // A publish that finds nothing new (no pending beats, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
@@ -112,8 +126,12 @@ class HubShard {
   void enqueue(std::uint32_t slot, const core::HeartbeatRecord& rec)
       HB_EXCLUDES(ingest_mu_, state_mu_);
 
-  /// Append many raw beats for one app (amortizes the lock acquire).
-  void enqueue(std::uint32_t slot, std::span<const core::HeartbeatRecord> recs)
+  /// Apply records addressed to this shard's apps straight to app state,
+  /// in order, under one state_mu_ acquisition. The batch and apply FIFO
+  /// are applied first, so arrival order holds across both paths. Throws
+  /// std::out_of_range, before applying anything, if a record's slot is
+  /// not registered here. Every record's app_id_shard must be index().
+  void ingest_batch(std::span<const AppRecord> recs)
       HB_EXCLUDES(ingest_mu_, state_mu_);
 
   void set_target(std::uint32_t slot, core::TargetRate target)
@@ -170,6 +188,12 @@ class HubShard {
     /// Precondition: `tag` is counted.
     void remove(std::uint64_t tag);
     void clear() { head_ = size_ = 0; }
+    /// Prefetch the two entries add() and remove() look at first.
+    void prefetch_ends() const {
+      if (size_ == 0) return;
+      __builtin_prefetch(&at(0));
+      __builtin_prefetch(&at(size_ - 1));
+    }
 
     /// Call `fn(entry)` for every entry, ascending by tag.
     template <typename Fn>
@@ -192,21 +216,15 @@ class HubShard {
     std::size_t size_ = 0;
   };
 
-  struct AppState {
-    std::string name;
-    core::TargetRate target;
+  /// Cache-line aligned, so the fields apply touches (total_beats through
+  /// tags) span exactly the app's first four lines.
+  struct alignas(64) AppState {
     std::uint64_t total_beats = 0;
     util::TimeNs last_beat_ns = 0;  ///< survives eviction (staleness basis)
-    /// Registration time on the hub clock: the staleness baseline until the
-    /// first beat. Without it a freshly registered app under the monotonic
-    /// clock (epoch = boot) would read as stale for the whole uptime and be
-    /// instantly auto-evicted / classified dead.
-    util::TimeNs born_ns = 0;
+    util::RingBuffer<Beat> window;
     bool evicted = false;
     bool dirty = false;
-    util::RingBuffer<Beat> window;
     /// Views of exactly the window's intervals:
-    AppHistogram hist;           ///< percentiles
     util::ExactMoments moments;  ///< mean, stddev
     /// Lower / upper bound of every windowed interval, and how many copies
     /// of it the window holds. A count of 0 means the last copy left the
@@ -214,13 +232,22 @@ class HubShard {
     std::uint64_t min = 0, max = 0;
     std::size_t min_copies = 0, max_copies = 0;
     TagTable tags;  ///< windowed
+    // End of the fields apply touches (besides one histogram bucket).
+    core::TargetRate target;
+    /// Registration time on the hub clock: the staleness baseline until the
+    /// first beat. Without it a freshly registered app under the monotonic
+    /// clock (epoch = boot) would read as stale for the whole uptime and be
+    /// instantly auto-evicted / classified dead.
+    util::TimeNs born_ns = 0;
+    std::string name;
+    AppHistogram hist;  ///< percentiles of the windowed intervals
     AppSummary cached;
 
     explicit AppState(const ShardConfig& config)
         : window(config.window_capacity) {}
   };
 
-  using Batch = std::vector<std::pair<std::uint32_t, core::HeartbeatRecord>>;
+  using Batch = std::vector<AppRecord>;
 
   /// Drain the apply FIFO (and, when `include_partial`, the current batch)
   /// into app state, FIFO order. Caller holds state_mu_; ingest_mu_ is
@@ -228,6 +255,19 @@ class HubShard {
   /// was applied.
   bool apply_pending_locked(bool include_partial)
       HB_REQUIRES(state_mu_) HB_EXCLUDES(ingest_mu_);
+  /// Apply `recs` in order, prefetching each app a fixed distance ahead.
+  void apply_run_locked(std::span<const AppRecord> recs) HB_REQUIRES(state_mu_);
+  /// Prefetch the lines apply_locked touches first: the app's leading
+  /// fields up to and including its tag table.
+  void prefetch_app_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
+  /// Prefetch what the app's leading fields point at for a beat at
+  /// `timestamp_ns`: the window's newest and oldest beats, the tag table's
+  /// ends, and the per-app and shard histogram buckets of the coming
+  /// interval. Reads those leading fields, so it runs after
+  /// prefetch_app_locked has brought them in.
+  void prefetch_beat_targets_locked(std::uint32_t slot,
+                                    util::TimeNs timestamp_ns) const
+      HB_REQUIRES(state_mu_);
   /// The producer-side overflow drain: full batches only, no maintenance,
   /// no refresh, no snapshot — the cheapest correct apply.
   void drain_overflow() HB_EXCLUDES(state_mu_, ingest_mu_);

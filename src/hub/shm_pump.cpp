@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstring>
 #include <thread>
+
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
@@ -42,6 +47,36 @@ struct PumpMetrics {
   }
 };
 
+/// Name-table slots a pump starts with (4 KB); the table doubles as it
+/// fills.
+constexpr std::size_t kInitialTableSlots = 64;
+
+/// Hash of a zero-padded name key, a word at a time.
+std::uint64_t hash_key(const char* key) {
+  static_assert(transport::kIngestNameCap % 8 == 0);
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < transport::kIngestNameCap; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, key + i, 8);
+    h = (h ^ w) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+/// How late the kernel may end this thread's timed sleeps: its timer
+/// slack (50 us by default on Linux), read once per thread; 0 where it
+/// cannot be read.
+util::TimeNs timer_slack_ns() {
+#if defined(__linux__)
+  thread_local const util::TimeNs slack =
+      std::max(0, prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
+  return slack;
+#else
+  return 0;
+#endif
+}
+
 }  // namespace
 
 ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
@@ -49,7 +84,9 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
     : queue_(std::move(queue)),
       hub_(&hub),
       opts_(opts),
-      cursor_(queue_->tail_cursor()) {}
+      cursor_(queue_->tail_cursor()),
+      table_(kInitialTableSlots),
+      shard_runs_(hub_->shard_count()) {}
 
 ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
                              std::shared_ptr<HeartbeatHub> hub,
@@ -58,36 +95,84 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
       hub_(hub.get()),
       owner_(std::move(hub)),
       opts_(opts),
-      cursor_(queue_->tail_cursor()) {}
+      cursor_(queue_->tail_cursor()),
+      table_(kInitialTableSlots),
+      shard_runs_(hub_->shard_count()) {}
 
-void ShmIngestPump::route(std::string_view app,
+void ShmIngestPump::stage(std::string_view app,
                           const core::HeartbeatRecord& rec,
                           core::TargetRate target) {
-  auto it = apps_.find(app);
-  if (it == apps_.end()) {
-    AppEntry entry;
-    entry.id = hub_->register_app(std::string(app), target);
+  staged_.push_back(rec);
+  const auto min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
+  const auto max_bits = std::bit_cast<std::uint64_t>(target.max_bps);
+  // The drain hands over at most kIngestNameCap - 1 bytes; the cut is
+  // defense in depth, so a key always ends in a NUL.
+  app = app.substr(0, sizeof(NameKey) - 1);
+  if (!runs_.empty()) {
+    StagedRun& last = runs_.back();
+    if (last.name[app.size()] == '\0' &&
+        std::memcmp(last.name, app.data(), app.size()) == 0 &&
+        last.target_min_bits == min_bits && last.target_max_bits == max_bits) {
+      ++last.records;
+      return;
+    }
+  }
+  StagedRun& run = runs_.emplace_back();
+  std::memcpy(run.name, app.data(), app.size());
+  run.hash = hash_key(run.name);
+  run.target_min_bits = min_bits;
+  run.target_max_bits = max_bits;
+  run.records = 1;
+  // Pass 2 reads this slot: start fetching it while the drain goes on.
+  __builtin_prefetch(&table_[run.hash & (table_.size() - 1)]);
+}
+
+AppId ShmIngestPump::resolve(const StagedRun& run) {
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i = run.hash & mask;
+  while (table_[i].id != kNoApp &&
+         std::memcmp(table_[i].name, run.name, sizeof(NameKey)) != 0) {
+    i = (i + 1) & mask;
+  }
+  NameSlot& slot = table_[i];
+  const bool first_sight = slot.id == kNoApp;
+  // Compare as bit patterns: NaN/infinity-safe and cheaper than FP ==.
+  if (!first_sight && run.target_min_bits == slot.target_min_bits &&
+      run.target_max_bits == slot.target_max_bits) {
+    return slot.id;
+  }
+  const core::TargetRate target{std::bit_cast<double>(run.target_min_bits),
+                                std::bit_cast<double>(run.target_max_bits)};
+  if (first_sight) {
+    // Keep the table at most 3/4 full. Growing moves every slot, so probe
+    // again in the grown table.
+    if (4 * (table_apps_ + 1) > 3 * table_.size()) {
+      grow_table();
+      return resolve(run);
+    }
+    slot.id = hub_->register_app(std::string(run.name), target);
+    std::memcpy(slot.name, run.name, sizeof(NameKey));
+    ++table_apps_;
     // register_app keeps the existing target when the name was already
     // registered (registry replay, an earlier pump); the ring frame
     // carries the producer's CURRENT target, so apply it regardless.
-    hub_->set_target(entry.id, target);
-    entry.target_min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
-    entry.target_max_bits = std::bit_cast<std::uint64_t>(target.max_bps);
-    it = apps_.emplace(std::string(app), std::move(entry)).first;
-  } else {
-    // Compare as bit patterns: NaN/infinity-safe and cheaper than FP ==.
-    AppEntry& entry = it->second;
-    const auto min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
-    const auto max_bits = std::bit_cast<std::uint64_t>(target.max_bps);
-    if (min_bits != entry.target_min_bits || max_bits != entry.target_max_bits) {
-      hub_->set_target(entry.id, target);
-      entry.target_min_bits = min_bits;
-      entry.target_max_bits = max_bits;
-    }
   }
-  AppEntry& entry = it->second;
-  if (entry.pending.empty()) touched_.push_back(&entry);
-  entry.pending.push_back(rec);
+  hub_->set_target(slot.id, target);
+  slot.target_min_bits = run.target_min_bits;
+  slot.target_max_bits = run.target_max_bits;
+  return slot.id;
+}
+
+void ShmIngestPump::grow_table() {
+  std::vector<NameSlot> old(2 * table_.size());
+  old.swap(table_);
+  const std::size_t mask = table_.size() - 1;
+  for (const NameSlot& slot : old) {
+    if (slot.id == kNoApp) continue;
+    std::size_t i = hash_key(slot.name) & mask;
+    while (table_[i].id != kNoApp) i = (i + 1) & mask;
+    table_[i] = slot;
+  }
 }
 
 std::size_t ShmIngestPump::poll() {
@@ -95,17 +180,28 @@ std::size_t ShmIngestPump::poll() {
   obs::ObsSpan span("pump.poll");
   ++polls_;
   metrics.polls->add(1);
-  touched_.clear();
+  // Pass 1: drain and stage.
   const std::size_t drained = queue_->drain(
       cursor_,
       [this](std::string_view app, const core::HeartbeatRecord& rec,
-             core::TargetRate target) { route(app, rec, target); },
+             core::TargetRate target) { stage(app, rec, target); },
       opts_.max_stall_polls);
-  for (AppEntry* entry : touched_) {
-    hub_->ingest_batch(entry->id, entry->pending);
-    entry->pending.clear();
+  // Pass 2: route each run to its shard, then one apply per shard.
+  std::size_t next = 0;
+  for (const StagedRun& run : runs_) {
+    const AppId id = resolve(run);
+    std::vector<AppRecord>& out = shard_runs_[app_id_shard(id)];
+    for (std::uint32_t k = 0; k < run.records; ++k) {
+      out.push_back(AppRecord{id, staged_[next++]});
+    }
   }
-  touched_.clear();
+  staged_.clear();
+  runs_.clear();
+  for (std::vector<AppRecord>& out : shard_runs_) {
+    if (out.empty()) continue;
+    hub_->ingest_batch(out);
+    out.clear();
+  }
   // Only a genuinely idle poll (cursor caught up to every stream head)
   // feeds the backoff and lets the next wait() park. A drain that returned
   // nothing while frames are pending is BLOCKED — head-of-line slot
@@ -120,13 +216,19 @@ std::size_t ShmIngestPump::poll() {
     empty_polls_ = 0;
   }
   if (drained > 0) metrics.records->add(drained);
-  metrics.apps->set(static_cast<std::int64_t>(apps_.size()));
+  metrics.apps->set(static_cast<std::int64_t>(table_apps_));
   span.set_arg(drained);
   return drained;
 }
 
 bool ShmIngestPump::wait(util::TimeNs budget_ns) {
-  if (budget_ns <= 0) return false;
+  // A sleep ends up to one timer slack after it was due. Aim the budget
+  // that much early, so a sleep the budget cuts short ends by the caller's
+  // deadline instead of after it; within one slack of the deadline there
+  // is nothing left to sleep.
+  const util::TimeNs slack = timer_slack_ns();
+  if (budget_ns <= slack) return false;
+  budget_ns -= slack;
   if (empty_polls_ == 0) {
     // The last poll left the ring busy (it drained records, or it is
     // blocked on a claimed slot): nap at the floor without advertising
@@ -191,7 +293,7 @@ ShmIngestPumpStats ShmIngestPump::stats() const {
   s.consumed = cursor_.consumed;
   s.dropped = cursor_.dropped;
   s.torn = cursor_.torn;
-  s.apps = apps_.size();
+  s.apps = table_apps_;
   s.lane_records = cursor_.lane_records;
   s.parks = parks_;
   s.doorbell_wakes = doorbell_wakes_;

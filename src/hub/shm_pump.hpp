@@ -1,9 +1,15 @@
 // ShmIngestPump: drain a cross-process ingest ring into a HeartbeatHub.
 //
 // The consumer half of the transport/ShmIngestQueue pipeline. One pump owns
-// one ring cursor and one hub: each poll() drains every committed frame
-// (shared ring + fast lanes), groups the records per application, and hands
-// each group to HeartbeatHub::ingest_batch in one shard-lock acquire.
+// one ring cursor and one hub, and each poll() is one batch in two passes:
+//
+//   1. drain every committed frame (shared ring + fast lanes) and stage the
+//      records, one name per run of consecutive same-name records; each new
+//      run's name is hashed once and its name-table slot prefetched;
+//   2. resolve each run to its AppId in a flat open-addressing name table
+//      and append its records to its shard's run; then hand each shard's
+//      run to HeartbeatHub::ingest_batch — one apply per shard per poll.
+//
 // Applications are registered on first sight (with the target carried in
 // their frames) and re-targeted whenever a drained frame shows a changed
 // target — so a fleet of external producer processes reaches FleetDetector
@@ -39,7 +45,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/record.hpp"
@@ -108,7 +113,9 @@ class ShmIngestPump {
   /// ingested. Returns the number of records ingested by this call.
   std::size_t poll();
 
-  /// Sleep until the next poll() is worth making, for at most `budget_ns`.
+  /// Sleep until the next poll() is worth making, for at most `budget_ns`:
+  /// sleeps aim one timer slack (how late the kernel may end them) short
+  /// of the budget, and a budget within that slack returns false at once.
   /// After a busy poll (records drained, or blocked on a claimed slot) or a
   /// doorbell wake: nap idle_sleep_min_ns without parking and return true.
   /// After an empty poll: park on the doorbell (clamped to
@@ -130,15 +137,39 @@ class ShmIngestPump {
   }
 
  private:
-  struct AppEntry {
-    AppId id = 0;
+  /// A drained name as a table key: its bytes, zero-padded to the ring's
+  /// name field. The drain hands over at most kIngestNameCap - 1 bytes
+  /// with no NUL inside, so equal keys are equal names.
+  using NameKey = char[transport::kIngestNameCap];
+
+  /// One name-table slot, one cache line: a probe reads one line.
+  struct alignas(64) NameSlot {
+    NameKey name = {};
     std::uint64_t target_min_bits = 0;
     std::uint64_t target_max_bits = 0;
-    std::vector<core::HeartbeatRecord> pending;
+    /// kNoApp marks an empty slot. Never a name value: ring names are
+    /// untrusted, and "" is a name like any other.
+    AppId id = kNoApp;
+  };
+  static constexpr AppId kNoApp = ~AppId{0};
+  static_assert(sizeof(NameSlot) == 64, "a name-table slot is one cache line");
+
+  /// Consecutive drained records with one name and one target.
+  struct StagedRun {
+    NameKey name = {};
+    std::uint64_t hash = 0;
+    std::uint64_t target_min_bits = 0;
+    std::uint64_t target_max_bits = 0;
+    std::uint32_t records = 0;
   };
 
-  void route(std::string_view app, const core::HeartbeatRecord& rec,
+  /// Pass 1: stage one drained record.
+  void stage(std::string_view app, const core::HeartbeatRecord& rec,
              core::TargetRate target);
+  /// Pass 2: the run's AppId, registering or re-targeting the app.
+  AppId resolve(const StagedRun& run);
+  /// Double the name table and re-place every entry.
+  void grow_table();
 
   std::shared_ptr<transport::ShmIngestQueue> queue_;
   HeartbeatHub* hub_;
@@ -154,15 +185,15 @@ class ShmIngestPump {
   std::uint64_t spurious_wakes_ = 0;
   std::uint64_t wait_timeouts_ = 0;
 
-  // Transparent lookup so routing a drained record never allocates a key.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, AppEntry, NameHash, std::equal_to<>> apps_;
-  std::vector<AppEntry*> touched_;  ///< entries with pending records this poll
+  /// Open addressing, linear probing, power-of-two size, at most 3/4 full.
+  std::vector<NameSlot> table_;
+  std::size_t table_apps_ = 0;  ///< occupied slots: distinct names seen
+  /// One poll's staging: records in drain order, and the runs that cover
+  /// them in order.
+  std::vector<core::HeartbeatRecord> staged_;
+  std::vector<StagedRun> runs_;
+  /// One poll's records per hub shard, indexed by shard.
+  std::vector<std::vector<AppRecord>> shard_runs_;
 };
 
 }  // namespace hb::hub

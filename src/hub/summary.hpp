@@ -31,6 +31,13 @@ constexpr std::uint32_t app_id_slot(AppId id) {
   return static_cast<std::uint32_t>(id & 0xffffffffu);
 }
 
+/// A record addressed to a registered app: the unit of bulk ingest
+/// (HeartbeatHub::ingest_batch).
+struct AppRecord {
+  AppId id = 0;
+  core::HeartbeatRecord rec;
+};
+
 /// One application's sliding-window summary, as of its last batch flush.
 /// "Latency" throughout is the inter-beat interval in nanoseconds — the
 /// paper's heart-rate signal seen from the other side.
@@ -103,8 +110,9 @@ struct ClusterSummary {
 struct ShardStats {
   std::uint32_t shard = 0;
   std::uint64_t apps = 0;
-  std::uint64_t ingested = 0;  ///< raw beats accepted into the batch
-  std::uint64_t flushes = 0;   ///< batch applies (overflow or query-forced)
+  std::uint64_t ingested = 0;  ///< raw beats taken in (batch or bulk)
+  /// Applies: batch drains (overflow or query-forced) and bulk ingests.
+  std::uint64_t flushes = 0;
   std::uint64_t pending = 0;   ///< raw beats currently buffered
   std::uint64_t epoch = 0;     ///< published ShardSnapshot epoch (0: none yet)
 };

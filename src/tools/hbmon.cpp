@@ -359,7 +359,11 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
       const auto target = reader.target();
       const auto history =
           reader.history(static_cast<std::size_t>(history_beats));
-      hub.ingest_batch(hub.register_app(app, target), history);
+      const hb::hub::AppId id = hub.register_app(app, target);
+      std::vector<hb::hub::AppRecord> recs;
+      recs.reserve(history.size());
+      for (const auto& rec : history) recs.push_back({id, rec});
+      hub.ingest_batch(recs);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "hbmon: skipping %s: %s\n", app.c_str(), e.what());
     }

@@ -14,6 +14,12 @@
 // squares 128 + log2(count) bits, which overflows even unsigned __int128
 // for ~2^60 ns intervals over a 255-beat window — hence the 192-bit
 // accumulator. Both updates are a few adds and one 64x64 multiply.
+//
+// Reads take a 64-bit fast path whenever the wide values fit in 64 bits
+// — every realistic window does: 255 intervals of 20 ms sum to ~5e9 —
+// with bit-identical results: a u64 divide gives the same quotient and
+// remainder as a u128 one, and a value below 2^64 converts to the same
+// double from either width.
 #pragma once
 
 #include <cmath>
@@ -43,8 +49,7 @@ class ExactMoments {
   /// Arithmetic mean: the exact integer sum, rounded once to double, over
   /// the count. 0 when empty.
   double mean() const {
-    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
-                  : 0.0;
+    return count_ ? to_double(sum_) / static_cast<double>(count_) : 0.0;
   }
 
   /// Population standard deviation, exactly 0 for identical values and
@@ -56,9 +61,16 @@ class ExactMoments {
     //   variance = D / n - (r / n)^2.
     // Every intermediate wraps mod 2^192 but D itself fits, so D is exact;
     // only the two doubles at the end round.
-    const U128 n = count_;
-    const auto m = static_cast<std::uint64_t>(sum_ / n);
-    const auto r = static_cast<std::uint64_t>(sum_ % n);
+    std::uint64_t m, r;
+    if (fits_u64(sum_)) {
+      const auto sum = static_cast<std::uint64_t>(sum_);
+      m = sum / count_;
+      r = sum % count_;
+    } else {
+      const U128 n = count_;
+      m = static_cast<std::uint64_t>(sum_ / n);
+      r = static_cast<std::uint64_t>(sum_ % n);
+    }
     U192 d = sumsq_;
     d.sub(U192::mul(m, sum_ + r));
     const double dn = static_cast<double>(count_);
@@ -68,6 +80,12 @@ class ExactMoments {
 
  private:
   using U128 = unsigned __int128;
+
+  static bool fits_u64(U128 v) { return (v >> 64) == 0; }
+  static double to_double(U128 v) {
+    return fits_u64(v) ? static_cast<double>(static_cast<std::uint64_t>(v))
+                       : static_cast<double>(v);
+  }
 
   /// Unsigned 192-bit integer, arithmetic mod 2^192.
   struct U192 {
@@ -95,6 +113,7 @@ class ExactMoments {
       return out;
     }
     double to_double() const {
+      if (hi == 0) return ExactMoments::to_double(lo);
       return std::ldexp(static_cast<double>(hi), 128) + static_cast<double>(lo);
     }
   };

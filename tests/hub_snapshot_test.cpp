@@ -110,9 +110,9 @@ TEST(SnapshotEpochs, OverflowDrainedBeatsAlwaysReachTheNextSnapshot) {
   EXPECT_EQ(hub.snapshot()->cluster().total_beats, 5u);
 
   // Same shape through the span path and an idempotent re-evict.
-  std::vector<core::HeartbeatRecord> recs(4);
-  for (auto& r : recs) r.timestamp_ns = clock->now();
-  hub.ingest_batch(id, recs);
+  std::vector<AppRecord> recs(4, AppRecord{id, {}});
+  for (auto& r : recs) r.rec.timestamp_ns = clock->now();
+  hub.ingest_batch(recs);
   EXPECT_EQ(hub.snapshot()->cluster().total_beats, 9u);
 }
 

@@ -19,6 +19,7 @@
 #include "core/rate.hpp"
 #include "hub/hub.hpp"
 #include "hub/sink.hpp"
+#include "obs/metrics.hpp"
 #include "transport/registry.hpp"
 #include "util/clock.hpp"
 #include "util/time.hpp"
@@ -195,16 +196,95 @@ TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1, 4));
   const AppId id = hub.register_app("a");
-  std::vector<core::HeartbeatRecord> recs(10);
+  std::vector<AppRecord> recs(10);
   for (int i = 0; i < 10; ++i) {
-    recs[i].timestamp_ns = (i + 1) * kNsPerMs;
-    recs[i].tag = 7;
+    recs[i].id = id;
+    recs[i].rec.timestamp_ns = (i + 1) * kNsPerMs;
+    recs[i].rec.tag = 7;
   }
-  hub.ingest_batch(id, recs);
+  hub.ingest_batch(recs);
+  // Applied straight to app state in one apply, past the batch of 4.
+  EXPECT_EQ(hub.shard(0).stats().pending, 0u);
+  EXPECT_EQ(hub.shard(0).stats().flushes, 1u);
   const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.total_beats, 10u);
   EXPECT_EQ(tag_of(hub, 7).beats, 10u);
-  EXPECT_GE(hub.shard(0).stats().flushes, 2u);  // 10 beats / batch of 4
+}
+
+TEST(HubBatching, BulkIngestAppliesAfterTheBatchInArrivalOrder) {
+  // Beats 1..3 ms wait in the shard's batch (capacity 64); beats 4..7 ms
+  // then arrive in bulk. The bulk apply must take the batch first, or the
+  // window would hold 4..7 before 1..3: a 0-clamped interval, a newest
+  // beat at 3 ms, and a negative span.
+  auto clock = std::make_shared<util::ManualClock>();
+  HeartbeatHub hub(manual_opts(clock, 1, 64));
+  const AppId id = hub.register_app("a");
+  for (int i = 1; i <= 3; ++i) {
+    core::HeartbeatRecord rec;
+    rec.timestamp_ns = i * kNsPerMs;
+    hub.ingest(id, rec);
+  }
+  EXPECT_EQ(hub.shard(0).stats().pending, 3u);
+  std::vector<AppRecord> bulk;
+  for (int i = 4; i <= 7; ++i) {
+    AppRecord r{id, {}};
+    r.rec.timestamp_ns = i * kNsPerMs;
+    bulk.push_back(r);
+  }
+  hub.ingest_batch(bulk);
+  EXPECT_EQ(hub.shard(0).stats().pending, 0u);
+
+  const AppSummary s = hub.summary(id);
+  EXPECT_EQ(s.total_beats, 7u);
+  EXPECT_EQ(s.window_beats, 7u);
+  EXPECT_EQ(s.last_beat_ns, 7 * kNsPerMs);          // newest
+  EXPECT_DOUBLE_EQ(s.rate_bps, 6.0 / 0.006);        // oldest at 1 ms
+  EXPECT_EQ(s.interval_min_ns, std::uint64_t{kNsPerMs});
+  EXPECT_EQ(s.interval_max_ns, std::uint64_t{kNsPerMs});
+  EXPECT_EQ(hub.shard(0).publish()->intervals.count(), 6u);  // 6 intervals
+}
+
+TEST(HubBatching, IngestedEqualsAppliedAfterAFlush) {
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& ingested = registry.counter("hb.hub.ingested");
+  obs::Counter& applied = registry.counter("hb.hub.applied");
+  const std::uint64_t ingested0 = ingested.value();
+  const std::uint64_t applied0 = applied.value();
+
+  auto clock = std::make_shared<util::ManualClock>();
+  HeartbeatHub hub(manual_opts(clock, 2, 4));
+  const AppId a = hub.register_app("a");
+  const AppId b = hub.register_app("b");
+  // 11 beats through the batch (two full handoffs and a partial one), 9 in
+  // bulk across both apps, then 2 more that a flush must drain.
+  std::vector<std::uint64_t> sent(hub.shard_count(), 0);
+  auto beat = [&](AppId id) {
+    hub.beat(id);
+    ++sent[app_id_shard(id)];
+  };
+  for (int i = 0; i < 11; ++i) beat(i % 2 ? a : b);
+  std::vector<AppRecord> bulk;
+  for (int i = 0; i < 9; ++i) {
+    AppRecord r{i % 3 ? a : b, {}};
+    r.rec.timestamp_ns = clock->now();
+    bulk.push_back(r);
+    ++sent[app_id_shard(r.id)];
+  }
+  hub.ingest_batch(bulk);
+  beat(a);
+  beat(b);
+  hub.flush();
+
+  if (obs::kCompiledIn) {  // the registry reads 0 with telemetry compiled out
+    EXPECT_EQ(ingested.value() - ingested0, 22u);
+    EXPECT_EQ(applied.value() - applied0, 22u);
+  }
+  for (std::size_t i = 0; i < hub.shard_count(); ++i) {
+    const ShardStats st = hub.shard(i).stats();
+    EXPECT_EQ(st.ingested, sent[i]) << "shard " << i;
+    EXPECT_EQ(st.pending, 0u);
+  }
+  EXPECT_EQ(hub.summary(a).total_beats + hub.summary(b).total_beats, 22u);
 }
 
 // ----------------------------------------------------------- rate semantics

@@ -421,7 +421,9 @@ TEST(HubWindowLimits, AFullLargestWindowCountsWithoutWrapping) {
     recs[k].timestamp_ns = static_cast<util::TimeNs>(k * kInterval);
     recs[k].tag = k;
   }
-  hub.ingest_batch(full, recs);
+  std::vector<AppRecord> batch;
+  for (const auto& rec : recs) batch.push_back(AppRecord{full, rec});
+  hub.ingest_batch(batch);
 
   auto snap = hub.snapshot();
   const AppSummary* s = snap->find(full);

@@ -3,6 +3,7 @@
 // ShmHubSink mirroring, and the fork-based multi-process pump smoke (hub
 // verdicts via the ring must match in-process ingestion exactly).
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -691,6 +692,32 @@ TEST_F(ShmIngestTest, PumpNapsWhileBusyAndParksWhenEmpty) {
   EXPECT_EQ(pump.poll(), 1u);
 }
 
+TEST_F(ShmIngestTest, PumpWaitEndsByItsDeadline) {
+  if (!ShmIngestQueue::doorbell_supported()) {
+    GTEST_SKIP() << "no futex on this platform";
+  }
+  auto q = ShmIngestQueue::create(file(), 32);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  constexpr util::TimeNs kSlack = 2 * kNsPerMs;
+  // A thread of its own: wait() reads each thread's timer slack once.
+  std::thread([&] {
+    ASSERT_EQ(prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(kSlack), 0, 0, 0),
+              0);
+    ASSERT_EQ(pump.poll(), 0u);
+    // Within one slack of the deadline there is nothing to sleep.
+    EXPECT_FALSE(pump.wait(kSlack));
+    EXPECT_EQ(pump.stats().parks, 0u);
+    // A park the budget cuts short aims one slack early, so even the
+    // latest end the kernel may give it is due by the deadline.
+    const auto t1 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(pump.wait(3 * kSlack));
+    EXPECT_GE(std::chrono::steady_clock::now() - t1, std::chrono::nanoseconds(2 * kSlack));
+    EXPECT_EQ(pump.stats().parks, 1u);
+    EXPECT_EQ(pump.stats().wait_timeouts, 1u);
+  }).join();
+}
+
 TEST_F(ShmIngestTest, PumpDrillLosesNothingAndRarelyRings) {
   // Default options, four producer threads (two on fast lanes, two on the
   // shared ring) beating with short random pauses, and the canonical
@@ -831,9 +858,11 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
   for (int p = 0; p < kProducers; ++p) {
     const auto recs = plan(p);
     direct_total += recs.size();
-    in_process.ingest_batch(
-        in_process.register_app("proc" + std::to_string(p), target_of(p)),
-        recs);
+    const hub::AppId id =
+        in_process.register_app("proc" + std::to_string(p), target_of(p));
+    std::vector<hub::AppRecord> batch;
+    for (const auto& rec : recs) batch.push_back(hub::AppRecord{id, rec});
+    in_process.ingest_batch(batch);
   }
   EXPECT_EQ(total, direct_total);
 
@@ -861,6 +890,116 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
   EXPECT_EQ(fleet.slow, 1u);
   EXPECT_EQ(fleet.erratic, 1u);
   EXPECT_EQ(fleet.dead_apps, std::vector<std::string>{"proc1"});
+}
+
+// ------------------------------------------------------- pump name routing
+
+TEST_F(ShmIngestTest, PumpRoutesTenThousandNamesThroughTableGrowths) {
+  // The pump's name table starts small and doubles as it fills: 10 000
+  // distinct names force several growths. Every name must keep one app,
+  // registered once, with every beat it sent.
+  constexpr int kApps = 10000;
+  constexpr int kPerPoll = 700;  // frames per poll stay below the ring size
+  auto q = ShmIngestQueue::create(file(), 4096);
+  hub::HubOptions opts;
+  opts.window_capacity = 4;  // keep 10 000 apps small
+  hub::HeartbeatHub hub(opts);
+  hub::ShmIngestPump pump(q, hub);
+  auto name_of = [](int i) { return "app-" + std::to_string(i); };
+  auto beats_of = [](int i) { return static_cast<std::size_t>(i % 3 + 1); };
+
+  std::size_t sent = 0;
+  for (int first = 0; first < kApps; first += kPerPoll) {
+    for (int i = first; i < std::min(kApps, first + kPerPoll); ++i) {
+      std::vector<core::HeartbeatRecord> recs;
+      for (std::size_t k = 0; k < beats_of(i); ++k) {
+        recs.push_back(rec_at(static_cast<util::TimeNs>(k + 1) * kNsPerMs));
+      }
+      q->append_batch(name_of(i), recs, {});
+      sent += recs.size();
+    }
+    pump.poll();
+  }
+  // Second pass: every name beats once more, so each lookup now hits.
+  for (int i = 0; i < kApps; ++i) {
+    q->append(name_of(i), rec_at(10 * kNsPerMs), {});
+    ++sent;
+    if (i % kPerPoll == kPerPoll - 1) pump.poll();
+  }
+  pump.poll();
+
+  EXPECT_EQ(pump.stats().consumed, sent);
+  EXPECT_EQ(pump.stats().dropped, 0u);
+  EXPECT_EQ(pump.stats().apps, static_cast<std::uint64_t>(kApps));
+  EXPECT_EQ(hub.app_count(), static_cast<std::size_t>(kApps));
+  for (int i = 0; i < kApps; ++i) {
+    ASSERT_EQ(hub.summary(hub.id_of(name_of(i))).total_beats, beats_of(i) + 1)
+        << name_of(i);
+  }
+}
+
+TEST_F(ShmIngestTest, PumpKeepsFullLengthNamesApart) {
+  // The longest names the ring carries verbatim (kIngestNameCap - 1
+  // bytes), differing only in their last byte, are two apps.
+  auto q = ShmIngestQueue::create(file(), 64);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  const std::string a = std::string(kIngestNameCap - 2, 'n') + "a";
+  const std::string b = std::string(kIngestNameCap - 2, 'n') + "b";
+  ASSERT_EQ(a.size(), 39u);
+  q->append(a, rec_at(1 * kNsPerMs), {});
+  q->append(b, rec_at(1 * kNsPerMs), {});
+  q->append(a, rec_at(2 * kNsPerMs), {});
+  q->append(a, rec_at(3 * kNsPerMs), {});
+  EXPECT_EQ(pump.poll(), 4u);
+  EXPECT_EQ(pump.stats().apps, 2u);
+  EXPECT_EQ(hub.summary(hub.id_of(a)).total_beats, 3u);
+  EXPECT_EQ(hub.summary(hub.id_of(b)).total_beats, 1u);
+}
+
+TEST_F(ShmIngestTest, PumpRoutesTheEmptyNameLikeAnyOther) {
+  // Empty table slots are marked by their AppId, not by their name: the
+  // empty name is an ordinary key.
+  auto q = ShmIngestQueue::create(file(), 64);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  q->append("", rec_at(1 * kNsPerMs), {});
+  q->append("x", rec_at(1 * kNsPerMs), {});
+  q->append("", rec_at(2 * kNsPerMs), {});
+  EXPECT_EQ(pump.poll(), 3u);
+  q->append("", rec_at(3 * kNsPerMs), {});
+  EXPECT_EQ(pump.poll(), 1u);
+  EXPECT_EQ(pump.stats().apps, 2u);
+  EXPECT_EQ(hub.app_count(), 2u);
+  EXPECT_EQ(hub.summary(hub.id_of("")).total_beats, 3u);
+  EXPECT_EQ(hub.summary(hub.id_of("x")).total_beats, 1u);
+}
+
+TEST_F(ShmIngestTest, PumpAppliesATargetChangedMidStream) {
+  auto q = ShmIngestQueue::create(file(), 64);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  q->append("enc", rec_at(1 * kNsPerMs), {10.0, 20.0});
+  EXPECT_EQ(pump.poll(), 1u);
+  const hub::AppId id = hub.id_of("enc");
+  EXPECT_EQ(hub.summary(id).target.min_bps, 10.0);
+
+  // Changed within one poll's stream: the newest target wins.
+  q->append("enc", rec_at(2 * kNsPerMs), {10.0, 20.0});
+  q->append("enc", rec_at(3 * kNsPerMs), {30.0, 40.0});
+  EXPECT_EQ(pump.poll(), 2u);
+  auto s = hub.summary(id);
+  EXPECT_EQ(s.target.min_bps, 30.0);
+  EXPECT_EQ(s.target.max_bps, 40.0);
+  EXPECT_EQ(s.total_beats, 3u);
+
+  // And back, on the next poll.
+  q->append("enc", rec_at(4 * kNsPerMs), {10.0, 20.0});
+  EXPECT_EQ(pump.poll(), 1u);
+  s = hub.summary(id);
+  EXPECT_EQ(s.target.min_bps, 10.0);
+  EXPECT_EQ(s.target.max_bps, 20.0);
+  EXPECT_EQ(pump.stats().apps, 1u);
 }
 
 }  // namespace

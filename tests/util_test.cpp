@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -255,6 +256,84 @@ TEST(ExactMoments, SpreadOfHugeValuesIsExactToDoublePrecision) {
   const double half = static_cast<double>(top) / 2.0;
   EXPECT_EQ(m.mean(), half);
   EXPECT_NEAR(m.stddev() / half, 1.0, 1e-15);
+}
+
+// The mean and stddev formulas at full width, the way ExactMoments computed
+// them before its 64-bit fast path: a u128 divide and a u128 -> double
+// conversion. Valid while the sum of squares fits in 128 bits.
+struct WideMoments {
+  using U128 = unsigned __int128;
+  std::uint64_t n = 0;
+  U128 sum = 0;
+  U128 sumsq = 0;
+
+  explicit WideMoments(const std::vector<std::uint64_t>& values) {
+    for (const std::uint64_t v : values) {
+      ++n;
+      sum += v;
+      sumsq += static_cast<U128>(v) * v;
+    }
+  }
+  double mean() const {
+    return static_cast<double>(sum) / static_cast<double>(n);
+  }
+  double stddev() const {
+    const auto m = static_cast<std::uint64_t>(sum / n);
+    const auto r = static_cast<std::uint64_t>(sum % n);
+    const U128 d = sumsq - static_cast<U128>(m) * (sum + r);
+    const double dn = static_cast<double>(n);
+    const double frac = static_cast<double>(r) / dn;
+    return std::sqrt(std::fmax(0.0, static_cast<double>(d) / dn - frac * frac));
+  }
+};
+
+TEST(ExactMoments, FastPathMatchesTheWidePathBitForBit) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      // Sums just below 2^64: the fast path.
+      {kTop - 1, kTop - 2},
+      {kTop - 1, kTop - 1 - 12345, 12345},
+      {kTop - 3, kTop + 2},
+      // Sums just above 2^64: the wide path.
+      {kTop, kTop},
+      {kTop + 1, kTop + 2},
+      {kTop + 7, kTop - 3, 1},
+      // Values near 2^63 with a sum far from 2^64.
+      {kTop - 1},
+      {kTop + 1, 3},
+      // A realistic window: 255 intervals of about 20 ms.
+      {20'000'000, 20'000'317, 19'999'001, 20'004'999, 19'990'000},
+  };
+  for (const auto& values : cases) {
+    ExactMoments m;
+    for (const std::uint64_t v : values) m.add(v);
+    const WideMoments wide(values);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.mean()),
+              std::bit_cast<std::uint64_t>(wide.mean()))
+        << m.mean() << " vs " << wide.mean();
+    if (values.size() >= 2) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(m.stddev()),
+                std::bit_cast<std::uint64_t>(wide.stddev()))
+          << m.stddev() << " vs " << wide.stddev();
+    }
+  }
+}
+
+TEST(ExactMoments, CrossingTwoToTheSixtyFourKeepsTheWideResults) {
+  // Step a window's sum up through 2^64 and back down: every read on
+  // either side equals the full-width formula.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  ExactMoments m;
+  m.add(kTop);
+  for (std::uint64_t v = kTop - 3; v <= kTop + 3; ++v) {
+    m.add(v);
+    const WideMoments wide({kTop, v});
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.mean()),
+              std::bit_cast<std::uint64_t>(wide.mean()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.stddev()),
+              std::bit_cast<std::uint64_t>(wide.stddev()));
+    m.remove(v);
+  }
 }
 
 // ------------------------------------------------------------- statistics
