@@ -1,12 +1,14 @@
 // Hub ingest throughput: beats/sec vs producer count vs shard count.
 //
 // Why shards help even before true parallelism: every beat pays (a) the
-// stripe lock and (b) its amortized share of the batch flush, and a flush's
-// cost is proportional to the number of co-resident apps whose summaries it
-// refreshes. With S shards over a fixed fleet, each stripe holds 1/S of the
-// apps and sees 1/S of the producers, so both terms shrink as S grows. The
-// bench pins that down: a fixed fleet of 64 apps, beaten by P producer
-// threads, swept over shard counts {1,2,4,8,16}.
+// stripe lock and (b) its share of an apply — the producer whose push
+// leaves a shard's pending buffer at hb::hub::kIngestBatch beats swaps the
+// buffer out and applies it under the shard's state lock, and the other
+// producers on that stripe queue behind it when they fill the next one.
+// With S shards over a fixed fleet, each stripe holds 1/S of the apps and
+// sees 1/S of the producers, so both terms shrink as S grows. The bench
+// pins that down: a fixed fleet of 64 apps, beaten by P producer threads,
+// swept over shard counts {1,2,4,8,16}.
 //
 // Producers here are multi-tenant ingestion gateways — each thread forwards
 // beats for the WHOLE fleet round-robin (the HubSink shape: a transport
@@ -69,7 +71,6 @@ RunResult run_once(int producers, int shards, std::uint64_t total_beats,
                    const std::vector<std::vector<std::string>>& names) {
   hb::hub::HubOptions opts;
   opts.shard_count = static_cast<std::size_t>(shards);
-  opts.batch_capacity = 64;
   opts.window_capacity = 256;
   hb::hub::HeartbeatHub hub(opts);
 

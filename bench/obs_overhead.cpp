@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
 
   hb::hub::HubOptions opts;
   opts.shard_count = 16;
-  opts.batch_capacity = 64;
   opts.window_capacity = 64;
   hb::hub::HeartbeatHub hub(opts);
 

@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   p.clock = std::make_shared<hb::util::ManualClock>(1);
   hb::hub::HubOptions opts;
   opts.shard_count = 16;
-  opts.batch_capacity = 64;
   opts.window_capacity = 64;
   opts.clock = p.clock;
   p.monitor = std::make_unique<hb::policy::Monitor>(

@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   auto clock = std::make_shared<hb::util::ManualClock>();
   hb::hub::HubOptions opts;
   opts.shard_count = 16;
-  opts.batch_capacity = 64;
   opts.window_capacity = 64;
   opts.clock = clock;
   hb::hub::HeartbeatHub hub(opts);

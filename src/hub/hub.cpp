@@ -33,7 +33,6 @@ struct HubMetrics {
 
 HubOptions normalize(HubOptions opts) {
   if (opts.shard_count == 0) opts.shard_count = 1;
-  if (opts.batch_capacity == 0) opts.batch_capacity = 1;
   if (opts.window_capacity < 2) opts.window_capacity = 2;
   if (!opts.clock) opts.clock = util::MonotonicClock::instance();
   return opts;
@@ -42,9 +41,8 @@ HubOptions normalize(HubOptions opts) {
 }  // namespace
 
 HeartbeatHub::HeartbeatHub(HubOptions opts) : opts_(normalize(std::move(opts))) {
-  const ShardConfig config{opts_.batch_capacity, opts_.window_capacity,
-                           opts_.rate_window, opts_.evict_after_ns,
-                           opts_.clock};
+  const ShardConfig config{opts_.window_capacity, opts_.rate_window,
+                           opts_.evict_after_ns, opts_.clock};
   shards_.reserve(opts_.shard_count);
   for (std::size_t i = 0; i < opts_.shard_count; ++i) {
     shards_.push_back(
@@ -128,9 +126,9 @@ void HeartbeatHub::evict(AppId id) {
 
 void HeartbeatHub::flush() {
   for (auto& shard : shards_) shard->publish();
-  // The beat lands in its shard's batch and is applied by the next flush
-  // or publish — what matters for the staleness signal is that the
-  // timestamp was stamped *now*, while the maintenance loop was alive.
+  // The beat lands in its shard's pending buffer and is applied by the
+  // next flush or publish — what matters for the staleness signal is that
+  // the timestamp was stamped *now*, while the maintenance loop was alive.
   maybe_self_beat();
 }
 

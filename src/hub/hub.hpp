@@ -9,11 +9,11 @@
 // Architecture:
 //
 //   producers ──beat/ingest──▶ shard[hash(app) % N]   (lock-striped)
-//                                │  raw-record batch (batch_capacity)
-//                                ▼  flush: amortized window + histogram
+//                                │  one pending buffer (kIngestBatch);
+//                                ▼  the producer that fills it applies it
 //   shm pump ──ingest_batch───▶ per-app sliding-window summaries
 //     (one apply per shard          │
-//      per poll, no batch)          │
+//      per poll, no buffer)         │
 //                                ▼  publish: immutable ShardSnapshot
 //   snapshot() ◀── FleetSnapshot: per-app / per-tag / cluster rollups
 //   summary(id) ◀── one app, publishing only its owning shard
@@ -58,8 +58,6 @@ struct HubOptions {
   /// Lock stripes; clamped to >= 1. Sizing rule of thumb: ~1-2x the
   /// expected number of concurrently beating producers.
   std::size_t shard_count = 8;
-  /// Raw beats buffered per shard before a flush (the ingest batch).
-  std::size_t batch_capacity = 64;
   /// Sliding-window size per app, in beats: clamped to >= 2; above
   /// kMaxWindowCapacity (65535) the constructor throws
   /// std::invalid_argument.
@@ -119,7 +117,7 @@ class HeartbeatHub {
   /// point for transport adapters (the shm ingest pump, registry replays).
   /// Each run of consecutive records on one shard is applied straight to
   /// app state under one shard-lock acquire, after that shard's pending
-  /// ingest() batch; pass the records grouped by shard to pay one acquire
+  /// ingest() beats; pass the records grouped by shard to pay one acquire
   /// per shard. Per app, records apply in span order. Throws
   /// std::out_of_range, before applying a run, if an id in it did not come
   /// from this hub. Thread-safe.
@@ -139,7 +137,7 @@ class HeartbeatHub {
   /// staleness exceeds HubOptions::evict_after_ns.
   void evict(AppId id);
 
-  /// Publish every shard — drain its batch, re-stamp staleness, apply
+  /// Publish every shard — apply its pending beats, re-stamp staleness, apply
   /// auto-eviction — without composing a fleet snapshot, then self-beat.
   /// snapshot() and summary() publish implicitly.
   void flush();

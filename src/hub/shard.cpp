@@ -21,7 +21,7 @@ namespace {
 /// purpose: fleet dashboards want "beats ingested by this process", not
 /// per-shard shrapnel — per-shard detail stays on ShardStats.
 struct ShardMetrics {
-  obs::Counter* ingested;       ///< beats enqueued (hb.hub.ingested)
+  obs::Counter* ingested;       ///< beats taken in (hb.hub.ingested)
   obs::Counter* applied;        ///< beats applied to app state
   obs::Counter* publishes;      ///< shard snapshot rebuilds
   obs::Counter* publish_skips;  ///< publish() calls that reused the snapshot
@@ -67,7 +67,9 @@ HubShard::HubShard(std::uint32_t index, ShardConfig config)
                                 std::to_string(config_.window_capacity) +
                                 " is outside [2, 65535]");
   }
-  batch_.reserve(config_.batch_capacity);
+  if (!config_.clock) throw std::invalid_argument("hub: shard needs a clock");
+  batch_.reserve(kIngestBatch);
+  applying_.reserve(kIngestBatch);
 }
 
 std::uint32_t HubShard::add_app(std::string name, core::TargetRate target) {
@@ -75,7 +77,7 @@ std::uint32_t HubShard::add_app(std::string name, core::TargetRate target) {
   AppState app(config_);
   app.name = std::move(name);
   app.target = target;
-  if (config_.clock) app.born_ns = config_.clock->now();
+  app.born_ns = config_.clock->now();
   const auto slot = static_cast<std::uint32_t>(apps_.size());
   app.cached.name = app.name;
   app.cached.id = make_app_id(index_, slot);
@@ -99,104 +101,47 @@ void HubShard::check_slot(std::uint32_t slot) const {
 
 void HubShard::enqueue(std::uint32_t slot, const core::HeartbeatRecord& rec) {
   check_slot(slot);
-  std::size_t handed_off = 0;
   {
     util::MutexLock lock(ingest_mu_);
     batch_.push_back(AppRecord{make_app_id(index_, slot), rec});
-    ++ingested_;
-    if (batch_.size() >= config_.batch_capacity) {
-      // O(1) handoff: the full batch joins the apply FIFO and producers
-      // keep filling a fresh one. The drain below runs off this lock.
-      handed_off = batch_.size();
-      overflow_.push_back(std::move(batch_));
-      batch_ = Batch();
-      batch_.reserve(config_.batch_capacity);
-    }
+    if (batch_.size() < kIngestBatch) return;
   }
-  // hb.hub.ingested counts at batch-handoff granularity, not per beat: one
-  // sharded fetch_add per batch_capacity beats keeps the telemetry plane
-  // inside its <5% ingest budget (bench/obs_overhead). The partial batch a
-  // flush drains is counted by apply_pending_locked when it leaves, so
-  // after any flush the counter equals the beats actually taken in.
-  if (handed_off > 0) {
-    ShardMetrics::get().ingested->add(handed_off);
-    drain_overflow();
-  }
+  // Apply only: publishes do maintenance, refresh and snapshot builds.
+  util::MutexLock lock(state_mu_);
+  apply_pending_locked();
 }
 
 void HubShard::ingest_batch(std::span<const AppRecord> recs) {
   if (recs.empty()) return;
   for (const AppRecord& r : recs) check_slot(app_id_slot(r.id));
-  const ShardMetrics& metrics = ShardMetrics::get();
   util::MutexLock lock(state_mu_);
-  // Beats still in the batch arrived before these: apply them first.
-  apply_pending_locked(/*include_partial=*/true);
+  apply_pending_locked();  // pending beats arrived before these
+  apply_records_locked(recs);
+}
+
+void HubShard::apply_pending_locked() {
   {
-    util::MutexLock ingest_lock(ingest_mu_);
-    ingested_ += recs.size();
+    util::MutexLock lock(ingest_mu_);
+    batch_.swap(applying_);
   }
+  if (applying_.empty()) return;
+  apply_records_locked(applying_);
+  applying_.clear();
+}
+
+void HubShard::apply_records_locked(std::span<const AppRecord> recs) {
+  // hb.hub.ingested counts per apply, not per beat: one sharded fetch_add
+  // per buffer keeps the telemetry plane inside its <5% ingest budget
+  // (bench/obs_overhead), and after any flush it equals the beats taken in.
+  const ShardMetrics& metrics = ShardMetrics::get();
   metrics.ingested->add(recs.size());
   apply_run_locked(recs);
   metrics.applied->add(recs.size());
+  applied_ += recs.size();
   ++flushes_;
+  // Even with the clock frozen and nothing left pending, the next publish
+  // must rebuild to show these beats.
   state_dirty_ = true;
-}
-
-void HubShard::drain_overflow() {
-  // Apply-only: no maintenance, no refresh, no snapshot build — nobody
-  // observes summaries until a publish, and every publish rebuilds them.
-  // Contends with readers on state_mu_, never with other producers.
-  // The dirty mark is what makes the next publish rebuild even when it
-  // finds nothing left to apply itself (a beat count that is an exact
-  // multiple of batch_capacity drains entirely here) and the clock has
-  // not moved.
-  util::MutexLock lock(state_mu_);
-  if (apply_pending_locked(/*include_partial=*/false)) state_dirty_ = true;
-}
-
-bool HubShard::apply_pending_locked(bool include_partial) {
-  // Bound the drain to what was pending at ENTRY: under sustained ingest
-  // an until-empty loop would never exit (producers refill faster than we
-  // apply) and this function runs with state_mu_ held — every reader and
-  // overflowing producer would block behind it unboundedly. Batches that
-  // arrive during the drain belong to the next drain (their producers
-  // trigger one). overflow_ only shrinks under state_mu_, so the first
-  // `pending_batches` pops below are exactly the batches seen at entry.
-  std::size_t pending_batches;
-  {
-    util::MutexLock lock(ingest_mu_);
-    pending_batches = overflow_.size();
-  }
-  bool any = false;
-  for (std::size_t n = 0; n <= pending_batches; ++n) {
-    Batch batch;
-    bool partial = false;
-    {
-      util::MutexLock lock(ingest_mu_);
-      if (n < pending_batches) {
-        batch = std::move(overflow_.front());
-        overflow_.pop_front();
-      } else if (include_partial && !batch_.empty()) {
-        batch = std::move(batch_);
-        batch_ = Batch();
-        batch_.reserve(config_.batch_capacity);
-        partial = true;
-      } else {
-        break;
-      }
-    }
-    // Partial batches never passed the handoff point in enqueue(), so the
-    // ingested counter picks them up here (full batches were counted at
-    // handoff; counting them again would double-book).
-    if (partial) ShardMetrics::get().ingested->add(batch.size());
-    // FIFO is global: handoffs preserve arrival order and every apply pops
-    // under state_mu_, so batches land in the order their beats arrived.
-    apply_run_locked(batch);
-    ShardMetrics::get().applied->add(batch.size());
-    ++flushes_;
-    any = true;
-  }
-  return any;
 }
 
 void HubShard::set_target(std::uint32_t slot, core::TargetRate target) {
@@ -209,11 +154,9 @@ void HubShard::set_target(std::uint32_t slot, core::TargetRate target) {
 
 void HubShard::evict(std::uint32_t slot) {
   util::MutexLock lock(state_mu_);
-  // Apply pending beats first: they were ingested before the eviction was
-  // requested, so they still count toward total_beats — and whatever got
-  // applied (any app's beats) must reach the next snapshot even when the
-  // eviction itself is an idempotent no-op below.
-  if (apply_pending_locked(/*include_partial=*/true)) state_dirty_ = true;
+  // Pending beats were ingested before the eviction was requested, so they
+  // still count toward total_beats.
+  apply_pending_locked();
   AppState& app = apps_.at(slot);
   if (!app.evicted) {
     evict_locked(app);
@@ -223,18 +166,17 @@ void HubShard::evict(std::uint32_t slot) {
 
 std::shared_ptr<const ShardSnapshot> HubShard::publish() {
   util::MutexLock lock(state_mu_);
-  const bool applied = apply_pending_locked(/*include_partial=*/true);
-  const util::TimeNs now = config_.clock ? config_.clock->now() : 0;
+  apply_pending_locked();
+  const util::TimeNs now = config_.clock->now();
 
-  // Freshness: rebuild when new beats landed, when state changed without
-  // beats (targets, evictions, registrations), or when the clock moved
-  // (staleness stamps must catch up). Otherwise the published snapshot is
-  // still the truth — hand it back and leave the epoch alone, so fleet
-  // caches keep hitting.
+  // Freshness: rebuild when state changed (beats, targets, evictions,
+  // registrations) or the clock moved (staleness stamps must catch up).
+  // Otherwise hand back the published snapshot and leave the epoch alone,
+  // so fleet caches keep hitting.
   {
     util::MutexLock snap_lock(snap_mu_);
     const bool stale = !snap_ || now > snap_->published_at_ns;
-    if (!applied && !state_dirty_ && !stale) {
+    if (!state_dirty_ && !stale) {
       ShardMetrics::get().publish_skips->add(1);
       return snap_;
     }
@@ -278,7 +220,7 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
       }
     }
     AppState& app = apps_[k];
-    if (config_.clock) maintain_locked(app, now);
+    maintain_locked(app, now);
     if (app.dirty) refresh_locked(app);
     next->apps.push_back(app.cached);
 
@@ -339,18 +281,13 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
 ShardStats HubShard::stats() const {
   ShardStats s;
   s.shard = index_;
-  {
-    util::MutexLock lock(state_mu_);
-    s.apps = apps_.size();
-    s.flushes = flushes_;
-    s.epoch = epoch_;
-  }
-  {
-    util::MutexLock lock(ingest_mu_);
-    s.ingested = ingested_;
-    s.pending = batch_.size();
-    for (const Batch& b : overflow_) s.pending += b.size();
-  }
+  util::MutexLock lock(state_mu_);
+  s.apps = apps_.size();
+  s.flushes = flushes_;
+  s.epoch = epoch_;
+  util::MutexLock ingest_lock(ingest_mu_);
+  s.pending = batch_.size();
+  s.ingested = applied_ + s.pending;
   return s;
 }
 

@@ -1,27 +1,24 @@
 // HubShard: one lock stripe of the heartbeat aggregation hub.
 //
 // A shard owns a subset of the registered apps (assigned by name hash) and
-// is split into two stages with separate locks:
+// keeps its state behind three locks:
 //
-//   INGEST stage (ingest_mu_): in-process producers (ingest, beat) pay a
-//   mutex acquire plus a vector push per beat. When the batch fills it is
-//   moved wholesale onto a FIFO of full batches — still under ingest_mu_,
-//   still O(1) — and the producer then drains the FIFO into app state
-//   under state_mu_, where it contends with readers but NOT with other
-//   producers, who keep appending to the fresh batch. The ingest critical
-//   section never contains window maintenance, summary refresh, or
-//   snapshot construction.
+//   INGEST (ingest_mu_): in-process producers (ingest, beat) pay a mutex
+//   acquire plus a push onto the shard's one pending buffer. The producer
+//   whose push leaves kIngestBatch or more beats pending takes state_mu_,
+//   swaps the buffer for an empty one under ingest_mu_ (O(1)), and applies
+//   it; other producers keep pushing meanwhile. Swaps happen only under
+//   state_mu_, so buffers apply in the order they filled.
 //
-//   BULK apply (ingest_batch): a transport adapter that already holds many
-//   records — the shm pump's per-poll share of this shard, a registry
-//   replay — skips the batch and applies them under one state_mu_
-//   acquisition, after whatever the batch held, so arrival order holds.
+//   BULK apply (ingest_batch): the shm pump's per-poll share of this shard
+//   or a registry replay applies under one state_mu_ acquisition, after
+//   whatever was pending, through the same apply routine.
 //
-//   PUBLISH stage (state_mu_): applying batches, sliding-window
-//   maintenance, summary refresh and snapshot construction run at publish
-//   time and end by swapping in an immutable, epoch-stamped ShardSnapshot
-//   (shared_ptr). Readers grab the pointer under a third, trivially short
-//   lock (snap_mu_) and never hold any shard lock across summary copies.
+//   PUBLISH (state_mu_): applying pending beats, time maintenance, summary
+//   refresh and snapshot construction, ending in a swap of an immutable,
+//   epoch-stamped ShardSnapshot (shared_ptr). Readers grab the pointer
+//   under a third, trivially short lock (snap_mu_) and never hold any
+//   shard lock across summary copies.
 //
 // Window statistics are maintained per beat, so a publish does O(1) work
 // per changed app. Applying a beat updates the app's exact integer sum
@@ -62,7 +59,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
@@ -85,10 +81,13 @@ namespace hb::hub {
 /// uint16, and a window of N beats spans N - 1 intervals.
 inline constexpr std::size_t kMaxWindowCapacity = 65535;
 
+/// In-process beats a shard buffers before the producer that fills the
+/// buffer applies it. Reads always apply what is pending first.
+inline constexpr std::size_t kIngestBatch = 64;
+
 /// Sizing knobs a shard needs (subset of HubOptions, kept separately so the
 /// shard does not depend on the hub header).
 struct ShardConfig {
-  std::size_t batch_capacity = 64;    ///< raw records buffered before a flush
   /// Sliding-window beats per app, in [2, kMaxWindowCapacity] (a window
   /// of one beat spans no interval); the shard constructor throws
   /// std::invalid_argument outside that range.
@@ -97,10 +96,9 @@ struct ShardConfig {
   /// Auto-evict an app whose staleness exceeds this bound (checked at
   /// publish). 0 = never auto-evict.
   util::TimeNs evict_after_ns = 0;
-  /// Clock for staleness stamping and auto-eviction. HeartbeatHub always
-  /// installs one (normalize() defaults to the monotonic clock); null is
-  /// only reachable when a shard is constructed standalone, and then
-  /// disables time-based maintenance entirely.
+  /// Clock for registration and staleness stamping and auto-eviction.
+  /// Required: the shard constructor throws std::invalid_argument on null
+  /// (HeartbeatHub defaults it to the monotonic clock).
   std::shared_ptr<util::Clock> clock;
 };
 
@@ -120,15 +118,15 @@ class HubShard {
     return app_count_.load(std::memory_order_acquire);
   }
 
-  /// Append one raw beat to the batch. When the batch fills, the full
-  /// batch moves to the apply FIFO and is drained into app state — off the
+  /// Append one raw beat to the pending buffer. The call that leaves
+  /// kIngestBatch or more beats pending applies them to app state off the
   /// ingest lock, so concurrent producers keep appending meanwhile.
   void enqueue(std::uint32_t slot, const core::HeartbeatRecord& rec)
       HB_EXCLUDES(ingest_mu_, state_mu_);
 
   /// Apply records addressed to this shard's apps straight to app state,
-  /// in order, under one state_mu_ acquisition. The batch and apply FIFO
-  /// are applied first, so arrival order holds across both paths. Throws
+  /// in order, under one state_mu_ acquisition. Pending enqueued beats are
+  /// applied first, so arrival order holds across both paths. Throws
   /// std::out_of_range, before applying anything, if a record's slot is
   /// not registered here. Every record's app_id_shard must be index().
   void ingest_batch(std::span<const AppRecord> recs)
@@ -247,14 +245,12 @@ class HubShard {
         : window(config.window_capacity) {}
   };
 
-  using Batch = std::vector<AppRecord>;
-
-  /// Drain the apply FIFO (and, when `include_partial`, the current batch)
-  /// into app state, FIFO order. Caller holds state_mu_; ingest_mu_ is
-  /// taken only for each O(1) batch handoff. Returns true if any record
-  /// was applied.
-  bool apply_pending_locked(bool include_partial)
-      HB_REQUIRES(state_mu_) HB_EXCLUDES(ingest_mu_);
+  /// Swap out every pending enqueued beat and apply it. ingest_mu_ is held
+  /// only for the O(1) swap.
+  void apply_pending_locked() HB_REQUIRES(state_mu_) HB_EXCLUDES(ingest_mu_);
+  /// apply_run_locked plus the counters and the dirty mark of one apply.
+  void apply_records_locked(std::span<const AppRecord> recs)
+      HB_REQUIRES(state_mu_);
   /// Apply `recs` in order, prefetching each app a fixed distance ahead.
   void apply_run_locked(std::span<const AppRecord> recs) HB_REQUIRES(state_mu_);
   /// Prefetch the lines apply_locked touches first: the app's leading
@@ -268,9 +264,6 @@ class HubShard {
   void prefetch_beat_targets_locked(std::uint32_t slot,
                                     util::TimeNs timestamp_ns) const
       HB_REQUIRES(state_mu_);
-  /// The producer-side overflow drain: full batches only, no maintenance,
-  /// no refresh, no snapshot — the cheapest correct apply.
-  void drain_overflow() HB_EXCLUDES(state_mu_, ingest_mu_);
   void apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec)
       HB_REQUIRES(state_mu_);
   /// Count one new windowed interval in the app's window statistics and
@@ -296,27 +289,29 @@ class HubShard {
   const std::uint32_t index_;
   const ShardConfig config_;
 
-  /// PUBLISH stage. Guards apps_, flushes_, epoch_, state_dirty_.
+  /// PUBLISH stage. Guards apps_, applying_, applied_, flushes_, epoch_,
+  /// state_dirty_.
   /// Lock order: state_mu_ before ingest_mu_ and before snap_mu_ (never
   /// the reverse) — declared below so -Wthread-safety-beta enforces it.
   mutable util::Mutex state_mu_;
   std::vector<AppState> apps_ HB_GUARDED_BY(state_mu_);
+  /// The buffer apply_pending_locked swaps in for batch_ and applies; empty
+  /// between applies. Both buffers keep their capacity across swaps.
+  std::vector<AppRecord> applying_ HB_GUARDED_BY(state_mu_);
+  std::uint64_t applied_ HB_GUARDED_BY(state_mu_) = 0;  ///< beats applied
   std::uint64_t flushes_ HB_GUARDED_BY(state_mu_) = 0;
   std::uint64_t epoch_ HB_GUARDED_BY(state_mu_) = 0;
-  /// Set by add_app/set_target/evict: state changed without any beat, so
-  /// the next publish must rebuild even if no records arrive.
+  /// Set by every apply and by add_app/set_target/evict: the next publish
+  /// must rebuild even if no records arrive and the clock stands still.
   bool state_dirty_ HB_GUARDED_BY(state_mu_) = false;
   /// Every app's `hist` summed: the windowed intervals of the live apps
   /// (evicted apps hold none). Updated per interval, published by copy.
   util::LatencyHistogram live_intervals_ HB_GUARDED_BY(state_mu_);
 
-  /// INGEST stage. Guards batch_, overflow_, ingested_. Producers touch
-  /// nothing else on the hot path.
+  /// INGEST stage. Guards batch_, the only thing producers touch on the
+  /// hot path.
   mutable util::Mutex ingest_mu_ HB_ACQUIRED_AFTER(state_mu_);
-  Batch batch_ HB_GUARDED_BY(ingest_mu_);
-  /// Full batches awaiting apply, FIFO.
-  std::deque<Batch> overflow_ HB_GUARDED_BY(ingest_mu_);
-  std::uint64_t ingested_ HB_GUARDED_BY(ingest_mu_) = 0;
+  std::vector<AppRecord> batch_ HB_GUARDED_BY(ingest_mu_);  ///< pending
 
   /// Slot-validity bound for the lock-free enqueue check (slots are
   /// append-only, so a stale read only ever under-approximates).

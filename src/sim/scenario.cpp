@@ -123,7 +123,6 @@ void ScenarioRunner::build_world() {
 
   hub::HubOptions hub_opts;
   hub_opts.shard_count = config_.hub_shards;
-  hub_opts.batch_capacity = 64;
   hub_opts.window_capacity = 64;
   hub_opts.clock = clock_;
 

@@ -262,7 +262,6 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 4;
-    opts.batch_capacity = 32;
     opts.rate_window = 8;
     opts.clock = clock;
     return opts;

@@ -42,13 +42,16 @@ constexpr std::size_t scaled(std::size_t n) {
 //
 // Producers enqueue beats while one publisher loops publish() and readers
 // spin on published() — all three shard mutexes (state, ingest, snap) stay
-// hot at once, plus set_target churn on the state lock.
+// hot at once, plus set_target churn on the state lock. Each producer beats
+// its own app with strictly increasing tickets, so a buffer applied out of
+// arrival order would clamp an interval to 0 and show as interval_min_ns
+// == 0. The check is probabilistic: it needs a reader to catch the clamped
+// interval inside a window, and a lost race may not happen in a given run.
 TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(4000);
 
   hub::ShardConfig config;
-  config.batch_capacity = 16;  // small: force frequent overflow hand-offs
   config.window_capacity = 64;
   config.clock = util::MonotonicClock::instance();
   hub::HubShard shard(0, config);
@@ -68,8 +71,8 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
     threads.emplace_back([&, p] {
       for (std::size_t i = 0; i < beats_per_producer; ++i) {
         core::HeartbeatRecord rec;
-        // relaxed: a unique-timestamp ticket; order between producers
-        // does not matter, the shard clamps non-monotone arrivals.
+        // relaxed: a unique-timestamp ticket; the atomic's modification
+        // order makes one producer's tickets strictly increasing.
         rec.timestamp_ns = fake_ns.fetch_add(1, std::memory_order_relaxed);
         rec.tag = i;
         shard.enqueue(slots[p], rec);
@@ -92,6 +95,9 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
         last_epoch = snap->epoch;
         for (const auto& app : snap->apps) {
           EXPECT_LE(app.window_beats, app.total_beats);
+          if (app.window_beats >= 2) {
+            EXPECT_GT(app.interval_min_ns, 0u);
+          }
         }
       }
     });

@@ -394,7 +394,7 @@ TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   // innocent VMs and muddy the class assertions).
   cloud::CloudSim sim(25, /*capacity=*/200.0, clock);
   auto hub = std::make_shared<hub::HeartbeatHub>(
-      test::manual_hub_opts(clock, /*shards=*/16, /*batch=*/64));
+      test::manual_hub_opts(clock, /*shards=*/16));
   sim.attach_hub(hub);
 
   constexpr int kVms = 1000;
@@ -484,7 +484,6 @@ TEST(FleetScheduler, DeadAppsDonateTheirCores) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.batch_capacity = 4;
     opts.rate_window = 8;
     opts.clock = clock;
     return opts;

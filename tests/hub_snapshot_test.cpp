@@ -92,28 +92,29 @@ TEST(SnapshotEpochs, DirtyStateRepublishesWithoutBeats) {
 }
 
 TEST(SnapshotEpochs, OverflowDrainedBeatsAlwaysReachTheNextSnapshot) {
-  // Regression: a beat count that is an exact multiple of batch_capacity
-  // drains entirely through the producer-side overflow path, leaving
-  // nothing for the query-forced apply. The publish must still rebuild
-  // under a frozen clock, or those beats stay invisible until the clock
-  // moves.
+  // Regression: a beat count that is an exact multiple of kIngestBatch
+  // is applied entirely by the producers that fill the pending buffer,
+  // leaving nothing for the query-forced apply. The publish must still
+  // rebuild under a frozen clock, or those beats stay invisible until the
+  // clock moves.
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/1, /*batch=*/4));
+  HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/1));
   const AppId id = hub.register_app("a");
 
   clock->advance(kNsPerMs);
   hub.beat(id);
   EXPECT_EQ(hub.snapshot()->cluster().total_beats, 1u);
 
-  // Exactly one full batch, clock frozen: all 4 beats overflow-drain.
-  for (int i = 0; i < 4; ++i) hub.beat(id);
-  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 5u);
+  // Exactly one full buffer, clock frozen: the last beat applies it.
+  for (std::size_t i = 0; i < kIngestBatch; ++i) hub.beat(id);
+  EXPECT_EQ(hub.shard(0).stats().pending, 0u);
+  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 1 + kIngestBatch);
 
-  // Same shape through the span path and an idempotent re-evict.
-  std::vector<AppRecord> recs(4, AppRecord{id, {}});
+  // Same shape through the span path.
+  std::vector<AppRecord> recs(kIngestBatch, AppRecord{id, {}});
   for (auto& r : recs) r.rec.timestamp_ns = clock->now();
   hub.ingest_batch(recs);
-  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 9u);
+  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 1 + 2 * kIngestBatch);
 }
 
 // ----------------------------------------------------- per-app query
@@ -122,7 +123,7 @@ TEST(SnapshotEpochs, OverflowDrainedBeatsAlwaysReachTheNextSnapshot) {
 // forces the rest of the fleet to republish.
 TEST(SnapshotPerApp, SummaryPublishesOnlyTheOwningShard) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/4, /*batch=*/64));
+  HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/4));
   const AppId a = hub.register_app("app-0");
   AppId b = a;
   for (int k = 1; app_id_shard(b) == app_id_shard(a); ++k) {
@@ -157,7 +158,7 @@ TEST(SnapshotPerApp, SummaryPublishesOnlyTheOwningShard) {
 // must be ASan/UBSan clean (CI runs this suite under both).
 TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
   auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_hub_opts(clock, /*shards=*/8, /*batch=*/16);
+  HubOptions opts = manual_hub_opts(clock, /*shards=*/8);
   HeartbeatHub hub(opts);
 
   constexpr int kApps = 96;
@@ -219,7 +220,7 @@ TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
   for (auto& p : producers) p.join();
 
   // Nothing was lost on the way: a final snapshot accounts for every beat
-  // every producer sent (batched handoffs included).
+  // every producer sent (producer-applied buffers included).
   hub.flush();
   std::uint64_t ingested = 0;
   for (std::size_t i = 0; i < hub.shard_count(); ++i) {

@@ -31,11 +31,9 @@ using util::kNsPerMs;
 using util::kNsPerSec;
 
 HubOptions manual_opts(std::shared_ptr<util::ManualClock> clock,
-                       std::size_t shards = 4, std::size_t batch = 8,
-                       std::size_t window = 64) {
+                       std::size_t shards = 4, std::size_t window = 64) {
   HubOptions opts;
   opts.shard_count = shards;
-  opts.batch_capacity = batch;
   opts.window_capacity = window;
   opts.clock = std::move(clock);
   return opts;
@@ -141,12 +139,19 @@ TEST(HubRouting, WindowCapacityIsBoundedAtConstruction) {
   // The per-app interval histogram counts in uint16: a window of 65535
   // beats (65534 intervals) is the largest that cannot wrap a bucket.
   EXPECT_EQ(kMaxWindowCapacity, 65535u);
-  EXPECT_NO_THROW(HeartbeatHub(manual_opts(clock, 1, 8, kMaxWindowCapacity)));
-  EXPECT_THROW(HeartbeatHub(manual_opts(clock, 1, 8, kMaxWindowCapacity + 1)),
+  EXPECT_NO_THROW(HeartbeatHub(manual_opts(clock, 1, kMaxWindowCapacity)));
+  EXPECT_THROW(HeartbeatHub(manual_opts(clock, 1, kMaxWindowCapacity + 1)),
                std::invalid_argument);
   // The low end still clamps instead of throwing.
-  HeartbeatHub tiny(manual_opts(clock, 1, 8, 0));
+  HeartbeatHub tiny(manual_opts(clock, 1, 0));
   EXPECT_EQ(tiny.options().window_capacity, 2u);
+}
+
+TEST(HubRouting, AShardNeedsAClock) {
+  ShardConfig config;
+  EXPECT_THROW(HubShard(0, config), std::invalid_argument);
+  config.clock = std::make_shared<util::ManualClock>();
+  EXPECT_NO_THROW(HubShard(0, config));
 }
 
 TEST(HubRouting, UnknownNamesThrow) {
@@ -160,28 +165,35 @@ TEST(HubRouting, UnknownNamesThrow) {
 
 TEST(HubBatching, BeatsBufferUntilBatchCapacity) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, /*shards=*/1, /*batch=*/8));
+  HeartbeatHub hub(manual_opts(clock, /*shards=*/1));
   const AppId id = hub.register_app("a");
 
-  for (int i = 0; i < 7; ++i) {
+  for (std::size_t i = 0; i + 1 < kIngestBatch; ++i) {
     clock->advance(kNsPerMs);
     hub.beat(id);
   }
   ShardStats s = hub.shard(0).stats();
-  EXPECT_EQ(s.pending, 7u);   // still buffered
+  EXPECT_EQ(s.pending, kIngestBatch - 1);  // still buffered
   EXPECT_EQ(s.flushes, 0u);
-  EXPECT_EQ(s.ingested, 7u);
+  EXPECT_EQ(s.ingested, kIngestBatch - 1);
 
   clock->advance(kNsPerMs);
-  hub.beat(id);               // 8th beat fills the batch
+  hub.beat(id);  // fills the buffer: this beat applies it
   s = hub.shard(0).stats();
   EXPECT_EQ(s.pending, 0u);
   EXPECT_EQ(s.flushes, 1u);
+
+  clock->advance(kNsPerMs);
+  hub.beat(id);  // starts the next buffer
+  s = hub.shard(0).stats();
+  EXPECT_EQ(s.pending, 1u);
+  EXPECT_EQ(s.flushes, 1u);
+  EXPECT_EQ(s.ingested, kIngestBatch + 1);
 }
 
 TEST(HubBatching, QueriesFlushPendingBeats) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, /*batch=*/1024));
+  HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("a");
   for (int i = 0; i < 5; ++i) {
     clock->advance(kNsPerMs);
@@ -194,30 +206,31 @@ TEST(HubBatching, QueriesFlushPendingBeats) {
 
 TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 4));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/256));
   const AppId id = hub.register_app("a");
-  std::vector<AppRecord> recs(10);
-  for (int i = 0; i < 10; ++i) {
+  const std::size_t n = kIngestBatch + 10;
+  std::vector<AppRecord> recs(n);
+  for (std::size_t i = 0; i < n; ++i) {
     recs[i].id = id;
-    recs[i].rec.timestamp_ns = (i + 1) * kNsPerMs;
+    recs[i].rec.timestamp_ns = static_cast<util::TimeNs>(i + 1) * kNsPerMs;
     recs[i].rec.tag = 7;
   }
   hub.ingest_batch(recs);
-  // Applied straight to app state in one apply, past the batch of 4.
+  // Applied straight to app state in one apply, past the buffer size.
   EXPECT_EQ(hub.shard(0).stats().pending, 0u);
   EXPECT_EQ(hub.shard(0).stats().flushes, 1u);
   const AppSummary s = hub.summary(id);
-  EXPECT_EQ(s.total_beats, 10u);
-  EXPECT_EQ(tag_of(hub, 7).beats, 10u);
+  EXPECT_EQ(s.total_beats, n);
+  EXPECT_EQ(tag_of(hub, 7).beats, n);
 }
 
 TEST(HubBatching, BulkIngestAppliesAfterTheBatchInArrivalOrder) {
-  // Beats 1..3 ms wait in the shard's batch (capacity 64); beats 4..7 ms
+  // Beats 1..3 ms wait in the shard's pending buffer; beats 4..7 ms
   // then arrive in bulk. The bulk apply must take the batch first, or the
   // window would hold 4..7 before 1..3: a 0-clamped interval, a newest
   // beat at 3 ms, and a negative span.
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 64));
+  HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("a");
   for (int i = 1; i <= 3; ++i) {
     core::HeartbeatRecord rec;
@@ -252,17 +265,20 @@ TEST(HubBatching, IngestedEqualsAppliedAfterAFlush) {
   const std::uint64_t applied0 = applied.value();
 
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 2, 4));
+  HeartbeatHub hub(manual_opts(clock, 2));
   const AppId a = hub.register_app("a");
   const AppId b = hub.register_app("b");
-  // 11 beats through the batch (two full handoffs and a partial one), 9 in
-  // bulk across both apps, then 2 more that a flush must drain.
+  // 2 * kIngestBatch + 3 beats through the pending buffers (at least one
+  // full apply and a partial buffer), 9 in bulk across both apps, then 2
+  // more that a flush must drain.
+  const std::size_t buffered = 2 * kIngestBatch + 3;
+  const std::uint64_t total = buffered + 9 + 2;
   std::vector<std::uint64_t> sent(hub.shard_count(), 0);
   auto beat = [&](AppId id) {
     hub.beat(id);
     ++sent[app_id_shard(id)];
   };
-  for (int i = 0; i < 11; ++i) beat(i % 2 ? a : b);
+  for (std::size_t i = 0; i < buffered; ++i) beat(i % 2 ? a : b);
   std::vector<AppRecord> bulk;
   for (int i = 0; i < 9; ++i) {
     AppRecord r{i % 3 ? a : b, {}};
@@ -276,22 +292,22 @@ TEST(HubBatching, IngestedEqualsAppliedAfterAFlush) {
   hub.flush();
 
   if (obs::kCompiledIn) {  // the registry reads 0 with telemetry compiled out
-    EXPECT_EQ(ingested.value() - ingested0, 22u);
-    EXPECT_EQ(applied.value() - applied0, 22u);
+    EXPECT_EQ(ingested.value() - ingested0, total);
+    EXPECT_EQ(applied.value() - applied0, total);
   }
   for (std::size_t i = 0; i < hub.shard_count(); ++i) {
     const ShardStats st = hub.shard(i).stats();
     EXPECT_EQ(st.ingested, sent[i]) << "shard " << i;
     EXPECT_EQ(st.pending, 0u);
   }
-  EXPECT_EQ(hub.summary(a).total_beats + hub.summary(b).total_beats, 22u);
+  EXPECT_EQ(hub.summary(a).total_beats + hub.summary(b).total_beats, total);
 }
 
 // ----------------------------------------------------------- rate semantics
 
 TEST(HubRates, WindowedRateMatchesCoreSemantics) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 2, 8, /*window=*/64));
+  HeartbeatHub hub(manual_opts(clock, 2, /*window=*/64));
   const AppId id = hub.register_app("a");
   // 21 beats 100ms apart: 20 intervals over 2s -> 10 beats/s.
   for (int i = 0; i < 21; ++i) {
@@ -306,7 +322,7 @@ TEST(HubRates, WindowedRateMatchesCoreSemantics) {
 
 TEST(HubRates, RateWindowOptionLimitsTheSpan) {
   auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, 64);
+  HubOptions opts = manual_opts(clock, 1, 64);
   opts.rate_window = 5;
   HeartbeatHub hub(opts);
   const AppId id = hub.register_app("a");
@@ -328,7 +344,7 @@ TEST(HubRates, RateWindowOfOneIsInstantaneousLikeCore) {
   // interval) exactly as Channel::rate(1)/HeartbeatReader::current_rate(1)
   // do — not a permanent 0.
   auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, 64);
+  HubOptions opts = manual_opts(clock, 1, 64);
   opts.rate_window = 1;
   HeartbeatHub hub(opts);
   const AppId id = hub.register_app("a");
@@ -356,7 +372,7 @@ TEST(HubRates, FewerThanTwoBeatsIsZeroRate) {
 
 TEST(HubPercentiles, IntervalDistributionOverTheWindow) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 8, /*window=*/256));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/256));
   const AppId id = hub.register_app("a");
   // 94 fast intervals (1ms) + 6 slow stalls (50ms): p50 ~= 1ms bucket,
   // p95/p99 land in the 50ms bucket. Min/max are exact.
@@ -387,7 +403,7 @@ TEST(HubPercentiles, IntervalDistributionOverTheWindow) {
 TEST(HubPercentiles, SlidingWindowEvictsOldIntervals) {
   auto clock = std::make_shared<util::ManualClock>();
   // Window of 8: after 8 fast beats, the early slow intervals must be gone.
-  HeartbeatHub hub(manual_opts(clock, 1, 4, /*window=*/8));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/8));
   const AppId id = hub.register_app("a");
   for (int i = 0; i < 20; ++i) {
     clock->advance(kNsPerSec);  // slow era: 1s intervals
@@ -411,7 +427,7 @@ TEST(HubPercentiles, IntervalStatsCoverOnlyWindowSpannedIntervals) {
   // window. window_capacity=2: after beats at 0s,1s,2s,101s the window is
   // {2s,101s} — min/max must both be the single 99s interval, not 1s.
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 1, /*window=*/2));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/2));
   const AppId id = hub.register_app("a");
   hub.beat(id);                 // t = 0
   clock->advance(kNsPerSec);
@@ -455,7 +471,7 @@ TEST(HubTags, WindowedTagRollupAcrossApps) {
 
 TEST(HubTags, TagCountsSlideWithTheWindow) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 4, /*window=*/4));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
   for (int i = 0; i < 6; ++i) {
     clock->advance(kNsPerMs);
@@ -473,7 +489,7 @@ TEST(HubTags, TagCountsSlideWithTheWindow) {
 
 TEST(HubCluster, RollupAggregatesAcrossShards) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 4, 8, 64));
+  HeartbeatHub hub(manual_opts(clock, 4, 64));
   const AppId fast = hub.register_app("fast", core::TargetRate{5.0, 100.0});
   const AppId slow = hub.register_app("slow", core::TargetRate{5.0, 100.0});
   const AppId idle = hub.register_app("idle", core::TargetRate{1.0, 10.0});
@@ -534,7 +550,7 @@ TEST(HubCluster, InfiniteRateDoesNotMeetTarget) {
 
 TEST(HubTimeWindow, StddevSummarizesWindowJitter) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 4, /*window=*/64));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/64));
   const AppId id = hub.register_app("a");
   // Alternating 10ms / 30ms intervals: mean 20ms, population stddev 10ms.
   for (int i = 0; i < 21; ++i) {
@@ -553,7 +569,7 @@ TEST(HubTimeWindow, MeanForgetsHugeIntervalsThatLeftTheWindow) {
   // intervals read a mean of about -4320 ns. The mean is now the exact
   // integer sum over the count, so it is exactly 1000.
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 8, /*window=*/4));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
   core::HeartbeatRecord rec;
   for (util::TimeNs i = 0; i < 4000; ++i) {
@@ -668,7 +684,7 @@ TEST(HubEviction, AutoEvictionAfterTheStalenessBound) {
 
 std::vector<AppSummary> scripted_run() {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 4, 8, 32));
+  HeartbeatHub hub(manual_opts(clock, 4, 32));
   std::vector<AppId> ids;
   for (int i = 0; i < 12; ++i) {
     ids.push_back(hub.register_app("app" + std::to_string(i),
@@ -708,7 +724,6 @@ TEST(HubDeterminism, ScriptedRunsAreBitIdentical) {
 TEST(HubConcurrency, EightProducerThreadsLoseNoBeats) {
   HubOptions opts;
   opts.shard_count = 4;
-  opts.batch_capacity = 16;
   opts.window_capacity = 128;
   HeartbeatHub hub(opts);  // real monotonic clock
 
@@ -750,7 +765,6 @@ TEST(HubConcurrency, EightProducerThreadsLoseNoBeats) {
 TEST(HubConcurrency, RegistrationRacesWithIngestion) {
   HubOptions opts;
   opts.shard_count = 2;
-  opts.batch_capacity = 4;
   HeartbeatHub hub(opts);
   std::atomic<bool> stop{false};
 
@@ -777,7 +791,7 @@ TEST(HubConcurrency, RegistrationRacesWithIngestion) {
 
 TEST(HubSink, MirrorsHeartbeatProducersIntoTheHub) {
   auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2, 4));
+  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2));
 
   core::HeartbeatOptions opts;
   opts.name = "x264";
@@ -835,7 +849,7 @@ TEST(HubSink, WrapsExistingTransports) {
   transport::Registry registry(dir);
 
   auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2, 4));
+  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2));
 
   core::HeartbeatOptions opts;
   opts.name = "legacy";

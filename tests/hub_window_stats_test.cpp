@@ -133,10 +133,15 @@ double brute_stddev(const std::vector<std::uint64_t>& v) {
   return static_cast<double>(std::sqrt(sq / (nd * nd * nd)));
 }
 
+/// Operations between checks that let producers apply full buffers: nearly
+/// all operations are beats, so 4 * kIngestBatch of them put more than
+/// kIngestBatch beats on one of the fixture's 3 shards between two checks.
+constexpr int kFewBuffers = 4 * static_cast<int>(kIngestBatch);
+
 struct Config {
   std::size_t window;
   std::uint32_t rate_window;
-  std::size_t batch;
+  int check_every;  ///< operations between checks
   util::TimeNs evict_after_ns;  ///< 0 = explicit evictions only
   std::uint64_t seed;
 };
@@ -148,7 +153,6 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
     clock_ = std::make_shared<util::ManualClock>(1'000'000'000);
     HubOptions opts;
     opts.shard_count = 3;
-    opts.batch_capacity = c.batch;
     opts.window_capacity = c.window;
     opts.rate_window = c.rate_window;
     opts.evict_after_ns = c.evict_after_ns;
@@ -338,7 +342,7 @@ TEST_P(HubWindowStats, IncrementalStatsEqualABruteForceRecompute) {
       beat(app);
     }
     clock_->advance(static_cast<util::TimeNs>(rng_.next_below(kTick / 4)));
-    if (op % 7 == 0) {
+    if (op % GetParam().check_every == 0) {
       check();
       if (HasFailure()) FAIL() << "diverged at op " << op;
     }
@@ -374,7 +378,7 @@ TEST_P(HubWindowStats, TagRollupsEqualABruteForceRecompute) {
       beat(app);
     }
     clock_->advance(static_cast<util::TimeNs>(rng_.next_below(kTick / 4)));
-    if (op % 7 == 0) {
+    if (op % GetParam().check_every == 0) {
       check();
       if (HasFailure()) FAIL() << "diverged at op " << op;
     }
@@ -384,11 +388,12 @@ TEST_P(HubWindowStats, TagRollupsEqualABruteForceRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(
     Windows, HubWindowStats,
-    ::testing::Values(Config{2, 0, 1, 0, 1}, Config{3, 0, 4, 0, 2},
-                      Config{16, 0, 8, 0, 3}, Config{16, 5, 3, 0, 4},
-                      Config{64, 0, 16, 0, 5}, Config{256, 0, 64, 0, 6},
-                      Config{16, 0, 8, 400'000'000, 7},
-                      Config{64, 1, 5, 150'000'000, 8}));
+    ::testing::Values(Config{2, 0, 7, 0, 1}, Config{3, 0, 7, 0, 2},
+                      Config{16, 0, kFewBuffers, 0, 3},
+                      Config{16, 5, 7, 0, 4}, Config{64, 0, 7, 0, 5},
+                      Config{256, 0, kFewBuffers, 0, 6},
+                      Config{16, 0, 7, 400'000'000, 7},
+                      Config{64, 1, kFewBuffers, 150'000'000, 8}));
 
 // The largest window holds 65534 intervals, the most a uint16 bucket of
 // the per-app histogram may count. Fed one interval well past wrap-around,

@@ -47,13 +47,12 @@ inline std::vector<core::HeartbeatRecord> at_times(
 // config, the beat-N-apps loop, the step-the-sim loop, the rack-major
 // CloudSim fleet, and sweep-until-stable.
 
-/// HubOptions on a ManualClock with test-sized shards/batch/window.
+/// HubOptions on a ManualClock with test-sized shards/window.
 inline hub::HubOptions manual_hub_opts(
     std::shared_ptr<util::ManualClock> clock, std::size_t shards = 4,
-    std::size_t batch = 8, std::size_t window = 64) {
+    std::size_t window = 64) {
   hub::HubOptions opts;
   opts.shard_count = shards;
-  opts.batch_capacity = batch;
   opts.window_capacity = window;
   opts.clock = std::move(clock);
   return opts;
