@@ -104,7 +104,10 @@ RunResult run_once(int producers, int shards, std::uint64_t total_beats,
   res.beats_per_sec = res.seconds > 0 ? static_cast<double>(res.beats) / res.seconds : 0.0;
 
   // Sanity: the hub must have seen every beat (batched, not dropped).
-  const std::uint64_t ingested = hub.snapshot()->cluster().total_beats;
+  std::uint64_t ingested = 0;
+  hub.snapshot()->for_each_app(
+      [&ingested](const hb::hub::AppSummary& s) { ingested += s.total_beats; },
+      /*include_evicted=*/true);
   if (ingested != res.beats) {
     std::fprintf(stderr, "BUG: ingested %llu of %llu beats\n",
                  static_cast<unsigned long long>(ingested),

@@ -139,7 +139,11 @@ int main(int argc, char** argv) {
       (2000 +  // warm-up
        static_cast<std::uint64_t>(reps) * 2 * per_thread +
        (hb::obs::kCompiledIn ? 2 * 2000 : 0));
-  if (hub.snapshot()->cluster().total_beats != expected) ok = false;
+  std::uint64_t ingested = 0;
+  hub.snapshot()->for_each_app(
+      [&ingested](const hb::hub::AppSummary& s) { ingested += s.total_beats; },
+      /*include_evicted=*/true);
+  if (ingested != expected) ok = false;
 
   hb::bench::JsonRecord rec("obs_overhead");
   rec.config("apps", apps);

@@ -1,4 +1,4 @@
-// Snapshot-plane query cost: repeated cluster/sweep queries between
+// Snapshot-plane query cost: repeated snapshot grabs and sweeps between
 // flushes, cached FleetSnapshot vs per-query rebuild.
 //
 // Before the snapshot plane, EVERY hub query forced a flush-and-copy under
@@ -9,8 +9,8 @@
 // ManualClock fleet:
 //
 //   cached:   the clock is frozen between queries — every query after the
-//             first reuses the published snapshot (the "repeated cluster
-//             queries between flushes" case the snapshot plane targets);
+//             first reuses the published snapshot (the "repeated snapshot
+//             grabs between flushes" case the snapshot plane targets);
 //   rebuild:  the clock advances 1ms before every query, forcing a full
 //             per-shard republish each time — the per-query walk the
 //             pre-snapshot hub performed on EVERY query, cache or not
@@ -27,7 +27,7 @@
 //   ./bench_snapshot_query --smoke            (fewer reps, same gates)
 //   ./bench_snapshot_query --json PATH        (write a BENCH json record)
 //
-// CSV on stdout; `# cluster_speedup=` is the headline (acceptance shape:
+// CSV on stdout; `# snapshot_speedup=` is the headline (acceptance shape:
 // >= 5x at 4k apps). Exit: 0 ok, 2 on a correctness failure, 3 on a blown
 // speedup gate.
 #include <atomic>
@@ -51,6 +51,23 @@ namespace {
 
 using hb::util::kNsPerMs;
 using hb::util::kNsPerSec;
+
+/// Registered apps (evicted included) and their summed total_beats.
+struct FleetTotals {
+  std::uint64_t apps = 0;
+  std::uint64_t total_beats = 0;
+};
+
+FleetTotals totals_of(const hb::hub::FleetSnapshot& snap) {
+  FleetTotals t;
+  snap.for_each_app(
+      [&t](const hb::hub::AppSummary& s) {
+        ++t.apps;
+        t.total_beats += s.total_beats;
+      },
+      /*include_evicted=*/true);
+  return t;
+}
 
 double timed(const auto& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -112,13 +129,11 @@ int main(int argc, char** argv) {
 
   // --- cached: frozen clock, no new beats -> every query after the first
   // is served from the published FleetSnapshot.
-  hb::hub::ClusterSummary cached_cluster;
+  std::shared_ptr<const hb::hub::FleetSnapshot> cached_snap;
   hb::fault::FleetReport cached_report;
   const auto hits_before = hub.snapshot_stats();
-  const double cached_cluster_s = timed([&] {
-    for (int q = 0; q < queries; ++q) {
-      cached_cluster = hub.snapshot()->cluster();
-    }
+  const double cached_snapshot_s = timed([&] {
+    for (int q = 0; q < queries; ++q) cached_snap = hub.snapshot();
   });
   const double cached_sweep_s = timed([&] {
     for (int q = 0; q < queries / 10; ++q) {
@@ -130,12 +145,12 @@ int main(int argc, char** argv) {
   // --- rebuild: advance the clock before every query, forcing full
   // per-shard maintenance + republish each time (the pre-snapshot
   // per-query cost, and what a real-clock poller pays per query).
-  hb::hub::ClusterSummary rebuilt_cluster;
+  std::shared_ptr<const hb::hub::FleetSnapshot> rebuilt_snap;
   hb::fault::FleetReport rebuilt_report;
-  const double rebuild_cluster_s = timed([&] {
+  const double rebuild_snapshot_s = timed([&] {
     for (int q = 0; q < queries; ++q) {
       clock->advance(kNsPerMs);
-      rebuilt_cluster = hub.snapshot()->cluster();
+      rebuilt_snap = hub.snapshot();
     }
   });
   const double rebuild_sweep_s = timed([&] {
@@ -145,8 +160,8 @@ int main(int argc, char** argv) {
     }
   });
 
-  const double cluster_speedup =
-      cached_cluster_s > 0.0 ? rebuild_cluster_s / cached_cluster_s : 0.0;
+  const double snapshot_speedup =
+      cached_snapshot_s > 0.0 ? rebuild_snapshot_s / cached_snapshot_s : 0.0;
   const double sweep_speedup =
       cached_sweep_s > 0.0 ? rebuild_sweep_s / cached_sweep_s : 0.0;
 
@@ -161,7 +176,7 @@ int main(int argc, char** argv) {
     observer = std::thread([&] {
       // relaxed: stop flag only; join() is the synchronization point.
       while (!stop.load(std::memory_order_relaxed)) {
-        (void)hub.snapshot()->cluster();
+        (void)hub.snapshot();
         clock->advance(kNsPerMs);  // keep the cache honest: epochs advance
       }
     });
@@ -186,28 +201,30 @@ int main(int argc, char** argv) {
   // --- correctness: cached and rebuilt answers describe the same fleet,
   // the cache actually hit, sweeps carry a coherent epoch, and no beat was
   // lost under the concurrent observer.
-  const auto final_cluster = hub.snapshot()->cluster();
+  const FleetTotals cached = totals_of(*cached_snap);
+  const FleetTotals rebuilt = totals_of(*rebuilt_snap);
+  const FleetTotals final_totals = totals_of(*hub.snapshot());
   const std::uint64_t expected_beats =
       static_cast<std::uint64_t>(apps) * 30 + per_thread * kProducers;
   const std::uint64_t cached_hits =
       hits_after.fleet_hits - hits_before.fleet_hits;
   const bool ok =
-      cached_cluster.apps == static_cast<std::uint64_t>(apps) &&
-      rebuilt_cluster.apps == static_cast<std::uint64_t>(apps) &&
-      cached_cluster.total_beats == rebuilt_cluster.total_beats &&
+      cached.apps == static_cast<std::uint64_t>(apps) &&
+      rebuilt.apps == static_cast<std::uint64_t>(apps) &&
+      cached.total_beats == rebuilt.total_beats &&
       cached_report.apps.size() == static_cast<std::size_t>(apps) &&
       cached_report.snapshot_epoch > 0 &&
       rebuilt_report.snapshot_epoch > cached_report.snapshot_epoch &&
       cached_hits >= static_cast<std::uint64_t>(queries - 2) &&
-      final_cluster.total_beats == expected_beats;
+      final_totals.total_beats == expected_beats;
 
   std::printf("mode,apps,queries,seconds,queries_per_sec\n");
-  std::printf("cluster_cached,%d,%d,%.6f,%.0f\n", apps, queries,
-              cached_cluster_s,
-              cached_cluster_s > 0 ? queries / cached_cluster_s : 0.0);
-  std::printf("cluster_rebuild,%d,%d,%.6f,%.0f\n", apps, queries,
-              rebuild_cluster_s,
-              rebuild_cluster_s > 0 ? queries / rebuild_cluster_s : 0.0);
+  std::printf("snapshot_cached,%d,%d,%.6f,%.0f\n", apps, queries,
+              cached_snapshot_s,
+              cached_snapshot_s > 0 ? queries / cached_snapshot_s : 0.0);
+  std::printf("snapshot_rebuild,%d,%d,%.6f,%.0f\n", apps, queries,
+              rebuild_snapshot_s,
+              rebuild_snapshot_s > 0 ? queries / rebuild_snapshot_s : 0.0);
   std::printf("sweep_cached,%d,%d,%.6f,%.0f\n", apps, queries / 10,
               cached_sweep_s,
               cached_sweep_s > 0 ? (queries / 10) / cached_sweep_s : 0.0);
@@ -217,7 +234,7 @@ int main(int argc, char** argv) {
   std::printf("ingest_with_observer,%d,%llu,%.4f,%.0f\n", apps,
               static_cast<unsigned long long>(per_thread * kProducers),
               ingest_s, ingest_bps);
-  std::printf("\n# cluster_speedup=%.1f\n", cluster_speedup);
+  std::printf("\n# snapshot_speedup=%.1f\n", snapshot_speedup);
   std::printf("# sweep_speedup=%.1f\n", sweep_speedup);
   std::printf("# cache_hits=%llu of %d cached queries\n",
               static_cast<unsigned long long>(cached_hits), queries);
@@ -230,11 +247,11 @@ int main(int argc, char** argv) {
     rec.config("apps", apps);
     rec.config("queries", queries);
     rec.config("smoke", smoke);
-    rec.metric("cluster_cached_qps",
-               cached_cluster_s > 0 ? queries / cached_cluster_s : 0.0);
-    rec.metric("cluster_rebuild_qps",
-               rebuild_cluster_s > 0 ? queries / rebuild_cluster_s : 0.0);
-    rec.metric("cluster_speedup", cluster_speedup);
+    rec.metric("snapshot_cached_qps",
+               cached_snapshot_s > 0 ? queries / cached_snapshot_s : 0.0);
+    rec.metric("snapshot_rebuild_qps",
+               rebuild_snapshot_s > 0 ? queries / rebuild_snapshot_s : 0.0);
+    rec.metric("snapshot_speedup", snapshot_speedup);
     rec.metric("sweep_speedup", sweep_speedup);
     rec.metric("ingest_beats_per_sec_with_observer", ingest_bps);
     rec.metric("correctness", ok);
@@ -242,7 +259,7 @@ int main(int argc, char** argv) {
   }
 
   if (!ok) return 2;
-  if (cluster_speedup < 5.0) {
+  if (snapshot_speedup < 5.0) {
     std::printf("# speedup_ok=no\n");
     return 3;
   }

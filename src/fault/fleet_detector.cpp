@@ -205,8 +205,7 @@ FleetReport FleetDetector::sweep(
   // Worst offenders: unhealthy apps, most severe verdict first, ties
   // broken by staleness (most stale = longest silent = worst), then name
   // for determinism. Warming up is absence of evidence, not an offense —
-  // a freshly started fleet has no offenders (same rule that keeps
-  // warming-up apps out of ClusterSummary::deficient).
+  // a freshly started fleet has no offenders.
   std::vector<const AppHealth*> offenders;
   for (const AppHealth& app : report.apps) {
     if (app.health != Health::kHealthy && app.health != Health::kWarmingUp) {

@@ -15,7 +15,7 @@
 //     (one apply per shard          │
 //      per poll, no buffer)         │
 //                                ▼  publish: immutable ShardSnapshot
-//   snapshot() ◀── FleetSnapshot: per-app / per-tag / cluster rollups
+//   snapshot() ◀── FleetSnapshot: every app's summary, one coherent view
 //   summary(id) ◀── one app, publishing only its owning shard
 //
 // Determinism: all timestamps flow through the hub's util::Clock, shard
@@ -65,7 +65,7 @@ struct HubOptions {
   /// Beats per rate computation; 0 = the whole sliding window.
   std::uint32_t rate_window = 0;
   /// Auto-evict apps whose staleness exceeds this bound (dead producers
-  /// stop costing rollup time; a new beat revives them). 0 = never.
+  /// drop their window memory; a new beat revives them). 0 = never.
   util::TimeNs evict_after_ns = 0;
   /// Self-telemetry: register the hub itself as app kSelfAppName and beat
   /// it through the ordinary ingest path once per fleet-snapshot rebuild
@@ -131,8 +131,8 @@ class HeartbeatHub {
   /// it in summaries). Thread-safe.
   void set_target(AppId id, core::TargetRate target);
 
-  /// Drop an app's window state and exclude it from cluster/tag rollups
-  /// and apps() listings (total_beats survives; the name stays registered).
+  /// Drop an app's window state and exclude it from live-only sweeps
+  /// (total_beats survives; the name stays registered).
   /// Any later beat revives it. Also applied automatically at flush once
   /// staleness exceeds HubOptions::evict_after_ns.
   void evict(AppId id);

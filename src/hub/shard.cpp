@@ -1,11 +1,7 @@
 #include "hub/shard.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
-#include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -41,9 +37,9 @@ struct ShardMetrics {
 };
 
 /// Records apply_run_locked looks ahead: an app's leading fields are
-/// prefetched kApplyFetchAhead records before its apply, and what they
-/// point at kApplyTargetAhead records before it — by then the first
-/// fetch has landed.
+/// prefetched kApplyFetchAhead records before its apply, and the window
+/// ends they point at kApplyTargetAhead records before it — by then the
+/// first fetch has landed.
 constexpr std::size_t kApplyFetchAhead = 8;
 constexpr std::size_t kApplyTargetAhead = 4;
 /// Apps rebuild_snapshot_locked looks ahead.
@@ -75,11 +71,10 @@ HubShard::HubShard(std::uint32_t index, ShardConfig config)
 std::uint32_t HubShard::add_app(std::string name, core::TargetRate target) {
   util::MutexLock lock(state_mu_);
   AppState app(config_);
-  app.name = std::move(name);
   app.target = target;
   app.born_ns = config_.clock->now();
   const auto slot = static_cast<std::uint32_t>(apps_.size());
-  app.cached.name = app.name;
+  app.cached.name = std::move(name);
   app.cached.id = make_app_id(index_, slot);
   app.cached.shard = index_;
   app.cached.target = target;
@@ -201,77 +196,23 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
   next->published_at_ns = now;
   next->apps.reserve(apps_.size());
 
-  ClusterSummary& sum = next->cluster_part;
-  std::map<std::uint64_t, TagSummary> by_tag;
   for (std::size_t k = 0; k < apps_.size(); ++k) {
     if (k + kPublishFetchAhead < apps_.size()) {
       // Fetch what this walk and a refresh read of the app a few slots
-      // ahead: its leading fields and cached summary; when it is dirty,
-      // also its window ends (the rate span) and its min bucket, where
-      // the percentile walk starts.
+      // ahead: the whole app, and when it is dirty also its window ends
+      // (the rate span).
       const AppState& ahead = apps_[k + kPublishFetchAhead];
-      prefetch_lines(&ahead, &ahead.hist);
-      prefetch_lines(&ahead.cached, &ahead.cached + 1);
+      prefetch_lines(&ahead, &ahead + 1);
       if (ahead.dirty && !ahead.window.empty()) {
         __builtin_prefetch(&ahead.window.back(0));
         __builtin_prefetch(&ahead.window.back(ahead.window.size() - 1));
-        __builtin_prefetch(
-            &ahead.hist.counts()[AppHistogram::bucket_index(ahead.min)]);
       }
     }
     AppState& app = apps_[k];
     maintain_locked(app, now);
     if (app.dirty) refresh_locked(app);
     next->apps.push_back(app.cached);
-
-    if (app.evicted) {
-      ++sum.evicted;
-      continue;
-    }
-    const AppSummary& s = app.cached;
-    ++sum.apps;
-    sum.total_beats += s.total_beats;
-    sum.window_beats += s.window_beats;
-    if (std::isfinite(s.rate_bps)) sum.aggregate_rate_bps += s.rate_bps;
-    if (s.window_beats < 2) {
-      // Fewer than 2 windowed beats has no measurable rate (rate_bps is a
-      // placeholder 0): the app is warming up, neither meeting its band nor
-      // deficient against its minimum.
-      ++sum.warming_up;
-    } else {
-      // A zero-span window reports an infinite rate; that is "unmeasurably
-      // fast", not evidence the target band is met (same isfinite rule as
-      // the aggregate-rate line above).
-      if (std::isfinite(s.rate_bps) && s.target.contains(s.rate_bps)) {
-        ++sum.meeting_target;
-      }
-      if (std::isfinite(s.rate_bps) && s.target.min_bps > 0.0 &&
-          s.rate_bps < s.target.min_bps) {
-        ++sum.deficient;
-      }
-    }
-    sum.last_beat_ns = std::max(sum.last_beat_ns, s.last_beat_ns);
-    if (app.window.size() > 1) {
-      if (!next->any_interval) {
-        sum.interval_min_ns = s.interval_min_ns;
-        sum.interval_max_ns = s.interval_max_ns;
-        next->any_interval = true;
-      } else {
-        sum.interval_min_ns = std::min(sum.interval_min_ns, s.interval_min_ns);
-        sum.interval_max_ns = std::max(sum.interval_max_ns, s.interval_max_ns);
-      }
-    }
-    app.tags.for_each([&by_tag](const TagTable::Entry& e) {
-      TagSummary& t = by_tag[e.tag];
-      t.tag = e.tag;
-      t.beats += e.count;
-      ++t.apps;
-    });
   }
-  // After the walk: maintenance above may have evicted apps out of it.
-  next->intervals = live_intervals_;
-  next->tags.reserve(by_tag.size());
-  for (const auto& [_, t] : by_tag) next->tags.push_back(t);
   state_dirty_ = false;
 
   util::MutexLock snap_lock(snap_mu_);
@@ -305,11 +246,8 @@ void HubShard::maintain_locked(AppState& app, util::TimeNs now) {
 }
 
 void HubShard::evict_locked(AppState& app) {
-  live_intervals_.subtract(app.hist);
   app.window.clear();
-  app.hist.reset();
   app.moments.clear();
-  app.tags.clear();
   app.evicted = true;
   app.dirty = true;
 }
@@ -329,66 +267,11 @@ std::uint64_t interval_between(util::TimeNs prev_ns, util::TimeNs next_ns) {
 
 }  // namespace
 
-std::size_t HubShard::TagTable::lower_bound(std::uint64_t tag) const {
-  std::size_t lo = 0, hi = size_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (at(mid).tag < tag) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-void HubShard::TagTable::add(std::uint64_t tag) {
-  std::size_t i = size_;
-  if (size_ > 0 && tag <= at(size_ - 1).tag) {  // not a new newest tag
-    i = tag == at(size_ - 1).tag ? size_ - 1 : lower_bound(tag);
-    if (at(i).tag == tag) {
-      ++at(i).count;
-      return;
-    }
-  }
-  if (size_ == slots_.size()) {
-    // Full: move into twice the slots, entry 0 first.
-    std::vector<Entry> grown(std::max<std::size_t>(1, 2 * size_));
-    for (std::size_t k = 0; k < size_; ++k) grown[k] = at(k);
-    slots_ = std::move(grown);
-    head_ = 0;
-  }
-  // Open entry i by shifting the shorter side of it outward one slot.
-  if (i < size_ - i) {
-    head_ = (head_ + slots_.size() - 1) & (slots_.size() - 1);
-    for (std::size_t k = 0; k < i; ++k) at(k) = at(k + 1);
-  } else {
-    for (std::size_t k = size_; k > i; --k) at(k) = at(k - 1);
-  }
-  at(i) = Entry{tag, 1};
-  ++size_;
-}
-
-void HubShard::TagTable::remove(std::uint64_t tag) {
-  // The oldest beat's tag is most often the smallest one counted.
-  const std::size_t i = at(0).tag == tag ? 0 : lower_bound(tag);
-  assert(i < size_ && at(i).tag == tag);
-  if (--at(i).count > 0) return;
-  // Close entry i by shifting the shorter side of it inward one slot.
-  if (i < size_ - 1 - i) {
-    for (std::size_t k = i; k > 0; --k) at(k) = at(k - 1);
-    head_ = (head_ + 1) & (slots_.size() - 1);
-  } else {
-    for (std::size_t k = i; k + 1 < size_; ++k) at(k) = at(k + 1);
-  }
-  --size_;
-}
-
 void HubShard::apply_run_locked(std::span<const AppRecord> recs) {
   // Group prefetching: while record i is applied, record i + kApplyFetchAhead
   // has its app's leading lines in flight and record i + kApplyTargetAhead,
-  // whose lines have landed by now, has its window ends and buckets in
-  // flight — so an app's misses overlap the applies before it.
+  // whose lines have landed by now, has its window ends in flight — so an
+  // app's misses overlap the applies before it.
   const std::size_t n = recs.size();
   for (std::size_t i = 0; i < std::min(n, kApplyFetchAhead); ++i) {
     prefetch_app_locked(app_id_slot(recs[i].id));
@@ -398,9 +281,7 @@ void HubShard::apply_run_locked(std::span<const AppRecord> recs) {
       prefetch_app_locked(app_id_slot(recs[i + kApplyFetchAhead].id));
     }
     if (i + kApplyTargetAhead < n) {
-      const AppRecord& ahead = recs[i + kApplyTargetAhead];
-      prefetch_beat_targets_locked(app_id_slot(ahead.id),
-                                   ahead.rec.timestamp_ns);
+      prefetch_window_ends_locked(app_id_slot(recs[i + kApplyTargetAhead].id));
     }
     apply_locked(app_id_slot(recs[i].id), recs[i].rec);
   }
@@ -408,24 +289,16 @@ void HubShard::apply_run_locked(std::span<const AppRecord> recs) {
 
 void HubShard::prefetch_app_locked(std::uint32_t slot) const {
   const AppState& app = apps_[slot];
-  prefetch_lines(&app, &app.tags + 1);
+  prefetch_lines(&app, &app.max_copies + 1);
 }
 
-void HubShard::prefetch_beat_targets_locked(std::uint32_t slot,
-                                            util::TimeNs timestamp_ns) const {
+void HubShard::prefetch_window_ends_locked(std::uint32_t slot) const {
   const AppState& app = apps_[slot];
-  app.tags.prefetch_ends();
   const std::size_t n = app.window.size();
   if (n == 0) return;  // no interval comes: the window starts fresh
   __builtin_prefetch(&app.window.back(0));
   // A full window's push overwrites its oldest beat, after retiring it.
   if (n == app.window.capacity()) __builtin_prefetch(&app.window.back(n - 1), 1);
-  // The newest windowed beat is the last one applied, so last_beat_ns
-  // predicts the coming interval without reading the window.
-  const std::size_t bucket =
-      AppHistogram::bucket_index(interval_between(app.last_beat_ns, timestamp_ns));
-  __builtin_prefetch(&app.hist.counts()[bucket], 1);
-  __builtin_prefetch(&live_intervals_.counts()[bucket], 1);
 }
 
 void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec) {
@@ -435,29 +308,25 @@ void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec
   app.last_beat_ns = rec.timestamp_ns;
 
   if (app.window.size() == app.window.capacity()) {
-    // The push below overwrites the oldest beat: retire its tag, and the
-    // interval that joined it to the next-oldest beat.
-    app.tags.remove(app.window.back(app.window.size() - 1).tag);
-    if (app.window.size() > 1) retire_oldest_interval_locked(app);
+    // The push below overwrites the oldest beat: retire the interval that
+    // joined it to the next-oldest beat (a window holds at least two).
+    retire_oldest_interval_locked(app);
   }
   // The interval since the newest beat still inside the window. After
   // eviction the window is empty and the first new beat starts fresh: the
   // silent gap is staleness, not an interval.
   if (app.window.size() > 0) {
-    add_interval_locked(app, interval_between(app.window.back(0).timestamp_ns,
+    add_interval_locked(app, interval_between(app.window.back(0),
                                               rec.timestamp_ns));
   }
-  app.window.push(Beat{rec.timestamp_ns, rec.tag});
-  app.tags.add(rec.tag);
+  app.window.push(rec.timestamp_ns);
   app.dirty = true;
 }
 
 void HubShard::retire_oldest_interval_locked(AppState& app) {
   const std::size_t n = app.window.size();
-  const std::uint64_t old = interval_between(
-      app.window.back(n - 1).timestamp_ns, app.window.back(n - 2).timestamp_ns);
-  app.hist.forget(old);
-  live_intervals_.forget(old);
+  const std::uint64_t old =
+      interval_between(app.window.back(n - 1), app.window.back(n - 2));
   app.moments.remove(old);
   if (old == app.min) --app.min_copies;
   if (old == app.max) --app.max_copies;
@@ -467,8 +336,6 @@ void HubShard::add_interval_locked(AppState& app, std::uint64_t interval) {
   // The window held one beat, or two when the retired interval was its
   // only one: no interval is left to compare against.
   const bool first = app.moments.count() == 0;
-  app.hist.record(interval);
-  live_intervals_.record(interval);
   app.moments.add(interval);
   // A bound whose copies all left stays stale (count 0) until a new
   // interval beats or equals it; refresh_locked rescans if it is still
@@ -507,18 +374,20 @@ void HubShard::refresh_locked(AppState& app) {
   if (w < 2) {
     s.rate_bps = 0.0;
   } else {
-    const util::TimeNs span =
-        app.window.back(0).timestamp_ns - app.window.back(w - 1).timestamp_ns;
-    s.rate_bps = span > 0
-                     ? static_cast<double>(w - 1) / util::to_seconds(span)
-                     : std::numeric_limits<double>::infinity();
+    // Unsigned, like every interval: untrusted timestamps may span more
+    // than INT64_MAX. A disordered window's span clamps to 0.
+    const std::uint64_t span =
+        interval_between(app.window.back(w - 1), app.window.back(0));
+    s.rate_bps = span > 0 ? static_cast<double>(w - 1) /
+                                (static_cast<double>(span) /
+                                 static_cast<double>(util::kNsPerSec))
+                          : std::numeric_limits<double>::infinity();
   }
 
   if (have < 2) {
     s.interval_min_ns = s.interval_max_ns = 0;
     s.interval_mean_ns = 0.0;
     s.interval_stddev_ns = 0.0;
-    s.interval_p50_ns = s.interval_p95_ns = s.interval_p99_ns = 0;
   } else {
     if (app.min_copies == 0 || app.max_copies == 0) {
       // The last copy of a bound left the window: one walk over its
@@ -527,11 +396,10 @@ void HubShard::refresh_locked(AppState& app) {
       app.min = std::numeric_limits<std::uint64_t>::max();
       app.max = 0;
       app.min_copies = app.max_copies = 0;
-      const Beat* newer = nullptr;
-      app.window.for_each_newest_first([&app, &newer](const Beat& b) {
+      const util::TimeNs* newer = nullptr;
+      app.window.for_each_newest_first([&app, &newer](const util::TimeNs& ts) {
         if (newer) {
-          const std::uint64_t v =
-              interval_between(b.timestamp_ns, newer->timestamp_ns);
+          const std::uint64_t v = interval_between(ts, *newer);
           if (v < app.min) {
             app.min = v;
             app.min_copies = 0;
@@ -543,7 +411,7 @@ void HubShard::refresh_locked(AppState& app) {
           app.min_copies += v == app.min;
           app.max_copies += v == app.max;
         }
-        newer = &b;
+        newer = &ts;
       });
     }
     s.interval_min_ns = app.min;
@@ -552,11 +420,6 @@ void HubShard::refresh_locked(AppState& app) {
     // Population stddev over the windowed intervals — the jitter signal
     // ("slow or erratic heartbeats", paper Section 2.6).
     s.interval_stddev_ns = app.moments.stddev();
-    std::array<std::uint64_t, kIntervalPercentiles.size()> q;
-    app.hist.percentiles(kIntervalPercentiles, app.min, app.max, q);
-    s.interval_p50_ns = q[0];
-    s.interval_p95_ns = q[1];
-    s.interval_p99_ns = q[2];
   }
   app.dirty = false;
 }

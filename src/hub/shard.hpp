@@ -22,44 +22,37 @@
 //
 // Window statistics are maintained per beat, so a publish does O(1) work
 // per changed app. Applying a beat updates the app's exact integer sum
-// and sum of squares, its min and max with a count of their copies, its
-// interval histogram, and the shard's live interval histogram (the sum
-// of every app's). A refresh then reads those off: the percentiles in
-// one walk over the buckets between the window's min and max, and a
-// rescan of the window only when the last copy of the min or max has
-// left it. The publish copies the shard histogram once instead of
-// merging every app's.
+// and sum of squares, and its min and max with a count of their copies. A
+// refresh then reads those off, and rescans the window only when the last
+// copy of the min or max has left it.
 //
-// Per-app layout. An app keeps only what a publish reads, about 16 bytes
-// per windowed beat plus about 1.5 KB (5.6 KB at the default window of
-// 256 beats):
-//   * the window: a ring of 16-byte Beats (timestamp, tag);
+// Per-app layout. An app keeps only what a publish reads: 8 bytes per
+// windowed beat plus one AppState (384 bytes; 2.4 KB in all at the
+// default window of 256 beats):
+//   * the window: a ring of beat timestamps;
 //   * no stored intervals: a window's intervals are its consecutive
 //     timestamp pairs, so the interval a push retires is derived from the
 //     two oldest beats, and a min/max rescan walks the pairs;
-//   * an interval histogram with uint16 bucket counts (a window holds at
-//     most kMaxWindowCapacity - 1 intervals);
-//   * the exact moments and the min/max copy counts;
-//   * a TagTable: one (tag, count) entry per distinct windowed tag.
+//   * the exact moments and the min/max copy counts.
 // The fields a beat's apply touches come first and fill the app's first
-// four cache lines; the histogram and the cached summary follow.
+// three cache lines; the target, the registration time and the cached
+// summary follow.
 //
 // Apply and publish each walk many apps whose state was last written on
 // another CPU, so both prefetch ahead: apply fetches the app a fixed
 // number of records ahead in two stages (its first lines, then the
-// window ends and histogram buckets those lines point at), and publish
-// fetches the summary, moments and bounds of the app four slots ahead.
+// window ends those lines point at), and publish fetches the whole app
+// four slots ahead.
 //
 // A publish that finds nothing new (no pending beats, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
 // the epoch stands still and fleet-level caches keep serving pointer
-// reads. This is what makes repeated cluster queries between flushes
+// reads. This is what makes repeated snapshot grabs between flushes
 // nearly free (bench/snapshot_query).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -70,15 +63,16 @@
 #include "hub/summary.hpp"
 #include "util/clock.hpp"
 #include "util/exact_moments.hpp"
-#include "util/histogram.hpp"
 #include "util/mutex.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace hb::hub {
 
-/// Largest sliding window, in beats: an app's interval histogram counts in
-/// uint16, and a window of N beats spans N - 1 intervals.
+/// Largest sliding window, in beats. It bounds what one app may cost the
+/// hub: 8 bytes per windowed beat (512 KB at the cap), and the walk over
+/// its window that a refresh pays when the last copy of its interval min
+/// or max has left it.
 inline constexpr std::size_t kMaxWindowCapacity = 65535;
 
 /// In-process beats a shard buffers before the producer that fills the
@@ -135,8 +129,8 @@ class HubShard {
   void set_target(std::uint32_t slot, core::TargetRate target)
       HB_EXCLUDES(state_mu_);
 
-  /// Drop an app's window state and exclude it from rollups until it beats
-  /// again (total_beats survives). Idempotent.
+  /// Drop an app's window state and mark it evicted until it beats again
+  /// (total_beats survives). Idempotent.
   void evict(std::uint32_t slot) HB_EXCLUDES(state_mu_);
 
   /// Apply all pending beats, run time maintenance, and (re)publish the
@@ -153,73 +147,12 @@ class HubShard {
   ShardStats stats() const HB_EXCLUDES(state_mu_, ingest_mu_);
 
  private:
-  /// One windowed beat: the two fields of a record that a publish reads.
-  struct Beat {
-    util::TimeNs timestamp_ns;
-    std::uint64_t tag;
-  };
-  static_assert(sizeof(Beat) == 16, "a windowed beat costs 16 bytes");
-
-  /// Per-app interval histogram: a window holds at most
-  /// kMaxWindowCapacity - 1 intervals, so uint16 bucket counts never wrap.
-  using AppHistogram = util::BasicLatencyHistogram<std::uint16_t>;
-  static_assert(kMaxWindowCapacity - 1 <=
-                std::numeric_limits<std::uint16_t>::max());
-  static_assert(sizeof(AppHistogram) <= 1024,
-                "the per-app histogram stays within 1 KB");
-
-  /// Windowed beat count per tag: a flat table of (tag, count) entries,
-  /// sorted by tag and stored as a ring, so both ends move in O(1). The
-  /// common streams hit a fast path: one constant tag is the newest
-  /// entry, and a per-beat sequence number appends a new newest entry
-  /// and retires the oldest. Other tags binary-search and shift the
-  /// shorter side. Storage grows to the most distinct tags the window has
-  /// held and is never freed, so a warm app allocates nothing.
-  class TagTable {
-   public:
-    struct Entry {
-      std::uint64_t tag;
-      std::uint64_t count;
-    };
-
-    void add(std::uint64_t tag);
-    /// Precondition: `tag` is counted.
-    void remove(std::uint64_t tag);
-    void clear() { head_ = size_ = 0; }
-    /// Prefetch the two entries add() and remove() look at first.
-    void prefetch_ends() const {
-      if (size_ == 0) return;
-      __builtin_prefetch(&at(0));
-      __builtin_prefetch(&at(size_ - 1));
-    }
-
-    /// Call `fn(entry)` for every entry, ascending by tag.
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      for (std::size_t i = 0; i < size_; ++i) fn(at(i));
-    }
-
-   private:
-    Entry& at(std::size_t i) {
-      return slots_[(head_ + i) & (slots_.size() - 1)];
-    }
-    const Entry& at(std::size_t i) const {
-      return slots_[(head_ + i) & (slots_.size() - 1)];
-    }
-    /// Index of the first entry whose tag is not below `tag`.
-    std::size_t lower_bound(std::uint64_t tag) const;
-
-    std::vector<Entry> slots_;  ///< ring storage, power-of-two size
-    std::size_t head_ = 0;      ///< slot of entry 0
-    std::size_t size_ = 0;
-  };
-
   /// Cache-line aligned, so the fields apply touches (total_beats through
-  /// tags) span exactly the app's first four lines.
+  /// max_copies) span exactly the app's first three lines.
   struct alignas(64) AppState {
     std::uint64_t total_beats = 0;
     util::TimeNs last_beat_ns = 0;  ///< survives eviction (staleness basis)
-    util::RingBuffer<Beat> window;
+    util::RingBuffer<util::TimeNs> window;  ///< beat timestamps
     bool evicted = false;
     bool dirty = false;
     /// Views of exactly the window's intervals:
@@ -229,21 +162,19 @@ class HubShard {
     /// window: the bound is stale until the next refresh rescans.
     std::uint64_t min = 0, max = 0;
     std::size_t min_copies = 0, max_copies = 0;
-    TagTable tags;  ///< windowed
-    // End of the fields apply touches (besides one histogram bucket).
+    // End of the fields apply touches.
     core::TargetRate target;
     /// Registration time on the hub clock: the staleness baseline until the
     /// first beat. Without it a freshly registered app under the monotonic
     /// clock (epoch = boot) would read as stale for the whole uptime and be
     /// instantly auto-evicted / classified dead.
     util::TimeNs born_ns = 0;
-    std::string name;
-    AppHistogram hist;  ///< percentiles of the windowed intervals
-    AppSummary cached;
+    AppSummary cached;  ///< holds the registration name
 
     explicit AppState(const ShardConfig& config)
         : window(config.window_capacity) {}
   };
+  static_assert(sizeof(AppState) <= 384, "an app's inline state fits 6 lines");
 
   /// Swap out every pending enqueued beat and apply it. ingest_mu_ is held
   /// only for the O(1) swap.
@@ -254,20 +185,16 @@ class HubShard {
   /// Apply `recs` in order, prefetching each app a fixed distance ahead.
   void apply_run_locked(std::span<const AppRecord> recs) HB_REQUIRES(state_mu_);
   /// Prefetch the lines apply_locked touches first: the app's leading
-  /// fields up to and including its tag table.
+  /// fields up to and including max_copies.
   void prefetch_app_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
-  /// Prefetch what the app's leading fields point at for a beat at
-  /// `timestamp_ns`: the window's newest and oldest beats, the tag table's
-  /// ends, and the per-app and shard histogram buckets of the coming
-  /// interval. Reads those leading fields, so it runs after
+  /// Prefetch what the app's leading fields point at: the window's newest
+  /// and oldest beats. Reads those leading fields, so it runs after
   /// prefetch_app_locked has brought them in.
-  void prefetch_beat_targets_locked(std::uint32_t slot,
-                                    util::TimeNs timestamp_ns) const
+  void prefetch_window_ends_locked(std::uint32_t slot) const
       HB_REQUIRES(state_mu_);
   void apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec)
       HB_REQUIRES(state_mu_);
-  /// Count one new windowed interval in the app's window statistics and
-  /// the shard histogram.
+  /// Count one new windowed interval in the app's window statistics.
   void add_interval_locked(AppState& app, std::uint64_t interval)
       HB_REQUIRES(state_mu_);
   /// Uncount the interval between the window's two oldest beats, which the
@@ -280,9 +207,9 @@ class HubShard {
   void maintain_locked(AppState& app, util::TimeNs now) HB_REQUIRES(state_mu_);
   void evict_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Build the next ShardSnapshot from current app state and swap it in:
-  /// per app, time maintenance, an O(1) refresh if it changed, the summary
-  /// copy and its rollup counts; then one copy of the shard histogram.
-  /// Caller holds state_mu_; the swap itself takes snap_mu_ only.
+  /// per app, time maintenance, an O(1) refresh if it changed, and the
+  /// summary copy. Caller holds state_mu_; the swap itself takes snap_mu_
+  /// only.
   void rebuild_snapshot_locked(util::TimeNs now)
       HB_REQUIRES(state_mu_) HB_EXCLUDES(snap_mu_);
 
@@ -304,9 +231,6 @@ class HubShard {
   /// Set by every apply and by add_app/set_target/evict: the next publish
   /// must rebuild even if no records arrive and the clock stands still.
   bool state_dirty_ HB_GUARDED_BY(state_mu_) = false;
-  /// Every app's `hist` summed: the windowed intervals of the live apps
-  /// (evicted apps hold none). Updated per interval, published by copy.
-  util::LatencyHistogram live_intervals_ HB_GUARDED_BY(state_mu_);
 
   /// INGEST stage. Guards batch_, the only thing producers touch on the
   /// hot path.

@@ -1,11 +1,12 @@
 // The snapshot plane: publish-and-read decoupling of hub observers from
 // the ingest hot path.
 //
-// Before this layer existed, every hub query (cluster rollup, fleet sweep,
-// single-app summary) forced a flush-and-copy UNDER each shard's stripe
-// lock — four observers in the control loop (FleetDetector, GlobalScheduler,
-// PolicyEngine, hbmon) meant four full-fleet copies per tick, all contending
-// directly with producer ingest. The snapshot plane inverts the flow:
+// Before this layer existed, every hub query (fleet sweep, single-app
+// summary) forced a flush-and-copy UNDER each shard's stripe lock — four
+// observers in the control loop (FleetDetector, GlobalScheduler,
+// PolicyEngine, hbmon) meant four full-fleet copies per tick, all
+// contending directly with producer ingest. The snapshot plane inverts the
+// flow:
 //
 //   ingest ──▶ HubShard ──publish──▶ ShardSnapshot (immutable, epoch N)
 //                                        │ shared_ptr swap; readers only
@@ -22,9 +23,9 @@
 //     publishes new state (new beats applied, dirty targets/evictions, or
 //     the clock moved at all, so staleness stamps catch up).
 //   * A FleetSnapshot holds one ShardSnapshot pointer per shard, grabbed
-//     once at composition: every derived view (cluster, tags, sweep) is
-//     coherent — no app can be counted under two different windows within
-//     one FleetSnapshot ("no torn sweeps").
+//     once at composition: every app it reaches (find, for_each_app) is
+//     from one coherent set of epochs — no app can be counted under two
+//     different windows within one FleetSnapshot ("no torn sweeps").
 //   * Repeated queries between flushes are pointer reads: same epochs ==
 //     same FleetSnapshot object, byte-identical answers for free.
 #pragma once
@@ -34,15 +35,13 @@
 #include <vector>
 
 #include "hub/summary.hpp"
-#include "util/histogram.hpp"
 #include "util/time.hpp"
 
 namespace hb::hub {
 
-/// One shard's published state: every app's summary (slot order, evicted
-/// apps included with their flag set) plus the precomputed rollup parts a
-/// fleet composition needs, so composing S shards costs O(S), not O(apps).
-/// Immutable after publication; handed out as shared_ptr<const>.
+/// One shard's published state: every app's summary in slot order, evicted
+/// apps included with their flag set. Immutable after publication; handed
+/// out as shared_ptr<const>.
 struct ShardSnapshot {
   std::uint32_t shard = 0;
   /// Publish counter, starts at 1 for the first snapshot. Monotone: a
@@ -57,20 +56,6 @@ struct ShardSnapshot {
   /// eviction is a confirmed death, not a non-entity; fleet sweeps need
   /// it). Filter on AppSummary::evicted for live-only views.
   std::vector<AppSummary> apps;
-
-  /// Shard-partial cluster rollup (counts, sums, exact interval min/max).
-  /// Percentile fields are left zero: they only exist fleet-wide, composed
-  /// from `intervals` below.
-  ClusterSummary cluster_part;
-  /// Inter-beat interval histogram of this shard's live apps' windows
-  /// (drives the composed cluster percentiles). Its counts are exact; its
-  /// min()/max() are not window-exact — cluster_part's bounds are.
-  util::LatencyHistogram intervals;
-  bool any_interval = false;
-
-  /// Windowed per-tag beat counts across this shard's live apps,
-  /// ascending by tag.
-  std::vector<TagSummary> tags;
 };
 
 /// Cache effectiveness counters for the snapshot plane (observability for
@@ -81,12 +66,12 @@ struct SnapshotStats {
 };
 
 /// A coherent whole-fleet view: one ShardSnapshot pointer per shard, all
-/// grabbed in one composition pass, plus the composed rollups. Immutable.
+/// grabbed in one composition pass. Immutable. Composing S shards costs
+/// O(S), not O(apps).
 ///
-/// Coherence guarantee: everything reachable from one FleetSnapshot —
-/// cluster(), tags(), each shard's apps — derives from the SAME set of
-/// shard epochs. A sweep iterating it can never see app A under epoch N
-/// and app B (same shard) under epoch N+1.
+/// Coherence guarantee: every app reachable from one FleetSnapshot derives
+/// from the SAME set of shard epochs. A sweep iterating it can never see
+/// app A under epoch N and app B (same shard) under epoch N+1.
 class FleetSnapshot {
  public:
   /// Compose a fleet view from per-shard snapshots (one per shard, shard
@@ -106,13 +91,6 @@ class FleetSnapshot {
 
   /// Registered apps in this snapshot (evicted ones included).
   std::size_t app_count() const { return app_count_; }
-
-  /// The composed cluster rollup, percentiles included. Precomputed at
-  /// composition: repeated cluster queries are struct reads.
-  const ClusterSummary& cluster() const { return cluster_; }
-
-  /// Composed per-tag rollup, ascending by tag.
-  const std::vector<TagSummary>& tags() const { return tags_; }
 
   /// The summary of one app by routing id, or nullptr when the id does not
   /// resolve inside this snapshot (foreign hub, or registered after the
@@ -144,8 +122,6 @@ class FleetSnapshot {
   std::uint64_t epoch_ = 0;
   util::TimeNs composed_at_ns_ = 0;
   std::size_t app_count_ = 0;
-  ClusterSummary cluster_;
-  std::vector<TagSummary> tags_;
 };
 
 }  // namespace hb::hub

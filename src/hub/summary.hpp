@@ -1,13 +1,13 @@
 // Summary types published by the heartbeat aggregation hub.
 //
 // The hub's contract with consumers (schedulers, fault detectors, cloud
-// managers) is a set of plain-value snapshots: per-app windowed summaries,
-// per-tag rollups, and a cluster-wide rollup. Observers get copies, never
-// references into shard state, so a snapshot stays coherent while shards
-// keep ingesting.
+// managers) is a set of plain-value snapshots of per-app windowed
+// summaries: rate, target and liveness, plus the window's exact interval
+// statistics. Observers get copies, never references into shard state, so
+// a snapshot stays coherent while shards keep ingesting. Fleet totals are
+// a walk over the summaries (FleetSnapshot::for_each_app).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -58,7 +58,7 @@ struct AppSummary {
   util::TimeNs staleness_ns = 0;
   /// True once the app was evicted (explicitly or past evict_after_ns).
   /// Evicted apps keep total_beats but drop all window state, and are
-  /// excluded from cluster/tag rollups until a new beat revives them.
+  /// skipped by live-only sweeps until a new beat revives them.
   bool evicted = false;
   core::TargetRate target;         ///< registered goal, as in the paper
 
@@ -66,44 +66,6 @@ struct AppSummary {
   std::uint64_t interval_max_ns = 0;   ///< exact, over the window
   double interval_mean_ns = 0.0;
   double interval_stddev_ns = 0.0;     ///< exact, over the window (jitter)
-  std::uint64_t interval_p50_ns = 0;   ///< histogram bucket (<= 12.5% error)
-  std::uint64_t interval_p95_ns = 0;
-  std::uint64_t interval_p99_ns = 0;
-};
-
-/// The interval percentiles AppSummary and ClusterSummary carry (p50, p95,
-/// p99), ascending — the order LatencyHistogram::percentiles() walks.
-inline constexpr std::array<double, 3> kIntervalPercentiles{50.0, 95.0, 99.0};
-
-/// Rollup of one tag value across every app's sliding window (frame types,
-/// phase ids, shard-wide progress markers — paper, Section 3).
-struct TagSummary {
-  std::uint64_t tag = 0;    ///< the application-chosen tag value
-  std::uint64_t beats = 0;  ///< windowed beats carrying this tag
-  std::uint32_t apps = 0;   ///< distinct apps that emitted it
-};
-
-/// Cluster-wide rollup across all live (non-evicted) apps. An app needs at
-/// least two windowed beats to have a measurable rate; apps below that are
-/// counted as warming_up and contribute to neither meeting_target nor
-/// deficient.
-struct ClusterSummary {
-  std::uint64_t apps = 0;
-  std::uint64_t total_beats = 0;      ///< sum of per-app total_beats
-  std::uint64_t window_beats = 0;     ///< sum of per-app window_beats
-  double aggregate_rate_bps = 0.0;    ///< sum of per-app windowed rates
-  std::uint64_t meeting_target = 0;   ///< apps whose rate is inside their band
-  std::uint64_t deficient = 0;        ///< measurable apps below their min
-  std::uint64_t warming_up = 0;       ///< apps with < 2 windowed beats
-  std::uint64_t evicted = 0;          ///< evicted apps (excluded from `apps`)
-  util::TimeNs last_beat_ns = 0;      ///< newest beat cluster-wide
-
-  /// Inter-beat interval distribution merged across all apps' windows.
-  std::uint64_t interval_min_ns = 0;
-  std::uint64_t interval_max_ns = 0;
-  std::uint64_t interval_p50_ns = 0;
-  std::uint64_t interval_p95_ns = 0;
-  std::uint64_t interval_p99_ns = 0;
 };
 
 /// Per-shard ingestion counters (observability for the bench and tests).

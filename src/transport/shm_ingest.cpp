@@ -668,7 +668,9 @@ std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
         if (n - 1 >= kIngestFrameRecords) n = 1;
         for (std::uint32_t i = 0; i < n; ++i) {
           core::HeartbeatRecord rec{};
-          rec.timestamp_ns = body.base_ts_ns + body.ts_delta_ns[i];
+          // Unsigned add: a hostile base near INT64_MAX wraps, not UB.
+          rec.timestamp_ns = static_cast<util::TimeNs>(
+              static_cast<std::uint64_t>(body.base_ts_ns) + body.ts_delta_ns[i]);
           rec.seq = body.base_seq + i;
           rec.tag = body.tags[i];
           rec.thread_id = body.thread_id;

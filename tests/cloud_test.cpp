@@ -2,6 +2,7 @@
 // degradation, consolidation and dedication decisions, failure detection.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -299,20 +300,25 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
     EXPECT_EQ(s.total_beats, sim.reader(v).count()) << "vm " << v;
     channel_total += sim.reader(v).count();
   }
-  const auto snap = hub->snapshot();
-  const hub::ClusterSummary& c = snap->cluster();
-  EXPECT_EQ(c.apps, static_cast<std::uint64_t>(kVms));
-  EXPECT_EQ(c.total_beats, channel_total);
-  EXPECT_GT(c.total_beats, 1000u);
+  // Fleet totals over the live apps' summaries. A rate needs two windowed
+  // beats, and an infinite (zero-span) one is no evidence of either.
+  std::uint64_t apps = 0, total_beats = 0, meeting_target = 0;
+  double aggregate_rate_bps = 0.0;
+  hub->snapshot()->for_each_app([&](const hub::AppSummary& s) {
+    ++apps;
+    total_beats += s.total_beats;
+    if (!std::isfinite(s.rate_bps)) return;
+    aggregate_rate_bps += s.rate_bps;
+    if (s.window_beats >= 2 && s.target.contains(s.rate_bps)) ++meeting_target;
+  });
+  EXPECT_EQ(apps, static_cast<std::uint64_t>(kVms));
+  EXPECT_EQ(total_beats, channel_total);
+  EXPECT_GT(total_beats, 1000u);
   // Aggregate rate is in the ballpark of total served demand (~60 units/s
   // across 8 machines of capacity 10, minus contention).
-  EXPECT_GT(c.aggregate_rate_bps, 20.0);
+  EXPECT_GT(aggregate_rate_bps, 20.0);
   // Most of the fleet meets its goal once the consolidator settles.
-  EXPECT_GT(c.meeting_target, static_cast<std::uint64_t>(kVms / 2));
-  // Tag rollup sees every VM (tag 0 beats from all of them).
-  ASSERT_FALSE(snap->tags().empty());
-  EXPECT_EQ(snap->tags().front().tag, 0u);  // ascending: tag 0 leads
-  EXPECT_EQ(snap->tags().front().apps, static_cast<std::uint32_t>(kVms));
+  EXPECT_GT(meeting_target, static_cast<std::uint64_t>(kVms / 2));
 }
 
 }  // namespace

@@ -26,6 +26,7 @@ using util::kNsPerSec;
 // Shared across the hub suites: ManualClock HubOptions with test-sized
 // shards/batch/window.
 using test::manual_hub_opts;
+using test::total_beats;
 
 // ------------------------------------------------------------- epoch rules
 
@@ -47,11 +48,11 @@ TEST(SnapshotEpochs, RepeatedQueriesBetweenFlushesReuseTheSnapshot) {
   // ...and with a frozen clock and no new beats, every further query —
   // whatever its shape — is the SAME snapshot object: pointer reads.
   const auto snap2 = hub.snapshot();
-  const ClusterSummary c1 = hub.snapshot()->cluster();
-  const ClusterSummary c2 = hub.snapshot()->cluster();
+  const std::uint64_t beats1 = total_beats(*hub.snapshot());
+  const std::uint64_t beats2 = total_beats(*hub.snapshot());
   EXPECT_EQ(snap1.get(), snap2.get());
   EXPECT_EQ(snap1->epoch(), snap2->epoch());
-  EXPECT_EQ(c1.total_beats, c2.total_beats);
+  EXPECT_EQ(beats1, beats2);
   const auto stats2 = hub.snapshot_stats();
   EXPECT_EQ(stats2.fleet_rebuilds, stats1.fleet_rebuilds);
   EXPECT_GE(stats2.fleet_hits, stats1.fleet_hits + 3);
@@ -103,18 +104,18 @@ TEST(SnapshotEpochs, OverflowDrainedBeatsAlwaysReachTheNextSnapshot) {
 
   clock->advance(kNsPerMs);
   hub.beat(id);
-  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 1u);
+  EXPECT_EQ(total_beats(*hub.snapshot()), 1u);
 
   // Exactly one full buffer, clock frozen: the last beat applies it.
   for (std::size_t i = 0; i < kIngestBatch; ++i) hub.beat(id);
   EXPECT_EQ(hub.shard(0).stats().pending, 0u);
-  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 1 + kIngestBatch);
+  EXPECT_EQ(total_beats(*hub.snapshot()), 1 + kIngestBatch);
 
   // Same shape through the span path.
   std::vector<AppRecord> recs(kIngestBatch, AppRecord{id, {}});
   for (auto& r : recs) r.rec.timestamp_ns = clock->now();
   hub.ingest_batch(recs);
-  EXPECT_EQ(hub.snapshot()->cluster().total_beats, 1 + 2 * kIngestBatch);
+  EXPECT_EQ(total_beats(*hub.snapshot()), 1 + 2 * kIngestBatch);
 }
 
 // ----------------------------------------------------- per-app query
@@ -208,11 +209,13 @@ TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
                   fleet.dead,
               fleet.apps);
 
-    // Cluster view from the same cache: internally consistent with itself
-    // (apps + evicted == registered) at whatever epoch it reflects.
-    const ClusterSummary cluster = hub.snapshot()->cluster();
-    EXPECT_EQ(cluster.apps + cluster.evicted,
-              static_cast<std::uint64_t>(kApps));
+    // A fleet walk of the same cache: internally consistent with itself
+    // (live + evicted == registered) at whatever epoch it reflects.
+    std::uint64_t live = 0, evicted = 0;
+    hub.snapshot()->for_each_app(
+        [&](const AppSummary& s) { ++(s.evicted ? evicted : live); },
+        /*include_evicted=*/true);
+    EXPECT_EQ(live + evicted, static_cast<std::uint64_t>(kApps));
   }
 
   // relaxed: stop flag only; join() is the synchronization point.
@@ -228,7 +231,7 @@ TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
     ingested += s.ingested;
     EXPECT_EQ(s.pending, 0u);
   }
-  EXPECT_EQ(hub.snapshot()->cluster().total_beats, ingested);
+  EXPECT_EQ(total_beats(*hub.snapshot()), ingested);
 }
 
 // The report's epoch is the snapshot's epoch — pinned exactly in a

@@ -58,6 +58,15 @@ inline hub::HubOptions manual_hub_opts(
   return opts;
 }
 
+/// Beats ever ingested, summed over every app in `snap` (evicted included).
+inline std::uint64_t total_beats(const hub::FleetSnapshot& snap) {
+  std::uint64_t total = 0;
+  snap.for_each_app(
+      [&total](const hub::AppSummary& s) { total += s.total_beats; },
+      /*include_evicted=*/true);
+  return total;
+}
+
 /// Beat every listed app once per round, advancing the virtual clock by
 /// `interval_ns` BEFORE each round (so the first beats land one interval
 /// past the current time, matching the hand-rolled loops this replaces).

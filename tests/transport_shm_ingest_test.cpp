@@ -10,8 +10,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <span>
 #include <string>
@@ -449,6 +452,49 @@ TEST_F(ShmIngestTest, VersionMismatchRejectedOnAttach) {
   std::fwrite(&old_version, sizeof(old_version), 1, f);
   std::fclose(f);
   EXPECT_THROW(ShmIngestQueue::attach(file()), std::runtime_error);
+}
+
+TEST_F(ShmIngestTest, HostileBaseTimestampDecodesWithoutOverflow) {
+  // Record i of a frame decodes as base_ts_ns + ts_delta_ns[i]. A hostile
+  // segment may carry any base: poked to INT64_MAX, every nonzero delta
+  // leaves int64's range. The drain adds in uint64 (two's complement
+  // wrap, no signed-overflow UB) and still delivers every record.
+  auto q = ShmIngestQueue::create(file(), 8);
+  std::vector<core::HeartbeatRecord> recs;
+  const std::uint32_t deltas[] = {0, 5, 10};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    recs.push_back(rec_at(deltas[i], /*tag=*/i));
+    recs.back().seq = i;
+  }
+  ASSERT_EQ(q->append_batch("hostile", recs, {}), 0u);
+  ASSERT_EQ(q->produced(), 1u);  // one packed frame, in shared-ring slot 0
+  q.reset();
+
+  // Rewrite slot 0's committed base timestamp in the file.
+  const long offset = static_cast<long>(
+      sizeof(ShmIngestHeader) + kIngestLanes * sizeof(ShmIngestLane) +
+      offsetof(ShmIngestSlot, body) +
+      offsetof(ShmIngestSlot::Body, base_ts_ns));
+  std::FILE* f = std::fopen(file().c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const std::int64_t hostile = std::numeric_limits<std::int64_t>::max();
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  std::fwrite(&hostile, sizeof(hostile), 1, f);
+  std::fclose(f);
+
+  auto attached = ShmIngestQueue::attach(file());
+  ShmIngestQueue::Cursor cur;
+  const auto out = drain_all(*attached, cur);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(cur.torn, 0u);
+  EXPECT_EQ(cur.dropped, 0u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(out[i].app, "hostile");
+    EXPECT_EQ(out[i].rec.tag, i);
+    EXPECT_EQ(out[i].rec.timestamp_ns,
+              static_cast<util::TimeNs>(
+                  static_cast<std::uint64_t>(hostile) + deltas[i]));
+  }
 }
 
 TEST_F(ShmIngestTest, ZeroCapacityRejectedOnAttach) {
