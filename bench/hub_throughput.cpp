@@ -1,19 +1,18 @@
-// Hub ingest throughput: beats/sec vs producer count vs shard count.
+// Hub ingest throughput: bulk apply scales with shard count.
 //
-// Why shards help even before true parallelism: every beat pays (a) the
-// stripe lock and (b) its share of an apply — the producer whose push
-// leaves a shard's pending buffer at hb::hub::kIngestBatch beats swaps the
-// buffer out and applies it under the shard's state lock, and the other
-// producers on that stripe queue behind it when they fill the next one.
-// With S shards over a fixed fleet, each stripe holds 1/S of the apps and
-// sees 1/S of the producers, so both terms shrink as S grows. The bench
-// pins that down: a fixed fleet of 64 apps, beaten by P producer threads,
-// swept over shard counts {1,2,4,8,16}.
+// Every beat reaches the hub through HeartbeatHub::ingest_batch: each
+// producer stages its records per shard and applies them in runs of 64
+// under the shard's state lock (bench/shard_runs.hpp — the shape the shm
+// ingest pump feeds the hub). Producers on one stripe queue behind each
+// other's applies; with S shards over a fixed fleet, each stripe holds
+// 1/S of the apps and sees 1/S of the runs, so contention shrinks as S
+// grows. The bench pins that down: a fixed fleet of 64 apps, beaten by P
+// producer threads, swept over shard counts {1,2,4,8,16}.
 //
 // Producers here are multi-tenant ingestion gateways — each thread forwards
-// beats for the WHOLE fleet round-robin (the HubSink shape: a transport
-// front-end relaying many tenants), so a 1-shard batch always mixes ~64
-// apps however the OS time-slices the threads. Fairness details:
+// beats for the WHOLE fleet round-robin (a transport front-end relaying
+// many tenants), so a 1-shard run always mixes the fleet's apps however
+// the OS time-slices the threads. Fairness details:
 //   * App names are chosen so their FNV-1a residues mod 16 are perfectly
 //     balanced — every swept shard count (divisors of 16) gets an equal
 //     slice of apps, so no configuration wins by hash luck.
@@ -39,6 +38,7 @@
 
 #include "bench_json.hpp"
 #include "hub/hub.hpp"
+#include "shard_runs.hpp"
 
 namespace {
 
@@ -90,9 +90,11 @@ RunResult run_once(int producers, int shards, std::uint64_t total_beats,
     threads.emplace_back([&, t] {
       const std::size_t offset =
           static_cast<std::size_t>(t) * fleet.size() / static_cast<std::size_t>(producers);
+      hb::bench::ShardRuns runs(hub);
       for (std::uint64_t k = 0; k < per_thread; ++k) {
-        hub.beat(fleet[(offset + k) % fleet.size()], k);
+        runs.beat(fleet[(offset + k) % fleet.size()], k);
       }
+      runs.flush();
     });
   }
   for (auto& th : threads) th.join();
@@ -103,7 +105,7 @@ RunResult run_once(int producers, int shards, std::uint64_t total_beats,
   res.seconds = std::chrono::duration<double>(end - start).count();
   res.beats_per_sec = res.seconds > 0 ? static_cast<double>(res.beats) / res.seconds : 0.0;
 
-  // Sanity: the hub must have seen every beat (batched, not dropped).
+  // Sanity: the hub must have seen every beat.
   std::uint64_t ingested = 0;
   hub.snapshot()->for_each_app(
       [&ingested](const hb::hub::AppSummary& s) { ingested += s.total_beats; },
@@ -169,7 +171,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n# best-of-%d aggregate ingest throughput (beats/s)\n", kReps);
+  std::printf("\n# best-of-%d aggregate bulk-apply throughput (beats/s)\n",
+              kReps);
   std::printf("# producers");
   for (const int s : shard_counts) std::printf("  shards=%-2d", s);
   std::printf("  speedup(1->16 shards)\n");

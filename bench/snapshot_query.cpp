@@ -19,9 +19,8 @@
 //
 // A correctness coda cross-checks the cached and rebuilt answers and the
 // cache-hit counters, and a short multi-producer ingest section reports
-// ingest throughput with a concurrent query-spinning reader (the
-// "observers must not block ingest" shape; the ±5% ingest gate vs the
-// pre-refactor hub is tracked through bench_hub_throughput's CI smoke).
+// beat() throughput with a concurrent query-spinning reader, whose forced
+// publishes share each shard's state lock with the producers.
 //
 //   ./bench_snapshot_query [apps] [queries]   (default 4000 x 2000)
 //   ./bench_snapshot_query --smoke            (fewer reps, same gates)

@@ -95,7 +95,8 @@ std::uint32_t HeartbeatHub::shard_of(const std::string& name) const {
 }
 
 void HeartbeatHub::ingest(AppId id, const core::HeartbeatRecord& rec) {
-  shards_.at(app_id_shard(id))->enqueue(app_id_slot(id), rec);
+  const AppRecord one{id, rec};
+  ingest_batch({&one, 1});
 }
 
 void HeartbeatHub::ingest_batch(std::span<const AppRecord> recs) {
@@ -126,17 +127,17 @@ void HeartbeatHub::evict(AppId id) {
 
 void HeartbeatHub::flush() {
   for (auto& shard : shards_) shard->publish();
-  // The beat lands in its shard's pending buffer and is applied by the
-  // next flush or publish — what matters for the staleness signal is that
-  // the timestamp was stamped *now*, while the maintenance loop was alive.
+  // The beat applies now and the next flush or snapshot publishes it —
+  // what matters for the staleness signal is that the timestamp was
+  // stamped *now*, while the maintenance loop was alive.
   maybe_self_beat();
 }
 
 std::shared_ptr<const FleetSnapshot> HeartbeatHub::snapshot() {
   obs::ObsSpan span("hub.snapshot", shards_.size());
-  // Phase 1, no fleet lock held: publish every shard. Each publish applies
-  // pending beats and republishes only if something changed; unchanged
-  // shards hand back their existing pointer with the epoch standing still.
+  // Phase 1, no fleet lock held: publish every shard. Each publish
+  // republishes only if something changed; unchanged shards hand back
+  // their existing pointer with the epoch standing still.
   std::vector<std::shared_ptr<const ShardSnapshot>> parts;
   parts.reserve(shards_.size());
   for (auto& shard : shards_) parts.push_back(shard->publish());

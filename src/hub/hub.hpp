@@ -8,21 +8,19 @@
 //
 // Architecture:
 //
-//   producers ──beat/ingest──▶ shard[hash(app) % N]   (lock-striped)
-//                                │  one pending buffer (kIngestBatch);
-//                                ▼  the producer that fills it applies it
-//   shm pump ──ingest_batch───▶ per-app sliding-window summaries
-//     (one apply per shard          │
-//      per poll, no buffer)         │
-//                                ▼  publish: immutable ShardSnapshot
+//   shm pump ──ingest_batch──▶ shard[hash(app) % N]   (lock-striped)
+//     (one apply per shard        │  applied straight to per-app
+//      per poll)                  │  sliding-window summaries
+//   beat/ingest ──────────────▶   │  (one-record ingest_batch)
+//                                 ▼  publish: immutable ShardSnapshot
 //   snapshot() ◀── FleetSnapshot: every app's summary, one coherent view
 //   summary(id) ◀── one app, publishing only its owning shard
 //
 // Determinism: all timestamps flow through the hub's util::Clock, shard
-// assignment uses a fixed FNV-1a hash (not std::hash), and both read calls
-// publish pending beats first — so a single-threaded driver under a
-// ManualClock gets bit-identical summaries on every run (the LabOps-style
-// CI-testable simulation discipline).
+// assignment uses a fixed FNV-1a hash (not std::hash), and every beat is
+// applied before its ingest call returns — so a single-threaded driver
+// under a ManualClock gets bit-identical summaries on every run (the
+// LabOps-style CI-testable simulation discipline).
 #pragma once
 
 #include <atomic>
@@ -51,7 +49,9 @@ namespace hb::hub {
 
 /// Reserved app name the hub registers for itself when
 /// HubOptions::self_beat is on. The "__" prefix keeps it out of any
-/// user namespace; the "/" cannot appear in shm channel names.
+/// user namespace. Ring names are untrusted and may hold any bytes, this
+/// one included, so ShmIngestPump drops ring records under it: no
+/// producer can beat for the hub.
 inline constexpr std::string_view kSelfAppName = "__hub/self";
 
 struct HubOptions {
@@ -109,18 +109,17 @@ class HeartbeatHub {
   /// Shard an app name routes to (exposed for tests and the bench).
   std::uint32_t shard_of(const std::string& name) const;
 
-  /// Ingest a pre-stamped record (transport adapters, replayed logs).
+  /// Ingest one pre-stamped record: a one-record ingest_batch.
   /// Thread-safe; contends only on the owning shard's stripe lock.
   void ingest(AppId id, const core::HeartbeatRecord& rec);
 
-  /// Ingest pre-stamped records for any registered apps — the bulk entry
-  /// point for transport adapters (the shm ingest pump, registry replays).
+  /// Ingest pre-stamped records for any registered apps — the hub's one
+  /// apply path (the shm ingest pump, registry replays, ingest, beat).
   /// Each run of consecutive records on one shard is applied straight to
-  /// app state under one shard-lock acquire, after that shard's pending
-  /// ingest() beats; pass the records grouped by shard to pay one acquire
-  /// per shard. Per app, records apply in span order. Throws
-  /// std::out_of_range, before applying a run, if an id in it did not come
-  /// from this hub. Thread-safe.
+  /// app state under one shard-lock acquire; pass the records grouped by
+  /// shard to pay one acquire per shard. Records apply in span order.
+  /// Throws std::out_of_range, before applying a run, if an id in it did
+  /// not come from this hub. Thread-safe.
   void ingest_batch(std::span<const AppRecord> recs);
 
   /// Producer convenience: stamp "now" on the hub clock and ingest.
@@ -137,13 +136,13 @@ class HeartbeatHub {
   /// staleness exceeds HubOptions::evict_after_ns.
   void evict(AppId id);
 
-  /// Publish every shard — apply its pending beats, re-stamp staleness, apply
-  /// auto-eviction — without composing a fleet snapshot, then self-beat.
+  /// Publish every shard — re-stamp staleness, apply auto-eviction —
+  /// without composing a fleet snapshot, then self-beat.
   /// snapshot() and summary() publish implicitly.
   void flush();
 
   /// The read side: a coherent, epoch-stamped view of the whole fleet.
-  /// Publishes every shard first (applying pending beats), then returns
+  /// Publishes every shard first, then returns
   /// the cached FleetSnapshot if no shard's epoch advanced — repeated
   /// queries between flushes are pointer reads — or composes and caches a
   /// new one. Thread-safe; the returned snapshot is immutable and shared.

@@ -17,8 +17,7 @@ namespace {
 /// purpose: fleet dashboards want "beats ingested by this process", not
 /// per-shard shrapnel — per-shard detail stays on ShardStats.
 struct ShardMetrics {
-  obs::Counter* ingested;       ///< beats taken in (hb.hub.ingested)
-  obs::Counter* applied;        ///< beats applied to app state
+  obs::Counter* ingested;       ///< beats applied (hb.hub.ingested)
   obs::Counter* publishes;      ///< shard snapshot rebuilds
   obs::Counter* publish_skips;  ///< publish() calls that reused the snapshot
   obs::Histogram* publish_ns;   ///< rebuild_snapshot_locked duration
@@ -27,7 +26,6 @@ struct ShardMetrics {
     static const ShardMetrics m = [] {
       auto& r = obs::MetricsRegistry::global();
       return ShardMetrics{&r.counter("hb.hub.ingested"),
-                          &r.counter("hb.hub.applied"),
                           &r.counter("hb.hub.publishes"),
                           &r.counter("hb.hub.publish_skips"),
                           &r.histogram("hb.hub.publish_ns")};
@@ -64,8 +62,6 @@ HubShard::HubShard(std::uint32_t index, ShardConfig config)
                                 " is outside [2, 65535]");
   }
   if (!config_.clock) throw std::invalid_argument("hub: shard needs a clock");
-  batch_.reserve(kIngestBatch);
-  applying_.reserve(kIngestBatch);
 }
 
 std::uint32_t HubShard::add_app(std::string name, core::TargetRate target) {
@@ -80,62 +76,30 @@ std::uint32_t HubShard::add_app(std::string name, core::TargetRate target) {
   app.cached.target = target;
   apps_.push_back(std::move(app));
   state_dirty_ = true;  // the next publish must include the newcomer
-  app_count_.store(apps_.size(), std::memory_order_release);
   return slot;
 }
 
-void HubShard::check_slot(std::uint32_t slot) const {
-  if (slot >= app_count_.load(std::memory_order_acquire)) {
-    // An AppId minted by a different hub: reject before it reaches the
-    // batch, where apply_locked indexes unchecked. Slots are append-only,
-    // so the lock-free bound can only ever under-approximate — a false
-    // reject is impossible for ids this hub handed out before the call.
+void HubShard::check_slot_locked(std::uint32_t slot) const {
+  if (slot >= apps_.size()) {
+    // An AppId minted by a different hub: reject before anything applies,
+    // since apply_locked indexes unchecked.
     throw std::out_of_range("HubShard: AppId slot not registered here");
   }
 }
 
-void HubShard::enqueue(std::uint32_t slot, const core::HeartbeatRecord& rec) {
-  check_slot(slot);
-  {
-    util::MutexLock lock(ingest_mu_);
-    batch_.push_back(AppRecord{make_app_id(index_, slot), rec});
-    if (batch_.size() < kIngestBatch) return;
-  }
-  // Apply only: publishes do maintenance, refresh and snapshot builds.
-  util::MutexLock lock(state_mu_);
-  apply_pending_locked();
-}
-
 void HubShard::ingest_batch(std::span<const AppRecord> recs) {
   if (recs.empty()) return;
-  for (const AppRecord& r : recs) check_slot(app_id_slot(r.id));
   util::MutexLock lock(state_mu_);
-  apply_pending_locked();  // pending beats arrived before these
-  apply_records_locked(recs);
-}
-
-void HubShard::apply_pending_locked() {
-  {
-    util::MutexLock lock(ingest_mu_);
-    batch_.swap(applying_);
-  }
-  if (applying_.empty()) return;
-  apply_records_locked(applying_);
-  applying_.clear();
-}
-
-void HubShard::apply_records_locked(std::span<const AppRecord> recs) {
+  for (const AppRecord& r : recs) check_slot_locked(app_id_slot(r.id));
   // hb.hub.ingested counts per apply, not per beat: one sharded fetch_add
-  // per buffer keeps the telemetry plane inside its <5% ingest budget
-  // (bench/obs_overhead), and after any flush it equals the beats taken in.
-  const ShardMetrics& metrics = ShardMetrics::get();
-  metrics.ingested->add(recs.size());
+  // per run keeps the telemetry plane inside its <5% ingest budget
+  // (bench/obs_overhead).
+  ShardMetrics::get().ingested->add(recs.size());
   apply_run_locked(recs);
-  metrics.applied->add(recs.size());
-  applied_ += recs.size();
+  ingested_ += recs.size();
   ++flushes_;
-  // Even with the clock frozen and nothing left pending, the next publish
-  // must rebuild to show these beats.
+  // Even with the clock frozen, the next publish must rebuild to show
+  // these beats.
   state_dirty_ = true;
 }
 
@@ -149,9 +113,6 @@ void HubShard::set_target(std::uint32_t slot, core::TargetRate target) {
 
 void HubShard::evict(std::uint32_t slot) {
   util::MutexLock lock(state_mu_);
-  // Pending beats were ingested before the eviction was requested, so they
-  // still count toward total_beats.
-  apply_pending_locked();
   AppState& app = apps_.at(slot);
   if (!app.evicted) {
     evict_locked(app);
@@ -161,7 +122,6 @@ void HubShard::evict(std::uint32_t slot) {
 
 std::shared_ptr<const ShardSnapshot> HubShard::publish() {
   util::MutexLock lock(state_mu_);
-  apply_pending_locked();
   const util::TimeNs now = config_.clock->now();
 
   // Freshness: rebuild when state changed (beats, targets, evictions,
@@ -226,9 +186,7 @@ ShardStats HubShard::stats() const {
   s.apps = apps_.size();
   s.flushes = flushes_;
   s.epoch = epoch_;
-  util::MutexLock ingest_lock(ingest_mu_);
-  s.pending = batch_.size();
-  s.ingested = applied_ + s.pending;
+  s.ingested = ingested_;
   return s;
 }
 

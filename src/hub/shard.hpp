@@ -1,24 +1,19 @@
 // HubShard: one lock stripe of the heartbeat aggregation hub.
 //
 // A shard owns a subset of the registered apps (assigned by name hash) and
-// keeps its state behind three locks:
+// keeps its state behind two locks:
 //
-//   INGEST (ingest_mu_): in-process producers (ingest, beat) pay a mutex
-//   acquire plus a push onto the shard's one pending buffer. The producer
-//   whose push leaves kIngestBatch or more beats pending takes state_mu_,
-//   swaps the buffer for an empty one under ingest_mu_ (O(1)), and applies
-//   it; other producers keep pushing meanwhile. Swaps happen only under
-//   state_mu_, so buffers apply in the order they filled.
+//   APPLY and PUBLISH (state_mu_): ingest_batch applies records straight
+//   to app state, in order, under one acquisition — the shm pump's
+//   per-poll share of this shard, a registry replay, or the one record of
+//   an in-process ingest() or beat(). Publishing (time maintenance,
+//   summary refresh and snapshot construction) runs under the same lock
+//   and ends in a swap of an immutable, epoch-stamped ShardSnapshot
+//   (shared_ptr).
 //
-//   BULK apply (ingest_batch): the shm pump's per-poll share of this shard
-//   or a registry replay applies under one state_mu_ acquisition, after
-//   whatever was pending, through the same apply routine.
-//
-//   PUBLISH (state_mu_): applying pending beats, time maintenance, summary
-//   refresh and snapshot construction, ending in a swap of an immutable,
-//   epoch-stamped ShardSnapshot (shared_ptr). Readers grab the pointer
-//   under a third, trivially short lock (snap_mu_) and never hold any
-//   shard lock across summary copies.
+//   SNAPSHOT (snap_mu_): readers grab the published pointer under this
+//   trivially short lock and never hold any shard lock across summary
+//   copies.
 //
 // Window statistics are maintained per beat, so a publish does O(1) work
 // per changed app. Applying a beat updates the app's exact integer sum
@@ -44,14 +39,13 @@
 // window ends those lines point at), and publish fetches the whole app
 // four slots ahead.
 //
-// A publish that finds nothing new (no pending beats, no dirty targets or
+// A publish that finds nothing new (no beats applied, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
 // the epoch stands still and fleet-level caches keep serving pointer
 // reads. This is what makes repeated snapshot grabs between flushes
 // nearly free (bench/snapshot_query).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -74,10 +68,6 @@ namespace hb::hub {
 /// its window that a refresh pays when the last copy of its interval min
 /// or max has left it.
 inline constexpr std::size_t kMaxWindowCapacity = 65535;
-
-/// In-process beats a shard buffers before the producer that fills the
-/// buffer applies it. Reads always apply what is pending first.
-inline constexpr std::size_t kIngestBatch = 64;
 
 /// Sizing knobs a shard needs (subset of HubOptions, kept separately so the
 /// shard does not depend on the hub header).
@@ -108,23 +98,12 @@ class HubShard {
       HB_EXCLUDES(state_mu_);
 
   std::uint32_t index() const { return index_; }
-  std::size_t app_count() const {
-    return app_count_.load(std::memory_order_acquire);
-  }
-
-  /// Append one raw beat to the pending buffer. The call that leaves
-  /// kIngestBatch or more beats pending applies them to app state off the
-  /// ingest lock, so concurrent producers keep appending meanwhile.
-  void enqueue(std::uint32_t slot, const core::HeartbeatRecord& rec)
-      HB_EXCLUDES(ingest_mu_, state_mu_);
 
   /// Apply records addressed to this shard's apps straight to app state,
-  /// in order, under one state_mu_ acquisition. Pending enqueued beats are
-  /// applied first, so arrival order holds across both paths. Throws
-  /// std::out_of_range, before applying anything, if a record's slot is
-  /// not registered here. Every record's app_id_shard must be index().
-  void ingest_batch(std::span<const AppRecord> recs)
-      HB_EXCLUDES(ingest_mu_, state_mu_);
+  /// in order, under one state_mu_ acquisition. Throws std::out_of_range,
+  /// before applying anything, if a record's slot is not registered here.
+  /// Every record's app_id_shard must be index().
+  void ingest_batch(std::span<const AppRecord> recs) HB_EXCLUDES(state_mu_);
 
   void set_target(std::uint32_t slot, core::TargetRate target)
       HB_EXCLUDES(state_mu_);
@@ -133,18 +112,18 @@ class HubShard {
   /// (total_beats survives). Idempotent.
   void evict(std::uint32_t slot) HB_EXCLUDES(state_mu_);
 
-  /// Apply all pending beats, run time maintenance, and (re)publish the
-  /// shard snapshot if anything changed — including any clock movement,
-  /// which re-stamps staleness. Returns the current snapshot — the one
-  /// true read entry point. Never null.
+  /// Run time maintenance and (re)publish the shard snapshot if anything
+  /// changed — including any clock movement, which re-stamps staleness.
+  /// Returns the current snapshot — the one true read entry point. Never
+  /// null.
   std::shared_ptr<const ShardSnapshot> publish()
-      HB_EXCLUDES(state_mu_, ingest_mu_, snap_mu_);
+      HB_EXCLUDES(state_mu_, snap_mu_);
 
   /// The last published snapshot without forcing a publish (may be null
   /// before the first publish). Lock held only for the pointer grab.
   std::shared_ptr<const ShardSnapshot> published() const HB_EXCLUDES(snap_mu_);
 
-  ShardStats stats() const HB_EXCLUDES(state_mu_, ingest_mu_);
+  ShardStats stats() const HB_EXCLUDES(state_mu_);
 
  private:
   /// Cache-line aligned, so the fields apply touches (total_beats through
@@ -176,12 +155,6 @@ class HubShard {
   };
   static_assert(sizeof(AppState) <= 384, "an app's inline state fits 6 lines");
 
-  /// Swap out every pending enqueued beat and apply it. ingest_mu_ is held
-  /// only for the O(1) swap.
-  void apply_pending_locked() HB_REQUIRES(state_mu_) HB_EXCLUDES(ingest_mu_);
-  /// apply_run_locked plus the counters and the dirty mark of one apply.
-  void apply_records_locked(std::span<const AppRecord> recs)
-      HB_REQUIRES(state_mu_);
   /// Apply `recs` in order, prefetching each app a fixed distance ahead.
   void apply_run_locked(std::span<const AppRecord> recs) HB_REQUIRES(state_mu_);
   /// Prefetch the lines apply_locked touches first: the app's leading
@@ -201,7 +174,8 @@ class HubShard {
   /// next push retires.
   void retire_oldest_interval_locked(AppState& app) HB_REQUIRES(state_mu_);
   void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);
-  void check_slot(std::uint32_t slot) const;  ///< throws out_of_range
+  /// Throws out_of_range unless `slot` is registered here.
+  void check_slot_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
   /// Per-app time maintenance: stamp staleness, auto-evict past
   /// evict_after_ns.
   void maintain_locked(AppState& app, util::TimeNs now) HB_REQUIRES(state_mu_);
@@ -216,30 +190,17 @@ class HubShard {
   const std::uint32_t index_;
   const ShardConfig config_;
 
-  /// PUBLISH stage. Guards apps_, applying_, applied_, flushes_, epoch_,
-  /// state_dirty_.
-  /// Lock order: state_mu_ before ingest_mu_ and before snap_mu_ (never
-  /// the reverse) — declared below so -Wthread-safety-beta enforces it.
+  /// Guards apps_, ingested_, flushes_, epoch_, state_dirty_.
+  /// Lock order: state_mu_ before snap_mu_ (never the reverse) — declared
+  /// below so -Wthread-safety-beta enforces it.
   mutable util::Mutex state_mu_;
   std::vector<AppState> apps_ HB_GUARDED_BY(state_mu_);
-  /// The buffer apply_pending_locked swaps in for batch_ and applies; empty
-  /// between applies. Both buffers keep their capacity across swaps.
-  std::vector<AppRecord> applying_ HB_GUARDED_BY(state_mu_);
-  std::uint64_t applied_ HB_GUARDED_BY(state_mu_) = 0;  ///< beats applied
+  std::uint64_t ingested_ HB_GUARDED_BY(state_mu_) = 0;  ///< beats applied
   std::uint64_t flushes_ HB_GUARDED_BY(state_mu_) = 0;
   std::uint64_t epoch_ HB_GUARDED_BY(state_mu_) = 0;
   /// Set by every apply and by add_app/set_target/evict: the next publish
   /// must rebuild even if no records arrive and the clock stands still.
   bool state_dirty_ HB_GUARDED_BY(state_mu_) = false;
-
-  /// INGEST stage. Guards batch_, the only thing producers touch on the
-  /// hot path.
-  mutable util::Mutex ingest_mu_ HB_ACQUIRED_AFTER(state_mu_);
-  std::vector<AppRecord> batch_ HB_GUARDED_BY(ingest_mu_);  ///< pending
-
-  /// Slot-validity bound for the lock-free enqueue check (slots are
-  /// append-only, so a stale read only ever under-approximates).
-  std::atomic<std::size_t> app_count_{0};
 
   /// Published-pointer swap/read only; never held across any copy.
   mutable util::Mutex snap_mu_ HB_ACQUIRED_AFTER(state_mu_);

@@ -29,6 +29,7 @@ struct PumpMetrics {
   obs::Counter* wakes;
   obs::Counter* spurious_wakes;
   obs::Counter* wait_timeouts;
+  obs::Counter* rejected;
   obs::Gauge* apps;
 
   static const PumpMetrics& get() {
@@ -41,6 +42,7 @@ struct PumpMetrics {
                          &r.counter("hb.pump.wakes"),
                          &r.counter("hb.pump.spurious_wakes"),
                          &r.counter("hb.pump.wait_timeouts"),
+                         &r.counter("hb.pump.rejected"),
                          &r.gauge("hb.pump.apps")};
     }();
     return m;
@@ -135,6 +137,7 @@ AppId ShmIngestPump::resolve(const StagedRun& run) {
     i = (i + 1) & mask;
   }
   NameSlot& slot = table_[i];
+  if (slot.id == kRejected) return kRejected;
   const bool first_sight = slot.id == kNoApp;
   // Compare as bit patterns: NaN/infinity-safe and cheaper than FP ==.
   if (!first_sight && run.target_min_bits == slot.target_min_bits &&
@@ -150,9 +153,13 @@ AppId ShmIngestPump::resolve(const StagedRun& run) {
       grow_table();
       return resolve(run);
     }
-    slot.id = hub_->register_app(std::string(run.name), target);
     std::memcpy(slot.name, run.name, sizeof(NameKey));
     ++table_apps_;
+    if (std::string_view(run.name) == kSelfAppName) {
+      slot.id = kRejected;
+      return kRejected;
+    }
+    slot.id = hub_->register_app(std::string(run.name), target);
     // register_app keeps the existing target when the name was already
     // registered (registry replay, an earlier pump); the ring frame
     // carries the producer's CURRENT target, so apply it regardless.
@@ -190,6 +197,12 @@ std::size_t ShmIngestPump::poll() {
   std::size_t next = 0;
   for (const StagedRun& run : runs_) {
     const AppId id = resolve(run);
+    if (id == kRejected) {
+      next += run.records;
+      rejected_ += run.records;
+      metrics.rejected->add(run.records);
+      continue;
+    }
     std::vector<AppRecord>& out = shard_runs_[app_id_shard(id)];
     for (std::uint32_t k = 0; k < run.records; ++k) {
       out.push_back(AppRecord{id, staged_[next++]});
@@ -293,6 +306,7 @@ ShmIngestPumpStats ShmIngestPump::stats() const {
   s.consumed = cursor_.consumed;
   s.dropped = cursor_.dropped;
   s.torn = cursor_.torn;
+  s.rejected = rejected_;
   s.apps = table_apps_;
   s.lane_records = cursor_.lane_records;
   s.parks = parks_;

@@ -14,7 +14,9 @@
 // their frames) and re-targeted whenever a drained frame shows a changed
 // target — so a fleet of external producer processes reaches FleetDetector
 // sweeps, hbmon, and every other hub consumer without any of them linking
-// the producers.
+// the producers. Records under the hub's reserved kSelfAppName are dropped
+// and counted as rejected: a producer must not refresh the hub's own
+// heartbeat.
 //
 // The canonical loop is
 //
@@ -84,10 +86,11 @@ struct ShmIngestPumpOptions {
 /// Cumulative pump counters (all monotonic since construction).
 struct ShmIngestPumpStats {
   std::uint64_t polls = 0;     ///< poll() calls
-  std::uint64_t consumed = 0;  ///< records ingested into the hub
+  std::uint64_t consumed = 0;  ///< records drained, rejected ones included
   std::uint64_t dropped = 0;   ///< ring frames lapped before this pump read them
   std::uint64_t torn = 0;      ///< frames skipped (producer died mid-batch)
-  std::uint64_t apps = 0;      ///< distinct producer names seen
+  std::uint64_t rejected = 0;  ///< records dropped under kSelfAppName
+  std::uint64_t apps = 0;      ///< distinct producer names seen, rejected too
   std::uint64_t lane_records = 0;    ///< records that arrived via fast lanes
   std::uint64_t parks = 0;           ///< wait() calls that blocked on the futex
   std::uint64_t doorbell_wakes = 0;  ///< parks ended by a producer's ring
@@ -110,7 +113,8 @@ class ShmIngestPump {
   ShmIngestPump& operator=(const ShmIngestPump&) = delete;
 
   /// One drain pass: every committed ring record is batched per app and
-  /// ingested. Returns the number of records ingested by this call.
+  /// ingested, except those under kSelfAppName. Returns the number of
+  /// records drained by this call, rejected ones included.
   std::size_t poll();
 
   /// Sleep until the next poll() is worth making, for at most `budget_ns`:
@@ -148,10 +152,12 @@ class ShmIngestPump {
     std::uint64_t target_min_bits = 0;
     std::uint64_t target_max_bits = 0;
     /// kNoApp marks an empty slot. Never a name value: ring names are
-    /// untrusted, and "" is a name like any other.
+    /// untrusted, and "" is a name like any other. kRejected marks the
+    /// reserved kSelfAppName.
     AppId id = kNoApp;
   };
   static constexpr AppId kNoApp = ~AppId{0};
+  static constexpr AppId kRejected = kNoApp - 1;
   static_assert(sizeof(NameSlot) == 64, "a name-table slot is one cache line");
 
   /// Consecutive drained records with one name and one target.
@@ -166,7 +172,8 @@ class ShmIngestPump {
   /// Pass 1: stage one drained record.
   void stage(std::string_view app, const core::HeartbeatRecord& rec,
              core::TargetRate target);
-  /// Pass 2: the run's AppId, registering or re-targeting the app.
+  /// Pass 2: the run's AppId, registering or re-targeting the app;
+  /// kRejected for the reserved kSelfAppName.
   AppId resolve(const StagedRun& run);
   /// Double the name table and re-place every entry.
   void grow_table();
@@ -184,6 +191,7 @@ class ShmIngestPump {
   std::uint64_t doorbell_wakes_ = 0;
   std::uint64_t spurious_wakes_ = 0;
   std::uint64_t wait_timeouts_ = 0;
+  std::uint64_t rejected_ = 0;
 
   /// Open addressing, linear probing, power-of-two size, at most 3/4 full.
   std::vector<NameSlot> table_;

@@ -72,11 +72,8 @@ struct AppSummary {
 struct ShardStats {
   std::uint32_t shard = 0;
   std::uint64_t apps = 0;
-  std::uint64_t ingested = 0;  ///< raw beats taken in (batch or bulk)
-  /// Applies: pending-buffer applies (batch full or query-forced) and bulk
-  /// ingests.
-  std::uint64_t flushes = 0;
-  std::uint64_t pending = 0;   ///< raw beats currently buffered
+  std::uint64_t ingested = 0;  ///< raw beats applied
+  std::uint64_t flushes = 0;   ///< applies: ingest_batch runs on this shard
   std::uint64_t epoch = 0;     ///< published ShardSnapshot epoch (0: none yet)
 };
 

@@ -424,9 +424,9 @@ struct ShmHubSinkOptions {
 
 /// ShmHubSink: mirror a producer's beats into a cross-process ingest ring.
 ///
-/// The out-of-process twin of hub::HubSink — a BeatStore decorator, so any
-/// producer path that takes a StoreFactory (Heartbeat, the C API) feeds a
-/// remote aggregator with zero code changes. Appends pass through to the
+/// A BeatStore decorator, so any producer path that takes a StoreFactory
+/// (Heartbeat, the C API) feeds a remote aggregator (a ShmIngestPump into
+/// a hub) with zero code changes. Appends pass through to the
 /// wrapped store (which keeps serving in-process rate queries and, if it
 /// is a registry ShmStore, stays observer-walkable) and are batched into
 /// the ring with the store-assigned sequence number and current target.
@@ -468,7 +468,7 @@ class ShmHubSink final : public core::BeatStore {
   /// wraps shared channels in a ShmHubSink publishing under the channel's
   /// application name ("<app>.global" prefix). Local ("<app>.t<tid>")
   /// channels pass through unwrapped — mirroring both levels would
-  /// double-count the app, same rule as hub::HubSink::wrap_factory.
+  /// double-count the app.
   static core::StoreFactory wrap_factory(std::shared_ptr<ShmIngestQueue> queue,
                                          core::StoreFactory inner_factory = {},
                                          ShmHubSinkOptions opts = {});

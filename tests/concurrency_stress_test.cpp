@@ -40,10 +40,10 @@ constexpr std::size_t scaled(std::size_t n) {
 
 // ---------------------------------------------------------------- HubShard
 //
-// Producers enqueue beats while one publisher loops publish() and readers
-// spin on published() — all three shard mutexes (state, ingest, snap) stay
+// Producers ingest one-record batches while one publisher loops publish()
+// and readers spin on published() — both shard mutexes (state, snap) stay
 // hot at once, plus set_target churn on the state lock. Each producer beats
-// its own app with strictly increasing tickets, so a buffer applied out of
+// its own app with strictly increasing tickets, so a beat applied out of
 // arrival order would clamp an interval to 0 and show as interval_min_ns
 // == 0. The check is probabilistic: it needs a reader to catch the clamped
 // interval inside a window, and a lost race may not happen in a given run.
@@ -75,7 +75,8 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
         // order makes one producer's tickets strictly increasing.
         rec.timestamp_ns = fake_ns.fetch_add(1, std::memory_order_relaxed);
         rec.tag = i;
-        shard.enqueue(slots[p], rec);
+        const hub::AppRecord one{hub::make_app_id(0, slots[p]), rec};
+        shard.ingest_batch({&one, 1});
       }
     });
   }
@@ -117,7 +118,7 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   stop.store(true, std::memory_order_release);
   for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
 
-  // Conservation: every enqueued beat is applied exactly once.
+  // Conservation: every ingested beat is applied exactly once.
   auto snap = shard.publish();
   std::uint64_t total = 0;
   for (const auto& app : snap->apps) total += app.total_beats;

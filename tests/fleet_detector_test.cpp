@@ -457,11 +457,6 @@ TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   EXPECT_EQ(report.fleet.dead, killed.size());
   EXPECT_EQ(report.fleet.healthy + report.fleet.slow + report.fleet.erratic,
             static_cast<std::uint64_t>(kVms) - killed.size());
-  // The sweep drained every shard in its one pass: nothing left buffered.
-  for (std::size_t i = 0; i < hub->shard_count(); ++i) {
-    EXPECT_EQ(hub->shard(i).stats().pending, 0u);
-  }
-
   // Restart heals: after enough fresh beats wash out the gap, the rollup
   // settles with the fleet alive again (dead drops to zero at the first
   // post-restart sweep; stability means the revival washed through).

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -14,13 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/heartbeat.hpp"
-#include "core/memory_store.hpp"
-#include "core/rate.hpp"
 #include "hub/hub.hpp"
-#include "hub/sink.hpp"
 #include "obs/metrics.hpp"
-#include "transport/registry.hpp"
 #include "util/clock.hpp"
 #include "util/time.hpp"
 
@@ -174,35 +168,7 @@ TEST(HubRouting, UnknownNamesThrow) {
 
 // --------------------------------------------------------- batched ingestion
 
-TEST(HubBatching, BeatsBufferUntilBatchCapacity) {
-  auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, /*shards=*/1));
-  const AppId id = hub.register_app("a");
-
-  for (std::size_t i = 0; i + 1 < kIngestBatch; ++i) {
-    clock->advance(kNsPerMs);
-    hub.beat(id);
-  }
-  ShardStats s = hub.shard(0).stats();
-  EXPECT_EQ(s.pending, kIngestBatch - 1);  // still buffered
-  EXPECT_EQ(s.flushes, 0u);
-  EXPECT_EQ(s.ingested, kIngestBatch - 1);
-
-  clock->advance(kNsPerMs);
-  hub.beat(id);  // fills the buffer: this beat applies it
-  s = hub.shard(0).stats();
-  EXPECT_EQ(s.pending, 0u);
-  EXPECT_EQ(s.flushes, 1u);
-
-  clock->advance(kNsPerMs);
-  hub.beat(id);  // starts the next buffer
-  s = hub.shard(0).stats();
-  EXPECT_EQ(s.pending, 1u);
-  EXPECT_EQ(s.flushes, 1u);
-  EXPECT_EQ(s.ingested, kIngestBatch + 1);
-}
-
-TEST(HubBatching, QueriesFlushPendingBeats) {
+TEST(HubBatching, QueriesSeeEveryBeat) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("a");
@@ -210,16 +176,17 @@ TEST(HubBatching, QueriesFlushPendingBeats) {
     clock->advance(kNsPerMs);
     hub.beat(id);
   }
-  // Far below batch capacity, but the query must still see every beat.
+  // Each beat applies as it arrives: one apply per beat.
+  EXPECT_EQ(hub.shard(0).stats().ingested, 5u);
+  EXPECT_EQ(hub.shard(0).stats().flushes, 5u);
   EXPECT_EQ(hub.summary(id).total_beats, 5u);
-  EXPECT_EQ(hub.shard(0).stats().pending, 0u);
 }
 
 TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1, /*window=*/256));
   const AppId id = hub.register_app("a");
-  const std::size_t n = kIngestBatch + 10;
+  const std::size_t n = 74;
   std::vector<AppRecord> recs(n);
   for (std::size_t i = 0; i < n; ++i) {
     recs[i].id = id;
@@ -227,19 +194,19 @@ TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
     recs[i].rec.tag = 7;
   }
   hub.ingest_batch(recs);
-  // Applied straight to app state in one apply, past the buffer size.
-  EXPECT_EQ(hub.shard(0).stats().pending, 0u);
+  // Applied straight to app state in one apply.
+  EXPECT_EQ(hub.shard(0).stats().ingested, n);
   EXPECT_EQ(hub.shard(0).stats().flushes, 1u);
   const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.total_beats, n);
   EXPECT_EQ(s.window_beats, n);
 }
 
-TEST(HubBatching, BulkIngestAppliesAfterTheBatchInArrivalOrder) {
-  // Beats 1..3 ms wait in the shard's pending buffer; beats 4..7 ms
-  // then arrive in bulk. The bulk apply must take the batch first, or the
-  // window would hold 4..7 before 1..3: a 0-clamped interval, a newest
-  // beat at 3 ms, and a negative span.
+TEST(HubBatching, OneRecordIngestsThenABulkApplyInCallOrder) {
+  // Beats 1..3 ms arrive one record at a time; beats 4..7 ms then arrive
+  // in bulk. Both apply in call order, or the window would hold 4..7
+  // before 1..3: a 0-clamped interval, a newest beat at 3 ms, and a
+  // negative span.
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("a");
@@ -248,7 +215,7 @@ TEST(HubBatching, BulkIngestAppliesAfterTheBatchInArrivalOrder) {
     rec.timestamp_ns = i * kNsPerMs;
     hub.ingest(id, rec);
   }
-  EXPECT_EQ(hub.shard(0).stats().pending, 3u);
+  EXPECT_EQ(hub.shard(0).stats().ingested, 3u);
   std::vector<AppRecord> bulk;
   for (int i = 4; i <= 7; ++i) {
     AppRecord r{id, {}};
@@ -256,7 +223,7 @@ TEST(HubBatching, BulkIngestAppliesAfterTheBatchInArrivalOrder) {
     bulk.push_back(r);
   }
   hub.ingest_batch(bulk);
-  EXPECT_EQ(hub.shard(0).stats().pending, 0u);
+  EXPECT_EQ(hub.shard(0).stats().ingested, 7u);
 
   const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.total_beats, 7u);
@@ -268,28 +235,25 @@ TEST(HubBatching, BulkIngestAppliesAfterTheBatchInArrivalOrder) {
   EXPECT_EQ(s.interval_mean_ns, static_cast<double>(kNsPerMs));  // all 6
 }
 
-TEST(HubBatching, IngestedEqualsAppliedAfterAFlush) {
+TEST(HubBatching, IngestedCountsEveryBeatBeforeAnyFlush) {
   auto& registry = obs::MetricsRegistry::global();
   obs::Counter& ingested = registry.counter("hb.hub.ingested");
-  obs::Counter& applied = registry.counter("hb.hub.applied");
   const std::uint64_t ingested0 = ingested.value();
-  const std::uint64_t applied0 = applied.value();
 
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 2));
   const AppId a = hub.register_app("a");
   const AppId b = hub.register_app("b");
-  // 2 * kIngestBatch + 3 beats through the pending buffers (at least one
-  // full apply and a partial buffer), 9 in bulk across both apps, then 2
-  // more that a flush must drain.
-  const std::size_t buffered = 2 * kIngestBatch + 3;
-  const std::uint64_t total = buffered + 9 + 2;
+  // 131 one-record beats, 9 in bulk across both apps, then 2 more. Nothing
+  // is deferred, so both counts hold with no flush or query.
+  const std::size_t single = 131;
+  const std::uint64_t total = single + 9 + 2;
   std::vector<std::uint64_t> sent(hub.shard_count(), 0);
   auto beat = [&](AppId id) {
     hub.beat(id);
     ++sent[app_id_shard(id)];
   };
-  for (std::size_t i = 0; i < buffered; ++i) beat(i % 2 ? a : b);
+  for (std::size_t i = 0; i < single; ++i) beat(i % 2 ? a : b);
   std::vector<AppRecord> bulk;
   for (int i = 0; i < 9; ++i) {
     AppRecord r{i % 3 ? a : b, {}};
@@ -300,16 +264,12 @@ TEST(HubBatching, IngestedEqualsAppliedAfterAFlush) {
   hub.ingest_batch(bulk);
   beat(a);
   beat(b);
-  hub.flush();
 
   if (obs::kCompiledIn) {  // the registry reads 0 with telemetry compiled out
     EXPECT_EQ(ingested.value() - ingested0, total);
-    EXPECT_EQ(applied.value() - applied0, total);
   }
   for (std::size_t i = 0; i < hub.shard_count(); ++i) {
-    const ShardStats st = hub.shard(i).stats();
-    EXPECT_EQ(st.ingested, sent[i]) << "shard " << i;
-    EXPECT_EQ(st.pending, 0u);
+    EXPECT_EQ(hub.shard(i).stats().ingested, sent[i]) << "shard " << i;
   }
   EXPECT_EQ(hub.summary(a).total_beats + hub.summary(b).total_beats, total);
 }
@@ -709,90 +669,6 @@ TEST(HubConcurrency, RegistrationRacesWithIngestion) {
 
   EXPECT_EQ(hub.app_count(), 201u);
   EXPECT_GE(hub.summary(hub.id_of("steady")).total_beats, 100u);
-}
-
-// ------------------------------------------------------------------ HubSink
-
-TEST(HubSink, MirrorsHeartbeatProducersIntoTheHub) {
-  auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2));
-
-  core::HeartbeatOptions opts;
-  opts.name = "x264";
-  opts.clock = clock;
-  opts.target_min_bps = 20.0;
-  opts.target_max_bps = 40.0;
-  opts.store_factory = HubSink::wrap_factory(hub);
-  core::Heartbeat producer(opts);
-
-  for (int i = 0; i < 30; ++i) {
-    clock->advance(kNsPerSec / 25);  // exact 40ms ticks
-    producer.beat(static_cast<std::uint64_t>(i % 3));
-  }
-
-  const AppSummary summary = hub->summary(hub->id_of("x264"));
-  EXPECT_EQ(summary.total_beats, 30u);
-  EXPECT_DOUBLE_EQ(summary.rate_bps, 25.0);
-  // Target registered through the store flows into the hub summary.
-  EXPECT_DOUBLE_EQ(summary.target.min_bps, 20.0);
-  EXPECT_DOUBLE_EQ(summary.target.max_bps, 40.0);
-  // The producer's own channel still works (inner store untouched).
-  EXPECT_EQ(producer.global().count(), 30u);
-  EXPECT_NEAR(producer.global().rate(20), 25.0, 1e-9);
-  // Hub rate agrees with the channel's own full-window view.
-  EXPECT_DOUBLE_EQ(summary.rate_bps,
-                   core::window_rate(producer.global().history(64)));
-}
-
-TEST(HubSink, LocalChannelsAreNotMirrored) {
-  auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock));
-  core::HeartbeatOptions opts;
-  opts.name = "app";
-  opts.clock = clock;
-  opts.store_factory = HubSink::wrap_factory(hub);
-  core::Heartbeat producer(opts);
-
-  clock->advance(kNsPerMs);
-  producer.beat();
-  clock->advance(kNsPerMs);
-  producer.beat_local();  // thread-local: must NOT double-count in the hub
-  clock->advance(kNsPerMs);
-  producer.beat_local();
-
-  EXPECT_EQ(hub->summary(hub->id_of("app")).total_beats, 1u);
-  EXPECT_EQ(producer.local().count(), 2u);
-}
-
-TEST(HubSink, WrapsExistingTransports) {
-  // The paper's Section 4 file-log transport, feeding the hub unmodified.
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "hb_hub_sink_test";
-  fs::remove_all(dir);
-  transport::Registry registry(dir);
-
-  auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2));
-
-  core::HeartbeatOptions opts;
-  opts.name = "legacy";
-  opts.clock = clock;
-  opts.history_capacity = 64;
-  opts.store_factory = HubSink::wrap_factory(hub, registry.filelog_factory());
-  core::Heartbeat producer(opts);
-  for (int i = 0; i < 10; ++i) {
-    clock->advance(kNsPerSec / 5);
-    producer.beat();
-  }
-
-  // Hub sees the beats...
-  const AppSummary summary = hub->summary(hub->id_of("legacy"));
-  EXPECT_EQ(summary.total_beats, 10u);
-  EXPECT_DOUBLE_EQ(summary.rate_bps, 5.0);
-  // ...and so does a completely independent observer attaching to the log.
-  EXPECT_EQ(registry.reader("legacy", clock).count(), 10u);
-  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------- liveness

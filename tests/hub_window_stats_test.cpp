@@ -112,10 +112,13 @@ double brute_stddev(const std::vector<std::uint64_t>& v) {
   return static_cast<double>(std::sqrt(sq / (nd * nd * nd)));
 }
 
-/// Operations between checks that let producers apply full buffers: nearly
-/// all operations are beats, so 4 * kIngestBatch of them put more than
-/// kIngestBatch beats on one of the fixture's 3 shards between two checks.
-constexpr int kFewBuffers = 4 * static_cast<int>(kIngestBatch);
+/// Operations between sparse checks. Nearly all operations are beats, so
+/// 256 of them give each app of the busy half about 15 beats between two
+/// publishes (a whole window of 16): a refresh then reads bounds whose
+/// copies were retired and re-counted over many pushes, not one or two,
+/// and the clock moves ~0.6 s, so a publish finds apps far past the
+/// 150 ms staleness bound of the last config.
+constexpr int kSparseChecks = 256;
 
 struct Config {
   std::size_t window;
@@ -257,11 +260,11 @@ TEST_P(HubWindowStats, IncrementalStatsEqualABruteForceRecompute) {
 INSTANTIATE_TEST_SUITE_P(
     Windows, HubWindowStats,
     ::testing::Values(Config{2, 0, 7, 0, 1}, Config{3, 0, 7, 0, 2},
-                      Config{16, 0, kFewBuffers, 0, 3},
+                      Config{16, 0, kSparseChecks, 0, 3},
                       Config{16, 5, 7, 0, 4}, Config{64, 0, 7, 0, 5},
-                      Config{256, 0, kFewBuffers, 0, 6},
+                      Config{256, 0, kSparseChecks, 0, 6},
                       Config{16, 0, 7, 400'000'000, 7},
-                      Config{64, 1, kFewBuffers, 150'000'000, 8}));
+                      Config{64, 1, kSparseChecks, 150'000'000, 8}));
 
 // The largest window holds 65534 intervals. Fed one interval well past
 // the window, the summary stays exact; evicting the app empties its

@@ -28,6 +28,7 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
+#include "obs/metrics.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 #include "util/clock.hpp"
@@ -1046,6 +1047,53 @@ TEST_F(ShmIngestTest, PumpAppliesATargetChangedMidStream) {
   EXPECT_EQ(s.target.min_bps, 10.0);
   EXPECT_EQ(s.target.max_bps, 20.0);
   EXPECT_EQ(pump.stats().apps, 1u);
+}
+
+TEST_F(ShmIngestTest, PumpRejectsRecordsUnderTheHubsOwnName) {
+  // Ring names are untrusted: a producer naming itself kSelfAppName must
+  // not refresh the hub's own heartbeat, or a stalled publish loop would
+  // never read stale. Its records are dropped and counted; an ordinary
+  // app in the same poll still applies.
+  obs::Counter& rejected = obs::MetricsRegistry::global().counter(
+      "hb.pump.rejected");
+  const std::uint64_t rejected0 = rejected.value();
+  auto q = ShmIngestQueue::create(file(), 64);
+  auto clock = std::make_shared<util::ManualClock>(1'000'000'000);
+  hub::HubOptions opts;
+  opts.clock = clock;
+  opts.self_beat = true;
+  hub::HeartbeatHub hub(opts);
+  hub::ShmIngestPump pump(q, hub);
+  const hub::AppId self = hub.self_app_id();
+  const hub::AppSummary before = hub.summary(self);
+  hub.set_self_beat_paused(true);
+  clock->advance(10'000 * kNsPerMs);
+
+  const std::string self_name(hub::kSelfAppName);
+  q->append(self_name, rec_at(clock->now()), {1.0, 1.0});
+  q->append("enc", rec_at(clock->now()), {10.0, 20.0});
+  EXPECT_EQ(pump.poll(), 2u);
+
+  const hub::AppSummary s = hub.summary(self);
+  EXPECT_EQ(s.staleness_ns, 10'000 * kNsPerMs);
+  EXPECT_EQ(s.total_beats, before.total_beats);
+  EXPECT_EQ(s.target.min_bps, before.target.min_bps);
+  EXPECT_EQ(s.target.max_bps, before.target.max_bps);
+  EXPECT_EQ(pump.stats().rejected, 1u);
+  if (obs::kCompiledIn) {  // the registry reads 0 with telemetry compiled out
+    EXPECT_EQ(rejected.value() - rejected0, 1u);
+  }
+  const hub::AppSummary enc = hub.summary(hub.id_of("enc"));
+  EXPECT_EQ(enc.total_beats, 1u);
+  EXPECT_EQ(enc.staleness_ns, 0);
+  EXPECT_EQ(enc.target.max_bps, 20.0);
+
+  // The name stays rejected on later polls, with a changed target too.
+  q->append(self_name, rec_at(clock->now()), {2.0, 2.0});
+  EXPECT_EQ(pump.poll(), 1u);
+  EXPECT_EQ(pump.stats().rejected, 2u);
+  EXPECT_EQ(hub.summary(self).target.max_bps, before.target.max_bps);
+  EXPECT_EQ(hub.app_count(), 2u);
 }
 
 }  // namespace
