@@ -202,30 +202,6 @@ FleetReport FleetDetector::sweep(
       },
       /*include_evicted=*/true);
 
-  // Worst offenders: unhealthy apps, most severe verdict first, ties
-  // broken by staleness (most stale = longest silent = worst), then name
-  // for determinism. Warming up is absence of evidence, not an offense —
-  // a freshly started fleet has no offenders.
-  std::vector<const AppHealth*> offenders;
-  for (const AppHealth& app : report.apps) {
-    if (app.health != Health::kHealthy && app.health != Health::kWarmingUp) {
-      offenders.push_back(&app);
-    }
-  }
-  std::sort(offenders.begin(), offenders.end(),
-            [](const AppHealth* a, const AppHealth* b) {
-              if (a->health != b->health) {
-                return static_cast<int>(a->health) > static_cast<int>(b->health);
-              }
-              if (a->staleness_ns != b->staleness_ns) {
-                return a->staleness_ns > b->staleness_ns;
-              }
-              return a->name < b->name;
-            });
-  const std::size_t take = std::min(offenders.size(), opts_.max_worst);
-  fleet.worst.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) fleet.worst.push_back(*offenders[i]);
-
   return report;
 }
 

@@ -60,8 +60,6 @@ struct FleetDetectorOptions {
   /// ShmHubSinkOptions::max_hold_ns so transport lag is never read as
   /// death. 0 (the default) is correct for in-process ingestion.
   util::TimeNs staleness_slack_ns = 0;
-  /// Cap on FleetHealth::worst (the most-stale non-healthy apps).
-  std::size_t max_worst = 5;
 };
 
 /// One app's verdict plus the summary facts that produced it.
@@ -87,11 +85,6 @@ struct FleetHealth {
   util::TimeNs swept_at_ns = 0;  ///< hub-clock time of the sweep
 
   std::vector<std::string> dead_apps;  ///< names, sweep order
-  /// Unhealthy apps (slow/erratic/dead — warming up is not an offense),
-  /// most severe verdict first, then most stale (<= max_worst entries).
-  std::vector<AppHealth> worst;
-
-  bool all_healthy() const { return healthy == apps; }
 };
 
 /// Everything one sweep produced: per-app verdicts (hub shard order, the

@@ -72,7 +72,6 @@ std::uint32_t HubShard::add_app(std::string name, core::TargetRate target) {
   const auto slot = static_cast<std::uint32_t>(apps_.size());
   app.cached.name = std::move(name);
   app.cached.id = make_app_id(index_, slot);
-  app.cached.shard = index_;
   app.cached.target = target;
   apps_.push_back(std::move(app));
   state_dirty_ = true;  // the next publish must include the newcomer
@@ -151,7 +150,6 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
   obs::ObsSpan span("shard.publish", apps_.size(), metrics.publish_ns);
   metrics.publishes->add(1);
   auto next = std::make_shared<ShardSnapshot>();
-  next->shard = index_;
   next->epoch = ++epoch_;
   next->published_at_ns = now;
   next->apps.reserve(apps_.size());
@@ -247,7 +245,7 @@ void HubShard::apply_run_locked(std::span<const AppRecord> recs) {
 
 void HubShard::prefetch_app_locked(std::uint32_t slot) const {
   const AppState& app = apps_[slot];
-  prefetch_lines(&app, &app.max_copies + 1);
+  prefetch_lines(&app, reinterpret_cast<const char*>(&app) + kApplyBytes);
 }
 
 void HubShard::prefetch_window_ends_locked(std::uint32_t slot) const {
@@ -265,51 +263,21 @@ void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec
   app.evicted = false;  // any beat revives an evicted app
   app.last_beat_ns = rec.timestamp_ns;
 
-  if (app.window.size() == app.window.capacity()) {
+  const std::size_t n = app.window.size();
+  if (n == app.window.capacity()) {
     // The push below overwrites the oldest beat: retire the interval that
     // joined it to the next-oldest beat (a window holds at least two).
-    retire_oldest_interval_locked(app);
+    app.moments.remove(
+        interval_between(app.window.back(n - 1), app.window.back(n - 2)));
   }
   // The interval since the newest beat still inside the window. After
   // eviction the window is empty and the first new beat starts fresh: the
   // silent gap is staleness, not an interval.
-  if (app.window.size() > 0) {
-    add_interval_locked(app, interval_between(app.window.back(0),
-                                              rec.timestamp_ns));
+  if (n > 0) {
+    app.moments.add(interval_between(app.window.back(0), rec.timestamp_ns));
   }
   app.window.push(rec.timestamp_ns);
   app.dirty = true;
-}
-
-void HubShard::retire_oldest_interval_locked(AppState& app) {
-  const std::size_t n = app.window.size();
-  const std::uint64_t old =
-      interval_between(app.window.back(n - 1), app.window.back(n - 2));
-  app.moments.remove(old);
-  if (old == app.min) --app.min_copies;
-  if (old == app.max) --app.max_copies;
-}
-
-void HubShard::add_interval_locked(AppState& app, std::uint64_t interval) {
-  // The window held one beat, or two when the retired interval was its
-  // only one: no interval is left to compare against.
-  const bool first = app.moments.count() == 0;
-  app.moments.add(interval);
-  // A bound whose copies all left stays stale (count 0) until a new
-  // interval beats or equals it; refresh_locked rescans if it is still
-  // stale then.
-  if (first || interval < app.min) {
-    app.min = interval;
-    app.min_copies = 1;
-  } else if (interval == app.min) {
-    ++app.min_copies;
-  }
-  if (first || interval > app.max) {
-    app.max = interval;
-    app.max_copies = 1;
-  } else if (interval == app.max) {
-    ++app.max_copies;
-  }
 }
 
 void HubShard::refresh_locked(AppState& app) {
@@ -342,43 +310,11 @@ void HubShard::refresh_locked(AppState& app) {
                           : std::numeric_limits<double>::infinity();
   }
 
-  if (have < 2) {
-    s.interval_min_ns = s.interval_max_ns = 0;
-    s.interval_mean_ns = 0.0;
-    s.interval_stddev_ns = 0.0;
-  } else {
-    if (app.min_copies == 0 || app.max_copies == 0) {
-      // The last copy of a bound left the window: one walk over its
-      // consecutive timestamp pairs re-derives both bounds and their copy
-      // counts.
-      app.min = std::numeric_limits<std::uint64_t>::max();
-      app.max = 0;
-      app.min_copies = app.max_copies = 0;
-      const util::TimeNs* newer = nullptr;
-      app.window.for_each_newest_first([&app, &newer](const util::TimeNs& ts) {
-        if (newer) {
-          const std::uint64_t v = interval_between(ts, *newer);
-          if (v < app.min) {
-            app.min = v;
-            app.min_copies = 0;
-          }
-          if (v > app.max) {
-            app.max = v;
-            app.max_copies = 0;
-          }
-          app.min_copies += v == app.min;
-          app.max_copies += v == app.max;
-        }
-        newer = &ts;
-      });
-    }
-    s.interval_min_ns = app.min;
-    s.interval_max_ns = app.max;
-    s.interval_mean_ns = app.moments.mean();
-    // Population stddev over the windowed intervals — the jitter signal
-    // ("slow or erratic heartbeats", paper Section 2.6).
-    s.interval_stddev_ns = app.moments.stddev();
-  }
+  // The moments hold the window's have - 1 intervals: both read 0 below
+  // two beats. Population stddev — the jitter signal ("slow or erratic
+  // heartbeats", paper Section 2.6).
+  s.interval_mean_ns = app.moments.mean();
+  s.interval_stddev_ns = app.moments.stddev();
   app.dirty = false;
 }
 

@@ -17,20 +17,21 @@
 //
 // Window statistics are maintained per beat, so a publish does O(1) work
 // per changed app. Applying a beat updates the app's exact integer sum
-// and sum of squares, and its min and max with a count of their copies. A
-// refresh then reads those off, and rescans the window only when the last
-// copy of the min or max has left it.
+// and sum of squares of its windowed intervals; a refresh reads the mean
+// and stddev off them and the rate off the window's two ends. The shard
+// keeps nothing that no reader reads: no interval bounds, percentiles or
+// rollups.
 //
 // Per-app layout. An app keeps only what a publish reads: 8 bytes per
-// windowed beat plus one AppState (384 bytes; 2.4 KB in all at the
+// windowed beat plus one AppState (320 bytes; 2.3 KB in all at the
 // default window of 256 beats):
 //   * the window: a ring of beat timestamps;
 //   * no stored intervals: a window's intervals are its consecutive
 //     timestamp pairs, so the interval a push retires is derived from the
-//     two oldest beats, and a min/max rescan walks the pairs;
-//   * the exact moments and the min/max copy counts.
+//     two oldest beats;
+//   * the exact moments.
 // The fields a beat's apply touches come first and fill the app's first
-// three cache lines; the target, the registration time and the cached
+// two cache lines; the target, the registration time and the cached
 // summary follow.
 //
 // Apply and publish each walk many apps whose state was last written on
@@ -46,10 +47,12 @@
 // nearly free (bench/snapshot_query).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/record.hpp"
@@ -63,10 +66,8 @@
 
 namespace hb::hub {
 
-/// Largest sliding window, in beats. It bounds what one app may cost the
-/// hub: 8 bytes per windowed beat (512 KB at the cap), and the walk over
-/// its window that a refresh pays when the last copy of its interval min
-/// or max has left it.
+/// Largest sliding window, in beats. It bounds what one app's window may
+/// cost the hub: 8 bytes per windowed beat, 512 KB at the cap.
 inline constexpr std::size_t kMaxWindowCapacity = 65535;
 
 /// Sizing knobs a shard needs (subset of HubOptions, kept separately so the
@@ -127,20 +128,15 @@ class HubShard {
 
  private:
   /// Cache-line aligned, so the fields apply touches (total_beats through
-  /// max_copies) span exactly the app's first three lines.
+  /// moments) span exactly the app's first two lines.
   struct alignas(64) AppState {
     std::uint64_t total_beats = 0;
     util::TimeNs last_beat_ns = 0;  ///< survives eviction (staleness basis)
     util::RingBuffer<util::TimeNs> window;  ///< beat timestamps
     bool evicted = false;
     bool dirty = false;
-    /// Views of exactly the window's intervals:
-    util::ExactMoments moments;  ///< mean, stddev
-    /// Lower / upper bound of every windowed interval, and how many copies
-    /// of it the window holds. A count of 0 means the last copy left the
-    /// window: the bound is stale until the next refresh rescans.
-    std::uint64_t min = 0, max = 0;
-    std::size_t min_copies = 0, max_copies = 0;
+    /// Exactly the window's intervals: their mean and stddev.
+    util::ExactMoments moments;
     // End of the fields apply touches.
     core::TargetRate target;
     /// Registration time on the hub clock: the staleness baseline until the
@@ -153,12 +149,19 @@ class HubShard {
     explicit AppState(const ShardConfig& config)
         : window(config.window_capacity) {}
   };
-  static_assert(sizeof(AppState) <= 384, "an app's inline state fits 6 lines");
+  /// Bytes of an app that apply touches: prefetch_app_locked fetches
+  /// exactly these.
+  static constexpr std::size_t kApplyBytes = 128;
+  static_assert(std::is_standard_layout_v<AppState>);
+  static_assert(offsetof(AppState, moments) + sizeof(util::ExactMoments) <=
+                    kApplyBytes,
+                "the fields apply touches fit the app's first two lines");
+  static_assert(sizeof(AppState) <= 320, "an app's inline state fits 5 lines");
 
   /// Apply `recs` in order, prefetching each app a fixed distance ahead.
   void apply_run_locked(std::span<const AppRecord> recs) HB_REQUIRES(state_mu_);
   /// Prefetch the lines apply_locked touches first: the app's leading
-  /// fields up to and including max_copies.
+  /// kApplyBytes, total_beats through moments.
   void prefetch_app_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
   /// Prefetch what the app's leading fields point at: the window's newest
   /// and oldest beats. Reads those leading fields, so it runs after
@@ -167,12 +170,6 @@ class HubShard {
       HB_REQUIRES(state_mu_);
   void apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec)
       HB_REQUIRES(state_mu_);
-  /// Count one new windowed interval in the app's window statistics.
-  void add_interval_locked(AppState& app, std::uint64_t interval)
-      HB_REQUIRES(state_mu_);
-  /// Uncount the interval between the window's two oldest beats, which the
-  /// next push retires.
-  void retire_oldest_interval_locked(AppState& app) HB_REQUIRES(state_mu_);
   void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Throws out_of_range unless `slot` is registered here.
   void check_slot_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);

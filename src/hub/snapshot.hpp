@@ -43,7 +43,6 @@ namespace hb::hub {
 /// apps included with their flag set. Immutable after publication; handed
 /// out as shared_ptr<const>.
 struct ShardSnapshot {
-  std::uint32_t shard = 0;
   /// Publish counter, starts at 1 for the first snapshot. Monotone: a
   /// reader that sees the same epoch twice may reuse everything it derived
   /// from the previous grab.

@@ -3,9 +3,11 @@
 // The hub's contract with consumers (schedulers, fault detectors, cloud
 // managers) is a set of plain-value snapshots of per-app windowed
 // summaries: rate, target and liveness, plus the window's exact interval
-// statistics. Observers get copies, never references into shard state, so
-// a snapshot stays coherent while shards keep ingesting. Fleet totals are
-// a walk over the summaries (FleetSnapshot::for_each_app).
+// mean and stddev — the three signals an observer judges an app by (heart
+// rate, silence, jitter; paper Section 2.6). A summary carries only what
+// some reader reads. Observers get copies, never references into shard
+// state, so a snapshot stays coherent while shards keep ingesting. Fleet
+// totals are a walk over the summaries (FleetSnapshot::for_each_app).
 #pragma once
 
 #include <cstdint>
@@ -42,9 +44,8 @@ struct AppRecord {
 /// "Latency" throughout is the inter-beat interval in nanoseconds — the
 /// paper's heart-rate signal seen from the other side.
 struct AppSummary {
-  std::string name;         ///< registration name (the app key)
-  AppId id = 0;             ///< routing handle, valid for this hub only
-  std::uint32_t shard = 0;  ///< owning lock stripe (== app_id_shard(id))
+  std::string name;  ///< registration name (the app key)
+  AppId id = 0;      ///< routing handle, valid for this hub only
 
   std::uint64_t total_beats = 0;   ///< beats ever ingested for this app
   std::uint64_t window_beats = 0;  ///< beats inside the sliding window
@@ -62,9 +63,7 @@ struct AppSummary {
   bool evicted = false;
   core::TargetRate target;         ///< registered goal, as in the paper
 
-  std::uint64_t interval_min_ns = 0;   ///< exact, over the window
-  std::uint64_t interval_max_ns = 0;   ///< exact, over the window
-  double interval_mean_ns = 0.0;
+  double interval_mean_ns = 0.0;       ///< exact, over the window
   double interval_stddev_ns = 0.0;     ///< exact, over the window (jitter)
 };
 

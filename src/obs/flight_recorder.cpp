@@ -26,13 +26,6 @@ class RecorderSink : public policy::ActionSink {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions opts) : opts_(opts) {
-  if (opts_.fine_interval_ns < 1) opts_.fine_interval_ns = 1;
-  if (opts_.fine_window_ns < opts_.fine_interval_ns)
-    opts_.fine_window_ns = opts_.fine_interval_ns;
-  if (opts_.coarse_interval_ns < 1) opts_.coarse_interval_ns = 1;
-}
-
 void FlightRecorder::note_publish(std::uint64_t epoch, util::TimeNs at_ns) {
   if (!enabled()) return;
   // relaxed: independent publish-tick telemetry; frames copy whatever
@@ -58,7 +51,7 @@ void FlightRecorder::record_report(
                     : fine_.back()->at_ns;
   // Cut when events are waiting (edges are never subsampled away), on the
   // very first sweep, or once the fine interval elapsed since the last cut.
-  if (pending_.empty() && !first && at - last_cut < opts_.fine_interval_ns)
+  if (pending_.empty() && !first && at - last_cut < kFineIntervalNs)
     return;
   cut_frame_locked(*last_report_);
 }
@@ -84,16 +77,12 @@ void FlightRecorder::cut_frame_locked(const fault::FleetReport& report) {
   frame->fleet = report.fleet;
   frame->events = std::move(pending_);
   pending_.clear();
-  if (opts_.capture_metrics) {
-    frame->has_metrics = true;
-    frame->metrics = MetricsRegistry::global().snapshot();
-  }
   fine_.push_back(std::move(frame));
   retire_locked();
 }
 
 void FlightRecorder::retire_locked() {
-  const util::TimeNs horizon = fine_.back()->at_ns - opts_.fine_window_ns;
+  const util::TimeNs horizon = fine_.back()->at_ns - kFineWindowNs;
   while (fine_.size() > 1 && fine_.front()->at_ns < horizon) {
     auto old = std::move(fine_.front());
     fine_.pop_front();
@@ -101,14 +90,14 @@ void FlightRecorder::retire_locked() {
     // frames always demote — the edges are what postmortems come back for.
     const bool on_grid =
         coarse_.empty() ||
-        old->at_ns - coarse_.back()->at_ns >= opts_.coarse_interval_ns;
+        old->at_ns - coarse_.back()->at_ns >= kCoarseIntervalNs;
     if (on_grid || !old->events.empty()) {
       coarse_.push_back(std::move(old));
     } else {
       ++frames_dropped_;
     }
   }
-  while (coarse_.size() > opts_.max_coarse_frames) {
+  while (coarse_.size() > kMaxCoarseFrames) {
     coarse_.pop_front();
     ++frames_dropped_;
   }

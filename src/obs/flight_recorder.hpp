@@ -13,12 +13,14 @@
 //   policy dispatch ────────record_event──▶ buffered into the next frame
 //
 // Frames are cut on the sweep cadence, subsampled to a fine interval
-// (default 1 Hz) and retained for a fine window (default 5 min); frames
-// aging out of the fine window decay into a coarse ring (default one
-// frame per minute) instead of vanishing — recent history is dense, old
-// history is cheap, and total memory is bounded by construction. Any
-// frame carrying FleetEvents is cut unconditionally: event edges are the
-// history worth keeping, never subsampled away.
+// (1 Hz) and retained for a fine window (5 min); frames aging out of the
+// fine window decay into a coarse ring (one frame per minute, 240 frames)
+// instead of vanishing — recent history is dense, old history is cheap,
+// and total memory is bounded by construction. Any frame carrying
+// FleetEvents is cut unconditionally: event edges are the history worth
+// keeping, never subsampled away. The tiers are constants
+// (kFineIntervalNs, kFineWindowNs, kCoarseIntervalNs, kMaxCoarseFrames):
+// every recorder keeps the same history.
 //
 // Threading: note_publish is wait-free (two relaxed stores + a relaxed
 // fetch_add) — safe on the hub's publish path. record_report /
@@ -69,29 +71,21 @@ struct TimelineFrame {
   /// at_ns (the emitting sweep's stamp), which may precede this frame's —
   /// events buffered after a cut ride in the NEXT frame.
   std::vector<policy::FleetEvent> events;
-  bool has_metrics = false;      ///< metrics captured at cut time?
-  MetricsSnapshot metrics;       ///< valid when has_metrics
 };
 
-struct FlightRecorderOptions {
-  /// Minimum spacing between frames inside the fine window. Sweeps
-  /// arriving faster are folded into the last frame's successor (the
-  /// rollup of the skipped sweeps is simply superseded); a sweep with
-  /// buffered events always cuts regardless of spacing.
-  util::TimeNs fine_interval_ns = util::kNsPerSec;
-  /// How far back the fine ring reaches from the newest frame.
-  util::TimeNs fine_window_ns = 5 * 60 * util::kNsPerSec;
-  /// Spacing of frames demoted into the coarse ring when they age out of
-  /// the fine window (the "decaying to 1/min beyond" retention tier).
-  util::TimeNs coarse_interval_ns = 60 * util::kNsPerSec;
-  /// Bound on the coarse ring (oldest frames drop first). The default
-  /// keeps 4 h of minute-grain history beyond the fine window.
-  std::size_t max_coarse_frames = 240;
-  /// Capture a MetricsRegistry::global() snapshot into each frame. Off by
-  /// default: snapshots cost a registry walk per frame, and deterministic
-  /// scenario captures must not read process-wide mutable state.
-  bool capture_metrics = false;
-};
+/// Minimum spacing between frames inside the fine window. Sweeps arriving
+/// faster are folded into the last frame's successor (the rollup of the
+/// skipped sweeps is simply superseded); a sweep with buffered events
+/// always cuts regardless of spacing.
+inline constexpr util::TimeNs kFineIntervalNs = util::kNsPerSec;
+/// How far back the fine ring reaches from the newest frame.
+inline constexpr util::TimeNs kFineWindowNs = 5 * 60 * util::kNsPerSec;
+/// Spacing of frames demoted into the coarse ring when they age out of the
+/// fine window (the "decaying to 1/min beyond" retention tier).
+inline constexpr util::TimeNs kCoarseIntervalNs = 60 * util::kNsPerSec;
+/// Bound on the coarse ring (oldest frames drop first): 4 h of
+/// minute-grain history beyond the fine window.
+inline constexpr std::size_t kMaxCoarseFrames = 240;
 
 /// Counters for tests, hbmon footers, and postmortem bundles.
 struct FlightRecorderStats {
@@ -106,7 +100,7 @@ struct FlightRecorderStats {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderOptions opts = {});
+  FlightRecorder() = default;
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -116,16 +110,15 @@ class FlightRecorder {
   /// epoch, `at_ns` its composed_at_ns.
   void note_publish(std::uint64_t epoch, util::TimeNs at_ns);
 
-  /// One detector sweep. May cut a TimelineFrame (see
-  /// FlightRecorderOptions::fine_interval_ns); always retained as
-  /// last_report() so a capture triggered mid-dispatch sees the report
-  /// that produced the triggering event. The report is shared, not
-  /// copied (4k AppHealth entries at fleet scale).
+  /// One detector sweep. May cut a TimelineFrame (see kFineIntervalNs);
+  /// always retained as last_report() so a capture triggered mid-dispatch
+  /// sees the report that produced the triggering event. The report is
+  /// shared, not copied (4k AppHealth entries at fleet scale).
   void record_report(std::shared_ptr<const fault::FleetReport> report)
       HB_EXCLUDES(mu_);
 
   /// One policy event, buffered into the next frame cut. The buffering
-  /// sweep's frame is forced regardless of fine_interval_ns spacing.
+  /// sweep's frame is forced regardless of kFineIntervalNs spacing.
   void record_event(const policy::FleetEvent& event) HB_EXCLUDES(mu_);
 
   /// An ActionSink adapter feeding record_event; policy::Monitor registers
@@ -151,14 +144,10 @@ class FlightRecorder {
 
   FlightRecorderStats stats() const HB_EXCLUDES(mu_);
 
-  const FlightRecorderOptions& options() const { return opts_; }
-
  private:
   void cut_frame_locked(const fault::FleetReport& report)
       HB_REQUIRES(mu_);
   void retire_locked() HB_REQUIRES(mu_);
-
-  FlightRecorderOptions opts_;
 
   /// Publish ticks land here wait-free; frames copy them out relaxed.
   std::atomic<std::uint64_t> publishes_{0};

@@ -142,11 +142,11 @@ void PostmortemSink::on_event(const policy::PolicyEngine& /*engine*/,
   // Cooldown applies only once something was captured: the sentinel init
   // of last_capture_at_ns_ would make the subtraction wrap otherwise.
   if (stats_.captured > 0 &&
-      event.at_ns - last_capture_at_ns_ < opts_.cooldown_ns) {
+      event.at_ns - last_capture_at_ns_ < kPostmortemCooldownNs) {
     ++stats_.suppressed_cooldown;
     return;
   }
-  if (opts_.max_bundles != 0 && stats_.captured >= opts_.max_bundles) {
+  if (stats_.captured >= kPostmortemMaxBundles) {
     ++stats_.suppressed_budget;
     return;
   }
@@ -176,7 +176,7 @@ std::string PostmortemSink::render_bundle(const policy::FleetEvent& event,
   append_u64(out, "seq", seq);
   append_str(out, "source", opts_.source);
   append_i64(out, "captured_at_ns", event.at_ns);
-  if (opts_.stamp_wall_time) {
+  if (opts_.live) {
     append_i64(out, "captured_wall_ns",
                std::chrono::duration_cast<std::chrono::nanoseconds>(
                    std::chrono::system_clock::now().time_since_epoch())
@@ -259,8 +259,8 @@ std::string PostmortemSink::render_bundle(const policy::FleetEvent& event,
   out += "],";
 
   out += "\"spans\":{";
-  append_bool(out, "captured", opts_.capture_spans);
-  if (opts_.capture_spans) {
+  append_bool(out, "captured", opts_.live);
+  if (opts_.live) {
     std::uint64_t skipped = 0;
     std::vector<SpanRecord> spans = TraceRing::global().snapshot(&skipped);
     if (spans.size() > kPostmortemMaxSpans) {
@@ -290,7 +290,7 @@ std::string PostmortemSink::render_bundle(const policy::FleetEvent& event,
   out += "},";
 
   out += "\"metrics\":";
-  if (opts_.capture_metrics) {
+  if (opts_.live) {
     const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
     out += '{';
     append_u64(out, "epoch", snap.epoch);

@@ -4,7 +4,8 @@
 // moment of that history is worth freezing. Registered on a PolicyEngine
 // after the recorder's own event_sink, it watches the event stream for
 // incident edges — a death transition, a quarantine, a correlated
-// failure — and on each (cooldown- and budget-limited) trigger writes a
+// failure — and on a trigger (at most one capture per
+// kPostmortemCooldownNs, kPostmortemMaxBundles in all) writes a
 // SELF-CONTAINED JSON bundle under its directory:
 //
 //   - the trigger event (kind, subject, standard to_line rendering),
@@ -14,8 +15,8 @@
 //   - the timeline slice covering the lookback window before the trigger,
 //   - the events buffered since the last frame cut (the trigger's own
 //     sweep, not yet framed),
-//   - optionally the recent TraceRing spans and a MetricsSnapshot
-//     (live-fleet mode; off for deterministic scenario captures),
+//   - in live mode, the recent TraceRing spans, a MetricsSnapshot and a
+//     wall-clock stamp (off for deterministic scenario captures),
 //   - the recorder's stats footer.
 //
 // Bundles are written atomically (temp file + rename in the same
@@ -44,29 +45,27 @@ namespace hb::obs {
 
 /// Timeline window a bundle preserves before its trigger.
 inline constexpr util::TimeNs kPostmortemLookbackNs = 120 * util::kNsPerSec;
-/// Newest TraceRing spans a bundle keeps when capture_spans is on.
+/// Newest TraceRing spans a live bundle keeps.
 inline constexpr std::size_t kPostmortemMaxSpans = 64;
+/// Minimum spacing between captures. Triggers inside the window are
+/// counted but not captured — one incident, one bundle, even when a rack
+/// death folds into dozens of edges across a few sweeps.
+inline constexpr util::TimeNs kPostmortemCooldownNs = 10 * util::kNsPerSec;
+/// Lifetime capture budget of one sink. Keeps a crash-looping fleet from
+/// filling the disk with identical bundles.
+inline constexpr std::size_t kPostmortemMaxBundles = 16;
 
 struct PostmortemOptions {
   /// Directory bundles land in (created on demand). Convention:
   /// $HB_DIR/postmortems — transport::Registry::default_dir() +
   /// "/postmortems" (hbmon wires exactly that).
   std::string dir;
-  /// Minimum spacing between captures. Triggers inside the window are
-  /// counted but not captured — one incident, one bundle, even when a
-  /// rack death folds into dozens of edges across a few sweeps.
-  util::TimeNs cooldown_ns = 10 * util::kNsPerSec;
-  /// Lifetime capture budget for this sink (0 = unlimited). Keeps a
-  /// crash-looping fleet from filling the disk with identical bundles.
-  std::size_t max_bundles = 16;
-  /// Include the recent TraceRing spans in the bundle. Live-fleet mode
-  /// only: span timestamps are raw monotonic, not ManualClock.
-  bool capture_spans = false;
-  /// Include a MetricsRegistry::global() snapshot. Live-fleet mode only.
-  bool capture_metrics = false;
-  /// Stamp the bundle with the wall clock ("captured_wall_ns"). Live-fleet
-  /// mode only — deterministic captures must not read real clocks.
-  bool stamp_wall_time = false;
+  /// Live-fleet mode: include the recent TraceRing spans and a
+  /// MetricsRegistry::global() snapshot, and stamp the bundle with the
+  /// wall clock ("captured_wall_ns"). Off for deterministic captures: span
+  /// timestamps are raw monotonic, not ManualClock, and none of the three
+  /// flows from (spec, config, seed).
+  bool live = false;
   /// Free-form provenance recorded in the bundle ("scenario rack_kill
   /// seed=42", "hbmon fleet --watch", ...).
   std::string source = "unknown";
@@ -75,8 +74,8 @@ struct PostmortemOptions {
 struct PostmortemStats {
   std::uint64_t triggers = 0;             ///< events matching the trigger set
   std::uint64_t captured = 0;             ///< bundles written
-  std::uint64_t suppressed_cooldown = 0;  ///< inside cooldown_ns
-  std::uint64_t suppressed_budget = 0;    ///< max_bundles exhausted
+  std::uint64_t suppressed_cooldown = 0;  ///< inside kPostmortemCooldownNs
+  std::uint64_t suppressed_budget = 0;    ///< kPostmortemMaxBundles spent
   std::uint64_t write_failures = 0;       ///< filesystem said no
 };
 

@@ -144,8 +144,8 @@ void ScenarioRunner::build_world() {
   if (!capture_dir_.empty()) {
     obs::PostmortemOptions pm;
     pm.dir = capture_dir_;
-    // Deterministic capture: no spans, no metrics, no wall stamps — every
-    // byte in the bundle flows from (spec, config, seed).
+    // Deterministic capture (live off): no spans, no metrics, no wall
+    // stamps — every byte in the bundle flows from (spec, config, seed).
     pm.source = "scenario " + spec_.name + " seed=" + std::to_string(seed_);
     postmortem_ = std::make_shared<obs::PostmortemSink>(recorder(), pm);
     engine.add_sink(postmortem_);

@@ -467,9 +467,7 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
   hb::obs::PostmortemOptions pm_opts;
   pm_opts.dir = (registry.dir() / "postmortems").string();
   pm_opts.source = "hbmon fleet --watch";
-  pm_opts.capture_spans = true;
-  pm_opts.capture_metrics = true;
-  pm_opts.stamp_wall_time = true;
+  pm_opts.live = true;
   auto postmortem =
       std::make_shared<hb::obs::PostmortemSink>(monitor.recorder(), pm_opts);
   engine.add_sink(postmortem);

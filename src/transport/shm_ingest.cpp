@@ -65,9 +65,6 @@ struct ShmMetrics {
   }
 };
 
-void* map_existing(const std::filesystem::path& file, std::size_t& bytes_out,
-                   bool& retryable);
-
 // Fit an app name into a frame's 40-byte field. Names that fit are copied
 // verbatim; longer ones keep their first 30 bytes plus '~' and 8 hex
 // digits of an FNV-1a hash of the FULL name, so two producers whose names
@@ -208,16 +205,25 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::create(
             file.string());
   }
 
-  return std::shared_ptr<ShmIngestQueue>(new ShmIngestQueue(file, base, bytes));
+  return std::shared_ptr<ShmIngestQueue>(
+      new ShmIngestQueue(file, base, bytes, capacity, lane_capacity));
 }
 
 namespace {
 
+/// A mapped, validated segment and the geometry it was validated with.
+struct MappedSegment {
+  void* base = nullptr;
+  std::size_t bytes = 0;
+  std::uint32_t capacity = 0;
+  std::uint32_t lane_capacity = 0;
+};
+
 // One attach attempt: map and validate the segment. Sets `retryable` when
 // the failure could be a racing creator that has not finished initializing
 // (file too small / magic still zero), so attach() can retry briefly.
-void* map_existing(const std::filesystem::path& file, std::size_t& bytes_out,
-                   bool& retryable) {
+MappedSegment map_existing(const std::filesystem::path& file,
+                           bool& retryable) {
   retryable = false;
   Fd fd;
   fd.fd = ::open(file.c_str(), O_RDWR, 0);
@@ -247,17 +253,20 @@ void* map_existing(const std::filesystem::path& file, std::size_t& bytes_out,
     throw std::runtime_error("ShmIngestQueue::attach: uninitialized segment: " +
                              file.string());
   }
+  // Geometry is read once and the checked copy is what the queue keeps:
+  // any local process may write the segment, so a second read could see
+  // a capacity this check never bounded.
+  const std::uint32_t capacity = hdr->capacity;
+  const std::uint32_t lane_capacity = hdr->lane_capacity;
   if (magic != kShmIngestMagic || hdr->version != kShmIngestVersion ||
       hdr->slot_size != sizeof(ShmIngestSlot) ||
-      hdr->lane_count != kIngestLanes || hdr->capacity < 2 ||
-      hdr->lane_capacity < 2 ||
-      bytes < shm_ingest_segment_size(hdr->capacity, hdr->lane_capacity)) {
+      hdr->lane_count != kIngestLanes || capacity < 2 || lane_capacity < 2 ||
+      bytes < shm_ingest_segment_size(capacity, lane_capacity)) {
     ::munmap(base, bytes);
     throw std::runtime_error("ShmIngestQueue::attach: bad segment format: " +
                              file.string());
   }
-  bytes_out = bytes;
-  return base;
+  return {base, bytes, capacity, lane_capacity};
 }
 
 }  // namespace
@@ -269,10 +278,9 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::attach(
   for (int attempt = 0;; ++attempt) {
     bool retryable = false;
     try {
-      std::size_t bytes = 0;
-      void* base = map_existing(file, bytes, retryable);
-      return std::shared_ptr<ShmIngestQueue>(
-          new ShmIngestQueue(file, base, bytes));
+      const MappedSegment seg = map_existing(file, retryable);
+      return std::shared_ptr<ShmIngestQueue>(new ShmIngestQueue(
+          file, seg.base, seg.bytes, seg.capacity, seg.lane_capacity));
     } catch (const std::runtime_error&) {
       if (!retryable || attempt >= 100) throw;
     }
@@ -334,13 +342,14 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::open(
 }
 
 ShmIngestQueue::ShmIngestQueue(std::filesystem::path file, void* base,
-                               std::size_t bytes)
+                               std::size_t bytes, std::uint32_t capacity,
+                               std::uint32_t lane_capacity)
     : file_(std::move(file)),
       base_(base),
       bytes_(bytes),
-      capacity_(static_cast<const ShmIngestHeader*>(base)->capacity),
-      lane_count_(static_cast<const ShmIngestHeader*>(base)->lane_count),
-      lane_capacity_(static_cast<const ShmIngestHeader*>(base)->lane_capacity) {}
+      capacity_(capacity),
+      lane_count_(kIngestLanes),
+      lane_capacity_(lane_capacity) {}
 
 ShmIngestQueue::~ShmIngestQueue() {
   for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
@@ -635,8 +644,10 @@ std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
                                          Cursor& totals, const DrainFn& fn,
                                          std::uint32_t max_stall_polls) {
   // Producers lapped this consumer before it even looked: everything below
-  // head - capacity is gone (its slots now belong to newer seqs).
-  if (head > sc.next + cap) {
+  // head - capacity is gone (its slots now belong to newer seqs). Compared
+  // as a distance: next + cap would wrap under a hostile head near 2^64
+  // and send the cursor back a lap on every drain, so it never caught up.
+  if (head > sc.next && head - sc.next > cap) {
     totals.dropped += head - cap - sc.next;
     sc.next = head - cap;
     sc.stalls = 0;
@@ -773,7 +784,7 @@ ShmHubSink::ShmHubSink(std::shared_ptr<core::BeatStore> inner,
       opts_(opts) {
   if (opts_.flush_every == 0) opts_.flush_every = 1;
   buf_.reserve(opts_.flush_every);
-  if (opts_.use_fast_lane) lane_ = queue_->claim_lane();
+  lane_ = queue_->claim_lane();
 }
 
 ShmHubSink::~ShmHubSink() {

@@ -353,7 +353,10 @@ class ShmIngestQueue {
   const std::filesystem::path& file() const { return file_; }
 
  private:
-  ShmIngestQueue(std::filesystem::path file, void* base, std::size_t bytes);
+  /// Takes the geometry create() wrote or attach() validated, never
+  /// re-reading it from the shared header.
+  ShmIngestQueue(std::filesystem::path file, void* base, std::size_t bytes,
+                 std::uint32_t capacity, std::uint32_t lane_capacity);
 
   ShmIngestHeader* header() { return static_cast<ShmIngestHeader*>(base_); }
   const ShmIngestHeader* header() const {
@@ -415,11 +418,6 @@ struct ShmHubSinkOptions {
   /// down cannot sit on a partial batch and read as stale hub-side.
   /// Checked at append time; only meaningful with flush_every > 1.
   util::TimeNs max_hold_ns = 50 * util::kNsPerMs;
-  /// Claim an SPSC fast lane at construction and publish through it
-  /// (falling back to the shared ring when every lane is held by a live
-  /// producer). On by default: lane publishes skip the contended MPSC
-  /// fetch_add entirely.
-  bool use_fast_lane = true;
 };
 
 /// ShmHubSink: mirror a producer's beats into a cross-process ingest ring.
@@ -430,6 +428,9 @@ struct ShmHubSinkOptions {
 /// wrapped store (which keeps serving in-process rate queries and, if it
 /// is a registry ShmStore, stays observer-walkable) and are batched into
 /// the ring with the store-assigned sequence number and current target.
+/// Each sink claims an SPSC fast lane at construction and publishes
+/// through it, skipping the contended MPSC fetch_add; when every lane is
+/// held by a live producer it falls back to the shared ring.
 class ShmHubSink final : public core::BeatStore {
  public:
   /// Mirrors appends on `inner` into `queue` under name `app`.

@@ -49,16 +49,6 @@ class RingBuffer {
     return buf_[head_ >= k ? head_ - k : head_ + buf_.size() - k];
   }
 
-  /// Call `fn(element)` for every retained element, newest first — the
-  /// order back(0), back(1), ... — as two contiguous runs of the backing
-  /// store, with no per-step index arithmetic.
-  template <typename Fn>
-  void for_each_newest_first(Fn&& fn) const {
-    std::size_t left = size();
-    for (std::size_t i = head_; i > 0 && left > 0; --left) fn(buf_[--i]);
-    for (std::size_t i = buf_.size(); left > 0; --left) fn(buf_[--i]);
-  }
-
   /// Copy the most recent `n` elements into `out`, oldest first.
   /// Returns the number copied (min(n, size(), out.size())).
   std::size_t last_n(std::size_t n, std::span<T> out) const {

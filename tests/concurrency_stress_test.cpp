@@ -43,16 +43,21 @@ constexpr std::size_t scaled(std::size_t n) {
 // Producers ingest one-record batches while one publisher loops publish()
 // and readers spin on published() — both shard mutexes (state, snap) stay
 // hot at once, plus set_target churn on the state lock. Each producer beats
-// its own app with strictly increasing tickets, so a beat applied out of
-// arrival order would clamp an interval to 0 and show as interval_min_ns
-// == 0. The check is probabilistic: it needs a reader to catch the clamped
-// interval inside a window, and a lost race may not happen in a given run.
+// its own app with strictly increasing tickets and the rate spans the whole
+// window, so in order the window's intervals add up exactly to its span:
+// interval_mean_ns * rate_bps reads 1e9. A beat applied out of arrival
+// order clamps an interval to 0 and makes the intervals add up to more
+// than the span; a summary refreshed from a half-applied beat counts an
+// interval the span lacks (or the reverse). The check is probabilistic: it
+// needs a reader to catch such a window, and a lost race may not happen in
+// a given run.
 TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(4000);
 
   hub::ShardConfig config;
   config.window_capacity = 64;
+  config.rate_window = 0;  // the rate spans the whole window
   config.clock = util::MonotonicClock::instance();
   hub::HubShard shard(0, config);
 
@@ -97,7 +102,8 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
         for (const auto& app : snap->apps) {
           EXPECT_LE(app.window_beats, app.total_beats);
           if (app.window_beats >= 2) {
-            EXPECT_GT(app.interval_min_ns, 0u);
+            EXPECT_NEAR(app.interval_mean_ns * app.rate_bps / 1e9, 1.0, 1e-6)
+                << app.name;
           }
         }
       }

@@ -108,44 +108,57 @@ TEST(FlightRecorder, PendingEventsForceACutAndRideTheNextFrame) {
 
 TEST(FlightRecorder, AgedFramesDecayOntoTheCoarseGrid) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-  obs::FlightRecorderOptions opts;
-  opts.fine_interval_ns = kNsPerSec;
-  opts.fine_window_ns = 5 * kNsPerSec;
-  opts.coarse_interval_ns = 10 * kNsPerSec;
-  opts.max_coarse_frames = 3;
-  obs::FlightRecorder rec(opts);
-  for (int i = 0; i <= 60; ++i) {
-    rec.record_report(make_report(i * kNsPerSec, 100 + i));
+  obs::FlightRecorder rec;
+  // One sweep per fine interval for the fine window plus ten coarse
+  // intervals more than the coarse ring holds. The recorder reads no
+  // clock, so made-up stamps drive the default tiers cheaply.
+  constexpr util::TimeNs kSpan =
+      obs::kFineWindowNs +
+      static_cast<util::TimeNs>(obs::kMaxCoarseFrames + 10) *
+          obs::kCoarseIntervalNs;
+  constexpr auto kSweeps =
+      static_cast<std::uint64_t>(kSpan / obs::kFineIntervalNs) + 1;
+  for (std::uint64_t i = 0; i < kSweeps; ++i) {
+    rec.record_report(make_report(
+        static_cast<util::TimeNs>(i) * obs::kFineIntervalNs, 100 + i));
   }
   const auto stats = rec.stats();
-  EXPECT_EQ(stats.frames_cut, 61u);
-  // Fine ring: the 5 s window behind t=60 (plus the frame AT the horizon).
-  EXPECT_LE(stats.fine_frames, 7u);
-  EXPECT_GE(stats.fine_frames, 5u);
-  // Coarse ring: 10 s grid, capped at 3 frames; the rest dropped.
-  EXPECT_EQ(stats.coarse_frames, 3u);
+  EXPECT_EQ(stats.frames_cut, kSweeps);
+  // Fine ring: the window behind the newest frame, plus the frame AT the
+  // horizon.
+  EXPECT_EQ(stats.fine_frames,
+            static_cast<std::uint64_t>(obs::kFineWindowNs /
+                                       obs::kFineIntervalNs) + 1);
+  // Coarse ring: the coarse grid, capped; the rest dropped.
+  EXPECT_EQ(stats.coarse_frames, obs::kMaxCoarseFrames);
   EXPECT_EQ(stats.frames_dropped,
             stats.frames_cut - stats.fine_frames - stats.coarse_frames);
-  // Oldest-first and strictly ordered across the coarse->fine seam.
+  // Oldest-first and strictly ordered across the coarse->fine seam; the
+  // fine part spans exactly the fine window.
   const auto frames = rec.timeline();
+  ASSERT_EQ(frames.size(), stats.fine_frames + stats.coarse_frames);
   for (std::size_t i = 1; i < frames.size(); ++i) {
     EXPECT_LT(frames[i - 1]->at_ns, frames[i]->at_ns);
   }
+  EXPECT_EQ(frames.back()->at_ns - frames[obs::kMaxCoarseFrames]->at_ns,
+            obs::kFineWindowNs);
 }
 
 TEST(FlightRecorder, EventFramesSurviveDecayOffGrid) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-  obs::FlightRecorderOptions opts;
-  opts.fine_window_ns = 5 * kNsPerSec;
-  opts.coarse_interval_ns = 60 * kNsPerSec;  // nothing lands on this grid
-  obs::FlightRecorder rec(opts);
+  obs::FlightRecorder rec;
   rec.record_report(make_report(0, 1));  // occupies the coarse grid slot
   rec.record_event(death_event(3 * kNsPerSec, "vm-7"));
   rec.record_report(make_report(3 * kNsPerSec, 2));  // event frame, off-grid
-  for (int i = 10; i < 20; ++i) {
-    rec.record_report(make_report(i * kNsPerSec, 10 + i));
+  // Sweeps every 10 s until both frames are well past the fine window.
+  for (int i = 1; i <= 40; ++i) {
+    rec.record_report(make_report(i * 10 * kNsPerSec, 10 + i));
   }
-  // The off-grid event frame was demoted, not dropped.
+  static_assert(3 * kNsPerSec < obs::kCoarseIntervalNs);
+  static_assert(400 * kNsPerSec - obs::kFineWindowNs > 3 * kNsPerSec);
+  // Off-grid frames without events were dropped; the off-grid event frame
+  // was demoted, not dropped.
+  EXPECT_GT(rec.stats().frames_dropped, 0u);
   bool found = false;
   for (const auto& f : rec.timeline()) {
     if (!f->events.empty()) {
@@ -290,27 +303,30 @@ TEST(PostmortemSink, CooldownAndBudgetBoundCaptures) {
   rec->record_report(make_report(0, 1));
   obs::PostmortemOptions opts;
   opts.dir = scratch_dir("cooldown");
-  opts.cooldown_ns = 10 * kNsPerSec;
-  opts.max_bundles = 2;
   obs::PostmortemSink sink(rec, opts);
   policy::PolicyEngine engine;
+  static_assert(obs::kPostmortemCooldownNs == 10 * kNsPerSec);
 
-  sink.on_event(engine, death_event(0, "vm-1"));           // captured (#1)
-  sink.on_event(engine, death_event(4 * kNsPerSec, "vm-2"));   // cooldown
-  sink.on_event(engine, death_event(9 * kNsPerSec, "vm-3"));   // cooldown
-  sink.on_event(engine, death_event(12 * kNsPerSec, "vm-4"));  // captured (#2)
-  sink.on_event(engine, death_event(30 * kNsPerSec, "vm-5"));  // over budget
+  sink.on_event(engine, death_event(0, "vm-0"));              // captured (#1)
+  sink.on_event(engine, death_event(4 * kNsPerSec, "vm-a"));  // cooldown
+  sink.on_event(engine, death_event(9 * kNsPerSec, "vm-b"));  // cooldown
+  // Sixteen more, each spaced past the cooldown: #2..#16 are captured and
+  // the last finds the budget spent.
+  for (std::size_t i = 1; i <= obs::kPostmortemMaxBundles; ++i) {
+    const auto at = static_cast<util::TimeNs>(i) * 12 * kNsPerSec;
+    sink.on_event(engine, death_event(at, "vm-" + std::to_string(i)));
+  }
 
   const auto& stats = sink.stats();
-  EXPECT_EQ(stats.triggers, 5u);
-  EXPECT_EQ(stats.captured, 2u);
+  EXPECT_EQ(stats.triggers, 19u);
+  EXPECT_EQ(stats.captured, 16u);
   EXPECT_EQ(stats.suppressed_cooldown, 2u);
   EXPECT_EQ(stats.suppressed_budget, 1u);
   // Non-triggering events never count at all.
-  policy::FleetEvent lift = death_event(40 * kNsPerSec, "vm-1");
+  policy::FleetEvent lift = death_event(400 * kNsPerSec, "vm-1");
   lift.kind = policy::EventKind::kQuarantineLifted;
   sink.on_event(engine, lift);
-  EXPECT_EQ(sink.stats().triggers, 5u);
+  EXPECT_EQ(sink.stats().triggers, 19u);
 }
 
 TEST(PostmortemSink, KillSwitchSuppressesCapture) {

@@ -1,0 +1,384 @@
+// Hostile-segment mutator for the cross-process ingest ring.
+//
+// The ring file under $HB_DIR is shared memory that any local process may
+// write, so its consumer must treat it as untrusted input. For each seed
+// this test builds the same small ring, with frames in the shared ring and
+// in two fast lanes, overwrites 1-3 words of it, and holds the consumer to
+// one rule: attach() rejects the segment with std::runtime_error, or
+//   * every drain stays inside the mapping (the segment ends on a page
+//     boundary, and the ASan build checks the consumer's own memory) and
+//     accounts for each frame it passes exactly once;
+//   * one drain returns after at most capacity + lanes x lane capacity
+//     frames;
+//   * a consumer loop, a raw cursor and a ShmIngestPump alike, goes quiet
+//     within a fixed number of polls.
+// Every seed mutates the file twice: once before attach(), so the attach
+// checks see the damage, and once while a pump has the ring mapped, so the
+// drain's own defenses must hold. The words hit are the header's capacity,
+// lane_capacity, version, slot_size and head; a lane's head and owner; a
+// slot's commit, count, base_ts_ns and ts_delta_ns; and a slot's name bytes,
+// overwritten with no NUL. The values favour the edges: huge capacities,
+// heads past the end and near 2^64, record counts above 3, wrapped deltas
+// and foreign versions.
+//
+// No process or thread is started: the mutations are pwrite()s into the
+// ring file, which the consumer's MAP_SHARED mapping sees at once.
+#include <gtest/gtest.h>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <limits>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "hub/hub.hpp"
+#include "hub/shm_pump.hpp"
+#include "transport/shm_ingest.hpp"
+#include "util/clock.hpp"
+#include "util/rng.hpp"
+
+namespace hb::transport {
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr std::uint32_t kCapacity = 27;
+constexpr std::uint32_t kLaneCapacity = 4;
+constexpr std::size_t kSegmentBytes =
+    shm_ingest_segment_size(kCapacity, kLaneCapacity);
+// 640 + 128 x (27 + 8 x 4) bytes: on 4 KB pages a read past the end faults.
+static_assert(kSegmentBytes % 4096 == 0);
+
+constexpr std::uint64_t kMaxFramesPerDrain =
+    kCapacity + std::uint64_t{kIngestLanes} * kLaneCapacity;
+constexpr std::uint32_t kStallPolls = 3;
+/// Polls a consumer may take to go quiet: a stall budget per slot of the
+/// largest stream, far above what 1-3 damaged words can cost.
+constexpr int kMaxPolls = (kStallPolls + 1) * (kCapacity + 1);
+constexpr std::uint64_t kSeeds = 4000;
+
+constexpr std::size_t kLanesAt = sizeof(ShmIngestHeader);
+constexpr std::size_t kSlotsAt = kLanesAt + kIngestLanes * sizeof(ShmIngestLane);
+constexpr std::size_t kBodyAt = offsetof(ShmIngestSlot, body);
+
+/// One word of the segment: its offset and width in bytes.
+struct Word {
+  std::size_t at = 0;
+  std::size_t width = 8;
+};
+
+/// A slot that holds a frame more often than not: one of the shared
+/// ring's first frames, or one of the first two lanes' slots.
+std::size_t pick_slot(util::Rng& rng) {
+  if (rng.chance(0.5)) {
+    const auto i = rng.chance(0.75) ? rng.next_below(4) : rng.next_below(kCapacity);
+    return kSlotsAt + i * sizeof(ShmIngestSlot);
+  }
+  const auto lane = rng.next_below(2);
+  const auto i = rng.next_below(kLaneCapacity);
+  return kSlotsAt + (kCapacity + lane * kLaneCapacity + i) * sizeof(ShmIngestSlot);
+}
+
+std::size_t pick_lane(util::Rng& rng) {
+  const auto lane = rng.chance(0.75) ? rng.next_below(2) : rng.next_below(kIngestLanes);
+  return kLanesAt + lane * sizeof(ShmIngestLane);
+}
+
+/// The word to damage; kNameBytes stands for a slot's whole name field.
+constexpr std::size_t kNameBytes = 0;
+
+Word pick_word(util::Rng& rng) {
+  using Body = ShmIngestSlot::Body;
+  switch (rng.next_below(12)) {
+    case 0: return {offsetof(ShmIngestHeader, capacity), 4};
+    case 1: return {offsetof(ShmIngestHeader, lane_capacity), 4};
+    case 2: return {offsetof(ShmIngestHeader, version), 4};
+    case 3: return {offsetof(ShmIngestHeader, slot_size), 4};
+    case 4: return {offsetof(ShmIngestHeader, head), 8};
+    case 5: return {pick_lane(rng) + offsetof(ShmIngestLane, head), 8};
+    case 6: return {pick_lane(rng) + offsetof(ShmIngestLane, owner), 8};
+    case 7: return {pick_slot(rng) + offsetof(ShmIngestSlot, commit), 8};
+    case 8: return {pick_slot(rng) + kBodyAt + offsetof(Body, count), 2};
+    case 9: return {pick_slot(rng) + kBodyAt + offsetof(Body, base_ts_ns), 8};
+    case 10: {
+      const auto k = rng.next_below(kIngestFrameRecords);
+      return {pick_slot(rng) + kBodyAt + offsetof(Body, ts_delta_ns) +
+                  k * sizeof(std::uint32_t),
+              4};
+    }
+    default: return {pick_slot(rng) + kBodyAt + offsetof(Body, app), kNameBytes};
+  }
+}
+
+std::uint64_t pick_value(util::Rng& rng, std::uint64_t old) {
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  switch (rng.next_below(10)) {
+    case 0: return 0;
+    case 1: return rng.next_below(8);  // counts above 3, foreign versions
+    case 2: return old + 1 + rng.next_below(2 * kCapacity);  // just past
+    case 3: return old - 1 - rng.next_below(4);  // just behind, or wrapped
+    case 4: return kTop - rng.next_below(2 * kCapacity);  // heads near 2^64
+    case 5: return std::uint64_t{1} << rng.next_below(64);
+    case 6: return 0xffffffffULL - rng.next_below(4);  // huge u32, wrapped delta
+    case 7: return old ^ (std::uint64_t{1} << rng.next_below(64));
+    case 8: return static_cast<std::uint64_t>(
+                std::numeric_limits<std::int64_t>::max()) -
+                   rng.next_below(4);
+    default: return rng.next_u64();
+  }
+}
+
+/// Overwrite 1-3 words of the ring file. Returns what was done, for the
+/// failure message.
+std::string mutate(int fd, util::Rng& rng) {
+  std::ostringstream done;
+  const auto words = 1 + rng.next_below(3);
+  for (std::uint64_t w = 0; w < words; ++w) {
+    const Word word = pick_word(rng);
+    char buf[kIngestNameCap];
+    std::size_t n = word.width;
+    if (n == kNameBytes) {
+      n = kIngestNameCap;
+      for (char& c : buf) c = static_cast<char>(1 + rng.next_below(255));
+      done << " name@" << word.at;
+    } else {
+      std::uint64_t old = 0;
+      EXPECT_EQ(::pread(fd, &old, n, static_cast<off_t>(word.at)),
+                static_cast<ssize_t>(n));
+      const std::uint64_t value = pick_value(rng, old);
+      std::memcpy(buf, &value, n);  // little-endian: the low bytes
+      done << " " << word.at << "=" << value;
+    }
+    EXPECT_EQ(::pwrite(fd, buf, n, static_cast<off_t>(word.at)),
+              static_cast<ssize_t>(n));
+  }
+  return done.str();
+}
+
+core::HeartbeatRecord record(std::uint64_t seq, util::TimeNs ts) {
+  core::HeartbeatRecord r;
+  r.seq = seq;
+  r.timestamp_ns = ts;
+  r.tag = seq;
+  r.thread_id = 7;
+  return r;
+}
+
+std::vector<core::HeartbeatRecord> records(std::uint64_t n, util::TimeNs start) {
+  std::vector<core::HeartbeatRecord> out;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    out.push_back(record(i, start + static_cast<util::TimeNs>(i) * 1000));
+  }
+  return out;
+}
+
+/// A ring file and its pristine image: three frames in the shared ring,
+/// two in lane 0 and one in lane 1.
+class ShmSegmentMutation : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("hb_shm_mutation_" + std::to_string(::getpid()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    const core::TargetRate target{10.0, 100.0};
+    {
+      auto q = ShmIngestQueue::create(file(), kCapacity, kLaneCapacity);
+      q->append_batch("shared-a", records(5, 1'000'000), target);
+      q->append("shared-b", record(0, 2'000'000), target);
+      const int lane_a = q->claim_lane();
+      const int lane_b = q->claim_lane();
+      ASSERT_EQ(lane_a, 0);
+      ASSERT_EQ(lane_b, 1);
+      q->append_batch_lane(lane_a, "lane-a", records(4, 3'000'000), target);
+      q->append_batch_lane(lane_b, "lane-b", records(3, 4'000'000), target);
+      ASSERT_EQ(q->produced(), 3u);
+      ASSERT_EQ(q->lane_produced(0), 2u);
+      ASSERT_EQ(q->lane_produced(1), 1u);
+      image_.resize(kSegmentBytes);
+      const int fd = ::open(file().c_str(), O_RDONLY);
+      ASSERT_GE(fd, 0);
+      ASSERT_EQ(::pread(fd, image_.data(), image_.size(), 0),
+                static_cast<ssize_t>(image_.size()));
+      ::close(fd);
+    }
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path file() const { return dir_ / "ring.hbq"; }
+
+  /// Restore the pristine ring; returns an open read-write descriptor.
+  int restore() {
+    const int fd = ::open(file().c_str(), O_RDWR);
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(::pwrite(fd, image_.data(), image_.size(), 0),
+              static_cast<ssize_t>(image_.size()));
+    return fd;
+  }
+
+  /// Both halves of one seed.
+  void run_seed(std::uint64_t seed);
+
+  fs::path dir_;
+  std::vector<char> image_;
+  std::uint64_t rejected_ = 0;  ///< seeds whose damage attach() refused
+  std::uint64_t attached_ = 0;  ///< seeds whose damaged ring attached
+};
+
+/// A raw cursor and a pump with its hub, all on one mapping of the ring.
+class Consumers {
+ public:
+  explicit Consumers(std::shared_ptr<ShmIngestQueue> queue)
+      : queue_(std::move(queue)),
+        hub_(hub_options()),
+        pump_(queue_, hub_, {.max_stall_polls = kStallPolls}) {}
+
+  /// One poll of each consumer.
+  void poll() {
+    drain();
+    const std::size_t n = pump_.poll();
+    EXPECT_LE(n, kIngestFrameRecords * kMaxFramesPerDrain);
+  }
+
+  /// Poll both consumers until each goes quiet: the raw cursor has no
+  /// frames left, and kStallPolls + 1 pump polls in a row change none of
+  /// its counters. Each must happen within kMaxPolls.
+  void run_to_quiet() {
+    int polls = 0;
+    while (queue_->has_frames(cursor_)) {
+      ASSERT_LT(polls++, kMaxPolls) << "raw cursor never caught up";
+      drain();
+      if (::testing::Test::HasFailure()) return;
+    }
+    int calm = 0;
+    hub::ShmIngestPumpStats last = pump_.stats();
+    for (polls = 0; calm <= static_cast<int>(kStallPolls); ++polls) {
+      ASSERT_LT(polls, kMaxPolls) << "pump never went quiet";
+      EXPECT_LE(pump_.poll(), kIngestFrameRecords * kMaxFramesPerDrain);
+      const hub::ShmIngestPumpStats now = pump_.stats();
+      const bool moved = now.consumed != last.consumed ||
+                         now.dropped != last.dropped || now.torn != last.torn;
+      calm = moved ? 0 : calm + 1;
+      last = now;
+    }
+    // Every drained record reached the hub, or was rejected by name.
+    std::uint64_t ingested = 0;
+    for (std::size_t i = 0; i < hub_.shard_count(); ++i) {
+      ingested += hub_.shard(i).stats().ingested;
+    }
+    EXPECT_EQ(ingested, last.consumed - last.rejected);
+    EXPECT_NE(hub_.snapshot(), nullptr);
+  }
+
+ private:
+  static hub::HubOptions hub_options() {
+    hub::HubOptions opts;
+    opts.shard_count = 2;
+    opts.clock = std::make_shared<util::ManualClock>(1'000'000'000);
+    return opts;
+  }
+
+  void drain() {
+    const std::uint64_t frames = cursor_.consumed_frames;
+    const std::size_t delivered = queue_->drain(
+        cursor_,
+        [](std::string_view app, const core::HeartbeatRecord&,
+           core::TargetRate) { EXPECT_LT(app.size(), kIngestNameCap); },
+        kStallPolls);
+    EXPECT_LE(cursor_.consumed_frames - frames, kMaxFramesPerDrain);
+    EXPECT_LE(delivered, kIngestFrameRecords * kMaxFramesPerDrain);
+    // Every frame a stream cursor passed is consumed, dropped or torn:
+    // exactly once, even at hostile heads (the sums agree modulo 2^64).
+    std::uint64_t passed = cursor_.main.next;
+    for (const auto& lane : cursor_.lanes) passed += lane.next;
+    EXPECT_EQ(passed,
+              cursor_.consumed_frames + cursor_.dropped + cursor_.torn);
+  }
+
+  std::shared_ptr<ShmIngestQueue> queue_;
+  ShmIngestQueue::Cursor cursor_;
+  hub::HeartbeatHub hub_;
+  hub::ShmIngestPump pump_;
+};
+
+void ShmSegmentMutation::run_seed(std::uint64_t seed) {
+  util::Rng rng(seed);
+  {
+    // Before attach: the attach checks see the damage.
+    const int fd = restore();
+    const std::string done = mutate(fd, rng);
+    ::close(fd);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                      << " before attach:" << done);
+    std::shared_ptr<ShmIngestQueue> q;
+    try {
+      q = ShmIngestQueue::attach(file());
+    } catch (const std::runtime_error&) {
+      // Rejected: the one acceptable outcome besides a safe drain.
+      ++rejected_;
+    }
+    if (q) {
+      ++attached_;
+      Consumers consumers(q);
+      consumers.run_to_quiet();
+    }
+  }
+  {
+    // While mapped: attach the pristine ring, maybe poll once and append a
+    // fresh batch, then damage the mapping under the consumers.
+    const int fd = restore();
+    auto q = ShmIngestQueue::attach(file());
+    Consumers consumers(q);
+    if (rng.chance(0.5)) {
+      consumers.poll();
+      q->append_batch("shared-c", records(4, 5'000'000), {1.0, 2.0});
+    }
+    const std::string done = mutate(fd, rng);
+    ::close(fd);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                      << " while mapped:" << done);
+    consumers.run_to_quiet();
+  }
+}
+
+TEST_F(ShmSegmentMutation, EverySeedIsRejectedOrDrainsSafely) {
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    run_seed(seed);
+    if (HasFailure()) FAIL() << "seed " << seed;
+  }
+  // Both outcomes occur, so neither the attach checks nor the drain's
+  // defenses go untested.
+  EXPECT_GT(rejected_, kSeeds / 20);
+  EXPECT_GT(attached_, kSeeds / 2);
+}
+
+// Seed 82, kept as a named case: a header head 23 frames short of 2^64,
+// written while mapped. The drain's lap check computed next + capacity,
+// which wrapped once the cursor caught up, so every later drain sent the
+// cursor back a lap and the pump never went quiet. Lane heads take the
+// same path.
+TEST_F(ShmSegmentMutation, Seed82HeadNearTwoToThe64DrainsToQuiet) {
+  run_seed(82);
+  for (const std::size_t at :
+       {offsetof(ShmIngestHeader, head),
+        kLanesAt + offsetof(ShmIngestLane, head)}) {
+    const int fd = restore();
+    auto q = ShmIngestQueue::attach(file());
+    Consumers consumers(q);
+    const std::uint64_t head = std::numeric_limits<std::uint64_t>::max() - 22;
+    ASSERT_EQ(::pwrite(fd, &head, sizeof(head), static_cast<off_t>(at)),
+              static_cast<ssize_t>(sizeof(head)));
+    ::close(fd);
+    consumers.run_to_quiet();
+  }
+}
+
+}  // namespace
+}  // namespace hb::transport

@@ -327,10 +327,13 @@ TEST_F(ShmIngestTest, HubSinkMirrorsSharedChannelOnly) {
 TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
   auto q = ShmIngestQueue::create(file(), 64);
   auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
-  // use_fast_lane off so produced() (shared-ring frames) observes flushes.
+  // Every lane held by a live producer: the sink falls back to the shared
+  // ring, so produced() (shared-ring frames) observes its flushes.
+  for (std::uint32_t i = 0; i < q->lane_count(); ++i) {
+    ASSERT_GE(q->claim_lane(), 0);
+  }
   ShmHubSink sink(inner, q, "batchy",
-                  {.flush_every = 8, .max_hold_ns = 10 * kNsPerMs,
-                   .use_fast_lane = false});
+                  {.flush_every = 8, .max_hold_ns = 10 * kNsPerMs});
   EXPECT_EQ(sink.lane(), -1);
 
   sink.append(rec_at(0));

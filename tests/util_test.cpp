@@ -177,32 +177,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(0, 1, 5, 63, 64, 65,
                                                       4096)));
 
-// Property, exhaustive over small shapes: the newest-first walk visits
-// exactly back(0), back(1), ..., back(size() - 1), in that order, for every
-// wrap position — including after a clear() mid-stream.
-TEST(RingBuffer, NewestFirstWalkMatchesBack) {
-  for (std::size_t capacity = 1; capacity <= 9; ++capacity) {
-    for (std::size_t pushes = 0; pushes <= 3 * capacity; ++pushes) {
-      for (const bool clear_midway : {false, true}) {
-        RingBuffer<std::size_t> rb(capacity);
-        for (std::size_t i = 0; i < pushes; ++i) {
-          if (clear_midway && i == pushes / 2) rb.clear();
-          rb.push(i);
-        }
-        std::vector<std::size_t> walked;
-        rb.for_each_newest_first([&](std::size_t v) { walked.push_back(v); });
-        ASSERT_EQ(walked.size(), rb.size())
-            << "capacity " << capacity << " pushes " << pushes;
-        for (std::size_t i = 0; i < walked.size(); ++i) {
-          EXPECT_EQ(walked[i], rb.back(i))
-              << "capacity " << capacity << " pushes " << pushes << " i " << i;
-          EXPECT_EQ(walked[i], pushes - 1 - i);
-        }
-      }
-    }
-  }
-}
-
 // ----------------------------------------------------------- exact moments
 
 TEST(ExactMoments, MeanAndStddevOfSmallSets) {
