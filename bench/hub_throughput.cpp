@@ -92,7 +92,7 @@ RunResult run_once(int producers, int shards, std::uint64_t total_beats,
           static_cast<std::size_t>(t) * fleet.size() / static_cast<std::size_t>(producers);
       hb::bench::ShardRuns runs(hub);
       for (std::uint64_t k = 0; k < per_thread; ++k) {
-        runs.beat(fleet[(offset + k) % fleet.size()], k);
+        runs.beat(fleet[(offset + k) % fleet.size()]);
       }
       runs.flush();
     });

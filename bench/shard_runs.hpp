@@ -23,12 +23,9 @@ class ShardRuns {
   }
 
   /// Stamp "now" on the hub clock and stage the beat; a full run applies.
-  void beat(hub::AppId id, std::uint64_t tag = 0) {
+  void beat(hub::AppId id) {
     std::vector<hub::AppRecord>& run = runs_[hub::app_id_shard(id)];
-    hub::AppRecord& r = run.emplace_back();
-    r.id = id;
-    r.rec.timestamp_ns = hub_.clock()->now();
-    r.rec.tag = tag;
+    run.push_back({id, hub_.clock()->now()});
     if (run.size() == kRun) {
       hub_.ingest_batch(run);
       run.clear();

@@ -67,6 +67,7 @@ void CloudSim::attach_hub(std::shared_ptr<hub::HeartbeatHub> hub) {
   hub_ = std::move(hub);
   hub_ids_.clear();
   for (const Vm& vm : vms_) hub_ids_.push_back(register_with_hub(vm));
+  hub_runs_.assign(hub_->shard_count(), {});
 }
 
 void CloudSim::migrate(int vm, int machine) {
@@ -186,15 +187,21 @@ void CloudSim::step(double dt_seconds) {
       vm.pending_work -= vm.spec.work_per_beat;
       vm.channel->beat();
       if (hub_) {
-        // Mirror a record stamped from the SIM clock (not hub.beat(),
-        // which would stamp the hub's own clock): hub rates then agree
-        // with per-VM reader rates even if the hub keeps a different
-        // clock. Staleness queries still need a shared clock.
-        core::HeartbeatRecord rec;
-        rec.timestamp_ns = clock_->now();
-        hub_->ingest(hub_ids_[v], rec);
+        // Mirror a beat stamped from the SIM clock (not hub.beat(), which
+        // would stamp the hub's own clock): hub rates then agree with
+        // per-VM reader rates even if the hub keeps a different clock.
+        // Staleness queries still need a shared clock.
+        const hub::AppId id = hub_ids_[v];
+        hub_runs_[hub::app_id_shard(id)].push_back({id, clock_->now()});
       }
     }
+  }
+  // Nothing reads the hub during the loop above: apply the step's beats
+  // as one run per shard. Each app's beats keep their order.
+  for (std::vector<hub::AppRecord>& run : hub_runs_) {
+    if (run.empty()) continue;
+    hub_->ingest_batch(run);
+    run.clear();
   }
   for (auto& vm : vms_) {
     if (!vm.killed) vm.elapsed_s += dt_seconds;  // killed VMs are frozen

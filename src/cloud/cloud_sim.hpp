@@ -144,6 +144,8 @@ class CloudSim {
   std::unordered_map<std::string, int> vm_by_name_;
   std::shared_ptr<hub::HeartbeatHub> hub_;
   std::vector<hub::AppId> hub_ids_;  ///< parallel to vms_ when hub_ is set
+  /// One step's mirrored beats, per hub shard, in VM order.
+  std::vector<std::vector<hub::AppRecord>> hub_runs_;
 
   std::shared_ptr<policy::Monitor> monitor_;
   double policy_period_s_ = 1.0;

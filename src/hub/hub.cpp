@@ -5,7 +5,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_id.hpp"
 
 namespace hb::hub {
 
@@ -41,8 +40,8 @@ HubOptions normalize(HubOptions opts) {
 }  // namespace
 
 HeartbeatHub::HeartbeatHub(HubOptions opts) : opts_(normalize(std::move(opts))) {
-  const ShardConfig config{opts_.window_capacity, opts_.rate_window,
-                           opts_.evict_after_ns, opts_.clock};
+  const ShardConfig config{opts_.window_capacity, opts_.evict_after_ns,
+                           opts_.clock};
   shards_.reserve(opts_.shard_count);
   for (std::size_t i = 0; i < opts_.shard_count; ++i) {
     shards_.push_back(
@@ -94,8 +93,8 @@ std::uint32_t HeartbeatHub::shard_of(const std::string& name) const {
   return static_cast<std::uint32_t>(fnv1a64(name) % shards_.size());
 }
 
-void HeartbeatHub::ingest(AppId id, const core::HeartbeatRecord& rec) {
-  const AppRecord one{id, rec};
+void HeartbeatHub::ingest(AppId id, util::TimeNs timestamp_ns) {
+  const AppRecord one{id, timestamp_ns};
   ingest_batch({&one, 1});
 }
 
@@ -109,13 +108,7 @@ void HeartbeatHub::ingest_batch(std::span<const AppRecord> recs) {
   }
 }
 
-void HeartbeatHub::beat(AppId id, std::uint64_t tag) {
-  core::HeartbeatRecord rec;
-  rec.timestamp_ns = opts_.clock->now();
-  rec.tag = tag;
-  rec.thread_id = util::current_thread_id();
-  ingest(id, rec);
-}
+void HeartbeatHub::beat(AppId id) { ingest(id, opts_.clock->now()); }
 
 void HeartbeatHub::set_target(AppId id, core::TargetRate target) {
   shards_.at(app_id_shard(id))->set_target(app_id_slot(id), target);

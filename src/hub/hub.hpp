@@ -16,6 +16,9 @@
 //   snapshot() ◀── FleetSnapshot: every app's summary, one coherent view
 //   summary(id) ◀── one app, publishing only its owning shard
 //
+// A beat reaches a shard as an AppRecord: its AppId and timestamp, 16
+// bytes, all the hub reads of a beat.
+//
 // Determinism: all timestamps flow through the hub's util::Clock, shard
 // assignment uses a fixed FNV-1a hash (not std::hash), and every beat is
 // applied before its ingest call returns — so a single-threaded driver
@@ -62,8 +65,6 @@ struct HubOptions {
   /// kMaxWindowCapacity (65535) the constructor throws
   /// std::invalid_argument.
   std::size_t window_capacity = 256;
-  /// Beats per rate computation; 0 = the whole sliding window.
-  std::uint32_t rate_window = 0;
   /// Auto-evict apps whose staleness exceeds this bound (dead producers
   /// drop their window memory; a new beat revives them). 0 = never.
   util::TimeNs evict_after_ns = 0;
@@ -109,9 +110,9 @@ class HeartbeatHub {
   /// Shard an app name routes to (exposed for tests and the bench).
   std::uint32_t shard_of(const std::string& name) const;
 
-  /// Ingest one pre-stamped record: a one-record ingest_batch.
+  /// Ingest one beat stamped `timestamp_ns`: a one-record ingest_batch.
   /// Thread-safe; contends only on the owning shard's stripe lock.
-  void ingest(AppId id, const core::HeartbeatRecord& rec);
+  void ingest(AppId id, util::TimeNs timestamp_ns);
 
   /// Ingest pre-stamped records for any registered apps — the hub's one
   /// apply path (the shm ingest pump, registry replays, ingest, beat).
@@ -124,7 +125,7 @@ class HeartbeatHub {
 
   /// Producer convenience: stamp "now" on the hub clock and ingest.
   /// Thread-safe. A beat on an evicted app revives it.
-  void beat(AppId id, std::uint64_t tag = 0);
+  void beat(AppId id);
 
   /// Update a registered app's target range in beats/second (observers see
   /// it in summaries). Thread-safe.

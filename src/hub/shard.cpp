@@ -36,7 +36,7 @@ struct ShardMetrics {
 
 /// Records apply_run_locked looks ahead: an app's leading fields are
 /// prefetched kApplyFetchAhead records before its apply, and the window
-/// ends they point at kApplyTargetAhead records before it — by then the
+/// slots they point at kApplyTargetAhead records before it — by then the
 /// first fetch has landed.
 constexpr std::size_t kApplyFetchAhead = 8;
 constexpr std::size_t kApplyTargetAhead = 4;
@@ -70,10 +70,8 @@ std::uint32_t HubShard::add_app(std::string name, core::TargetRate target) {
   app.target = target;
   app.born_ns = config_.clock->now();
   const auto slot = static_cast<std::uint32_t>(apps_.size());
-  app.cached.name = std::move(name);
-  app.cached.id = make_app_id(index_, slot);
-  app.cached.target = target;
   apps_.push_back(std::move(app));
+  names_.push_back(std::move(name));
   state_dirty_ = true;  // the next publish must include the newcomer
   return slot;
 }
@@ -104,9 +102,7 @@ void HubShard::ingest_batch(std::span<const AppRecord> recs) {
 
 void HubShard::set_target(std::uint32_t slot, core::TargetRate target) {
   util::MutexLock lock(state_mu_);
-  AppState& app = apps_.at(slot);
-  app.target = target;
-  app.dirty = true;
+  apps_.at(slot).target = target;
   state_dirty_ = true;
 }
 
@@ -156,20 +152,24 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
 
   for (std::size_t k = 0; k < apps_.size(); ++k) {
     if (k + kPublishFetchAhead < apps_.size()) {
-      // Fetch what this walk and a refresh read of the app a few slots
-      // ahead: the whole app, and when it is dirty also its window ends
-      // (the rate span).
       const AppState& ahead = apps_[k + kPublishFetchAhead];
       prefetch_lines(&ahead, &ahead + 1);
-      if (ahead.dirty && !ahead.window.empty()) {
-        __builtin_prefetch(&ahead.window.back(0));
-        __builtin_prefetch(&ahead.window.back(ahead.window.size() - 1));
-      }
     }
     AppState& app = apps_[k];
-    maintain_locked(app, now);
+    const util::TimeNs staleness = maintain_locked(app, now);
     if (app.dirty) refresh_locked(app);
-    next->apps.push_back(app.cached);
+    AppSummary& s = next->apps.emplace_back();
+    s.name = names_[k];
+    s.id = make_app_id(index_, static_cast<std::uint32_t>(k));
+    s.total_beats = app.total_beats;
+    s.window_beats = app.window.size();
+    s.rate_bps = app.rate_bps;
+    s.last_beat_ns = app.last_beat_ns;
+    s.staleness_ns = staleness;
+    s.evicted = app.evicted;
+    s.target = app.target;
+    s.interval_mean_ns = app.interval_mean_ns;
+    s.interval_stddev_ns = app.interval_stddev_ns;
   }
   state_dirty_ = false;
 
@@ -188,7 +188,7 @@ ShardStats HubShard::stats() const {
   return s;
 }
 
-void HubShard::maintain_locked(AppState& app, util::TimeNs now) {
+util::TimeNs HubShard::maintain_locked(AppState& app, util::TimeNs now) {
   // Staleness since the last beat, or since registration for an app that
   // has not beaten yet ("registered and silent since it appeared").
   const util::TimeNs since =
@@ -198,7 +198,7 @@ void HubShard::maintain_locked(AppState& app, util::TimeNs now) {
       staleness > config_.evict_after_ns) {
     evict_locked(app);
   }
-  app.cached.staleness_ns = staleness;
+  return staleness;
 }
 
 void HubShard::evict_locked(AppState& app) {
@@ -226,7 +226,7 @@ std::uint64_t interval_between(util::TimeNs prev_ns, util::TimeNs next_ns) {
 void HubShard::apply_run_locked(std::span<const AppRecord> recs) {
   // Group prefetching: while record i is applied, record i + kApplyFetchAhead
   // has its app's leading lines in flight and record i + kApplyTargetAhead,
-  // whose lines have landed by now, has its window ends in flight — so an
+  // whose lines have landed by now, has its window slots in flight — so an
   // app's misses overlap the applies before it.
   const std::size_t n = recs.size();
   for (std::size_t i = 0; i < std::min(n, kApplyFetchAhead); ++i) {
@@ -237,9 +237,9 @@ void HubShard::apply_run_locked(std::span<const AppRecord> recs) {
       prefetch_app_locked(app_id_slot(recs[i + kApplyFetchAhead].id));
     }
     if (i + kApplyTargetAhead < n) {
-      prefetch_window_ends_locked(app_id_slot(recs[i + kApplyTargetAhead].id));
+      prefetch_window_slots_locked(app_id_slot(recs[i + kApplyTargetAhead].id));
     }
-    apply_locked(app_id_slot(recs[i].id), recs[i].rec);
+    apply_locked(app_id_slot(recs[i].id), recs[i].timestamp_ns);
   }
 }
 
@@ -248,73 +248,71 @@ void HubShard::prefetch_app_locked(std::uint32_t slot) const {
   prefetch_lines(&app, reinterpret_cast<const char*>(&app) + kApplyBytes);
 }
 
-void HubShard::prefetch_window_ends_locked(std::uint32_t slot) const {
+void HubShard::prefetch_window_slots_locked(std::uint32_t slot) const {
   const AppState& app = apps_[slot];
   const std::size_t n = app.window.size();
-  if (n == 0) return;  // no interval comes: the window starts fresh
-  __builtin_prefetch(&app.window.back(0));
-  // A full window's push overwrites its oldest beat, after retiring it.
-  if (n == app.window.capacity()) __builtin_prefetch(&app.window.back(n - 1), 1);
+  if (n == 0) return;  // the push writes the window's first slot
+  if (n < app.window.capacity()) {
+    // The push writes the slot after the newest beat.
+    __builtin_prefetch(&app.window.back(0) + 1, 1);
+    return;
+  }
+  // A full window's push reads the next-oldest beat and overwrites the
+  // oldest's slot.
+  __builtin_prefetch(&app.window.back(n - 1), 1);
+  __builtin_prefetch(&app.window.back(n - 2));
 }
 
-void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec) {
+void HubShard::apply_locked(std::uint32_t slot, util::TimeNs timestamp_ns) {
   AppState& app = apps_[slot];
   ++app.total_beats;
   app.evicted = false;  // any beat revives an evicted app
-  app.last_beat_ns = rec.timestamp_ns;
+  const util::TimeNs newest_ns = app.last_beat_ns;
+  app.last_beat_ns = timestamp_ns;
 
   const std::size_t n = app.window.size();
   if (n == app.window.capacity()) {
     // The push below overwrites the oldest beat: retire the interval that
-    // joined it to the next-oldest beat (a window holds at least two).
-    app.moments.remove(
-        interval_between(app.window.back(n - 1), app.window.back(n - 2)));
+    // joined it to the next-oldest beat (a window holds at least two),
+    // which becomes the oldest.
+    const util::TimeNs next_oldest = app.window.back(n - 2);
+    app.moments.remove(interval_between(app.oldest_ns, next_oldest));
+    app.oldest_ns = next_oldest;
   }
-  // The interval since the newest beat still inside the window. After
-  // eviction the window is empty and the first new beat starts fresh: the
-  // silent gap is staleness, not an interval.
   if (n > 0) {
-    app.moments.add(interval_between(app.window.back(0), rec.timestamp_ns));
+    // The interval since the newest beat, which last_beat_ns held.
+    app.moments.add(interval_between(newest_ns, timestamp_ns));
+  } else {
+    // After eviction the window is empty and the first new beat starts
+    // fresh: the silent gap is staleness, not an interval.
+    app.oldest_ns = timestamp_ns;
   }
-  app.window.push(rec.timestamp_ns);
+  app.window.push(timestamp_ns);
   app.dirty = true;
 }
 
 void HubShard::refresh_locked(AppState& app) {
-  AppSummary& s = app.cached;
-  s.target = app.target;
-  s.total_beats = app.total_beats;
-  s.window_beats = app.window.size();
-  s.last_beat_ns = app.last_beat_ns;
-  s.evicted = app.evicted;
-
-  // Windowed rate, same (n-1)/span semantics as core::window_rate, computed
-  // straight off the ring ends (no copy). As in core/reader.cpp, a rate
-  // window of 1 still reads 2 records: rate(1) is the instantaneous rate,
-  // not a constant 0.
+  // Windowed rate, same (n-1)/span semantics as core::window_rate, over
+  // the whole window: its ends are oldest_ns and last_beat_ns, so no
+  // window line is read.
   const std::size_t have = app.window.size();
-  std::size_t w = config_.rate_window == 0
-                      ? have
-                      : std::min<std::size_t>(
-                            std::max<std::size_t>(config_.rate_window, 2), have);
-  if (w < 2) {
-    s.rate_bps = 0.0;
+  if (have < 2) {
+    app.rate_bps = 0.0;
   } else {
     // Unsigned, like every interval: untrusted timestamps may span more
     // than INT64_MAX. A disordered window's span clamps to 0.
-    const std::uint64_t span =
-        interval_between(app.window.back(w - 1), app.window.back(0));
-    s.rate_bps = span > 0 ? static_cast<double>(w - 1) /
-                                (static_cast<double>(span) /
-                                 static_cast<double>(util::kNsPerSec))
-                          : std::numeric_limits<double>::infinity();
+    const std::uint64_t span = interval_between(app.oldest_ns, app.last_beat_ns);
+    app.rate_bps = span > 0 ? static_cast<double>(have - 1) /
+                                  (static_cast<double>(span) /
+                                   static_cast<double>(util::kNsPerSec))
+                            : std::numeric_limits<double>::infinity();
   }
 
   // The moments hold the window's have - 1 intervals: both read 0 below
   // two beats. Population stddev — the jitter signal ("slow or erratic
   // heartbeats", paper Section 2.6).
-  s.interval_mean_ns = app.moments.mean();
-  s.interval_stddev_ns = app.moments.stddev();
+  app.interval_mean_ns = app.moments.mean();
+  app.interval_stddev_ns = app.moments.stddev();
   app.dirty = false;
 }
 

@@ -17,28 +17,31 @@
 //
 // Window statistics are maintained per beat, so a publish does O(1) work
 // per changed app. Applying a beat updates the app's exact integer sum
-// and sum of squares of its windowed intervals; a refresh reads the mean
-// and stddev off them and the rate off the window's two ends. The shard
-// keeps nothing that no reader reads: no interval bounds, percentiles or
-// rollups.
+// and sum of squares of its windowed intervals, and the window's oldest
+// timestamp; a refresh reads the mean and stddev off the sums and the
+// rate off the oldest and newest timestamps. The shard keeps nothing that
+// no reader reads: no interval bounds, percentiles or rollups.
 //
-// Per-app layout. An app keeps only what a publish reads: 8 bytes per
-// windowed beat plus one AppState (320 bytes; 2.3 KB in all at the
-// default window of 256 beats):
-//   * the window: a ring of beat timestamps;
-//   * no stored intervals: a window's intervals are its consecutive
-//     timestamp pairs, so the interval a push retires is derived from the
-//     two oldest beats;
+// Per-app layout. An app keeps only what a reader reads: 8 bytes per
+// windowed beat plus one 192-byte AppState, three cache lines (2.2 KB in
+// all at the default window of 256 beats):
+//   * the window: a ring of beat timestamps, written by apply and read by
+//     nobody else: its intervals are its consecutive timestamp pairs, so
+//     the interval a push retires is derived from the two oldest beats;
+//   * the window's ends, copied out: the newest beat (last_beat_ns) and
+//     the oldest (oldest_ns);
 //   * the exact moments.
-// The fields a beat's apply touches come first and fill the app's first
-// two cache lines; the target, the registration time and the cached
-// summary follow.
+// The fields a beat's apply touches fill the app's first two cache lines;
+// the third holds the target, the registration time and the cached rate,
+// mean and stddev. Names live in a per-shard column beside the apps. A
+// publish reads each app's three lines and its name, and assembles the
+// AppSummary from them: it touches no window line.
 //
 // Apply and publish each walk many apps whose state was last written on
 // another CPU, so both prefetch ahead: apply fetches the app a fixed
 // number of records ahead in two stages (its first lines, then the
-// window ends those lines point at), and publish fetches the whole app
-// four slots ahead.
+// window slots its push touches), and publish fetches the whole app four
+// slots ahead.
 //
 // A publish that finds nothing new (no beats applied, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
@@ -77,7 +80,6 @@ struct ShardConfig {
   /// of one beat spans no interval); the shard constructor throws
   /// std::invalid_argument outside that range.
   std::size_t window_capacity = 256;
-  std::uint32_t rate_window = 0;      ///< beats for rate; 0 = whole window
   /// Auto-evict an app whose staleness exceeds this bound (checked at
   /// publish). 0 = never auto-evict.
   util::TimeNs evict_after_ns = 0;
@@ -132,9 +134,11 @@ class HubShard {
   struct alignas(64) AppState {
     std::uint64_t total_beats = 0;
     util::TimeNs last_beat_ns = 0;  ///< survives eviction (staleness basis)
+    /// The window's oldest beat; meaningful while the window is non-empty.
+    util::TimeNs oldest_ns = 0;
     util::RingBuffer<util::TimeNs> window;  ///< beat timestamps
     bool evicted = false;
-    bool dirty = false;
+    bool dirty = false;  ///< applied to since the last refresh
     /// Exactly the window's intervals: their mean and stddev.
     util::ExactMoments moments;
     // End of the fields apply touches.
@@ -144,7 +148,10 @@ class HubShard {
     /// clock (epoch = boot) would read as stale for the whole uptime and be
     /// instantly auto-evicted / classified dead.
     util::TimeNs born_ns = 0;
-    AppSummary cached;  ///< holds the registration name
+    /// What a refresh derives: the windowed rate and interval moments.
+    double rate_bps = 0.0;
+    double interval_mean_ns = 0.0;
+    double interval_stddev_ns = 0.0;
 
     explicit AppState(const ShardConfig& config)
         : window(config.window_capacity) {}
@@ -156,42 +163,45 @@ class HubShard {
   static_assert(offsetof(AppState, moments) + sizeof(util::ExactMoments) <=
                     kApplyBytes,
                 "the fields apply touches fit the app's first two lines");
-  static_assert(sizeof(AppState) <= 320, "an app's inline state fits 5 lines");
+  static_assert(sizeof(AppState) <= 192, "an app's state fits 3 lines");
 
   /// Apply `recs` in order, prefetching each app a fixed distance ahead.
   void apply_run_locked(std::span<const AppRecord> recs) HB_REQUIRES(state_mu_);
   /// Prefetch the lines apply_locked touches first: the app's leading
   /// kApplyBytes, total_beats through moments.
   void prefetch_app_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
-  /// Prefetch what the app's leading fields point at: the window's newest
-  /// and oldest beats. Reads those leading fields, so it runs after
+  /// Prefetch what the app's leading fields point at: the window slots its
+  /// next push touches. Reads those leading fields, so it runs after
   /// prefetch_app_locked has brought them in.
-  void prefetch_window_ends_locked(std::uint32_t slot) const
+  void prefetch_window_slots_locked(std::uint32_t slot) const
       HB_REQUIRES(state_mu_);
-  void apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec)
+  void apply_locked(std::uint32_t slot, util::TimeNs timestamp_ns)
       HB_REQUIRES(state_mu_);
   void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Throws out_of_range unless `slot` is registered here.
   void check_slot_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
-  /// Per-app time maintenance: stamp staleness, auto-evict past
-  /// evict_after_ns.
-  void maintain_locked(AppState& app, util::TimeNs now) HB_REQUIRES(state_mu_);
+  /// Per-app time maintenance: auto-evict past evict_after_ns. Returns the
+  /// app's staleness at `now`.
+  util::TimeNs maintain_locked(AppState& app, util::TimeNs now)
+      HB_REQUIRES(state_mu_);
   void evict_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Build the next ShardSnapshot from current app state and swap it in:
-  /// per app, time maintenance, an O(1) refresh if it changed, and the
-  /// summary copy. Caller holds state_mu_; the swap itself takes snap_mu_
-  /// only.
+  /// per app, time maintenance, an O(1) refresh if it changed, and a
+  /// summary assembled from the app's state and name. Caller holds
+  /// state_mu_; the swap itself takes snap_mu_ only.
   void rebuild_snapshot_locked(util::TimeNs now)
       HB_REQUIRES(state_mu_) HB_EXCLUDES(snap_mu_);
 
   const std::uint32_t index_;
   const ShardConfig config_;
 
-  /// Guards apps_, ingested_, flushes_, epoch_, state_dirty_.
+  /// Guards apps_, names_, ingested_, flushes_, epoch_, state_dirty_.
   /// Lock order: state_mu_ before snap_mu_ (never the reverse) — declared
   /// below so -Wthread-safety-beta enforces it.
   mutable util::Mutex state_mu_;
   std::vector<AppState> apps_ HB_GUARDED_BY(state_mu_);
+  /// Registration names, parallel to apps_: only a publish reads them.
+  std::vector<std::string> names_ HB_GUARDED_BY(state_mu_);
   std::uint64_t ingested_ HB_GUARDED_BY(state_mu_) = 0;  ///< beats applied
   std::uint64_t flushes_ HB_GUARDED_BY(state_mu_) = 0;
   std::uint64_t epoch_ HB_GUARDED_BY(state_mu_) = 0;

@@ -101,10 +101,9 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
       table_(kInitialTableSlots),
       shard_runs_(hub_->shard_count()) {}
 
-void ShmIngestPump::stage(std::string_view app,
-                          const core::HeartbeatRecord& rec,
+void ShmIngestPump::stage(std::string_view app, util::TimeNs timestamp_ns,
                           core::TargetRate target) {
-  staged_.push_back(rec);
+  staged_.push_back(timestamp_ns);
   const auto min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
   const auto max_bits = std::bit_cast<std::uint64_t>(target.max_bps);
   // The drain hands over at most kIngestNameCap - 1 bytes; the cut is
@@ -191,7 +190,7 @@ std::size_t ShmIngestPump::poll() {
   const std::size_t drained = queue_->drain(
       cursor_,
       [this](std::string_view app, const core::HeartbeatRecord& rec,
-             core::TargetRate target) { stage(app, rec, target); },
+             core::TargetRate target) { stage(app, rec.timestamp_ns, target); },
       opts_.max_stall_polls);
   // Pass 2: route each run to its shard, then one apply per shard.
   std::size_t next = 0;

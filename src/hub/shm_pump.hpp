@@ -4,11 +4,14 @@
 // one ring cursor and one hub, and each poll() is one batch in two passes:
 //
 //   1. drain every committed frame (shared ring + fast lanes) and stage the
-//      records, one name per run of consecutive same-name records; each new
-//      run's name is hashed once and its name-table slot prefetched;
+//      records' timestamps, one name per run of consecutive same-name
+//      records; each new run's name is hashed once and its name-table slot
+//      prefetched;
 //   2. resolve each run to its AppId in a flat open-addressing name table
-//      and append its records to its shard's run; then hand each shard's
-//      run to HeartbeatHub::ingest_batch — one apply per shard per poll.
+//      and append its records, as 16-byte AppRecords (id and timestamp:
+//      all the hub reads of a beat), to its shard's run; then hand each
+//      shard's run to HeartbeatHub::ingest_batch — one apply per shard per
+//      poll.
 //
 // Applications are registered on first sight (with the target carried in
 // their frames) and re-targeted whenever a drained frame shows a changed
@@ -169,8 +172,8 @@ class ShmIngestPump {
     std::uint32_t records = 0;
   };
 
-  /// Pass 1: stage one drained record.
-  void stage(std::string_view app, const core::HeartbeatRecord& rec,
+  /// Pass 1: stage one drained record's timestamp.
+  void stage(std::string_view app, util::TimeNs timestamp_ns,
              core::TargetRate target);
   /// Pass 2: the run's AppId, registering or re-targeting the app;
   /// kRejected for the reserved kSelfAppName.
@@ -196,9 +199,9 @@ class ShmIngestPump {
   /// Open addressing, linear probing, power-of-two size, at most 3/4 full.
   std::vector<NameSlot> table_;
   std::size_t table_apps_ = 0;  ///< occupied slots: distinct names seen
-  /// One poll's staging: records in drain order, and the runs that cover
-  /// them in order.
-  std::vector<core::HeartbeatRecord> staged_;
+  /// One poll's staging: record timestamps in drain order, and the runs
+  /// that cover them in order.
+  std::vector<util::TimeNs> staged_;
   std::vector<StagedRun> runs_;
   /// One poll's records per hub shard, indexed by shard.
   std::vector<std::vector<AppRecord>> shard_runs_;

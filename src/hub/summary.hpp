@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "core/record.hpp"
 #include "util/time.hpp"
@@ -33,12 +34,15 @@ constexpr std::uint32_t app_id_slot(AppId id) {
   return static_cast<std::uint32_t>(id & 0xffffffffu);
 }
 
-/// A record addressed to a registered app: the unit of bulk ingest
-/// (HeartbeatHub::ingest_batch).
+/// A beat addressed to a registered app: the unit of bulk ingest
+/// (HeartbeatHub::ingest_batch). It carries only what the hub reads of a
+/// beat, its timestamp: 16 bytes.
 struct AppRecord {
   AppId id = 0;
-  core::HeartbeatRecord rec;
+  util::TimeNs timestamp_ns = 0;
 };
+static_assert(sizeof(AppRecord) == 16 &&
+              std::is_trivially_copyable_v<AppRecord>);
 
 /// One application's sliding-window summary, as of its last batch flush.
 /// "Latency" throughout is the inter-beat interval in nanoseconds — the

@@ -362,7 +362,7 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
       const hb::hub::AppId id = hub.register_app(app, target);
       std::vector<hb::hub::AppRecord> recs;
       recs.reserve(history.size());
-      for (const auto& rec : history) recs.push_back({id, rec});
+      for (const auto& rec : history) recs.push_back({id, rec.timestamp_ns});
       hub.ingest_batch(recs);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "hbmon: skipping %s: %s\n", app.c_str(), e.what());

@@ -65,6 +65,11 @@ struct ShmMetrics {
   }
 };
 
+/// Frames drain_stream looks ahead: it prefetches the slot this many
+/// frames past the one it reads, since the producer's core has just
+/// written it.
+constexpr std::uint64_t kDrainFetchAhead = 4;
+
 // Fit an app name into a frame's 40-byte field. Names that fit are copied
 // verbatim; longer ones keep their first 30 bytes plus '~' and 8 hex
 // digits of an FNV-1a hash of the FULL name, so two producers whose names
@@ -659,6 +664,14 @@ std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
   // it in this pass instead of paying the budget again per slot.
   bool skipping_run = false;
   while (sc.next < head) {
+    if (head - sc.next > kDrainFetchAhead) {
+      // Both lines of a slot ahead. The index is taken mod the validated
+      // cap, so a hostile head cannot steer the read out of bounds.
+      const auto* ahead = reinterpret_cast<const char*>(
+          &arr[(sc.next + kDrainFetchAhead) % cap]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + 64);
+    }
     const ShmIngestSlot& slot = arr[sc.next % cap];
     const std::uint64_t c1 = slot.commit.load(std::memory_order_acquire);
     if (c1 == sc.next + 1) {

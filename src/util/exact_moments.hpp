@@ -32,14 +32,18 @@ class ExactMoments {
   void add(std::uint64_t v) {
     ++count_;
     sum_ += v;
-    sumsq_.add(static_cast<U128>(v) * v);
+    const U128 sq = static_cast<U128>(v) * v;
+    sumsq_lo_ += sq;
+    sumsq_hi_ += sumsq_lo_ < sq;
   }
 
   /// Precondition: `v` was add()ed and not yet removed.
   void remove(std::uint64_t v) {
     --count_;
     sum_ -= v;
-    sumsq_.sub(static_cast<U128>(v) * v);
+    const U128 sq = static_cast<U128>(v) * v;
+    sumsq_hi_ -= sumsq_lo_ < sq;
+    sumsq_lo_ -= sq;
   }
 
   void clear() { *this = ExactMoments{}; }
@@ -71,7 +75,7 @@ class ExactMoments {
       m = static_cast<std::uint64_t>(sum_ / n);
       r = static_cast<std::uint64_t>(sum_ % n);
     }
-    U192 d = sumsq_;
+    U192 d{sumsq_lo_, sumsq_hi_};
     d.sub(U192::mul(m, sum_ + r));
     const double dn = static_cast<double>(count_);
     const double frac = static_cast<double>(r) / dn;
@@ -92,14 +96,6 @@ class ExactMoments {
     U128 lo = 0;
     std::uint64_t hi = 0;
 
-    void add(U128 x) {
-      lo += x;
-      hi += lo < x;
-    }
-    void sub(U128 x) {
-      hi -= lo < x;
-      lo -= x;
-    }
     void sub(const U192& x) {
       hi -= x.hi + (lo < x.lo);
       lo -= x.lo;
@@ -118,9 +114,14 @@ class ExactMoments {
     }
   };
 
-  std::uint64_t count_ = 0;
+  // The sum of squares is a U192 kept as its two words, so the count
+  // fills what would be the U192's tail padding: 48 bytes in all.
   U128 sum_ = 0;
-  U192 sumsq_;
+  U128 sumsq_lo_ = 0;
+  std::uint64_t sumsq_hi_ = 0;
+  std::uint64_t count_ = 0;
 };
+
+static_assert(sizeof(ExactMoments) == 48);
 
 }  // namespace hb::util

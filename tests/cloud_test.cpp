@@ -211,7 +211,7 @@ TEST_F(CloudFixture, AttachedHubMirrorsVmBeats) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 4;
-    opts.rate_window = 8;  // match the VM channels' default window
+    opts.window_capacity = 8;  // match the VM channels' default window
     opts.clock = clock;
     return opts;
   }());
@@ -240,7 +240,7 @@ TEST_F(CloudFixture, HubWithDifferentClockStillGetsExactRates) {
   auto hub = std::make_shared<hub::HeartbeatHub>([] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     return opts;  // no clock: defaults to the real MonotonicClock
   }());
   sim.attach_hub(hub);
@@ -263,7 +263,7 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 4;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.clock = clock;
     return opts;
   }());

@@ -56,8 +56,7 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   const std::size_t beats_per_producer = scaled(4000);
 
   hub::ShardConfig config;
-  config.window_capacity = 64;
-  config.rate_window = 0;  // the rate spans the whole window
+  config.window_capacity = 64;  // the rate spans the whole window
   config.clock = util::MonotonicClock::instance();
   hub::HubShard shard(0, config);
 
@@ -75,12 +74,11 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   for (std::size_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       for (std::size_t i = 0; i < beats_per_producer; ++i) {
-        core::HeartbeatRecord rec;
         // relaxed: a unique-timestamp ticket; the atomic's modification
         // order makes one producer's tickets strictly increasing.
-        rec.timestamp_ns = fake_ns.fetch_add(1, std::memory_order_relaxed);
-        rec.tag = i;
-        const hub::AppRecord one{hub::make_app_id(0, slots[p]), rec};
+        const hub::AppRecord one{
+            hub::make_app_id(0, slots[p]),
+            fake_ns.fetch_add(1, std::memory_order_relaxed)};
         shard.ingest_batch({&one, 1});
       }
     });

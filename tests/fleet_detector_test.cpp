@@ -473,7 +473,7 @@ TEST(FleetScheduler, DeadAppsDonateTheirCores) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.clock = clock;
     return opts;
   }());
@@ -584,7 +584,7 @@ TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.clock = clock;
     return opts;
   }());
@@ -628,7 +628,7 @@ TEST(FleetScheduler, NotYetRegisteredAppsAreWarmingUpNotDead) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.clock = clock;
     return opts;
   }());
@@ -676,7 +676,7 @@ TEST(FleetScheduler, HubEvictedAppsReadAsDead) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.evict_after_ns = 2 * kNsPerSec;
     opts.clock = clock;
     return opts;

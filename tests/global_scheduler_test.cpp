@@ -208,7 +208,7 @@ struct HubBackedFixture : ::testing::Test {
       [&] {
         hub::HubOptions opts;
         opts.shard_count = 4;
-        opts.rate_window = 10;
+        opts.window_capacity = 10;
         opts.clock = clock;
         return opts;
       }());

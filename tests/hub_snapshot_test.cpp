@@ -109,8 +109,7 @@ TEST(SnapshotEpochs, OverflowDrainedBeatsAlwaysReachTheNextSnapshot) {
   EXPECT_EQ(total_beats(*hub.snapshot()), 1 + 64u);
 
   // Same shape through the span path.
-  std::vector<AppRecord> recs(64, AppRecord{id, {}});
-  for (auto& r : recs) r.rec.timestamp_ns = clock->now();
+  const std::vector<AppRecord> recs(64, AppRecord{id, clock->now()});
   hub.ingest_batch(recs);
   EXPECT_EQ(total_beats(*hub.snapshot()), 1 + 2 * 64u);
 }
@@ -173,8 +172,7 @@ TEST(SnapshotCoherence, ThreadedIngestNeverTearsASweep) {
       std::uint64_t k = 0;
       // relaxed: stop flag only; join() is the synchronization point.
       while (!stop.load(std::memory_order_relaxed)) {
-        hub.beat(ids[(static_cast<std::size_t>(t) + k * kProducers) % kApps],
-                 k % 7);
+        hub.beat(ids[(static_cast<std::size_t>(t) + k * kProducers) % kApps]);
         if (k % 16 == 0) clock->advance(kNsPerMs);
         ++k;
       }

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/rate.hpp"
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
 #include "util/clock.hpp"
@@ -132,8 +133,7 @@ TEST(HubRouting, ForeignAppIdsThrowInsteadOfCorrupting) {
   hub.register_app("only");
   const AppId foreign_slot = make_app_id(0, 57);
   const AppId foreign_shard = make_app_id(99, 0);
-  core::HeartbeatRecord rec;
-  EXPECT_THROW(hub.ingest(foreign_slot, rec), std::out_of_range);
+  EXPECT_THROW(hub.ingest(foreign_slot, 0), std::out_of_range);
   EXPECT_THROW(hub.beat(foreign_shard), std::out_of_range);
   EXPECT_THROW(hub.summary(foreign_slot), std::out_of_range);
   EXPECT_THROW(hub.summary(foreign_shard), std::out_of_range);
@@ -190,8 +190,7 @@ TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
   std::vector<AppRecord> recs(n);
   for (std::size_t i = 0; i < n; ++i) {
     recs[i].id = id;
-    recs[i].rec.timestamp_ns = static_cast<util::TimeNs>(i + 1) * kNsPerMs;
-    recs[i].rec.tag = 7;
+    recs[i].timestamp_ns = static_cast<util::TimeNs>(i + 1) * kNsPerMs;
   }
   hub.ingest_batch(recs);
   // Applied straight to app state in one apply.
@@ -210,18 +209,10 @@ TEST(HubBatching, OneRecordIngestsThenABulkApplyInCallOrder) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("a");
-  for (int i = 1; i <= 3; ++i) {
-    core::HeartbeatRecord rec;
-    rec.timestamp_ns = i * kNsPerMs;
-    hub.ingest(id, rec);
-  }
+  for (int i = 1; i <= 3; ++i) hub.ingest(id, i * kNsPerMs);
   EXPECT_EQ(hub.shard(0).stats().ingested, 3u);
   std::vector<AppRecord> bulk;
-  for (int i = 4; i <= 7; ++i) {
-    AppRecord r{id, {}};
-    r.rec.timestamp_ns = i * kNsPerMs;
-    bulk.push_back(r);
-  }
+  for (int i = 4; i <= 7; ++i) bulk.push_back({id, i * kNsPerMs});
   hub.ingest_batch(bulk);
   EXPECT_EQ(hub.shard(0).stats().ingested, 7u);
 
@@ -254,8 +245,7 @@ TEST(HubBatching, IngestedCountsEveryBeatBeforeAnyFlush) {
   for (std::size_t i = 0; i < single; ++i) beat(i % 2 ? a : b);
   std::vector<AppRecord> bulk;
   for (int i = 0; i < 9; ++i) {
-    AppRecord r{i % 3 ? a : b, {}};
-    r.rec.timestamp_ns = clock->now();
+    const AppRecord r{i % 3 ? a : b, clock->now()};
     bulk.push_back(r);
     ++sent[app_id_shard(r.id)];
   }
@@ -289,41 +279,42 @@ TEST(HubRates, WindowedRateMatchesCoreSemantics) {
   EXPECT_EQ(s.last_beat_ns, clock->now());
 }
 
-TEST(HubRates, RateWindowOptionLimitsTheSpan) {
+TEST(HubRates, RateSpanRestartsAfterEvictAndRevive) {
+  // The rate spans the window's oldest beat to its newest, both kept
+  // beside the window. An eviction empties the window, so the span after a
+  // revive starts at the first new beat, never at the old oldest.
   auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 64);
-  opts.rate_window = 5;
-  HeartbeatHub hub(opts);
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
-  // Slow early beats, fast recent beats: a 5-beat window sees only the
-  // fast tail.
-  for (int i = 0; i < 10; ++i) {
-    clock->advance(kNsPerSec);
-    hub.beat(id);
+  // Beats at 1, 2, 4, 8, 16 and 32 s wrap the window: it holds 4..32 s.
+  for (int i = 0; i < 6; ++i) {
+    hub.ingest(id, (util::TimeNs{1} << i) * kNsPerSec);
   }
-  for (int i = 0; i < 10; ++i) {
-    clock->advance(kNsPerSec / 100);
-    hub.beat(id);
-  }
-  EXPECT_DOUBLE_EQ(hub.summary(id).rate_bps, 100.0);
-}
+  AppSummary s = hub.summary(id);
+  EXPECT_EQ(s.window_beats, 4u);
+  EXPECT_DOUBLE_EQ(s.rate_bps, 3.0 / 28.0);
 
-TEST(HubRates, RateWindowOfOneIsInstantaneousLikeCore) {
-  // Regression: rate_window = 1 must mean "instantaneous" (2 records, 1
-  // interval) exactly as Channel::rate(1)/HeartbeatReader::current_rate(1)
-  // do — not a permanent 0.
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 64);
-  opts.rate_window = 1;
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-  for (int i = 0; i < 5; ++i) {
-    clock->advance(kNsPerSec);  // slow era
-    hub.beat(id);
-  }
-  clock->advance(kNsPerSec / 10);  // one fast interval
-  hub.beat(id);
-  EXPECT_DOUBLE_EQ(hub.summary(id).rate_bps, 10.0);
+  hub.evict(id);
+  hub.ingest(id, 100 * kNsPerSec);
+  s = hub.summary(id);
+  EXPECT_EQ(s.window_beats, 1u);
+  EXPECT_EQ(s.rate_bps, 0.0);
+
+  hub.ingest(id, 100 * kNsPerSec + kNsPerSec / 2);
+  s = hub.summary(id);
+  EXPECT_EQ(s.window_beats, 2u);
+  EXPECT_DOUBLE_EQ(s.rate_bps, 2.0);  // 1 interval over 0.5 s
+
+  // A beat older than the window's oldest: the span clamps as core's does.
+  hub.ingest(id, 99 * kNsPerSec);
+  std::vector<core::HeartbeatRecord> window(3);
+  window[0].timestamp_ns = 100 * kNsPerSec;
+  window[1].timestamp_ns = 100 * kNsPerSec + kNsPerSec / 2;
+  window[2].timestamp_ns = 99 * kNsPerSec;
+  s = hub.summary(id);
+  EXPECT_EQ(s.window_beats, 3u);
+  EXPECT_EQ(s.rate_bps, core::window_rate(window));
+  EXPECT_TRUE(std::isinf(s.rate_bps));
 }
 
 TEST(HubRates, FewerThanTwoBeatsIsZeroRate) {
@@ -358,9 +349,9 @@ TEST(HubRates, ASpanWiderThanInt64IsTakenUnsigned) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("hostile");
-  std::vector<AppRecord> recs(2, AppRecord{id, {}});
-  recs[0].rec.timestamp_ns = std::numeric_limits<util::TimeNs>::min() + 1;
-  recs[1].rec.timestamp_ns = std::numeric_limits<util::TimeNs>::max();
+  std::vector<AppRecord> recs(2, AppRecord{id, 0});
+  recs[0].timestamp_ns = std::numeric_limits<util::TimeNs>::min() + 1;
+  recs[1].timestamp_ns = std::numeric_limits<util::TimeNs>::max();
   hub.ingest_batch(recs);
   const AppSummary s = hub.summary(id);
   constexpr std::uint64_t kSpan = std::numeric_limits<std::uint64_t>::max() - 1;
@@ -455,16 +446,11 @@ TEST(HubTimeWindow, MeanForgetsHugeIntervalsThatLeftTheWindow) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
-  core::HeartbeatRecord rec;
   for (util::TimeNs i = 0; i < 4000; ++i) {
     // Even beats jump ~2^55 + 2i ns ahead; odd beats step back (interval 0).
-    rec.timestamp_ns = i % 2 == 0 ? (util::TimeNs{1} << 55) + 3 * i : i;
-    hub.ingest(id, rec);
+    hub.ingest(id, i % 2 == 0 ? (util::TimeNs{1} << 55) + 3 * i : i);
   }
-  for (util::TimeNs i = 0; i < 8; ++i) {
-    rec.timestamp_ns = kNsPerSec + 1000 * i;
-    hub.ingest(id, rec);
-  }
+  for (util::TimeNs i = 0; i < 8; ++i) hub.ingest(id, kNsPerSec + 1000 * i);
   const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.interval_mean_ns, 1000.0);
   EXPECT_EQ(s.interval_stddev_ns, 0.0);
@@ -479,8 +465,8 @@ TEST(HubEviction, EvictedAppsLeaveEveryRollup) {
   const AppId drop = hub.register_app("drop");
   for (int i = 0; i < 10; ++i) {
     clock->advance(kNsPerMs);
-    hub.beat(keep, /*tag=*/1);
-    hub.beat(drop, /*tag=*/2);
+    hub.beat(keep);
+    hub.beat(drop);
   }
   hub.evict(drop);
 
@@ -575,9 +561,7 @@ std::vector<AppSummary> scripted_run() {
   for (int tick = 1; tick <= 500; ++tick) {
     clock->advance(kNsPerMs);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (tick % static_cast<int>(i + 1) == 0) {
-        hub.beat(ids[i], /*tag=*/tick % 3);
-      }
+      if (tick % static_cast<int>(i + 1) == 0) hub.beat(ids[i]);
     }
   }
   return sorted_live_apps(hub);
@@ -617,7 +601,7 @@ TEST(HubConcurrency, EightProducerThreadsLoseNoBeats) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kBeatsPerThread; ++i) {
-        hub.beat(ids[t], static_cast<std::uint64_t>(t));
+        hub.beat(ids[t]);
         if (i % 10 == 0) hub.beat(shared_app);
       }
     });
@@ -649,9 +633,8 @@ TEST(HubConcurrency, RegistrationRacesWithIngestion) {
   });
   std::thread producer([&] {
     const AppId id = hub.register_app("steady");
-    std::uint64_t n = 0;
-    while (!stop.load(std::memory_order_acquire)) hub.beat(id, ++n);
-    for (int i = 0; i < 100; ++i) hub.beat(id, ++n);
+    while (!stop.load(std::memory_order_acquire)) hub.beat(id);
+    for (int i = 0; i < 100; ++i) hub.beat(id);
   });
   registrar.join();
   producer.join();

@@ -123,7 +123,6 @@ constexpr int kSparseChecks = 256;
 
 struct Config {
   std::size_t window;
-  std::uint32_t rate_window;
   int check_every;  ///< operations between checks
   util::TimeNs evict_after_ns;  ///< 0 = explicit evictions only
   std::uint64_t seed;
@@ -137,7 +136,6 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
     HubOptions opts;
     opts.shard_count = 3;
     opts.window_capacity = c.window;
-    opts.rate_window = c.rate_window;
     opts.evict_after_ns = c.evict_after_ns;
     opts.clock = clock_;
     hub_ = std::make_unique<HeartbeatHub>(opts);
@@ -155,8 +153,7 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
   void beat(App& app) {
     core::HeartbeatRecord rec;
     rec.timestamp_ns = next_timestamp(app, clock_->now(), rng_);
-    rec.tag = app.beats % 3;
-    hub_->ingest(app.id, rec);
+    hub_->ingest(app.id, rec.timestamp_ns);
     app.last_ts = rec.timestamp_ns;
     ++app.beats;
     app.evicted = false;
@@ -191,14 +188,10 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
       EXPECT_EQ(s->target.min_bps, app.target.min_bps);
       EXPECT_EQ(s->target.max_bps, app.target.max_bps);
 
-      // Rate: core's (n-1)/span rule over the last rate_window records.
-      const std::size_t n = app.window.size();
-      const std::uint32_t rw = GetParam().rate_window;
-      const std::size_t w =
-          rw == 0 ? n : std::min<std::size_t>(std::max<std::uint32_t>(rw, 2), n);
-      const std::vector<core::HeartbeatRecord> tail(app.window.end() - w,
-                                                    app.window.end());
-      EXPECT_EQ(s->rate_bps, w < 2 ? 0.0 : core::window_rate(tail));
+      // Rate: core's (n-1)/span rule over the whole window.
+      const std::vector<core::HeartbeatRecord> window(app.window.begin(),
+                                                      app.window.end());
+      EXPECT_EQ(s->rate_bps, core::window_rate(window));
 
       const std::vector<std::uint64_t> iv = intervals_of(app);
       if (iv.empty()) {
@@ -255,12 +248,11 @@ TEST_P(HubWindowStats, IncrementalStatsEqualABruteForceRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(
     Windows, HubWindowStats,
-    ::testing::Values(Config{2, 0, 7, 0, 1}, Config{3, 0, 7, 0, 2},
-                      Config{16, 0, kSparseChecks, 0, 3},
-                      Config{16, 5, 7, 0, 4}, Config{64, 0, 7, 0, 5},
-                      Config{256, 0, kSparseChecks, 0, 6},
-                      Config{16, 0, 7, 400'000'000, 7},
-                      Config{64, 1, kSparseChecks, 150'000'000, 8}));
+    ::testing::Values(Config{2, 7, 0, 1}, Config{3, 7, 0, 2},
+                      Config{16, kSparseChecks, 0, 3}, Config{16, 7, 0, 4},
+                      Config{64, 7, 0, 5}, Config{256, kSparseChecks, 0, 6},
+                      Config{16, 7, 400'000'000, 7},
+                      Config{64, kSparseChecks, 150'000'000, 8}));
 
 // The largest window holds 65534 intervals. Fed one interval well past
 // the window, the summary stays exact; evicting the app empties its
@@ -277,11 +269,9 @@ TEST(HubWindowLimits, AFullLargestWindowCountsWithoutWrapping) {
   static constexpr std::size_t kBeats = kMaxWindowCapacity + 5000;
   const AppId full = hub.register_app("full");
   const auto feed = [&hub, full](util::TimeNs start_ns) {
-    std::vector<AppRecord> batch(kBeats, AppRecord{full, {}});
+    std::vector<AppRecord> batch(kBeats, AppRecord{full, 0});
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      batch[k].rec.timestamp_ns =
-          start_ns + static_cast<util::TimeNs>(k * kInterval);
-      batch[k].rec.tag = k;
+      batch[k].timestamp_ns = start_ns + static_cast<util::TimeNs>(k * kInterval);
     }
     hub.ingest_batch(batch);
   };

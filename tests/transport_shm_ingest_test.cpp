@@ -911,7 +911,9 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
     const hub::AppId id =
         in_process.register_app("proc" + std::to_string(p), target_of(p));
     std::vector<hub::AppRecord> batch;
-    for (const auto& rec : recs) batch.push_back(hub::AppRecord{id, rec});
+    for (const auto& rec : recs) {
+      batch.push_back(hub::AppRecord{id, rec.timestamp_ns});
+    }
     in_process.ingest_batch(batch);
   }
   EXPECT_EQ(total, direct_total);
