@@ -2,14 +2,14 @@
 //
 // Two ways a fleet of producers can push beats into one ShmIngestQueue:
 //
-//   * mpsc      — the v1 shape: every beat is one append() call, one
-//                 fetch_add claim on the shared ring head, one 128-byte
-//                 frame holding one record.
-//   * fastpath  — the v2 shape: producers buffer a small batch, the batch
-//                 packs up to kIngestFrameRecords records per frame, and
-//                 the first kIngestLanes producers publish through private
-//                 SPSC lanes that skip the shared head entirely (the rest
-//                 fall back to packed batches on the shared ring).
+//   * mpsc      — every beat is one append() call, one fetch_add claim on
+//                 the shared ring head, one 128-byte frame holding one
+//                 timestamp.
+//   * fastpath  — producers buffer a small batch, the batch packs up to
+//                 kIngestFrameRecords timestamps per frame, and the first
+//                 kIngestLanes producers publish through private SPSC
+//                 lanes that skip the shared head entirely (the rest fall
+//                 back to packed batches on the shared ring).
 //
 // A concurrent consumer drains the whole time (shared ring + lanes in one
 // pass), so the number reported is SUSTAINED delivery — what a live hbmon
@@ -24,12 +24,15 @@
 // Every run ends with a conservation coda: frames consumed + frames
 // dropped + frames torn must equal frames produced (shared head plus every
 // lane head), exactly, in every configuration. Loss is legal under lap
-// pressure; miscounted loss is not.
+// pressure; miscounted loss is not. Fastpath runs also check packing, a
+// count no host changes: every flush is a multiple of kIngestFrameRecords
+// beats, so each producer must publish exactly
+// ceil(beats / kIngestFrameRecords) frames — all full but its last.
 //
 //   ./bench_shm_ingest [beats_per_producer] [repeat] [--smoke] [--json PATH]
 //
 // CSV on stdout; verdict line prints fastpath_beats_mpsc_at_64=yes|no.
-// Exit 0 unless conservation or the idle-CPU gate fails (exit 2).
+// Exit 0 unless the conservation, packing or idle-CPU gate fails (exit 2).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -40,6 +43,7 @@
 #include <ctime>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,18 +66,13 @@ using hb::transport::ShmIngestQueue;
 
 constexpr std::uint32_t kRingFrames = 4096;
 constexpr std::uint32_t kLaneFrames = 1024;
+using hb::transport::kIngestFrameRecords;
 /// Producer-side buffer per flush in fastpath mode: a multiple of
 /// kIngestFrameRecords so every flush packs into full frames.
-constexpr std::size_t kBatch = 3 * hb::transport::kIngestFrameRecords;
+constexpr std::size_t kBatch = 3 * kIngestFrameRecords;
 
-hb::core::HeartbeatRecord make_record(std::uint32_t thread_id,
-                                      std::uint64_t seq) {
-  hb::core::HeartbeatRecord rec;
-  rec.timestamp_ns = hb::util::MonotonicClock::instance()->now();
-  rec.seq = seq;
-  rec.tag = seq;
-  rec.thread_id = thread_id;
-  return rec;
+hb::util::TimeNs now_ns() {
+  return hb::util::MonotonicClock::instance()->now();
 }
 
 double thread_cpu_seconds() {
@@ -88,12 +87,14 @@ struct RunResult {
   std::uint64_t delivered = 0;  ///< records the consumer handed to its sink
   std::uint64_t dropped = 0;    ///< frames lapped past the consumer
   std::uint64_t torn = 0;       ///< frames skipped uncommitted
+  double records_per_frame = 0; ///< delivered / frames delivered
   bool conserved = false;       ///< consumed+dropped+torn == produced frames
+  bool packed = false;          ///< fastpath: every frame full but the last
 };
 
-/// One A/B run: `producers` threads each push `beats` records while one
-/// consumer drains. fastpath=false is the v1 shape (append() per record);
-/// fastpath=true batches kBatch records per flush through a claimed lane
+/// One A/B run: `producers` threads each push `beats` beats while one
+/// consumer drains. fastpath=false appends one beat per call;
+/// fastpath=true batches kBatch beats per flush through a claimed lane
 /// (or packed shared-ring batches once the lanes run out).
 RunResult run_config(const fs::path& dir, int producers, int beats,
                      bool fastpath) {
@@ -125,24 +126,17 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      const auto tid = static_cast<std::uint32_t>(p + 1);
       const std::string_view name = names[static_cast<std::size_t>(p)];
       if (!fastpath) {
-        for (int i = 0; i < beats; ++i) {
-          queue->append(name, make_record(tid, static_cast<std::uint64_t>(i)),
-                        target);
-        }
+        for (int i = 0; i < beats; ++i) queue->append(name, now_ns(), target);
       } else {
         const int lane = lanes[static_cast<std::size_t>(p)];
-        hb::core::HeartbeatRecord batch[kBatch];
+        hb::util::TimeNs batch[kBatch];
         int i = 0;
         while (i < beats) {
           std::size_t n = 0;
-          for (; n < kBatch && i < beats; ++n, ++i) {
-            batch[n] = make_record(tid, static_cast<std::uint64_t>(i));
-          }
-          const std::span<const hb::core::HeartbeatRecord> recs(batch, n);
-          queue->append_batch_lane(lane, name, recs, target);
+          for (; n < kBatch && i < beats; ++n, ++i) batch[n] = now_ns();
+          queue->append_batch(name, {batch, n}, target, lane);
         }
       }
       done.fetch_add(1, std::memory_order_release);
@@ -151,9 +145,10 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
 
   ShmIngestQueue::Cursor cur;
   std::uint64_t delivered = 0;
-  const auto sink = [&delivered](std::string_view,
-                                 const hb::core::HeartbeatRecord&,
-                                 hb::core::TargetRate) { ++delivered; };
+  const auto sink = [&delivered](std::string_view, hb::core::TargetRate,
+                                 std::span<const hb::util::TimeNs> timestamps) {
+    delivered += timestamps.size();
+  };
 
   const auto t0 = SteadyClock::now();
   go.store(true, std::memory_order_release);
@@ -169,7 +164,7 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   for (auto& t : threads) t.join();
 
   std::uint64_t frames_produced = queue->produced();
-  for (std::uint32_t l = 0; l < queue->lane_count(); ++l) {
+  for (std::uint32_t l = 0; l < hb::transport::kIngestLanes; ++l) {
     frames_produced += queue->lane_produced(l);
   }
 
@@ -178,8 +173,23 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   result.delivered = delivered;
   result.dropped = cur.dropped;
   result.torn = cur.torn;
+  result.records_per_frame =
+      cur.consumed_frames > 0 ? static_cast<double>(cur.consumed) /
+                                    static_cast<double>(cur.consumed_frames)
+                              : 0.0;
   result.conserved =
       cur.consumed_frames + cur.dropped + cur.torn == frames_produced;
+  const std::uint64_t full_frames =
+      static_cast<std::uint64_t>(producers) *
+      ((static_cast<std::uint64_t>(beats) + kIngestFrameRecords - 1) /
+       kIngestFrameRecords);
+  result.packed = !fastpath || frames_produced == full_frames;
+  if (!result.packed) {
+    std::fprintf(stderr,
+                 "PACKING REGRESSION: %llu frames produced, %llu expected\n",
+                 static_cast<unsigned long long>(frames_produced),
+                 static_cast<unsigned long long>(full_frames));
+  }
   if (!result.conserved) {
     std::fprintf(stderr,
                  "CONSERVATION VIOLATION: consumed_frames=%llu dropped=%llu "
@@ -220,19 +230,21 @@ double run_idle(const fs::path& dir, double window_s, double* wall_out) {
   return cpu;
 }
 
+/// The fastest of `repeat` runs, whose gates hold only if they held in
+/// every run: a violation is never hidden.
 template <typename Fn>
 RunResult best_of(int repeat, Fn&& fn) {
   RunResult best;
+  bool conserved = true;
+  bool packed = true;
   for (int r = 0; r < repeat; ++r) {
-    RunResult run = fn();
-    if (r == 0 || run.elapsed_s < best.elapsed_s) {
-      // Keep the fastest CONSERVED run, but never hide a violation.
-      run.conserved = run.conserved && (r == 0 || best.conserved);
-      best = run;
-    } else {
-      best.conserved = best.conserved && run.conserved;
-    }
+    const RunResult run = fn();
+    conserved = conserved && run.conserved;
+    packed = packed && run.packed;
+    if (r == 0 || run.elapsed_s < best.elapsed_s) best = run;
   }
+  best.conserved = conserved;
+  best.packed = packed;
   return best;
 }
 
@@ -273,9 +285,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "config,producers,beats_per_producer,elapsed_s,beats_per_sec,"
-      "delivered,dropped_frames,torn_frames\n");
+      "delivered,dropped_frames,torn_frames,records_per_frame\n");
   const int kProducerCounts[] = {8, 64};
   bool conserved = true;
+  bool packed = true;
+  double fast_records_per_frame = 0.0;
   double mpsc_at_64 = 0.0;
   double fast_at_64 = 0.0;
   struct Row {
@@ -290,14 +304,19 @@ int main(int argc, char** argv) {
           repeat, [&] { return run_config(dir, producers, beats, fastpath); });
       const double rate =
           static_cast<double>(run.delivered) / run.elapsed_s;
-      std::printf("%s,%d,%d,%.4f,%.0f,%llu,%llu,%llu\n",
+      std::printf("%s,%d,%d,%.4f,%.0f,%llu,%llu,%llu,%.2f\n",
                   fastpath ? "fastpath" : "mpsc", producers, beats,
                   run.elapsed_s, rate,
                   static_cast<unsigned long long>(run.delivered),
                   static_cast<unsigned long long>(run.dropped),
-                  static_cast<unsigned long long>(run.torn));
+                  static_cast<unsigned long long>(run.torn),
+                  run.records_per_frame);
       std::fflush(stdout);
       conserved = conserved && run.conserved;
+      packed = packed && run.packed;
+      if (fastpath && producers == 8) {
+        fast_records_per_frame = run.records_per_frame;
+      }
       ab[fastpath ? 1 : 0] = run;
     }
     const double mpsc_rate =
@@ -332,6 +351,8 @@ int main(int argc, char** argv) {
               idle_pct, doorbell ? "futex" : "fallback",
               idle_ok ? "ok" : "FAIL");
   std::printf("# frames_conserved=%s\n", conserved ? "yes" : "NO");
+  std::printf("# fastpath_frames_packed=%s (%.2f records per frame at 8)\n",
+              packed ? "yes" : "NO", fast_records_per_frame);
 
   if (json_path) {
     hb::bench::JsonRecord rec("shm_ingest");
@@ -349,13 +370,16 @@ int main(int argc, char** argv) {
     rec.metric("fastpath_beats_mpsc_at_64", fast_wins);
     rec.metric("idle_consumer_cpu_pct", idle_pct);
     rec.metric("frames_conserved", conserved);
+    rec.metric("fastpath_records_per_frame_p8", fast_records_per_frame);
+    rec.metric("fastpath_frames_packed", packed);
     rec.write(json_path);
   }
 
-  // Exit gates on the invariants only (conservation + idle-CPU); the
-  // throughput verdict is a noisy-runner-unsafe claim and stays
+  // Exit gates on the invariants only (conservation, packing, idle-CPU);
+  // the throughput verdict is a noisy-runner-unsafe claim and stays
   // informational (same policy as bench_fleet_sweep's mismatch gate).
   if (!conserved) return 2;
+  if (!packed) return 2;
   if (!idle_ok) return 2;
   return 0;
 }

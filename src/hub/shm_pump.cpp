@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
 
 #if defined(__linux__)
@@ -101,9 +102,10 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
       table_(kInitialTableSlots),
       shard_runs_(hub_->shard_count()) {}
 
-void ShmIngestPump::stage(std::string_view app, util::TimeNs timestamp_ns,
-                          core::TargetRate target) {
-  staged_.push_back(timestamp_ns);
+void ShmIngestPump::stage(std::string_view app, core::TargetRate target,
+                          std::span<const util::TimeNs> timestamps) {
+  staged_.insert(staged_.end(), timestamps.begin(), timestamps.end());
+  const auto records = static_cast<std::uint32_t>(timestamps.size());
   const auto min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
   const auto max_bits = std::bit_cast<std::uint64_t>(target.max_bps);
   // The drain hands over at most kIngestNameCap - 1 bytes; the cut is
@@ -114,7 +116,7 @@ void ShmIngestPump::stage(std::string_view app, util::TimeNs timestamp_ns,
     if (last.name[app.size()] == '\0' &&
         std::memcmp(last.name, app.data(), app.size()) == 0 &&
         last.target_min_bits == min_bits && last.target_max_bits == max_bits) {
-      ++last.records;
+      last.records += records;
       return;
     }
   }
@@ -123,7 +125,7 @@ void ShmIngestPump::stage(std::string_view app, util::TimeNs timestamp_ns,
   run.hash = hash_key(run.name);
   run.target_min_bits = min_bits;
   run.target_max_bits = max_bits;
-  run.records = 1;
+  run.records = records;
   // Pass 2 reads this slot: start fetching it while the drain goes on.
   __builtin_prefetch(&table_[run.hash & (table_.size() - 1)]);
 }
@@ -187,11 +189,9 @@ std::size_t ShmIngestPump::poll() {
   ++polls_;
   metrics.polls->add(1);
   // Pass 1: drain and stage.
-  const std::size_t drained = queue_->drain(
-      cursor_,
-      [this](std::string_view app, const core::HeartbeatRecord& rec,
-             core::TargetRate target) { stage(app, rec.timestamp_ns, target); },
-      opts_.max_stall_polls);
+  const std::size_t drained =
+      queue_->drain(cursor_, std::bind_front(&ShmIngestPump::stage, this),
+                    opts_.max_stall_polls);
   // Pass 2: route each run to its shard, then one apply per shard.
   std::size_t next = 0;
   for (const StagedRun& run : runs_) {

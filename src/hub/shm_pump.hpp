@@ -3,10 +3,10 @@
 // The consumer half of the transport/ShmIngestQueue pipeline. One pump owns
 // one ring cursor and one hub, and each poll() is one batch in two passes:
 //
-//   1. drain every committed frame (shared ring + fast lanes) and stage the
-//      records' timestamps, one name per run of consecutive same-name
-//      records; each new run's name is hashed once and its name-table slot
-//      prefetched;
+//   1. drain every committed frame (shared ring + fast lanes) and stage its
+//      timestamps, one name per run of consecutive same-name frames (one
+//      name and target comparison per frame); each new run's name is
+//      hashed once and its name-table slot prefetched;
 //   2. resolve each run to its AppId in a flat open-addressing name table
 //      and append its records, as 16-byte AppRecords (id and timestamp:
 //      all the hub reads of a beat), to its shard's run; then hand each
@@ -49,6 +49,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -163,7 +164,7 @@ class ShmIngestPump {
   static constexpr AppId kRejected = kNoApp - 1;
   static_assert(sizeof(NameSlot) == 64, "a name-table slot is one cache line");
 
-  /// Consecutive drained records with one name and one target.
+  /// Consecutive drained frames with one name and one target.
   struct StagedRun {
     NameKey name = {};
     std::uint64_t hash = 0;
@@ -172,9 +173,9 @@ class ShmIngestPump {
     std::uint32_t records = 0;
   };
 
-  /// Pass 1: stage one drained record's timestamp.
-  void stage(std::string_view app, util::TimeNs timestamp_ns,
-             core::TargetRate target);
+  /// Pass 1: stage one drained frame's timestamps.
+  void stage(std::string_view app, core::TargetRate target,
+             std::span<const util::TimeNs> timestamps);
   /// Pass 2: the run's AppId, registering or re-targeting the app;
   /// kRejected for the reserved kSelfAppName.
   AppId resolve(const StagedRun& run);

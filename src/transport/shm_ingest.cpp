@@ -353,7 +353,6 @@ ShmIngestQueue::ShmIngestQueue(std::filesystem::path file, void* base,
       base_(base),
       bytes_(bytes),
       capacity_(capacity),
-      lane_count_(kIngestLanes),
       lane_capacity_(lane_capacity) {}
 
 ShmIngestQueue::~ShmIngestQueue() {
@@ -452,18 +451,15 @@ std::uint64_t ShmIngestQueue::claim(std::uint64_t n) {
 }
 
 std::size_t ShmIngestQueue::count_packable(
-    std::span<const core::HeartbeatRecord> recs, std::size_t i) {
-  const core::HeartbeatRecord& base = recs[i];
+    std::span<const util::TimeNs> timestamps, std::size_t i) {
+  const util::TimeNs base = timestamps[i];
   std::size_t n = 1;
-  while (n < kIngestFrameRecords && i + n < recs.size()) {
-    const core::HeartbeatRecord& r = recs[i + n];
-    if (r.thread_id != base.thread_id) break;
-    if (r.seq != base.seq + n) break;
-    const std::int64_t delta = r.timestamp_ns - base.timestamp_ns;
-    if (delta < 0 ||
-        delta > std::numeric_limits<std::uint32_t>::max()) {
-      break;
-    }
+  while (n < kIngestFrameRecords && i + n < timestamps.size()) {
+    const util::TimeNs ts = timestamps[i + n];
+    // Unsigned difference: no signed overflow for timestamps far apart.
+    const std::uint64_t delta =
+        static_cast<std::uint64_t>(ts) - static_cast<std::uint64_t>(base);
+    if (ts < base || delta > std::numeric_limits<std::uint32_t>::max()) break;
     ++n;
   }
   return n;
@@ -471,7 +467,7 @@ std::size_t ShmIngestQueue::count_packable(
 
 void ShmIngestQueue::publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
                                    std::string_view app,
-                                   std::span<const core::HeartbeatRecord> recs,
+                                   std::span<const util::TimeNs> timestamps,
                                    core::TargetRate target) {
   // Seqlock write: invalidate, payload, publish. The fence keeps the
   // payload stores from being reordered ahead of the invalidation (a
@@ -483,58 +479,77 @@ void ShmIngestQueue::publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
   std::atomic_thread_fence(std::memory_order_release);
   ShmIngestSlot::Body body;
   fit_name(app, body.app);
-  body.thread_id = recs[0].thread_id;
-  body.count = static_cast<std::uint16_t>(recs.size());
   body.target_min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
   body.target_max_bits = std::bit_cast<std::uint64_t>(target.max_bps);
-  body.base_ts_ns = recs[0].timestamp_ns;
-  body.base_seq = recs[0].seq;
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    body.tags[i] = recs[i].tag;
-    body.ts_delta_ns[i] =
-        static_cast<std::uint32_t>(recs[i].timestamp_ns - recs[0].timestamp_ns);
+  body.base_ts_ns = timestamps[0];
+  body.count = static_cast<std::uint32_t>(timestamps.size());
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    body.ts_delta_ns[i] = static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(timestamps[i]) -
+        static_cast<std::uint64_t>(timestamps[0]));
   }
   util::tsan_relaxed_copy(slot.body, body);
   slot.commit.store(seq + 1, std::memory_order_release);
 }
 
 void ShmIngestQueue::publish(std::uint64_t seq, std::string_view app,
-                             const core::HeartbeatRecord& rec,
+                             util::TimeNs timestamp_ns,
                              core::TargetRate target) {
-  publish_frame(slots()[seq % capacity_], seq, app, {&rec, 1}, target);
+  publish_frame(slots()[seq % capacity_], seq, app, {&timestamp_ns, 1},
+                target);
   ring_doorbell();
 }
 
 std::uint64_t ShmIngestQueue::append(std::string_view app,
-                                     const core::HeartbeatRecord& rec,
+                                     util::TimeNs timestamp_ns,
                                      core::TargetRate target) {
-  const std::uint64_t seq = claim(1);
-  ShmMetrics::get().records->add(1);
-  publish(seq, app, rec, target);
-  return seq;
+  return append_batch(app, {&timestamp_ns, 1}, target);
 }
 
 std::uint64_t ShmIngestQueue::append_batch(
-    std::string_view app, std::span<const core::HeartbeatRecord> recs,
-    core::TargetRate target) {
-  if (recs.empty()) return header()->head.load(std::memory_order_acquire);
+    std::string_view app, std::span<const util::TimeNs> timestamps,
+    core::TargetRate target, int lane) {
+  ShmIngestLane* ln = lane >= 0 && lane < static_cast<int>(kIngestLanes)
+                          ? &lane_headers()[lane]
+                          : nullptr;
+  // relaxed (both lane head loads): the lane owner is the only writer of
+  // the lane head, and the caller serializes its own appends.
+  if (timestamps.empty()) {
+    return ln != nullptr ? ln->head.load(std::memory_order_relaxed)
+                         : header()->head.load(std::memory_order_acquire);
+  }
   // Pass 1: how many frames does this batch pack into? Pass 2: publish.
-  // ONE claim covers every frame — the contended fetch_add is paid once
-  // per batch, not once per record.
+  // The shared ring pays its contended fetch_add once per batch, a lane
+  // its head store once per batch.
   std::uint64_t frames = 0;
-  for (std::size_t i = 0; i < recs.size(); i += count_packable(recs, i)) {
+  for (std::size_t i = 0; i < timestamps.size();
+       i += count_packable(timestamps, i)) {
     ++frames;
   }
-  const std::uint64_t first = claim(frames);
+  ShmIngestSlot* arr = slots();
+  std::uint64_t cap = capacity_;
+  std::uint64_t first = 0;
+  if (ln != nullptr) {
+    arr = lane_slots(static_cast<std::uint32_t>(lane));
+    cap = lane_capacity_;
+    first = ln->head.load(std::memory_order_relaxed);
+  } else {
+    first = claim(frames);
+  }
   std::uint64_t seq = first;
-  for (std::size_t i = 0; i < recs.size();) {
-    const std::size_t n = count_packable(recs, i);
-    publish_frame(slots()[seq % capacity_], seq, app, recs.subspan(i, n),
-                  target);
-    ++seq;
+  for (std::size_t i = 0; i < timestamps.size(); ++seq) {
+    const std::size_t n = count_packable(timestamps, i);
+    publish_frame(arr[seq % cap], seq, app, timestamps.subspan(i, n), target);
     i += n;
   }
-  ShmMetrics::get().records->add(recs.size());
+  const ShmMetrics& metrics = ShmMetrics::get();
+  if (ln != nullptr) {
+    // Advertise AFTER the frame commits: a consumer that acquires this
+    // head is guaranteed to find every commit word already published.
+    ln->head.store(seq, std::memory_order_release);
+    metrics.lane_frames->add(frames);
+  }
+  metrics.records->add(timestamps.size());
   ring_doorbell();
   return first;
 }
@@ -550,7 +565,7 @@ int ShmIngestQueue::claim_lane() {
   // unpublished tail the dead owner claimed is bounded by the consumer's
   // stall budget exactly like a shared-ring crash.
   for (int pass = 0; pass < 2; ++pass) {
-    for (std::uint32_t i = 0; i < lane_count_; ++i) {
+    for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
       std::uint64_t cur = lanes[i].owner.load(std::memory_order_acquire);
       const bool takeable =
           pass == 0 ? cur == 0 : (cur != 0 && owner_pid_dead(cur));
@@ -567,7 +582,7 @@ int ShmIngestQueue::claim_lane() {
 }
 
 void ShmIngestQueue::release_lane(int lane) {
-  if (lane < 0 || lane >= static_cast<int>(lane_count_)) return;
+  if (lane < 0 || lane >= static_cast<int>(kIngestLanes)) return;
   std::uint64_t token = lane_tokens_[lane];
   if (token == 0) return;
   lane_tokens_[lane] = 0;
@@ -577,44 +592,13 @@ void ShmIngestQueue::release_lane(int lane) {
       token, 0, std::memory_order_acq_rel, std::memory_order_acquire);
 }
 
-std::uint64_t ShmIngestQueue::append_batch_lane(
-    int lane, std::string_view app,
-    std::span<const core::HeartbeatRecord> recs, core::TargetRate target) {
-  if (lane < 0 || lane >= static_cast<int>(lane_count_)) {
-    return append_batch(app, recs, target);
-  }
-  ShmIngestLane& ln = lane_headers()[lane];
-  // relaxed: the lane owner is the only writer of the lane head, and the
-  // caller serializes its own appends — this is a self-read.
-  std::uint64_t h = ln.head.load(std::memory_order_relaxed);
-  if (recs.empty()) return h;
-  const std::uint64_t first = h;
-  ShmIngestSlot* arr = lane_slots(static_cast<std::uint32_t>(lane));
-  std::uint64_t frames = 0;
-  for (std::size_t i = 0; i < recs.size();) {
-    const std::size_t n = count_packable(recs, i);
-    publish_frame(arr[h % lane_capacity_], h, app, recs.subspan(i, n), target);
-    // Advertise AFTER the frame commit: a consumer that acquires this
-    // head is guaranteed to find the commit word already published.
-    ln.head.store(h + 1, std::memory_order_release);
-    ++h;
-    ++frames;
-    i += n;
-  }
-  const ShmMetrics& metrics = ShmMetrics::get();
-  metrics.lane_frames->add(frames);
-  metrics.records->add(recs.size());
-  ring_doorbell();
-  return first;
-}
-
 std::uint64_t ShmIngestQueue::lane_owner(std::uint32_t lane) const {
-  if (lane >= lane_count_) return 0;
+  if (lane >= kIngestLanes) return 0;
   return lane_headers()[lane].owner.load(std::memory_order_acquire);
 }
 
 std::uint64_t ShmIngestQueue::lane_produced(std::uint32_t lane) const {
-  if (lane >= lane_count_) return 0;
+  if (lane >= kIngestLanes) return 0;
   return lane_headers()[lane].head.load(std::memory_order_acquire);
 }
 
@@ -625,7 +609,7 @@ bool ShmIngestQueue::has_frames(const Cursor& cur) const {
     return true;
   }
   const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < lane_count_; ++i) {
+  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
     if (lanes[i].head.load(std::memory_order_acquire) > cur.lanes[i].next) {
       return true;
     }
@@ -637,7 +621,7 @@ ShmIngestQueue::Cursor ShmIngestQueue::tail_cursor() const {
   Cursor cur;
   cur.main.next = header()->head.load(std::memory_order_acquire);
   const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < lane_count_; ++i) {
+  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
     cur.lanes[i].next = lanes[i].head.load(std::memory_order_acquire);
   }
   return cur;
@@ -685,21 +669,19 @@ std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
         core::TargetRate target;
         target.min_bps = std::bit_cast<double>(body.target_min_bits);
         target.max_bps = std::bit_cast<double>(body.target_max_bits);
-        // Unpack the frame: record i is base + per-record tag/delta. A
-        // frame accepted by the seqlock always carries 1..3 records; the
-        // clamp is pure defense against a corrupted segment.
+        // Unpack the frame: timestamp i is base + delta i. A frame
+        // accepted by the seqlock always carries 1..kIngestFrameRecords
+        // timestamps; the clamp is pure defense against a corrupted
+        // segment.
         std::uint32_t n = body.count;
         if (n - 1 >= kIngestFrameRecords) n = 1;
+        util::TimeNs timestamps[kIngestFrameRecords];
         for (std::uint32_t i = 0; i < n; ++i) {
-          core::HeartbeatRecord rec{};
           // Unsigned add: a hostile base near INT64_MAX wraps, not UB.
-          rec.timestamp_ns = static_cast<util::TimeNs>(
+          timestamps[i] = static_cast<util::TimeNs>(
               static_cast<std::uint64_t>(body.base_ts_ns) + body.ts_delta_ns[i]);
-          rec.seq = body.base_seq + i;
-          rec.tag = body.tags[i];
-          rec.thread_id = body.thread_id;
-          fn(std::string_view(body.app), rec, target);
         }
+        fn(std::string_view(body.app), target, {timestamps, n});
         delivered += n;
         totals.consumed += n;
         ++totals.consumed_frames;
@@ -757,7 +739,7 @@ std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
                    /*lane=*/false, cur, fn, max_stall_polls);
 
   const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < lane_count_; ++i) {
+  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
     const std::uint64_t lh = lanes[i].head.load(std::memory_order_acquire);
     if (lh == cur.lanes[i].next) continue;
     delivered += drain_stream(lane_slots(i), lane_capacity_, lh, cur.lanes[i],
@@ -807,12 +789,10 @@ ShmHubSink::~ShmHubSink() {
 
 std::uint64_t ShmHubSink::append(const core::HeartbeatRecord& rec) {
   const std::uint64_t seq = inner_->append(rec);
-  core::HeartbeatRecord stamped = rec;
-  stamped.seq = seq;
   util::MutexLock lock(mu_);
-  buf_.push_back(stamped);
+  buf_.push_back(rec.timestamp_ns);
   if (buf_.size() >= opts_.flush_every ||
-      stamped.timestamp_ns - buf_.front().timestamp_ns >= opts_.max_hold_ns) {
+      rec.timestamp_ns - buf_.front() >= opts_.max_hold_ns) {
     flush_locked();
   }
   return seq;
@@ -831,12 +811,8 @@ void ShmHubSink::flush() {
 void ShmHubSink::flush_locked() {
   if (buf_.empty()) return;
   // mu_ is what makes the lane's single-writer contract hold: every
-  // append_batch_lane on this sink's lane goes through this method.
-  if (lane_ >= 0) {
-    queue_->append_batch_lane(lane_, app_, buf_, inner_->target());
-  } else {
-    queue_->append_batch(app_, buf_, inner_->target());
-  }
+  // append_batch on this sink's lane goes through this method.
+  queue_->append_batch(app_, buf_, inner_->target(), lane_);
   buf_.clear();
 }
 

@@ -5,25 +5,29 @@
 // side inverts: one aggregator wants beats from N producer *processes*
 // without attaching (and polling) N segments. This header provides the
 // missing transport: a single fixed-capacity multi-producer/single-consumer
-// ring in shared memory that any process can append BeatRecord batches
-// into, and that one pump (hub/ShmIngestPump) drains into a HeartbeatHub.
+// ring in shared memory that any process can append beat timestamps into,
+// and that one pump (hub/ShmIngestPump) drains into a HeartbeatHub.
 //
-// Format v2 adds three fast-path levers on top of the v1 ring:
+// The ring carries only what the hub reads: an app name, its target and
+// beat timestamps. A record's seq, tag and thread id never leave the
+// producer (ShmHubSink's inner store keeps them). Format v3:
 //
-//   * PACKED FRAMES — a slot no longer carries one beat. Each 128-byte
-//     slot is a *frame* holding up to kIngestFrameRecords compact records
-//     from one producer thread (base timestamp + u32 deltas, base seq +
-//     implicit increments, shared app/target). Producers that batch (via
-//     ShmHubSink's flush_every/max_hold_ns) move several beats per claim.
+//   * PACKED FRAMES — each 128-byte slot is a *frame* holding up to
+//     kIngestFrameRecords timestamps of one app (base timestamp + u32
+//     deltas, shared app/target). A batch packs every run of timestamps
+//     whose deltas from the frame's first are in [0, 2^32). Producers
+//     that batch (via ShmHubSink's flush_every/max_hold_ns) move several
+//     beats per claim.
 //   * FUTEX DOORBELL — two words in the header (doorbell generation +
 //     parked count) let the consumer block in the kernel instead of
 //     backoff-polling. Producers ring only when a consumer is parked
 //     (one relaxed load on the hot path). See wait_for_frames().
 //   * SPSC FAST LANES — a small array of per-producer lanes, claimed by
-//     CAS on an owner word, whose single writer publishes frames with a
-//     plain release store instead of the contended MPSC fetch_add. The
-//     same consumer pass drains them with identical lap/torn semantics;
-//     lanes whose owner pid has died are reclaimed by the next claimant.
+//     CAS on an owner word, whose single writer advertises a batch's
+//     frames with one plain release store instead of the contended MPSC
+//     fetch_add. The same consumer pass drains them with identical
+//     lap/torn semantics; lanes whose owner pid has died are reclaimed by
+//     the next claimant.
 //
 // Segment layout (all fixed-width, standard-layout, address-free atomics —
 // the same ABI discipline as transport/shm_layout.hpp):
@@ -36,7 +40,7 @@
 // Concurrency protocol (shared by the MPSC ring and every lane):
 //   * A producer claims n consecutive frame sequence numbers — with ONE
 //     fetch_add on header.head for the shared ring, or (lane owner only)
-//     by advancing the lane head with a release store after each publish.
+//     by advancing the lane head with one release store per batch.
 //   * Each claimed slot s is written seqlock-style: commit <- 0
 //     (invalidate, release), payload, commit <- s + 1 (publish, release).
 //   * The consumer keeps a private Cursor (next expected frame per
@@ -48,11 +52,11 @@
 //     skips it (counted as torn), so a producer that dies between claim
 //     and publish can never wedge the fleet pipeline.
 //
-// Accounting units: `dropped` and `torn` count FRAMES (exactly v1's
-// slot-unit semantics — a lost slot is a lost slot); `consumed` counts
-// RECORDS delivered. In any no-loss configuration the record count is
-// exact; under loss, consumed_frames + dropped + torn always equals the
-// frames produced, so nothing is ever silently unaccounted.
+// Accounting units: `dropped` and `torn` count FRAMES (a lost slot is a
+// lost slot); `consumed` counts RECORDS delivered. In any no-loss
+// configuration the record count is exact; under loss, consumed_frames +
+// dropped + torn always equals the frames produced, so nothing is ever
+// silently unaccounted.
 //
 // Because slots are read non-destructively, any number of independent
 // consumers (each with its own Cursor) may drain the same ring — e.g. the
@@ -80,10 +84,10 @@
 namespace hb::transport {
 
 inline constexpr std::uint64_t kShmIngestMagic = 0x3151494248ULL;  // "HBIQ1"
-/// v2: packed multi-record frames, doorbell words, SPSC fast lanes.
-/// attach() rejects any other version — a stale v1 ring file must be
-/// removed (see OPERATIONS.md), never reinterpreted.
-inline constexpr std::uint32_t kShmIngestVersion = 2;
+/// v3: frames carry timestamps only (no seq, tag or thread id).
+/// attach() rejects any other version — a stale v1 or v2 ring file must
+/// be removed (see OPERATIONS.md), never reinterpreted.
+inline constexpr std::uint32_t kShmIngestVersion = 3;
 
 /// Maximum application-name length carried per frame (including NUL).
 /// Longer names are truncated to a 30-byte prefix plus '~' and 8 hex
@@ -91,8 +95,8 @@ inline constexpr std::uint32_t kShmIngestVersion = 2;
 /// a prefix remain distinct apps on the consumer side.
 inline constexpr std::size_t kIngestNameCap = 40;
 
-/// Records one 128-byte frame can pack (compact encoding below).
-inline constexpr std::size_t kIngestFrameRecords = 3;
+/// Timestamps one 128-byte frame can pack (compact encoding below).
+inline constexpr std::size_t kIngestFrameRecords = 13;
 
 /// Number of SPSC fast lanes in every segment (part of the ABI: lane
 /// headers are always reserved, whether or not producers claim them).
@@ -110,7 +114,7 @@ struct ShmIngestHeader {
   std::uint32_t slot_size = 0;      ///< sizeof(ShmIngestSlot); ABI self-check
   std::uint32_t capacity = 0;       ///< frames in the shared MPSC ring
   std::uint32_t creator_pid = 0;    ///< pid of the creating process
-  std::uint32_t lane_count = 0;     ///< SPSC lanes (== kIngestLanes today)
+  std::uint32_t lane_count = 0;     ///< SPSC lanes; attach requires kIngestLanes
   std::uint32_t lane_capacity = 0;  ///< frames per lane ring
   /// Total frames ever claimed from the shared ring; the next frame
   /// sequence handed to a producer. Monotonic; may run arbitrarily far
@@ -142,8 +146,9 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
 /// two claims by one process (or a recycled pid) from colliding on CAS.
 struct ShmIngestLane {
   std::atomic<std::uint64_t> owner{0};
-  /// Frames published to this lane. Owner-only writer: advanced with a
-  /// release store after each frame commit — no RMW, no contention.
+  /// Frames published to this lane. Owner-only writer: advanced with one
+  /// release store after each batch's frame commits — no RMW, no
+  /// contention.
   std::atomic<std::uint64_t> head{0};
   std::uint8_t pad[48] = {};
 };
@@ -159,25 +164,18 @@ struct ShmIngestSlot {
   /// loose slot members) is what lets the TSan build swap the copy for
   /// word-wise relaxed atomics without touching the protocol.
   ///
-  /// v2 packs up to kIngestFrameRecords records from ONE producer thread:
-  /// record i reconstructs as { timestamp = base_ts_ns + ts_delta_ns[i],
-  /// seq = base_seq + i, tag = tags[i], thread_id }. Producers start a new
-  /// frame whenever a record breaks the encoding (different thread,
-  /// non-consecutive seq, or a timestamp delta that overflows u32).
+  /// v3 packs up to kIngestFrameRecords timestamps of ONE app: timestamp
+  /// i is base_ts_ns + ts_delta_ns[i]. Producers start a new frame when a
+  /// timestamp's delta from the frame's first leaves [0, 2^32).
   struct Body {
     char app[kIngestNameCap] = {};  ///< NUL-terminated app name (truncated)
-    std::uint32_t thread_id = 0;    ///< producer thread for every record
-    std::uint16_t count = 0;        ///< records in this frame (1..3)
-    std::uint16_t flags = 0;        ///< reserved (0)
     /// Producer's registered target range, as IEEE-754 bit patterns (the
     /// consumer registers/updates hub targets from these).
     std::uint64_t target_min_bits = 0;
     std::uint64_t target_max_bits = 0;
-    std::int64_t base_ts_ns = 0;   ///< timestamp of record 0
-    std::uint64_t base_seq = 0;    ///< store seq of record 0
-    std::uint64_t tags[kIngestFrameRecords] = {};
+    std::int64_t base_ts_ns = 0;  ///< timestamp 0
+    std::uint32_t count = 0;      ///< timestamps in this frame (1..13)
     std::uint32_t ts_delta_ns[kIngestFrameRecords] = {};
-    std::uint32_t reserved = 0;
   };
 
   /// Seqlock word: 0 = empty/being written, s+1 = frame with ring seq s.
@@ -210,8 +208,8 @@ class ShmIngestQueue {
 
   /// Attach to an existing ring. Retries briefly while a concurrent
   /// create() is still initializing the header; throws std::runtime_error
-  /// on missing file or bad magic/version/layout (a v1 ring file is a
-  /// version mismatch — remove it and let a producer recreate v2).
+  /// on missing file or bad magic/version/layout (a v1 or v2 ring file is
+  /// a version mismatch — remove it and let a producer recreate v3).
   static std::shared_ptr<ShmIngestQueue> attach(const std::filesystem::path& file);
 
   /// Create-or-attach, safe against concurrent openers: first successful
@@ -226,25 +224,30 @@ class ShmIngestQueue {
 
   // ------------------------------------------------------------- producers
 
-  /// Append one beat under `app`. Thread- and process-safe; lock-free
-  /// (one fetch_add + one frame write). Returns the frame sequence number.
-  std::uint64_t append(std::string_view app, const core::HeartbeatRecord& rec,
+  /// Append one beat under `app` to the shared ring. Thread- and
+  /// process-safe; lock-free (one fetch_add + one frame write). Returns
+  /// the frame sequence number.
+  std::uint64_t append(std::string_view app, util::TimeNs timestamp_ns,
                        core::TargetRate target);
 
-  /// Append a batch for one app with a single head claim, packing up to
-  /// kIngestFrameRecords records per frame. Returns the first frame
-  /// sequence number.
+  /// Append a batch of one app's beat timestamps, packing up to
+  /// kIngestFrameRecords per frame. With `lane` < 0 (or out of range) the
+  /// frames go to the shared ring under ONE head claim. With a lane this
+  /// handle claimed they go to that lane, whose head is advertised once
+  /// per batch — SINGLE WRITER: only the lane owner may call, one call at
+  /// a time (ShmHubSink serializes under its mutex). Returns the first
+  /// frame sequence number of the stream written.
   std::uint64_t append_batch(std::string_view app,
-                             std::span<const core::HeartbeatRecord> recs,
-                             core::TargetRate target);
+                             std::span<const util::TimeNs> timestamps,
+                             core::TargetRate target, int lane = -1);
 
-  /// Low-level two-phase producer API (one single-record frame per seq).
+  /// Low-level two-phase producer API (one single-beat frame per seq).
   /// A process that claims and then dies before publishing leaves torn
   /// frames, which consumers skip after a bounded stall — tests use
   /// claim() alone to model exactly that crash.
   std::uint64_t claim(std::uint64_t n);
   void publish(std::uint64_t seq, std::string_view app,
-               const core::HeartbeatRecord& rec, core::TargetRate target);
+               util::TimeNs timestamp_ns, core::TargetRate target);
 
   // ------------------------------------------------------------ fast lanes
 
@@ -259,15 +262,6 @@ class ShmIngestQueue {
   /// Release a lane claimed by THIS handle (no-op for -1 / foreign lanes).
   void release_lane(int lane);
 
-  /// Append a batch into a claimed lane. SINGLE WRITER: only the lane
-  /// owner may call, one call at a time (ShmHubSink serializes under its
-  /// mutex). No fetch_add — frames commit then advertise with a release
-  /// store on the lane head. Returns the first lane frame sequence.
-  std::uint64_t append_batch_lane(int lane, std::string_view app,
-                                  std::span<const core::HeartbeatRecord> recs,
-                                  core::TargetRate target);
-
-  std::uint32_t lane_count() const { return lane_count_; }
   std::uint32_t lane_capacity() const { return lane_capacity_; }
   /// Current owner word of a lane (0 = free). Diagnostic.
   std::uint64_t lane_owner(std::uint32_t lane) const;
@@ -296,11 +290,13 @@ class ShmIngestQueue {
     std::uint64_t torn = 0;     ///< FRAMES skipped uncommitted (crashed producer)
   };
 
-  /// Sink for drained records. `app` points into a stack copy — valid only
-  /// for the duration of the call.
-  using DrainFn = std::function<void(
-      std::string_view app, const core::HeartbeatRecord& rec,
-      core::TargetRate target)>;
+  /// Sink for drained frames, called once per accepted frame with its
+  /// app, target and 1..kIngestFrameRecords beat timestamps in order.
+  /// `app` and `timestamps` point into stack copies — valid only for the
+  /// duration of the call.
+  using DrainFn = std::function<void(std::string_view app,
+                                     core::TargetRate target,
+                                     std::span<const util::TimeNs> timestamps)>;
 
   /// Drain every committed frame in [cursor, head) of the shared ring and
   /// every lane, in per-stream ring order. Stops early (per stream) at an
@@ -369,16 +365,17 @@ class ShmIngestQueue {
   ShmIngestSlot* lane_slots(std::uint32_t lane);
   const ShmIngestSlot* lane_slots(std::uint32_t lane) const;
 
-  /// Seqlock-write one packed frame (recs.size() <= kIngestFrameRecords,
-  /// all packable together) into `slot` as frame `seq`.
+  /// Seqlock-write one packed frame (timestamps.size() <=
+  /// kIngestFrameRecords, all packable together) into `slot` as frame
+  /// `seq`.
   static void publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
                             std::string_view app,
-                            std::span<const core::HeartbeatRecord> recs,
+                            std::span<const util::TimeNs> timestamps,
                             core::TargetRate target);
 
-  /// Longest packable prefix of recs[i..] (same thread, consecutive seqs,
-  /// timestamp deltas that fit u32), capped at kIngestFrameRecords.
-  static std::size_t count_packable(std::span<const core::HeartbeatRecord> recs,
+  /// Longest packable prefix of timestamps[i..] (deltas from timestamps[i]
+  /// in [0, 2^32)), capped at kIngestFrameRecords.
+  static std::size_t count_packable(std::span<const util::TimeNs> timestamps,
                                     std::size_t i);
 
   /// Ring the doorbell if (and only if) a consumer is parked.
@@ -398,7 +395,6 @@ class ShmIngestQueue {
   /// append path never re-reads the header cache line that producers keep
   /// invalidating with head fetch_adds.
   std::uint32_t capacity_ = 0;
-  std::uint32_t lane_count_ = 0;
   std::uint32_t lane_capacity_ = 0;
   /// Owner tokens this handle wrote when claiming lanes (0 = not ours);
   /// release_lane only releases tokens recorded here.
@@ -410,7 +406,7 @@ struct ShmHubSinkOptions {
   /// Beats buffered locally before one append_batch into the ring. 1 (the
   /// default) forwards every beat immediately — lowest staleness as seen
   /// by the aggregator. High-rate producers can raise it to amortize the
-  /// ring's contended fetch_add AND let frame packing put several records
+  /// ring's contended fetch_add AND let frame packing put several beats
   /// in one 128-byte slot (up to kIngestFrameRecords per frame).
   std::size_t flush_every = 1;
   /// Flush regardless of fill once the oldest buffered beat is this much
@@ -426,8 +422,9 @@ struct ShmHubSinkOptions {
 /// (Heartbeat, the C API) feeds a remote aggregator (a ShmIngestPump into
 /// a hub) with zero code changes. Appends pass through to the
 /// wrapped store (which keeps serving in-process rate queries and, if it
-/// is a registry ShmStore, stays observer-walkable) and are batched into
-/// the ring with the store-assigned sequence number and current target.
+/// is a registry ShmStore, stays observer-walkable, and keeps each
+/// record's seq, tag and thread id) and their timestamps are batched into
+/// the ring under the current target.
 /// Each sink claims an SPSC fast lane at construction and publishes
 /// through it, skipping the contended MPSC fetch_add; when every lane is
 /// held by a live producer it falls back to the shared ring.
@@ -484,7 +481,7 @@ class ShmHubSink final : public core::BeatStore {
   int lane_ = -1;
 
   util::Mutex mu_;
-  std::vector<core::HeartbeatRecord> buf_ HB_GUARDED_BY(mu_);
+  std::vector<util::TimeNs> buf_ HB_GUARDED_BY(mu_);
 };
 
 }  // namespace hb::transport

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -238,12 +239,37 @@ TEST(ConcurrencyStress, TraceRingWrapWritersVsSnapshot) {
 }
 
 // ---------------------------------------------------------- ShmIngestQueue
-//
+
+/// Beat i of producer p as a ring frame stamps it three ways: in its
+/// timestamp, in its target ({i, p}) and in its app name ("app<p>").
+util::TimeNs stamp_of(std::size_t p, std::size_t i) {
+  return static_cast<util::TimeNs>((std::uint64_t{p} << 48) | i);
+}
+core::TargetRate stamp_target(std::size_t p, std::size_t i) {
+  return {static_cast<double>(i), static_cast<double>(p)};
+}
+
+/// A delivered frame holds one beat whose three stamps agree: a copy that
+/// mixed two frames would break the agreement.
+void expect_stamped_frame(std::string_view app, core::TargetRate target,
+                          std::span<const util::TimeNs> timestamps,
+                          std::size_t producers) {
+  ASSERT_EQ(timestamps.size(), 1u);
+  const auto stamp = static_cast<std::uint64_t>(timestamps[0]);
+  const std::size_t p = stamp >> 48;
+  const std::size_t i = stamp & ((std::uint64_t{1} << 48) - 1);
+  ASSERT_LT(p, producers);
+  EXPECT_EQ(app, "app" + std::to_string(p));
+  EXPECT_EQ(target.min_bps, stamp_target(p, i).min_bps);
+  EXPECT_EQ(target.max_bps, stamp_target(p, i).max_bps);
+}
+
 // Multi-process-grade ring exercised in-process: producers append while a
 // consumer drains concurrently. The protocol's books must balance exactly:
 // every claimed sequence number is eventually consumed, dropped (lapped),
-// or skipped as torn — and nothing delivered may be torn (records carry
-// tag == timestamp, which a torn copy would break).
+// or skipped as torn — and nothing delivered may be torn (each frame's
+// name, target and timestamp carry the same stamp, which a copy mixing two
+// frames would break).
 TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(8000);
@@ -260,11 +286,7 @@ TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
     threads.emplace_back([&, p] {
       const std::string app = "app" + std::to_string(p);
       for (std::size_t i = 0; i < beats_per_producer; ++i) {
-        const std::uint64_t stamp = (p << 48) | i;
-        core::HeartbeatRecord rec;
-        rec.timestamp_ns = static_cast<util::TimeNs>(stamp);
-        rec.tag = stamp;
-        queue->append(app, rec, core::TargetRate{1.0, 2.0});
+        queue->append(app, stamp_of(p, i), stamp_target(p, i));
       }
       producers_done.fetch_add(1, std::memory_order_acq_rel);
     });
@@ -272,16 +294,10 @@ TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
 
   transport::ShmIngestQueue::Cursor cur;
   std::uint64_t delivered = 0;
-  const auto sink = [&](std::string_view app, const core::HeartbeatRecord& rec,
-                        core::TargetRate target) {
-    ++delivered;
-    // Self-consistency a torn copy would violate.
-    EXPECT_EQ(rec.tag, static_cast<std::uint64_t>(rec.timestamp_ns));
-    const std::uint64_t producer = rec.tag >> 48;
-    EXPECT_LT(producer, kProducers);
-    EXPECT_EQ(app, "app" + std::to_string(producer));
-    EXPECT_EQ(target.min_bps, 1.0);
-    EXPECT_EQ(target.max_bps, 2.0);
+  const auto sink = [&](std::string_view app, core::TargetRate target,
+                        std::span<const util::TimeNs> timestamps) {
+    delivered += timestamps.size();
+    expect_stamped_frame(app, target, timestamps, kProducers);
   };
   while (producers_done.load(std::memory_order_acquire) < kProducers) {
     queue->drain(cur, sink);
@@ -340,16 +356,8 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
       const std::string app = "app" + std::to_string(p);
       const int lane = p % 2 == 0 ? queue->claim_lane() : -1;
       for (std::size_t i = 0; i < beats_per_producer; ++i) {
-        const std::uint64_t stamp = (p << 48) | i;
-        core::HeartbeatRecord rec;
-        rec.timestamp_ns = static_cast<util::TimeNs>(stamp);
-        rec.tag = stamp;
-        if (lane >= 0) {
-          queue->append_batch_lane(lane, app, {&rec, 1},
-                                   core::TargetRate{1.0, 2.0});
-        } else {
-          queue->append(app, rec, core::TargetRate{1.0, 2.0});
-        }
+        const util::TimeNs ts = stamp_of(p, i);
+        queue->append_batch(app, {&ts, 1}, stamp_target(p, i), lane);
       }
       // Lanes stay claimed until the books are checked: releasing early
       // would let the other lane producer REUSE this lane, and a reused
@@ -361,10 +369,10 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
 
   transport::ShmIngestQueue::Cursor cur;
   std::uint64_t delivered = 0;
-  const auto sink = [&](std::string_view, const core::HeartbeatRecord& rec,
-                        core::TargetRate) {
-    ++delivered;
-    EXPECT_EQ(rec.tag, static_cast<std::uint64_t>(rec.timestamp_ns));
+  const auto sink = [&](std::string_view app, core::TargetRate target,
+                        std::span<const util::TimeNs> timestamps) {
+    delivered += timestamps.size();
+    expect_stamped_frame(app, target, timestamps, kProducers);
   };
   // The consumer parks EVERY time the ring looks empty — maximum exposure
   // of the park window to racing publishes. The 5ms timeout keeps a

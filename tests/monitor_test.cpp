@@ -120,10 +120,7 @@ TEST_F(MonitorRingTest, FinalDrainCatchesBeatsPublishedAtStop) {
   const auto publish = [&](int p, int from, int to) {
     const std::string app = "producer-" + std::to_string(p);
     for (int i = from; i < to; ++i) {
-      core::HeartbeatRecord rec;
-      rec.timestamp_ns = monitor.hub()->clock()->now();
-      rec.seq = static_cast<std::uint64_t>(i);
-      queue_->append(app, rec, {1.0, 1e9});
+      queue_->append(app, monitor.hub()->clock()->now(), {1.0, 1e9});
     }
   };
 

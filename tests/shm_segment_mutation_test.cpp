@@ -18,8 +18,8 @@
 // lane_capacity, version, slot_size and head; a lane's head and owner; a
 // slot's commit, count, base_ts_ns and ts_delta_ns; and a slot's name bytes,
 // overwritten with no NUL. The values favour the edges: huge capacities,
-// heads past the end and near 2^64, record counts above 3, wrapped deltas
-// and foreign versions.
+// heads past the end and near 2^64, record counts above
+// kIngestFrameRecords, wrapped deltas and foreign versions.
 //
 // No process or thread is started: the mutations are pwrite()s into the
 // ring file, which the consumer's MAP_SHARED mapping sees at once.
@@ -33,6 +33,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -105,7 +106,7 @@ Word pick_word(util::Rng& rng) {
     case 5: return {pick_lane(rng) + offsetof(ShmIngestLane, head), 8};
     case 6: return {pick_lane(rng) + offsetof(ShmIngestLane, owner), 8};
     case 7: return {pick_slot(rng) + offsetof(ShmIngestSlot, commit), 8};
-    case 8: return {pick_slot(rng) + kBodyAt + offsetof(Body, count), 2};
+    case 8: return {pick_slot(rng) + kBodyAt + offsetof(Body, count), 4};
     case 9: return {pick_slot(rng) + kBodyAt + offsetof(Body, base_ts_ns), 8};
     case 10: {
       const auto k = rng.next_below(kIngestFrameRecords);
@@ -121,7 +122,8 @@ std::uint64_t pick_value(util::Rng& rng, std::uint64_t old) {
   constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
   switch (rng.next_below(10)) {
     case 0: return 0;
-    case 1: return rng.next_below(8);  // counts above 3, foreign versions
+    // Counts above kIngestFrameRecords, foreign versions.
+    case 1: return rng.next_below(2 * kIngestFrameRecords + 2);
     case 2: return old + 1 + rng.next_below(2 * kCapacity);  // just past
     case 3: return old - 1 - rng.next_below(4);  // just behind, or wrapped
     case 4: return kTop - rng.next_below(2 * kCapacity);  // heads near 2^64
@@ -162,25 +164,16 @@ std::string mutate(int fd, util::Rng& rng) {
   return done.str();
 }
 
-core::HeartbeatRecord record(std::uint64_t seq, util::TimeNs ts) {
-  core::HeartbeatRecord r;
-  r.seq = seq;
-  r.timestamp_ns = ts;
-  r.tag = seq;
-  r.thread_id = 7;
-  return r;
-}
-
-std::vector<core::HeartbeatRecord> records(std::uint64_t n, util::TimeNs start) {
-  std::vector<core::HeartbeatRecord> out;
+std::vector<util::TimeNs> beats(std::uint64_t n, util::TimeNs start) {
+  std::vector<util::TimeNs> out;
   for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(record(i, start + static_cast<util::TimeNs>(i) * 1000));
+    out.push_back(start + static_cast<util::TimeNs>(i) * 1000);
   }
   return out;
 }
 
 /// A ring file and its pristine image: three frames in the shared ring,
-/// two in lane 0 and one in lane 1.
+/// two in lane 0 and one in lane 1; both full and partial frames.
 class ShmSegmentMutation : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -191,14 +184,16 @@ class ShmSegmentMutation : public ::testing::Test {
     const core::TargetRate target{10.0, 100.0};
     {
       auto q = ShmIngestQueue::create(file(), kCapacity, kLaneCapacity);
-      q->append_batch("shared-a", records(5, 1'000'000), target);
-      q->append("shared-b", record(0, 2'000'000), target);
+      q->append_batch("shared-a", beats(kIngestFrameRecords + 2, 1'000'000),
+                      target);
+      q->append("shared-b", 2'000'000, target);
       const int lane_a = q->claim_lane();
       const int lane_b = q->claim_lane();
       ASSERT_EQ(lane_a, 0);
       ASSERT_EQ(lane_b, 1);
-      q->append_batch_lane(lane_a, "lane-a", records(4, 3'000'000), target);
-      q->append_batch_lane(lane_b, "lane-b", records(3, 4'000'000), target);
+      q->append_batch("lane-a", beats(kIngestFrameRecords + 1, 3'000'000),
+                      target, lane_a);
+      q->append_batch("lane-b", beats(3, 4'000'000), target, lane_b);
       ASSERT_EQ(q->produced(), 3u);
       ASSERT_EQ(q->lane_produced(0), 2u);
       ASSERT_EQ(q->lane_produced(1), 1u);
@@ -289,8 +284,12 @@ class Consumers {
     const std::uint64_t frames = cursor_.consumed_frames;
     const std::size_t delivered = queue_->drain(
         cursor_,
-        [](std::string_view app, const core::HeartbeatRecord&,
-           core::TargetRate) { EXPECT_LT(app.size(), kIngestNameCap); },
+        [](std::string_view app, core::TargetRate,
+           std::span<const util::TimeNs> timestamps) {
+          EXPECT_LT(app.size(), kIngestNameCap);
+          EXPECT_GE(timestamps.size(), 1u);
+          EXPECT_LE(timestamps.size(), kIngestFrameRecords);
+        },
         kStallPolls);
     EXPECT_LE(cursor_.consumed_frames - frames, kMaxFramesPerDrain);
     EXPECT_LE(delivered, kIngestFrameRecords * kMaxFramesPerDrain);
@@ -338,7 +337,7 @@ void ShmSegmentMutation::run_seed(std::uint64_t seed) {
     Consumers consumers(q);
     if (rng.chance(0.5)) {
       consumers.poll();
-      q->append_batch("shared-c", records(4, 5'000'000), {1.0, 2.0});
+      q->append_batch("shared-c", beats(4, 5'000'000), {1.0, 2.0});
     }
     const std::string done = mutate(fd, rng);
     ::close(fd);

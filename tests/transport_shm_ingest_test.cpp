@@ -39,16 +39,15 @@ namespace {
 namespace fs = std::filesystem;
 using util::kNsPerMs;
 
-core::HeartbeatRecord rec_at(util::TimeNs ts, std::uint64_t tag = 0) {
+core::HeartbeatRecord rec_at(util::TimeNs ts) {
   core::HeartbeatRecord r;
   r.timestamp_ns = ts;
-  r.tag = tag;
   return r;
 }
 
 struct Drained {
   std::string app;
-  core::HeartbeatRecord rec;
+  util::TimeNs ts = 0;
   core::TargetRate target;
 };
 
@@ -57,9 +56,11 @@ std::vector<Drained> drain_all(ShmIngestQueue& q, ShmIngestQueue::Cursor& cur,
   std::vector<Drained> out;
   q.drain(
       cur,
-      [&out](std::string_view app, const core::HeartbeatRecord& rec,
-             core::TargetRate target) {
-        out.push_back({std::string(app), rec, target});
+      [&out](std::string_view app, core::TargetRate target,
+             std::span<const util::TimeNs> timestamps) {
+        for (const util::TimeNs ts : timestamps) {
+          out.push_back({std::string(app), ts, target});
+        }
       },
       max_stall);
   return out;
@@ -101,7 +102,7 @@ TEST_F(ShmIngestTest, CreateAttachRoundTrip) {
   EXPECT_EQ(q->produced(), 0u);
   EXPECT_EQ(q->creator_pid(), static_cast<std::uint32_t>(::getpid()));
 
-  q->append("app", rec_at(1 * kNsPerMs), {2.0, 9.0});
+  q->append("app", 1 * kNsPerMs, {2.0, 9.0});
   auto observer = ShmIngestQueue::attach(file());
   EXPECT_EQ(observer->produced(), 1u);
   EXPECT_EQ(observer->capacity(), 64u);
@@ -127,11 +128,9 @@ TEST_F(ShmIngestTest, AttachMissingOrCorruptThrows) {
 
 TEST_F(ShmIngestTest, BatchAppendDrainsInOrderWithAppAndTarget) {
   auto q = ShmIngestQueue::create(file(), 32);
-  std::vector<core::HeartbeatRecord> recs;
-  for (int i = 0; i < 10; ++i) {
-    recs.push_back(rec_at((i + 1) * kNsPerMs, static_cast<std::uint64_t>(i)));
-  }
-  EXPECT_EQ(q->append_batch("encoder", recs, {30.0, 60.0}), 0u);
+  std::vector<util::TimeNs> timestamps;
+  for (int i = 0; i < 10; ++i) timestamps.push_back((i + 1) * kNsPerMs);
+  EXPECT_EQ(q->append_batch("encoder", timestamps, {30.0, 60.0}), 0u);
 
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
@@ -141,8 +140,7 @@ TEST_F(ShmIngestTest, BatchAppendDrainsInOrderWithAppAndTarget) {
   EXPECT_EQ(cur.torn, 0u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(out[static_cast<std::size_t>(i)].app, "encoder");
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].rec.tag,
-              static_cast<std::uint64_t>(i));
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].ts, (i + 1) * kNsPerMs);
     EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(i)].target.min_bps, 30.0);
     EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(i)].target.max_bps, 60.0);
   }
@@ -151,11 +149,9 @@ TEST_F(ShmIngestTest, BatchAppendDrainsInOrderWithAppAndTarget) {
 TEST_F(ShmIngestTest, SustainedOverflowCountsDropsNeverCorrupts) {
   auto q = ShmIngestQueue::create(file(), 8);
   // 100 beats into an 8-slot ring with no consumer keeping up: the oldest
-  // 92 are overwritten. tag mirrors the ring seq so a corrupt (torn or
-  // misattributed) delivery is detectable.
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    q->append("a", rec_at(static_cast<util::TimeNs>(i), i), {});
-  }
+  // 92 are overwritten. The timestamp mirrors the ring seq so a corrupt
+  // (torn or misattributed) delivery is detectable.
+  for (util::TimeNs i = 0; i < 100; ++i) q->append("a", i, {});
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 8u);
@@ -163,14 +159,14 @@ TEST_F(ShmIngestTest, SustainedOverflowCountsDropsNeverCorrupts) {
   EXPECT_EQ(cur.consumed, 8u);
   EXPECT_EQ(cur.torn, 0u);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].rec.tag, 92u + i);  // exactly the retained suffix
+    EXPECT_EQ(out[i].ts, static_cast<util::TimeNs>(92 + i));  // the retained suffix
   }
 
   // The cursor has caught up; later appends drain without further drops.
-  q->append("a", rec_at(200, 100), {});
+  q->append("a", 100, {});
   const auto tail = drain_all(*q, cur);
   ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0].rec.tag, 100u);
+  EXPECT_EQ(tail[0].ts, 100);
   EXPECT_EQ(cur.dropped, 92u);
 }
 
@@ -178,10 +174,10 @@ TEST_F(ShmIngestTest, CrashedProducerSlotSkippedAfterStallBudget) {
   auto q = ShmIngestQueue::create(file(), 32);
   // A producer claims a 4-slot batch, publishes 2, and dies.
   const std::uint64_t first = q->claim(4);
-  q->publish(first + 0, "dead", rec_at(1, 0), {});
-  q->publish(first + 1, "dead", rec_at(2, 1), {});
+  q->publish(first + 0, "dead", 1, {});
+  q->publish(first + 1, "dead", 2, {});
   // A healthy producer appends afterwards.
-  q->append("live", rec_at(3, 7), {});
+  q->append("live", 7, {});
 
   ShmIngestQueue::Cursor cur;
   // Drain 1: the two published records come through, then the torn slot
@@ -197,7 +193,7 @@ TEST_F(ShmIngestTest, CrashedProducerSlotSkippedAfterStallBudget) {
   out = drain_all(*q, cur, 2);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].app, "live");
-  EXPECT_EQ(out[0].rec.tag, 7u);
+  EXPECT_EQ(out[0].ts, 7);
   EXPECT_EQ(cur.torn, 2u);
   EXPECT_EQ(cur.consumed, 3u);
 }
@@ -213,7 +209,7 @@ TEST_F(ShmIngestTest, OpenReclaimsAbandonedCreation) {
   }
   auto q = ShmIngestQueue::open(file(), 16);
   EXPECT_EQ(q->capacity(), 16u);
-  q->append("a", rec_at(1), {});
+  q->append("a", 1, {});
   EXPECT_EQ(q->produced(), 1u);
 }
 
@@ -235,8 +231,8 @@ TEST_F(ShmIngestTest, RegistryFactoryRendezvousesAtWellKnownPath) {
 TEST_F(ShmIngestTest, LongNamesStayDistinctAfterTruncation) {
   auto q = ShmIngestQueue::create(file(), 16);
   const std::string prefix(60, 'x');  // both names exceed the 48-byte slot
-  q->append(prefix + "-worker-A", rec_at(1, 0), {});
-  q->append(prefix + "-worker-B", rec_at(2, 1), {});
+  q->append(prefix + "-worker-A", 1, {});
+  q->append(prefix + "-worker-B", 2, {});
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 2u);
@@ -247,7 +243,7 @@ TEST_F(ShmIngestTest, LongNamesStayDistinctAfterTruncation) {
 
 TEST_F(ShmIngestTest, IndependentConsumersSeeTheFullStream) {
   auto q = ShmIngestQueue::create(file(), 16);
-  for (std::uint64_t i = 0; i < 5; ++i) q->append("a", rec_at(1, i), {});
+  for (util::TimeNs i = 0; i < 5; ++i) q->append("a", i, {});
   ShmIngestQueue::Cursor c1;
   ShmIngestQueue::Cursor c2;
   EXPECT_EQ(drain_all(*q, c1).size(), 5u);
@@ -275,7 +271,7 @@ TEST_F(ShmIngestTest, PumpSuggestsIdleBackoffSleeps) {
   EXPECT_EQ(pump.poll(), 0u);  // capped, however long the quiet lasts
   EXPECT_EQ(pump.suggested_sleep_ns(), 8 * kNsPerMs);
 
-  q->append("a", rec_at(kNsPerMs), {});
+  q->append("a", kNsPerMs, {});
   EXPECT_EQ(pump.poll(), 1u);  // records reset the schedule to the floor
   EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 0u);
@@ -287,7 +283,7 @@ TEST_F(ShmIngestTest, PumpSuggestsIdleBackoffSleeps) {
   // stalled run should be skipped at floor pace, not at the cap, or the
   // records behind a crash wait longest exactly during the failure.
   q->claim(1);
-  q->append("a", rec_at(2 * kNsPerMs), {});
+  q->append("a", 2 * kNsPerMs, {});
   EXPECT_EQ(pump.poll(), 0u);  // blocked on the unpublished slot
   EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 0u);  // still blocked, still at the floor
@@ -318,8 +314,7 @@ TEST_F(ShmIngestTest, HubSinkMirrorsSharedChannelOnly) {
   ASSERT_EQ(out.size(), 5u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].app, "worker");  // ".global" suffix stripped
-    EXPECT_EQ(out[i].rec.seq, i);     // store-assigned seq carried over
-    EXPECT_EQ(out[i].rec.tag, i);
+    EXPECT_EQ(out[i].ts, static_cast<util::TimeNs>(i + 1) * 10 * kNsPerMs);
     EXPECT_DOUBLE_EQ(out[i].target.min_bps, 5.0);
   }
 }
@@ -329,7 +324,7 @@ TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
   auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
   // Every lane held by a live producer: the sink falls back to the shared
   // ring, so produced() (shared-ring frames) observes its flushes.
-  for (std::uint32_t i = 0; i < q->lane_count(); ++i) {
+  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
     ASSERT_GE(q->claim_lane(), 0);
   }
   ShmHubSink sink(inner, q, "batchy",
@@ -340,7 +335,7 @@ TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
   sink.append(rec_at(1 * kNsPerMs));
   EXPECT_EQ(q->produced(), 0u);  // buffered below flush_every
   // 20ms after the oldest buffered beat: the hold bound flushes the batch.
-  // The three records share a thread and consecutive store seqs, so the
+  // The three timestamps are within a u32 delta of the first, so the
   // whole flush packs into ONE frame.
   sink.append(rec_at(20 * kNsPerMs));
   EXPECT_EQ(q->produced(), 1u);
@@ -355,9 +350,8 @@ TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
   const auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(cur.consumed_frames, 2u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].rec.seq, i);  // store-assigned seqs survive packing
-  }
+  const util::TimeNs sent[] = {0, 1 * kNsPerMs, 20 * kNsPerMs, 21 * kNsPerMs};
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].ts, sent[i]);
 }
 
 TEST_F(ShmIngestTest, SinkFastLaneBypassesSharedRing) {
@@ -379,83 +373,101 @@ TEST_F(ShmIngestTest, SinkFastLaneBypassesSharedRing) {
   EXPECT_EQ(cur.lane_records, 6u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].app, "laner");
-    EXPECT_EQ(out[i].rec.seq, i);
+    EXPECT_EQ(out[i].ts, static_cast<util::TimeNs>(i) * kNsPerMs);
   }
 }
 
 TEST_F(ShmIngestTest, PackedFramesRoundTripExactly) {
   auto q = ShmIngestQueue::create(file(), 32);
-  // Seven packable records (one thread, consecutive seqs, sub-u32 ts
-  // deltas): 3+3+1 across three frames, one claim.
-  std::vector<core::HeartbeatRecord> recs;
-  for (std::uint64_t i = 0; i < 7; ++i) {
-    core::HeartbeatRecord r;
-    r.timestamp_ns = static_cast<util::TimeNs>(100 * kNsPerMs + i * 3333);
-    r.seq = 40 + i;
-    r.tag = 0x1000 + i;
-    r.thread_id = 77;
-    recs.push_back(r);
+  // Fourteen packable timestamps (sub-u32 deltas): 13 + 1 across two
+  // frames, one claim.
+  std::vector<util::TimeNs> timestamps;
+  for (util::TimeNs i = 0; i < 14; ++i) {
+    timestamps.push_back(100 * kNsPerMs + i * 3333);
   }
-  EXPECT_EQ(q->append_batch("packer", recs, {3.0, 8.0}), 0u);
-  EXPECT_EQ(q->produced(), 3u);  // ceil(7 / 3) frames, not 7 slots
+  EXPECT_EQ(q->append_batch("packer", timestamps, {3.0, 8.0}), 0u);
+  EXPECT_EQ(q->produced(), 2u);  // ceil(14 / 13) frames, not 14 slots
 
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
-  ASSERT_EQ(out.size(), 7u);
-  EXPECT_EQ(cur.consumed, 7u);
-  EXPECT_EQ(cur.consumed_frames, 3u);
+  ASSERT_EQ(out.size(), 14u);
+  EXPECT_EQ(cur.consumed, 14u);
+  EXPECT_EQ(cur.consumed_frames, 2u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].app, "packer");
-    EXPECT_EQ(out[i].rec.timestamp_ns, recs[i].timestamp_ns);
-    EXPECT_EQ(out[i].rec.seq, recs[i].seq);
-    EXPECT_EQ(out[i].rec.tag, recs[i].tag);
-    EXPECT_EQ(out[i].rec.thread_id, 77u);
+    EXPECT_EQ(out[i].ts, timestamps[i]);
     EXPECT_DOUBLE_EQ(out[i].target.min_bps, 3.0);
     EXPECT_DOUBLE_EQ(out[i].target.max_bps, 8.0);
   }
 }
 
-TEST_F(ShmIngestTest, UnpackableRecordsStartFreshFrames) {
+TEST_F(ShmIngestTest, OnlyTimestampDeltasBreakAFrame) {
   auto q = ShmIngestQueue::create(file(), 32);
-  // Every packing constraint broken in turn: a thread switch, a seq gap,
-  // and a timestamp delta that overflows u32 each force a frame break.
-  std::vector<core::HeartbeatRecord> recs(4);
-  recs[0].timestamp_ns = 1;
-  recs[0].seq = 10;
-  recs[0].thread_id = 1;
-  recs[1] = recs[0];
-  recs[1].thread_id = 2;  // thread switch
-  recs[1].seq = 11;
-  recs[2] = recs[1];
-  recs[2].seq = 20;  // seq gap
-  recs[3] = recs[2];
-  recs[3].seq = 21;
-  recs[3].timestamp_ns = recs[2].timestamp_ns + (1LL << 40);  // delta > u32
-  q->append_batch("a", recs, {});
-  EXPECT_EQ(q->produced(), 4u);  // nothing packed
+  // A thread switch and a seq gap broke a frame while the ring carried
+  // thread ids and seqs; it carries neither now, so a sink packs them into
+  // one frame, and its inner store still keeps both.
+  auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
+  ShmHubSink sink(inner, q, "mixed", {.flush_every = 4});
+  ASSERT_GE(sink.lane(), 0);
+  core::HeartbeatRecord r = rec_at(1 * kNsPerMs);
+  r.thread_id = 1;
+  r.seq = 10;
+  sink.append(r);
+  r.timestamp_ns = 2 * kNsPerMs;
+  r.thread_id = 2;  // thread switch
+  r.seq = 11;
+  sink.append(r);
+  r.timestamp_ns = 3 * kNsPerMs;
+  r.seq = 20;  // seq gap
+  sink.append(r);
+  r.timestamp_ns = 4 * kNsPerMs;
+  r.seq = 21;
+  sink.append(r);
+  EXPECT_EQ(q->lane_produced(static_cast<std::uint32_t>(sink.lane())), 1u);
+  const auto history = sink.history(4);
+  ASSERT_EQ(history.size(), 4u);
+  EXPECT_EQ(history[0].thread_id, 1u);
+  EXPECT_EQ(history[3].thread_id, 2u);
 
+  // A negative delta and a delta above u32 each still start a frame; a
+  // delta of exactly u32 max still packs.
+  constexpr util::TimeNs kU32Max = 0xffffffffLL;
+  const std::vector<util::TimeNs> timestamps = {
+      100, 50 /* negative delta */, 60, 50 + kU32Max,
+      50 + kU32Max + 1 /* delta above u32 */};
+  EXPECT_EQ(q->append_batch("a", timestamps, {}), 0u);
+  EXPECT_EQ(q->produced(), 3u);  // [100] [50 60 50+max] [50+max+1]
+
+  // A drain reads the shared ring first, then the lanes.
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
-  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(cur.consumed_frames, 4u);
+  ASSERT_EQ(out.size(), 9u);
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    EXPECT_EQ(out[i].app, "a");
+    EXPECT_EQ(out[i].ts, timestamps[i]);
+  }
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(out[i].rec.seq, recs[i].seq);
-    EXPECT_EQ(out[i].rec.timestamp_ns, recs[i].timestamp_ns);
-    EXPECT_EQ(out[i].rec.thread_id, recs[i].thread_id);
+    EXPECT_EQ(out[5 + i].app, "mixed");
+    EXPECT_EQ(out[5 + i].ts, static_cast<util::TimeNs>(i + 1) * kNsPerMs);
   }
 }
 
 TEST_F(ShmIngestTest, VersionMismatchRejectedOnAttach) {
-  auto q = ShmIngestQueue::create(file(), 8);
-  q.reset();
   // Rewrite the header's version field (offset 8, after the u64 magic) to
-  // the retired v1 — exactly what a stale pre-upgrade ring file looks like.
-  std::FILE* f = std::fopen(file().c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  const std::uint32_t old_version = 1;
-  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
-  std::fwrite(&old_version, sizeof(old_version), 1, f);
-  std::fclose(f);
-  EXPECT_THROW(ShmIngestQueue::attach(file()), std::runtime_error);
+  // each retired version — exactly what a stale pre-upgrade ring file
+  // looks like.
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    fs::remove(file());
+    ShmIngestQueue::create(file(), 8).reset();
+    std::FILE* f = std::fopen(file().c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+    std::fwrite(&old_version, sizeof(old_version), 1, f);
+    std::fclose(f);
+    EXPECT_THROW(ShmIngestQueue::attach(file()), std::runtime_error)
+        << "version " << old_version;
+  }
 }
 
 TEST_F(ShmIngestTest, HostileBaseTimestampDecodesWithoutOverflow) {
@@ -464,13 +476,9 @@ TEST_F(ShmIngestTest, HostileBaseTimestampDecodesWithoutOverflow) {
   // leaves int64's range. The drain adds in uint64 (two's complement
   // wrap, no signed-overflow UB) and still delivers every record.
   auto q = ShmIngestQueue::create(file(), 8);
-  std::vector<core::HeartbeatRecord> recs;
   const std::uint32_t deltas[] = {0, 5, 10};
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    recs.push_back(rec_at(deltas[i], /*tag=*/i));
-    recs.back().seq = i;
-  }
-  ASSERT_EQ(q->append_batch("hostile", recs, {}), 0u);
+  const util::TimeNs timestamps[] = {0, 5, 10};
+  ASSERT_EQ(q->append_batch("hostile", timestamps, {}), 0u);
   ASSERT_EQ(q->produced(), 1u);  // one packed frame, in shared-ring slot 0
   q.reset();
 
@@ -494,8 +502,7 @@ TEST_F(ShmIngestTest, HostileBaseTimestampDecodesWithoutOverflow) {
   EXPECT_EQ(cur.dropped, 0u);
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(out[i].app, "hostile");
-    EXPECT_EQ(out[i].rec.tag, i);
-    EXPECT_EQ(out[i].rec.timestamp_ns,
+    EXPECT_EQ(out[i].ts,
               static_cast<util::TimeNs>(
                   static_cast<std::uint64_t>(hostile) + deltas[i]));
   }
@@ -517,17 +524,17 @@ TEST_F(ShmIngestTest, ZeroCapacityRejectedOnAttach) {
 
 TEST_F(ShmIngestTest, LaneReclaimAfterProducerCrash) {
   auto q = ShmIngestQueue::create(file(), 32);
-  // A child process claims a lane, publishes one record tagged with its
-  // lane index, and dies WITHOUT releasing (simulated crash: _exit skips
-  // destructors).
+  // A child process claims a lane, publishes one beat whose timestamp is
+  // its lane index, and dies WITHOUT releasing (simulated crash: _exit
+  // skips destructors).
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     auto child_q = ShmIngestQueue::attach(file());
     const int lane = child_q->claim_lane();
     if (lane < 0) ::_exit(2);
-    const auto rec = rec_at(1, static_cast<std::uint64_t>(lane));
-    child_q->append_batch_lane(lane, "victim", {&rec, 1}, {});
+    const util::TimeNs ts = lane;
+    child_q->append_batch("victim", {&ts, 1}, {}, lane);
     ::_exit(0);
   }
   int status = 0;
@@ -539,7 +546,7 @@ TEST_F(ShmIngestTest, LaneReclaimAfterProducerCrash) {
   const auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].app, "victim");
-  const auto dead_lane = static_cast<std::uint32_t>(out[0].rec.tag);
+  const auto dead_lane = static_cast<std::uint32_t>(out[0].ts);
   EXPECT_NE(q->lane_owner(dead_lane), 0u);  // still marked owned by the dead pid
 
   // Claiming every lane must succeed: kIngestLanes - 1 free ones plus the
@@ -557,9 +564,8 @@ TEST_F(ShmIngestTest, LaneReclaimAfterProducerCrash) {
   EXPECT_EQ(q->claim_lane(), -1);
 
   // The reclaimed lane continues its frame sequence; drains stay exact.
-  const auto heir_rec = rec_at(2, 9);
-  q->append_batch_lane(static_cast<int>(dead_lane), "heir", {&heir_rec, 1},
-                       {});
+  const util::TimeNs heir_ts = 9;
+  q->append_batch("heir", {&heir_ts, 1}, {}, static_cast<int>(dead_lane));
   const auto heir = drain_all(*q, cur);
   ASSERT_EQ(heir.size(), 1u);
   EXPECT_EQ(heir[0].app, "heir");
@@ -578,7 +584,7 @@ TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
             ShmIngestQueue::WaitResult::kTimeout);
 
   // Pending frames: never parks at all.
-  q->append("a", rec_at(1), {});
+  q->append("a", 1, {});
   EXPECT_EQ(q->wait_for_frames(cur, 2 * kNsPerMs),
             ShmIngestQueue::WaitResult::kReady);
   drain_all(*q, cur);
@@ -587,7 +593,7 @@ TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
   // generous timeout only bounds a lost wake, not the expected path.
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q->append("a", rec_at(2), {});
+    q->append("a", 2, {});
   });
   const auto r = q->wait_for_frames(cur, 5000 * kNsPerMs);
   producer.join();
@@ -620,7 +626,7 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
   // "ring went busy" signal — satellite fix).
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q->append("a", rec_at(1), {});
+    q->append("a", 1, {});
   });
   bool woke = false;
   for (int i = 0; i < 2000 && !woke; ++i) woke = pump.wait(5000 * kNsPerMs);
@@ -647,7 +653,7 @@ TEST_F(ShmIngestTest, PumpDefaultStallBudgetOutlastsABriefClaim) {
   std::atomic<Clock::rep> published_at{0};
   std::thread producer([&q, &published_at, seq] {
     std::this_thread::sleep_for(std::chrono::microseconds(500));
-    q->publish(seq, "slow", rec_at(kNsPerMs, 1), {});
+    q->publish(seq, "slow", kNsPerMs, {});
     published_at.store(Clock::now().time_since_epoch().count(),
                        std::memory_order_release);
   });
@@ -677,7 +683,7 @@ TEST_F(ShmIngestTest, PumpDefaultStallBudgetOutlastsABriefClaim) {
   // and the record queued behind it arrives.
   const hub::ShmIngestPumpStats before = pump.stats();
   q->claim(1);
-  q->append("live", rec_at(2 * kNsPerMs, 2), {});
+  q->append("live", 2 * kNsPerMs, {});
   const auto t0 = Clock::now();
   int polls = 0;
   while (pump.stats().consumed == before.consumed && polls < 20) {
@@ -708,13 +714,13 @@ TEST_F(ShmIngestTest, PumpNapsWhileBusyAndParksWhenEmpty) {
 
   // Busy: after a productive poll, wait() naps the floor without parking,
   // so an append made meanwhile does not ring the doorbell.
-  q->append("a", rec_at(1), {});
+  q->append("a", 1, {});
   ASSERT_EQ(pump.poll(), 1u);
   const std::uint64_t parks = pump.stats().parks;
   const std::uint64_t rings = q->doorbell_rings();
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    q->append("a", rec_at(2), {});
+    q->append("a", 2, {});
   });
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_TRUE(pump.wait(50 * kNsPerMs));
@@ -730,7 +736,7 @@ TEST_F(ShmIngestTest, PumpNapsWhileBusyAndParksWhenEmpty) {
   EXPECT_EQ(pump.poll(), 0u);
   std::thread late([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q->append("a", rec_at(3), {});
+    q->append("a", 3, {});
   });
   bool woke = false;
   for (int i = 0; i < 100 && !woke; ++i) woke = pump.wait(5000 * kNsPerMs);
@@ -792,13 +798,8 @@ TEST_F(ShmIngestTest, PumpDrillLosesNothingAndRarelyRings) {
       std::mt19937 rng(static_cast<std::uint32_t>(p + 1));
       std::uniform_int_distribution<int> pause_us(0, 200);
       for (int i = 0; i < kBeats; ++i) {
-        core::HeartbeatRecord rec = rec_at((i + 1) * kNsPerMs);
-        rec.seq = static_cast<std::uint64_t>(i);
-        if (lane >= 0) {
-          q->append_batch_lane(lane, app, std::span(&rec, 1), {});
-        } else {
-          q->append(app, rec, {});
-        }
+        const util::TimeNs ts = (i + 1) * kNsPerMs;
+        q->append_batch(app, {&ts, 1}, {}, lane);
         std::this_thread::sleep_for(std::chrono::microseconds(pause_us(rng)));
       }
       done.fetch_add(1, std::memory_order_release);
@@ -838,7 +839,7 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
   //   proc2 slow:    100ms cadence against a 50 b/s minimum target
   //   proc3 erratic: alternating 5ms/95ms intervals
   auto plan = [](int p) {
-    std::vector<core::HeartbeatRecord> recs;
+    std::vector<util::TimeNs> timestamps;
     util::TimeNs t = 0;
     std::uint64_t i = 0;
     while (true) {
@@ -851,9 +852,10 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
       }
       t += step;
       if (t > kEnd || (p == 1 && t > 300 * kNsPerMs)) break;
-      recs.push_back(rec_at(t, i++));
+      timestamps.push_back(t);
+      ++i;
     }
-    return recs;
+    return timestamps;
   };
   auto target_of = [](int p) {
     return p == 2 ? core::TargetRate{50.0, 1e9} : core::TargetRate{1.0, 1e9};
@@ -878,11 +880,11 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
     if (pid == 0) {
       // Child: attach independently, push the plan in small batches.
       auto child_q = ShmIngestQueue::attach(file());
-      const auto recs = plan(p);
+      const auto timestamps = plan(p);
       const std::string app = "proc" + std::to_string(p);
-      for (std::size_t i = 0; i < recs.size(); i += 7) {
-        const std::size_t n = std::min<std::size_t>(7, recs.size() - i);
-        child_q->append_batch(app, std::span(recs).subspan(i, n),
+      for (std::size_t i = 0; i < timestamps.size(); i += 7) {
+        const std::size_t n = std::min<std::size_t>(7, timestamps.size() - i);
+        child_q->append_batch(app, std::span(timestamps).subspan(i, n),
                               target_of(p));
       }
       ::_exit(0);
@@ -906,13 +908,13 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
   hub::HeartbeatHub in_process(hub_opts);
   std::size_t direct_total = 0;
   for (int p = 0; p < kProducers; ++p) {
-    const auto recs = plan(p);
-    direct_total += recs.size();
+    const auto timestamps = plan(p);
+    direct_total += timestamps.size();
     const hub::AppId id =
         in_process.register_app("proc" + std::to_string(p), target_of(p));
     std::vector<hub::AppRecord> batch;
-    for (const auto& rec : recs) {
-      batch.push_back(hub::AppRecord{id, rec.timestamp_ns});
+    for (const util::TimeNs ts : timestamps) {
+      batch.push_back(hub::AppRecord{id, ts});
     }
     in_process.ingest_batch(batch);
   }
@@ -963,18 +965,18 @@ TEST_F(ShmIngestTest, PumpRoutesTenThousandNamesThroughTableGrowths) {
   std::size_t sent = 0;
   for (int first = 0; first < kApps; first += kPerPoll) {
     for (int i = first; i < std::min(kApps, first + kPerPoll); ++i) {
-      std::vector<core::HeartbeatRecord> recs;
+      std::vector<util::TimeNs> timestamps;
       for (std::size_t k = 0; k < beats_of(i); ++k) {
-        recs.push_back(rec_at(static_cast<util::TimeNs>(k + 1) * kNsPerMs));
+        timestamps.push_back(static_cast<util::TimeNs>(k + 1) * kNsPerMs);
       }
-      q->append_batch(name_of(i), recs, {});
-      sent += recs.size();
+      q->append_batch(name_of(i), timestamps, {});
+      sent += timestamps.size();
     }
     pump.poll();
   }
   // Second pass: every name beats once more, so each lookup now hits.
   for (int i = 0; i < kApps; ++i) {
-    q->append(name_of(i), rec_at(10 * kNsPerMs), {});
+    q->append(name_of(i), 10 * kNsPerMs, {});
     ++sent;
     if (i % kPerPoll == kPerPoll - 1) pump.poll();
   }
@@ -999,10 +1001,10 @@ TEST_F(ShmIngestTest, PumpKeepsFullLengthNamesApart) {
   const std::string a = std::string(kIngestNameCap - 2, 'n') + "a";
   const std::string b = std::string(kIngestNameCap - 2, 'n') + "b";
   ASSERT_EQ(a.size(), 39u);
-  q->append(a, rec_at(1 * kNsPerMs), {});
-  q->append(b, rec_at(1 * kNsPerMs), {});
-  q->append(a, rec_at(2 * kNsPerMs), {});
-  q->append(a, rec_at(3 * kNsPerMs), {});
+  q->append(a, 1 * kNsPerMs, {});
+  q->append(b, 1 * kNsPerMs, {});
+  q->append(a, 2 * kNsPerMs, {});
+  q->append(a, 3 * kNsPerMs, {});
   EXPECT_EQ(pump.poll(), 4u);
   EXPECT_EQ(pump.stats().apps, 2u);
   EXPECT_EQ(hub.summary(hub.id_of(a)).total_beats, 3u);
@@ -1015,11 +1017,11 @@ TEST_F(ShmIngestTest, PumpRoutesTheEmptyNameLikeAnyOther) {
   auto q = ShmIngestQueue::create(file(), 64);
   hub::HeartbeatHub hub;
   hub::ShmIngestPump pump(q, hub);
-  q->append("", rec_at(1 * kNsPerMs), {});
-  q->append("x", rec_at(1 * kNsPerMs), {});
-  q->append("", rec_at(2 * kNsPerMs), {});
+  q->append("", 1 * kNsPerMs, {});
+  q->append("x", 1 * kNsPerMs, {});
+  q->append("", 2 * kNsPerMs, {});
   EXPECT_EQ(pump.poll(), 3u);
-  q->append("", rec_at(3 * kNsPerMs), {});
+  q->append("", 3 * kNsPerMs, {});
   EXPECT_EQ(pump.poll(), 1u);
   EXPECT_EQ(pump.stats().apps, 2u);
   EXPECT_EQ(hub.app_count(), 2u);
@@ -1031,14 +1033,14 @@ TEST_F(ShmIngestTest, PumpAppliesATargetChangedMidStream) {
   auto q = ShmIngestQueue::create(file(), 64);
   hub::HeartbeatHub hub;
   hub::ShmIngestPump pump(q, hub);
-  q->append("enc", rec_at(1 * kNsPerMs), {10.0, 20.0});
+  q->append("enc", 1 * kNsPerMs, {10.0, 20.0});
   EXPECT_EQ(pump.poll(), 1u);
   const hub::AppId id = hub.id_of("enc");
   EXPECT_EQ(hub.summary(id).target.min_bps, 10.0);
 
   // Changed within one poll's stream: the newest target wins.
-  q->append("enc", rec_at(2 * kNsPerMs), {10.0, 20.0});
-  q->append("enc", rec_at(3 * kNsPerMs), {30.0, 40.0});
+  q->append("enc", 2 * kNsPerMs, {10.0, 20.0});
+  q->append("enc", 3 * kNsPerMs, {30.0, 40.0});
   EXPECT_EQ(pump.poll(), 2u);
   auto s = hub.summary(id);
   EXPECT_EQ(s.target.min_bps, 30.0);
@@ -1046,7 +1048,7 @@ TEST_F(ShmIngestTest, PumpAppliesATargetChangedMidStream) {
   EXPECT_EQ(s.total_beats, 3u);
 
   // And back, on the next poll.
-  q->append("enc", rec_at(4 * kNsPerMs), {10.0, 20.0});
+  q->append("enc", 4 * kNsPerMs, {10.0, 20.0});
   EXPECT_EQ(pump.poll(), 1u);
   s = hub.summary(id);
   EXPECT_EQ(s.target.min_bps, 10.0);
@@ -1075,8 +1077,8 @@ TEST_F(ShmIngestTest, PumpRejectsRecordsUnderTheHubsOwnName) {
   clock->advance(10'000 * kNsPerMs);
 
   const std::string self_name(hub::kSelfAppName);
-  q->append(self_name, rec_at(clock->now()), {1.0, 1.0});
-  q->append("enc", rec_at(clock->now()), {10.0, 20.0});
+  q->append(self_name, clock->now(), {1.0, 1.0});
+  q->append("enc", clock->now(), {10.0, 20.0});
   EXPECT_EQ(pump.poll(), 2u);
 
   const hub::AppSummary s = hub.summary(self);
@@ -1094,7 +1096,7 @@ TEST_F(ShmIngestTest, PumpRejectsRecordsUnderTheHubsOwnName) {
   EXPECT_EQ(enc.target.max_bps, 20.0);
 
   // The name stays rejected on later polls, with a changed target too.
-  q->append(self_name, rec_at(clock->now()), {2.0, 2.0});
+  q->append(self_name, clock->now(), {2.0, 2.0});
   EXPECT_EQ(pump.poll(), 1u);
   EXPECT_EQ(pump.stats().rejected, 2u);
   EXPECT_EQ(hub.summary(self).target.max_bps, before.target.max_bps);
