@@ -1,19 +1,18 @@
-// Ingest fast path A/B: packed slots + SPSC fast lanes vs plain MPSC appends.
+// Ingest A/B on one ring: packed batches vs per-record appends.
 //
 // Two ways a fleet of producers can push beats into one ShmIngestQueue:
 //
-//   * mpsc      — every beat is one append() call, one fetch_add claim on
-//                 the shared ring head, one 128-byte frame holding one
-//                 timestamp.
-//   * fastpath  — producers buffer a small batch, the batch packs up to
-//                 kIngestFrameRecords timestamps per frame, and the first
-//                 kIngestLanes producers publish through private SPSC
-//                 lanes that skip the shared head entirely (the rest fall
-//                 back to packed batches on the shared ring).
+//   * per_record — every beat is one append() call: one fetch_add claim
+//                  on the ring head, one 128-byte frame holding one
+//                  timestamp.
+//   * packed     — producers buffer a small batch, and the batch packs up
+//                  to kIngestFrameRecords timestamps per frame under one
+//                  claim.
 //
-// A concurrent consumer drains the whole time (shared ring + lanes in one
-// pass), so the number reported is SUSTAINED delivery — what a live hbmon
-// actually ingests per second — not an unconsumed producer-side burst rate.
+// A concurrent consumer drains the whole time, so the number reported is
+// SUSTAINED delivery — what a live hbmon actually ingests per second —
+// not an unconsumed producer-side burst rate. Producers never wait for
+// the consumer: when they lap it, the lapped frames are dropped.
 //
 // The bench also measures the doorbell's reason to exist: a consumer
 // parked on an idle ring should cost ~zero CPU. The idle section runs the
@@ -22,17 +21,21 @@
 // consumer thread must stay under 1% CPU, and the bench FAILS otherwise.
 //
 // Every run ends with a conservation coda: frames consumed + frames
-// dropped + frames torn must equal frames produced (shared head plus every
-// lane head), exactly, in every configuration. Loss is legal under lap
-// pressure; miscounted loss is not. Fastpath runs also check packing, a
-// count no host changes: every flush is a multiple of kIngestFrameRecords
+// dropped + frames torn must equal frames produced (the ring head),
+// exactly, in every configuration. Loss is legal under lap pressure;
+// miscounted loss is not. No producer crashes, so no frame may be torn:
+// a claim names its live owner, a live owner is waited for, and a lapped
+// writer drops its frame rather than overwrite or stall the newer one.
+// Packed runs also check packing, a count
+// no host changes: every flush is a multiple of kIngestFrameRecords
 // beats, so each producer must publish exactly
 // ceil(beats / kIngestFrameRecords) frames — all full but its last.
 //
 //   ./bench_shm_ingest [beats_per_producer] [repeat] [--smoke] [--json PATH]
 //
-// CSV on stdout; verdict line prints fastpath_beats_mpsc_at_64=yes|no.
-// Exit 0 unless the conservation, packing or idle-CPU gate fails (exit 2).
+// CSV on stdout; verdict line prints packed_faster_at_64=yes|no.
+// Exit 0 unless the conservation, torn-frame, packing or idle-CPU gate
+// fails (exit 2).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -65,9 +68,8 @@ using SteadyClock = std::chrono::steady_clock;
 using hb::transport::ShmIngestQueue;
 
 constexpr std::uint32_t kRingFrames = 4096;
-constexpr std::uint32_t kLaneFrames = 1024;
 using hb::transport::kIngestFrameRecords;
-/// Producer-side buffer per flush in fastpath mode: a multiple of
+/// Producer-side buffer per flush in packed mode: a multiple of
 /// kIngestFrameRecords so every flush packs into full frames.
 constexpr std::size_t kBatch = 3 * kIngestFrameRecords;
 
@@ -89,18 +91,17 @@ struct RunResult {
   std::uint64_t torn = 0;       ///< frames skipped uncommitted
   double records_per_frame = 0; ///< delivered / frames delivered
   bool conserved = false;       ///< consumed+dropped+torn == produced frames
-  bool packed = false;          ///< fastpath: every frame full but the last
+  bool packed = false;          ///< packed: every frame full but the last
 };
 
 /// One A/B run: `producers` threads each push `beats` beats while one
-/// consumer drains. fastpath=false appends one beat per call;
-/// fastpath=true batches kBatch beats per flush through a claimed lane
-/// (or packed shared-ring batches once the lanes run out).
+/// consumer drains. packed=false appends one beat per call; packed=true
+/// appends kBatch beats per call.
 RunResult run_config(const fs::path& dir, int producers, int beats,
-                     bool fastpath) {
+                     bool packed) {
   const auto path = dir / "ring.hbq";
   fs::remove(path);
-  auto queue = ShmIngestQueue::create(path, kRingFrames, kLaneFrames);
+  auto queue = ShmIngestQueue::create(path, kRingFrames);
   const hb::core::TargetRate target{1.0, 1e9};
 
   std::vector<std::string> names;
@@ -111,15 +112,6 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
 
   std::atomic<int> done{0};
   std::atomic<bool> go{false};
-  // Lanes are claimed up front and held until AFTER the conservation check:
-  // a released lane can be re-claimed and legally lap the consumer, which
-  // is valid transport behavior but makes "frames produced" unattributable.
-  std::vector<int> lanes(static_cast<std::size_t>(producers), -1);
-  if (fastpath) {
-    for (int p = 0; p < producers; ++p) {
-      lanes[static_cast<std::size_t>(p)] = queue->claim_lane();
-    }
-  }
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(producers));
@@ -127,16 +119,15 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
     threads.emplace_back([&, p] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       const std::string_view name = names[static_cast<std::size_t>(p)];
-      if (!fastpath) {
+      if (!packed) {
         for (int i = 0; i < beats; ++i) queue->append(name, now_ns(), target);
       } else {
-        const int lane = lanes[static_cast<std::size_t>(p)];
         hb::util::TimeNs batch[kBatch];
         int i = 0;
         while (i < beats) {
           std::size_t n = 0;
           for (; n < kBatch && i < beats; ++n, ++i) batch[n] = now_ns();
-          queue->append_batch(name, {batch, n}, target, lane);
+          queue->append_batch(name, {batch, n}, target);
         }
       }
       done.fetch_add(1, std::memory_order_release);
@@ -163,10 +154,7 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   const auto t1 = SteadyClock::now();
   for (auto& t : threads) t.join();
 
-  std::uint64_t frames_produced = queue->produced();
-  for (std::uint32_t l = 0; l < hb::transport::kIngestLanes; ++l) {
-    frames_produced += queue->lane_produced(l);
-  }
+  const std::uint64_t frames_produced = queue->produced();
 
   RunResult result;
   result.elapsed_s = std::chrono::duration<double>(t1 - t0).count();
@@ -183,7 +171,7 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
       static_cast<std::uint64_t>(producers) *
       ((static_cast<std::uint64_t>(beats) + kIngestFrameRecords - 1) /
        kIngestFrameRecords);
-  result.packed = !fastpath || frames_produced == full_frames;
+  result.packed = !packed || frames_produced == full_frames;
   if (!result.packed) {
     std::fprintf(stderr,
                  "PACKING REGRESSION: %llu frames produced, %llu expected\n",
@@ -207,7 +195,7 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
 double run_idle(const fs::path& dir, double window_s, double* wall_out) {
   const auto path = dir / "idle.hbq";
   fs::remove(path);
-  auto queue = ShmIngestQueue::create(path, 256, 64);
+  auto queue = ShmIngestQueue::create(path, 256);
   auto hub = std::make_shared<hb::hub::HeartbeatHub>();
   hb::hub::ShmIngestPumpOptions opts;
   opts.doorbell_timeout_ns = 50 * hb::util::kNsPerMs;
@@ -237,14 +225,17 @@ RunResult best_of(int repeat, Fn&& fn) {
   RunResult best;
   bool conserved = true;
   bool packed = true;
+  std::uint64_t torn = 0;
   for (int r = 0; r < repeat; ++r) {
     const RunResult run = fn();
     conserved = conserved && run.conserved;
     packed = packed && run.packed;
+    torn += run.torn;
     if (r == 0 || run.elapsed_s < best.elapsed_s) best = run;
   }
   best.conserved = conserved;
   best.packed = packed;
+  best.torn = torn;
   return best;
 }
 
@@ -289,24 +280,26 @@ int main(int argc, char** argv) {
   const int kProducerCounts[] = {8, 64};
   bool conserved = true;
   bool packed = true;
-  double fast_records_per_frame = 0.0;
-  double mpsc_at_64 = 0.0;
-  double fast_at_64 = 0.0;
+  std::uint64_t torn = 0;
+  double packed_records_per_frame = 0.0;
+  double per_record_at_64 = 0.0;
+  double packed_at_64 = 0.0;
   struct Row {
     int producers;
-    double mpsc_rate, fast_rate;
+    double per_record_rate, packed_rate;
   };
   std::vector<Row> rows;
   for (const int producers : kProducerCounts) {
-    RunResult ab[2];
-    for (const bool fastpath : {false, true}) {
-      const RunResult run = best_of(
-          repeat, [&] { return run_config(dir, producers, beats, fastpath); });
-      const double rate =
+    double rate[2] = {};
+    for (const bool packed_mode : {false, true}) {
+      const RunResult run = best_of(repeat, [&] {
+        return run_config(dir, producers, beats, packed_mode);
+      });
+      rate[packed_mode ? 1 : 0] =
           static_cast<double>(run.delivered) / run.elapsed_s;
       std::printf("%s,%d,%d,%.4f,%.0f,%llu,%llu,%llu,%.2f\n",
-                  fastpath ? "fastpath" : "mpsc", producers, beats,
-                  run.elapsed_s, rate,
+                  packed_mode ? "packed" : "per_record", producers, beats,
+                  run.elapsed_s, rate[packed_mode ? 1 : 0],
                   static_cast<unsigned long long>(run.delivered),
                   static_cast<unsigned long long>(run.dropped),
                   static_cast<unsigned long long>(run.torn),
@@ -314,19 +307,15 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
       conserved = conserved && run.conserved;
       packed = packed && run.packed;
-      if (fastpath && producers == 8) {
-        fast_records_per_frame = run.records_per_frame;
+      torn += run.torn;
+      if (packed_mode && producers == 8) {
+        packed_records_per_frame = run.records_per_frame;
       }
-      ab[fastpath ? 1 : 0] = run;
     }
-    const double mpsc_rate =
-        static_cast<double>(ab[0].delivered) / ab[0].elapsed_s;
-    const double fast_rate =
-        static_cast<double>(ab[1].delivered) / ab[1].elapsed_s;
-    rows.push_back({producers, mpsc_rate, fast_rate});
+    rows.push_back({producers, rate[0], rate[1]});
     if (producers == 64) {
-      mpsc_at_64 = mpsc_rate;
-      fast_at_64 = fast_rate;
+      per_record_at_64 = rate[0];
+      packed_at_64 = rate[1];
     }
   }
 
@@ -342,17 +331,19 @@ int main(int argc, char** argv) {
   const bool idle_ok = !doorbell || idle_cpu < 0.01 * idle_window_s;
 
   fs::remove_all(dir);
-  const bool fast_wins = fast_at_64 > mpsc_at_64;
+  const bool packed_wins = packed_at_64 > per_record_at_64;
   std::printf(
-      "\n# fastpath_beats_mpsc_at_64=%s (sustained: fastpath %.0f/s vs "
-      "mpsc %.0f/s)\n",
-      fast_wins ? "yes" : "no", fast_at_64, mpsc_at_64);
+      "\n# packed_faster_at_64=%s (sustained: packed %.0f/s vs "
+      "per_record %.0f/s)\n",
+      packed_wins ? "yes" : "no", packed_at_64, per_record_at_64);
   std::printf("# idle_consumer_cpu_pct=%.3f (doorbell=%s, gate=%s)\n",
               idle_pct, doorbell ? "futex" : "fallback",
               idle_ok ? "ok" : "FAIL");
   std::printf("# frames_conserved=%s\n", conserved ? "yes" : "NO");
-  std::printf("# fastpath_frames_packed=%s (%.2f records per frame at 8)\n",
-              packed ? "yes" : "NO", fast_records_per_frame);
+  std::printf("# torn_frames=%llu (no producer crashed; gate=%s)\n",
+              static_cast<unsigned long long>(torn), torn == 0 ? "ok" : "FAIL");
+  std::printf("# packed_frames_packed=%s (%.2f records per frame at 8)\n",
+              packed ? "yes" : "NO", packed_records_per_frame);
 
   if (json_path) {
     hb::bench::JsonRecord rec("shm_ingest");
@@ -362,23 +353,27 @@ int main(int argc, char** argv) {
     rec.config("doorbell", doorbell ? "futex" : "fallback");
     for (const Row& row : rows) {
       const std::string p = std::to_string(row.producers);
-      rec.metric(("mpsc_beats_per_sec_p" + p).c_str(), row.mpsc_rate);
-      rec.metric(("fastpath_beats_per_sec_p" + p).c_str(), row.fast_rate);
+      rec.metric(("per_record_beats_per_sec_p" + p).c_str(),
+                 row.per_record_rate);
+      rec.metric(("packed_beats_per_sec_p" + p).c_str(), row.packed_rate);
     }
-    rec.metric("fastpath_speedup_p64",
-               mpsc_at_64 > 0 ? fast_at_64 / mpsc_at_64 : 0.0);
-    rec.metric("fastpath_beats_mpsc_at_64", fast_wins);
+    rec.metric("packed_speedup_p64",
+               per_record_at_64 > 0 ? packed_at_64 / per_record_at_64 : 0.0);
+    rec.metric("packed_faster_at_64", packed_wins);
     rec.metric("idle_consumer_cpu_pct", idle_pct);
     rec.metric("frames_conserved", conserved);
-    rec.metric("fastpath_records_per_frame_p8", fast_records_per_frame);
-    rec.metric("fastpath_frames_packed", packed);
+    rec.metric("torn_frames", torn);
+    rec.metric("packed_records_per_frame_p8", packed_records_per_frame);
+    rec.metric("packed_frames_packed", packed);
     rec.write(json_path);
   }
 
-  // Exit gates on the invariants only (conservation, packing, idle-CPU);
-  // the throughput verdict is a noisy-runner-unsafe claim and stays
-  // informational (same policy as bench_fleet_sweep's mismatch gate).
+  // Exit gates on the invariants only (conservation, no torn frame without
+  // a crash, packing, idle-CPU); the throughput verdict is a
+  // noisy-runner-unsafe claim and stays informational (same policy as
+  // bench_fleet_sweep's mismatch gate).
   if (!conserved) return 2;
+  if (torn != 0) return 2;
   if (!packed) return 2;
   if (!idle_ok) return 2;
   return 0;

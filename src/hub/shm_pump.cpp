@@ -214,13 +214,13 @@ std::size_t ShmIngestPump::poll() {
     hub_->ingest_batch(out);
     out.clear();
   }
-  // Only a genuinely idle poll (cursor caught up to every stream head)
+  // Only a genuinely idle poll (cursor caught up to the ring head)
   // feeds the backoff and lets the next wait() park. A drain that returned
   // nothing while frames are pending is BLOCKED — head-of-line slot
   // claimed but unpublished (a producer preempted, or crashed mid-batch)
   // — and counts as busy: wait() naps at the floor, so the stall budget is
-  // spent at floor pace and the committed frames queued behind a torn run
-  // reach the hub within max_stall_polls naps.
+  // spent at floor pace and the committed frames queued behind a dead
+  // producer's unpublished run reach the hub within max_stall_polls naps.
   if (drained == 0 && !queue_->has_frames(cursor_)) {
     if (empty_polls_ < 31) ++empty_polls_;  // cap the shift, not the count
     metrics.empty_polls->add(1);
@@ -307,7 +307,6 @@ ShmIngestPumpStats ShmIngestPump::stats() const {
   s.torn = cursor_.torn;
   s.rejected = rejected_;
   s.apps = table_apps_;
-  s.lane_records = cursor_.lane_records;
   s.parks = parks_;
   s.doorbell_wakes = doorbell_wakes_;
   s.spurious_wakes = spurious_wakes_;

@@ -3,10 +3,10 @@
 // The consumer half of the transport/ShmIngestQueue pipeline. One pump owns
 // one ring cursor and one hub, and each poll() is one batch in two passes:
 //
-//   1. drain every committed frame (shared ring + fast lanes) and stage its
-//      timestamps, one name per run of consecutive same-name frames (one
-//      name and target comparison per frame); each new run's name is
-//      hashed once and its name-table slot prefetched;
+//   1. drain every committed frame and stage its timestamps, one name
+//      per run of consecutive same-name frames (one name and target
+//      comparison per frame); each new run's name is hashed once and its
+//      name-table slot prefetched;
 //   2. resolve each run to its AppId in a flat open-addressing name table
 //      and append its records, as 16-byte AppRecords (id and timestamp:
 //      all the hub reads of a beat), to its shard's run; then hand each
@@ -32,7 +32,7 @@
 //     idle_sleep_min_ns (capped by the budget) WITHOUT advertising itself
 //     as parked, so producers publishing meanwhile pay no futex wake; the
 //     next poll drains everything they coalesced in one pass.
-//   * PARK — the poll found every stream empty. wait() blocks on the
+//   * PARK — the poll found the ring empty. wait() blocks on the
 //     ring's futex doorbell (near-zero CPU while the fleet is quiet); the
 //     first producer to publish rings it and the pump wakes at once.
 //
@@ -64,11 +64,12 @@ class HeartbeatHub;
 
 struct ShmIngestPumpOptions {
   /// Polls a claimed-but-unpublished frame may block before the pump skips
-  /// it as torn (crashed producer). A blocked poll counts as busy, so the
-  /// polls come one nap apart: a claimed slot may stall for about
-  /// max_stall_polls × idle_sleep_min_ns (~3 ms by default) — room for a
-  /// page-faulting or preempted producer to finish its publish, while a
-  /// crashed one is still skipped within milliseconds. Forwarded to
+  /// it as torn, if its claim names a dead process (crashed producer). A
+  /// blocked poll counts as busy, so the polls come one nap apart: a
+  /// crashed producer's slots are skipped after about max_stall_polls ×
+  /// idle_sleep_min_ns (~3 ms by default). A slot whose owner is alive (or
+  /// cannot be told) waits transport::kClaimLivenessTimeoutNs more, so a
+  /// page-faulting or preempted producer is not torn. Forwarded to
   /// transport::ShmIngestQueue::drain.
   std::uint32_t max_stall_polls = 3;
   /// The coalescing interval: wait()'s nap after a poll that drained
@@ -95,7 +96,10 @@ struct ShmIngestPumpStats {
   std::uint64_t torn = 0;      ///< frames skipped (producer died mid-batch)
   std::uint64_t rejected = 0;  ///< records dropped under kSelfAppName
   std::uint64_t apps = 0;      ///< distinct producer names seen, rejected too
-  std::uint64_t lane_records = 0;    ///< records that arrived via fast lanes
+  /// Always 0: the ring has no fast lanes since v4. Kept only because
+  /// pipebench/src/main.cpp reads it, and pipebench/ changes only with
+  /// the benchmark itself.
+  std::uint64_t lane_records = 0;
   std::uint64_t parks = 0;           ///< wait() calls that blocked on the futex
   std::uint64_t doorbell_wakes = 0;  ///< parks ended by a producer's ring
   std::uint64_t spurious_wakes = 0;  ///< wakes that found no pending frames

@@ -130,12 +130,11 @@ void print_transport_footer(const hb::hub::ShmIngestPumpStats& stats) {
               static_cast<unsigned long long>(stats.torn),
               stats.dropped || stats.torn ? "  <-- ring loss" : "");
   std::printf("doorbell: %llu parks, %llu wakes (%llu spurious), "
-              "%llu timeouts, %llu fast-lane beats\n",
+              "%llu timeouts\n",
               static_cast<unsigned long long>(stats.parks),
               static_cast<unsigned long long>(stats.doorbell_wakes),
               static_cast<unsigned long long>(stats.spurious_wakes),
-              static_cast<unsigned long long>(stats.wait_timeouts),
-              static_cast<unsigned long long>(stats.lane_records));
+              static_cast<unsigned long long>(stats.wait_timeouts));
 }
 
 const char* kind_name(hb::obs::MetricValue::Kind kind) {

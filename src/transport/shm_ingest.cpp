@@ -1,6 +1,7 @@
 #include "transport/shm_ingest.hpp"
 
 #include <fcntl.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -26,6 +27,7 @@
 #include "core/memory_store.hpp"
 #include "obs/metrics.hpp"
 #include "transport/posix_util.hpp"
+#include "util/clock.hpp"
 #include "util/tsan.hpp"
 
 namespace hb::transport {
@@ -37,27 +39,23 @@ namespace {
 
 /// Registry cells for the shm ring, resolved once per process. Claims,
 /// records, and rings are producer-side (every process mapping the ring
-/// has its own registry); drained/dropped/torn/lane_drained are
-/// consumer-side deltas mirrored off the Cursor.
+/// has its own registry); drained/dropped/torn are consumer-side deltas
+/// mirrored off the Cursor.
 struct ShmMetrics {
-  obs::Counter* claimed;      ///< shared-ring frames claimed
-  obs::Counter* lane_frames;  ///< fast-lane frames published
-  obs::Counter* records;      ///< records appended (both paths)
-  obs::Counter* rings;        ///< doorbell rings performed
-  obs::Counter* drained;      ///< records delivered to consumers
-  obs::Counter* lane_drained; ///< subset of drained from fast lanes
-  obs::Counter* dropped;      ///< frames lapped before a consumer read them
-  obs::Counter* torn;         ///< frames skipped (crashed producer)
+  obs::Counter* claimed;  ///< frames claimed
+  obs::Counter* records;  ///< records appended
+  obs::Counter* rings;    ///< doorbell rings performed
+  obs::Counter* drained;  ///< records delivered to consumers
+  obs::Counter* dropped;  ///< frames lapped before a consumer read them
+  obs::Counter* torn;     ///< frames skipped (crashed producer)
 
   static const ShmMetrics& get() {
     static const ShmMetrics m = [] {
       auto& r = obs::MetricsRegistry::global();
       return ShmMetrics{&r.counter("hb.shm.claimed"),
-                        &r.counter("hb.shm.lane_frames"),
                         &r.counter("hb.shm.records"),
                         &r.counter("hb.shm.rings"),
                         &r.counter("hb.shm.drained"),
-                        &r.counter("hb.shm.lane_drained"),
                         &r.counter("hb.shm.dropped"),
                         &r.counter("hb.shm.torn")};
     }();
@@ -140,39 +138,70 @@ void futex_wake_all(std::atomic<std::uint32_t>*) {}
 
 #endif
 
-/// True when the pid half of a lane owner token names a process that no
-/// longer exists (ESRCH). EPERM means "alive but not ours" — NOT dead.
-bool owner_pid_dead(std::uint64_t token) {
-  const pid_t pid = static_cast<pid_t>(token & 0xffffffffULL);
-  if (pid <= 0) return true;  // malformed token: reclaimable
+/// True when a claim mark names a process that no longer exists (ESRCH)
+/// or no process at all (pid <= 0 or beyond pid_t, so kill(0|-1, 0) is
+/// never called). EPERM means "alive but not ours" — NOT dead.
+bool owner_pid_dead(std::uint64_t mark) {
+  const std::uint64_t owner = mark & ~kClaimBit;
+  if (owner > static_cast<std::uint64_t>(std::numeric_limits<pid_t>::max())) {
+    return true;
+  }
+  const auto pid = static_cast<pid_t>(owner);
+  if (pid <= 0) return true;
   if (pid == ::getpid()) return false;
   return ::kill(pid, 0) != 0 && errno == ESRCH;
 }
 
-/// Fresh (nonce << 32) | pid owner token; the process-local nonce keeps
-/// two claims by the same process distinct under CAS.
-std::uint64_t next_owner_token() {
-  static std::atomic<std::uint32_t> nonce{0};
-  // relaxed: the nonce only needs to be unique within this process; no
-  // ordering with any other memory is implied.
-  const std::uint32_t n = nonce.fetch_add(1, std::memory_order_relaxed) + 1;
-  return (static_cast<std::uint64_t>(n) << 32) |
-         static_cast<std::uint32_t>(::getpid());
+/// This process's claim mark, kClaimBit | pid. getpid() is a system call,
+/// so the mark is cached, and re-taken in a forked child, whose claims
+/// must name the child.
+std::uint64_t own_claim_mark() {
+  static std::atomic<std::uint64_t> mark{[] {
+    ::pthread_atfork(nullptr, nullptr, [] {
+      // relaxed: the child is single-threaded here.
+      mark.store(kClaimBit | static_cast<std::uint32_t>(::getpid()),
+                 std::memory_order_relaxed);
+    });
+    return kClaimBit | static_cast<std::uint32_t>(::getpid());
+  }()};
+  // relaxed: the mark only changes in a forked child's atfork handler.
+  return mark.load(std::memory_order_relaxed);
+}
+
+/// Inode of this process's pid namespace, or 0 where /proc cannot say.
+std::uint64_t own_pid_ns() {
+  struct stat st{};
+  return ::stat("/proc/self/ns/pid", &st) == 0 ? st.st_ino : 0;
+}
+
+/// Mark `slot` claimed for frame `seq` unless a later lap has published
+/// there. Returns false when one has: frame `seq` is lapped, and writing
+/// it would replace the newer frame.
+bool mark_slot(ShmIngestSlot& slot, std::uint64_t seq, std::uint64_t mark) {
+  // acquire, though the CAS re-checks the value: a relaxed commit load is
+  // the drain's fenced re-check alone. The caller's release fence orders
+  // the mark before the payload stores that follow.
+  std::uint64_t c = slot.commit.load(std::memory_order_acquire);
+  do {
+    if ((c & kClaimBit) == 0 && c > seq + 1) return false;
+    // relaxed: a failed CAS only reloads c for the test above.
+  } while (!slot.commit.compare_exchange_weak(c, mark,
+                                              std::memory_order_release,
+                                              std::memory_order_relaxed));
+  return true;
 }
 
 }  // namespace
 
 std::shared_ptr<ShmIngestQueue> ShmIngestQueue::create(
-    const std::filesystem::path& file, std::uint32_t capacity,
-    std::uint32_t lane_capacity) {
+    const std::filesystem::path& file, std::uint32_t capacity) {
   if (capacity < 2) capacity = 2;
-  if (lane_capacity < 2) lane_capacity = 2;
 
   if (file.has_parent_path()) std::filesystem::create_directories(file.parent_path());
   Fd fd;
   fd.fd = ::open(file.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
   if (fd.fd < 0) throw_errno("ShmIngestQueue::create open " + file.string());
-  const std::size_t bytes = shm_ingest_segment_size(capacity, lane_capacity);
+  const std::size_t bytes = shm_ingest_segment_size(capacity);
   if (::ftruncate(fd.fd, static_cast<off_t>(bytes)) != 0) {
     throw_errno("ShmIngestQueue::create ftruncate " + file.string());
   }
@@ -182,16 +211,14 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::create(
     throw_errno("ShmIngestQueue::create mmap " + file.string());
   }
 
-  // The mapping is zero-filled; all-zero slots and lane headers are
-  // already valid (commit == 0 means empty, owner == 0 means free). Fill
-  // the header, then publish the magic LAST so a concurrent attach()
-  // never observes a half-built header.
+  // The mapping is zero-filled; all-zero slots are already valid
+  // (commit == 0 means empty). Fill the header, then publish the magic
+  // LAST so a concurrent attach() never observes a half-built header.
   auto* hdr = new (base) ShmIngestHeader();
   hdr->slot_size = sizeof(ShmIngestSlot);
   hdr->capacity = capacity;
   hdr->creator_pid = static_cast<std::uint32_t>(::getpid());
-  hdr->lane_count = kIngestLanes;
-  hdr->lane_capacity = lane_capacity;
+  hdr->pid_ns = own_pid_ns();
   hdr->magic.store(kShmIngestMagic, std::memory_order_release);
 
   // A creator stalled long enough here looks abandoned: open()'s reclaim
@@ -211,7 +238,7 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::create(
   }
 
   return std::shared_ptr<ShmIngestQueue>(
-      new ShmIngestQueue(file, base, bytes, capacity, lane_capacity));
+      new ShmIngestQueue(file, base, bytes, capacity));
 }
 
 namespace {
@@ -221,7 +248,6 @@ struct MappedSegment {
   void* base = nullptr;
   std::size_t bytes = 0;
   std::uint32_t capacity = 0;
-  std::uint32_t lane_capacity = 0;
 };
 
 // One attach attempt: map and validate the segment. Sets `retryable` when
@@ -262,16 +288,14 @@ MappedSegment map_existing(const std::filesystem::path& file,
   // any local process may write the segment, so a second read could see
   // a capacity this check never bounded.
   const std::uint32_t capacity = hdr->capacity;
-  const std::uint32_t lane_capacity = hdr->lane_capacity;
   if (magic != kShmIngestMagic || hdr->version != kShmIngestVersion ||
-      hdr->slot_size != sizeof(ShmIngestSlot) ||
-      hdr->lane_count != kIngestLanes || capacity < 2 || lane_capacity < 2 ||
-      bytes < shm_ingest_segment_size(capacity, lane_capacity)) {
+      hdr->slot_size != sizeof(ShmIngestSlot) || capacity < 2 ||
+      bytes < shm_ingest_segment_size(capacity)) {
     ::munmap(base, bytes);
     throw std::runtime_error("ShmIngestQueue::attach: bad segment format: " +
                              file.string());
   }
-  return {base, bytes, capacity, lane_capacity};
+  return {base, bytes, capacity};
 }
 
 }  // namespace
@@ -284,8 +308,8 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::attach(
     bool retryable = false;
     try {
       const MappedSegment seg = map_existing(file, retryable);
-      return std::shared_ptr<ShmIngestQueue>(new ShmIngestQueue(
-          file, seg.base, seg.bytes, seg.capacity, seg.lane_capacity));
+      return std::shared_ptr<ShmIngestQueue>(
+          new ShmIngestQueue(file, seg.base, seg.bytes, seg.capacity));
     } catch (const std::runtime_error&) {
       if (!retryable || attempt >= 100) throw;
     }
@@ -347,51 +371,25 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::open(
 }
 
 ShmIngestQueue::ShmIngestQueue(std::filesystem::path file, void* base,
-                               std::size_t bytes, std::uint32_t capacity,
-                               std::uint32_t lane_capacity)
+                               std::size_t bytes, std::uint32_t capacity)
     : file_(std::move(file)),
       base_(base),
       bytes_(bytes),
       capacity_(capacity),
-      lane_capacity_(lane_capacity) {}
+      same_pid_ns_(header()->pid_ns == own_pid_ns()) {}
 
 ShmIngestQueue::~ShmIngestQueue() {
-  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
-    if (lane_tokens_[i] != 0) release_lane(static_cast<int>(i));
-  }
   if (base_ != nullptr) ::munmap(base_, bytes_);
 }
 
-ShmIngestLane* ShmIngestQueue::lane_headers() {
-  return reinterpret_cast<ShmIngestLane*>(static_cast<char*>(base_) +
-                                          sizeof(ShmIngestHeader));
-}
-
-const ShmIngestLane* ShmIngestQueue::lane_headers() const {
-  return reinterpret_cast<const ShmIngestLane*>(
-      static_cast<const char*>(base_) + sizeof(ShmIngestHeader));
-}
-
 ShmIngestSlot* ShmIngestQueue::slots() {
-  return reinterpret_cast<ShmIngestSlot*>(
-      static_cast<char*>(base_) + sizeof(ShmIngestHeader) +
-      kIngestLanes * sizeof(ShmIngestLane));
+  return reinterpret_cast<ShmIngestSlot*>(static_cast<char*>(base_) +
+                                          sizeof(ShmIngestHeader));
 }
 
 const ShmIngestSlot* ShmIngestQueue::slots() const {
   return reinterpret_cast<const ShmIngestSlot*>(
-      static_cast<const char*>(base_) + sizeof(ShmIngestHeader) +
-      kIngestLanes * sizeof(ShmIngestLane));
-}
-
-ShmIngestSlot* ShmIngestQueue::lane_slots(std::uint32_t lane) {
-  return slots() + capacity_ +
-         static_cast<std::size_t>(lane) * lane_capacity_;
-}
-
-const ShmIngestSlot* ShmIngestQueue::lane_slots(std::uint32_t lane) const {
-  return slots() + capacity_ +
-         static_cast<std::size_t>(lane) * lane_capacity_;
+      static_cast<const char*>(base_) + sizeof(ShmIngestHeader));
 }
 
 // ---------------------------------------------------------------- doorbell
@@ -447,7 +445,26 @@ std::uint64_t ShmIngestQueue::doorbell_rings() const {
 
 std::uint64_t ShmIngestQueue::claim(std::uint64_t n) {
   ShmMetrics::get().claimed->add(n);
-  return header()->head.fetch_add(n, std::memory_order_acq_rel);
+  const std::uint64_t first =
+      header()->head.fetch_add(n, std::memory_order_acq_rel);
+  // Mark every claimed slot with this process's pid, then ONE release
+  // fence: the payload stores that follow cannot be reordered ahead of
+  // the marks, so a concurrent reader that copied any of them sees its
+  // seqlock re-check fail (the reader side's acquire fence mirrors this).
+  // A batch longer than the ring marks each slot once here; publish_frame
+  // marks it again when the batch comes round to it.
+  const std::uint64_t mark = claim_mark();
+  const std::uint64_t marks = std::min<std::uint64_t>(n, capacity_);
+  ShmIngestSlot* arr = slots();
+  for (std::uint64_t seq = first; seq < first + marks; ++seq) {
+    mark_slot(arr[seq % capacity_], seq, mark);
+  }
+  std::atomic_thread_fence(std::memory_order_release);
+  return first;
+}
+
+std::uint64_t ShmIngestQueue::claim_mark() const {
+  return same_pid_ns_ ? own_claim_mark() : 0;
 }
 
 std::size_t ShmIngestQueue::count_packable(
@@ -469,14 +486,6 @@ void ShmIngestQueue::publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
                                    std::string_view app,
                                    std::span<const util::TimeNs> timestamps,
                                    core::TargetRate target) {
-  // Seqlock write: invalidate, payload, publish. The fence keeps the
-  // payload stores from being reordered ahead of the invalidation (a
-  // release store only orders what comes BEFORE it) — without it a
-  // lapping writer's payload could land while the old commit word is
-  // still visible and a concurrent reader's re-check would accept a torn
-  // frame. Mirrors the acquire fence on the reader side.
-  slot.commit.store(0, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
   ShmIngestSlot::Body body;
   fit_name(app, body.app);
   body.target_min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
@@ -487,6 +496,19 @@ void ShmIngestQueue::publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
     body.ts_delta_ns[i] = static_cast<std::uint32_t>(
         static_cast<std::uint64_t>(timestamps[i]) -
         static_cast<std::uint64_t>(timestamps[0]));
+  }
+  // Seqlock write. While the payload lands the slot must read as claimed,
+  // or a reader could accept a frame mixed from two writes. claim()'s mark
+  // usually still stands. An unmarked slot holds a newer lap's frame,
+  // which this lapped one must not replace (it is dropped unwritten), or
+  // an older one: a batch longer than the ring back at its own earlier
+  // frame, or a lapped writer's late commit. That is marked again and
+  // fenced, as claim() does.
+  // acquire, as in mark_slot; this load only picks the path, and
+  // mark_slot re-checks by CAS.
+  if ((slot.commit.load(std::memory_order_acquire) & kClaimBit) == 0) {
+    if (!mark_slot(slot, seq, claim_mark())) return;
+    std::atomic_thread_fence(std::memory_order_release);
   }
   util::tsan_relaxed_copy(slot.body, body);
   slot.commit.store(seq + 1, std::memory_order_release);
@@ -508,157 +530,84 @@ std::uint64_t ShmIngestQueue::append(std::string_view app,
 
 std::uint64_t ShmIngestQueue::append_batch(
     std::string_view app, std::span<const util::TimeNs> timestamps,
-    core::TargetRate target, int lane) {
-  ShmIngestLane* ln = lane >= 0 && lane < static_cast<int>(kIngestLanes)
-                          ? &lane_headers()[lane]
-                          : nullptr;
-  // relaxed (both lane head loads): the lane owner is the only writer of
-  // the lane head, and the caller serializes its own appends.
-  if (timestamps.empty()) {
-    return ln != nullptr ? ln->head.load(std::memory_order_relaxed)
-                         : header()->head.load(std::memory_order_acquire);
-  }
+    core::TargetRate target) {
+  if (timestamps.empty()) return header()->head.load(std::memory_order_acquire);
   // Pass 1: how many frames does this batch pack into? Pass 2: publish.
-  // The shared ring pays its contended fetch_add once per batch, a lane
-  // its head store once per batch.
+  // The contended fetch_add is paid once per batch.
   std::uint64_t frames = 0;
   for (std::size_t i = 0; i < timestamps.size();
        i += count_packable(timestamps, i)) {
     ++frames;
   }
   ShmIngestSlot* arr = slots();
-  std::uint64_t cap = capacity_;
-  std::uint64_t first = 0;
-  if (ln != nullptr) {
-    arr = lane_slots(static_cast<std::uint32_t>(lane));
-    cap = lane_capacity_;
-    first = ln->head.load(std::memory_order_relaxed);
-  } else {
-    first = claim(frames);
-  }
+  const std::uint64_t first = claim(frames);
   std::uint64_t seq = first;
   for (std::size_t i = 0; i < timestamps.size(); ++seq) {
     const std::size_t n = count_packable(timestamps, i);
-    publish_frame(arr[seq % cap], seq, app, timestamps.subspan(i, n), target);
+    publish_frame(arr[seq % capacity_], seq, app, timestamps.subspan(i, n),
+                  target);
     i += n;
   }
-  const ShmMetrics& metrics = ShmMetrics::get();
-  if (ln != nullptr) {
-    // Advertise AFTER the frame commits: a consumer that acquires this
-    // head is guaranteed to find every commit word already published.
-    ln->head.store(seq, std::memory_order_release);
-    metrics.lane_frames->add(frames);
-  }
-  metrics.records->add(timestamps.size());
+  ShmMetrics::get().records->add(timestamps.size());
   ring_doorbell();
   return first;
-}
-
-// -------------------------------------------------------------- fast lanes
-
-int ShmIngestQueue::claim_lane() {
-  ShmIngestLane* lanes = lane_headers();
-  const std::uint64_t token = next_owner_token();
-  // Pass 0 takes free lanes; pass 1 reclaims lanes whose owner process
-  // died without releasing (kill(pid, 0) == ESRCH). A reclaimed lane
-  // keeps its head — the new owner continues the frame sequence, and any
-  // unpublished tail the dead owner claimed is bounded by the consumer's
-  // stall budget exactly like a shared-ring crash.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
-      std::uint64_t cur = lanes[i].owner.load(std::memory_order_acquire);
-      const bool takeable =
-          pass == 0 ? cur == 0 : (cur != 0 && owner_pid_dead(cur));
-      if (!takeable) continue;
-      if (lanes[i].owner.compare_exchange_strong(cur, token,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire)) {
-        lane_tokens_[i] = token;
-        return static_cast<int>(i);
-      }
-    }
-  }
-  return -1;
-}
-
-void ShmIngestQueue::release_lane(int lane) {
-  if (lane < 0 || lane >= static_cast<int>(kIngestLanes)) return;
-  std::uint64_t token = lane_tokens_[lane];
-  if (token == 0) return;
-  lane_tokens_[lane] = 0;
-  // CAS rather than blind store: defensive against a (buggy) double
-  // release racing a fresh claim — only our own token is ever cleared.
-  lane_headers()[lane].owner.compare_exchange_strong(
-      token, 0, std::memory_order_acq_rel, std::memory_order_acquire);
-}
-
-std::uint64_t ShmIngestQueue::lane_owner(std::uint32_t lane) const {
-  if (lane >= kIngestLanes) return 0;
-  return lane_headers()[lane].owner.load(std::memory_order_acquire);
-}
-
-std::uint64_t ShmIngestQueue::lane_produced(std::uint32_t lane) const {
-  if (lane >= kIngestLanes) return 0;
-  return lane_headers()[lane].head.load(std::memory_order_acquire);
 }
 
 // -------------------------------------------------------------- consumers
 
 bool ShmIngestQueue::has_frames(const Cursor& cur) const {
-  if (header()->head.load(std::memory_order_acquire) > cur.main.next) {
-    return true;
-  }
-  const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
-    if (lanes[i].head.load(std::memory_order_acquire) > cur.lanes[i].next) {
-      return true;
-    }
-  }
-  return false;
+  return header()->head.load(std::memory_order_acquire) > cur.next;
 }
 
 ShmIngestQueue::Cursor ShmIngestQueue::tail_cursor() const {
   Cursor cur;
-  cur.main.next = header()->head.load(std::memory_order_acquire);
-  const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
-    cur.lanes[i].next = lanes[i].head.load(std::memory_order_acquire);
-  }
+  cur.next = header()->head.load(std::memory_order_acquire);
   return cur;
 }
 
-std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
-                                         std::uint64_t cap, std::uint64_t head,
-                                         StreamCursor& sc, bool lane,
-                                         Cursor& totals, const DrainFn& fn,
-                                         std::uint32_t max_stall_polls) {
+std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
+                                  std::uint32_t max_stall_polls) {
+  // Mirror the cursor's per-drain deltas into the process-wide registry on
+  // exit (one add per counter per drain, not per record).
+  const std::uint64_t dropped_before = cur.dropped;
+  const std::uint64_t torn_before = cur.torn;
+  const ShmIngestSlot* arr = slots();
+  const std::uint64_t cap = capacity_;
+  const std::uint64_t head = header()->head.load(std::memory_order_acquire);
+
+  // Move the cursor to `next`, dropping the blocked slot's stall state.
+  const auto move_to = [&cur](std::uint64_t next) {
+    cur.next = next;
+    cur.stalls = 0;
+    cur.overdue_since_ns = 0;
+  };
   // Producers lapped this consumer before it even looked: everything below
   // head - capacity is gone (its slots now belong to newer seqs). Compared
   // as a distance: next + cap would wrap under a hostile head near 2^64
   // and send the cursor back a lap on every drain, so it never caught up.
-  if (head > sc.next && head - sc.next > cap) {
-    totals.dropped += head - cap - sc.next;
-    sc.next = head - cap;
-    sc.stalls = 0;
+  if (head > cur.next && head - cur.next > cap) {
+    cur.dropped += head - cap - cur.next;
+    move_to(head - cap);
   }
 
   std::size_t delivered = 0;
-  // Once the stall budget fires, the whole contiguous run of uncommitted
-  // slots is almost certainly one crashed producer's claimed batch — skip
-  // it in this pass instead of paying the budget again per slot.
-  bool skipping_run = false;
-  while (sc.next < head) {
-    if (head - sc.next > kDrainFetchAhead) {
+  // Once a dead owner's slot is torn, the contiguous run behind it that
+  // still bears the same mark is the rest of its claimed batch: torn in
+  // this pass instead of paying the budget again per slot. Any other
+  // value ends the run.
+  std::uint64_t dead_mark = 0;
+  while (cur.next < head) {
+    if (head - cur.next > kDrainFetchAhead) {
       // Both lines of a slot ahead. The index is taken mod the validated
       // cap, so a hostile head cannot steer the read out of bounds.
       const auto* ahead = reinterpret_cast<const char*>(
-          &arr[(sc.next + kDrainFetchAhead) % cap]);
+          &arr[(cur.next + kDrainFetchAhead) % cap]);
       __builtin_prefetch(ahead);
       __builtin_prefetch(ahead + 64);
     }
-    const ShmIngestSlot& slot = arr[sc.next % cap];
+    const ShmIngestSlot& slot = arr[cur.next % cap];
     const std::uint64_t c1 = slot.commit.load(std::memory_order_acquire);
-    if (c1 == sc.next + 1) {
+    if (c1 == cur.next + 1) {
       // Copy out, then re-check the seqlock word.
       ShmIngestSlot::Body body;
       util::tsan_relaxed_copy(body, slot.body);
@@ -683,74 +632,52 @@ std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
         }
         fn(std::string_view(body.app), target, {timestamps, n});
         delivered += n;
-        totals.consumed += n;
-        ++totals.consumed_frames;
-        if (lane) totals.lane_records += n;
-        ++sc.next;
-        sc.stalls = 0;
-        skipping_run = false;
-        continue;
+        cur.consumed += n;
+        ++cur.consumed_frames;
+      } else {
+        // Overwritten mid-copy: a producer lapped us; this frame is
+        // unrecoverable but the copy was never delivered, so nothing torn
+        // ever reaches the hub.
+        ++cur.dropped;
       }
-      // Overwritten mid-copy: a producer lapped us; this frame is
-      // unrecoverable but the copy was never delivered, so nothing torn
-      // ever reaches the hub.
-      ++totals.dropped;
-      ++sc.next;
-      sc.stalls = 0;
-      skipping_run = false;
+      move_to(cur.next + 1);
+      dead_mark = 0;
       continue;
     }
-    if (c1 > sc.next + 1) {
+    const bool marked = (c1 & kClaimBit) != 0;
+    if (!marked && c1 > cur.next + 1) {
       // A later lap already committed here; this frame was overwritten.
-      ++totals.dropped;
-      ++sc.next;
-      sc.stalls = 0;
-      skipping_run = false;
+      ++cur.dropped;
+      move_to(cur.next + 1);
+      dead_mark = 0;
       continue;
     }
-    // commit == 0 or a previous lap's value: the producer that claimed
-    // this seq has not published yet — in flight, or dead mid-batch. Give
-    // it max_stall_polls drains, then skip the slot (and the rest of its
-    // uncommitted run) for good.
-    if (skipping_run || sc.stalls >= max_stall_polls) {
-      ++totals.torn;
-      ++sc.next;
-      sc.stalls = 0;
-      skipping_run = true;
-      continue;
+    // Claimed (marked) or still showing an older lap: the producer that
+    // claimed this seq has not published yet — in flight, or dead
+    // mid-batch. It gets max_stall_polls drains. Past them a dead owner is
+    // torn at once; any other is torn only once kClaimLivenessTimeoutNs
+    // more has passed, so no shorter stall tears a live producer. The
+    // clock is read only for a slot already past the budget, and a pid is
+    // judged only by a consumer in the creator's pid namespace.
+    if (!marked || c1 != dead_mark) {
+      if (cur.stalls < max_stall_polls) {
+        ++cur.stalls;  // one stall credit per drain call
+        break;
+      }
+      const bool dead = marked && same_pid_ns_ && owner_pid_dead(c1);
+      if (!dead) {
+        const util::TimeNs now = util::MonotonicClock::instance()->now();
+        if (cur.overdue_since_ns == 0) cur.overdue_since_ns = now;
+        if (now - cur.overdue_since_ns < kClaimLivenessTimeoutNs) break;
+      }
+      dead_mark = dead ? c1 : 0;
     }
-    ++sc.stalls;  // one stall credit per drain call
-    break;
-  }
-  return delivered;
-}
-
-std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
-                                  std::uint32_t max_stall_polls) {
-  // Mirror the cursor's per-drain deltas into the process-wide registry on
-  // exit (one add per counter per drain, not per record).
-  const std::uint64_t dropped_before = cur.dropped;
-  const std::uint64_t torn_before = cur.torn;
-  const std::uint64_t lane_before = cur.lane_records;
-
-  std::size_t delivered =
-      drain_stream(slots(), capacity_,
-                   header()->head.load(std::memory_order_acquire), cur.main,
-                   /*lane=*/false, cur, fn, max_stall_polls);
-
-  const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
-    const std::uint64_t lh = lanes[i].head.load(std::memory_order_acquire);
-    if (lh == cur.lanes[i].next) continue;
-    delivered += drain_stream(lane_slots(i), lane_capacity_, lh, cur.lanes[i],
-                              /*lane=*/true, cur, fn, max_stall_polls);
+    ++cur.torn;
+    move_to(cur.next + 1);
   }
 
   const ShmMetrics& metrics = ShmMetrics::get();
   if (delivered > 0) metrics.drained->add(delivered);
-  if (cur.lane_records > lane_before) {
-    metrics.lane_drained->add(cur.lane_records - lane_before);
-  }
   if (cur.dropped > dropped_before) {
     metrics.dropped->add(cur.dropped - dropped_before);
   }
@@ -779,13 +706,9 @@ ShmHubSink::ShmHubSink(std::shared_ptr<core::BeatStore> inner,
       opts_(opts) {
   if (opts_.flush_every == 0) opts_.flush_every = 1;
   buf_.reserve(opts_.flush_every);
-  lane_ = queue_->claim_lane();
 }
 
-ShmHubSink::~ShmHubSink() {
-  flush();
-  if (lane_ >= 0) queue_->release_lane(lane_);
-}
+ShmHubSink::~ShmHubSink() { flush(); }
 
 std::uint64_t ShmHubSink::append(const core::HeartbeatRecord& rec) {
   const std::uint64_t seq = inner_->append(rec);
@@ -810,9 +733,7 @@ void ShmHubSink::flush() {
 
 void ShmHubSink::flush_locked() {
   if (buf_.empty()) return;
-  // mu_ is what makes the lane's single-writer contract hold: every
-  // append_batch on this sink's lane goes through this method.
-  queue_->append_batch(app_, buf_, inner_->target(), lane_);
+  queue_->append_batch(app_, buf_, inner_->target());
   buf_.clear();
 }
 

@@ -10,7 +10,7 @@
 //
 // The ring carries only what the hub reads: an app name, its target and
 // beat timestamps. A record's seq, tag and thread id never leave the
-// producer (ShmHubSink's inner store keeps them). Format v3:
+// producer (ShmHubSink's inner store keeps them). Format v4:
 //
 //   * PACKED FRAMES — each 128-byte slot is a *frame* holding up to
 //     kIngestFrameRecords timestamps of one app (base timestamp + u32
@@ -22,35 +22,45 @@
 //     parked count) let the consumer block in the kernel instead of
 //     backoff-polling. Producers ring only when a consumer is parked
 //     (one relaxed load on the hot path). See wait_for_frames().
-//   * SPSC FAST LANES — a small array of per-producer lanes, claimed by
-//     CAS on an owner word, whose single writer advertises a batch's
-//     frames with one plain release store instead of the contended MPSC
-//     fetch_add. The same consumer pass drains them with identical
-//     lap/torn semantics; lanes whose owner pid has died are reclaimed by
-//     the next claimant.
+//   * OWNER-TAGGED CLAIMS — a claimed slot's commit word names the pid of
+//     the claiming process until the frame is published, so a consumer
+//     tells a crashed producer (skip its slots at once) from a slow one
+//     (wait for it). Pids are only written and read by processes in the
+//     ring creator's pid namespace (header.pid_ns); any other process
+//     claims with an unmarked 0, which the consumer waits out.
 //
 // Segment layout (all fixed-width, standard-layout, address-free atomics —
 // the same ABI discipline as transport/shm_layout.hpp):
 //
-//   offset 0 : ShmIngestHeader                 (128 bytes, magic last)
-//   then     : ShmIngestLane[kIngestLanes]     (64 bytes each)
-//   then     : ShmIngestSlot[capacity]         (128 bytes each, MPSC ring)
-//   then     : ShmIngestSlot[lanes * lane_cap] (SPSC lane rings)
+//   offset 0 : ShmIngestHeader         (128 bytes, magic last)
+//   then     : ShmIngestSlot[capacity] (128 bytes each, MPSC ring)
 //
-// Concurrency protocol (shared by the MPSC ring and every lane):
-//   * A producer claims n consecutive frame sequence numbers — with ONE
-//     fetch_add on header.head for the shared ring, or (lane owner only)
-//     by advancing the lane head with one release store per batch.
-//   * Each claimed slot s is written seqlock-style: commit <- 0
-//     (invalidate, release), payload, commit <- s + 1 (publish, release).
-//   * The consumer keeps a private Cursor (next expected frame per
-//     stream) and walks [cursor, head). commit == s + 1 before AND after
-//     the copy accepts a frame; commit from a later lap means the frame
-//     was overwritten (counted as dropped); commit still missing means
-//     the claiming producer is in flight — or crashed mid-batch. After
-//     `max_stall_polls` drains blocked on the same slot the consumer
-//     skips it (counted as torn), so a producer that dies between claim
-//     and publish can never wedge the fleet pipeline.
+// Concurrency protocol:
+//   * A producer claims n consecutive frame sequence numbers with ONE
+//     fetch_add on header.head, marks each claimed slot's commit word
+//     kClaimBit | pid, and issues one release fence.
+//   * Each claimed slot s is then written seqlock-style: payload, then
+//     commit <- s + 1 (publish, release). The mark is the invalidation;
+//     a slot found unmarked when its payload is due (a batch longer than
+//     the ring reaching its own earlier frame, or an older lap's late
+//     commit) is marked again, fenced, first.
+//   * No write replaces a newer lap's published frame: marking is a CAS
+//     that gives up on a commit above s + 1, and a producer that finds
+//     its frame lapped before writing it drops the frame. The one race
+//     left is two producers a whole lap apart writing the same slot at
+//     the same moment (see ARCHITECTURE.md "Owner-tagged claims").
+//   * The consumer keeps a private Cursor (next expected frame) and walks
+//     [cursor, head). commit == s + 1 before AND after the copy accepts a
+//     frame; an unmarked commit from a later lap means the frame was
+//     overwritten (counted as dropped); a mark, or a commit still missing,
+//     means the claiming producer is in flight — or crashed mid-batch.
+//     TORN MEANS DEAD: after `max_stall_polls` drains blocked on the same
+//     slot the consumer skips it (counted as torn) only if its mark names
+//     a dead or malformed pid. A live owner, an unmarked slot or a reused
+//     pid keeps the slot until kClaimLivenessTimeoutNs has passed on top.
+//     Either way a producer that dies between claim and publish can never
+//     wedge the fleet pipeline, and a live one is not torn by any stall
+//     shorter than that timeout.
 //
 // Accounting units: `dropped` and `torn` count FRAMES (a lost slot is a
 // lost slot); `consumed` counts RECORDS delivered. In any no-loss
@@ -84,10 +94,10 @@
 namespace hb::transport {
 
 inline constexpr std::uint64_t kShmIngestMagic = 0x3151494248ULL;  // "HBIQ1"
-/// v3: frames carry timestamps only (no seq, tag or thread id).
-/// attach() rejects any other version — a stale v1 or v2 ring file must
-/// be removed (see OPERATIONS.md), never reinterpreted.
-inline constexpr std::uint32_t kShmIngestVersion = 3;
+/// v4: one stream, and claims mark commit words with the owner's pid.
+/// attach() rejects any other version — a stale v1, v2 or v3 ring file
+/// must be removed (see OPERATIONS.md), never reinterpreted.
+inline constexpr std::uint32_t kShmIngestVersion = 4;
 
 /// Maximum application-name length carried per frame (including NUL).
 /// Longer names are truncated to a 30-byte prefix plus '~' and 8 hex
@@ -98,13 +108,15 @@ inline constexpr std::size_t kIngestNameCap = 40;
 /// Timestamps one 128-byte frame can pack (compact encoding below).
 inline constexpr std::size_t kIngestFrameRecords = 13;
 
-/// Number of SPSC fast lanes in every segment (part of the ABI: lane
-/// headers are always reserved, whether or not producers claim them).
-inline constexpr std::uint32_t kIngestLanes = 8;
+/// Set in a claimed, unpublished slot's commit word; the low 32 bits
+/// hold the claiming process's pid. A published commit (seq + 1) would
+/// need 2^63 frames to reach it.
+inline constexpr std::uint64_t kClaimBit = std::uint64_t{1} << 63;
 
-/// Default frames per lane ring. Lanes absorb one producer's burst between
-/// consumer passes; they do not need the shared ring's full depth.
-inline constexpr std::uint32_t kIngestDefaultLaneCapacity = 256;
+/// How long a consumer waits, past its stall budget, on a claimed slot
+/// whose owner it cannot prove dead (live pid, unmarked slot, or a pid
+/// reused by another process) before skipping it as torn. Monotonic time.
+inline constexpr util::TimeNs kClaimLivenessTimeoutNs = 1 * util::kNsPerSec;
 
 struct ShmIngestHeader {
   /// Stored LAST during create() (release), checked first by attach()
@@ -114,8 +126,9 @@ struct ShmIngestHeader {
   std::uint32_t slot_size = 0;      ///< sizeof(ShmIngestSlot); ABI self-check
   std::uint32_t capacity = 0;       ///< frames in the shared MPSC ring
   std::uint32_t creator_pid = 0;    ///< pid of the creating process
-  std::uint32_t lane_count = 0;     ///< SPSC lanes; attach requires kIngestLanes
-  std::uint32_t lane_capacity = 0;  ///< frames per lane ring
+  /// Inode of the creator's /proc/self/ns/pid (0 = unknown). Claim marks
+  /// carry pids only between processes whose namespace matches it.
+  std::uint64_t pid_ns = 0;
   /// Total frames ever claimed from the shared ring; the next frame
   /// sequence handed to a producer. Monotonic; may run arbitrarily far
   /// ahead of any consumer.
@@ -140,22 +153,6 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
                   std::atomic<std::uint32_t>::is_always_lock_free,
               "cross-process atomics must be address-free");
 
-/// Per-lane control block. The owner word is 0 when free, else
-/// (claim_nonce << 32) | owner_pid — the pid half lets any process detect
-/// a dead owner (kill(pid, 0) == ESRCH) and reclaim; the nonce half keeps
-/// two claims by one process (or a recycled pid) from colliding on CAS.
-struct ShmIngestLane {
-  std::atomic<std::uint64_t> owner{0};
-  /// Frames published to this lane. Owner-only writer: advanced with one
-  /// release store after each batch's frame commits — no RMW, no
-  /// contention.
-  std::atomic<std::uint64_t> head{0};
-  std::uint8_t pad[48] = {};
-};
-
-static_assert(std::is_standard_layout_v<ShmIngestLane>);
-static_assert(sizeof(ShmIngestLane) == 64, "one cache line per lane header");
-
 struct ShmIngestSlot {
   /// Everything the seqlock word protects, as one trivially copyable
   /// value: writers build a Body locally and move it in with a single
@@ -164,9 +161,10 @@ struct ShmIngestSlot {
   /// loose slot members) is what lets the TSan build swap the copy for
   /// word-wise relaxed atomics without touching the protocol.
   ///
-  /// v3 packs up to kIngestFrameRecords timestamps of ONE app: timestamp
-  /// i is base_ts_ns + ts_delta_ns[i]. Producers start a new frame when a
-  /// timestamp's delta from the frame's first leaves [0, 2^32).
+  /// A frame packs up to kIngestFrameRecords timestamps of ONE app:
+  /// timestamp i is base_ts_ns + ts_delta_ns[i]. Producers start a new
+  /// frame when a timestamp's delta from the frame's first leaves
+  /// [0, 2^32).
   struct Body {
     char app[kIngestNameCap] = {};  ///< NUL-terminated app name (truncated)
     /// Producer's registered target range, as IEEE-754 bit patterns (the
@@ -178,7 +176,9 @@ struct ShmIngestSlot {
     std::uint32_t ts_delta_ns[kIngestFrameRecords] = {};
   };
 
-  /// Seqlock word: 0 = empty/being written, s+1 = frame with ring seq s.
+  /// Seqlock word: 0 = empty (or claimed by a process outside the
+  /// creator's pid namespace), kClaimBit | pid = claimed by that process
+  /// and being written, s+1 = frame with ring seq s.
   std::atomic<std::uint64_t> commit{0};
   Body body{};
 };
@@ -188,28 +188,23 @@ static_assert(std::is_trivially_copyable_v<ShmIngestSlot::Body>);
 static_assert(sizeof(ShmIngestSlot::Body) == 120, "payload layout is ABI");
 static_assert(sizeof(ShmIngestSlot) == 128, "two cache lines per frame");
 
-/// Total segment size for a given shared-ring capacity and lane depth.
-constexpr std::size_t shm_ingest_segment_size(
-    std::uint32_t capacity, std::uint32_t lane_capacity = kIngestDefaultLaneCapacity) {
-  return sizeof(ShmIngestHeader) + kIngestLanes * sizeof(ShmIngestLane) +
-         static_cast<std::size_t>(capacity) * sizeof(ShmIngestSlot) +
-         static_cast<std::size_t>(kIngestLanes) * lane_capacity *
-             sizeof(ShmIngestSlot);
+/// Total segment size for a given ring capacity.
+constexpr std::size_t shm_ingest_segment_size(std::uint32_t capacity) {
+  return sizeof(ShmIngestHeader) +
+         static_cast<std::size_t>(capacity) * sizeof(ShmIngestSlot);
 }
 
 class ShmIngestQueue {
  public:
   /// Create a fresh ring file (O_EXCL: fails with std::system_error
-  /// (EEXIST) if the path already exists). `capacity` is clamped to >= 2,
-  /// `lane_capacity` to >= 2.
+  /// (EEXIST) if the path already exists). `capacity` is clamped to >= 2.
   static std::shared_ptr<ShmIngestQueue> create(
-      const std::filesystem::path& file, std::uint32_t capacity,
-      std::uint32_t lane_capacity = kIngestDefaultLaneCapacity);
+      const std::filesystem::path& file, std::uint32_t capacity);
 
   /// Attach to an existing ring. Retries briefly while a concurrent
   /// create() is still initializing the header; throws std::runtime_error
-  /// on missing file or bad magic/version/layout (a v1 or v2 ring file is
-  /// a version mismatch — remove it and let a producer recreate v3).
+  /// on missing file or bad magic/version/layout (a v1, v2 or v3 ring file
+  /// is a version mismatch — remove it and let a producer recreate v4).
   static std::shared_ptr<ShmIngestQueue> attach(const std::filesystem::path& file);
 
   /// Create-or-attach, safe against concurrent openers: first successful
@@ -231,61 +226,33 @@ class ShmIngestQueue {
                        core::TargetRate target);
 
   /// Append a batch of one app's beat timestamps, packing up to
-  /// kIngestFrameRecords per frame. With `lane` < 0 (or out of range) the
-  /// frames go to the shared ring under ONE head claim. With a lane this
-  /// handle claimed they go to that lane, whose head is advertised once
-  /// per batch — SINGLE WRITER: only the lane owner may call, one call at
-  /// a time (ShmHubSink serializes under its mutex). Returns the first
-  /// frame sequence number of the stream written.
+  /// kIngestFrameRecords per frame, under ONE claim. Thread- and
+  /// process-safe. Returns the first frame sequence number.
   std::uint64_t append_batch(std::string_view app,
                              std::span<const util::TimeNs> timestamps,
-                             core::TargetRate target, int lane = -1);
+                             core::TargetRate target);
 
   /// Low-level two-phase producer API (one single-beat frame per seq).
-  /// A process that claims and then dies before publishing leaves torn
-  /// frames, which consumers skip after a bounded stall — tests use
-  /// claim() alone to model exactly that crash.
+  /// claim() takes n frame seqs and marks their slots with this process's
+  /// pid; publish() fills one. A process that claims and then dies before
+  /// publishing leaves torn frames, which consumers skip once its pid is
+  /// gone — tests crash a forked child between the two to model that.
   std::uint64_t claim(std::uint64_t n);
   void publish(std::uint64_t seq, std::string_view app,
                util::TimeNs timestamp_ns, core::TargetRate target);
 
-  // ------------------------------------------------------------ fast lanes
-
-  /// Claim an SPSC fast lane for this queue handle. First pass takes a
-  /// free lane (owner CAS 0 -> self); second pass reclaims a lane whose
-  /// owner pid no longer exists (producer died — its unpublished tail, if
-  /// any, is skipped as torn by the consumer's stall budget). Returns the
-  /// lane index, or -1 when all lanes are held by live producers (callers
-  /// fall back to the shared ring).
-  int claim_lane();
-
-  /// Release a lane claimed by THIS handle (no-op for -1 / foreign lanes).
-  void release_lane(int lane);
-
-  std::uint32_t lane_capacity() const { return lane_capacity_; }
-  /// Current owner word of a lane (0 = free). Diagnostic.
-  std::uint64_t lane_owner(std::uint32_t lane) const;
-  /// Frames ever published to a lane (lane head).
-  std::uint64_t lane_produced(std::uint32_t lane) const;
-
   // -------------------------------------------------------------- consumers
-
-  /// Per-stream drain state: next expected frame + stall credit against
-  /// the head-of-line slot.
-  struct StreamCursor {
-    std::uint64_t next = 0;   ///< next frame seq to read
-    std::uint32_t stalls = 0; ///< consecutive drains blocked on one slot
-    std::uint32_t pad = 0;
-  };
 
   /// Per-consumer drain state. Plain value; each independent consumer owns
   /// one. All counters are cumulative across drain() calls.
   struct Cursor {
-    StreamCursor main{};                   ///< shared MPSC ring
-    StreamCursor lanes[kIngestLanes] = {}; ///< one per fast lane
+    std::uint64_t next = 0;    ///< next frame seq to read
+    std::uint32_t stalls = 0;  ///< consecutive drains blocked on one slot
+    /// Monotonic time the blocked slot first outlasted the stall budget
+    /// without a dead owner (0 = not yet).
+    util::TimeNs overdue_since_ns = 0;
     std::uint64_t consumed = 0;         ///< RECORDS delivered to the sink
     std::uint64_t consumed_frames = 0;  ///< frames those records arrived in
-    std::uint64_t lane_records = 0;     ///< subset of consumed from fast lanes
     std::uint64_t dropped = 0;  ///< FRAMES overwritten before this consumer read them
     std::uint64_t torn = 0;     ///< FRAMES skipped uncommitted (crashed producer)
   };
@@ -298,22 +265,23 @@ class ShmIngestQueue {
                                      core::TargetRate target,
                                      std::span<const util::TimeNs> timestamps)>;
 
-  /// Drain every committed frame in [cursor, head) of the shared ring and
-  /// every lane, in per-stream ring order. Stops early (per stream) at an
-  /// in-flight slot; after the same slot has blocked `max_stall_polls`
-  /// consecutive drains it — and the contiguous run of uncommitted slots
-  /// behind it, which is almost certainly the same crashed producer's
-  /// claimed batch — is skipped and counted in Cursor::torn. Frames lapped
-  /// by producers are counted in Cursor::dropped, never delivered torn.
-  /// Returns records delivered.
+  /// Drain every committed frame in [cursor, head), in ring order. Stops
+  /// early at an in-flight slot. Once the same slot has blocked
+  /// `max_stall_polls` consecutive drains it is skipped and counted in
+  /// Cursor::torn if its mark names a dead or malformed pid — and so is
+  /// the contiguous run behind it that still bears that same mark, the
+  /// rest of the dead producer's claimed batch. Any other blocked slot is
+  /// skipped only after a further kClaimLivenessTimeoutNs.
+  /// Frames lapped by producers are counted in Cursor::dropped, never
+  /// delivered torn. Returns records delivered.
   std::size_t drain(Cursor& cur, const DrainFn& fn,
                     std::uint32_t max_stall_polls = 3);
 
-  /// A cursor positioned at the current heads of every stream (the
-  /// "ignore the retained backlog, watch from now" starting point).
+  /// A cursor positioned at the current head (the "ignore the retained
+  /// backlog, watch from now" starting point).
   Cursor tail_cursor() const;
 
-  /// True when any stream has frames the cursor has not consumed.
+  /// True when the ring has frames the cursor has not consumed.
   bool has_frames(const Cursor& cur) const;
 
   // -------------------------------------------------------------- doorbell
@@ -341,8 +309,7 @@ class ShmIngestQueue {
   /// Total doorbell rings producers have performed (diagnostic).
   std::uint64_t doorbell_rings() const;
 
-  /// Total frames ever claimed in the shared MPSC ring (ring head). Lane
-  /// frames are advertised per lane — see lane_produced().
+  /// Total frames ever claimed (ring head).
   std::uint64_t produced() const;
   std::uint32_t capacity() const;
   std::uint32_t creator_pid() const;
@@ -352,26 +319,27 @@ class ShmIngestQueue {
   /// Takes the geometry create() wrote or attach() validated, never
   /// re-reading it from the shared header.
   ShmIngestQueue(std::filesystem::path file, void* base, std::size_t bytes,
-                 std::uint32_t capacity, std::uint32_t lane_capacity);
+                 std::uint32_t capacity);
 
   ShmIngestHeader* header() { return static_cast<ShmIngestHeader*>(base_); }
   const ShmIngestHeader* header() const {
     return static_cast<const ShmIngestHeader*>(base_);
   }
-  ShmIngestLane* lane_headers();
-  const ShmIngestLane* lane_headers() const;
   ShmIngestSlot* slots();
   const ShmIngestSlot* slots() const;
-  ShmIngestSlot* lane_slots(std::uint32_t lane);
-  const ShmIngestSlot* lane_slots(std::uint32_t lane) const;
 
   /// Seqlock-write one packed frame (timestamps.size() <=
-  /// kIngestFrameRecords, all packable together) into `slot` as frame
-  /// `seq`.
-  static void publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
-                            std::string_view app,
-                            std::span<const util::TimeNs> timestamps,
-                            core::TargetRate target);
+  /// kIngestFrameRecords, all packable together) into `slot`, which
+  /// claim() marked, as frame `seq` — unless a later lap has published
+  /// there, in which case the frame is dropped unwritten.
+  void publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
+                     std::string_view app,
+                     std::span<const util::TimeNs> timestamps,
+                     core::TargetRate target);
+
+  /// This process's claim mark for this ring: kClaimBit | pid when the
+  /// process shares the creator's pid namespace, else 0.
+  std::uint64_t claim_mark() const;
 
   /// Longest packable prefix of timestamps[i..] (deltas from timestamps[i]
   /// in [0, 2^32)), capped at kIngestFrameRecords.
@@ -381,13 +349,6 @@ class ShmIngestQueue {
   /// Ring the doorbell if (and only if) a consumer is parked.
   void ring_doorbell();
 
-  /// Drain one stream (shared ring or lane) up to `head`. Returns records
-  /// delivered; updates the stream cursor and the cursor-wide totals.
-  std::size_t drain_stream(const ShmIngestSlot* arr, std::uint64_t cap,
-                           std::uint64_t head, StreamCursor& sc, bool lane,
-                           Cursor& totals, const DrainFn& fn,
-                           std::uint32_t max_stall_polls);
-
   std::filesystem::path file_;
   void* base_ = nullptr;
   std::size_t bytes_ = 0;
@@ -395,10 +356,10 @@ class ShmIngestQueue {
   /// append path never re-reads the header cache line that producers keep
   /// invalidating with head fetch_adds.
   std::uint32_t capacity_ = 0;
-  std::uint32_t lane_capacity_ = 0;
-  /// Owner tokens this handle wrote when claiming lanes (0 = not ours);
-  /// release_lane only releases tokens recorded here.
-  std::uint64_t lane_tokens_[kIngestLanes] = {};
+  /// This process shares the creator's pid namespace (header.pid_ns, read
+  /// once at map time): its claims carry its pid, and as a consumer it
+  /// may judge other claims' pids dead.
+  bool same_pid_ns_ = false;
 };
 
 /// Producer-side batching knobs for ShmHubSink.
@@ -425,9 +386,6 @@ struct ShmHubSinkOptions {
 /// is a registry ShmStore, stays observer-walkable, and keeps each
 /// record's seq, tag and thread id) and their timestamps are batched into
 /// the ring under the current target.
-/// Each sink claims an SPSC fast lane at construction and publishes
-/// through it, skipping the contended MPSC fetch_add; when every lane is
-/// held by a live producer it falls back to the shared ring.
 class ShmHubSink final : public core::BeatStore {
  public:
   /// Mirrors appends on `inner` into `queue` under name `app`.
@@ -435,7 +393,7 @@ class ShmHubSink final : public core::BeatStore {
              std::shared_ptr<ShmIngestQueue> queue, std::string app,
              ShmHubSinkOptions opts = {});
 
-  /// Flushes any buffered tail batch and releases the fast lane.
+  /// Flushes any buffered tail batch.
   ~ShmHubSink() override;
 
   std::uint64_t append(const core::HeartbeatRecord& rec) override;
@@ -458,8 +416,6 @@ class ShmHubSink final : public core::BeatStore {
 
   const std::shared_ptr<core::BeatStore>& inner() const { return inner_; }
   const std::string& app() const { return app_; }
-  /// Fast-lane index this sink publishes through, or -1 (shared ring).
-  int lane() const { return lane_; }
 
   /// StoreFactory adapter: builds the inner store with `inner_factory`
   /// (default: the in-process MemoryStore factory Heartbeat uses), then
@@ -478,7 +434,6 @@ class ShmHubSink final : public core::BeatStore {
   std::shared_ptr<ShmIngestQueue> queue_;
   std::string app_;
   ShmHubSinkOptions opts_;
-  int lane_ = -1;
 
   util::Mutex mu_;
   std::vector<util::TimeNs> buf_ HB_GUARDED_BY(mu_);

@@ -2,24 +2,26 @@
 //
 // The ring file under $HB_DIR is shared memory that any local process may
 // write, so its consumer must treat it as untrusted input. For each seed
-// this test builds the same small ring, with frames in the shared ring and
-// in two fast lanes, overwrites 1-3 words of it, and holds the consumer to
-// one rule: attach() rejects the segment with std::runtime_error, or
+// this test builds the same small ring of six frames, overwrites 1-3 words
+// of it, and holds the consumer to one rule: attach() rejects the segment
+// with std::runtime_error, or
 //   * every drain stays inside the mapping (the segment ends on a page
 //     boundary, and the ASan build checks the consumer's own memory) and
 //     accounts for each frame it passes exactly once;
-//   * one drain returns after at most capacity + lanes x lane capacity
-//     frames;
+//   * one drain returns after at most capacity frames;
 //   * a consumer loop, a raw cursor and a ShmIngestPump alike, goes quiet
-//     within a fixed number of polls.
+//     within a fixed number of polls: it has caught up, or it waits out
+//     the liveness timeout on a slot whose owner it cannot prove dead.
 // Every seed mutates the file twice: once before attach(), so the attach
 // checks see the damage, and once while a pump has the ring mapped, so the
 // drain's own defenses must hold. The words hit are the header's capacity,
-// lane_capacity, version, slot_size and head; a lane's head and owner; a
-// slot's commit, count, base_ts_ns and ts_delta_ns; and a slot's name bytes,
-// overwritten with no NUL. The values favour the edges: huge capacities,
-// heads past the end and near 2^64, record counts above
-// kIngestFrameRecords, wrapped deltas and foreign versions.
+// version, slot_size and head; a slot's commit, also as a claim mark; its
+// count, base_ts_ns and ts_delta_ns; and a slot's name bytes, overwritten
+// with no NUL. The values favour the edges: huge capacities, heads past
+// the end and near 2^64, record counts above kIngestFrameRecords, wrapped
+// deltas, foreign versions, and claim marks naming a live pid (this
+// process), no pid (0, and 0xffffffff, which is -1 as a pid_t) and a pid
+// above any pid_max (0x7fffffff).
 //
 // No process or thread is started: the mutations are pwrite()s into the
 // ring file, which the consumer's MAP_SHARED mapping sees at once.
@@ -27,6 +29,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -37,6 +40,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hub/hub.hpp"
@@ -50,46 +54,45 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint32_t kCapacity = 27;
-constexpr std::uint32_t kLaneCapacity = 4;
-constexpr std::size_t kSegmentBytes =
-    shm_ingest_segment_size(kCapacity, kLaneCapacity);
-// 640 + 128 x (27 + 8 x 4) bytes: on 4 KB pages a read past the end faults.
+constexpr std::uint32_t kCapacity = 31;
+constexpr std::size_t kSegmentBytes = shm_ingest_segment_size(kCapacity);
+// 128 + 128 x 31 bytes: on 4 KB pages a read past the end faults.
 static_assert(kSegmentBytes % 4096 == 0);
 
-constexpr std::uint64_t kMaxFramesPerDrain =
-    kCapacity + std::uint64_t{kIngestLanes} * kLaneCapacity;
+constexpr std::uint64_t kMaxFramesPerDrain = kCapacity;
+/// Frames in the pristine ring.
+constexpr std::uint64_t kFrames = 6;
 constexpr std::uint32_t kStallPolls = 3;
 /// Polls a consumer may take to go quiet: a stall budget per slot of the
-/// largest stream, far above what 1-3 damaged words can cost.
+/// ring, far above what 1-3 damaged words can cost.
 constexpr int kMaxPolls = (kStallPolls + 1) * (kCapacity + 1);
 constexpr std::uint64_t kSeeds = 4000;
 
-constexpr std::size_t kLanesAt = sizeof(ShmIngestHeader);
-constexpr std::size_t kSlotsAt = kLanesAt + kIngestLanes * sizeof(ShmIngestLane);
+constexpr std::size_t kSlotsAt = sizeof(ShmIngestHeader);
 constexpr std::size_t kBodyAt = offsetof(ShmIngestSlot, body);
 
-/// One word of the segment: its offset and width in bytes.
+/// One word of the segment: its offset and width in bytes, and whether it
+/// gets a claim mark rather than an edge value.
 struct Word {
   std::size_t at = 0;
   std::size_t width = 8;
+  bool mark = false;
 };
 
-/// A slot that holds a frame more often than not: one of the shared
-/// ring's first frames, or one of the first two lanes' slots.
+/// A slot that holds a frame more often than not: one of the ring's
+/// first slots, or any slot.
 std::size_t pick_slot(util::Rng& rng) {
-  if (rng.chance(0.5)) {
-    const auto i = rng.chance(0.75) ? rng.next_below(4) : rng.next_below(kCapacity);
-    return kSlotsAt + i * sizeof(ShmIngestSlot);
-  }
-  const auto lane = rng.next_below(2);
-  const auto i = rng.next_below(kLaneCapacity);
-  return kSlotsAt + (kCapacity + lane * kLaneCapacity + i) * sizeof(ShmIngestSlot);
+  const auto i =
+      rng.chance(0.75) ? rng.next_below(kFrames + 2) : rng.next_below(kCapacity);
+  return kSlotsAt + i * sizeof(ShmIngestSlot);
 }
 
-std::size_t pick_lane(util::Rng& rng) {
-  const auto lane = rng.chance(0.75) ? rng.next_below(2) : rng.next_below(kIngestLanes);
-  return kLanesAt + lane * sizeof(ShmIngestLane);
+/// A claim mark: this (live) process, no pid, -1, or a pid above any
+/// pid_max.
+std::uint64_t pick_mark(util::Rng& rng) {
+  const std::uint64_t pids[] = {static_cast<std::uint32_t>(::getpid()), 0,
+                                0xffffffffULL, 0x7fffffffULL};
+  return kClaimBit | pids[rng.next_below(4)];
 }
 
 /// The word to damage; kNameBytes stands for a slot's whole name field.
@@ -99,12 +102,12 @@ Word pick_word(util::Rng& rng) {
   using Body = ShmIngestSlot::Body;
   switch (rng.next_below(12)) {
     case 0: return {offsetof(ShmIngestHeader, capacity), 4};
-    case 1: return {offsetof(ShmIngestHeader, lane_capacity), 4};
+    case 1:
+    case 5:
+    case 6: return {pick_slot(rng) + offsetof(ShmIngestSlot, commit), 8, true};
     case 2: return {offsetof(ShmIngestHeader, version), 4};
     case 3: return {offsetof(ShmIngestHeader, slot_size), 4};
     case 4: return {offsetof(ShmIngestHeader, head), 8};
-    case 5: return {pick_lane(rng) + offsetof(ShmIngestLane, head), 8};
-    case 6: return {pick_lane(rng) + offsetof(ShmIngestLane, owner), 8};
     case 7: return {pick_slot(rng) + offsetof(ShmIngestSlot, commit), 8};
     case 8: return {pick_slot(rng) + kBodyAt + offsetof(Body, count), 4};
     case 9: return {pick_slot(rng) + kBodyAt + offsetof(Body, base_ts_ns), 8};
@@ -154,7 +157,7 @@ std::string mutate(int fd, util::Rng& rng) {
       std::uint64_t old = 0;
       EXPECT_EQ(::pread(fd, &old, n, static_cast<off_t>(word.at)),
                 static_cast<ssize_t>(n));
-      const std::uint64_t value = pick_value(rng, old);
+      const std::uint64_t value = word.mark ? pick_mark(rng) : pick_value(rng, old);
       std::memcpy(buf, &value, n);  // little-endian: the low bytes
       done << " " << word.at << "=" << value;
     }
@@ -172,8 +175,8 @@ std::vector<util::TimeNs> beats(std::uint64_t n, util::TimeNs start) {
   return out;
 }
 
-/// A ring file and its pristine image: three frames in the shared ring,
-/// two in lane 0 and one in lane 1; both full and partial frames.
+/// A ring file and its pristine image: six frames of four apps, both full
+/// and partial frames.
 class ShmSegmentMutation : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -183,20 +186,14 @@ class ShmSegmentMutation : public ::testing::Test {
     fs::create_directories(dir_);
     const core::TargetRate target{10.0, 100.0};
     {
-      auto q = ShmIngestQueue::create(file(), kCapacity, kLaneCapacity);
+      auto q = ShmIngestQueue::create(file(), kCapacity);
       q->append_batch("shared-a", beats(kIngestFrameRecords + 2, 1'000'000),
                       target);
       q->append("shared-b", 2'000'000, target);
-      const int lane_a = q->claim_lane();
-      const int lane_b = q->claim_lane();
-      ASSERT_EQ(lane_a, 0);
-      ASSERT_EQ(lane_b, 1);
-      q->append_batch("lane-a", beats(kIngestFrameRecords + 1, 3'000'000),
-                      target, lane_a);
-      q->append_batch("lane-b", beats(3, 4'000'000), target, lane_b);
-      ASSERT_EQ(q->produced(), 3u);
-      ASSERT_EQ(q->lane_produced(0), 2u);
-      ASSERT_EQ(q->lane_produced(1), 1u);
+      q->append_batch("shared-c", beats(kIngestFrameRecords + 1, 3'000'000),
+                      target);
+      q->append_batch("shared-d", beats(3, 4'000'000), target);
+      ASSERT_EQ(q->produced(), kFrames);
       image_.resize(kSegmentBytes);
       const int fd = ::open(file().c_str(), O_RDONLY);
       ASSERT_GE(fd, 0);
@@ -235,6 +232,8 @@ class Consumers {
         hub_(hub_options()),
         pump_(queue_, hub_, {.max_stall_polls = kStallPolls}) {}
 
+  const ShmIngestQueue::Cursor& cursor() const { return cursor_; }
+
   /// One poll of each consumer.
   void poll() {
     drain();
@@ -242,19 +241,31 @@ class Consumers {
     EXPECT_LE(n, kIngestFrameRecords * kMaxFramesPerDrain);
   }
 
-  /// Poll both consumers until each goes quiet: the raw cursor has no
-  /// frames left, and kStallPolls + 1 pump polls in a row change none of
-  /// its counters. Each must happen within kMaxPolls.
+  /// Poll both consumers until each goes quiet: kStallPolls + 1 polls in a
+  /// row change none of its counters. Each must happen within kMaxPolls.
+  /// A quiet raw cursor has caught up, or is past its stall budget on a
+  /// slot it waits on for the liveness timeout (an owner it cannot prove
+  /// dead).
   void run_to_quiet() {
-    int polls = 0;
-    while (queue_->has_frames(cursor_)) {
-      ASSERT_LT(polls++, kMaxPolls) << "raw cursor never caught up";
+    int calm = 0;
+    for (int polls = 0; calm <= static_cast<int>(kStallPolls); ++polls) {
+      ASSERT_LT(polls, kMaxPolls) << "raw cursor never went quiet";
+      const ShmIngestQueue::Cursor before = cursor_;
       drain();
       if (::testing::Test::HasFailure()) return;
+      const bool moved = cursor_.next != before.next ||
+                         cursor_.consumed != before.consumed ||
+                         cursor_.dropped != before.dropped ||
+                         cursor_.torn != before.torn;
+      calm = moved ? 0 : calm + 1;
     }
-    int calm = 0;
+    if (queue_->has_frames(cursor_)) {
+      EXPECT_EQ(cursor_.stalls, kStallPolls);
+      EXPECT_NE(cursor_.overdue_since_ns, 0);
+    }
+    calm = 0;
     hub::ShmIngestPumpStats last = pump_.stats();
-    for (polls = 0; calm <= static_cast<int>(kStallPolls); ++polls) {
+    for (int polls = 0; calm <= static_cast<int>(kStallPolls); ++polls) {
       ASSERT_LT(polls, kMaxPolls) << "pump never went quiet";
       EXPECT_LE(pump_.poll(), kIngestFrameRecords * kMaxFramesPerDrain);
       const hub::ShmIngestPumpStats now = pump_.stats();
@@ -293,11 +304,9 @@ class Consumers {
         kStallPolls);
     EXPECT_LE(cursor_.consumed_frames - frames, kMaxFramesPerDrain);
     EXPECT_LE(delivered, kIngestFrameRecords * kMaxFramesPerDrain);
-    // Every frame a stream cursor passed is consumed, dropped or torn:
-    // exactly once, even at hostile heads (the sums agree modulo 2^64).
-    std::uint64_t passed = cursor_.main.next;
-    for (const auto& lane : cursor_.lanes) passed += lane.next;
-    EXPECT_EQ(passed,
+    // Every frame the cursor passed is consumed, dropped or torn: exactly
+    // once, even at hostile heads (the sums agree modulo 2^64).
+    EXPECT_EQ(cursor_.next,
               cursor_.consumed_frames + cursor_.dropped + cursor_.torn);
   }
 
@@ -361,22 +370,40 @@ TEST_F(ShmSegmentMutation, EverySeedIsRejectedOrDrainsSafely) {
 // Seed 82, kept as a named case: a header head 23 frames short of 2^64,
 // written while mapped. The drain's lap check computed next + capacity,
 // which wrapped once the cursor caught up, so every later drain sent the
-// cursor back a lap and the pump never went quiet. Lane heads take the
-// same path.
+// cursor back a lap and the pump never went quiet.
 TEST_F(ShmSegmentMutation, Seed82HeadNearTwoToThe64DrainsToQuiet) {
   run_seed(82);
-  for (const std::size_t at :
-       {offsetof(ShmIngestHeader, head),
-        kLanesAt + offsetof(ShmIngestLane, head)}) {
-    const int fd = restore();
-    auto q = ShmIngestQueue::attach(file());
-    Consumers consumers(q);
-    const std::uint64_t head = std::numeric_limits<std::uint64_t>::max() - 22;
-    ASSERT_EQ(::pwrite(fd, &head, sizeof(head), static_cast<off_t>(at)),
-              static_cast<ssize_t>(sizeof(head)));
-    ::close(fd);
-    consumers.run_to_quiet();
-  }
+  const int fd = restore();
+  auto q = ShmIngestQueue::attach(file());
+  Consumers consumers(q);
+  const std::uint64_t head = std::numeric_limits<std::uint64_t>::max() - 22;
+  ASSERT_EQ(::pwrite(fd, &head, sizeof(head),
+                     static_cast<off_t>(offsetof(ShmIngestHeader, head))),
+            static_cast<ssize_t>(sizeof(head)));
+  ::close(fd);
+  consumers.run_to_quiet();
+}
+
+// A claim mark naming this live process over a published frame holds
+// both consumers past their stall budgets, and the liveness timeout
+// releases them: the frame is torn and the rest of the ring drains.
+TEST_F(ShmSegmentMutation, LiveMarkDrainsAfterTheLivenessTimeout) {
+  const int fd = restore();
+  auto q = ShmIngestQueue::attach(file());
+  Consumers consumers(q);
+  const std::uint64_t mark = kClaimBit | static_cast<std::uint32_t>(::getpid());
+  ASSERT_EQ(::pwrite(fd, &mark, sizeof(mark),
+                     static_cast<off_t>(kSlotsAt + 2 * sizeof(ShmIngestSlot) +
+                                        offsetof(ShmIngestSlot, commit))),
+            static_cast<ssize_t>(sizeof(mark)));
+  ::close(fd);
+  consumers.run_to_quiet();
+  EXPECT_TRUE(q->has_frames(consumers.cursor()));
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kClaimLivenessTimeoutNs));
+  consumers.run_to_quiet();
+  EXPECT_FALSE(q->has_frames(consumers.cursor()));
+  EXPECT_EQ(consumers.cursor().torn, 1u);
+  EXPECT_EQ(consumers.cursor().consumed_frames, kFrames - 1);
 }
 
 }  // namespace
