@@ -96,8 +96,7 @@ inline int finish_ab(const AbArgs& args, const AbResult& r, JsonRecord rec,
                      const char* overhead_key, const char* delta_key,
                      std::uint64_t delta, bool ok) {
   const double pct = r.overhead_pct();
-  std::printf("\n# hb_obs_compiled_in=%s\n", obs::kCompiledIn ? "yes" : "no");
-  std::printf("# %s=%.2f (enabled %.4fs vs disabled %.4fs)\n", overhead_key,
+  std::printf("\n# %s=%.2f (enabled %.4fs vs disabled %.4fs)\n", overhead_key,
               pct, r.enabled_s, r.disabled_s);
   std::printf("# %s=%llu (must be 0)\n", delta_key,
               static_cast<unsigned long long>(delta));
@@ -106,7 +105,6 @@ inline int finish_ab(const AbArgs& args, const AbResult& r, JsonRecord rec,
   if (args.json_path) {
     rec.config("reps", r.reps);
     rec.config("smoke", args.smoke);
-    rec.config("hb_obs_compiled_in", obs::kCompiledIn);
     rec.metric("enabled_best_s", r.enabled_s);
     rec.metric("disabled_best_s", r.disabled_s);
     rec.metric(overhead_key, pct);

@@ -40,7 +40,7 @@ Result run(const ControllerFactory& make_controller) {
   namespace wl = hb::sim::workloads;
   auto clock = std::make_shared<hb::util::ManualClock>();
   hb::sim::Machine machine(8, clock);
-  auto store = std::make_shared<hb::core::MemoryStore>(4096, true, 20);
+  auto store = std::make_shared<hb::core::MemoryStore>(4096, 20);
   auto channel = std::make_shared<hb::core::Channel>(store, clock);
   channel->set_target(wl::kBodytrackTargetMin, wl::kBodytrackTargetMax);
   const int app = machine.add_app(wl::bodytrack_like(), channel);

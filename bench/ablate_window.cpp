@@ -31,7 +31,7 @@ int main() {
   for (const std::uint32_t window : {1u, 2u, 5u, 10u, 20u, 40u, 80u, 160u}) {
     auto clock = std::make_shared<hb::util::ManualClock>();
     hb::sim::Machine machine(8, clock);
-    auto store = std::make_shared<hb::core::MemoryStore>(4096, true, 20);
+    auto store = std::make_shared<hb::core::MemoryStore>(4096, 20);
     auto channel = std::make_shared<hb::core::Channel>(store, clock);
     hb::sim::WorkloadSpec spec;
     spec.phases = {

@@ -32,8 +32,8 @@ constexpr double kMin = 1.8, kMax = 2.6;
 Series run(bool managed) {
   auto clock = std::make_shared<hb::util::ManualClock>();
   hb::sim::Machine machine(8, clock);
-  auto store_a = std::make_shared<hb::core::MemoryStore>(4096, true, 10);
-  auto store_b = std::make_shared<hb::core::MemoryStore>(4096, true, 10);
+  auto store_a = std::make_shared<hb::core::MemoryStore>(4096, 10);
+  auto store_b = std::make_shared<hb::core::MemoryStore>(4096, 10);
   auto ch_a = std::make_shared<hb::core::Channel>(store_a, clock);
   auto ch_b = std::make_shared<hb::core::Channel>(store_b, clock);
   ch_a->set_target(kMin, kMax);

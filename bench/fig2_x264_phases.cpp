@@ -18,7 +18,7 @@
 int main() {
   auto clock = std::make_shared<hb::util::ManualClock>();
   hb::sim::Machine machine(8, clock);
-  auto store = std::make_shared<hb::core::MemoryStore>(4096, true, 20);
+  auto store = std::make_shared<hb::core::MemoryStore>(4096, 20);
   auto channel = std::make_shared<hb::core::Channel>(store, clock);
   const int app =
       machine.add_app(hb::sim::workloads::x264_phases_like(), channel);

@@ -15,10 +15,7 @@
 // What the two sides measure:
 //   * enabled:  the real cost of live telemetry on ingest (counters fire
 //               on every apply and publish).
-//   * disabled: the floor — every site pays only the enabled() check. In
-//               an HB_OBS=0 build both sides collapse to identical code
-//               and the delta reads ~0 by construction (the bench prints
-//               the compile mode so CI artifacts stay interpretable).
+//   * disabled: the floor — every site pays only the enabled() check.
 //
 // A correctness coda verifies the no-op claim directly: while disabled,
 // every registry counter must FREEZE (ingest runs, totals stand still),
@@ -125,29 +122,25 @@ int main(int argc, char** argv) {
 
   // ---- correctness coda: disabled means frozen, not deferred ------------
   auto& reg = hb::obs::MetricsRegistry::global();
-  bool ok = true;
-  std::uint64_t frozen_delta = 0;
-  if (hb::obs::kCompiledIn) {
-    const std::uint64_t before = reg.counter("hb.hub.ingested").value();
-    hb::obs::set_enabled(false);
-    ingest_pass(hub, ids, 2000);
-    const std::uint64_t frozen = reg.counter("hb.hub.ingested").value();
-    hb::obs::set_enabled(true);
-    ingest_pass(hub, ids, 2000);
-    const std::uint64_t resumed = reg.counter("hb.hub.ingested").value();
-    frozen_delta = frozen - before;
-    // Frozen while disabled; resumed counting at least the re-enabled
-    // pass's beats (other instrument sites may add more).
-    ok = frozen == before &&
-         resumed >= frozen + static_cast<std::uint64_t>(kProducers) * 2000;
-  }
+  const std::uint64_t before = reg.counter("hb.hub.ingested").value();
+  hb::obs::set_enabled(false);
+  ingest_pass(hub, ids, 2000);
+  const std::uint64_t frozen = reg.counter("hb.hub.ingested").value();
+  hb::obs::set_enabled(true);
+  ingest_pass(hub, ids, 2000);
+  const std::uint64_t resumed = reg.counter("hb.hub.ingested").value();
+  const std::uint64_t frozen_delta = frozen - before;
+  // Frozen while disabled; resumed counting at least the re-enabled pass's
+  // beats (other instrument sites may add more).
+  bool ok = frozen == before &&
+            resumed >= frozen + static_cast<std::uint64_t>(kProducers) * 2000;
   // Ingest totals are tracked by the hub itself regardless of telemetry:
   // no beat may be lost in either mode.
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kProducers) *
       (2000 +  // warm-up
        static_cast<std::uint64_t>(reps) * 2 * per_thread +
-       (hb::obs::kCompiledIn ? 2 * 2000 : 0));
+       2 * 2000);  // the coda's two passes
   std::uint64_t ingested = 0;
   hub.snapshot()->for_each_app(
       [&ingested](const hb::hub::AppSummary& s) { ingested += s.total_beats; },

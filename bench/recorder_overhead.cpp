@@ -14,8 +14,7 @@
 //               frames cut on every sweep (ManualClock advances one fine
 //               interval per sweep — the recorder's worst case).
 //   * disabled: the identical pipeline; every recorder entry point reduces
-//               to one relaxed enabled() load. In an HB_OBS=0 build both
-//               sides collapse to identical code and the delta reads ~0.
+//               to one relaxed enabled() load.
 //
 // A correctness coda verifies the kill-switch claim directly: while
 // disabled the recorder's frame/report/publish counters must FREEZE (the
@@ -142,30 +141,21 @@ int main(int argc, char** argv) {
       });
 
   // ---- correctness coda: disabled means frozen, not deferred ------------
-  bool ok = true;
-  std::uint64_t frozen_delta = 0;
-  if (hb::obs::kCompiledIn) {
-    const hb::obs::FlightRecorderStats before = recorder->stats();
-    hb::obs::set_enabled(false);
-    pipeline_pass(p, 2, 2000);
-    const hb::obs::FlightRecorderStats frozen = recorder->stats();
-    hb::obs::set_enabled(true);
-    pipeline_pass(p, 2, 2000);
-    const hb::obs::FlightRecorderStats resumed = recorder->stats();
-    frozen_delta = (frozen.frames_cut - before.frames_cut) +
-                   (frozen.reports_recorded - before.reports_recorded) +
-                   (frozen.publishes_noted - before.publishes_noted);
-    ok = frozen_delta == 0 &&
-         resumed.frames_cut >= frozen.frames_cut + 2 &&
-         resumed.reports_recorded >= frozen.reports_recorded + 2;
-    if (recorder->timeline().empty()) ok = false;  // history exists
-  } else {
-    // Compiled out: the recorder must hold NOTHING.
-    if (!recorder->timeline().empty() ||
-        recorder->stats().frames_cut != 0) {
-      ok = false;
-    }
-  }
+  const hb::obs::FlightRecorderStats before = recorder->stats();
+  hb::obs::set_enabled(false);
+  pipeline_pass(p, 2, 2000);
+  const hb::obs::FlightRecorderStats frozen = recorder->stats();
+  hb::obs::set_enabled(true);
+  pipeline_pass(p, 2, 2000);
+  const hb::obs::FlightRecorderStats resumed = recorder->stats();
+  const std::uint64_t frozen_delta =
+      (frozen.frames_cut - before.frames_cut) +
+      (frozen.reports_recorded - before.reports_recorded) +
+      (frozen.publishes_noted - before.publishes_noted);
+  const bool ok = frozen_delta == 0 &&
+                  resumed.frames_cut >= frozen.frames_cut + 2 &&
+                  resumed.reports_recorded >= frozen.reports_recorded + 2 &&
+                  !recorder->timeline().empty();  // history exists
 
   hb::bench::JsonRecord rec("recorder_overhead");
   rec.config("apps", apps);

@@ -32,7 +32,7 @@ inline void run_sched_series(const sim::WorkloadSpec& workload,
                              const SchedSeriesOptions& opts) {
   auto clock = std::make_shared<util::ManualClock>();
   sim::Machine machine(8, clock);
-  auto store = std::make_shared<core::MemoryStore>(4096, true, 20);
+  auto store = std::make_shared<core::MemoryStore>(4096, 20);
   auto channel = std::make_shared<core::Channel>(store, clock);
   channel->set_target(opts.target_min, opts.target_max);
   const int app = machine.add_app(workload, channel);

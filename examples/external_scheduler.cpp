@@ -25,7 +25,7 @@ int main() {
 
   // The application: beats through a real heartbeat channel and registers
   // its goal so the external observer can read it (Figure 1b).
-  auto store = std::make_shared<hb::core::MemoryStore>(4096, true, 20);
+  auto store = std::make_shared<hb::core::MemoryStore>(4096, 20);
   auto channel = std::make_shared<hb::core::Channel>(store, clock);
   channel->set_target(wl::kBodytrackTargetMin, wl::kBodytrackTargetMax);
   const int app = machine.add_app(wl::bodytrack_like(), channel);

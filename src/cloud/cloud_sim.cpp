@@ -25,7 +25,7 @@ CloudSim::CloudSim(int machines, double machine_capacity,
 int CloudSim::add_vm(VmSpec spec) {
   Vm vm;
   vm.channel = std::make_shared<core::Channel>(
-      std::make_shared<core::MemoryStore>(512, true, 8), clock_);
+      std::make_shared<core::MemoryStore>(512, 8), clock_);
   vm.channel->set_target(spec.target_min_bps,
                          std::numeric_limits<double>::infinity());
   vm.spec = std::move(spec);

@@ -17,10 +17,9 @@ HeartbeatOptions normalize(HeartbeatOptions opts) {
 std::shared_ptr<BeatStore> default_factory(const StoreSpec& spec) {
   // Local channels have a single producer, but locals() exposes them to
   // observer threads (the paper's external schedulers read per-thread
-  // history), so the default store is always synchronized. An uncontended
+  // history), which is why a MemoryStore always locks. An uncontended
   // mutex costs ~20ns per beat; bench/overhead_heartbeat quantifies it.
-  return std::make_shared<MemoryStore>(spec.capacity, /*synchronized=*/true,
-                                       spec.default_window);
+  return std::make_shared<MemoryStore>(spec.capacity, spec.default_window);
 }
 
 Channel make_global(const HeartbeatOptions& opts,

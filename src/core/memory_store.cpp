@@ -4,17 +4,15 @@
 
 namespace hb::core {
 
-MemoryStore::MemoryStore(std::size_t capacity, bool synchronized,
-                         std::uint32_t default_window)
-    : synchronized_(synchronized),
-      capacity_(capacity == 0 ? 1 : capacity),
+MemoryStore::MemoryStore(std::size_t capacity, std::uint32_t default_window)
+    : capacity_(capacity == 0 ? 1 : capacity),
       buf_(capacity == 0 ? 1 : capacity),
       default_window_(default_window == 0 ? 1 : default_window) {
   target_.max_bps = std::numeric_limits<double>::infinity();
 }
 
 std::uint64_t MemoryStore::append(const HeartbeatRecord& rec) {
-  util::MutexLockIf lock(mu_, synchronized_);
+  util::MutexLock lock(mu_);
   HeartbeatRecord stamped = rec;
   stamped.seq = buf_.total_pushed();
   // Producers stamp their clock before taking this lock, so two racing
@@ -31,32 +29,32 @@ std::uint64_t MemoryStore::append(const HeartbeatRecord& rec) {
 }
 
 std::uint64_t MemoryStore::count() const {
-  util::MutexLockIf lock(mu_, synchronized_);
+  util::MutexLock lock(mu_);
   return buf_.total_pushed();
 }
 
 std::vector<HeartbeatRecord> MemoryStore::history(std::size_t n) const {
-  util::MutexLockIf lock(mu_, synchronized_);
+  util::MutexLock lock(mu_);
   return buf_.last_n(n);
 }
 
 void MemoryStore::set_target(TargetRate t) {
-  util::MutexLockIf lock(mu_, synchronized_);
+  util::MutexLock lock(mu_);
   target_ = t;
 }
 
 TargetRate MemoryStore::target() const {
-  util::MutexLockIf lock(mu_, synchronized_);
+  util::MutexLock lock(mu_);
   return target_;
 }
 
 void MemoryStore::set_default_window(std::uint32_t w) {
-  util::MutexLockIf lock(mu_, synchronized_);
+  util::MutexLock lock(mu_);
   default_window_ = w == 0 ? 1 : w;
 }
 
 std::uint32_t MemoryStore::default_window() const {
-  util::MutexLockIf lock(mu_, synchronized_);
+  util::MutexLock lock(mu_);
   return default_window_;
 }
 

@@ -1,9 +1,9 @@
 // In-process BeatStore.
 //
 // The default backing store: a RingBuffer of records plus target/window
-// metadata. Construct synchronized for the shared global channel (multiple
-// producer threads, concurrent readers — the paper's Section 4 uses a mutex
-// for exactly this) or unsynchronized for thread-private local channels.
+// metadata behind one mutex — any channel may have several producer
+// threads or concurrent readers (the paper's Section 4 uses a mutex for
+// exactly this).
 #pragma once
 
 #include "core/store.hpp"
@@ -15,12 +15,8 @@ namespace hb::core {
 
 class MemoryStore final : public BeatStore {
  public:
-  /// `capacity`: records retained. `synchronized`: guard all access with a
-  /// mutex (required when more than one thread touches the store; an
-  /// unsynchronized store is single-thread-owned by contract, which is
-  /// what lets util::MutexLockIf treat mu_ as vacuously held there).
-  explicit MemoryStore(std::size_t capacity, bool synchronized = true,
-                       std::uint32_t default_window = 20);
+  /// `capacity`: records retained.
+  explicit MemoryStore(std::size_t capacity, std::uint32_t default_window = 20);
 
   std::uint64_t append(const HeartbeatRecord& rec) override;
   std::uint64_t count() const override;
@@ -33,7 +29,6 @@ class MemoryStore final : public BeatStore {
 
  private:
   mutable util::Mutex mu_;
-  const bool synchronized_;
   /// buf_.capacity() never changes; cached so capacity() stays lock-free.
   const std::size_t capacity_;
   util::RingBuffer<HeartbeatRecord> buf_ HB_GUARDED_BY(mu_);

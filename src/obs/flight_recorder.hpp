@@ -34,10 +34,9 @@
 // newest frame's stamp, so a ManualClock-driven ScenarioRunner produces a
 // byte-reproducible timeline (the seed-42 goldens pin this).
 //
-// Kill switch: every record path is gated on obs::enabled() — compile out
-// with -DHB_OBS=0 or freeze at runtime with HB_OBS=0 / set_enabled(false)
-// and the recorder is a true no-op (bench/recorder_overhead holds it to
-// that).
+// Kill switch: every record path is gated on obs::enabled() — freeze it
+// at run time with env HB_OBS=0 / set_enabled(false) and the recorder is
+// a true no-op (bench/recorder_overhead holds it to that).
 #pragma once
 
 #include <atomic>

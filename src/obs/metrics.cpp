@@ -8,13 +8,12 @@
 
 namespace hb::obs {
 
-#if HB_OBS
 namespace detail {
 std::atomic<bool> g_enabled{true};
 
 namespace {
 /// Apply the HB_OBS environment override once at static-init time. Any
-/// value other than "0" leaves telemetry on (the compiled-in default).
+/// value other than "0" leaves telemetry on (the default).
 struct EnvInit {
   EnvInit() {
     if (const char* e = std::getenv("HB_OBS");
@@ -32,7 +31,6 @@ void set_enabled(bool on) {
   // the old value add one last harmless count, nothing is published.
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 struct MetricsRegistry::Cell {
   MetricValue::Kind kind;

@@ -22,13 +22,9 @@
 //   * Instrument sites cache cell pointers once (registration takes the
 //     registry mutex; the hot path never does).
 //
-// Compile-time gate: building with -DHB_OBS=0 compiles the whole plane to
-// no-ops — Counter/Gauge/Histogram carry no state, add()/record() are
-// empty inline functions, and ObsSpan (obs/trace.hpp) is an empty struct —
-// so a build that wants zero telemetry cost pays literally nothing
-// (bench/obs_overhead verifies the enabled build stays within its budget
-// too). At runtime the enabled build has a master kill switch,
-// obs::set_enabled(false) (or env HB_OBS=0), that freezes every cell.
+// Off switch: obs::set_enabled(false) (or env HB_OBS=0) freezes every
+// cell at run time — one relaxed load per instrument site
+// (bench/obs_overhead measures that cost against the enabled plane).
 #pragma once
 
 #include <array>
@@ -46,18 +42,8 @@
 #include "util/thread_id.hpp"
 #include "util/time.hpp"
 
-/// Compile-time master switch. -DHB_OBS=0 turns every telemetry call site
-/// in the tree into a no-op (empty inline bodies, stateless cells).
-#ifndef HB_OBS
-#define HB_OBS 1
-#endif
-
 namespace hb::obs {
 
-/// True when the telemetry plane is compiled in (HB_OBS != 0).
-inline constexpr bool kCompiledIn = HB_OBS != 0;
-
-#if HB_OBS
 namespace detail {
 /// Master runtime switch; constant-initialized ON, overridden once from
 /// env HB_OBS at static-init time (metrics.cpp), and by set_enabled().
@@ -71,10 +57,6 @@ inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 void set_enabled(bool on);
-#else
-constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-#endif
 
 /// Monotone process-wide event counter. Writes are wait-free: one relaxed
 /// fetch_add on the calling thread's slot (threads map onto kSlots padded
@@ -86,72 +68,48 @@ class Counter {
   static constexpr std::size_t kSlots = 16;  // power of two
 
   void add(std::uint64_t n = 1) {
-#if HB_OBS
     if (!enabled()) return;
     // relaxed: per-slot monotone count; value() tolerates any interleaving.
     slots_[util::current_thread_index() & (kSlots - 1)].v.fetch_add(
         n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   std::uint64_t value() const {
-#if HB_OBS
     std::uint64_t sum = 0;
     // relaxed: statistical read; each slot is monotone, skew is bounded.
     for (const Slot& s : slots_) sum += s.v.load(std::memory_order_relaxed);
     return sum;
-#else
-    return 0;
-#endif
   }
 
-#if HB_OBS
  private:
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> v{0};
   };
   std::array<Slot, kSlots> slots_{};
-#endif
 };
 
 /// Last-writer-wins signed level (queue depths, registered-app counts).
 class Gauge {
  public:
   void set(std::int64_t v) {
-#if HB_OBS
     if (!enabled()) return;
     // relaxed: last-writer-wins level; readers need no ordering with it.
     v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   void add(std::int64_t d) {
-#if HB_OBS
     if (!enabled()) return;
     // relaxed: commutative delta on an isolated level; no data published.
     v_.fetch_add(d, std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
   }
 
   std::int64_t value() const {
-#if HB_OBS
     // relaxed: statistical read of an isolated level.
     return v_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
   }
 
-#if HB_OBS
  private:
   std::atomic<std::int64_t> v_{0};
-#endif
 };
 
 /// Latency distribution (log-bucket util::LatencyHistogram under a short
@@ -160,30 +118,20 @@ class Gauge {
 class Histogram {
  public:
   void record(std::uint64_t v) {
-#if HB_OBS
     if (!enabled()) return;
     util::MutexLock lock(mu_);
     hist_.record(v);
-#else
-    (void)v;
-#endif
   }
 
   /// Coherent copy of the distribution (one lock, one struct copy).
   util::LatencyHistogram read() const {
-#if HB_OBS
     util::MutexLock lock(mu_);
     return hist_;
-#else
-    return {};
-#endif
   }
 
-#if HB_OBS
  private:
   mutable util::Mutex mu_;
   util::LatencyHistogram hist_ HB_GUARDED_BY(mu_);
-#endif
 };
 
 /// One metric's composed value inside a MetricsSnapshot.

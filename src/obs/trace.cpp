@@ -9,8 +9,6 @@
 
 namespace hb::obs {
 
-#if HB_OBS
-
 TraceRing::TraceRing(std::size_t capacity) {
   capacity = std::max<std::size_t>(capacity, 16);
   slots_ = std::vector<Slot>(std::bit_ceil(capacity));
@@ -119,7 +117,5 @@ void ObsSpan::finish() {
 util::TimeNs ObsSpan::now_ns() {
   return util::MonotonicClock::instance()->now();
 }
-
-#endif  // HB_OBS
 
 }  // namespace hb::obs

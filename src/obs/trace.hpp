@@ -17,8 +17,8 @@
 // the freshest window, it never backpressures the pipeline.
 //
 // Span names must be string literals (the ring stores the pointer, not
-// the bytes). Compiled to no-ops with -DHB_OBS=0; runtime-gated by
-// obs::enabled() otherwise.
+// the bytes). Runtime-gated by obs::enabled(): a disabled plane records
+// nothing.
 #pragma once
 
 #include <atomic>
@@ -41,7 +41,6 @@ struct SpanRecord {
   std::uint64_t arg = 0;  ///< stage-specific payload (records drained, ...)
 };
 
-#if HB_OBS
 class TraceRing {
  public:
   /// `capacity` is clamped to >= 16 and rounded up to a power of two.
@@ -126,37 +125,5 @@ class ObsSpan {
   std::uint64_t arg_ = 0;
   Histogram* hist_ = nullptr;
 };
-#else
-/// HB_OBS=0: the whole tracing surface is an empty shell; every call site
-/// compiles away.
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t = 0) {}
-  static TraceRing& global() {
-    static TraceRing ring;
-    return ring;
-  }
-  void record(const SpanRecord&) {}
-  std::vector<SpanRecord> snapshot(std::uint64_t* skipped = nullptr) const {
-    if (skipped) *skipped = 0;
-    return {};
-  }
-  std::uint64_t recorded() const { return 0; }
-  std::size_t capacity() const { return 0; }
-  void export_chrome_json(std::FILE* out) const {
-    std::fputs(
-        "{\"traceEvents\":[],"
-        "\"otherData\":{\"recorded\":0,\"exported\":0,\"skipped\":0}}\n",
-        out);
-  }
-  static constexpr std::size_t kDefaultCapacity = 0;
-};
-
-struct ObsSpan {
-  explicit ObsSpan(const char*, std::uint64_t = 0, Histogram* = nullptr) {}
-  void set_arg(std::uint64_t) {}
-  void finish() {}
-};
-#endif
 
 }  // namespace hb::obs

@@ -13,7 +13,7 @@ Worker::Worker(std::string name, double speed,
                std::shared_ptr<util::Clock> clock)
     : name_(std::move(name)),
       speed_(speed),
-      channel_(std::make_shared<core::MemoryStore>(512, true, 8),
+      channel_(std::make_shared<core::MemoryStore>(512, 8),
                std::move(clock)) {}
 
 double Worker::queued_work() const {

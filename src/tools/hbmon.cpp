@@ -147,10 +147,6 @@ const char* kind_name(hb::obs::MetricValue::Kind kind) {
 }
 
 void print_metrics_table(const hb::obs::MetricsSnapshot& snap) {
-  if (!hb::obs::kCompiledIn) {
-    std::printf("metrics: telemetry compiled out (HB_OBS=0)\n");
-    return;
-  }
   std::printf("%-26s %-9s %14s  %s\n", "metric", "kind", "value",
               "distribution(ns)");
   for (const auto& m : snap.metrics) {
@@ -187,11 +183,10 @@ void print_metrics_json(std::FILE* out, const hb::obs::MetricsSnapshot& snap) {
   // OFFLINE — taken_at_ns is monotonic, an epoch private to this process.
   std::fprintf(out, "{\n  \"epoch\": %llu,\n  \"taken_at_ns\": %llu,\n"
                "  \"taken_at_wall_ns\": %llu,\n"
-               "  \"compiled_in\": %s,\n  \"metrics\": {",
+               "  \"metrics\": {",
                static_cast<unsigned long long>(snap.epoch),
                static_cast<unsigned long long>(snap.taken_at_ns),
-               static_cast<unsigned long long>(snap.taken_at_wall_ns),
-               hb::obs::kCompiledIn ? "true" : "false");
+               static_cast<unsigned long long>(snap.taken_at_wall_ns));
   bool first = true;
   for (const auto& m : snap.metrics) {
     std::fprintf(out, "%s\n    \"%s\": ", first ? "" : ",", m.name.c_str());
@@ -221,22 +216,14 @@ void print_metrics_json(std::FILE* out, const hb::obs::MetricsSnapshot& snap) {
 }
 
 // The snapshot-plane footer every fleet mode prints: the report's epoch
-// plus the cache hit/rebuild split — sourced from the telemetry registry
-// (the process-wide truth), falling back to the hub's per-instance stats
-// in an HB_OBS=0 build.
-void print_snapshot_footer(const hb::hub::HeartbeatHub& hub,
-                           std::uint64_t epoch) {
-  unsigned long long hits = 0;
-  unsigned long long rebuilds = 0;
-  if (hb::obs::kCompiledIn) {
-    auto& reg = hb::obs::MetricsRegistry::global();
-    hits = reg.counter("hb.hub.snapshot_hits").value();
-    rebuilds = reg.counter("hb.hub.snapshot_rebuilds").value();
-  } else {
-    const auto stats = hub.snapshot_stats();
-    hits = stats.fleet_hits;
-    rebuilds = stats.fleet_rebuilds;
-  }
+// plus the cache hit/rebuild split, read from the telemetry registry (the
+// process-wide truth).
+void print_snapshot_footer(std::uint64_t epoch) {
+  auto& reg = hb::obs::MetricsRegistry::global();
+  const unsigned long long hits =
+      reg.counter("hb.hub.snapshot_hits").value();
+  const unsigned long long rebuilds =
+      reg.counter("hb.hub.snapshot_rebuilds").value();
   std::printf("snapshot: epoch %llu, cache %llu hits / %llu rebuilds\n",
               static_cast<unsigned long long>(epoch), hits, rebuilds);
 }
@@ -373,7 +360,7 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
            static_cast<hb::util::TimeNs>(dead_ms) * 1000000});
   hb::fault::FleetReport report = detector.sweep(hub.snapshot());
   const int code = hb::fault::print_fleet_report(stdout, report);
-  print_snapshot_footer(hub, report.snapshot_epoch);
+  print_snapshot_footer(report.snapshot_epoch);
   maybe_print_metrics_footer(metrics);
   return code;
 }
@@ -436,7 +423,7 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
     code = hb::fault::print_fleet_report(stdout, report);
   }
   print_transport_footer(stats);
-  print_snapshot_footer(*monitor.hub(), report.snapshot_epoch);
+  print_snapshot_footer(report.snapshot_epoch);
   maybe_print_metrics_footer(metrics);
   return code;
 }
@@ -504,7 +491,7 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
     std::fprintf(stderr, "hbmon: %llu postmortem bundle writes FAILED\n",
                  static_cast<unsigned long long>(pmstats.write_failures));
   }
-  print_snapshot_footer(*monitor.hub(), report.snapshot_epoch);
+  print_snapshot_footer(report.snapshot_epoch);
   maybe_print_metrics_footer(metrics);
   return code;
 }
@@ -552,10 +539,6 @@ int cmd_trace(const hb::transport::Registry& registry, int run_ms,
                static_cast<unsigned long long>(ring.recorded()),
                ring.capacity(), in_window,
                static_cast<unsigned long long>(skipped), out_path);
-  if (!hb::obs::kCompiledIn) {
-    std::fprintf(stderr, "trace: telemetry compiled out (HB_OBS=0); the "
-                 "export is an empty object\n");
-  }
   return 0;
 }
 

@@ -743,7 +743,7 @@ core::StoreFactory ShmHubSink::wrap_factory(
   if (!inner_factory) {
     inner_factory = [](const core::StoreSpec& spec) {
       return std::make_shared<core::MemoryStore>(
-          spec.capacity, /*synchronized=*/true, spec.default_window);
+          spec.capacity, spec.default_window);
     };
   }
   return [queue = std::move(queue), inner_factory = std::move(inner_factory),

@@ -53,27 +53,6 @@ class HB_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// RAII lock that engages only when asked (core::MemoryStore's
-/// constructor-time `synchronized` flag). To the analysis it ALWAYS
-/// acquires `mu` — the sound reading, because a store constructed
-/// unsynchronized is single-thread-owned by contract, so the capability
-/// is vacuously held. (The Abseil MutexLockMaybe idiom.)
-class HB_SCOPED_CAPABILITY MutexLockIf {
- public:
-  MutexLockIf(Mutex& mu, bool engage) HB_ACQUIRE(mu)
-      : mu_(engage ? &mu : nullptr) {
-    if (mu_ != nullptr) mu_->lock();
-  }
-  MutexLockIf(const MutexLockIf&) = delete;
-  MutexLockIf& operator=(const MutexLockIf&) = delete;
-  ~MutexLockIf() HB_RELEASE() {
-    if (mu_ != nullptr) mu_->unlock();
-  }
-
- private:
-  Mutex* mu_;
-};
-
 /// std::shared_mutex with capabilities: exclusive for writers, shared for
 /// readers (core::Heartbeat's locals map is the one read-mostly user).
 class HB_CAPABILITY("shared_mutex") SharedMutex {

@@ -137,7 +137,6 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
 // registry snapshots. Counter totals must conserve; snapshots must stay
 // internally ordered (sorted, monotone epochs).
 TEST(ConcurrencyStress, MetricsWritersVsSnapshotReaders) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out (HB_OBS=0)";
 
   constexpr std::size_t kWriters = 4;
   const std::size_t adds_per_writer = scaled(20000);
@@ -190,7 +189,6 @@ TEST(ConcurrencyStress, MetricsWritersVsSnapshotReaders) {
 // record is written with start == end == arg, so any torn copy that
 // survived the seqlock re-check would show up as a field mismatch.
 TEST(ConcurrencyStress, TraceRingWrapWritersVsSnapshot) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out (HB_OBS=0)";
 
   constexpr std::size_t kWriters = 4;
   const std::size_t spans_per_writer = scaled(20000);

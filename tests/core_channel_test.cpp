@@ -22,7 +22,7 @@ struct ChannelFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
       std::make_shared<util::ManualClock>();
   std::shared_ptr<MemoryStore> store =
-      std::make_shared<MemoryStore>(128, true, 20);
+      std::make_shared<MemoryStore>(128, 20);
   Channel ch{store, clock};
 
   // Emit `n` beats spaced `interval` apart (advancing before each beat).
@@ -204,7 +204,7 @@ TEST(MemoryStore, AppendAssignsSeqIgnoringInput) {
 }
 
 TEST(MemoryStore, ConcurrentAppendsLoseNothing) {
-  MemoryStore s(1 << 16, /*synchronized=*/true);
+  MemoryStore s(1 << 16);
   constexpr int kThreads = 8;
   constexpr int kEach = 2000;
   std::vector<std::thread> threads;
@@ -231,7 +231,7 @@ class ChannelWindowSweep
 TEST_P(ChannelWindowSweep, SteadyStateRateMatchesSpacing) {
   const auto [window, interval] = GetParam();
   auto clock = std::make_shared<util::ManualClock>();
-  auto store = std::make_shared<MemoryStore>(512, true, 20);
+  auto store = std::make_shared<MemoryStore>(512, 20);
   Channel ch(store, clock);
   for (int i = 0; i < 256; ++i) {
     clock->advance(interval);

@@ -177,8 +177,7 @@ TEST(Heartbeat, CustomStoreFactoryReceivesSpecs) {
   o.history_capacity = 33;
   o.store_factory = [&specs](const StoreSpec& spec) {
     specs.push_back(spec);
-    return std::make_shared<MemoryStore>(spec.capacity, true,
-                                         spec.default_window);
+    return std::make_shared<MemoryStore>(spec.capacity, spec.default_window);
   };
   Heartbeat hb(o);
   hb.local();  // force one local channel

@@ -148,8 +148,7 @@ struct WindowEdgeFixture : ::testing::Test {
   /// Channel over a fresh store of the given capacity/default window.
   std::pair<std::shared_ptr<MemoryStore>, std::shared_ptr<Channel>> make(
       std::size_t capacity, std::uint32_t default_window) {
-    auto store = std::make_shared<MemoryStore>(capacity, /*synchronized=*/true,
-                                               default_window);
+    auto store = std::make_shared<MemoryStore>(capacity, default_window);
     return {store, std::make_shared<Channel>(store, clock)};
   }
 

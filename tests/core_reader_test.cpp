@@ -18,7 +18,7 @@ struct ReaderFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
       std::make_shared<util::ManualClock>();
   std::shared_ptr<MemoryStore> store =
-      std::make_shared<MemoryStore>(128, true, 10);
+      std::make_shared<MemoryStore>(128, 10);
   Channel producer{store, clock};
   HeartbeatReader reader{store, clock};
 
@@ -114,8 +114,7 @@ TEST(Reader, WorksAgainstHeartbeatGlobalStore) {
   // Keep a handle on the store via a custom factory.
   std::shared_ptr<BeatStore> captured;
   o.store_factory = [&captured](const StoreSpec& spec) {
-    auto s = std::make_shared<MemoryStore>(spec.capacity, true,
-                                           spec.default_window);
+    auto s = std::make_shared<MemoryStore>(spec.capacity, spec.default_window);
     if (spec.shared) captured = s;
     return s;
   };

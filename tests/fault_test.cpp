@@ -67,7 +67,7 @@ TEST(FaultPlan, DrivesMachineCoreFailures) {
   auto clock = std::make_shared<util::ManualClock>();
   sim::Machine machine(8, clock);
   auto channel = std::make_shared<core::Channel>(
-      std::make_shared<core::MemoryStore>(1024, true, 20), clock);
+      std::make_shared<core::MemoryStore>(1024, 20), clock);
   sim::WorkloadSpec spec;
   spec.phases = {{sim::Phase::kEndless, 0.125, 1.0}};  // 8 beats/s/core
   const int app = machine.add_app(spec, channel);
@@ -91,7 +91,7 @@ struct DetectorFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
       std::make_shared<util::ManualClock>();
   std::shared_ptr<core::MemoryStore> store =
-      std::make_shared<core::MemoryStore>(256, true, 16);
+      std::make_shared<core::MemoryStore>(256, 16);
   core::Channel producer{store, clock};
   core::HeartbeatReader reader{store, clock};
   FleetDetector detector{};

@@ -179,7 +179,7 @@ TEST(FleetClassify, ReaderAndHubAgree) {
   const auto inf = std::numeric_limits<double>::infinity();
   for (const Row& row : rows) {
     auto clock = std::make_shared<util::ManualClock>();
-    auto store = std::make_shared<core::MemoryStore>(256, true, 16);
+    auto store = std::make_shared<core::MemoryStore>(256, 16);
     core::Channel producer{store, clock};
     producer.set_target(row.target_min, inf);
     hub::HeartbeatHub hub(test::manual_hub_opts(clock));
@@ -529,8 +529,8 @@ TEST(FleetScheduler, DeadReaderBackedAppsDonateTheirCores) {
   // The reader-backed twin of DeadAppsDonateTheirCores: apps observed
   // through their own HeartbeatReaders are judged by the same rule.
   auto clock = std::make_shared<util::ManualClock>();
-  auto store_a = std::make_shared<core::MemoryStore>(512, true, 8);
-  auto store_b = std::make_shared<core::MemoryStore>(512, true, 8);
+  auto store_a = std::make_shared<core::MemoryStore>(512, 8);
+  auto store_b = std::make_shared<core::MemoryStore>(512, 8);
   core::Channel a{store_a, clock};
   core::Channel b{store_b, clock};
   const auto inf = std::numeric_limits<double>::infinity();

@@ -69,7 +69,6 @@ std::string slurp(const fs::path& path) {
 // ------------------------------------------------------- FlightRecorder
 
 TEST(FlightRecorder, FirstSweepCutsThenFineIntervalSubsamples) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out (HB_OBS=0)";
   obs::FlightRecorder rec;  // fine interval 1 s
   for (int i = 0; i < 10; ++i) {
     // Sweeps every 500 ms: the first cuts, then every OTHER one does.
@@ -90,7 +89,6 @@ TEST(FlightRecorder, FirstSweepCutsThenFineIntervalSubsamples) {
 }
 
 TEST(FlightRecorder, PendingEventsForceACutAndRideTheNextFrame) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::FlightRecorder rec;
   rec.record_report(make_report(0, 1));  // frame 0
   rec.record_event(death_event(100, "vm-1"));
@@ -107,7 +105,6 @@ TEST(FlightRecorder, PendingEventsForceACutAndRideTheNextFrame) {
 }
 
 TEST(FlightRecorder, AgedFramesDecayOntoTheCoarseGrid) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::FlightRecorder rec;
   // One sweep per fine interval for the fine window plus ten coarse
   // intervals more than the coarse ring holds. The recorder reads no
@@ -145,7 +142,6 @@ TEST(FlightRecorder, AgedFramesDecayOntoTheCoarseGrid) {
 }
 
 TEST(FlightRecorder, EventFramesSurviveDecayOffGrid) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::FlightRecorder rec;
   rec.record_report(make_report(0, 1));  // occupies the coarse grid slot
   rec.record_event(death_event(3 * kNsPerSec, "vm-7"));
@@ -170,7 +166,6 @@ TEST(FlightRecorder, EventFramesSurviveDecayOffGrid) {
 }
 
 TEST(FlightRecorder, TimelineRangeQueryFilters) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::FlightRecorder rec;
   for (int i = 0; i < 10; ++i) {
     rec.record_report(make_report(i * kNsPerSec, i));
@@ -182,7 +177,6 @@ TEST(FlightRecorder, TimelineRangeQueryFilters) {
 }
 
 TEST(FlightRecorder, NotePublishLandsInTheNextFrame) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::FlightRecorder rec;
   rec.note_publish(7, 100);
   rec.note_publish(8, 200);
@@ -194,7 +188,6 @@ TEST(FlightRecorder, NotePublishLandsInTheNextFrame) {
 }
 
 TEST(FlightRecorder, KillSwitchMakesEveryRecordPathANoOp) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::FlightRecorder rec;
   rec.record_report(make_report(0, 1));
   obs::set_enabled(false);
@@ -214,7 +207,6 @@ TEST(FlightRecorder, KillSwitchMakesEveryRecordPathANoOp) {
 }
 
 TEST(FlightRecorder, EventSinkFeedsRecordEvent) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::FlightRecorder rec;
   policy::PolicyEngine engine;
   const auto sink = rec.event_sink();
@@ -247,7 +239,6 @@ TEST(PostmortemSink, DeterministicBundleIds) {
 }
 
 TEST(PostmortemSink, FirstTriggerCapturesImmediately) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   // Regression: the sentinel init of the cooldown anchor must not swallow
   // the very first incident (a wrapped subtraction once did).
   auto rec = std::make_shared<obs::FlightRecorder>();
@@ -263,7 +254,6 @@ TEST(PostmortemSink, FirstTriggerCapturesImmediately) {
 }
 
 TEST(PostmortemSink, BundleIsSelfContainedJson) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   auto rec = std::make_shared<obs::FlightRecorder>();
   const auto report = make_report(10 * kNsPerSec, 5, /*healthy=*/1);
   fault::AppHealth app;
@@ -298,7 +288,6 @@ TEST(PostmortemSink, BundleIsSelfContainedJson) {
 }
 
 TEST(PostmortemSink, CooldownAndBudgetBoundCaptures) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   auto rec = std::make_shared<obs::FlightRecorder>();
   rec->record_report(make_report(0, 1));
   obs::PostmortemOptions opts;
@@ -330,7 +319,6 @@ TEST(PostmortemSink, CooldownAndBudgetBoundCaptures) {
 }
 
 TEST(PostmortemSink, KillSwitchSuppressesCapture) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   auto rec = std::make_shared<obs::FlightRecorder>();
   rec->record_report(make_report(0, 1));
   obs::PostmortemOptions opts;
@@ -374,7 +362,6 @@ void expect_matches_golden(const std::string& name, const std::string& got) {
 }
 
 TEST(PostmortemGolden, RackKillSeed42BundleIsByteStable) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const sim::ScenarioSpec* spec = sim::find_scenario("rack_kill");
   ASSERT_NE(spec, nullptr);
   const std::string dir = scratch_dir("golden_capture");
@@ -400,7 +387,6 @@ TEST(PostmortemGolden, RackKillSeed42BundleIsByteStable) {
 }
 
 TEST(PostmortemGolden, RackKillSeed42TimelineIsByteStable) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const sim::ScenarioSpec* spec = sim::find_scenario("rack_kill");
   ASSERT_NE(spec, nullptr);
   sim::ScenarioRunner runner(*spec, spec->correctness, /*seed=*/42);

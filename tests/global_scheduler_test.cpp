@@ -21,9 +21,9 @@ struct TwoAppFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
       std::make_shared<util::ManualClock>();
   std::shared_ptr<core::MemoryStore> store_a =
-      std::make_shared<core::MemoryStore>(512, true, 10);
+      std::make_shared<core::MemoryStore>(512, 10);
   std::shared_ptr<core::MemoryStore> store_b =
-      std::make_shared<core::MemoryStore>(512, true, 10);
+      std::make_shared<core::MemoryStore>(512, 10);
   core::Channel a{store_a, clock};
   core::Channel b{store_b, clock};
   std::vector<int> allocs_a, allocs_b;
@@ -146,8 +146,8 @@ TEST(GlobalSchedulerClosedLoop, ShiftsCoresBetweenPhasedApps) {
   auto clock = std::make_shared<util::ManualClock>();
   sim::Machine machine(8, clock);
 
-  auto store_a = std::make_shared<core::MemoryStore>(4096, true, 10);
-  auto store_b = std::make_shared<core::MemoryStore>(4096, true, 10);
+  auto store_a = std::make_shared<core::MemoryStore>(4096, 10);
+  auto store_b = std::make_shared<core::MemoryStore>(4096, 10);
   auto ch_a = std::make_shared<core::Channel>(store_a, clock);
   auto ch_b = std::make_shared<core::Channel>(store_b, clock);
   ch_a->set_target(1.8, 2.6);

@@ -253,9 +253,7 @@ TEST(HubBatching, IngestedCountsEveryBeatBeforeAnyFlush) {
   beat(a);
   beat(b);
 
-  if (obs::kCompiledIn) {  // the registry reads 0 with telemetry compiled out
-    EXPECT_EQ(ingested.value() - ingested0, total);
-  }
+  EXPECT_EQ(ingested.value() - ingested0, total);
   for (std::size_t i = 0; i < hub.shard_count(); ++i) {
     EXPECT_EQ(hub.shard(i).stats().ingested, sent[i]) << "shard " << i;
   }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "hub/hub.hpp"
-#include "obs/metrics.hpp"
 #include "policy/monitor.hpp"
 #include "test_support.hpp"
 #include "transport/shm_ingest.hpp"
@@ -73,20 +72,11 @@ TEST(Monitor, RecordsEachReportBeforeTheEngineObservesIt) {
   ASSERT_EQ(probe->events.size(), 2u);
   EXPECT_EQ(probe->events[1].to_health, fault::Health::kDead);
 
-  if (obs::kCompiledIn) {
-    // Each dispatch saw its own report already recorded, and the event
-    // already in the recorder (its sink runs first).
-    EXPECT_EQ(probe->seen_reports[0], healthy);
-    EXPECT_EQ(probe->seen_reports[1], dead);
-    EXPECT_EQ(probe->recorder_saw_event_first,
-              (std::vector<bool>{true, true}));
-  } else {
-    // Telemetry compiled out: the recorder is a documented no-op.
-    EXPECT_EQ(probe->seen_reports[0], nullptr);
-    EXPECT_EQ(probe->seen_reports[1], nullptr);
-    EXPECT_EQ(monitor.recorder()->last_report(), nullptr);
-    EXPECT_TRUE(monitor.recorder()->pending_events().empty());
-  }
+  // Each dispatch saw its own report already recorded, and the event
+  // already in the recorder (its sink runs first).
+  EXPECT_EQ(probe->seen_reports[0], healthy);
+  EXPECT_EQ(probe->seen_reports[1], dead);
+  EXPECT_EQ(probe->recorder_saw_event_first, (std::vector<bool>{true, true}));
   EXPECT_EQ(monitor.last_report(), dead);
   EXPECT_EQ(monitor.engine().stats().sweeps, 2u);
   EXPECT_EQ(monitor.pump(), nullptr);

@@ -22,7 +22,6 @@ namespace {
 // instrument sites exercised by other suites in this binary.
 
 TEST(MetricsRegistry, CounterGaugeHistogramRoundTrip) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out (HB_OBS=0)";
   obs::MetricsRegistry reg;
   reg.counter("t.counter").add(3);
   reg.counter("t.counter").add();  // default increment of 1
@@ -84,7 +83,6 @@ TEST(MetricsRegistry, SnapshotIsSortedAndEpochAdvances) {
 }
 
 TEST(MetricsRegistry, ConcurrentCountersAreExact) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::MetricsRegistry reg;
   constexpr int kThreads = 8;
   constexpr std::uint64_t kAddsPerThread = 100000;
@@ -117,7 +115,6 @@ TEST(MetricsRegistry, ConcurrentCountersAreExact) {
 }
 
 TEST(MetricsRegistry, ShardMergeConservesCountsAcrossCells) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   // The composition walk (snapshot) sums each counter's thread-sharded
   // slots. Conservation check: writers split a known total across two
   // counters from many threads; every merged snapshot taken AFTER the
@@ -153,7 +150,6 @@ TEST(MetricsRegistry, ShardMergeConservesCountsAcrossCells) {
 }
 
 TEST(MetricsRegistry, HistogramMergesWithoutDoubleCounting) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::MetricsRegistry reg;
   constexpr int kThreads = 4;
   constexpr std::uint64_t kRecordsPerThread = 25000;
@@ -193,7 +189,6 @@ TEST(MetricsRegistry, HistogramMergesWithoutDoubleCounting) {
 }
 
 TEST(MetricsSnapshot, CarriesWallClockStamp) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::MetricsRegistry reg;
   const obs::MetricsSnapshot snap = reg.snapshot();
   // Unix-epoch nanoseconds: anything after 2020-01-01 is sane; zero would
@@ -202,7 +197,6 @@ TEST(MetricsSnapshot, CarriesWallClockStamp) {
 }
 
 TEST(MetricsRegistry, RuntimeDisableFreezesCells) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::MetricsRegistry reg;
   obs::Counter& c = reg.counter("t.freeze");
   obs::Gauge& g = reg.gauge("t.freeze.gauge");
@@ -227,7 +221,6 @@ TEST(MetricsRegistry, RuntimeDisableFreezesCells) {
 }
 
 TEST(TraceRing, RecordsAndSnapshotsSpans) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::TraceRing ring(64);
   for (std::uint64_t i = 0; i < 10; ++i) {
     obs::SpanRecord rec;
@@ -248,7 +241,6 @@ TEST(TraceRing, RecordsAndSnapshotsSpans) {
 }
 
 TEST(TraceRing, WrapKeepsTheFreshestWindowWithoutTearing) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::TraceRing ring(64);
   ASSERT_EQ(ring.capacity(), 64u);
   // Payload invariant per span: end = start + 1, arg = start. A torn read
@@ -272,7 +264,6 @@ TEST(TraceRing, WrapKeepsTheFreshestWindowWithoutTearing) {
 }
 
 TEST(TraceRing, ConcurrentWritersNeverTearAReader) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::TraceRing ring(128);
   std::atomic<bool> stop{false};
   std::thread reader([&] {
@@ -309,7 +300,6 @@ TEST(TraceRing, ConcurrentWritersNeverTearAReader) {
 }
 
 TEST(TraceRing, SnapshotAccountsForEverySlotUnderWriters) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::TraceRing ring(64);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
@@ -338,7 +328,6 @@ TEST(TraceRing, SnapshotAccountsForEverySlotUnderWriters) {
 }
 
 TEST(TraceRing, ExportsChromeTraceJson) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::TraceRing ring(16);
   obs::SpanRecord rec;
   rec.name = "json.span";
@@ -372,7 +361,6 @@ TEST(TraceRing, ExportsChromeTraceJson) {
 }
 
 TEST(TraceRing, QuietRingSnapshotsWithNothingSkipped) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::TraceRing ring(32);
   for (std::uint64_t i = 0; i < 8; ++i) {
     obs::SpanRecord rec;
@@ -387,7 +375,6 @@ TEST(TraceRing, QuietRingSnapshotsWithNothingSkipped) {
 }
 
 TEST(ObsSpan, RecordsIntoGlobalRingAndHistogram) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::MetricsRegistry reg;
   obs::Histogram& hist = reg.histogram("t.span_ns");
   const std::uint64_t before = obs::TraceRing::global().recorded();
@@ -474,7 +461,6 @@ TEST(HubSelfBeat, StalledPublishLoopReadsAsDeadThenRevives) {
 }
 
 TEST(HubSelfBeat, SelfBeatsSurfaceInTheGlobalRegistry) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   auto& reg = obs::MetricsRegistry::global();
   const std::uint64_t before = reg.counter("hb.hub.self_beats").value();
   hub::HubOptions opts;

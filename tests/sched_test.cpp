@@ -25,7 +25,7 @@ struct SchedFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
       std::make_shared<util::ManualClock>();
   std::shared_ptr<core::MemoryStore> store =
-      std::make_shared<core::MemoryStore>(1024, true, 10);
+      std::make_shared<core::MemoryStore>(1024, 10);
   core::Channel producer{store, clock};
   std::vector<int> actuations;
 
@@ -135,7 +135,7 @@ TEST_F(SchedFixture, RespectsMaxCores) {
 TEST(SchedClosedLoop, BodytrackConvergesThenReclaims) {
   auto clock = std::make_shared<util::ManualClock>();
   sim::Machine machine(8, clock);
-  auto store = std::make_shared<core::MemoryStore>(4096, true, 20);
+  auto store = std::make_shared<core::MemoryStore>(4096, 20);
   auto channel = std::make_shared<core::Channel>(store, clock);
   channel->set_target(sim::workloads::kBodytrackTargetMin,
                       sim::workloads::kBodytrackTargetMax);
@@ -170,7 +170,7 @@ TEST(SchedClosedLoop, BodytrackConvergesThenReclaims) {
 TEST(SchedClosedLoop, RateEndsInsideTargetWindow) {
   auto clock = std::make_shared<util::ManualClock>();
   sim::Machine machine(8, clock);
-  auto store = std::make_shared<core::MemoryStore>(4096, true, 20);
+  auto store = std::make_shared<core::MemoryStore>(4096, 20);
   auto channel = std::make_shared<core::Channel>(store, clock);
   // Steady endless workload, f = 0.95, 2s/beat: identical to bodytrack
   // phase 1; the scheduler should settle at 7 cores and stay.

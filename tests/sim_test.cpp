@@ -18,7 +18,7 @@ namespace {
 std::shared_ptr<core::Channel> make_channel(
     std::shared_ptr<util::ManualClock> clock, std::uint32_t window = 20) {
   return std::make_shared<core::Channel>(
-      std::make_shared<core::MemoryStore>(4096, true, window), clock);
+      std::make_shared<core::MemoryStore>(4096, window), clock);
 }
 
 // ----------------------------------------------------------------- Amdahl

@@ -2,6 +2,7 @@
 // wraparound overflow accounting, crashed-producer torn-slot skipping (and
 // live producers waited for), ShmHubSink mirroring, and the fork-based multi-process pump smoke (hub
 // verdicts via the ring must match in-process ingestion exactly).
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/prctl.h>
 #include <sys/wait.h>
@@ -339,7 +340,7 @@ TEST_F(ShmIngestTest, HubSinkMirrorsSharedChannelOnly) {
 
 TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
   auto q = ShmIngestQueue::create(file(), 64);
-  auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
+  auto inner = std::make_shared<core::MemoryStore>(64, 10);
   ShmHubSink sink(inner, q, "batchy",
                   {.flush_every = 8, .max_hold_ns = 10 * kNsPerMs});
 
@@ -395,7 +396,7 @@ TEST_F(ShmIngestTest, OnlyTimestampDeltasBreakAFrame) {
   // A thread switch and a seq gap broke a frame while the ring carried
   // thread ids and seqs; it carries neither now, so a sink packs them into
   // one frame, and its inner store still keeps both.
-  auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
+  auto inner = std::make_shared<core::MemoryStore>(64, 10);
   ShmHubSink sink(inner, q, "mixed", {.flush_every = 4});
   core::HeartbeatRecord r = rec_at(1 * kNsPerMs);
   r.thread_id = 1;
@@ -729,10 +730,12 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
   }
   auto q = ShmIngestQueue::create(file(), 32);
   hub::HeartbeatHub hub;
+  // The park may not lapse before the producer rings; phase 1's 2 ms
+  // budget still ends its park by timeout.
   hub::ShmIngestPump pump(q, hub,
                           {.idle_sleep_min_ns = 1 * kNsPerMs,
                            .idle_sleep_max_ns = 8 * kNsPerMs,
-                           .doorbell_timeout_ns = 5 * kNsPerMs});
+                           .doorbell_timeout_ns = 5000 * kNsPerMs});
 
   // Idle: waits end in timeouts; empty polls still grow the backoff.
   EXPECT_EQ(pump.poll(), 0u);
@@ -743,13 +746,26 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
 
   // A producer ringing the doorbell mid-wait: wait() reports work and the
   // backoff schedule snaps back to the floor (the doorbell wake IS the
-  // "ring went busy" signal — satellite fix).
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // "ring went busy" signal). The producer appends only once the header's
+  // `parked` word shows the pump parked, plus a settle: the pump re-checks
+  // for frames just after advertising `parked`, and a frame that lands
+  // before that re-check ends the wait without a park.
+  std::thread producer([&q, path = file()] {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    std::uint32_t parked = 0;
+    for (int i = 0; i < 50000; ++i) {  // up to 5 s
+      if (::pread(fd, &parked, sizeof(parked),
+                  offsetof(ShmIngestHeader, parked)) == sizeof(parked) &&
+          parked != 0) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
     q->append("a", 1, {});
   });
-  bool woke = false;
-  for (int i = 0; i < 2000 && !woke; ++i) woke = pump.wait(5000 * kNsPerMs);
+  const bool woke = pump.wait(5000 * kNsPerMs);
   producer.join();
   EXPECT_TRUE(woke);
   EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
@@ -757,6 +773,7 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
   const auto stats = pump.stats();
   EXPECT_GE(stats.parks, 2u);
   EXPECT_GE(stats.doorbell_wakes, 1u);
+  EXPECT_EQ(stats.wait_timeouts, 1u);
 }
 
 TEST_F(ShmIngestTest, PumpDefaultStallBudgetOutlastsABriefClaim) {
@@ -1189,9 +1206,7 @@ TEST_F(ShmIngestTest, PumpRejectsRecordsUnderTheHubsOwnName) {
   EXPECT_EQ(s.target.min_bps, before.target.min_bps);
   EXPECT_EQ(s.target.max_bps, before.target.max_bps);
   EXPECT_EQ(pump.stats().rejected, 1u);
-  if (obs::kCompiledIn) {  // the registry reads 0 with telemetry compiled out
-    EXPECT_EQ(rejected.value() - rejected0, 1u);
-  }
+  EXPECT_EQ(rejected.value() - rejected0, 1u);
   const hub::AppSummary enc = hub.summary(hub.id_of("enc"));
   EXPECT_EQ(enc.total_beats, 1u);
   EXPECT_EQ(enc.staleness_ns, 0);

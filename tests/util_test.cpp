@@ -1,5 +1,5 @@
-// Unit tests for hb::util — clocks, ring buffer, statistics, RNG, CSV,
-// thread ids.
+// Unit tests for hb::util — clocks, ring buffer, statistics, RNG, thread
+// ids.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,12 +8,10 @@
 #include <cstdint>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "util/clock.hpp"
-#include "util/csv.hpp"
 #include "util/exact_moments.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -450,22 +448,6 @@ TEST(Rng, ChanceProbability) {
 TEST(Rng, NextBelowInRange) {
   Rng r(11);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(r.next_below(17), 17u);
-}
-
-// -------------------------------------------------------------------- csv
-
-TEST(Csv, HeaderAndRows) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.header({"a", "b", "c"});
-  csv.row() << 1 << 2.5 << "x";
-  EXPECT_EQ(out.str(), "a,b,c\n1,2.5,x\n");
-}
-
-TEST(Csv, EscapeQuotesAndCommas) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
 }
 
 // -------------------------------------------------------------- thread id
