@@ -1,13 +1,14 @@
-// Ingest A/B on one ring: packed batches vs per-record appends.
+// Ingest A/B on one ring: packed batches vs per-record appends, plus the
+// pump's cost per record for a wide fleet of one-beat producers.
 //
 // Two ways a fleet of producers can push beats into one ShmIngestQueue:
 //
 //   * per_record — every beat is one append() call: one fetch_add claim
-//                  on the ring head, one 128-byte frame holding one
+//                  on the ring head, one 64-byte frame holding one
 //                  timestamp.
 //   * packed     — producers buffer a small batch, and the batch packs up
-//                  to kIngestFrameRecords timestamps per frame under one
-//                  claim.
+//                  to kIngestFrameRecords (9) timestamps per frame under
+//                  one claim.
 //
 // A concurrent consumer drains the whole time, so the number reported is
 // SUSTAINED delivery — what a live hbmon actually ingests per second —
@@ -26,16 +27,25 @@
 // miscounted loss is not. No producer crashes, so no frame may be torn:
 // a claim names its live owner, a live owner is waited for, and a lapped
 // writer drops its frame rather than overwrite or stall the newer one.
-// Packed runs also check packing, a count
-// no host changes: every flush is a multiple of kIngestFrameRecords
-// beats, so each producer must publish exactly
-// ceil(beats / kIngestFrameRecords) frames — all full but its last.
+// Packed runs also check packing, a count no host changes: every flush is
+// a multiple of kIngestFrameRecords (nine) beats, so each producer must
+// publish exactly ceil(beats / 9) frames — all full but its last.
+//
+// The wide-fleet section is the monitor's common case: 4096 ShmHubSink
+// producers (one directory entry each, flush_every 1) beat round-robin, one
+// one-beat frame per beat, while a live pump (its own thread, the
+// canonical poll()/wait() loop, into a HeartbeatHub) drains them. It
+// reports the pump thread's CPU time inside poll() per record: drain,
+// route and apply together. The producer waits for the pump whenever a
+// round would put more than two rounds in flight, so no frame is lapped,
+// and the section gates on every beat being applied: no drop, tear or
+// rejection.
 //
 //   ./bench_shm_ingest [beats_per_producer] [repeat] [--smoke] [--json PATH]
 //
 // CSV on stdout; verdict line prints packed_faster_at_64=yes|no.
-// Exit 0 unless the conservation, torn-frame, packing or idle-CPU gate
-// fails (exit 2).
+// Exit 0 unless the conservation, torn-frame, packing, wide-fleet or
+// idle-CPU gate fails (exit 2).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -54,6 +64,7 @@
 #include <unistd.h>
 
 #include "bench_json.hpp"
+#include "core/memory_store.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
 #include "transport/shm_ingest.hpp"
@@ -65,9 +76,14 @@ namespace {
 namespace fs = std::filesystem;
 
 using SteadyClock = std::chrono::steady_clock;
+using hb::transport::AppHandle;
 using hb::transport::ShmIngestQueue;
 
 constexpr std::uint32_t kRingFrames = 4096;
+/// Producers in the wide-fleet section, and its ring (the registry's
+/// default capacity, as a monitor opens it).
+constexpr std::uint32_t kWideApps = 4096;
+constexpr std::uint32_t kWideRingFrames = 1u << 15;
 using hb::transport::kIngestFrameRecords;
 /// Producer-side buffer per flush in packed mode: a multiple of
 /// kIngestFrameRecords so every flush packs into full frames.
@@ -104,10 +120,10 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   auto queue = ShmIngestQueue::create(path, kRingFrames);
   const hb::core::TargetRate target{1.0, 1e9};
 
-  std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(producers));
+  std::vector<AppHandle> apps;
+  apps.reserve(static_cast<std::size_t>(producers));
   for (int p = 0; p < producers; ++p) {
-    names.push_back("prod-" + std::to_string(p));
+    apps.push_back(queue->join("prod-" + std::to_string(p), target));
   }
 
   std::atomic<int> done{0};
@@ -118,16 +134,16 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      const std::string_view name = names[static_cast<std::size_t>(p)];
+      const AppHandle app = apps[static_cast<std::size_t>(p)];
       if (!packed) {
-        for (int i = 0; i < beats; ++i) queue->append(name, now_ns(), target);
+        for (int i = 0; i < beats; ++i) queue->append(app, now_ns());
       } else {
         hb::util::TimeNs batch[kBatch];
         int i = 0;
         while (i < beats) {
           std::size_t n = 0;
           for (; n < kBatch && i < beats; ++n, ++i) batch[n] = now_ns();
-          queue->append_batch(name, {batch, n}, target);
+          queue->append_batch(app, {batch, n});
         }
       }
       done.fetch_add(1, std::memory_order_release);
@@ -136,7 +152,7 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
 
   ShmIngestQueue::Cursor cur;
   std::uint64_t delivered = 0;
-  const auto sink = [&delivered](std::string_view, hb::core::TargetRate,
+  const auto sink = [&delivered](std::uint32_t, std::uint32_t,
                                  std::span<const hb::util::TimeNs> timestamps) {
     delivered += timestamps.size();
   };
@@ -186,6 +202,99 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
                  static_cast<unsigned long long>(cur.dropped),
                  static_cast<unsigned long long>(cur.torn),
                  static_cast<unsigned long long>(frames_produced));
+  }
+  return result;
+}
+
+struct WideResult {
+  double pump_ns_per_record = 0;  ///< pump-thread CPU in poll() per record
+  double producer_ns_per_beat = 0;  ///< producer wall time per beat
+  std::uint64_t records = 0;        ///< beats the producers sent
+  bool whole = false;  ///< every beat applied: no drop, tear or rejection
+};
+
+/// The wide-fleet section: kWideApps one-beat producers, `rounds` beats
+/// each, into one ring drained by a live pump.
+WideResult run_wide(const fs::path& dir, int rounds) {
+  const auto path = dir / "wide.hbq";
+  fs::remove(path);
+  auto queue = ShmIngestQueue::create(path, kWideRingFrames);
+  std::vector<std::unique_ptr<hb::transport::ShmHubSink>> sinks;
+  sinks.reserve(kWideApps);
+  for (std::uint32_t a = 0; a < kWideApps; ++a) {
+    sinks.push_back(std::make_unique<hb::transport::ShmHubSink>(
+        std::make_shared<hb::core::MemoryStore>(16, 4), queue,
+        "wide-" + std::to_string(a)));
+  }
+  hb::hub::HubOptions hub_opts;
+  hub_opts.shard_count = 8;
+  hb::hub::HeartbeatHub hub(hub_opts);
+  hb::hub::ShmIngestPump pump(queue, hub);
+
+  std::atomic<std::uint64_t> consumed{0};
+  std::atomic<bool> stop{false};
+  double poll_cpu_s = 0;
+  std::thread pump_thread([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const double c0 = thread_cpu_seconds();
+      pump.poll();
+      poll_cpu_s += thread_cpu_seconds() - c0;
+      consumed.store(pump.stats().consumed, std::memory_order_release);
+      pump.wait(hb::util::kNsPerMs);
+    }
+  });
+
+  const std::uint64_t total = std::uint64_t{kWideApps} * rounds;
+  hb::core::HeartbeatRecord rec;
+  const auto t0 = SteadyClock::now();
+  for (int r = 0; r < rounds; ++r) {
+    // At most two rounds in flight: the ring holds eight.
+    while (consumed.load(std::memory_order_acquire) + 2 * kWideApps <
+           std::uint64_t{kWideApps} * (r + 1)) {
+      std::this_thread::yield();
+    }
+    for (auto& sink : sinks) {
+      rec.timestamp_ns = now_ns();
+      sink->append(rec);
+    }
+  }
+  const auto t1 = SteadyClock::now();
+  // Bounded: a lost beat fails the gate below instead of hanging the bench.
+  const auto deadline = t1 + std::chrono::seconds(10);
+  while (consumed.load(std::memory_order_acquire) < total &&
+         SteadyClock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true, std::memory_order_release);
+  pump_thread.join();
+
+  const hb::hub::ShmIngestPumpStats stats = pump.stats();
+  std::uint64_t ingested = 0;
+  for (std::size_t i = 0; i < hub.shard_count(); ++i) {
+    ingested += hub.shard(i).stats().ingested;
+  }
+  WideResult result;
+  result.records = total;
+  result.pump_ns_per_record =
+      stats.consumed > 0 ? 1e9 * poll_cpu_s / static_cast<double>(stats.consumed)
+                         : 0.0;
+  result.producer_ns_per_beat =
+      1e9 * std::chrono::duration<double>(t1 - t0).count() /
+      static_cast<double>(total);
+  result.whole = stats.consumed == total && stats.dropped == 0 &&
+                 stats.torn == 0 && stats.rejected == 0 && ingested == total &&
+                 stats.apps == kWideApps;
+  if (!result.whole) {
+    std::fprintf(stderr,
+                 "WIDE-FLEET LOSS: consumed=%llu dropped=%llu torn=%llu "
+                 "rejected=%llu ingested=%llu sent=%llu apps=%llu\n",
+                 static_cast<unsigned long long>(stats.consumed),
+                 static_cast<unsigned long long>(stats.dropped),
+                 static_cast<unsigned long long>(stats.torn),
+                 static_cast<unsigned long long>(stats.rejected),
+                 static_cast<unsigned long long>(ingested),
+                 static_cast<unsigned long long>(total),
+                 static_cast<unsigned long long>(stats.apps));
   }
   return result;
 }
@@ -319,6 +428,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Wide-fleet section: the pump's cost per record at 4096 one-beat apps.
+  const WideResult wide = run_wide(dir, smoke ? 10 : 50);
+  std::printf("\nconfig,apps,beats,pump_ns_per_record,producer_ns_per_beat\n");
+  std::printf("wide_fleet,%u,%llu,%.1f,%.1f\n", kWideApps,
+              static_cast<unsigned long long>(wide.records),
+              wide.pump_ns_per_record, wide.producer_ns_per_beat);
+
   // Idle-CPU section: a parked consumer over a quiet second.
   double idle_wall = 0.0;
   const double idle_window_s = 1.0;
@@ -344,6 +460,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(torn), torn == 0 ? "ok" : "FAIL");
   std::printf("# packed_frames_packed=%s (%.2f records per frame at 8)\n",
               packed ? "yes" : "NO", packed_records_per_frame);
+  std::printf("# wide_fleet_whole=%s (every beat of %u one-beat apps "
+              "applied; gate=%s)\n",
+              wide.whole ? "yes" : "NO", kWideApps, wide.whole ? "ok" : "FAIL");
 
   if (json_path) {
     hb::bench::JsonRecord rec("shm_ingest");
@@ -365,16 +484,21 @@ int main(int argc, char** argv) {
     rec.metric("torn_frames", torn);
     rec.metric("packed_records_per_frame_p8", packed_records_per_frame);
     rec.metric("packed_frames_packed", packed);
+    rec.metric("wide_fleet_pump_ns_per_record", wide.pump_ns_per_record);
+    rec.metric("wide_fleet_producer_ns_per_beat", wide.producer_ns_per_beat);
+    rec.metric("wide_fleet_whole", wide.whole);
     rec.write(json_path);
   }
 
   // Exit gates on the invariants only (conservation, no torn frame without
-  // a crash, packing, idle-CPU); the throughput verdict is a
-  // noisy-runner-unsafe claim and stays informational (same policy as
-  // bench_fleet_sweep's mismatch gate).
+  // a crash, packing, a whole wide fleet, idle-CPU); the throughput
+  // verdict and the pump's ns per record are noisy-runner-unsafe figures
+  // and stay informational (same policy as bench_fleet_sweep's mismatch
+  // gate).
   if (!conserved) return 2;
   if (torn != 0) return 2;
   if (!packed) return 2;
+  if (!wide.whole) return 2;
   if (!idle_ok) return 2;
   return 0;
 }

@@ -102,72 +102,89 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
       table_(kInitialTableSlots),
       shard_runs_(hub_->shard_count()) {}
 
-void ShmIngestPump::stage(std::string_view app, core::TargetRate target,
+void ShmIngestPump::stage(std::uint32_t entry, std::uint32_t gen,
                           std::span<const util::TimeNs> timestamps) {
   staged_.insert(staged_.end(), timestamps.begin(), timestamps.end());
   const auto records = static_cast<std::uint32_t>(timestamps.size());
-  const auto min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
-  const auto max_bits = std::bit_cast<std::uint64_t>(target.max_bps);
-  // The drain hands over at most kIngestNameCap - 1 bytes; the cut is
-  // defense in depth, so a key always ends in a NUL.
-  app = app.substr(0, sizeof(NameKey) - 1);
-  if (!runs_.empty()) {
-    StagedRun& last = runs_.back();
-    if (last.name[app.size()] == '\0' &&
-        std::memcmp(last.name, app.data(), app.size()) == 0 &&
-        last.target_min_bits == min_bits && last.target_max_bits == max_bits) {
-      last.records += records;
-      return;
-    }
+  if (!runs_.empty() && runs_.back().entry == entry &&
+      runs_.back().gen == gen) {
+    runs_.back().records += records;
+    return;
   }
-  StagedRun& run = runs_.emplace_back();
-  std::memcpy(run.name, app.data(), app.size());
-  run.hash = hash_key(run.name);
-  run.target_min_bits = min_bits;
-  run.target_max_bits = max_bits;
-  run.records = records;
-  // Pass 2 reads this slot: start fetching it while the drain goes on.
-  __builtin_prefetch(&table_[run.hash & (table_.size() - 1)]);
+  runs_.push_back({entry, gen, records});
+  // Pass 2 reads this route: start fetching it while the drain goes on.
+  if (entry < routes_.size()) __builtin_prefetch(&routes_[entry]);
+}
+
+AppId ShmIngestPump::route(const StagedRun& run) {
+  if (run.entry < routes_.size()) {
+    const EntryRoute& r = routes_[run.entry];
+    if (r.claimed_gen <= run.gen && run.gen <= r.gen) return r.id;
+  }
+  return resolve(run);
 }
 
 AppId ShmIngestPump::resolve(const StagedRun& run) {
+  transport::ShmIngestQueue::AppEntry entry;
+  if (!queue_->read_entry(run.entry, entry) ||
+      run.gen < entry.claimed_gen || run.gen > entry.gen) {
+    return kRejected;  // not cached: the next such frame reads again
+  }
+  const AppId id = resolve_name(entry);
+  // Cache only a route whose target the hub has: after a re-target caught
+  // mid-write, the next such frame reads the entry again.
+  if (!entry.target_read) return id;
+  // read_entry bounds run.entry by the ring's capacity.
+  if (run.entry >= routes_.size()) routes_.resize(run.entry + 1);
+  routes_[run.entry] = {entry.claimed_gen, entry.gen, id};
+  return id;
+}
+
+AppId ShmIngestPump::resolve_name(
+    const transport::ShmIngestQueue::AppEntry& entry) {
+  const char* name = entry.tenure.name;
   const std::size_t mask = table_.size() - 1;
-  std::size_t i = run.hash & mask;
+  std::size_t i = hash_key(name) & mask;
   while (table_[i].id != kNoApp &&
-         std::memcmp(table_[i].name, run.name, sizeof(NameKey)) != 0) {
+         std::memcmp(table_[i].name, name, sizeof(NameKey)) != 0) {
     i = (i + 1) & mask;
   }
   NameSlot& slot = table_[i];
   if (slot.id == kRejected) return kRejected;
   const bool first_sight = slot.id == kNoApp;
+  // With no current target read, a known app keeps the target it has; a
+  // new one starts at the target of its join.
+  if (!first_sight && !entry.target_read) return slot.id;
+  const transport::ShmIngestDirEntry::Target& bits =
+      entry.target_read ? entry.target : entry.tenure.join_target;
   // Compare as bit patterns: NaN/infinity-safe and cheaper than FP ==.
-  if (!first_sight && run.target_min_bits == slot.target_min_bits &&
-      run.target_max_bits == slot.target_max_bits) {
+  if (!first_sight && bits.min_bits == slot.target_min_bits &&
+      bits.max_bits == slot.target_max_bits) {
     return slot.id;
   }
-  const core::TargetRate target{std::bit_cast<double>(run.target_min_bits),
-                                std::bit_cast<double>(run.target_max_bits)};
+  const core::TargetRate target{std::bit_cast<double>(bits.min_bits),
+                                std::bit_cast<double>(bits.max_bits)};
   if (first_sight) {
     // Keep the table at most 3/4 full. Growing moves every slot, so probe
     // again in the grown table.
     if (4 * (table_apps_ + 1) > 3 * table_.size()) {
       grow_table();
-      return resolve(run);
+      return resolve_name(entry);
     }
-    std::memcpy(slot.name, run.name, sizeof(NameKey));
+    std::memcpy(slot.name, name, sizeof(NameKey));
     ++table_apps_;
-    if (std::string_view(run.name) == kSelfAppName) {
+    if (std::string_view(name) == kSelfAppName) {
       slot.id = kRejected;
       return kRejected;
     }
-    slot.id = hub_->register_app(std::string(run.name), target);
+    slot.id = hub_->register_app(std::string(name), target);
     // register_app keeps the existing target when the name was already
-    // registered (registry replay, an earlier pump); the ring frame
-    // carries the producer's CURRENT target, so apply it regardless.
+    // registered (registry replay, an earlier pump); the entry carries
+    // the producer's CURRENT target, so apply it regardless.
   }
   hub_->set_target(slot.id, target);
-  slot.target_min_bits = run.target_min_bits;
-  slot.target_max_bits = run.target_max_bits;
+  slot.target_min_bits = bits.min_bits;
+  slot.target_max_bits = bits.max_bits;
   return slot.id;
 }
 
@@ -195,7 +212,7 @@ std::size_t ShmIngestPump::poll() {
   // Pass 2: route each run to its shard, then one apply per shard.
   std::size_t next = 0;
   for (const StagedRun& run : runs_) {
-    const AppId id = resolve(run);
+    const AppId id = route(run);
     if (id == kRejected) {
       next += run.records;
       rejected_ += run.records;

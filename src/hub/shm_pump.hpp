@@ -3,23 +3,30 @@
 // The consumer half of the transport/ShmIngestQueue pipeline. One pump owns
 // one ring cursor and one hub, and each poll() is one batch in two passes:
 //
-//   1. drain every committed frame and stage its timestamps, one name
-//      per run of consecutive same-name frames (one name and target
-//      comparison per frame); each new run's name is hashed once and its
-//      name-table slot prefetched;
-//   2. resolve each run to its AppId in a flat open-addressing name table
-//      and append its records, as 16-byte AppRecords (id and timestamp:
-//      all the hub reads of a beat), to its shard's run; then hand each
-//      shard's run to HeartbeatHub::ingest_batch — one apply per shard per
-//      poll.
+//   1. drain every committed frame and stage its timestamps, one run per
+//      consecutive frames of one directory (entry, gen); each new run's
+//      route-cache line is prefetched;
+//   2. route each run to its AppId with one index into a flat
+//      entry -> {claimed_gen, gen, AppId} cache, valid for the frame when
+//      its gen lies in the cached range, and append its records, as
+//      16-byte AppRecords (id and timestamp: all the hub reads of a beat),
+//      to its shard's run; then hand each shard's run to
+//      HeartbeatHub::ingest_batch — one apply per shard per poll.
 //
-// Applications are registered on first sight (with the target carried in
-// their frames) and re-targeted whenever a drained frame shows a changed
-// target — so a fleet of external producer processes reaches FleetDetector
-// sweeps, hbmon, and every other hub consumer without any of them linking
-// the producers. Records under the hub's reserved kSelfAppName are dropped
-// and counted as rejected: a producer must not refresh the hub's own
-// heartbeat.
+// A cache miss (a new entry, a new tenure, or a re-target, which bumps the
+// entry's gen) reads the entry from the ring's directory and accepts the
+// frame iff claimed_gen <= frame gen <= entry gen; every other frame is
+// rejected and counted. The read is one attempt and never waits: a
+// re-target caught mid-write still leaves the name readable, so the frame
+// is routed and the app keeps its last target until a later frame reads
+// the entry whole. An accepted entry's name resolves through a flat
+// open-addressing name table, so two entries with one name are one app.
+// Applications are registered on first sight (with the target in their
+// entry) and re-targeted whenever an entry shows a changed target — so a
+// fleet of external producer processes reaches FleetDetector sweeps, hbmon,
+// and every other hub consumer without any of them linking the producers.
+// Records under the hub's reserved kSelfAppName are dropped and counted as
+// rejected: a producer must not refresh the hub's own heartbeat.
 //
 // The canonical loop is
 //
@@ -94,7 +101,9 @@ struct ShmIngestPumpStats {
   std::uint64_t consumed = 0;  ///< records drained, rejected ones included
   std::uint64_t dropped = 0;   ///< ring frames lapped before this pump read them
   std::uint64_t torn = 0;      ///< frames skipped (producer died mid-batch)
-  std::uint64_t rejected = 0;  ///< records dropped under kSelfAppName
+  /// Records dropped: under kSelfAppName, or in frames whose directory
+  /// entry or gen did not check out.
+  std::uint64_t rejected = 0;
   std::uint64_t apps = 0;      ///< distinct producer names seen, rejected too
   /// Always 0: the ring has no fast lanes since v4. Kept only because
   /// pipebench/src/main.cpp reads it, and pipebench/ changes only with
@@ -149,9 +158,9 @@ class ShmIngestPump {
   }
 
  private:
-  /// A drained name as a table key: its bytes, zero-padded to the ring's
-  /// name field. The drain hands over at most kIngestNameCap - 1 bytes
-  /// with no NUL inside, so equal keys are equal names.
+  /// A directory name as a table key: its bytes, zero-padded to the
+  /// entry's name field (read_entry pads it), so equal keys are equal
+  /// names.
   using NameKey = char[transport::kIngestNameCap];
 
   /// One name-table slot, one cache line: a probe reads one line.
@@ -168,21 +177,34 @@ class ShmIngestPump {
   static constexpr AppId kRejected = kNoApp - 1;
   static_assert(sizeof(NameSlot) == 64, "a name-table slot is one cache line");
 
-  /// Consecutive drained frames with one name and one target.
+  /// What one directory entry routes to, for frames whose gen lies in
+  /// [claimed_gen, gen]. The default range is empty.
+  struct EntryRoute {
+    std::uint32_t claimed_gen = ~std::uint32_t{0};
+    std::uint32_t gen = 0;
+    AppId id = kNoApp;
+  };
+
+  /// Consecutive drained frames of one directory entry and gen.
   struct StagedRun {
-    NameKey name = {};
-    std::uint64_t hash = 0;
-    std::uint64_t target_min_bits = 0;
-    std::uint64_t target_max_bits = 0;
+    std::uint32_t entry = 0;
+    std::uint32_t gen = 0;
     std::uint32_t records = 0;
   };
 
   /// Pass 1: stage one drained frame's timestamps.
-  void stage(std::string_view app, core::TargetRate target,
+  void stage(std::uint32_t entry, std::uint32_t gen,
              std::span<const util::TimeNs> timestamps);
-  /// Pass 2: the run's AppId, registering or re-targeting the app;
-  /// kRejected for the reserved kSelfAppName.
+  /// Pass 2: the run's AppId from the route cache, or resolve() on a miss.
+  AppId route(const StagedRun& run);
+  /// A route-cache miss: check the run against its directory entry and
+  /// cache the entry's route. kRejected for a frame the entry does not
+  /// cover, or for the reserved kSelfAppName.
   AppId resolve(const StagedRun& run);
+  /// The AppId of an accepted entry's name, registering or re-targeting
+  /// the app (a new app without a current target read gets its join's);
+  /// kRejected for kSelfAppName.
+  AppId resolve_name(const transport::ShmIngestQueue::AppEntry& entry);
   /// Double the name table and re-place every entry.
   void grow_table();
 
@@ -201,6 +223,8 @@ class ShmIngestPump {
   std::uint64_t wait_timeouts_ = 0;
   std::uint64_t rejected_ = 0;
 
+  /// Routes by directory entry; grows to the highest entry seen.
+  std::vector<EntryRoute> routes_;
   /// Open addressing, linear probing, power-of-two size, at most 3/4 full.
   std::vector<NameSlot> table_;
   std::size_t table_apps_ = 0;  ///< occupied slots: distinct names seen

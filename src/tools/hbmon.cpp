@@ -118,8 +118,10 @@ static_assert(std::atomic<bool>::is_always_lock_free);
 void handle_stop(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 // The transport-loss footer both ring-fed fleet modes print under the
-// verdict table: ring drops/torn slots are lost evidence — an operator who
-// cannot see them would misread transport loss as producer staleness.
+// verdict table: ring drops/torn slots are lost evidence, and rejected
+// records (the hub's reserved name, or a frame its directory entry does
+// not cover) are evidence refused — an operator who cannot see either
+// would misread it as producer staleness.
 void print_transport_footer(const hb::hub::ShmIngestPumpStats& stats) {
   std::printf("transport: %llu beats ingested from %llu producers, "
               "%llu dropped (ring lapped), %llu torn (producer died "
@@ -129,6 +131,10 @@ void print_transport_footer(const hb::hub::ShmIngestPumpStats& stats) {
               static_cast<unsigned long long>(stats.dropped),
               static_cast<unsigned long long>(stats.torn),
               stats.dropped || stats.torn ? "  <-- ring loss" : "");
+  std::printf("rejected: %llu beats (reserved name or bad directory "
+              "entry)%s\n",
+              static_cast<unsigned long long>(stats.rejected),
+              stats.rejected ? "  <-- rejected" : "");
   std::printf("doorbell: %llu parks, %llu wakes (%llu spurious), "
               "%llu timeouts\n",
               static_cast<unsigned long long>(stats.parks),

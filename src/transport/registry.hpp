@@ -72,9 +72,10 @@ class Registry {
                                         std::uint32_t queue_capacity =
                                             kDefaultIngestCapacity) const;
 
-  /// 32768 slots x 128 bytes = 4 MiB: roomy enough that a fleet of ~100
-  /// producers at ~100 beats/s survives multi-second consumer pauses
-  /// without laps.
+  /// 32768 frames x 64 bytes plus 32768 directory entries x 128 bytes =
+  /// 6 MiB: roomy enough that a fleet of ~100 producers at ~100 beats/s
+  /// survives multi-second consumer pauses without laps, and that 32768
+  /// producers can hold a directory entry at once.
   static constexpr std::uint32_t kDefaultIngestCapacity = 1u << 15;
 
   /// Remove a channel's files (cleanup after producer exit).

@@ -63,15 +63,14 @@ struct ShmMetrics {
   }
 };
 
-/// Frames drain_stream looks ahead: it prefetches the slot this many
-/// frames past the one it reads, since the producer's core has just
-/// written it.
+/// Frames drain looks ahead: it prefetches the slot this many frames past
+/// the one it reads, since the producer's core has just written it.
 constexpr std::uint64_t kDrainFetchAhead = 4;
 
-// Fit an app name into a frame's 40-byte field. Names that fit are copied
-// verbatim; longer ones keep their first 30 bytes plus '~' and 8 hex
-// digits of an FNV-1a hash of the FULL name, so two producers whose names
-// share a long prefix are still distinct apps hub-side (silent merging
+// Fit an app name into a directory entry's 40-byte field. Names that fit
+// are copied verbatim; longer ones keep their first 30 bytes plus '~' and
+// 8 hex digits of an FNV-1a hash of the FULL name, so two producers whose
+// names share a long prefix are still distinct apps hub-side (silent merging
 // would make one of them vanish from every fleet report).
 std::size_t fit_name(std::string_view app, char out[kIngestNameCap]) {
   if (app.size() < kIngestNameCap) {
@@ -168,6 +167,28 @@ std::uint64_t own_claim_mark() {
   return mark.load(std::memory_order_relaxed);
 }
 
+/// The owner word of an entry given back at ring head `head`: free once
+/// the head has moved a full capacity on. Saturates below kClaimBit, so a
+/// hostile head near 2^64 cannot turn it into a claim mark.
+std::uint64_t free_at(std::uint64_t head, std::uint64_t capacity) {
+  constexpr std::uint64_t kNever = kClaimBit - 1;
+  return head >= kNever - capacity ? kNever : head + capacity;
+}
+
+/// Seqlock-write an entry's current target under its gen word: odd while
+/// the target lands, `gen` (even) once it has.
+void write_target(ShmIngestDirEntry& e, core::TargetRate target,
+                  std::uint32_t gen) {
+  const ShmIngestDirEntry::Target bits{
+      std::bit_cast<std::uint64_t>(target.min_bps),
+      std::bit_cast<std::uint64_t>(target.max_bps)};
+  // relaxed: the release fence below orders it before the target stores.
+  e.gen.store(gen - 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  util::tsan_relaxed_copy(e.target, bits);
+  e.gen.store(gen, std::memory_order_release);
+}
+
 /// Inode of this process's pid namespace, or 0 where /proc cannot say.
 std::uint64_t own_pid_ns() {
   struct stat st{};
@@ -211,9 +232,10 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::create(
     throw_errno("ShmIngestQueue::create mmap " + file.string());
   }
 
-  // The mapping is zero-filled; all-zero slots are already valid
-  // (commit == 0 means empty). Fill the header, then publish the magic
-  // LAST so a concurrent attach() never observes a half-built header.
+  // The mapping is zero-filled; all-zero entries and slots are already
+  // valid (owner == 0: free; commit == 0: empty). Fill the header, then
+  // publish the magic LAST so a concurrent attach() never observes a
+  // half-built header.
   auto* hdr = new (base) ShmIngestHeader();
   hdr->slot_size = sizeof(ShmIngestSlot);
   hdr->capacity = capacity;
@@ -382,14 +404,22 @@ ShmIngestQueue::~ShmIngestQueue() {
   if (base_ != nullptr) ::munmap(base_, bytes_);
 }
 
+ShmIngestDirEntry* ShmIngestQueue::directory() {
+  return reinterpret_cast<ShmIngestDirEntry*>(static_cast<char*>(base_) +
+                                              sizeof(ShmIngestHeader));
+}
+
+const ShmIngestDirEntry* ShmIngestQueue::directory() const {
+  return reinterpret_cast<const ShmIngestDirEntry*>(
+      static_cast<const char*>(base_) + sizeof(ShmIngestHeader));
+}
+
 ShmIngestSlot* ShmIngestQueue::slots() {
-  return reinterpret_cast<ShmIngestSlot*>(static_cast<char*>(base_) +
-                                          sizeof(ShmIngestHeader));
+  return reinterpret_cast<ShmIngestSlot*>(directory() + capacity_);
 }
 
 const ShmIngestSlot* ShmIngestQueue::slots() const {
-  return reinterpret_cast<const ShmIngestSlot*>(
-      static_cast<const char*>(base_) + sizeof(ShmIngestHeader));
+  return reinterpret_cast<const ShmIngestSlot*>(directory() + capacity_);
 }
 
 // ---------------------------------------------------------------- doorbell
@@ -441,6 +471,106 @@ std::uint64_t ShmIngestQueue::doorbell_rings() const {
   return header()->rings.load(std::memory_order_acquire);
 }
 
+// --------------------------------------------------------------- directory
+
+AppHandle ShmIngestQueue::join(std::string_view app,
+                               core::TargetRate target) {
+  ShmIngestDirEntry* dir = directory();
+  const std::uint64_t mark = same_pid_ns_ ? own_claim_mark() : kClaimBit;
+  // relaxed: a hint; any start index probes the same entries.
+  const std::uint32_t start = join_hint_.load(std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < capacity_; ++i) {
+    const std::uint32_t idx =
+        static_cast<std::uint32_t>((std::uint64_t{start} + i) % capacity_);
+    ShmIngestDirEntry& e = dir[idx];
+    std::uint64_t owner = e.owner.load(std::memory_order_acquire);
+    if ((owner & kClaimBit) != 0) {
+      // Held. A dead holder's entry is reclaimed, but handed out only a
+      // lap from now, when no consumer can still hold one of its frames.
+      if (same_pid_ns_ && owner != kClaimBit && owner_pid_dead(owner)) {
+        const std::uint64_t head =
+            header()->head.load(std::memory_order_acquire);
+        // relaxed: on failure the entry is simply skipped.
+        e.owner.compare_exchange_strong(owner, free_at(head, capacity_),
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed);
+      }
+      continue;
+    }
+    if (owner > header()->head.load(std::memory_order_acquire)) continue;
+    // relaxed: on failure another joiner took it; probe on.
+    if (!e.owner.compare_exchange_strong(owner, mark,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_relaxed)) {
+      continue;
+    }
+    // relaxed: a hint, as above.
+    join_hint_.store((idx + 1) % capacity_, std::memory_order_relaxed);
+    // The next even gen above any the entry has carried: every frame of
+    // an earlier tenure carries a lower one.
+    // relaxed: only this holder writes the word now.
+    const std::uint32_t gen =
+        (e.gen.load(std::memory_order_relaxed) | 1u) + 1u;
+    ShmIngestDirEntry::Tenure tenure;
+    fit_name(app, tenure.name);
+    tenure.join_target = {std::bit_cast<std::uint64_t>(target.min_bps),
+                          std::bit_cast<std::uint64_t>(target.max_bps)};
+    // Seqlock-write the tenure under claimed_gen, the target inside it.
+    // relaxed: the release fence below orders it before the tenure stores.
+    e.claimed_gen.store(gen - 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    util::tsan_relaxed_copy(e.tenure, tenure);
+    write_target(e, target, gen);
+    e.claimed_gen.store(gen, std::memory_order_release);
+    return {idx, gen};
+  }
+  throw std::runtime_error("ShmIngestQueue::join: app directory full (" +
+                           std::to_string(capacity_) + " entries): " +
+                           file_.string());
+}
+
+void ShmIngestQueue::set_target(AppHandle& app, core::TargetRate target) {
+  app.gen += 2;
+  write_target(directory()[app.entry % capacity_], target, app.gen);
+}
+
+void ShmIngestQueue::leave(AppHandle app) {
+  ShmIngestDirEntry& e = directory()[app.entry % capacity_];
+  std::uint64_t mark = same_pid_ns_ ? own_claim_mark() : kClaimBit;
+  const std::uint64_t head = header()->head.load(std::memory_order_acquire);
+  // relaxed: a failed CAS means another process holds the entry (or a
+  // forked child is leaving its parent's), and there is nothing to do.
+  e.owner.compare_exchange_strong(mark, free_at(head, capacity_),
+                                  std::memory_order_acq_rel,
+                                  std::memory_order_relaxed);
+}
+
+bool ShmIngestQueue::read_entry(std::uint32_t entry, AppEntry& out) const {
+  if (entry >= capacity_) return false;
+  const ShmIngestDirEntry& e = directory()[entry];
+  const std::uint32_t claimed = e.claimed_gen.load(std::memory_order_acquire);
+  if ((claimed & 1u) != 0) return false;  // a join is writing the tenure
+  util::tsan_relaxed_copy(out.tenure, e.tenure);
+  const std::uint32_t gen = e.gen.load(std::memory_order_acquire);
+  util::tsan_relaxed_copy(out.target, e.target);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  // relaxed: the fence above orders the copies before these re-checks.
+  const std::uint32_t claimed_after =
+      e.claimed_gen.load(std::memory_order_relaxed);
+  // relaxed: as above.
+  const std::uint32_t gen_after = e.gen.load(std::memory_order_relaxed);
+  if (claimed_after != claimed) return false;  // a new tenure began
+  out.claimed_gen = claimed;
+  out.gen = gen;
+  out.target_read = (gen & 1u) == 0 && gen_after == gen;
+  // A name keys the consumer's tables: cut it at its first NUL (or the
+  // field's end) and zero the rest.
+  char* name = out.tenure.name;
+  const std::size_t len = ::strnlen(name, kIngestNameCap - 1);
+  std::memset(name + len, 0, kIngestNameCap - len);
+  return true;
+}
+
 // --------------------------------------------------------------- producers
 
 std::uint64_t ShmIngestQueue::claim(std::uint64_t n) {
@@ -483,13 +613,11 @@ std::size_t ShmIngestQueue::count_packable(
 }
 
 void ShmIngestQueue::publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
-                                   std::string_view app,
-                                   std::span<const util::TimeNs> timestamps,
-                                   core::TargetRate target) {
+                                   AppHandle app,
+                                   std::span<const util::TimeNs> timestamps) {
   ShmIngestSlot::Body body;
-  fit_name(app, body.app);
-  body.target_min_bits = std::bit_cast<std::uint64_t>(target.min_bps);
-  body.target_max_bits = std::bit_cast<std::uint64_t>(target.max_bps);
+  body.entry = app.entry;
+  body.gen = app.gen;
   body.base_ts_ns = timestamps[0];
   body.count = static_cast<std::uint32_t>(timestamps.size());
   for (std::size_t i = 0; i < timestamps.size(); ++i) {
@@ -514,23 +642,18 @@ void ShmIngestQueue::publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
   slot.commit.store(seq + 1, std::memory_order_release);
 }
 
-void ShmIngestQueue::publish(std::uint64_t seq, std::string_view app,
-                             util::TimeNs timestamp_ns,
-                             core::TargetRate target) {
-  publish_frame(slots()[seq % capacity_], seq, app, {&timestamp_ns, 1},
-                target);
+void ShmIngestQueue::publish(std::uint64_t seq, AppHandle app,
+                             util::TimeNs timestamp_ns) {
+  publish_frame(slots()[seq % capacity_], seq, app, {&timestamp_ns, 1});
   ring_doorbell();
 }
 
-std::uint64_t ShmIngestQueue::append(std::string_view app,
-                                     util::TimeNs timestamp_ns,
-                                     core::TargetRate target) {
-  return append_batch(app, {&timestamp_ns, 1}, target);
+std::uint64_t ShmIngestQueue::append(AppHandle app, util::TimeNs timestamp_ns) {
+  return append_batch(app, {&timestamp_ns, 1});
 }
 
 std::uint64_t ShmIngestQueue::append_batch(
-    std::string_view app, std::span<const util::TimeNs> timestamps,
-    core::TargetRate target) {
+    AppHandle app, std::span<const util::TimeNs> timestamps) {
   if (timestamps.empty()) return header()->head.load(std::memory_order_acquire);
   // Pass 1: how many frames does this batch pack into? Pass 2: publish.
   // The contended fetch_add is paid once per batch.
@@ -544,8 +667,7 @@ std::uint64_t ShmIngestQueue::append_batch(
   std::uint64_t seq = first;
   for (std::size_t i = 0; i < timestamps.size(); ++seq) {
     const std::size_t n = count_packable(timestamps, i);
-    publish_frame(arr[seq % capacity_], seq, app, timestamps.subspan(i, n),
-                  target);
+    publish_frame(arr[seq % capacity_], seq, app, timestamps.subspan(i, n));
     i += n;
   }
   ShmMetrics::get().records->add(timestamps.size());
@@ -598,12 +720,9 @@ std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
   std::uint64_t dead_mark = 0;
   while (cur.next < head) {
     if (head - cur.next > kDrainFetchAhead) {
-      // Both lines of a slot ahead. The index is taken mod the validated
+      // The slot (one line) ahead. The index is taken mod the validated
       // cap, so a hostile head cannot steer the read out of bounds.
-      const auto* ahead = reinterpret_cast<const char*>(
-          &arr[(cur.next + kDrainFetchAhead) % cap]);
-      __builtin_prefetch(ahead);
-      __builtin_prefetch(ahead + 64);
+      __builtin_prefetch(&arr[(cur.next + kDrainFetchAhead) % cap]);
     }
     const ShmIngestSlot& slot = arr[cur.next % cap];
     const std::uint64_t c1 = slot.commit.load(std::memory_order_acquire);
@@ -614,10 +733,6 @@ std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
       std::atomic_thread_fence(std::memory_order_acquire);
       // relaxed: the fence above orders the copy before this re-check.
       if (slot.commit.load(std::memory_order_relaxed) == c1) {
-        body.app[kIngestNameCap - 1] = '\0';
-        core::TargetRate target;
-        target.min_bps = std::bit_cast<double>(body.target_min_bits);
-        target.max_bps = std::bit_cast<double>(body.target_max_bits);
         // Unpack the frame: timestamp i is base + delta i. A frame
         // accepted by the seqlock always carries 1..kIngestFrameRecords
         // timestamps; the clamp is pure defense against a corrupted
@@ -630,7 +745,7 @@ std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
           timestamps[i] = static_cast<util::TimeNs>(
               static_cast<std::uint64_t>(body.base_ts_ns) + body.ts_delta_ns[i]);
         }
-        fn(std::string_view(body.app), target, {timestamps, n});
+        fn(body.entry, body.gen, {timestamps, n});
         delivered += n;
         cur.consumed += n;
         ++cur.consumed_frames;
@@ -703,12 +818,17 @@ ShmHubSink::ShmHubSink(std::shared_ptr<core::BeatStore> inner,
     : inner_(std::move(inner)),
       queue_(std::move(queue)),
       app_(std::move(app)),
-      opts_(opts) {
+      opts_(opts),
+      entry_(queue_->join(app_, inner_->target())) {
   if (opts_.flush_every == 0) opts_.flush_every = 1;
   buf_.reserve(opts_.flush_every);
 }
 
-ShmHubSink::~ShmHubSink() { flush(); }
+ShmHubSink::~ShmHubSink() {
+  util::MutexLock lock(mu_);
+  flush_locked();
+  queue_->leave(entry_);
+}
 
 std::uint64_t ShmHubSink::append(const core::HeartbeatRecord& rec) {
   const std::uint64_t seq = inner_->append(rec);
@@ -723,7 +843,9 @@ std::uint64_t ShmHubSink::append(const core::HeartbeatRecord& rec) {
 
 void ShmHubSink::set_target(core::TargetRate t) {
   inner_->set_target(t);
-  // The next flushed batch carries the new target to the consumer.
+  util::MutexLock lock(mu_);
+  flush_locked();
+  queue_->set_target(entry_, t);
 }
 
 void ShmHubSink::flush() {
@@ -733,7 +855,7 @@ void ShmHubSink::flush() {
 
 void ShmHubSink::flush_locked() {
   if (buf_.empty()) return;
-  queue_->append_batch(app_, buf_, inner_->target());
+  queue_->append_batch(entry_, buf_);
   buf_.clear();
 }
 

@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -247,27 +249,52 @@ core::TargetRate stamp_target(std::size_t p, std::size_t i) {
   return {static_cast<double>(i), static_cast<double>(p)};
 }
 
-/// A delivered frame holds one beat whose three stamps agree: a copy that
-/// mixed two frames would break the agreement.
-void expect_stamped_frame(std::string_view app, core::TargetRate target,
-                          std::span<const util::TimeNs> timestamps,
-                          std::size_t producers) {
+/// Producer p joins as "app<p>" and re-targets its entry to
+/// stamp_target(p, i) before every beat i, so beat i's frame carries the
+/// gen joined + 2 (i + 1).
+void stamped_beats(transport::ShmIngestQueue& queue, transport::AppHandle app,
+                   std::size_t p, std::size_t beats) {
+  for (std::size_t i = 0; i < beats; ++i) {
+    queue.set_target(app, stamp_target(p, i));
+    queue.append(app, stamp_of(p, i));
+  }
+}
+
+/// A delivered frame holds one beat whose stamp, entry and gen agree, and
+/// its entry names its producer, with the beat's target while the entry
+/// is still at the frame's gen: a copy that mixed two frames, or an entry
+/// read that mixed two writes, would break the agreement.
+void expect_stamped_frame(const transport::ShmIngestQueue& queue,
+                          std::span<const transport::AppHandle> apps,
+                          std::uint32_t entry, std::uint32_t gen,
+                          std::span<const util::TimeNs> timestamps) {
   ASSERT_EQ(timestamps.size(), 1u);
   const auto stamp = static_cast<std::uint64_t>(timestamps[0]);
   const std::size_t p = stamp >> 48;
   const std::size_t i = stamp & ((std::uint64_t{1} << 48) - 1);
-  ASSERT_LT(p, producers);
-  EXPECT_EQ(app, "app" + std::to_string(p));
-  EXPECT_EQ(target.min_bps, stamp_target(p, i).min_bps);
-  EXPECT_EQ(target.max_bps, stamp_target(p, i).max_bps);
+  ASSERT_LT(p, apps.size());
+  EXPECT_EQ(entry, apps[p].entry);
+  EXPECT_EQ(gen, apps[p].gen + 2 * (i + 1));
+  // The re-targets never make the name unreadable.
+  transport::ShmIngestQueue::AppEntry e;
+  ASSERT_TRUE(queue.read_entry(entry, e));
+  EXPECT_EQ(std::string_view(e.tenure.name), "app" + std::to_string(p));
+  EXPECT_EQ(e.claimed_gen, apps[p].gen);
+  EXPECT_GE(e.gen, gen);
+  if (e.target_read && e.gen == gen) {
+    const core::TargetRate t = stamp_target(p, i);
+    EXPECT_EQ(e.target.min_bits, std::bit_cast<std::uint64_t>(t.min_bps));
+    EXPECT_EQ(e.target.max_bits, std::bit_cast<std::uint64_t>(t.max_bps));
+  }
 }
 
 // Multi-process-grade ring exercised in-process: producers append while a
 // consumer drains concurrently. The protocol's books must balance exactly:
 // every claimed sequence number is eventually consumed, dropped (lapped),
 // or skipped as torn — and nothing delivered may be torn (each frame's
-// name, target and timestamp carry the same stamp, which a copy mixing two
-// frames would break).
+// entry, gen and timestamp carry the same stamp, which a copy mixing two
+// frames would break). Every beat also re-targets its producer's directory
+// entry, so entry writes race the consumer's entry reads.
 TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(8000);
@@ -278,24 +305,26 @@ TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
   fs::create_directories(dir);
   auto queue = transport::ShmIngestQueue::create(dir / "ring.hbq", 64);
 
+  std::vector<transport::AppHandle> apps;
+  apps.reserve(kProducers);
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    apps.push_back(queue->join("app" + std::to_string(p), {}));
+  }
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> threads;
   for (std::size_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      const std::string app = "app" + std::to_string(p);
-      for (std::size_t i = 0; i < beats_per_producer; ++i) {
-        queue->append(app, stamp_of(p, i), stamp_target(p, i));
-      }
+      stamped_beats(*queue, apps[p], p, beats_per_producer);
       producers_done.fetch_add(1, std::memory_order_acq_rel);
     });
   }
 
   transport::ShmIngestQueue::Cursor cur;
   std::uint64_t delivered = 0;
-  const auto sink = [&](std::string_view app, core::TargetRate target,
+  const auto sink = [&](std::uint32_t entry, std::uint32_t gen,
                         std::span<const util::TimeNs> timestamps) {
     delivered += timestamps.size();
-    expect_stamped_frame(app, target, timestamps, kProducers);
+    expect_stamped_frame(*queue, apps, entry, gen, timestamps);
   };
   while (producers_done.load(std::memory_order_acquire) < kProducers) {
     queue->drain(cur, sink);
@@ -347,24 +376,26 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
   auto queue = transport::ShmIngestQueue::create(
       dir / "ring.hbq", static_cast<std::uint32_t>(total));
 
+  std::vector<transport::AppHandle> apps;
+  apps.reserve(kProducers);
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    apps.push_back(queue->join("app" + std::to_string(p), {}));
+  }
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> threads;
   for (std::size_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      const std::string app = "app" + std::to_string(p);
-      for (std::size_t i = 0; i < beats_per_producer; ++i) {
-        queue->append(app, stamp_of(p, i), stamp_target(p, i));
-      }
+      stamped_beats(*queue, apps[p], p, beats_per_producer);
       producers_done.fetch_add(1, std::memory_order_acq_rel);
     });
   }
 
   transport::ShmIngestQueue::Cursor cur;
   std::uint64_t delivered = 0;
-  const auto sink = [&](std::string_view app, core::TargetRate target,
+  const auto sink = [&](std::uint32_t entry, std::uint32_t gen,
                         std::span<const util::TimeNs> timestamps) {
     delivered += timestamps.size();
-    expect_stamped_frame(app, target, timestamps, kProducers);
+    expect_stamped_frame(*queue, apps, entry, gen, timestamps);
   };
   // The consumer parks EVERY time the ring looks empty — maximum exposure
   // of the park window to racing publishes. The 5ms timeout keeps a

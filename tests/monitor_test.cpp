@@ -107,10 +107,15 @@ TEST_F(MonitorRingTest, FinalDrainCatchesBeatsPublishedAtStop) {
   constexpr int kProducers = 4;
   constexpr int kBeats = 250;
   Monitor monitor(queue_, std::make_shared<hub::HeartbeatHub>());
+  std::vector<transport::AppHandle> apps;
+  apps.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    apps.push_back(queue_->join("producer-" + std::to_string(p), {1.0, 1e9}));
+  }
   const auto publish = [&](int p, int from, int to) {
-    const std::string app = "producer-" + std::to_string(p);
     for (int i = from; i < to; ++i) {
-      queue_->append(app, monitor.hub()->clock()->now(), {1.0, 1e9});
+      queue_->append(apps[static_cast<std::size_t>(p)],
+                     monitor.hub()->clock()->now());
     }
   };
 

@@ -16,12 +16,19 @@
 // checks see the damage, and once while a pump has the ring mapped, so the
 // drain's own defenses must hold. The words hit are the header's capacity,
 // version, slot_size and head; a slot's commit, also as a claim mark; its
-// count, base_ts_ns and ts_delta_ns; and a slot's name bytes, overwritten
-// with no NUL. The values favour the edges: huge capacities, heads past
-// the end and near 2^64, record counts above kIngestFrameRecords, wrapped
-// deltas, foreign versions, and claim marks naming a live pid (this
-// process), no pid (0, and 0xffffffff, which is -1 as a pid_t) and a pid
-// above any pid_max (0x7fffffff).
+// entry, gen, count, base_ts_ns and ts_delta_ns; a directory entry's owner
+// (also as a claim mark), gen, claimed_gen, current and join target bits;
+// and an entry's name bytes, overwritten with no NUL. The values favour the
+// edges: huge capacities, heads past the end and near 2^64, record counts
+// above kIngestFrameRecords, wrapped deltas, foreign versions, frame
+// entries at and past the directory's end, frame gens stale, future, odd
+// and 0, entry gens and claimed_gens left odd (an entry mid-write forever),
+// and claim marks naming a live pid (this process), no pid (0, and
+// 0xffffffff, which is -1 as a pid_t) and a pid above any pid_max
+// (0x7fffffff). Half the mapped-ring seeds also join a new app after the
+// damage and append through it, so join() meets the damaged directory too.
+// A pump must reject every frame whose entry does not check out, and count
+// it.
 //
 // No process or thread is started: the mutations are pwrite()s into the
 // ring file, which the consumer's MAP_SHARED mapping sees at once.
@@ -54,29 +61,36 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint32_t kCapacity = 31;
+constexpr std::uint32_t kCapacity = 42;
 constexpr std::size_t kSegmentBytes = shm_ingest_segment_size(kCapacity);
-// 128 + 128 x 31 bytes: on 4 KB pages a read past the end faults.
+// 128 + (128 + 64) x 42 bytes: on 4 KB pages a read past the end faults.
 static_assert(kSegmentBytes % 4096 == 0);
 
 constexpr std::uint64_t kMaxFramesPerDrain = kCapacity;
-/// Frames in the pristine ring.
+/// Frames in the pristine ring, and the apps that wrote them.
 constexpr std::uint64_t kFrames = 6;
+constexpr std::uint64_t kApps = 4;
 constexpr std::uint32_t kStallPolls = 3;
 /// Polls a consumer may take to go quiet: a stall budget per slot of the
 /// ring, far above what 1-3 damaged words can cost.
 constexpr int kMaxPolls = (kStallPolls + 1) * (kCapacity + 1);
 constexpr std::uint64_t kSeeds = 4000;
 
-constexpr std::size_t kSlotsAt = sizeof(ShmIngestHeader);
+constexpr std::size_t kDirAt = sizeof(ShmIngestHeader);
+constexpr std::size_t kSlotsAt = kDirAt + kCapacity * sizeof(ShmIngestDirEntry);
 constexpr std::size_t kBodyAt = offsetof(ShmIngestSlot, body);
+constexpr std::size_t kTenureAt = offsetof(ShmIngestDirEntry, tenure);
 
-/// One word of the segment: its offset and width in bytes, and whether it
-/// gets a claim mark rather than an edge value.
+/// What a damaged word gets: an edge value, a claim mark, a frame's entry
+/// index, or a frame's gen.
+enum class Value : std::uint8_t { kEdge, kMark, kEntry, kGen };
+
+/// One word of the segment: its offset and width in bytes, and the kind
+/// of value it gets.
 struct Word {
   std::size_t at = 0;
   std::size_t width = 8;
-  bool mark = false;
+  Value value = Value::kEdge;
 };
 
 /// A slot that holds a frame more often than not: one of the ring's
@@ -87,6 +101,14 @@ std::size_t pick_slot(util::Rng& rng) {
   return kSlotsAt + i * sizeof(ShmIngestSlot);
 }
 
+/// An entry that holds an app more often than not: one of the
+/// directory's first entries, or any entry.
+std::size_t pick_entry(util::Rng& rng) {
+  const auto i =
+      rng.chance(0.75) ? rng.next_below(kApps + 2) : rng.next_below(kCapacity);
+  return kDirAt + i * sizeof(ShmIngestDirEntry);
+}
+
 /// A claim mark: this (live) process, no pid, -1, or a pid above any
 /// pid_max.
 std::uint64_t pick_mark(util::Rng& rng) {
@@ -95,16 +117,19 @@ std::uint64_t pick_mark(util::Rng& rng) {
   return kClaimBit | pids[rng.next_below(4)];
 }
 
-/// The word to damage; kNameBytes stands for a slot's whole name field.
+/// The word to damage; kNameBytes stands for an entry's whole name field.
 constexpr std::size_t kNameBytes = 0;
 
 Word pick_word(util::Rng& rng) {
   using Body = ShmIngestSlot::Body;
-  switch (rng.next_below(12)) {
+  using Tenure = ShmIngestDirEntry::Tenure;
+  using Target = ShmIngestDirEntry::Target;
+  switch (rng.next_below(20)) {
     case 0: return {offsetof(ShmIngestHeader, capacity), 4};
     case 1:
     case 5:
-    case 6: return {pick_slot(rng) + offsetof(ShmIngestSlot, commit), 8, true};
+    case 6:
+      return {pick_slot(rng) + offsetof(ShmIngestSlot, commit), 8, Value::kMark};
     case 2: return {offsetof(ShmIngestHeader, version), 4};
     case 3: return {offsetof(ShmIngestHeader, slot_size), 4};
     case 4: return {offsetof(ShmIngestHeader, head), 8};
@@ -117,8 +142,47 @@ Word pick_word(util::Rng& rng) {
                   k * sizeof(std::uint32_t),
               4};
     }
-    default: return {pick_slot(rng) + kBodyAt + offsetof(Body, app), kNameBytes};
+    case 11:
+      return {pick_slot(rng) + kBodyAt + offsetof(Body, entry), 4,
+              Value::kEntry};
+    case 12:
+      return {pick_slot(rng) + kBodyAt + offsetof(Body, gen), 4, Value::kGen};
+    case 13:
+      return {pick_entry(rng) + offsetof(ShmIngestDirEntry, owner), 8,
+              rng.chance(0.5) ? Value::kMark : Value::kEdge};
+    case 14:
+      return {pick_entry(rng) + offsetof(ShmIngestDirEntry, gen), 4,
+              rng.chance(0.5) ? Value::kGen : Value::kEdge};
+    case 15:
+      return {pick_entry(rng) + offsetof(ShmIngestDirEntry, claimed_gen), 4,
+              rng.chance(0.5) ? Value::kGen : Value::kEdge};
+    case 16: {
+      const std::size_t target = rng.chance(0.5)
+                                     ? offsetof(ShmIngestDirEntry, target)
+                                     : kTenureAt + offsetof(Tenure, join_target);
+      return {pick_entry(rng) + target +
+                  (rng.chance(0.5) ? offsetof(Target, min_bits)
+                                   : offsetof(Target, max_bits)),
+              8};
+    }
+    default:
+      return {pick_entry(rng) + kTenureAt + offsetof(Tenure, name), kNameBytes};
   }
+}
+
+/// A frame's entry index: at the directory's end, just past it, the top
+/// u32, or another entry.
+std::uint64_t pick_entry_index(util::Rng& rng) {
+  const std::uint64_t entries[] = {kCapacity, kCapacity + 1, 0xffffffffULL,
+                                   rng.next_below(kCapacity)};
+  return entries[rng.next_below(4)];
+}
+
+/// A gen near `old`: stale (below it), future (above it), odd (an entry
+/// mid-write), or 0.
+std::uint64_t pick_gen(util::Rng& rng, std::uint64_t old) {
+  const std::uint64_t gens[] = {old - 2, old - 1, old + 1, old + 2, 0};
+  return gens[rng.next_below(5)] & 0xffffffffULL;
 }
 
 std::uint64_t pick_value(util::Rng& rng, std::uint64_t old) {
@@ -157,7 +221,13 @@ std::string mutate(int fd, util::Rng& rng) {
       std::uint64_t old = 0;
       EXPECT_EQ(::pread(fd, &old, n, static_cast<off_t>(word.at)),
                 static_cast<ssize_t>(n));
-      const std::uint64_t value = word.mark ? pick_mark(rng) : pick_value(rng, old);
+      std::uint64_t value = 0;
+      switch (word.value) {
+        case Value::kEdge: value = pick_value(rng, old); break;
+        case Value::kMark: value = pick_mark(rng); break;
+        case Value::kEntry: value = pick_entry_index(rng); break;
+        case Value::kGen: value = pick_gen(rng, old); break;
+      }
       std::memcpy(buf, &value, n);  // little-endian: the low bytes
       done << " " << word.at << "=" << value;
     }
@@ -175,8 +245,8 @@ std::vector<util::TimeNs> beats(std::uint64_t n, util::TimeNs start) {
   return out;
 }
 
-/// A ring file and its pristine image: six frames of four apps, both full
-/// and partial frames.
+/// A ring file and its pristine image: four joined apps, one re-targeted,
+/// and six frames of theirs, both full and partial frames.
 class ShmSegmentMutation : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -187,12 +257,15 @@ class ShmSegmentMutation : public ::testing::Test {
     const core::TargetRate target{10.0, 100.0};
     {
       auto q = ShmIngestQueue::create(file(), kCapacity);
-      q->append_batch("shared-a", beats(kIngestFrameRecords + 2, 1'000'000),
-                      target);
-      q->append("shared-b", 2'000'000, target);
-      q->append_batch("shared-c", beats(kIngestFrameRecords + 1, 3'000'000),
-                      target);
-      q->append_batch("shared-d", beats(3, 4'000'000), target);
+      const AppHandle a = q->join("shared-a", target);
+      const AppHandle b = q->join("shared-b", target);
+      shared_c_ = q->join("shared-c", target);
+      AppHandle d = q->join("shared-d", {});
+      q->set_target(d, target);
+      q->append_batch(a, beats(kIngestFrameRecords + 2, 1'000'000));
+      q->append(b, 2'000'000);
+      q->append_batch(shared_c_, beats(kIngestFrameRecords + 1, 3'000'000));
+      q->append_batch(d, beats(3, 4'000'000));
       ASSERT_EQ(q->produced(), kFrames);
       image_.resize(kSegmentBytes);
       const int fd = ::open(file().c_str(), O_RDONLY);
@@ -220,8 +293,14 @@ class ShmSegmentMutation : public ::testing::Test {
 
   fs::path dir_;
   std::vector<char> image_;
+  AppHandle shared_c_;  ///< "shared-c"'s entry in the pristine image
   std::uint64_t rejected_ = 0;  ///< seeds whose damage attach() refused
   std::uint64_t attached_ = 0;  ///< seeds whose damaged ring attached
+  /// Seed halves whose raw cursor drained a frame its directory entry does
+  /// not cover, and those whose pump rejected records. A pump starts at
+  /// the ring's head, so it meets only frames appended after attach.
+  std::uint64_t uncovered_ = 0;
+  std::uint64_t pump_rejections_ = 0;
 };
 
 /// A raw cursor and a pump with its hub, all on one mapping of the ring.
@@ -233,6 +312,9 @@ class Consumers {
         pump_(queue_, hub_, {.max_stall_polls = kStallPolls}) {}
 
   const ShmIngestQueue::Cursor& cursor() const { return cursor_; }
+  std::uint64_t pump_rejected() const { return pump_.stats().rejected; }
+  /// Frames the raw cursor drained whose entry does not cover them.
+  std::uint64_t uncovered() const { return uncovered_; }
 
   /// One poll of each consumer.
   void poll() {
@@ -274,7 +356,8 @@ class Consumers {
       calm = moved ? 0 : calm + 1;
       last = now;
     }
-    // Every drained record reached the hub, or was rejected by name.
+    // Every drained record reached the hub, or was rejected: by name, or
+    // because its directory entry did not cover it.
     std::uint64_t ingested = 0;
     for (std::size_t i = 0; i < hub_.shard_count(); ++i) {
       ingested += hub_.shard(i).stats().ingested;
@@ -295,9 +378,15 @@ class Consumers {
     const std::uint64_t frames = cursor_.consumed_frames;
     const std::size_t delivered = queue_->drain(
         cursor_,
-        [](std::string_view app, core::TargetRate,
-           std::span<const util::TimeNs> timestamps) {
-          EXPECT_LT(app.size(), kIngestNameCap);
+        [this](std::uint32_t entry, std::uint32_t gen,
+               std::span<const util::TimeNs> timestamps) {
+          // A readable entry's name ends inside its field, NUL or not.
+          ShmIngestQueue::AppEntry e;
+          const bool read = queue_->read_entry(entry, e);
+          if (read) {
+            EXPECT_LT(std::strlen(e.tenure.name), kIngestNameCap);
+          }
+          if (!read || gen < e.claimed_gen || gen > e.gen) ++uncovered_;
           EXPECT_GE(timestamps.size(), 1u);
           EXPECT_LE(timestamps.size(), kIngestFrameRecords);
         },
@@ -312,6 +401,7 @@ class Consumers {
 
   std::shared_ptr<ShmIngestQueue> queue_;
   ShmIngestQueue::Cursor cursor_;
+  std::uint64_t uncovered_ = 0;
   hub::HeartbeatHub hub_;
   hub::ShmIngestPump pump_;
 };
@@ -336,23 +426,37 @@ void ShmSegmentMutation::run_seed(std::uint64_t seed) {
       ++attached_;
       Consumers consumers(q);
       consumers.run_to_quiet();
+      if (consumers.uncovered() > 0) ++uncovered_;
+      if (consumers.pump_rejected() > 0) ++pump_rejections_;
     }
   }
   {
     // While mapped: attach the pristine ring, maybe poll once and append a
-    // fresh batch, then damage the mapping under the consumers.
+    // re-targeted batch, then damage the mapping under the consumers, and
+    // maybe join a new app into the damaged directory and beat once.
     const int fd = restore();
     auto q = ShmIngestQueue::attach(file());
     Consumers consumers(q);
     if (rng.chance(0.5)) {
       consumers.poll();
-      q->append_batch("shared-c", beats(4, 5'000'000), {1.0, 2.0});
+      AppHandle c = shared_c_;
+      q->set_target(c, {1.0, 2.0});
+      q->append_batch(c, beats(4, 5'000'000));
     }
     const std::string done = mutate(fd, rng);
     ::close(fd);
     SCOPED_TRACE(::testing::Message() << "seed " << seed
                                       << " while mapped:" << done);
+    if (rng.chance(0.5)) {
+      try {
+        q->append(q->join("late", {}), 6'000'000);
+      } catch (const std::runtime_error&) {
+        // A directory the damage left full is a refusal, not a fault.
+      }
+    }
     consumers.run_to_quiet();
+    if (consumers.uncovered() > 0) ++uncovered_;
+    if (consumers.pump_rejected() > 0) ++pump_rejections_;
   }
 }
 
@@ -362,9 +466,11 @@ TEST_F(ShmSegmentMutation, EverySeedIsRejectedOrDrainsSafely) {
     if (HasFailure()) FAIL() << "seed " << seed;
   }
   // Both outcomes occur, so neither the attach checks nor the drain's
-  // defenses go untested.
+  // defenses go untested, and the directory checks reject records.
   EXPECT_GT(rejected_, kSeeds / 20);
   EXPECT_GT(attached_, kSeeds / 2);
+  EXPECT_GT(uncovered_, kSeeds / 20);
+  EXPECT_GT(pump_rejections_, 0u);
 }
 
 // Seed 82, kept as a named case: a header head 23 frames short of 2^64,

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <filesystem>
 #include <initializer_list>
 #include <limits>
+#include <memory>
 #include <random>
 #include <span>
 #include <string>
@@ -34,6 +36,7 @@
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 #include "util/clock.hpp"
+#include "util/tsan.hpp"
 
 namespace hb::transport {
 namespace {
@@ -48,24 +51,48 @@ core::HeartbeatRecord rec_at(util::TimeNs ts) {
 }
 
 struct Drained {
-  std::string app;
+  std::string app;  ///< the entry's name, "" when the entry did not read
   util::TimeNs ts = 0;
   core::TargetRate target;
 };
 
+core::TargetRate rate_of(const ShmIngestDirEntry::Target& t) {
+  return {std::bit_cast<double>(t.min_bits), std::bit_cast<double>(t.max_bits)};
+}
+
+/// Drain and name each record by its directory entry, as read now.
 std::vector<Drained> drain_all(ShmIngestQueue& q, ShmIngestQueue::Cursor& cur,
                                std::uint32_t max_stall = 3) {
   std::vector<Drained> out;
   q.drain(
       cur,
-      [&out](std::string_view app, core::TargetRate target,
-             std::span<const util::TimeNs> timestamps) {
+      [&q, &out](std::uint32_t entry, std::uint32_t,
+                 std::span<const util::TimeNs> timestamps) {
+        ShmIngestQueue::AppEntry e;
+        const bool read = q.read_entry(entry, e);
         for (const util::TimeNs ts : timestamps) {
-          out.push_back({std::string(app), ts, target});
+          out.push_back({read ? std::string(e.tenure.name) : std::string(),
+                         ts, read ? rate_of(e.target) : core::TargetRate{}});
         }
       },
       max_stall);
   return out;
+}
+
+/// Overwrite `bytes` bytes at `offset` of the ring file, as a process
+/// outside the API would: the MAP_SHARED mappings see it at once.
+void poke(const fs::path& ring, std::size_t offset, const void* value,
+          std::size_t bytes) {
+  std::FILE* f = std::fopen(ring.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(value, bytes, 1, f), 1u);
+  std::fclose(f);
+}
+
+/// File offset of directory entry `entry`.
+std::size_t entry_offset(std::uint32_t entry) {
+  return sizeof(ShmIngestHeader) + entry * sizeof(ShmIngestDirEntry);
 }
 
 /// Fork a producer that attaches `ring`, claims `claimed` frames,
@@ -79,9 +106,10 @@ void crash_mid_claim(const std::filesystem::path& ring, std::uint64_t claimed,
   const pid_t pid = ::fork();
   if (pid == 0) {
     auto q = ShmIngestQueue::attach(ring);
+    const AppHandle dead = q->join("dead", {});
     if (q->claim(claimed) != first) ::_exit(2);
     for (const std::uint64_t i : published) {
-      q->publish(first + i, "dead", static_cast<util::TimeNs>(i), {});
+      q->publish(first + i, dead, static_cast<util::TimeNs>(i));
     }
     ::_exit(0);
   }
@@ -110,11 +138,12 @@ class ShmIngestTest : public ::testing::Test {
 
 TEST(ShmIngestLayout, SegmentSizes) {
   EXPECT_EQ(sizeof(ShmIngestHeader), 128u);
-  EXPECT_EQ(sizeof(ShmIngestSlot), 128u);
-  EXPECT_EQ(sizeof(ShmIngestSlot::Body), 120u);
-  // header + ring
+  EXPECT_EQ(sizeof(ShmIngestDirEntry), 128u);
+  EXPECT_EQ(sizeof(ShmIngestSlot), 64u);
+  EXPECT_EQ(sizeof(ShmIngestSlot::Body), 56u);
+  // header + directory + ring
   EXPECT_EQ(shm_ingest_segment_size(0), 128u);
-  EXPECT_EQ(shm_ingest_segment_size(64), 128u + 64u * 128u);
+  EXPECT_EQ(shm_ingest_segment_size(64), 128u + 64u * 128u + 64u * 64u);
 }
 
 TEST_F(ShmIngestTest, CreateAttachRoundTrip) {
@@ -123,7 +152,7 @@ TEST_F(ShmIngestTest, CreateAttachRoundTrip) {
   EXPECT_EQ(q->produced(), 0u);
   EXPECT_EQ(q->creator_pid(), static_cast<std::uint32_t>(::getpid()));
 
-  q->append("app", 1 * kNsPerMs, {2.0, 9.0});
+  q->append(q->join("app", {2.0, 9.0}), 1 * kNsPerMs);
   auto observer = ShmIngestQueue::attach(file());
   EXPECT_EQ(observer->produced(), 1u);
   EXPECT_EQ(observer->capacity(), 64u);
@@ -151,7 +180,7 @@ TEST_F(ShmIngestTest, BatchAppendDrainsInOrderWithAppAndTarget) {
   auto q = ShmIngestQueue::create(file(), 32);
   std::vector<util::TimeNs> timestamps;
   for (int i = 0; i < 10; ++i) timestamps.push_back((i + 1) * kNsPerMs);
-  EXPECT_EQ(q->append_batch("encoder", timestamps, {30.0, 60.0}), 0u);
+  EXPECT_EQ(q->append_batch(q->join("encoder", {30.0, 60.0}), timestamps), 0u);
 
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
@@ -172,7 +201,8 @@ TEST_F(ShmIngestTest, SustainedOverflowCountsDropsNeverCorrupts) {
   // 100 beats into an 8-slot ring with no consumer keeping up: the oldest
   // 92 are overwritten. The timestamp mirrors the ring seq so a corrupt
   // (torn or misattributed) delivery is detectable.
-  for (util::TimeNs i = 0; i < 100; ++i) q->append("a", i, {});
+  const AppHandle a = q->join("a", {});
+  for (util::TimeNs i = 0; i < 100; ++i) q->append(a, i);
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 8u);
@@ -184,7 +214,7 @@ TEST_F(ShmIngestTest, SustainedOverflowCountsDropsNeverCorrupts) {
   }
 
   // The cursor has caught up; later appends drain without further drops.
-  q->append("a", 100, {});
+  q->append(a, 100);
   const auto tail = drain_all(*q, cur);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].ts, 100);
@@ -196,7 +226,7 @@ TEST_F(ShmIngestTest, CrashedProducerSlotSkippedAfterStallBudget) {
   // A producer process claims a 4-slot batch, publishes 2, and dies.
   crash_mid_claim(file(), 4, {0, 1});
   // A healthy producer appends afterwards.
-  q->append("live", 7, {});
+  q->append(q->join("live", {}), 7);
 
   ShmIngestQueue::Cursor cur;
   // Drain 1: the two published records come through, then the torn slot
@@ -228,7 +258,7 @@ TEST_F(ShmIngestTest, OpenReclaimsAbandonedCreation) {
   }
   auto q = ShmIngestQueue::open(file(), 16);
   EXPECT_EQ(q->capacity(), 16u);
-  q->append("a", 1, {});
+  q->append(q->join("a", {}), 1);
   EXPECT_EQ(q->produced(), 1u);
 }
 
@@ -250,8 +280,8 @@ TEST_F(ShmIngestTest, RegistryFactoryRendezvousesAtWellKnownPath) {
 TEST_F(ShmIngestTest, LongNamesStayDistinctAfterTruncation) {
   auto q = ShmIngestQueue::create(file(), 16);
   const std::string prefix(60, 'x');  // both names exceed the 48-byte slot
-  q->append(prefix + "-worker-A", 1, {});
-  q->append(prefix + "-worker-B", 2, {});
+  q->append(q->join(prefix + "-worker-A", {}), 1);
+  q->append(q->join(prefix + "-worker-B", {}), 2);
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 2u);
@@ -262,7 +292,8 @@ TEST_F(ShmIngestTest, LongNamesStayDistinctAfterTruncation) {
 
 TEST_F(ShmIngestTest, IndependentConsumersSeeTheFullStream) {
   auto q = ShmIngestQueue::create(file(), 16);
-  for (util::TimeNs i = 0; i < 5; ++i) q->append("a", i, {});
+  const AppHandle a = q->join("a", {});
+  for (util::TimeNs i = 0; i < 5; ++i) q->append(a, i);
   ShmIngestQueue::Cursor c1;
   ShmIngestQueue::Cursor c2;
   EXPECT_EQ(drain_all(*q, c1).size(), 5u);
@@ -290,7 +321,8 @@ TEST_F(ShmIngestTest, PumpSuggestsIdleBackoffSleeps) {
   EXPECT_EQ(pump.poll(), 0u);  // capped, however long the quiet lasts
   EXPECT_EQ(pump.suggested_sleep_ns(), 8 * kNsPerMs);
 
-  q->append("a", kNsPerMs, {});
+  const AppHandle a = q->join("a", {});
+  q->append(a, kNsPerMs);
   EXPECT_EQ(pump.poll(), 1u);  // records reset the schedule to the floor
   EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 0u);
@@ -302,7 +334,7 @@ TEST_F(ShmIngestTest, PumpSuggestsIdleBackoffSleeps) {
   // stalled run should be skipped at floor pace, not at the cap, or the
   // records behind a crash wait longest exactly during the failure.
   crash_mid_claim(file(), 1, {});
-  q->append("a", 2 * kNsPerMs, {});
+  q->append(a, 2 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 0u);  // blocked on the unpublished slot
   EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 0u);  // still blocked, still at the floor
@@ -369,14 +401,14 @@ TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
 
 TEST_F(ShmIngestTest, PackedFramesRoundTripExactly) {
   auto q = ShmIngestQueue::create(file(), 32);
-  // Fourteen packable timestamps (sub-u32 deltas): 13 + 1 across two
+  // Fourteen packable timestamps (sub-u32 deltas): 9 + 5 across two
   // frames, one claim.
   std::vector<util::TimeNs> timestamps;
   for (util::TimeNs i = 0; i < 14; ++i) {
     timestamps.push_back(100 * kNsPerMs + i * 3333);
   }
-  EXPECT_EQ(q->append_batch("packer", timestamps, {3.0, 8.0}), 0u);
-  EXPECT_EQ(q->produced(), 2u);  // ceil(14 / 13) frames, not 14 slots
+  EXPECT_EQ(q->append_batch(q->join("packer", {3.0, 8.0}), timestamps), 0u);
+  EXPECT_EQ(q->produced(), 2u);  // ceil(14 / 9) frames, not 14 slots
 
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
@@ -424,7 +456,7 @@ TEST_F(ShmIngestTest, OnlyTimestampDeltasBreakAFrame) {
   const std::vector<util::TimeNs> timestamps = {
       100, 50 /* negative delta */, 60, 50 + kU32Max,
       50 + kU32Max + 1 /* delta above u32 */};
-  EXPECT_EQ(q->append_batch("a", timestamps, {}), 1u);
+  EXPECT_EQ(q->append_batch(q->join("a", {}), timestamps), 1u);
   EXPECT_EQ(q->produced(), 4u);  // [100] [50 60 50+max] [50+max+1]
 
   ShmIngestQueue::Cursor cur;
@@ -445,7 +477,7 @@ TEST_F(ShmIngestTest, VersionMismatchRejectedOnAttach) {
   // Rewrite the header's version field (offset 8, after the u64 magic) to
   // each retired version — exactly what a stale pre-upgrade ring file
   // looks like.
-  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u}) {
     fs::remove(file());
     ShmIngestQueue::create(file(), 8).reset();
     std::FILE* f = std::fopen(file().c_str(), "r+b");
@@ -466,14 +498,14 @@ TEST_F(ShmIngestTest, HostileBaseTimestampDecodesWithoutOverflow) {
   auto q = ShmIngestQueue::create(file(), 8);
   const std::uint32_t deltas[] = {0, 5, 10};
   const util::TimeNs timestamps[] = {0, 5, 10};
-  ASSERT_EQ(q->append_batch("hostile", timestamps, {}), 0u);
+  ASSERT_EQ(q->append_batch(q->join("hostile", {}), timestamps), 0u);
   ASSERT_EQ(q->produced(), 1u);  // one packed frame, in slot 0
   q.reset();
 
   // Rewrite slot 0's committed base timestamp in the file.
   const long offset = static_cast<long>(
-      sizeof(ShmIngestHeader) + offsetof(ShmIngestSlot, body) +
-      offsetof(ShmIngestSlot::Body, base_ts_ns));
+      sizeof(ShmIngestHeader) + 8 * sizeof(ShmIngestDirEntry) +
+      offsetof(ShmIngestSlot, body) + offsetof(ShmIngestSlot::Body, base_ts_ns));
   std::FILE* f = std::fopen(file().c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   const std::int64_t hostile = std::numeric_limits<std::int64_t>::max();
@@ -514,7 +546,8 @@ TEST_F(ShmIngestTest, MidBatchCrashTearsOnlyTheDeadClaim) {
   // A producer process claims a 4-frame batch, publishes frames 0 and 2,
   // and dies; a live producer's record is queued behind the batch.
   crash_mid_claim(file(), 4, {0, 2});
-  q->append("live", 7, {});
+  const AppHandle live_app = q->join("live", {});
+  q->append(live_app, 7);
 
   // Frame 0 arrives, then the dead claim at frame 1 blocks one drain.
   ShmIngestQueue::Cursor cur;
@@ -541,14 +574,14 @@ TEST_F(ShmIngestTest, MidBatchCrashTearsOnlyTheDeadClaim) {
   // the live claim waits, past the budget, until it is published.
   crash_mid_claim(file(), 2, {});
   const std::uint64_t live = q->claim(1);
-  q->append("after", 9, {});
+  q->append(q->join("after", {}), 9);
   EXPECT_TRUE(drain_all(*q, cur, 1).empty());  // blocked on the dead run
   EXPECT_TRUE(drain_all(*q, cur, 1).empty());  // run torn, live claim blocks
   EXPECT_EQ(cur.torn, 4u);
   EXPECT_EQ(cur.next, live);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(drain_all(*q, cur, 1).empty());
   EXPECT_EQ(cur.torn, 4u);
-  q->publish(live, "live", 8, {});
+  q->publish(live, live_app, 8);
   out = drain_all(*q, cur, 1);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].app, "live");
@@ -586,9 +619,11 @@ TEST_F(ShmIngestTest, LappedClaimNeverReplacesTheNewerFrame) {
   // 8 whole and committed: frame 0 is dropped unwritten, the consumer
   // counts it lapped, and nothing waits on a stale commit or is torn.
   auto q = ShmIngestQueue::create(file(), 8);
+  const AppHandle stale_app = q->join("stale", {});
+  const AppHandle newer = q->join("newer", {});
   const std::uint64_t stale = q->claim(1);
-  for (util::TimeNs i = 1; i <= 8; ++i) q->append("newer", i, {});
-  q->publish(stale, "stale", 0, {});
+  for (util::TimeNs i = 1; i <= 8; ++i) q->append(newer, i);
+  q->publish(stale, stale_app, 0);
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 8u);
@@ -611,6 +646,7 @@ TEST_F(ShmIngestTest, LappingWriterNeverDeliversAMixedFrame) {
   constexpr std::uint64_t kFramesPerBatch = 40;
   constexpr std::uint64_t kBatches = 2000;
   auto q = ShmIngestQueue::create(file(), kCap);
+  const AppHandle lap = q->join("lap", {});
   std::atomic<bool> done{false};
   std::thread writer([&] {
     std::vector<util::TimeNs> batch;
@@ -622,17 +658,18 @@ TEST_F(ShmIngestTest, LappingWriterNeverDeliversAMixedFrame) {
           batch.push_back(static_cast<util::TimeNs>((k << 33) + i * (k + 1)));
         }
       }
-      q->append_batch("lap", batch, {});
+      q->append_batch(lap, batch);
     }
     done.store(true, std::memory_order_release);
   });
   ShmIngestQueue::Cursor cur;
   std::uint64_t mixed = 0;
-  const auto check = [&mixed](std::string_view app, core::TargetRate,
-                              std::span<const util::TimeNs> ts) {
+  const auto check = [&mixed, lap](std::uint32_t entry, std::uint32_t gen,
+                                   std::span<const util::TimeNs> ts) {
     const auto base = static_cast<std::uint64_t>(ts[0]);
     const std::uint64_t k = base >> 33;
-    bool ok = app == "lap" && ts.size() == kIngestFrameRecords &&
+    bool ok = entry == lap.entry && gen == lap.gen &&
+              ts.size() == kIngestFrameRecords &&
               (base & ((std::uint64_t{1} << 33) - 1)) == 0;
     for (std::size_t i = 0; ok && i < ts.size(); ++i) {
       ok = static_cast<std::uint64_t>(ts[i]) == base + i * (k + 1);
@@ -655,10 +692,11 @@ TEST_F(ShmIngestTest, LiveClaimIsNeverTornByTheStallBudget) {
   // publishes: the frame arrives, nothing is torn.
   std::atomic<bool> release{false};
   std::atomic<std::uint64_t> seq{~std::uint64_t{0}};
+  const AppHandle slow = q->join("slow", {});
   std::thread holder([&] {
     seq.store(q->claim(1), std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-    q->publish(seq.load(std::memory_order_acquire), "slow", kNsPerMs, {});
+    q->publish(seq.load(std::memory_order_acquire), slow, kNsPerMs);
   });
   while (seq.load(std::memory_order_acquire) == ~std::uint64_t{0}) {
     std::this_thread::yield();
@@ -679,7 +717,7 @@ TEST_F(ShmIngestTest, LiveClaimIsNeverTornByTheStallBudget) {
   // timeout has passed on top of the budget, and the record behind it
   // arrives.
   q->claim(1);
-  q->append("behind", 2 * kNsPerMs, {});
+  q->append(q->join("behind", {}), 2 * kNsPerMs);
   const auto clock = util::MonotonicClock::instance();
   const util::TimeNs t0 = clock->now();
   while (cur.torn == 0) {
@@ -705,16 +743,17 @@ TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
             ShmIngestQueue::WaitResult::kTimeout);
 
   // Pending frames: never parks at all.
-  q->append("a", 1, {});
+  const AppHandle a = q->join("a", {});
+  q->append(a, 1);
   EXPECT_EQ(q->wait_for_frames(cur, 2 * kNsPerMs),
             ShmIngestQueue::WaitResult::kReady);
   drain_all(*q, cur);
 
   // A producer publishing while we are parked rings the doorbell; the
   // generous timeout only bounds a lost wake, not the expected path.
-  std::thread producer([&q] {
+  std::thread producer([&q, a] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q->append("a", 2, {});
+    q->append(a, 2);
   });
   const auto r = q->wait_for_frames(cur, 5000 * kNsPerMs);
   producer.join();
@@ -750,7 +789,8 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
   // `parked` word shows the pump parked, plus a settle: the pump re-checks
   // for frames just after advertising `parked`, and a frame that lands
   // before that re-check ends the wait without a park.
-  std::thread producer([&q, path = file()] {
+  const AppHandle a = q->join("a", {});
+  std::thread producer([&q, a, path = file()] {
     const int fd = ::open(path.c_str(), O_RDONLY);
     std::uint32_t parked = 0;
     for (int i = 0; i < 50000; ++i) {  // up to 5 s
@@ -763,7 +803,7 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
     }
     ::close(fd);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q->append("a", 1, {});
+    q->append(a, 1);
   });
   const bool woke = pump.wait(5000 * kNsPerMs);
   producer.join();
@@ -786,10 +826,11 @@ TEST_F(ShmIngestTest, PumpDefaultStallBudgetOutlastsABriefClaim) {
   hub::HeartbeatHub hub;
   hub::ShmIngestPump pump(q, hub);
 
+  const AppHandle slow = q->join("slow", {});
   const std::uint64_t seq = q->claim(1);
-  std::thread producer([&q, seq] {
+  std::thread producer([&q, slow, seq] {
     std::this_thread::sleep_for(std::chrono::microseconds(500));
-    q->publish(seq, "slow", kNsPerMs, {});
+    q->publish(seq, slow, kNsPerMs);
   });
   pump.poll();  // blocked on the claimed slot (unless already published)
   for (int i = 0; i < 200 && pump.stats().consumed + pump.stats().torn == 0;
@@ -806,7 +847,7 @@ TEST_F(ShmIngestTest, PumpDefaultStallBudgetOutlastsABriefClaim) {
   // and the record queued behind it arrives.
   const hub::ShmIngestPumpStats before = pump.stats();
   crash_mid_claim(file(), 1, {});
-  q->append("live", 2 * kNsPerMs, {});
+  q->append(q->join("live", {}), 2 * kNsPerMs);
   const auto t0 = Clock::now();
   int polls = 0;
   while (pump.stats().consumed == before.consumed && polls < 20) {
@@ -837,13 +878,14 @@ TEST_F(ShmIngestTest, PumpNapsWhileBusyAndParksWhenEmpty) {
 
   // Busy: after a productive poll, wait() naps the floor without parking,
   // so an append made meanwhile does not ring the doorbell.
-  q->append("a", 1, {});
+  const AppHandle a = q->join("a", {});
+  q->append(a, 1);
   ASSERT_EQ(pump.poll(), 1u);
   const std::uint64_t parks = pump.stats().parks;
   const std::uint64_t rings = q->doorbell_rings();
-  std::thread producer([&q] {
+  std::thread producer([&q, a] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    q->append("a", 2, {});
+    q->append(a, 2);
   });
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_TRUE(pump.wait(50 * kNsPerMs));
@@ -857,9 +899,9 @@ TEST_F(ShmIngestTest, PumpNapsWhileBusyAndParksWhenEmpty) {
   // Empty: after a poll that found nothing, wait() parks, and a producer's
   // append rings the doorbell and wakes it.
   EXPECT_EQ(pump.poll(), 0u);
-  std::thread late([&q] {
+  std::thread late([&q, a] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q->append("a", 3, {});
+    q->append(a, 3);
   });
   bool woke = false;
   for (int i = 0; i < 100 && !woke; ++i) woke = pump.wait(5000 * kNsPerMs);
@@ -915,11 +957,11 @@ TEST_F(ShmIngestTest, PumpDrillLosesNothingAndRarelyRings) {
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&q, &done, p] {
-      const std::string app = "drill" + std::to_string(p);
+      const AppHandle app = q->join("drill" + std::to_string(p), {});
       std::mt19937 rng(static_cast<std::uint32_t>(p + 1));
       std::uniform_int_distribution<int> pause_us(0, 200);
       for (int i = 0; i < kBeats; ++i) {
-        q->append(app, (i + 1) * kNsPerMs, {});
+        q->append(app, (i + 1) * kNsPerMs);
         std::this_thread::sleep_for(std::chrono::microseconds(pause_us(rng)));
       }
       done.fetch_add(1, std::memory_order_release);
@@ -1000,11 +1042,11 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
       // Child: attach independently, push the plan in small batches.
       auto child_q = ShmIngestQueue::attach(file());
       const auto timestamps = plan(p);
-      const std::string app = "proc" + std::to_string(p);
+      const AppHandle app =
+          child_q->join("proc" + std::to_string(p), target_of(p));
       for (std::size_t i = 0; i < timestamps.size(); i += 7) {
         const std::size_t n = std::min<std::size_t>(7, timestamps.size() - i);
-        child_q->append_batch(app, std::span(timestamps).subspan(i, n),
-                              target_of(p));
+        child_q->append_batch(app, std::span(timestamps).subspan(i, n));
       }
       ::_exit(0);
     }
@@ -1070,16 +1112,20 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
 TEST_F(ShmIngestTest, PumpRoutesTenThousandNamesThroughTableGrowths) {
   // The pump's name table starts small and doubles as it fills: 10 000
   // distinct names force several growths. Every name must keep one app,
-  // registered once, with every beat it sent.
+  // registered once, with every beat it sent. Each live name holds a
+  // directory entry, so the ring is sized for 10 000 of them.
   constexpr int kApps = 10000;
   constexpr int kPerPoll = 700;  // frames per poll stay below the ring size
-  auto q = ShmIngestQueue::create(file(), 4096);
+  auto q = ShmIngestQueue::create(file(), 16384);
   hub::HubOptions opts;
   opts.window_capacity = 4;  // keep 10 000 apps small
   hub::HeartbeatHub hub(opts);
   hub::ShmIngestPump pump(q, hub);
   auto name_of = [](int i) { return "app-" + std::to_string(i); };
   auto beats_of = [](int i) { return static_cast<std::size_t>(i % 3 + 1); };
+  std::vector<AppHandle> apps;
+  apps.reserve(kApps);
+  for (int i = 0; i < kApps; ++i) apps.push_back(q->join(name_of(i), {}));
 
   std::size_t sent = 0;
   for (int first = 0; first < kApps; first += kPerPoll) {
@@ -1088,14 +1134,14 @@ TEST_F(ShmIngestTest, PumpRoutesTenThousandNamesThroughTableGrowths) {
       for (std::size_t k = 0; k < beats_of(i); ++k) {
         timestamps.push_back(static_cast<util::TimeNs>(k + 1) * kNsPerMs);
       }
-      q->append_batch(name_of(i), timestamps, {});
+      q->append_batch(apps[static_cast<std::size_t>(i)], timestamps);
       sent += timestamps.size();
     }
     pump.poll();
   }
   // Second pass: every name beats once more, so each lookup now hits.
   for (int i = 0; i < kApps; ++i) {
-    q->append(name_of(i), 10 * kNsPerMs, {});
+    q->append(apps[static_cast<std::size_t>(i)], 10 * kNsPerMs);
     ++sent;
     if (i % kPerPoll == kPerPoll - 1) pump.poll();
   }
@@ -1120,10 +1166,12 @@ TEST_F(ShmIngestTest, PumpKeepsFullLengthNamesApart) {
   const std::string a = std::string(kIngestNameCap - 2, 'n') + "a";
   const std::string b = std::string(kIngestNameCap - 2, 'n') + "b";
   ASSERT_EQ(a.size(), 39u);
-  q->append(a, 1 * kNsPerMs, {});
-  q->append(b, 1 * kNsPerMs, {});
-  q->append(a, 2 * kNsPerMs, {});
-  q->append(a, 3 * kNsPerMs, {});
+  const AppHandle app_a = q->join(a, {});
+  const AppHandle app_b = q->join(b, {});
+  q->append(app_a, 1 * kNsPerMs);
+  q->append(app_b, 1 * kNsPerMs);
+  q->append(app_a, 2 * kNsPerMs);
+  q->append(app_a, 3 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 4u);
   EXPECT_EQ(pump.stats().apps, 2u);
   EXPECT_EQ(hub.summary(hub.id_of(a)).total_beats, 3u);
@@ -1136,11 +1184,13 @@ TEST_F(ShmIngestTest, PumpRoutesTheEmptyNameLikeAnyOther) {
   auto q = ShmIngestQueue::create(file(), 64);
   hub::HeartbeatHub hub;
   hub::ShmIngestPump pump(q, hub);
-  q->append("", 1 * kNsPerMs, {});
-  q->append("x", 1 * kNsPerMs, {});
-  q->append("", 2 * kNsPerMs, {});
+  const AppHandle empty = q->join("", {});
+  const AppHandle x = q->join("x", {});
+  q->append(empty, 1 * kNsPerMs);
+  q->append(x, 1 * kNsPerMs);
+  q->append(empty, 2 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 3u);
-  q->append("", 3 * kNsPerMs, {});
+  q->append(empty, 3 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 1u);
   EXPECT_EQ(pump.stats().apps, 2u);
   EXPECT_EQ(hub.app_count(), 2u);
@@ -1152,14 +1202,18 @@ TEST_F(ShmIngestTest, PumpAppliesATargetChangedMidStream) {
   auto q = ShmIngestQueue::create(file(), 64);
   hub::HeartbeatHub hub;
   hub::ShmIngestPump pump(q, hub);
-  q->append("enc", 1 * kNsPerMs, {10.0, 20.0});
+  AppHandle enc = q->join("enc", {10.0, 20.0});
+  q->append(enc, 1 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 1u);
   const hub::AppId id = hub.id_of("enc");
   EXPECT_EQ(hub.summary(id).target.min_bps, 10.0);
+  EXPECT_EQ(hub.summary(id).total_beats, 1u);
 
-  // Changed within one poll's stream: the newest target wins.
-  q->append("enc", 2 * kNsPerMs, {10.0, 20.0});
-  q->append("enc", 3 * kNsPerMs, {30.0, 40.0});
+  // Changed within one poll's stream: the newest target wins, and the
+  // beat sent under the old gen still counts.
+  q->append(enc, 2 * kNsPerMs);
+  q->set_target(enc, {30.0, 40.0});
+  q->append(enc, 3 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 2u);
   auto s = hub.summary(id);
   EXPECT_EQ(s.target.min_bps, 30.0);
@@ -1167,11 +1221,31 @@ TEST_F(ShmIngestTest, PumpAppliesATargetChangedMidStream) {
   EXPECT_EQ(s.total_beats, 3u);
 
   // And back, on the next poll.
-  q->append("enc", 4 * kNsPerMs, {10.0, 20.0});
+  q->set_target(enc, {10.0, 20.0});
+  q->append(enc, 4 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 1u);
   s = hub.summary(id);
   EXPECT_EQ(s.target.min_bps, 10.0);
   EXPECT_EQ(s.target.max_bps, 20.0);
+  EXPECT_EQ(s.total_beats, 4u);
+  EXPECT_EQ(pump.stats().apps, 1u);
+
+  // A sink re-targeted with beats still buffered sends them first, under
+  // the old gen: every beat arrives, each poll's count exactly.
+  auto inner = std::make_shared<core::MemoryStore>(64, 10);
+  ShmHubSink sink(inner, q, "enc", {.flush_every = 4});
+  sink.set_target({50.0, 60.0});
+  sink.append(rec_at(5 * kNsPerMs));
+  sink.append(rec_at(6 * kNsPerMs));
+  sink.set_target({70.0, 80.0});
+  sink.append(rec_at(7 * kNsPerMs));
+  sink.flush();
+  EXPECT_EQ(pump.poll(), 3u);
+  s = hub.summary(id);
+  EXPECT_EQ(s.total_beats, 7u);
+  EXPECT_EQ(s.target.min_bps, 70.0);
+  EXPECT_EQ(s.target.max_bps, 80.0);
+  EXPECT_EQ(pump.stats().rejected, 0u);
   EXPECT_EQ(pump.stats().apps, 1u);
 }
 
@@ -1196,8 +1270,9 @@ TEST_F(ShmIngestTest, PumpRejectsRecordsUnderTheHubsOwnName) {
   clock->advance(10'000 * kNsPerMs);
 
   const std::string self_name(hub::kSelfAppName);
-  q->append(self_name, clock->now(), {1.0, 1.0});
-  q->append("enc", clock->now(), {10.0, 20.0});
+  AppHandle self_app = q->join(self_name, {1.0, 1.0});
+  q->append(self_app, clock->now());
+  q->append(q->join("enc", {10.0, 20.0}), clock->now());
   EXPECT_EQ(pump.poll(), 2u);
 
   const hub::AppSummary s = hub.summary(self);
@@ -1213,11 +1288,263 @@ TEST_F(ShmIngestTest, PumpRejectsRecordsUnderTheHubsOwnName) {
   EXPECT_EQ(enc.target.max_bps, 20.0);
 
   // The name stays rejected on later polls, with a changed target too.
-  q->append(self_name, clock->now(), {2.0, 2.0});
+  q->set_target(self_app, {2.0, 2.0});
+  q->append(self_app, clock->now());
   EXPECT_EQ(pump.poll(), 1u);
   EXPECT_EQ(pump.stats().rejected, 2u);
   EXPECT_EQ(hub.summary(self).target.max_bps, before.target.max_bps);
   EXPECT_EQ(hub.app_count(), 2u);
+}
+
+// ------------------------------------------------------- the app directory
+
+TEST_F(ShmIngestTest, CrashedHoldersEntryIsReclaimedOnlyAfterALap) {
+  // A forked producer joins, publishes two beats and dies holding its
+  // directory entry. Its beats reach the hub under its name. Its entry is
+  // handed out again only once the ring head has moved a full capacity
+  // past the reclaim, and a frame of the old tenure that arrives after
+  // that is rejected, never counted under the new holder's name.
+  constexpr std::uint32_t kCap = 8;
+  auto q = ShmIngestQueue::create(file(), kCap);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto child = ShmIngestQueue::attach(file());
+    const AppHandle crashed = child->join("crashed", {});
+    child->append(crashed, 1 * kNsPerMs);
+    child->append(crashed, 2 * kNsPerMs);
+    ::_exit(crashed.entry == 0 ? 0 : 2);  // no leave(): the entry stays held
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(pump.poll(), 2u);
+  EXPECT_EQ(hub.summary(hub.id_of("crashed")).total_beats, 2u);
+  ShmIngestQueue::AppEntry old;
+  ASSERT_TRUE(q->read_entry(0, old));
+  EXPECT_STREQ(old.tenure.name, "crashed");
+  const AppHandle old_tenure{0, old.gen};
+
+  // The dead holder's entry is reclaimed but cools for a lap: the other
+  // entries fill and the directory is full.
+  std::vector<AppHandle> others;
+  others.reserve(kCap - 1);
+  for (std::uint32_t i = 1; i < kCap; ++i) {
+    others.push_back(q->join("other" + std::to_string(i), {}));
+    EXPECT_NE(others.back().entry, 0u);
+  }
+  EXPECT_THROW(q->join("new", {}), std::runtime_error);
+  for (std::uint32_t i = 0; i + 1 < kCap; ++i) {
+    q->append(others[0], static_cast<util::TimeNs>(i + 1) * kNsPerMs);
+  }
+  EXPECT_THROW(q->join("new", {}), std::runtime_error);  // one frame short
+  q->append(others[0], kCap * kNsPerMs);
+  EXPECT_EQ(pump.poll(), kCap);
+  const AppHandle fresh = q->join("new", {});
+  EXPECT_EQ(fresh.entry, 0u);
+  EXPECT_GT(fresh.gen, old_tenure.gen);
+
+  q->append(fresh, 1 * kNsPerMs);
+  q->append(old_tenure, 3 * kNsPerMs);  // a late frame of the dead holder
+  q->append(fresh, 2 * kNsPerMs);
+  EXPECT_EQ(pump.poll(), 3u);
+  EXPECT_EQ(hub.summary(hub.id_of("crashed")).total_beats, 2u);
+  EXPECT_EQ(hub.summary(hub.id_of("new")).total_beats, 2u);
+  EXPECT_EQ(hub.summary(hub.id_of("other1")).total_beats, kCap);
+  EXPECT_EQ(pump.stats().rejected, 1u);
+  EXPECT_EQ(pump.stats().torn, 0u);
+  EXPECT_EQ(pump.stats().dropped, 0u);
+}
+
+TEST_F(ShmIngestTest, FullDirectoryThrowsAndKeepsEveryOtherSinksBeats) {
+  constexpr std::uint32_t kCap = 4;
+  auto q = ShmIngestQueue::create(file(), kCap);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  std::vector<std::unique_ptr<ShmHubSink>> sinks;
+  sinks.reserve(kCap);
+  for (std::uint32_t i = 0; i < kCap; ++i) {
+    sinks.push_back(std::make_unique<ShmHubSink>(
+        std::make_shared<core::MemoryStore>(16, 4), q,
+        "sink" + std::to_string(i)));
+    sinks.back()->append(rec_at(1 * kNsPerMs));
+  }
+  EXPECT_EQ(pump.poll(), kCap);
+  try {
+    ShmHubSink extra(std::make_shared<core::MemoryStore>(16, 4), q, "extra");
+    ADD_FAILURE() << "a full directory took another sink";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(file().string()), std::string::npos)
+        << e.what();
+  }
+  for (auto& sink : sinks) sink->append(rec_at(2 * kNsPerMs));
+  EXPECT_EQ(pump.poll(), kCap);
+  EXPECT_EQ(pump.stats().rejected, 0u);
+  EXPECT_EQ(hub.app_count(), static_cast<std::size_t>(kCap));
+  for (std::uint32_t i = 0; i < kCap; ++i) {
+    EXPECT_EQ(hub.summary(hub.id_of("sink" + std::to_string(i))).total_beats,
+              2u);
+  }
+}
+
+TEST_F(ShmIngestTest, PumpRejectsFramesTheDirectoryDoesNotCover) {
+  // A frame's entry and gen are untrusted: an entry past the directory,
+  // or a gen outside the entry's [claimed_gen, gen], is rejected and
+  // counted, and frames around it still apply.
+  obs::Counter& rejected = obs::MetricsRegistry::global().counter(
+      "hb.pump.rejected");
+  const std::uint64_t rejected0 = rejected.value();
+  constexpr std::uint32_t kCap = 16;
+  auto q = ShmIngestQueue::create(file(), kCap);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  AppHandle app = q->join("app", {});
+  q->set_target(app, {1.0, 2.0});
+  q->append(app, 1 * kNsPerMs);
+  q->append(AppHandle{kCap, app.gen}, 2 * kNsPerMs);
+  q->append(AppHandle{0xffffffffu, app.gen}, 3 * kNsPerMs);
+  // Below claimed_gen: a gen no frame of this tenure carries.
+  q->append(AppHandle{app.entry, app.gen - 3}, 4 * kNsPerMs);
+  q->append(AppHandle{app.entry, app.gen + 2}, 5 * kNsPerMs);  // future
+  q->append(AppHandle{app.entry, 0}, 6 * kNsPerMs);
+  q->append(AppHandle{app.entry, app.gen - 2}, 7 * kNsPerMs);  // old target
+  EXPECT_EQ(pump.poll(), 7u);
+  EXPECT_EQ(pump.stats().rejected, 5u);
+  EXPECT_EQ(rejected.value() - rejected0, 5u);
+  EXPECT_EQ(hub.app_count(), 1u);
+  EXPECT_EQ(hub.summary(hub.id_of("app")).total_beats, 2u);
+}
+
+TEST_F(ShmIngestTest, PumpLosesNoBeatWhileItsProducerReTargetsEveryBeat) {
+  // A producer re-targets its entry before every beat while a pump drains
+  // the ring: every beat reaches the hub, none is rejected, and the hub
+  // ends on the last target. The ring holds the whole run, so none drops.
+  const std::uint32_t beats = util::kTsanBuild ? 4000 : 20000;
+  auto q = ShmIngestQueue::create(file(), beats);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  const auto target_of = [](std::uint32_t i) {
+    return core::TargetRate{static_cast<double>(i), static_cast<double>(i + 1)};
+  };
+  AppHandle app = q->join("retarget", target_of(0));
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    for (std::uint32_t i = 1; i <= beats; ++i) {
+      q->set_target(app, target_of(i));
+      q->append(app, static_cast<util::TimeNs>(i));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t polled = 0;
+  while (!done.load(std::memory_order_acquire)) polled += pump.poll();
+  producer.join();
+  polled += pump.poll();  // the ring holds the whole run: one poll drains it
+  EXPECT_EQ(polled, beats);
+  const hub::AppSummary s = hub.summary(hub.id_of("retarget"));
+  EXPECT_EQ(s.total_beats, beats);
+  EXPECT_EQ(s.target.min_bps, target_of(beats).min_bps);
+  EXPECT_EQ(s.target.max_bps, target_of(beats).max_bps);
+  const hub::ShmIngestPumpStats stats = pump.stats();
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.consumed, beats);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.torn, 0u);
+}
+
+TEST_F(ShmIngestTest, PumpRoutesTheFramesOfAnEntryLeftMidReTarget) {
+  // A holder killed inside set_target leaves its entry's gen odd for
+  // good. Its name is still readable, so its frames still route: a known
+  // app keeps the target the hub has, a new one starts at its join's
+  // target, and no poll waits on the entry.
+  auto q = ShmIngestQueue::create(file(), 16);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  AppHandle known = q->join("known", {1.0, 2.0});
+  q->set_target(known, {3.0, 4.0});
+  q->append(known, 1 * kNsPerMs);
+  EXPECT_EQ(pump.poll(), 1u);
+  AppHandle fresh = q->join("fresh", {5.0, 6.0});
+  q->set_target(fresh, {7.0, 8.0});
+
+  // Both holders die mid-write: gen odd, the target half written.
+  const double torn = 99.0;
+  for (const AppHandle& app : {known, fresh}) {
+    const std::uint32_t odd = app.gen + 1;
+    poke(file(), entry_offset(app.entry) + offsetof(ShmIngestDirEntry, gen),
+         &odd, sizeof(odd));
+    poke(file(),
+         entry_offset(app.entry) + offsetof(ShmIngestDirEntry, target) +
+             offsetof(ShmIngestDirEntry::Target, min_bits),
+         &torn, sizeof(torn));
+  }
+  for (util::TimeNs ts = 2; ts <= 4; ++ts) {
+    q->append(known, ts * kNsPerMs);
+    q->append(fresh, ts * kNsPerMs);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(pump.poll(), 6u);
+  q->append(known, 5 * kNsPerMs);
+  EXPECT_EQ(pump.poll(), 1u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  const hub::AppSummary k = hub.summary(hub.id_of("known"));
+  EXPECT_EQ(k.total_beats, 5u);
+  EXPECT_EQ(k.target.min_bps, 3.0);
+  EXPECT_EQ(k.target.max_bps, 4.0);
+  const hub::AppSummary f = hub.summary(hub.id_of("fresh"));
+  EXPECT_EQ(f.total_beats, 3u);
+  EXPECT_EQ(f.target.min_bps, 5.0);
+  EXPECT_EQ(f.target.max_bps, 6.0);
+  EXPECT_EQ(pump.stats().rejected, 0u);
+}
+
+TEST_F(ShmIngestTest, EntryHeldFromAnotherPidNamespaceIsNeverReclaimed) {
+  // In a ring whose creator sits in another pid namespace, a holder's
+  // owner word is a bare kClaimBit: no pid to judge. A forked holder that
+  // dies without leave() keeps its entry however far the ring moves on,
+  // until the ring file is recreated.
+  constexpr std::uint32_t kCap = 4;
+  ShmIngestQueue::create(file(), kCap).reset();
+  const std::uint64_t foreign_ns = ~std::uint64_t{0};
+  poke(file(), offsetof(ShmIngestHeader, pid_ns), &foreign_ns,
+       sizeof(foreign_ns));
+  auto q = ShmIngestQueue::attach(file());
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const AppHandle held = ShmIngestQueue::attach(file())->join("held", {});
+    ::_exit(held.entry == 0 ? 0 : 2);  // no leave(): the entry stays held
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  std::uint64_t owner = 0;
+  {
+    std::FILE* f = std::fopen(file().c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(entry_offset(0)), SEEK_SET), 0);
+    ASSERT_EQ(std::fread(&owner, sizeof(owner), 1, f), 1u);
+    std::fclose(f);
+  }
+  EXPECT_EQ(owner, kClaimBit);
+
+  std::vector<AppHandle> others;
+  for (std::uint32_t i = 1; i < kCap; ++i) {
+    others.push_back(q->join("other" + std::to_string(i), {}));
+    EXPECT_NE(others.back().entry, 0u);
+  }
+  EXPECT_THROW(q->join("new", {}), std::runtime_error);
+  for (std::uint32_t i = 0; i < 4 * kCap; ++i) {
+    q->append(others[0], static_cast<util::TimeNs>(i + 1));
+  }
+  EXPECT_THROW(q->join("new", {}), std::runtime_error);
+  // An entry given back by a live holder is free again a lap later.
+  q->leave(others[1]);
+  for (std::uint32_t i = 0; i < kCap; ++i) {
+    q->append(others[0], static_cast<util::TimeNs>(i + 1));
+  }
+  EXPECT_EQ(q->join("new", {}).entry, others[1].entry);
 }
 
 }  // namespace
