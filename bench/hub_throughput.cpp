@@ -1,13 +1,14 @@
 // Hub ingest throughput: bulk apply scales with shard count.
 //
 // Every beat reaches the hub through HeartbeatHub::ingest_batch: each
-// producer stages its records per shard and applies them in runs of 64
-// under the shard's state lock (bench/shard_runs.hpp — the shape the shm
-// ingest pump feeds the hub). Producers on one stripe queue behind each
-// other's applies; with S shards over a fixed fleet, each stripe holds
-// 1/S of the apps and sees 1/S of the runs, so contention shrinks as S
-// grows. The bench pins that down: a fixed fleet of 64 apps, beaten by P
-// producer threads, swept over shard counts {1,2,4,8,16}.
+// producer stages its beats per shard, one app's consecutive beats as one
+// run, and applies every 64 of them under the shard's state lock
+// (bench/shard_runs.hpp — the shape the shm ingest pump feeds the hub).
+// Producers on one stripe queue behind each other's applies; with S
+// shards over a fixed fleet, each stripe holds 1/S of the apps and sees
+// 1/S of the runs, so contention shrinks as S grows. The bench pins that
+// down: a fixed fleet of 64 apps, beaten by P producer threads, swept over
+// shard counts {1,2,4,8,16}.
 //
 // Producers here are multi-tenant ingestion gateways — each thread forwards
 // beats for the WHOLE fleet round-robin (a transport front-end relaying

@@ -6,9 +6,9 @@
 // fetch_add on a thread-sharded slot, and the master switch reduces every
 // instrument site to one relaxed load. This bench holds the plane to that
 // charter on the hottest path it touches — multi-producer hub ingest at
-// fleet scale (4k apps, 4 producer threads, each applying per-shard runs
-// of 64 records through ingest_batch, the shape the shm ingest pump feeds
-// the hub) — by running the SAME workload
+// fleet scale (4k apps, 4 producer threads, each applying 64 beats per
+// shard at a time through ingest_batch, the shape the shm ingest pump
+// feeds the hub) — by running the SAME workload
 // with obs::set_enabled(true) and (false), interleaved best-of so host
 // drift hits both sides alike.
 //

@@ -1,12 +1,14 @@
 // One producer thread's feed into the hub in the shape the shm ingest pump
-// uses: records are stamped on the hub clock, collected per shard, and
-// handed to HeartbeatHub::ingest_batch in runs of kRun — one shard-lock
-// acquire per run. Shared by the benches whose claim is ingest cost
+// uses: beats are stamped on the hub clock, collected per shard, one app's
+// consecutive beats merged into one run, and each shard's kRun beats are
+// handed to HeartbeatHub::ingest_batch at once — one shard-lock acquire
+// per kRun beats. Shared by the benches whose claim is ingest cost
 // (bench_hub_throughput, bench_obs_overhead).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hub/hub.hpp"
@@ -18,32 +20,50 @@ class ShardRuns {
   static constexpr std::size_t kRun = 64;
 
   explicit ShardRuns(hub::HeartbeatHub& hub)
-      : hub_(hub), runs_(hub.shard_count()) {
-    for (auto& run : runs_) run.reserve(kRun);
+      : hub_(hub), shards_(hub.shard_count()) {
+    for (Shard& shard : shards_) {
+      // Never grown past kRun, so the runs' spans stay valid.
+      shard.stamps.reserve(kRun);
+      shard.runs.reserve(kRun);
+    }
   }
 
-  /// Stamp "now" on the hub clock and stage the beat; a full run applies.
+  /// Stamp "now" on the hub clock and stage the beat; kRun staged beats
+  /// on one shard apply.
   void beat(hub::AppId id) {
-    std::vector<hub::AppRecord>& run = runs_[hub::app_id_shard(id)];
-    run.push_back({id, hub_.clock()->now()});
-    if (run.size() == kRun) {
-      hub_.ingest_batch(run);
-      run.clear();
+    Shard& shard = shards_[hub::app_id_shard(id)];
+    shard.stamps.push_back(hub_.clock()->now());
+    if (!shard.runs.empty() && shard.runs.back().id == id) {
+      std::span<const util::TimeNs>& last = shard.runs.back().timestamps;
+      last = {last.data(), last.size() + 1};
+    } else {
+      shard.runs.push_back({id, {&shard.stamps.back(), 1}});
     }
+    if (shard.stamps.size() == kRun) apply(shard);
   }
 
   /// Apply every partial run.
   void flush() {
-    for (auto& run : runs_) {
-      if (run.empty()) continue;
-      hub_.ingest_batch(run);
-      run.clear();
+    for (Shard& shard : shards_) {
+      if (!shard.runs.empty()) apply(shard);
     }
   }
 
  private:
+  /// One shard's staged beats and the runs that cover them, in order.
+  struct Shard {
+    std::vector<util::TimeNs> stamps;
+    std::vector<hub::AppRun> runs;
+  };
+
+  void apply(Shard& shard) {
+    hub_.ingest_batch(shard.runs);
+    shard.runs.clear();
+    shard.stamps.clear();
+  }
+
   hub::HeartbeatHub& hub_;
-  std::vector<std::vector<hub::AppRecord>> runs_;  ///< indexed by shard
+  std::vector<Shard> shards_;  ///< indexed by shard
 };
 
 }  // namespace hb::bench

@@ -1,5 +1,6 @@
 // Ingest A/B on one ring: packed batches vs per-record appends, plus the
-// pump's cost per record for a wide fleet of one-beat producers.
+// pump's cost per record for a wide fleet of one-beat producers and for a
+// packed fleet of batching producers.
 //
 // Two ways a fleet of producers can push beats into one ShmIngestQueue:
 //
@@ -30,22 +31,31 @@
 // Packed runs also check packing, a count no host changes: every flush is
 // a multiple of kIngestFrameRecords (nine) beats, so each producer must
 // publish exactly ceil(beats / 9) frames — all full but its last.
+// At 64 producers a full run repeats each mode kRepeatP64 times and keeps
+// the median rate with its min and max: 64 threads lap a consumer that
+// gets little CPU, so one run's rate is a draw. These rates are a record
+// of the spread, not a tripwire.
 //
-// The wide-fleet section is the monitor's common case: 4096 ShmHubSink
-// producers (one directory entry each, flush_every 1) beat round-robin, one
-// one-beat frame per beat, while a live pump (its own thread, the
-// canonical poll()/wait() loop, into a HeartbeatHub) drains them. It
+// The fleet sections put ShmHubSink producers (one directory entry each)
+// on one ring, beating round-robin, while a live pump (its own thread,
+// the canonical poll()/wait() loop, into a HeartbeatHub) drains them. Each
 // reports the pump thread's CPU time inside poll() per record: drain,
-// route and apply together. The producer waits for the pump whenever a
-// round would put more than two rounds in flight, so no frame is lapped,
-// and the section gates on every beat being applied: no drop, tear or
-// rejection.
+// route and apply together.
+//   * wide_fleet — the monitor's common case: 4096 producers at
+//     flush_every 1, one one-beat frame per beat, so every run the pump
+//     stages holds one beat;
+//   * packed_fleet — the firehose shape: 32 producers at flush_every 12,
+//     so each staged run holds one app's 12 consecutive beats, which the
+//     hub applies as one run.
+// The producer waits for the pump whenever a round would put more than
+// kFleetInflight flushed beats in flight, so no frame is lapped, and each
+// section gates on every beat being applied: no drop, tear or rejection.
 //
 //   ./bench_shm_ingest [beats_per_producer] [repeat] [--smoke] [--json PATH]
 //
 // CSV on stdout; verdict line prints packed_faster_at_64=yes|no.
-// Exit 0 unless the conservation, torn-frame, packing, wide-fleet or
-// idle-CPU gate fails (exit 2).
+// Exit 0 unless the conservation, torn-frame, packing, fleet or idle-CPU
+// gate fails (exit 2).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -55,6 +65,7 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -80,10 +91,21 @@ using hb::transport::AppHandle;
 using hb::transport::ShmIngestQueue;
 
 constexpr std::uint32_t kRingFrames = 4096;
+/// Runs per mode at 64 producers in a full run, whose rates the record
+/// keeps as a median with its min and max.
+constexpr int kRepeatP64 = 5;
 /// Producers in the wide-fleet section, and its ring (the registry's
 /// default capacity, as a monitor opens it).
 constexpr std::uint32_t kWideApps = 4096;
 constexpr std::uint32_t kWideRingFrames = 1u << 15;
+/// Producers in the packed-fleet section, their flush size (firehose's),
+/// and its ring.
+constexpr std::uint32_t kPackedApps = 32;
+constexpr std::size_t kPackedFlushEvery = 12;
+constexpr std::uint32_t kPackedRingFrames = 1u << 13;
+/// Flushed beats a fleet section's producer lets the pump fall behind by:
+/// two rounds of the wide fleet, well inside either ring.
+constexpr std::uint64_t kFleetInflight = 2 * kWideApps;
 using hb::transport::kIngestFrameRecords;
 /// Producer-side buffer per flush in packed mode: a multiple of
 /// kIngestFrameRecords so every flush packs into full frames.
@@ -206,25 +228,31 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   return result;
 }
 
-struct WideResult {
+struct FleetResult {
   double pump_ns_per_record = 0;  ///< pump-thread CPU in poll() per record
   double producer_ns_per_beat = 0;  ///< producer wall time per beat
   std::uint64_t records = 0;        ///< beats the producers sent
   bool whole = false;  ///< every beat applied: no drop, tear or rejection
 };
 
-/// The wide-fleet section: kWideApps one-beat producers, `rounds` beats
-/// each, into one ring drained by a live pump.
-WideResult run_wide(const fs::path& dir, int rounds) {
-  const auto path = dir / "wide.hbq";
+/// One fleet section: `apps` producers at `flush_every`, `rounds` beats
+/// each (a multiple of flush_every), into one ring drained by a live pump.
+FleetResult run_fleet(const fs::path& dir, const char* name,
+                      std::uint32_t apps, std::size_t flush_every,
+                      std::uint32_t ring_frames, int rounds) {
+  const auto path = dir / (std::string(name) + ".hbq");
   fs::remove(path);
-  auto queue = ShmIngestQueue::create(path, kWideRingFrames);
+  auto queue = ShmIngestQueue::create(path, ring_frames);
+  hb::transport::ShmHubSinkOptions sink_opts;
+  sink_opts.flush_every = flush_every;
+  // Flush on fill only, so every staged run holds flush_every beats.
+  sink_opts.max_hold_ns = std::numeric_limits<hb::util::TimeNs>::max();
   std::vector<std::unique_ptr<hb::transport::ShmHubSink>> sinks;
-  sinks.reserve(kWideApps);
-  for (std::uint32_t a = 0; a < kWideApps; ++a) {
+  sinks.reserve(apps);
+  for (std::uint32_t a = 0; a < apps; ++a) {
     sinks.push_back(std::make_unique<hb::transport::ShmHubSink>(
         std::make_shared<hb::core::MemoryStore>(16, 4), queue,
-        "wide-" + std::to_string(a)));
+        std::string(name) + "-" + std::to_string(a), sink_opts));
   }
   hb::hub::HubOptions hub_opts;
   hub_opts.shard_count = 8;
@@ -244,13 +272,16 @@ WideResult run_wide(const fs::path& dir, int rounds) {
     }
   });
 
-  const std::uint64_t total = std::uint64_t{kWideApps} * rounds;
+  const std::uint64_t total = std::uint64_t{apps} * rounds;
   hb::core::HeartbeatRecord rec;
   const auto t0 = SteadyClock::now();
   for (int r = 0; r < rounds; ++r) {
-    // At most two rounds in flight: the ring holds eight.
-    while (consumed.load(std::memory_order_acquire) + 2 * kWideApps <
-           std::uint64_t{kWideApps} * (r + 1)) {
+    // Beats flushed once this round is sent: every producer flushes on
+    // the same round.
+    const std::uint64_t flushed =
+        std::uint64_t{apps} * flush_every * ((r + 1) / flush_every);
+    while (consumed.load(std::memory_order_acquire) + kFleetInflight <
+           flushed) {
       std::this_thread::yield();
     }
     for (auto& sink : sinks) {
@@ -273,7 +304,7 @@ WideResult run_wide(const fs::path& dir, int rounds) {
   for (std::size_t i = 0; i < hub.shard_count(); ++i) {
     ingested += hub.shard(i).stats().ingested;
   }
-  WideResult result;
+  FleetResult result;
   result.records = total;
   result.pump_ns_per_record =
       stats.consumed > 0 ? 1e9 * poll_cpu_s / static_cast<double>(stats.consumed)
@@ -283,12 +314,12 @@ WideResult run_wide(const fs::path& dir, int rounds) {
       static_cast<double>(total);
   result.whole = stats.consumed == total && stats.dropped == 0 &&
                  stats.torn == 0 && stats.rejected == 0 && ingested == total &&
-                 stats.apps == kWideApps;
+                 stats.apps == apps;
   if (!result.whole) {
     std::fprintf(stderr,
-                 "WIDE-FLEET LOSS: consumed=%llu dropped=%llu torn=%llu "
+                 "%s LOSS: consumed=%llu dropped=%llu torn=%llu "
                  "rejected=%llu ingested=%llu sent=%llu apps=%llu\n",
-                 static_cast<unsigned long long>(stats.consumed),
+                 name, static_cast<unsigned long long>(stats.consumed),
                  static_cast<unsigned long long>(stats.dropped),
                  static_cast<unsigned long long>(stats.torn),
                  static_cast<unsigned long long>(stats.rejected),
@@ -327,25 +358,36 @@ double run_idle(const fs::path& dir, double window_s, double* wall_out) {
   return cpu;
 }
 
-/// The fastest of `repeat` runs, whose gates hold only if they held in
-/// every run: a violation is never hidden.
-template <typename Fn>
-RunResult best_of(int repeat, Fn&& fn) {
-  RunResult best;
+/// `repeat` runs of one configuration, sorted by delivered rate. The
+/// gates hold only if they held in every run: a violation is never hidden.
+struct Repeated {
+  std::vector<RunResult> runs;  ///< slowest first
   bool conserved = true;
   bool packed = true;
   std::uint64_t torn = 0;
+
+  static double rate(const RunResult& r) {
+    return static_cast<double>(r.delivered) / r.elapsed_s;
+  }
+  const RunResult& best() const { return runs.back(); }
+  const RunResult& median() const { return runs[runs.size() / 2]; }
+};
+
+template <typename Fn>
+Repeated repeat_runs(int repeat, Fn&& fn) {
+  Repeated out;
   for (int r = 0; r < repeat; ++r) {
     const RunResult run = fn();
-    conserved = conserved && run.conserved;
-    packed = packed && run.packed;
-    torn += run.torn;
-    if (r == 0 || run.elapsed_s < best.elapsed_s) best = run;
+    out.conserved = out.conserved && run.conserved;
+    out.packed = out.packed && run.packed;
+    out.torn += run.torn;
+    out.runs.push_back(run);
   }
-  best.conserved = conserved;
-  best.packed = packed;
-  best.torn = torn;
-  return best;
+  std::sort(out.runs.begin(), out.runs.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return Repeated::rate(a) < Repeated::rate(b);
+            });
+  return out;
 }
 
 }  // namespace
@@ -393,47 +435,64 @@ int main(int argc, char** argv) {
   double packed_records_per_frame = 0.0;
   double per_record_at_64 = 0.0;
   double packed_at_64 = 0.0;
+  /// One mode at one producer count: the reported rate (best of `repeat`
+  /// at 8 producers, median of kRepeatP64 at 64) and the spread.
   struct Row {
-    int producers;
-    double per_record_rate, packed_rate;
+    std::string key;  ///< e.g. "packed_beats_per_sec_p64"
+    double rate, min, max;
   };
   std::vector<Row> rows;
   for (const int producers : kProducerCounts) {
-    double rate[2] = {};
     for (const bool packed_mode : {false, true}) {
-      const RunResult run = best_of(repeat, [&] {
-        return run_config(dir, producers, beats, packed_mode);
-      });
-      rate[packed_mode ? 1 : 0] =
-          static_cast<double>(run.delivered) / run.elapsed_s;
+      // --smoke runs each configuration once: the committed record comes
+      // from a full run.
+      const int reps = producers == 64 && !smoke ? kRepeatP64 : repeat;
+      const Repeated runs =
+          repeat_runs(reps, [&] {
+            return run_config(dir, producers, beats, packed_mode);
+          });
+      const RunResult& run = producers == 64 ? runs.median() : runs.best();
+      const double rate = Repeated::rate(run);
       std::printf("%s,%d,%d,%.4f,%.0f,%llu,%llu,%llu,%.2f\n",
                   packed_mode ? "packed" : "per_record", producers, beats,
-                  run.elapsed_s, rate[packed_mode ? 1 : 0],
+                  run.elapsed_s, rate,
                   static_cast<unsigned long long>(run.delivered),
                   static_cast<unsigned long long>(run.dropped),
                   static_cast<unsigned long long>(run.torn),
                   run.records_per_frame);
       std::fflush(stdout);
-      conserved = conserved && run.conserved;
-      packed = packed && run.packed;
-      torn += run.torn;
+      conserved = conserved && runs.conserved;
+      packed = packed && runs.packed;
+      torn += runs.torn;
       if (packed_mode && producers == 8) {
         packed_records_per_frame = run.records_per_frame;
       }
-    }
-    rows.push_back({producers, rate[0], rate[1]});
-    if (producers == 64) {
-      per_record_at_64 = rate[0];
-      packed_at_64 = rate[1];
+      rows.push_back({std::string(packed_mode ? "packed" : "per_record") +
+                          "_beats_per_sec_p" + std::to_string(producers),
+                      rate, Repeated::rate(runs.runs.front()),
+                      Repeated::rate(runs.best())});
+      if (producers == 64) (packed_mode ? packed_at_64 : per_record_at_64) = rate;
     }
   }
 
-  // Wide-fleet section: the pump's cost per record at 4096 one-beat apps.
-  const WideResult wide = run_wide(dir, smoke ? 10 : 50);
-  std::printf("\nconfig,apps,beats,pump_ns_per_record,producer_ns_per_beat\n");
-  std::printf("wide_fleet,%u,%llu,%.1f,%.1f\n", kWideApps,
+  // Fleet sections: the pump's cost per record at 4096 one-beat apps, and
+  // at 32 apps whose staged runs hold 12 beats each.
+  const FleetResult wide = run_fleet(dir, "wide_fleet", kWideApps, 1,
+                                     kWideRingFrames, smoke ? 10 : 50);
+  const FleetResult packed_fleet =
+      run_fleet(dir, "packed_fleet", kPackedApps, kPackedFlushEvery,
+                kPackedRingFrames, smoke ? 1200 : 48000);
+  std::printf(
+      "\nconfig,apps,flush_every,beats,pump_ns_per_record,"
+      "producer_ns_per_beat\n");
+  std::printf("wide_fleet,%u,1,%llu,%.1f,%.1f\n", kWideApps,
               static_cast<unsigned long long>(wide.records),
               wide.pump_ns_per_record, wide.producer_ns_per_beat);
+  std::printf("packed_fleet,%u,%zu,%llu,%.1f,%.1f\n", kPackedApps,
+              kPackedFlushEvery,
+              static_cast<unsigned long long>(packed_fleet.records),
+              packed_fleet.pump_ns_per_record,
+              packed_fleet.producer_ns_per_beat);
 
   // Idle-CPU section: a parked consumer over a quiet second.
   double idle_wall = 0.0;
@@ -463,6 +522,10 @@ int main(int argc, char** argv) {
   std::printf("# wide_fleet_whole=%s (every beat of %u one-beat apps "
               "applied; gate=%s)\n",
               wide.whole ? "yes" : "NO", kWideApps, wide.whole ? "ok" : "FAIL");
+  std::printf("# packed_fleet_whole=%s (every beat of %u apps at flush_every "
+              "%zu applied; gate=%s)\n",
+              packed_fleet.whole ? "yes" : "NO", kPackedApps,
+              kPackedFlushEvery, packed_fleet.whole ? "ok" : "FAIL");
 
   if (json_path) {
     hb::bench::JsonRecord rec("shm_ingest");
@@ -470,11 +533,14 @@ int main(int argc, char** argv) {
     rec.config("repeat", repeat);
     rec.config("smoke", smoke);
     rec.config("doorbell", doorbell ? "futex" : "fallback");
+    rec.config("repeat_p64", smoke ? repeat : kRepeatP64);
     for (const Row& row : rows) {
-      const std::string p = std::to_string(row.producers);
-      rec.metric(("per_record_beats_per_sec_p" + p).c_str(),
-                 row.per_record_rate);
-      rec.metric(("packed_beats_per_sec_p" + p).c_str(), row.packed_rate);
+      rec.metric(row.key.c_str(), row.rate);
+      // The p64 rates are a median: the record keeps their spread.
+      if (row.key.ends_with("_p64")) {
+        rec.metric((row.key + "_min").c_str(), row.min);
+        rec.metric((row.key + "_max").c_str(), row.max);
+      }
     }
     rec.metric("packed_speedup_p64",
                per_record_at_64 > 0 ? packed_at_64 / per_record_at_64 : 0.0);
@@ -487,11 +553,16 @@ int main(int argc, char** argv) {
     rec.metric("wide_fleet_pump_ns_per_record", wide.pump_ns_per_record);
     rec.metric("wide_fleet_producer_ns_per_beat", wide.producer_ns_per_beat);
     rec.metric("wide_fleet_whole", wide.whole);
+    rec.metric("packed_fleet_pump_ns_per_record",
+               packed_fleet.pump_ns_per_record);
+    rec.metric("packed_fleet_producer_ns_per_beat",
+               packed_fleet.producer_ns_per_beat);
+    rec.metric("packed_fleet_whole", packed_fleet.whole);
     rec.write(json_path);
   }
 
   // Exit gates on the invariants only (conservation, no torn frame without
-  // a crash, packing, a whole wide fleet, idle-CPU); the throughput
+  // a crash, packing, whole fleets, idle-CPU); the throughput
   // verdict and the pump's ns per record are noisy-runner-unsafe figures
   // and stay informational (same policy as bench_fleet_sweep's mismatch
   // gate).
@@ -499,6 +570,7 @@ int main(int argc, char** argv) {
   if (torn != 0) return 2;
   if (!packed) return 2;
   if (!wide.whole) return 2;
+  if (!packed_fleet.whole) return 2;
   if (!idle_ok) return 2;
   return 0;
 }

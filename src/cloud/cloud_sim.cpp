@@ -171,6 +171,8 @@ void CloudSim::step(double dt_seconds) {
     demand_of[v] = d;
     machine_load[static_cast<std::size_t>(machine_of_[v])] += d;
   }
+  // Beats each VM mirrors to the hub this step, parallel to vms_.
+  std::vector<std::uint32_t> hub_beats(hub_ ? vms_.size() : 0, 0);
   for (std::size_t v = 0; v < vms_.size(); ++v) {
     Vm& vm = vms_[v];
     if (vm.killed) continue;  // no work, no beats — only silence
@@ -191,18 +193,26 @@ void CloudSim::step(double dt_seconds) {
         // would stamp the hub's own clock): hub rates then agree with
         // per-VM reader rates even if the hub keeps a different clock.
         // Staleness queries still need a shared clock.
-        const hub::AppId id = hub_ids_[v];
-        hub_runs_[hub::app_id_shard(id)].push_back({id, clock_->now()});
+        hub_stamps_.push_back(clock_->now());
+        ++hub_beats[v];
       }
     }
   }
   // Nothing reads the hub during the loop above: apply the step's beats
-  // as one run per shard. Each app's beats keep their order.
-  for (std::vector<hub::AppRecord>& run : hub_runs_) {
-    if (run.empty()) continue;
-    hub_->ingest_batch(run);
-    run.clear();
+  // now, each VM's as one run, grouped per shard in VM order.
+  const util::TimeNs* next = hub_stamps_.data();
+  for (std::size_t v = 0; v < hub_beats.size(); ++v) {
+    if (hub_beats[v] == 0) continue;
+    const hub::AppId id = hub_ids_[v];
+    hub_runs_[hub::app_id_shard(id)].push_back({id, {next, hub_beats[v]}});
+    next += hub_beats[v];
   }
+  for (std::vector<hub::AppRun>& runs : hub_runs_) {
+    if (runs.empty()) continue;
+    hub_->ingest_batch(runs);
+    runs.clear();
+  }
+  hub_stamps_.clear();
   for (auto& vm : vms_) {
     if (!vm.killed) vm.elapsed_s += dt_seconds;  // killed VMs are frozen
   }

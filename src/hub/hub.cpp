@@ -94,17 +94,17 @@ std::uint32_t HeartbeatHub::shard_of(const std::string& name) const {
 }
 
 void HeartbeatHub::ingest(AppId id, util::TimeNs timestamp_ns) {
-  const AppRecord one{id, timestamp_ns};
+  const AppRun one{id, {&timestamp_ns, 1}};
   ingest_batch({&one, 1});
 }
 
-void HeartbeatHub::ingest_batch(std::span<const AppRecord> recs) {
-  while (!recs.empty()) {
-    const std::uint32_t shard = app_id_shard(recs.front().id);
-    std::size_t run = 1;
-    while (run < recs.size() && app_id_shard(recs[run].id) == shard) ++run;
-    shards_.at(shard)->ingest_batch(recs.first(run));
-    recs = recs.subspan(run);
+void HeartbeatHub::ingest_batch(std::span<const AppRun> runs) {
+  while (!runs.empty()) {
+    const std::uint32_t shard = app_id_shard(runs.front().id);
+    std::size_t k = 1;
+    while (k < runs.size() && app_id_shard(runs[k].id) == shard) ++k;
+    shards_.at(shard)->ingest_batch(runs.first(k));
+    runs = runs.subspan(k);
   }
 }
 

@@ -9,15 +9,17 @@
 // Architecture:
 //
 //   shm pump ──ingest_batch──▶ shard[hash(app) % N]   (lock-striped)
-//     (one apply per shard        │  applied straight to per-app
-//      per poll)                  │  sliding-window summaries
-//   beat/ingest ──────────────▶   │  (one-record ingest_batch)
+//     (one apply per shard        │  each run's beats applied straight
+//      per poll)                  │  to its app's sliding-window summary
+//   beat/ingest ──────────────▶   │  (a one-beat run)
 //                                 ▼  publish: immutable ShardSnapshot
 //   snapshot() ◀── FleetSnapshot: every app's summary, one coherent view
 //   summary(id) ◀── one app, publishing only its owning shard
 //
-// A beat reaches a shard as an AppRecord: its AppId and timestamp, 16
-// bytes, all the hub reads of a beat.
+// Beats reach a shard as AppRuns: one app's AppId and its consecutive
+// timestamps, all the hub reads of a beat. A shard applies a run's beats
+// to that app's state in order, taking the app's slot and prefetch once
+// per run.
 //
 // Determinism: all timestamps flow through the hub's util::Clock, shard
 // assignment uses a fixed FNV-1a hash (not std::hash), and every beat is
@@ -110,18 +112,19 @@ class HeartbeatHub {
   /// Shard an app name routes to (exposed for tests and the bench).
   std::uint32_t shard_of(const std::string& name) const;
 
-  /// Ingest one beat stamped `timestamp_ns`: a one-record ingest_batch.
+  /// Ingest one beat stamped `timestamp_ns`: a one-beat run.
   /// Thread-safe; contends only on the owning shard's stripe lock.
   void ingest(AppId id, util::TimeNs timestamp_ns);
 
-  /// Ingest pre-stamped records for any registered apps — the hub's one
-  /// apply path (the shm ingest pump, registry replays, ingest, beat).
-  /// Each run of consecutive records on one shard is applied straight to
-  /// app state under one shard-lock acquire; pass the records grouped by
-  /// shard to pay one acquire per shard. Records apply in span order.
-  /// Throws std::out_of_range, before applying a run, if an id in it did
-  /// not come from this hub. Thread-safe.
-  void ingest_batch(std::span<const AppRecord> recs);
+  /// Ingest pre-stamped runs of beats for any registered apps — the hub's
+  /// one apply path (the shm ingest pump, registry replays, ingest, beat).
+  /// Each stretch of consecutive runs on one shard is applied straight to
+  /// app state under one shard-lock acquire; pass the runs grouped by
+  /// shard to pay one acquire per shard, and one app's consecutive beats
+  /// as one run. Runs apply in span order, each run's beats in its order.
+  /// Throws std::out_of_range, before applying a stretch, if an id in it
+  /// did not come from this hub. Thread-safe.
+  void ingest_batch(std::span<const AppRun> runs);
 
   /// Producer convenience: stamp "now" on the hub clock and ingest.
   /// Thread-safe. A beat on an evicted app revives it.

@@ -34,10 +34,10 @@ struct ShardMetrics {
   }
 };
 
-/// Records apply_run_locked looks ahead: an app's leading fields are
-/// prefetched kApplyFetchAhead records before its apply, and the window
-/// slots they point at kApplyTargetAhead records before it — by then the
-/// first fetch has landed.
+/// Runs apply_runs_locked looks ahead: a run's app has its leading fields
+/// prefetched kApplyFetchAhead runs before its apply, and the window slots
+/// they point at are asked for kApplyTargetAhead runs before it (a call an
+/// optimized GCC build drops; see shard.hpp).
 constexpr std::size_t kApplyFetchAhead = 8;
 constexpr std::size_t kApplyTargetAhead = 4;
 /// Apps rebuild_snapshot_locked looks ahead.
@@ -84,16 +84,20 @@ void HubShard::check_slot_locked(std::uint32_t slot) const {
   }
 }
 
-void HubShard::ingest_batch(std::span<const AppRecord> recs) {
-  if (recs.empty()) return;
+void HubShard::ingest_batch(std::span<const AppRun> runs) {
+  if (runs.empty()) return;
   util::MutexLock lock(state_mu_);
-  for (const AppRecord& r : recs) check_slot_locked(app_id_slot(r.id));
-  // hb.hub.ingested counts per apply, not per beat: one sharded fetch_add
-  // per run keeps the telemetry plane inside its <5% ingest budget
-  // (bench/obs_overhead).
-  ShardMetrics::get().ingested->add(recs.size());
-  apply_run_locked(recs);
-  ingested_ += recs.size();
+  std::size_t beats = 0;
+  for (const AppRun& run : runs) {
+    check_slot_locked(app_id_slot(run.id));
+    beats += run.timestamps.size();
+  }
+  // hb.hub.ingested counts beats, bumped once per apply: one sharded
+  // fetch_add per call keeps the telemetry plane inside its <5% ingest
+  // budget (bench/obs_overhead).
+  ShardMetrics::get().ingested->add(beats);
+  apply_runs_locked(runs);
+  ingested_ += beats;
   ++flushes_;
   // Even with the clock frozen, the next publish must rebuild to show
   // these beats.
@@ -223,23 +227,27 @@ std::uint64_t interval_between(util::TimeNs prev_ns, util::TimeNs next_ns) {
 
 }  // namespace
 
-void HubShard::apply_run_locked(std::span<const AppRecord> recs) {
-  // Group prefetching: while record i is applied, record i + kApplyFetchAhead
-  // has its app's leading lines in flight and record i + kApplyTargetAhead,
-  // whose lines have landed by now, has its window slots in flight — so an
-  // app's misses overlap the applies before it.
-  const std::size_t n = recs.size();
+void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
+  // Group prefetching: while run i is applied, run i + kApplyFetchAhead
+  // has its app's leading lines in flight, so an app's misses overlap the
+  // applies before it. The window-slot stage for run i + kApplyTargetAhead
+  // is compiled out at -O2 (see shard.hpp).
+  const std::size_t n = runs.size();
   for (std::size_t i = 0; i < std::min(n, kApplyFetchAhead); ++i) {
-    prefetch_app_locked(app_id_slot(recs[i].id));
+    prefetch_app_locked(app_id_slot(runs[i].id));
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kApplyFetchAhead < n) {
-      prefetch_app_locked(app_id_slot(recs[i + kApplyFetchAhead].id));
+      prefetch_app_locked(app_id_slot(runs[i + kApplyFetchAhead].id));
     }
     if (i + kApplyTargetAhead < n) {
-      prefetch_window_slots_locked(app_id_slot(recs[i + kApplyTargetAhead].id));
+      prefetch_window_slots_locked(app_id_slot(runs[i + kApplyTargetAhead].id));
     }
-    apply_locked(app_id_slot(recs[i].id), recs[i].timestamp_ns);
+    // A run's beats take the one-beat step in order.
+    const std::uint32_t slot = app_id_slot(runs[i].id);
+    for (const util::TimeNs timestamp_ns : runs[i].timestamps) {
+      apply_locked(slot, timestamp_ns);
+    }
   }
 }
 

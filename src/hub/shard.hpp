@@ -3,10 +3,10 @@
 // A shard owns a subset of the registered apps (assigned by name hash) and
 // keeps its state behind two locks:
 //
-//   APPLY and PUBLISH (state_mu_): ingest_batch applies records straight
+//   APPLY and PUBLISH (state_mu_): ingest_batch applies runs straight
 //   to app state, in order, under one acquisition — the shm pump's
-//   per-poll share of this shard, a registry replay, or the one record of
-//   an in-process ingest() or beat(). Publishing (time maintenance,
+//   per-poll share of this shard, a registry replay, or the one-beat run
+//   of an in-process ingest() or beat(). Publishing (time maintenance,
 //   summary refresh and snapshot construction) runs under the same lock
 //   and ends in a swap of an immutable, epoch-stamped ShardSnapshot
 //   (shared_ptr).
@@ -19,8 +19,10 @@
 // per changed app. Applying a beat updates the app's exact integer sum
 // and sum of squares of its windowed intervals, and the window's oldest
 // timestamp; a refresh reads the mean and stddev off the sums and the
-// rate off the oldest and newest timestamps. The shard keeps nothing that
-// no reader reads: no interval bounds, percentiles or rollups.
+// rate off the oldest and newest timestamps. A run (one app's consecutive
+// beats) is applied beat by beat, in order, with the one-beat step. The
+// shard keeps nothing that no reader reads: no interval bounds,
+// percentiles or rollups.
 //
 // Per-app layout. An app keeps only what a reader reads: 8 bytes per
 // windowed beat plus one 192-byte AppState, three cache lines (2.2 KB in
@@ -38,10 +40,12 @@
 // AppSummary from them: it touches no window line.
 //
 // Apply and publish each walk many apps whose state was last written on
-// another CPU, so both prefetch ahead: apply fetches the app a fixed
-// number of records ahead in two stages (its first lines, then the
-// window slots its push touches), and publish fetches the whole app four
-// slots ahead.
+// another CPU, so both prefetch ahead: apply fetches the first lines of
+// the app a fixed number of runs ahead, and publish fetches the whole app
+// four slots ahead. Apply also asks for the window slots of the app four
+// runs ahead, but an optimized GCC build drops that call
+// (prefetch_window_slots_locked only prefetches, so GCC deems it free of
+// side effects), so only the app's lines are fetched ahead.
 //
 // A publish that finds nothing new (no beats applied, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
@@ -102,11 +106,11 @@ class HubShard {
 
   std::uint32_t index() const { return index_; }
 
-  /// Apply records addressed to this shard's apps straight to app state,
-  /// in order, under one state_mu_ acquisition. Throws std::out_of_range,
-  /// before applying anything, if a record's slot is not registered here.
-  /// Every record's app_id_shard must be index().
-  void ingest_batch(std::span<const AppRecord> recs) HB_EXCLUDES(state_mu_);
+  /// Apply runs addressed to this shard's apps straight to app state, in
+  /// order, under one state_mu_ acquisition. Throws std::out_of_range,
+  /// before applying anything, if a run's slot is not registered here.
+  /// Every run's app_id_shard must be index().
+  void ingest_batch(std::span<const AppRun> runs) HB_EXCLUDES(state_mu_);
 
   void set_target(std::uint32_t slot, core::TargetRate target)
       HB_EXCLUDES(state_mu_);
@@ -165,8 +169,9 @@ class HubShard {
                 "the fields apply touches fit the app's first two lines");
   static_assert(sizeof(AppState) <= 192, "an app's state fits 3 lines");
 
-  /// Apply `recs` in order, prefetching each app a fixed distance ahead.
-  void apply_run_locked(std::span<const AppRecord> recs) HB_REQUIRES(state_mu_);
+  /// Apply `runs` in order, prefetching each run's app a fixed number of
+  /// runs ahead.
+  void apply_runs_locked(std::span<const AppRun> runs) HB_REQUIRES(state_mu_);
   /// Prefetch the lines apply_locked touches first: the app's leading
   /// kApplyBytes, total_beats through moments.
   void prefetch_app_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
@@ -206,7 +211,7 @@ class HubShard {
   std::uint64_t flushes_ HB_GUARDED_BY(state_mu_) = 0;
   std::uint64_t epoch_ HB_GUARDED_BY(state_mu_) = 0;
   /// Set by every apply and by add_app/set_target/evict: the next publish
-  /// must rebuild even if no records arrive and the clock stands still.
+  /// must rebuild even if no beats arrive and the clock stands still.
   bool state_dirty_ HB_GUARDED_BY(state_mu_) = false;
 
   /// Published-pointer swap/read only; never held across any copy.

@@ -209,28 +209,27 @@ std::size_t ShmIngestPump::poll() {
   const std::size_t drained =
       queue_->drain(cursor_, std::bind_front(&ShmIngestPump::stage, this),
                     opts_.max_stall_polls);
-  // Pass 2: route each run to its shard, then one apply per shard.
-  std::size_t next = 0;
+  // Pass 2: route each run to its shard's list, pointing into staged_,
+  // then one apply per shard.
+  const util::TimeNs* next = staged_.data();
   for (const StagedRun& run : runs_) {
     const AppId id = route(run);
     if (id == kRejected) {
-      next += run.records;
       rejected_ += run.records;
       metrics.rejected->add(run.records);
-      continue;
+    } else {
+      shard_runs_[app_id_shard(id)].push_back(AppRun{id, {next, run.records}});
     }
-    std::vector<AppRecord>& out = shard_runs_[app_id_shard(id)];
-    for (std::uint32_t k = 0; k < run.records; ++k) {
-      out.push_back(AppRecord{id, staged_[next++]});
-    }
+    next += run.records;
   }
-  staged_.clear();
-  runs_.clear();
-  for (std::vector<AppRecord>& out : shard_runs_) {
+  for (std::vector<AppRun>& out : shard_runs_) {
     if (out.empty()) continue;
     hub_->ingest_batch(out);
     out.clear();
   }
+  // The applies read staged_ through the runs: clear it only now.
+  staged_.clear();
+  runs_.clear();
   // Only a genuinely idle poll (cursor caught up to the ring head)
   // feeds the backoff and lets the next wait() park. A drain that returned
   // nothing while frames are pending is BLOCKED — head-of-line slot

@@ -8,9 +8,9 @@
 //      route-cache line is prefetched;
 //   2. route each run to its AppId with one index into a flat
 //      entry -> {claimed_gen, gen, AppId} cache, valid for the frame when
-//      its gen lies in the cached range, and append its records, as
-//      16-byte AppRecords (id and timestamp: all the hub reads of a beat),
-//      to its shard's run; then hand each shard's run to
+//      its gen lies in the cached range, and append it to its shard's
+//      list as an AppRun: the id and a span over its staged timestamps,
+//      which are not copied again. Then hand each shard's list to
 //      HeartbeatHub::ingest_batch — one apply per shard per poll.
 //
 // A cache miss (a new entry, a new tenure, or a re-target, which bumps the
@@ -232,8 +232,9 @@ class ShmIngestPump {
   /// that cover them in order.
   std::vector<util::TimeNs> staged_;
   std::vector<StagedRun> runs_;
-  /// One poll's records per hub shard, indexed by shard.
-  std::vector<std::vector<AppRecord>> shard_runs_;
+  /// One poll's accepted runs per hub shard, indexed by shard; their spans
+  /// point into staged_.
+  std::vector<std::vector<AppRun>> shard_runs_;
 };
 
 }  // namespace hb::hub

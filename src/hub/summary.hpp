@@ -11,8 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <type_traits>
 
 #include "core/record.hpp"
 #include "util/time.hpp"
@@ -34,15 +34,14 @@ constexpr std::uint32_t app_id_slot(AppId id) {
   return static_cast<std::uint32_t>(id & 0xffffffffu);
 }
 
-/// A beat addressed to a registered app: the unit of bulk ingest
+/// One app's consecutive beats, oldest first: the unit of bulk ingest
 /// (HeartbeatHub::ingest_batch). It carries only what the hub reads of a
-/// beat, its timestamp: 16 bytes.
-struct AppRecord {
+/// beat, its timestamp, and borrows them: the span is read only during the
+/// call that takes the run.
+struct AppRun {
   AppId id = 0;
-  util::TimeNs timestamp_ns = 0;
+  std::span<const util::TimeNs> timestamps;
 };
-static_assert(sizeof(AppRecord) == 16 &&
-              std::is_trivially_copyable_v<AppRecord>);
 
 /// One application's sliding-window summary, as of its last batch flush.
 /// "Latency" throughout is the inter-beat interval in nanoseconds — the

@@ -352,10 +352,11 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
       const auto history =
           reader.history(static_cast<std::size_t>(history_beats));
       const hb::hub::AppId id = hub.register_app(app, target);
-      std::vector<hb::hub::AppRecord> recs;
-      recs.reserve(history.size());
-      for (const auto& rec : history) recs.push_back({id, rec.timestamp_ns});
-      hub.ingest_batch(recs);
+      std::vector<hb::util::TimeNs> timestamps;
+      timestamps.reserve(history.size());
+      for (const auto& rec : history) timestamps.push_back(rec.timestamp_ns);
+      const hb::hub::AppRun run{id, timestamps};
+      hub.ingest_batch({&run, 1});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "hbmon: skipping %s: %s\n", app.c_str(), e.what());
     }

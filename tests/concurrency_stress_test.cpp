@@ -77,11 +77,10 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   for (std::size_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       for (std::size_t i = 0; i < beats_per_producer; ++i) {
-        const hub::AppRecord one{
-            hub::make_app_id(0, slots[p]),
-            // relaxed: a unique-timestamp ticket; the atomic's modification
-            // order makes one producer's tickets strictly increasing.
-            fake_ns.fetch_add(1, std::memory_order_relaxed)};
+        // relaxed: a unique-timestamp ticket; the atomic's modification
+        // order makes one producer's tickets strictly increasing.
+        const util::TimeNs ts = fake_ns.fetch_add(1, std::memory_order_relaxed);
+        const hub::AppRun one{hub::make_app_id(0, slots[p]), {&ts, 1}};
         shard.ingest_batch({&one, 1});
       }
     });

@@ -109,8 +109,9 @@ TEST(SnapshotEpochs, OverflowDrainedBeatsAlwaysReachTheNextSnapshot) {
   EXPECT_EQ(total_beats(*hub.snapshot()), 1 + 64u);
 
   // Same shape through the span path.
-  const std::vector<AppRecord> recs(64, AppRecord{id, clock->now()});
-  hub.ingest_batch(recs);
+  const std::vector<util::TimeNs> ts(64, clock->now());
+  const AppRun run{id, ts};
+  hub.ingest_batch({&run, 1});
   EXPECT_EQ(total_beats(*hub.snapshot()), 1 + 2 * 64u);
 }
 

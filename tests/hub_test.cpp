@@ -139,6 +139,24 @@ TEST(HubRouting, ForeignAppIdsThrowInsteadOfCorrupting) {
   EXPECT_THROW(hub.summary(foreign_shard), std::out_of_range);
 }
 
+TEST(HubRouting, AForeignIdAppliesNothing) {
+  // A batch whose last run names a slot this hub never registered throws
+  // before any run of its shard applies: the good runs ahead of it leave
+  // no beat behind.
+  auto clock = std::make_shared<util::ManualClock>();
+  HeartbeatHub hub(manual_opts(clock, 1));
+  const AppId a = hub.register_app("a");
+  const AppId b = hub.register_app("b");
+  const AppId foreign = make_app_id(0, 57);
+  const std::vector<util::TimeNs> ts = {kNsPerMs, 2 * kNsPerMs, 3 * kNsPerMs};
+  const std::vector<AppRun> runs = {{a, ts}, {b, ts}, {a, ts}, {foreign, ts}};
+  EXPECT_THROW(hub.ingest_batch(runs), std::out_of_range);
+  EXPECT_EQ(hub.shard(0).stats().ingested, 0u);
+  EXPECT_EQ(hub.shard(0).stats().flushes, 0u);
+  EXPECT_EQ(hub.summary(a).total_beats, 0u);
+  EXPECT_EQ(hub.summary(b).total_beats, 0u);
+}
+
 TEST(HubRouting, WindowCapacityIsBoundedAtConstruction) {
   auto clock = std::make_shared<util::ManualClock>();
   // The per-app interval histogram counts in uint16: a window of 65535
@@ -187,12 +205,12 @@ TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
   HeartbeatHub hub(manual_opts(clock, 1, /*window=*/256));
   const AppId id = hub.register_app("a");
   const std::size_t n = 74;
-  std::vector<AppRecord> recs(n);
+  std::vector<util::TimeNs> ts(n);
   for (std::size_t i = 0; i < n; ++i) {
-    recs[i].id = id;
-    recs[i].timestamp_ns = static_cast<util::TimeNs>(i + 1) * kNsPerMs;
+    ts[i] = static_cast<util::TimeNs>(i + 1) * kNsPerMs;
   }
-  hub.ingest_batch(recs);
+  const AppRun run{id, ts};
+  hub.ingest_batch({&run, 1});
   // Applied straight to app state in one apply.
   EXPECT_EQ(hub.shard(0).stats().ingested, n);
   EXPECT_EQ(hub.shard(0).stats().flushes, 1u);
@@ -211,9 +229,10 @@ TEST(HubBatching, OneRecordIngestsThenABulkApplyInCallOrder) {
   const AppId id = hub.register_app("a");
   for (int i = 1; i <= 3; ++i) hub.ingest(id, i * kNsPerMs);
   EXPECT_EQ(hub.shard(0).stats().ingested, 3u);
-  std::vector<AppRecord> bulk;
-  for (int i = 4; i <= 7; ++i) bulk.push_back({id, i * kNsPerMs});
-  hub.ingest_batch(bulk);
+  std::vector<util::TimeNs> bulk;
+  for (int i = 4; i <= 7; ++i) bulk.push_back(i * kNsPerMs);
+  const AppRun run{id, bulk};
+  hub.ingest_batch({&run, 1});
   EXPECT_EQ(hub.shard(0).stats().ingested, 7u);
 
   const AppSummary s = hub.summary(id);
@@ -243,12 +262,19 @@ TEST(HubBatching, IngestedCountsEveryBeatBeforeAnyFlush) {
     ++sent[app_id_shard(id)];
   };
   for (std::size_t i = 0; i < single; ++i) beat(i % 2 ? a : b);
-  std::vector<AppRecord> bulk;
+  // One app's consecutive beats make one run: b, a a, b, a a, b, a a.
+  const std::vector<util::TimeNs> ts(9, clock->now());
+  std::vector<AppRun> bulk;
   for (int i = 0; i < 9; ++i) {
-    const AppRecord r{i % 3 ? a : b, clock->now()};
-    bulk.push_back(r);
-    ++sent[app_id_shard(r.id)];
+    const AppId id = i % 3 ? a : b;
+    if (!bulk.empty() && bulk.back().id == id) {
+      bulk.back().timestamps = {ts.data(), bulk.back().timestamps.size() + 1};
+    } else {
+      bulk.push_back({id, {ts.data(), 1}});
+    }
+    ++sent[app_id_shard(id)];
   }
+  ASSERT_EQ(bulk.size(), 6u);
   hub.ingest_batch(bulk);
   beat(a);
   beat(b);
@@ -347,10 +373,11 @@ TEST(HubRates, ASpanWiderThanInt64IsTakenUnsigned) {
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("hostile");
-  std::vector<AppRecord> recs(2, AppRecord{id, 0});
-  recs[0].timestamp_ns = std::numeric_limits<util::TimeNs>::min() + 1;
-  recs[1].timestamp_ns = std::numeric_limits<util::TimeNs>::max();
-  hub.ingest_batch(recs);
+  const std::vector<util::TimeNs> ts = {
+      std::numeric_limits<util::TimeNs>::min() + 1,
+      std::numeric_limits<util::TimeNs>::max()};
+  const AppRun run{id, ts};
+  hub.ingest_batch({&run, 1});
   const AppSummary s = hub.summary(id);
   constexpr std::uint64_t kSpan = std::numeric_limits<std::uint64_t>::max() - 1;
   EXPECT_EQ(s.window_beats, 2u);

@@ -11,13 +11,16 @@
 //     the one added with it;
 //   * out-of-order and repeated timestamps (zero intervals);
 //   * intervals near 2^63, whose squares overflow 128-bit sums;
-//   * explicit and staleness-driven evictions, revivals, and set_target.
+//   * explicit and staleness-driven evictions, revivals, and set_target;
+//   * runs of one app's beats, applied in one call, at every length that
+//     meets the window differently (HubRuns).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,6 +116,39 @@ double brute_stddev(const std::vector<std::uint64_t>& v) {
   return static_cast<double>(std::sqrt(sq / (nd * nd * nd)));
 }
 
+/// Compare one app's published summary with a from-scratch recompute over
+/// its model.
+void expect_model(const AppSummary& s, const App& app) {
+  SCOPED_TRACE(s.name);
+  EXPECT_EQ(s.evicted, app.evicted);
+  EXPECT_EQ(s.total_beats, app.beats);
+  EXPECT_EQ(s.window_beats, app.window.size());
+  EXPECT_EQ(s.target.min_bps, app.target.min_bps);
+  EXPECT_EQ(s.target.max_bps, app.target.max_bps);
+
+  // Rate: core's (n-1)/span rule over the whole window.
+  const std::vector<core::HeartbeatRecord> window(app.window.begin(),
+                                                  app.window.end());
+  EXPECT_EQ(s.rate_bps, core::window_rate(window));
+
+  const std::vector<std::uint64_t> iv = intervals_of(app);
+  if (iv.empty()) {
+    EXPECT_EQ(s.interval_mean_ns, 0.0);
+    EXPECT_EQ(s.interval_stddev_ns, 0.0);
+    return;
+  }
+  U128 sum = 0;
+  for (std::uint64_t v : iv) sum += v;
+  EXPECT_EQ(s.interval_mean_ns,
+            static_cast<double>(sum) / static_cast<double>(iv.size()));
+  const double stddev = brute_stddev(iv);
+  if (stddev == 0.0) {
+    EXPECT_EQ(s.interval_stddev_ns, 0.0);
+  } else {
+    EXPECT_NEAR(s.interval_stddev_ns / stddev, 1.0, 1e-9);
+  }
+}
+
 /// Operations between sparse checks. Nearly all operations are beats, so
 /// 256 of them give each app of the busy half about 15 beats between two
 /// publishes (a whole window of 16): a refresh then reads moments that
@@ -181,34 +217,7 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
     for (const App& app : apps_) {
       const AppSummary* s = snap->find(app.id);
       ASSERT_NE(s, nullptr);
-      SCOPED_TRACE(s->name);
-      EXPECT_EQ(s->evicted, app.evicted);
-      EXPECT_EQ(s->total_beats, app.beats);
-      EXPECT_EQ(s->window_beats, app.window.size());
-      EXPECT_EQ(s->target.min_bps, app.target.min_bps);
-      EXPECT_EQ(s->target.max_bps, app.target.max_bps);
-
-      // Rate: core's (n-1)/span rule over the whole window.
-      const std::vector<core::HeartbeatRecord> window(app.window.begin(),
-                                                      app.window.end());
-      EXPECT_EQ(s->rate_bps, core::window_rate(window));
-
-      const std::vector<std::uint64_t> iv = intervals_of(app);
-      if (iv.empty()) {
-        EXPECT_EQ(s->interval_mean_ns, 0.0);
-        EXPECT_EQ(s->interval_stddev_ns, 0.0);
-        continue;
-      }
-      U128 sum = 0;
-      for (std::uint64_t v : iv) sum += v;
-      EXPECT_EQ(s->interval_mean_ns,
-                static_cast<double>(sum) / static_cast<double>(iv.size()));
-      const double stddev = brute_stddev(iv);
-      if (stddev == 0.0) {
-        EXPECT_EQ(s->interval_stddev_ns, 0.0);
-      } else {
-        EXPECT_NEAR(s->interval_stddev_ns / stddev, 1.0, 1e-9);
-      }
+      expect_model(*s, app);
     }
   }
 
@@ -254,6 +263,72 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{16, 7, 400'000'000, 7},
                       Config{64, kSparseChecks, 150'000'000, 8}));
 
+// A run of one app's beats is applied to its window in one call. Each
+// run length that meets the window differently — shorter than it, filling
+// it exactly, overrunning it by one beat (whose retirement reads a beat
+// the same run wrote), and lapping it three times — must leave the same
+// summary as a from-scratch recompute, whether the run starts on an empty,
+// a partly full or a full window, or revives an evicted app. Timestamps
+// inside a run repeat and go backwards, so their intervals clamp to 0.
+class HubRuns : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(HubRuns, EveryRunLengthMatchesABruteForceRecompute) {
+  const std::size_t cap = GetParam();
+  auto clock = std::make_shared<util::ManualClock>(1'000'000'000);
+  HubOptions opts;
+  opts.shard_count = 1;
+  opts.window_capacity = cap;
+  opts.clock = clock;
+  HeartbeatHub hub(opts);
+  util::Rng rng(cap);
+
+  const std::size_t lengths[] = {1, cap - 1, cap, cap + 1, 3 * cap};
+  for (std::size_t i = 0; i < std::size(lengths); ++i) {
+    const std::size_t len = lengths[i];
+    SCOPED_TRACE("run of " + std::to_string(len) + " beats");
+    App app;
+    app.target = core::TargetRate{1.0, 100.0};
+    // One app per length (cap - 1 is 1 at the smallest window).
+    app.id = hub.register_app("app" + std::to_string(i), app.target);
+    app.last_ts = clock->now();
+
+    const auto apply_run = [&] {
+      std::vector<util::TimeNs> ts;
+      for (std::size_t k = 0; k < len; ++k) {
+        // Back, repeat, or forward by one or two ticks, jittered.
+        const auto step = static_cast<util::TimeNs>(rng.next_below(4)) - 1;
+        app.last_ts += step * kTick +
+                       (step > 0 ? static_cast<util::TimeNs>(rng.next_below(kTick)) : 0);
+        ts.push_back(app.last_ts);
+        core::HeartbeatRecord rec;
+        rec.timestamp_ns = app.last_ts;
+        app.window.push_back(rec);
+        if (app.window.size() > cap) app.window.pop_front();
+      }
+      app.beats += len;
+      app.evicted = false;
+      const AppRun run{app.id, ts};
+      hub.ingest_batch({&run, 1});
+      const auto snap = hub.snapshot();
+      const AppSummary* s = snap->find(app.id);
+      ASSERT_NE(s, nullptr);
+      expect_model(*s, app);
+    };
+
+    // Runs onto an empty, then a partly full or full, then a full window.
+    for (int r = 0; r < 4; ++r) apply_run();
+    // A run whose first beat revives the evicted app starts a fresh window.
+    hub.evict(app.id);
+    app.window.clear();
+    app.evicted = true;
+    app.last_ts += 50 * kTick;
+    apply_run();
+    apply_run();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, HubRuns, ::testing::Values(2, 3, 256));
+
 // The largest window holds 65534 intervals. Fed one interval well past
 // the window, the summary stays exact; evicting the app empties its
 // window, and a revival refills it to the same exact summary.
@@ -269,11 +344,12 @@ TEST(HubWindowLimits, AFullLargestWindowCountsWithoutWrapping) {
   static constexpr std::size_t kBeats = kMaxWindowCapacity + 5000;
   const AppId full = hub.register_app("full");
   const auto feed = [&hub, full](util::TimeNs start_ns) {
-    std::vector<AppRecord> batch(kBeats, AppRecord{full, 0});
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      batch[k].timestamp_ns = start_ns + static_cast<util::TimeNs>(k * kInterval);
+    std::vector<util::TimeNs> ts(kBeats);
+    for (std::size_t k = 0; k < ts.size(); ++k) {
+      ts[k] = start_ns + static_cast<util::TimeNs>(k * kInterval);
     }
-    hub.ingest_batch(batch);
+    const AppRun run{full, ts};
+    hub.ingest_batch({&run, 1});
   };
   const auto expect_full = [&hub, full](std::uint64_t total_beats) {
     const auto snap = hub.snapshot();

@@ -1073,11 +1073,8 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
     direct_total += timestamps.size();
     const hub::AppId id =
         in_process.register_app("proc" + std::to_string(p), target_of(p));
-    std::vector<hub::AppRecord> batch;
-    for (const util::TimeNs ts : timestamps) {
-      batch.push_back(hub::AppRecord{id, ts});
-    }
-    in_process.ingest_batch(batch);
+    const hub::AppRun run{id, timestamps};
+    in_process.ingest_batch({&run, 1});
   }
   EXPECT_EQ(total, direct_total);
 
