@@ -110,7 +110,7 @@ Health FleetDetector::classify(const hub::AppSummary& s) const {
   }
 
   if (s.interval_mean_ns > 0.0 &&
-      s.interval_stddev_ns > opts_.jitter_factor * s.interval_mean_ns) {
+      s.interval_stddev_ns > kJitterFactor * s.interval_mean_ns) {
     return Health::kErratic;
   }
   return Health::kHealthy;

@@ -37,14 +37,15 @@ enum class Health {
 
 const char* to_string(Health h);
 
+/// Erratic when the interval coefficient of variation (stddev / mean)
+/// exceeds this. Steady producers sit near 0; an alternating fast/stalled
+/// pattern approaches 1.
+inline constexpr double kJitterFactor = 0.8;
+
 struct FleetDetectorOptions {
   /// Dead when staleness exceeds this multiple of the windowed mean
   /// inter-beat interval.
   double staleness_factor = 8.0;
-  /// Erratic when the interval coefficient of variation (stddev / mean)
-  /// exceeds this. Steady producers sit near 0; an alternating
-  /// fast/stalled pattern approaches 1.
-  double jitter_factor = 0.8;
   /// Lifetime beats required before any verdict other than warming-up/dead.
   std::uint64_t min_beats = 4;
   /// Absolute staleness bound (ns) that marks death in any state — the only

@@ -182,7 +182,7 @@ std::shared_ptr<const FleetSnapshot> HeartbeatHub::snapshot() {
   // the beat — which is the point. The flight-recorder tick rides the
   // same rebuild edge (wait-free; outside the lock for the same reason).
   if (rebuilt) {
-    if (recorder) recorder->note_publish(result->epoch(), result->composed_at_ns());
+    if (recorder) recorder->note_publish();
     maybe_self_beat();
   }
   return result;

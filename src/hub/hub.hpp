@@ -165,9 +165,8 @@ class HeartbeatHub {
   SnapshotStats snapshot_stats() const HB_EXCLUDES(snap_mu_);
 
   /// Attach the fleet-history plane: every fleet-snapshot REBUILD (not
-  /// cache hit) calls recorder->note_publish(epoch, composed_at_ns) — a
-  /// wait-free tick, safe on the publish path. Pass nullptr to detach.
-  /// Thread-safe.
+  /// cache hit) calls recorder->note_publish() — a wait-free tick, safe
+  /// on the publish path. Pass nullptr to detach. Thread-safe.
   void set_flight_recorder(std::shared_ptr<obs::FlightRecorder> recorder)
       HB_EXCLUDES(snap_mu_);
 

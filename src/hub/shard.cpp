@@ -35,11 +35,8 @@ struct ShardMetrics {
 };
 
 /// Runs apply_runs_locked looks ahead: a run's app has its leading fields
-/// prefetched kApplyFetchAhead runs before its apply, and the window slots
-/// they point at are asked for kApplyTargetAhead runs before it (a call an
-/// optimized GCC build drops; see shard.hpp).
+/// prefetched kApplyFetchAhead runs before its apply.
 constexpr std::size_t kApplyFetchAhead = 8;
-constexpr std::size_t kApplyTargetAhead = 4;
 /// Apps rebuild_snapshot_locked looks ahead.
 constexpr std::size_t kPublishFetchAhead = 4;
 
@@ -230,8 +227,7 @@ std::uint64_t interval_between(util::TimeNs prev_ns, util::TimeNs next_ns) {
 void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
   // Group prefetching: while run i is applied, run i + kApplyFetchAhead
   // has its app's leading lines in flight, so an app's misses overlap the
-  // applies before it. The window-slot stage for run i + kApplyTargetAhead
-  // is compiled out at -O2 (see shard.hpp).
+  // applies before it.
   const std::size_t n = runs.size();
   for (std::size_t i = 0; i < std::min(n, kApplyFetchAhead); ++i) {
     prefetch_app_locked(app_id_slot(runs[i].id));
@@ -239,9 +235,6 @@ void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kApplyFetchAhead < n) {
       prefetch_app_locked(app_id_slot(runs[i + kApplyFetchAhead].id));
-    }
-    if (i + kApplyTargetAhead < n) {
-      prefetch_window_slots_locked(app_id_slot(runs[i + kApplyTargetAhead].id));
     }
     // A run's beats take the one-beat step in order.
     const std::uint32_t slot = app_id_slot(runs[i].id);
@@ -254,21 +247,6 @@ void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
 void HubShard::prefetch_app_locked(std::uint32_t slot) const {
   const AppState& app = apps_[slot];
   prefetch_lines(&app, reinterpret_cast<const char*>(&app) + kApplyBytes);
-}
-
-void HubShard::prefetch_window_slots_locked(std::uint32_t slot) const {
-  const AppState& app = apps_[slot];
-  const std::size_t n = app.window.size();
-  if (n == 0) return;  // the push writes the window's first slot
-  if (n < app.window.capacity()) {
-    // The push writes the slot after the newest beat.
-    __builtin_prefetch(&app.window.back(0) + 1, 1);
-    return;
-  }
-  // A full window's push reads the next-oldest beat and overwrites the
-  // oldest's slot.
-  __builtin_prefetch(&app.window.back(n - 1), 1);
-  __builtin_prefetch(&app.window.back(n - 2));
 }
 
 void HubShard::apply_locked(std::uint32_t slot, util::TimeNs timestamp_ns) {

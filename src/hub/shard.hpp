@@ -42,10 +42,7 @@
 // Apply and publish each walk many apps whose state was last written on
 // another CPU, so both prefetch ahead: apply fetches the first lines of
 // the app a fixed number of runs ahead, and publish fetches the whole app
-// four slots ahead. Apply also asks for the window slots of the app four
-// runs ahead, but an optimized GCC build drops that call
-// (prefetch_window_slots_locked only prefetches, so GCC deems it free of
-// side effects), so only the app's lines are fetched ahead.
+// four slots ahead.
 //
 // A publish that finds nothing new (no beats applied, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
@@ -175,11 +172,6 @@ class HubShard {
   /// Prefetch the lines apply_locked touches first: the app's leading
   /// kApplyBytes, total_beats through moments.
   void prefetch_app_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
-  /// Prefetch what the app's leading fields point at: the window slots its
-  /// next push touches. Reads those leading fields, so it runs after
-  /// prefetch_app_locked has brought them in.
-  void prefetch_window_slots_locked(std::uint32_t slot) const
-      HB_REQUIRES(state_mu_);
   void apply_locked(std::uint32_t slot, util::TimeNs timestamp_ns)
       HB_REQUIRES(state_mu_);
   void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstring>
 #include <functional>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #if defined(__linux__)
@@ -50,23 +51,6 @@ struct PumpMetrics {
   }
 };
 
-/// Name-table slots a pump starts with (4 KB); the table doubles as it
-/// fills.
-constexpr std::size_t kInitialTableSlots = 64;
-
-/// Hash of a zero-padded name key, a word at a time.
-std::uint64_t hash_key(const char* key) {
-  static_assert(transport::kIngestNameCap % 8 == 0);
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t i = 0; i < transport::kIngestNameCap; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, key + i, 8);
-    h = (h ^ w) * 0xff51afd7ed558ccdULL;
-    h ^= h >> 32;
-  }
-  return h;
-}
-
 /// How late the kernel may end this thread's timed sleeps: its timer
 /// slack (50 us by default on Linux), read once per thread; 0 where it
 /// cannot be read.
@@ -88,7 +72,6 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
       hub_(&hub),
       opts_(opts),
       cursor_(queue_->tail_cursor()),
-      table_(kInitialTableSlots),
       shard_runs_(hub_->shard_count()) {}
 
 ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
@@ -99,7 +82,6 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
       owner_(std::move(hub)),
       opts_(opts),
       cursor_(queue_->tail_cursor()),
-      table_(kInitialTableSlots),
       shard_runs_(hub_->shard_count()) {}
 
 void ShmIngestPump::stage(std::uint32_t entry, std::uint32_t gen,
@@ -130,7 +112,22 @@ AppId ShmIngestPump::resolve(const StagedRun& run) {
       run.gen < entry.claimed_gen || run.gen > entry.gen) {
     return kRejected;  // not cached: the next such frame reads again
   }
-  const AppId id = resolve_name(entry);
+  AppId id = kRejected;
+  const std::string_view name = entry.tenure.name;
+  if (name != kSelfAppName) {
+    // With no current target read, a new app starts at its join's target
+    // and a known one keeps the target it has (register_app leaves it).
+    const transport::ShmIngestDirEntry::Target& bits =
+        entry.target_read ? entry.target : entry.tenure.join_target;
+    const core::TargetRate target{std::bit_cast<double>(bits.min_bits),
+                                  std::bit_cast<double>(bits.max_bits)};
+    id = hub_->register_app(std::string(name), target);
+    // The name may be known already (another entry, a registry replay),
+    // and the entry carries the producer's CURRENT target: apply it.
+    if (entry.target_read) hub_->set_target(id, target);
+  }
+  apps_.insert(id);
+  PumpMetrics::get().apps->set(static_cast<std::int64_t>(apps_.size()));
   // Cache only a route whose target the hub has: after a re-target caught
   // mid-write, the next such frame reads the entry again.
   if (!entry.target_read) return id;
@@ -138,66 +135,6 @@ AppId ShmIngestPump::resolve(const StagedRun& run) {
   if (run.entry >= routes_.size()) routes_.resize(run.entry + 1);
   routes_[run.entry] = {entry.claimed_gen, entry.gen, id};
   return id;
-}
-
-AppId ShmIngestPump::resolve_name(
-    const transport::ShmIngestQueue::AppEntry& entry) {
-  const char* name = entry.tenure.name;
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = hash_key(name) & mask;
-  while (table_[i].id != kNoApp &&
-         std::memcmp(table_[i].name, name, sizeof(NameKey)) != 0) {
-    i = (i + 1) & mask;
-  }
-  NameSlot& slot = table_[i];
-  if (slot.id == kRejected) return kRejected;
-  const bool first_sight = slot.id == kNoApp;
-  // With no current target read, a known app keeps the target it has; a
-  // new one starts at the target of its join.
-  if (!first_sight && !entry.target_read) return slot.id;
-  const transport::ShmIngestDirEntry::Target& bits =
-      entry.target_read ? entry.target : entry.tenure.join_target;
-  // Compare as bit patterns: NaN/infinity-safe and cheaper than FP ==.
-  if (!first_sight && bits.min_bits == slot.target_min_bits &&
-      bits.max_bits == slot.target_max_bits) {
-    return slot.id;
-  }
-  const core::TargetRate target{std::bit_cast<double>(bits.min_bits),
-                                std::bit_cast<double>(bits.max_bits)};
-  if (first_sight) {
-    // Keep the table at most 3/4 full. Growing moves every slot, so probe
-    // again in the grown table.
-    if (4 * (table_apps_ + 1) > 3 * table_.size()) {
-      grow_table();
-      return resolve_name(entry);
-    }
-    std::memcpy(slot.name, name, sizeof(NameKey));
-    ++table_apps_;
-    if (std::string_view(name) == kSelfAppName) {
-      slot.id = kRejected;
-      return kRejected;
-    }
-    slot.id = hub_->register_app(std::string(name), target);
-    // register_app keeps the existing target when the name was already
-    // registered (registry replay, an earlier pump); the entry carries
-    // the producer's CURRENT target, so apply it regardless.
-  }
-  hub_->set_target(slot.id, target);
-  slot.target_min_bits = bits.min_bits;
-  slot.target_max_bits = bits.max_bits;
-  return slot.id;
-}
-
-void ShmIngestPump::grow_table() {
-  std::vector<NameSlot> old(2 * table_.size());
-  old.swap(table_);
-  const std::size_t mask = table_.size() - 1;
-  for (const NameSlot& slot : old) {
-    if (slot.id == kNoApp) continue;
-    std::size_t i = hash_key(slot.name) & mask;
-    while (table_[i].id != kNoApp) i = (i + 1) & mask;
-    table_[i] = slot;
-  }
 }
 
 std::size_t ShmIngestPump::poll() {
@@ -244,7 +181,6 @@ std::size_t ShmIngestPump::poll() {
     empty_polls_ = 0;
   }
   if (drained > 0) metrics.records->add(drained);
-  metrics.apps->set(static_cast<std::int64_t>(table_apps_));
   span.set_arg(drained);
   return drained;
 }
@@ -322,7 +258,7 @@ ShmIngestPumpStats ShmIngestPump::stats() const {
   s.dropped = cursor_.dropped;
   s.torn = cursor_.torn;
   s.rejected = rejected_;
-  s.apps = table_apps_;
+  s.apps = apps_.size();
   s.parks = parks_;
   s.doorbell_wakes = doorbell_wakes_;
   s.spurious_wakes = spurious_wakes_;

@@ -19,10 +19,11 @@
 // rejected and counted. The read is one attempt and never waits: a
 // re-target caught mid-write still leaves the name readable, so the frame
 // is routed and the app keeps its last target until a later frame reads
-// the entry whole. An accepted entry's name resolves through a flat
-// open-addressing name table, so two entries with one name are one app.
-// Applications are registered on first sight (with the target in their
-// entry) and re-targeted whenever an entry shows a changed target — so a
+// the entry whole. An accepted entry's name resolves through the hub's own
+// name map (HeartbeatHub::register_app, which is idempotent), so two
+// entries with one name are one app. An app is registered on first sight
+// with its entry's target (its join's, if a re-target was caught
+// mid-write), and every entry read whole sets its current target — so a
 // fleet of external producer processes reaches FleetDetector sweeps, hbmon,
 // and every other hub consumer without any of them linking the producers.
 // Records under the hub's reserved kSelfAppName are dropped and counted as
@@ -57,7 +58,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/record.hpp"
@@ -158,31 +159,16 @@ class ShmIngestPump {
   }
 
  private:
-  /// A directory name as a table key: its bytes, zero-padded to the
-  /// entry's name field (read_entry pads it), so equal keys are equal
-  /// names.
-  using NameKey = char[transport::kIngestNameCap];
-
-  /// One name-table slot, one cache line: a probe reads one line.
-  struct alignas(64) NameSlot {
-    NameKey name = {};
-    std::uint64_t target_min_bits = 0;
-    std::uint64_t target_max_bits = 0;
-    /// kNoApp marks an empty slot. Never a name value: ring names are
-    /// untrusted, and "" is a name like any other. kRejected marks the
-    /// reserved kSelfAppName.
-    AppId id = kNoApp;
-  };
-  static constexpr AppId kNoApp = ~AppId{0};
-  static constexpr AppId kRejected = kNoApp - 1;
-  static_assert(sizeof(NameSlot) == 64, "a name-table slot is one cache line");
+  /// A route to no app: the reserved kSelfAppName, or a frame its entry
+  /// does not cover. Never an AppId the hub hands out.
+  static constexpr AppId kRejected = ~AppId{0};
 
   /// What one directory entry routes to, for frames whose gen lies in
   /// [claimed_gen, gen]. The default range is empty.
   struct EntryRoute {
     std::uint32_t claimed_gen = ~std::uint32_t{0};
     std::uint32_t gen = 0;
-    AppId id = kNoApp;
+    AppId id = kRejected;
   };
 
   /// Consecutive drained frames of one directory entry and gen.
@@ -197,16 +183,11 @@ class ShmIngestPump {
              std::span<const util::TimeNs> timestamps);
   /// Pass 2: the run's AppId from the route cache, or resolve() on a miss.
   AppId route(const StagedRun& run);
-  /// A route-cache miss: check the run against its directory entry and
-  /// cache the entry's route. kRejected for a frame the entry does not
-  /// cover, or for the reserved kSelfAppName.
+  /// A route-cache miss: check the run against its directory entry,
+  /// resolve its name through the hub (registering or re-targeting the
+  /// app), and cache the entry's route. kRejected for a frame the entry
+  /// does not cover, or for the reserved kSelfAppName.
   AppId resolve(const StagedRun& run);
-  /// The AppId of an accepted entry's name, registering or re-targeting
-  /// the app (a new app without a current target read gets its join's);
-  /// kRejected for kSelfAppName.
-  AppId resolve_name(const transport::ShmIngestQueue::AppEntry& entry);
-  /// Double the name table and re-place every entry.
-  void grow_table();
 
   std::shared_ptr<transport::ShmIngestQueue> queue_;
   HeartbeatHub* hub_;
@@ -225,9 +206,9 @@ class ShmIngestPump {
 
   /// Routes by directory entry; grows to the highest entry seen.
   std::vector<EntryRoute> routes_;
-  /// Open addressing, linear probing, power-of-two size, at most 3/4 full.
-  std::vector<NameSlot> table_;
-  std::size_t table_apps_ = 0;  ///< occupied slots: distinct names seen
+  /// Distinct AppIds resolved, kRejected standing for kSelfAppName: one
+  /// per producer name seen, so stats().apps. Touched on misses only.
+  std::unordered_set<AppId> apps_;
   /// One poll's staging: record timestamps in drain order, and the runs
   /// that cover them in order.
   std::vector<util::TimeNs> staged_;

@@ -26,16 +26,12 @@ class RecorderSink : public policy::ActionSink {
 
 }  // namespace
 
-void FlightRecorder::note_publish(std::uint64_t epoch, util::TimeNs at_ns) {
+void FlightRecorder::note_publish() {
   if (!enabled()) return;
   // relaxed: independent publish-tick telemetry; frames copy whatever
-  // values are current at cut time, and cross-field skew of one tick is
-  // harmless (the frame's authoritative stamp is the sweep's).
+  // count is current at cut time, and a skew of one tick is harmless (the
+  // frame's authoritative stamp is the sweep's).
   publishes_.fetch_add(1, std::memory_order_relaxed);
-  // relaxed: same justification — telemetry, skew harmless.
-  last_publish_epoch_.store(epoch, std::memory_order_relaxed);
-  // relaxed: same justification — telemetry, skew harmless.
-  last_publish_at_ns_.store(at_ns, std::memory_order_relaxed);
 }
 
 void FlightRecorder::record_report(

@@ -22,10 +22,10 @@
 // (kFineIntervalNs, kFineWindowNs, kCoarseIntervalNs, kMaxCoarseFrames):
 // every recorder keeps the same history.
 //
-// Threading: note_publish is wait-free (two relaxed stores + a relaxed
-// fetch_add) — safe on the hub's publish path. record_report /
-// record_event / timeline take one short mutex over pointer/deque ops;
-// they are meant for the sweep cadence (per policy period), not per beat.
+// Threading: note_publish is wait-free (one relaxed fetch_add) — safe on
+// the hub's publish path. record_report / record_event / timeline take
+// one short mutex over pointer/deque ops; they are meant for the sweep
+// cadence (per policy period), not per beat.
 // Frames are immutable once cut and handed out as shared_ptrs, so readers
 // never block writers after the ring operation itself.
 //
@@ -105,9 +105,8 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Hub publish tick: wait-free, called from HeartbeatHub::snapshot()
-  /// on every fleet-snapshot rebuild. `epoch` is the composed snapshot's
-  /// epoch, `at_ns` its composed_at_ns.
-  void note_publish(std::uint64_t epoch, util::TimeNs at_ns);
+  /// on every fleet-snapshot rebuild.
+  void note_publish();
 
   /// One detector sweep. May cut a TimelineFrame (see kFineIntervalNs);
   /// always retained as last_report() so a capture triggered mid-dispatch
@@ -150,8 +149,6 @@ class FlightRecorder {
 
   /// Publish ticks land here wait-free; frames copy them out relaxed.
   std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> last_publish_epoch_{0};
-  std::atomic<std::int64_t> last_publish_at_ns_{0};
 
   mutable util::Mutex mu_;
   std::deque<std::shared_ptr<const TimelineFrame>> fine_ HB_GUARDED_BY(mu_);

@@ -118,7 +118,7 @@ TEST(FleetClassify, InfiniteRateIsNotSlow) {
 }
 
 TEST(FleetClassify, ErraticOnHighJitter) {
-  FleetDetector det;  // jitter_factor 0.8
+  FleetDetector det;  // kJitterFactor 0.8
   hub::AppSummary s = base_summary();
   s.interval_stddev_ns = 0.9 * s.interval_mean_ns;
   EXPECT_EQ(det.classify(s), Health::kErratic);

@@ -178,8 +178,8 @@ TEST(FlightRecorder, TimelineRangeQueryFilters) {
 
 TEST(FlightRecorder, NotePublishLandsInTheNextFrame) {
   obs::FlightRecorder rec;
-  rec.note_publish(7, 100);
-  rec.note_publish(8, 200);
+  rec.note_publish();
+  rec.note_publish();
   rec.record_report(make_report(kNsPerSec, 8));
   const auto frames = rec.timeline();
   ASSERT_EQ(frames.size(), 1u);
@@ -193,7 +193,7 @@ TEST(FlightRecorder, KillSwitchMakesEveryRecordPathANoOp) {
   obs::set_enabled(false);
   rec.record_report(make_report(5 * kNsPerSec, 2));
   rec.record_event(death_event(5 * kNsPerSec, "vm-1"));
-  rec.note_publish(9, 5 * kNsPerSec);
+  rec.note_publish();
   obs::set_enabled(true);  // restore for the rest of the binary
 
   const auto stats = rec.stats();

@@ -1107,10 +1107,11 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
 // ------------------------------------------------------- pump name routing
 
 TEST_F(ShmIngestTest, PumpRoutesTenThousandNamesThroughTableGrowths) {
-  // The pump's name table starts small and doubles as it fills: 10 000
-  // distinct names force several growths. Every name must keep one app,
-  // registered once, with every beat it sent. Each live name holds a
-  // directory entry, so the ring is sized for 10 000 of them.
+  // 10 000 distinct names resolve through the hub's name map, which
+  // rehashes several times as they arrive, while the pump's route cache
+  // grows to the highest entry. Every name must keep one app, registered
+  // once, with every beat it sent. Each live name holds a directory entry,
+  // so the ring is sized for 10 000 of them.
   constexpr int kApps = 10000;
   constexpr int kPerPoll = 700;  // frames per poll stay below the ring size
   auto q = ShmIngestQueue::create(file(), 16384);
@@ -1176,8 +1177,8 @@ TEST_F(ShmIngestTest, PumpKeepsFullLengthNamesApart) {
 }
 
 TEST_F(ShmIngestTest, PumpRoutesTheEmptyNameLikeAnyOther) {
-  // Empty table slots are marked by their AppId, not by their name: the
-  // empty name is an ordinary key.
+  // Ring names are untrusted, and "" is a name like any other: it is one
+  // app, apart from every other name.
   auto q = ShmIngestQueue::create(file(), 64);
   hub::HeartbeatHub hub;
   hub::ShmIngestPump pump(q, hub);
@@ -1244,6 +1245,52 @@ TEST_F(ShmIngestTest, PumpAppliesATargetChangedMidStream) {
   EXPECT_EQ(s.target.max_bps, 80.0);
   EXPECT_EQ(pump.stats().rejected, 0u);
   EXPECT_EQ(pump.stats().apps, 1u);
+}
+
+TEST_F(ShmIngestTest, PumpJoinsANameTheHubRegisteredAndAppliesItsTarget) {
+  // A name the hub registered in-process (or by a registry replay) is the
+  // app a ring producer joining under it beats: one app, which takes the
+  // producer's target.
+  auto q = ShmIngestQueue::create(file(), 64);
+  hub::HeartbeatHub hub;
+  const hub::AppId id = hub.register_app("enc", {1.0, 2.0});
+  hub::ShmIngestPump pump(q, hub);
+  const AppHandle enc = q->join("enc", {5.0, 6.0});
+  q->append(enc, 1 * kNsPerMs);
+  q->append(enc, 2 * kNsPerMs);
+  EXPECT_EQ(pump.poll(), 2u);
+  EXPECT_EQ(hub.app_count(), 1u);
+  EXPECT_EQ(hub.id_of("enc"), id);
+  const hub::AppSummary s = hub.summary(id);
+  EXPECT_EQ(s.total_beats, 2u);
+  EXPECT_EQ(s.target.min_bps, 5.0);
+  EXPECT_EQ(s.target.max_bps, 6.0);
+  EXPECT_EQ(pump.stats().apps, 1u);
+  EXPECT_EQ(pump.stats().rejected, 0u);
+}
+
+TEST_F(ShmIngestTest, PumpKeepsAProducerThatRejoinsAsOneApp) {
+  // A producer that leaves and joins again under its name, target
+  // unchanged, starts a new directory tenure: the pump resolves it afresh
+  // to the app it already beat, and every beat of both tenures counts.
+  auto q = ShmIngestQueue::create(file(), 64);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+  AppHandle enc = q->join("enc", {10.0, 20.0});
+  q->append(enc, 1 * kNsPerMs);
+  q->append(enc, 2 * kNsPerMs);
+  EXPECT_EQ(pump.poll(), 2u);
+  q->leave(enc);
+  enc = q->join("enc", {10.0, 20.0});
+  q->append(enc, 3 * kNsPerMs);
+  EXPECT_EQ(pump.poll(), 1u);
+  EXPECT_EQ(hub.app_count(), 1u);
+  const hub::AppSummary s = hub.summary(hub.id_of("enc"));
+  EXPECT_EQ(s.total_beats, 3u);
+  EXPECT_EQ(s.target.min_bps, 10.0);
+  EXPECT_EQ(s.target.max_bps, 20.0);
+  EXPECT_EQ(pump.stats().apps, 1u);
+  EXPECT_EQ(pump.stats().rejected, 0u);
 }
 
 TEST_F(ShmIngestTest, PumpRejectsRecordsUnderTheHubsOwnName) {
