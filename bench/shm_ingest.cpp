@@ -25,9 +25,12 @@
 // Every run ends with a conservation coda: frames consumed + frames
 // dropped + frames torn must equal frames produced (the ring head),
 // exactly, in every configuration. Loss is legal under lap pressure;
-// miscounted loss is not. No producer crashes, so no frame may be torn:
-// a claim names its live owner, a live owner is waited for, and a lapped
-// writer drops its frame rather than overwrite or stall the newer one.
+// miscounted loss is not. No producer crashes, so no frame may be torn
+// for a dead owner: a claim names its live owner, a live owner is waited
+// for, and a lapped writer drops its frame rather than overwrite or stall
+// the newer one. A live owner stalled past kClaimLivenessTimeoutNs on a
+// saturated host is still skipped; those frames are counted apart
+// (timed_out_frames) and recorded, not gated.
 // Packed runs also check packing, a count no host changes: every flush is
 // a multiple of kIngestFrameRecords (nine) beats, so each producer must
 // publish exactly ceil(beats / 9) frames — all full but its last.
@@ -127,6 +130,7 @@ struct RunResult {
   std::uint64_t delivered = 0;  ///< records the consumer handed to its sink
   std::uint64_t dropped = 0;    ///< frames lapped past the consumer
   std::uint64_t torn = 0;       ///< frames skipped uncommitted
+  std::uint64_t timed_out = 0;  ///< of torn: skipped on the liveness timeout
   double records_per_frame = 0; ///< delivered / frames delivered
   bool conserved = false;       ///< consumed+dropped+torn == produced frames
   bool packed = false;          ///< packed: every frame full but the last
@@ -199,6 +203,7 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   result.delivered = delivered;
   result.dropped = cur.dropped;
   result.torn = cur.torn;
+  result.timed_out = cur.timed_out;
   result.records_per_frame =
       cur.consumed_frames > 0 ? static_cast<double>(cur.consumed) /
                                     static_cast<double>(cur.consumed_frames)
@@ -365,6 +370,7 @@ struct Repeated {
   bool conserved = true;
   bool packed = true;
   std::uint64_t torn = 0;
+  std::uint64_t timed_out = 0;
 
   static double rate(const RunResult& r) {
     return static_cast<double>(r.delivered) / r.elapsed_s;
@@ -381,6 +387,7 @@ Repeated repeat_runs(int repeat, Fn&& fn) {
     out.conserved = out.conserved && run.conserved;
     out.packed = out.packed && run.packed;
     out.torn += run.torn;
+    out.timed_out += run.timed_out;
     out.runs.push_back(run);
   }
   std::sort(out.runs.begin(), out.runs.end(),
@@ -432,6 +439,7 @@ int main(int argc, char** argv) {
   bool conserved = true;
   bool packed = true;
   std::uint64_t torn = 0;
+  std::uint64_t timed_out = 0;
   double packed_records_per_frame = 0.0;
   double per_record_at_64 = 0.0;
   double packed_at_64 = 0.0;
@@ -464,6 +472,7 @@ int main(int argc, char** argv) {
       conserved = conserved && runs.conserved;
       packed = packed && runs.packed;
       torn += runs.torn;
+      timed_out += runs.timed_out;
       if (packed_mode && producers == 8) {
         packed_records_per_frame = run.records_per_frame;
       }
@@ -515,8 +524,14 @@ int main(int argc, char** argv) {
               idle_pct, doorbell ? "futex" : "fallback",
               idle_ok ? "ok" : "FAIL");
   std::printf("# frames_conserved=%s\n", conserved ? "yes" : "NO");
-  std::printf("# torn_frames=%llu (no producer crashed; gate=%s)\n",
-              static_cast<unsigned long long>(torn), torn == 0 ? "ok" : "FAIL");
+  // No producer crashed: every torn frame must be one a live owner held
+  // past the liveness timeout.
+  const bool torn_ok = torn == timed_out;
+  std::printf("# torn_frames=%llu timed_out_frames=%llu (no producer "
+              "crashed; gate=%s)\n",
+              static_cast<unsigned long long>(torn),
+              static_cast<unsigned long long>(timed_out),
+              torn_ok ? "ok" : "FAIL");
   std::printf("# packed_frames_packed=%s (%.2f records per frame at 8)\n",
               packed ? "yes" : "NO", packed_records_per_frame);
   std::printf("# wide_fleet_whole=%s (every beat of %u one-beat apps "
@@ -548,6 +563,7 @@ int main(int argc, char** argv) {
     rec.metric("idle_consumer_cpu_pct", idle_pct);
     rec.metric("frames_conserved", conserved);
     rec.metric("torn_frames", torn);
+    rec.metric("timed_out_frames", timed_out);
     rec.metric("packed_records_per_frame_p8", packed_records_per_frame);
     rec.metric("packed_frames_packed", packed);
     rec.metric("wide_fleet_pump_ns_per_record", wide.pump_ns_per_record);
@@ -561,13 +577,13 @@ int main(int argc, char** argv) {
     rec.write(json_path);
   }
 
-  // Exit gates on the invariants only (conservation, no torn frame without
-  // a crash, packing, whole fleets, idle-CPU); the throughput
+  // Exit gates on the invariants only (conservation, no frame torn but on
+  // the liveness timeout, packing, whole fleets, idle-CPU); the throughput
   // verdict and the pump's ns per record are noisy-runner-unsafe figures
   // and stay informational (same policy as bench_fleet_sweep's mismatch
   // gate).
   if (!conserved) return 2;
-  if (torn != 0) return 2;
+  if (!torn_ok) return 2;
   if (!packed) return 2;
   if (!wide.whole) return 2;
   if (!packed_fleet.whole) return 2;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -35,8 +36,14 @@ struct ShardMetrics {
 };
 
 /// Runs apply_runs_locked looks ahead: a run's app has its leading fields
-/// prefetched kApplyFetchAhead runs before its apply.
+/// prefetched kApplyFetchAhead runs before its apply, and the window slot
+/// its first beat writes kWindowFetchAhead runs before. By then the
+/// app-line prefetch has brought in the ring head that names the slot.
 constexpr std::size_t kApplyFetchAhead = 8;
+constexpr std::size_t kWindowFetchAhead = kApplyFetchAhead / 2;
+/// Spare snapshot buffers a shard keeps: enough for the one its fleet cache
+/// lets go of each publish, plus a reader's.
+constexpr std::size_t kMaxSpareSnapshots = 2;
 /// Apps rebuild_snapshot_locked looks ahead.
 constexpr std::size_t kPublishFetchAhead = 4;
 
@@ -50,8 +57,39 @@ void prefetch_lines(const void* first, const void* end) {
 
 }  // namespace
 
+/// Spare ShardSnapshot buffers. A snapshot's deleter gives its buffer back
+/// when its last reader lets go, and the next rebuild takes it. The shard
+/// and every snapshot it handed out share the pool, so a snapshot may
+/// outlive its shard.
+class HubShard::SnapshotPool {
+ public:
+  SnapshotPool() { spare_.reserve(kMaxSpareSnapshots); }
+
+  /// A spare buffer, or null when none is free.
+  std::unique_ptr<ShardSnapshot> take() HB_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (spare_.empty()) return nullptr;
+    std::unique_ptr<ShardSnapshot> snap = std::move(spare_.back());
+    spare_.pop_back();
+    return snap;
+  }
+
+  /// Keep `snap` for reuse, or free it (after the unlock) when the list is
+  /// full. Never throws: the list's room was reserved up front.
+  void give(std::unique_ptr<ShardSnapshot> snap) HB_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (spare_.size() < kMaxSpareSnapshots) spare_.push_back(std::move(snap));
+  }
+
+ private:
+  util::Mutex mu_;
+  std::vector<std::unique_ptr<ShardSnapshot>> spare_ HB_GUARDED_BY(mu_);
+};
+
 HubShard::HubShard(std::uint32_t index, ShardConfig config)
-    : index_(index), config_(config) {
+    : index_(index),
+      config_(config),
+      pool_(std::make_shared<SnapshotPool>()) {
   if (config_.window_capacity < 2 ||
       config_.window_capacity > kMaxWindowCapacity) {
     throw std::invalid_argument("hub: window_capacity " +
@@ -146,10 +184,15 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
   const ShardMetrics& metrics = ShardMetrics::get();
   obs::ObsSpan span("shard.publish", apps_.size(), metrics.publish_ns);
   metrics.publishes->add(1);
-  auto next = std::make_shared<ShardSnapshot>();
+  std::unique_ptr<ShardSnapshot> next = pool_->take();
+  if (!next) next = std::make_unique<ShardSnapshot>();
   next->epoch = ++epoch_;
   next->published_at_ns = now;
-  next->apps.reserve(apps_.size());
+  // A spare buffer is an earlier snapshot of this shard, and a slot's name
+  // and id never change (apps are only appended, never removed or
+  // renamed): only the slots past its old size take them.
+  const std::size_t named = next->apps.size();
+  next->apps.resize(apps_.size());
 
   for (std::size_t k = 0; k < apps_.size(); ++k) {
     if (k + kPublishFetchAhead < apps_.size()) {
@@ -159,9 +202,11 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
     AppState& app = apps_[k];
     const util::TimeNs staleness = maintain_locked(app, now);
     if (app.dirty) refresh_locked(app);
-    AppSummary& s = next->apps.emplace_back();
-    s.name = names_[k];
-    s.id = make_app_id(index_, static_cast<std::uint32_t>(k));
+    AppSummary& s = next->apps[k];
+    if (k >= named) {
+      s.name = names_[k];
+      s.id = make_app_id(index_, static_cast<std::uint32_t>(k));
+    }
     s.total_beats = app.total_beats;
     s.window_beats = app.window.size();
     s.rate_bps = app.rate_bps;
@@ -174,8 +219,15 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
   }
   state_dirty_ = false;
 
+  // The buffer goes back to the pool when its last reader lets go. The
+  // snapshot this one replaces is released after the unlock.
+  std::shared_ptr<const ShardSnapshot> published(
+      next.release(), [pool = pool_](const ShardSnapshot* snap) {
+        pool->give(std::unique_ptr<ShardSnapshot>(
+            const_cast<ShardSnapshot*>(snap)));
+      });
   util::MutexLock snap_lock(snap_mu_);
-  snap_ = std::move(next);
+  snap_.swap(published);
 }
 
 ShardStats HubShard::stats() const {
@@ -226,8 +278,8 @@ std::uint64_t interval_between(util::TimeNs prev_ns, util::TimeNs next_ns) {
 
 void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
   // Group prefetching: while run i is applied, run i + kApplyFetchAhead
-  // has its app's leading lines in flight, so an app's misses overlap the
-  // applies before it.
+  // has its app's leading lines in flight and run i + kWindowFetchAhead
+  // its window line, so an app's misses overlap the applies before it.
   const std::size_t n = runs.size();
   for (std::size_t i = 0; i < std::min(n, kApplyFetchAhead); ++i) {
     prefetch_app_locked(app_id_slot(runs[i].id));
@@ -235,6 +287,14 @@ void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kApplyFetchAhead < n) {
       prefetch_app_locked(app_id_slot(runs[i + kApplyFetchAhead].id));
+    }
+    if (i + kWindowFetchAhead < n) {
+      // The window slot that run's first beat overwrites. Once the window
+      // is full it is the oldest beat, and the retirement's back(n - 2) is
+      // the slot after it: one line serves both 7 times in 8. Inline on
+      // purpose: GCC deletes a call to a function holding only a prefetch.
+      const std::uint32_t slot = app_id_slot(runs[i + kWindowFetchAhead].id);
+      __builtin_prefetch(apps_[slot].window.next_slot(), 1);
     }
     // A run's beats take the one-beat step in order.
     const std::uint32_t slot = app_id_slot(runs[i].id);

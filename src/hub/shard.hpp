@@ -9,7 +9,10 @@
 //   of an in-process ingest() or beat(). Publishing (time maintenance,
 //   summary refresh and snapshot construction) runs under the same lock
 //   and ends in a swap of an immutable, epoch-stamped ShardSnapshot
-//   (shared_ptr).
+//   (shared_ptr). A snapshot stays immutable while anyone holds it; when
+//   its last holder lets go, its deleter returns the buffer to the shard's
+//   small spare pool, and the next publish overwrites it in place instead
+//   of allocating one and copying every name again.
 //
 //   SNAPSHOT (snap_mu_): readers grab the published pointer under this
 //   trivially short lock and never hold any shard lock across summary
@@ -33,16 +36,18 @@
 //   * the window's ends, copied out: the newest beat (last_beat_ns) and
 //     the oldest (oldest_ns);
 //   * the exact moments.
-// The fields a beat's apply touches fill the app's first two cache lines;
-// the third holds the target, the registration time and the cached rate,
-// mean and stddev. Names live in a per-shard column beside the apps. A
-// publish reads each app's three lines and its name, and assembles the
-// AppSummary from them: it touches no window line.
+// The fields a beat's apply touches fill the app's first two cache lines,
+// and the beat writes one window line besides; the third holds the
+// target, the registration time and the cached rate, mean and stddev.
+// Names live in a per-shard column beside the apps. A publish reads each
+// app's three lines, and a name only for a slot its buffer lacks, and
+// assembles the AppSummary from them: it touches no window line.
 //
 // Apply and publish each walk many apps whose state was last written on
 // another CPU, so both prefetch ahead: apply fetches the first lines of
-// the app a fixed number of runs ahead, and publish fetches the whole app
-// four slots ahead.
+// the app eight runs ahead and, four runs ahead, the window line that
+// run's first beat writes (read off the ring head those lines hold);
+// publish fetches the whole app four slots ahead.
 //
 // A publish that finds nothing new (no beats applied, no dirty targets or
 // evictions, clock unmoved since the last publish) republishes nothing:
@@ -184,8 +189,10 @@ class HubShard {
   void evict_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Build the next ShardSnapshot from current app state and swap it in:
   /// per app, time maintenance, an O(1) refresh if it changed, and a
-  /// summary assembled from the app's state and name. Caller holds
-  /// state_mu_; the swap itself takes snap_mu_ only.
+  /// summary assembled from the app's state. The buffer is a spare one
+  /// when the pool has it: each summary is overwritten in place, and only
+  /// slots past its old size copy a name. Caller holds state_mu_; the swap
+  /// itself takes snap_mu_ only.
   void rebuild_snapshot_locked(util::TimeNs now)
       HB_REQUIRES(state_mu_) HB_EXCLUDES(snap_mu_);
 
@@ -209,6 +216,11 @@ class HubShard {
   /// Published-pointer swap/read only; never held across any copy.
   mutable util::Mutex snap_mu_ HB_ACQUIRED_AFTER(state_mu_);
   std::shared_ptr<const ShardSnapshot> snap_ HB_GUARDED_BY(snap_mu_);
+
+  /// Spare snapshot buffers (shard.cpp), shared with every snapshot's
+  /// deleter: rebuild_snapshot_locked takes one before it allocates.
+  class SnapshotPool;
+  const std::shared_ptr<SnapshotPool> pool_;
 };
 
 }  // namespace hb::hub

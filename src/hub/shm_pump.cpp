@@ -257,6 +257,7 @@ ShmIngestPumpStats ShmIngestPump::stats() const {
   s.consumed = cursor_.consumed;
   s.dropped = cursor_.dropped;
   s.torn = cursor_.torn;
+  s.timed_out = cursor_.timed_out;
   s.rejected = rejected_;
   s.apps = apps_.size();
   s.parks = parks_;

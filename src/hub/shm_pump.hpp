@@ -102,6 +102,9 @@ struct ShmIngestPumpStats {
   std::uint64_t consumed = 0;  ///< records drained, rejected ones included
   std::uint64_t dropped = 0;   ///< ring frames lapped before this pump read them
   std::uint64_t torn = 0;      ///< frames skipped (producer died mid-batch)
+  /// The subset of `torn` skipped after transport::kClaimLivenessTimeoutNs
+  /// because its owner was alive or could not be judged.
+  std::uint64_t timed_out = 0;
   /// Records dropped: under kSelfAppName, or in frames whose directory
   /// entry or gen did not check out.
   std::uint64_t rejected = 0;

@@ -17,8 +17,10 @@
 //   FleetDetector / GlobalScheduler / PolicyEngine / hbmon
 //
 // Invariants:
-//   * A ShardSnapshot is immutable after publication. Readers never hold a
-//     shard lock across summary copies — they copy from the snapshot.
+//   * A ShardSnapshot is immutable while anyone holds it. Readers never
+//     hold a shard lock across summary copies — they copy from the
+//     snapshot. When its last holder lets go, its buffer returns to its
+//     shard, and a later publish overwrites it in place (HubShard).
 //   * Epochs are per-shard, monotone, and advance exactly when a rebuild
 //     publishes new state (new beats applied, dirty targets/evictions, or
 //     the clock moved at all, so staleness stamps catch up).
@@ -40,8 +42,9 @@
 namespace hb::hub {
 
 /// One shard's published state: every app's summary in slot order, evicted
-/// apps included with their flag set. Immutable after publication; handed
-/// out as shared_ptr<const>.
+/// apps included with their flag set. Handed out as shared_ptr<const> and
+/// immutable while any copy of that pointer lives; its deleter then gives
+/// the buffer back to the shard for reuse.
 struct ShardSnapshot {
   /// Publish counter, starts at 1 for the first snapshot. Monotone: a
   /// reader that sees the same epoch twice may reuse everything it derived

@@ -784,6 +784,7 @@ std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
         const util::TimeNs now = util::MonotonicClock::instance()->now();
         if (cur.overdue_since_ns == 0) cur.overdue_since_ns = now;
         if (now - cur.overdue_since_ns < kClaimLivenessTimeoutNs) break;
+        ++cur.timed_out;
       }
       dead_mark = dead ? c1 : 0;
     }

@@ -97,7 +97,9 @@
 // lost slot); `consumed` counts RECORDS delivered. In any no-loss
 // configuration the record count is exact; under loss, consumed_frames +
 // dropped + torn always equals the frames produced, so nothing is ever
-// silently unaccounted.
+// silently unaccounted. `timed_out` counts the torn frames skipped on the
+// liveness timeout rather than a dead owner, so torn - timed_out is the
+// frames lost to crashes.
 //
 // Because slots are read non-destructively, any number of independent
 // consumers (each with its own Cursor) may drain the same ring — e.g. the
@@ -353,6 +355,9 @@ class ShmIngestQueue {
     std::uint64_t consumed_frames = 0;  ///< frames those records arrived in
     std::uint64_t dropped = 0;  ///< FRAMES overwritten before this consumer read them
     std::uint64_t torn = 0;     ///< FRAMES skipped uncommitted (crashed producer)
+    /// The subset of `torn` skipped after kClaimLivenessTimeoutNs: the
+    /// owner was alive or could not be judged, so no crash is implied.
+    std::uint64_t timed_out = 0;
   };
 
   /// Sink for drained frames, called once per accepted frame with its
@@ -369,7 +374,8 @@ class ShmIngestQueue {
   /// Cursor::torn if its mark names a dead or malformed pid — and so is
   /// the contiguous run behind it that still bears that same mark, the
   /// rest of the dead producer's claimed batch. Any other blocked slot is
-  /// skipped only after a further kClaimLivenessTimeoutNs.
+  /// skipped only after a further kClaimLivenessTimeoutNs, and counted in
+  /// Cursor::timed_out as well as Cursor::torn.
   /// Frames lapped by producers are counted in Cursor::dropped, never
   /// delivered torn. Returns records delivered.
   std::size_t drain(Cursor& cur, const DrainFn& fn,

@@ -49,6 +49,10 @@ class RingBuffer {
     return buf_[head_ >= k ? head_ - k : head_ + buf_.size() - k];
   }
 
+  /// The slot the next push() overwrites: the oldest element once full.
+  /// For prefetching; read through back() instead.
+  const T* next_slot() const { return buf_.data() + head_; }
+
   /// Copy the most recent `n` elements into `out`, oldest first.
   /// Returns the number copied (min(n, size(), out.size())).
   std::size_t last_n(std::size_t n, std::span<T> out) const {

@@ -16,7 +16,9 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -27,6 +29,7 @@
 #include "hub/shard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "test_support.hpp"
 #include "transport/shm_ingest.hpp"
 #include "util/clock.hpp"
 #include "util/tsan.hpp"
@@ -53,7 +56,10 @@ constexpr std::size_t scaled(std::size_t n) {
 // than the span; a summary refreshed from a half-applied beat counts an
 // interval the span lacks (or the reverse). The check is probabilistic: it
 // needs a reader to catch such a window, and a lost race may not happen in
-// a given run.
+// a given run. Readers also hold each snapshot across several publishes:
+// the shard recycles snapshot buffers, and a held one must still read as
+// the copy taken when it was grabbed (an overwrite of it would also be a
+// race for TSan to report).
 TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(4000);
@@ -92,6 +98,16 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   });
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&] {  // snapshot readers
+      // The last kHeld snapshots this reader grabbed, each with a copy
+      // taken at the grab: the publisher recycles buffers all the while,
+      // and a held one must still read as its copy when it is let go.
+      constexpr std::size_t kHeld = 4;
+      struct Held {
+        std::shared_ptr<const hub::ShardSnapshot> snap;
+        std::uint64_t epoch;
+        std::vector<hub::AppSummary> apps;
+      };
+      std::deque<Held> held;
       std::uint64_t last_epoch = 0;
       while (!stop.load(std::memory_order_acquire)) {
         auto snap = shard.published();
@@ -105,6 +121,15 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
             EXPECT_NEAR(app.interval_mean_ns * app.rate_bps / 1e9, 1.0, 1e-6)
                 << app.name;
           }
+        }
+        if (!held.empty() && held.back().snap == snap) continue;
+        held.push_back({snap, snap->epoch, snap->apps});
+        if (held.size() > kHeld) {
+          const Held& oldest = held.front();
+          EXPECT_EQ(oldest.snap->epoch, oldest.epoch);
+          EXPECT_TRUE(test::same_summaries(oldest.snap->apps, oldest.apps))
+              << "epoch " << oldest.epoch;
+          held.pop_front();
         }
       }
     });

@@ -1,6 +1,6 @@
 // The snapshot plane: epoch semantics, fleet-cache hits, the single-shard
-// per-app query, and sweep coherence under threaded ingest (no torn
-// reports).
+// per-app query, sweep coherence under threaded ingest (no torn reports),
+// and the recycling of shard snapshot buffers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,6 +26,7 @@ using util::kNsPerSec;
 // Shared across the hub suites: ManualClock HubOptions with test-sized
 // shards/batch/window.
 using test::manual_hub_opts;
+using test::same_summaries;
 using test::total_beats;
 
 // ------------------------------------------------------------- epoch rules
@@ -246,6 +247,163 @@ TEST(SnapshotCoherence, ReportEpochMatchesTheSnapshotItWasDerivedFrom) {
   // Sweeping a fresh snapshot with nothing changed reuses the same epoch.
   const fault::FleetReport again = detector.sweep(hub.snapshot());
   EXPECT_EQ(again.snapshot_epoch, report.snapshot_epoch);
+}
+
+// ---------------------------------------------------- buffer recycling
+//
+// A shard's snapshot buffer returns to its shard when the last reader lets
+// go, and a later publish overwrites it in place. A held snapshot must
+// never be that buffer.
+
+/// A deep copy of what a fleet snapshot shows: every shard's epoch, stamp
+/// and summaries.
+struct FleetCopy {
+  std::vector<std::uint64_t> epochs;
+  std::vector<util::TimeNs> stamps;
+  std::vector<std::vector<AppSummary>> apps;
+
+  explicit FleetCopy(const FleetSnapshot& snap) {
+    for (std::size_t i = 0; i < snap.shard_count(); ++i) {
+      epochs.push_back(snap.shard(i).epoch);
+      stamps.push_back(snap.shard(i).published_at_ns);
+      apps.push_back(snap.shard(i).apps);
+    }
+  }
+  void expect_matches(const FleetSnapshot& snap) const {
+    ASSERT_EQ(snap.shard_count(), apps.size());
+    for (std::size_t i = 0; i < snap.shard_count(); ++i) {
+      EXPECT_EQ(snap.shard(i).epoch, epochs[i]);
+      EXPECT_EQ(snap.shard(i).published_at_ns, stamps[i]);
+      EXPECT_TRUE(same_summaries(snap.shard(i).apps, apps[i])) << "shard " << i;
+    }
+  }
+};
+
+TEST(SnapshotRecycling, AHeldSnapshotStaysFrozenAcrossPublishes) {
+  auto clock = std::make_shared<util::ManualClock>();
+  HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/2, /*window=*/8));
+  std::vector<AppId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(hub.register_app("app-" + std::to_string(i), {1.0, 50.0}));
+  }
+  for (int r = 0; r < 10; ++r) {
+    clock->advance(10 * kNsPerMs);
+    for (const AppId id : ids) hub.beat(id);
+  }
+
+  const auto held = hub.snapshot();
+  const FleetCopy copy(*held);
+  std::uint64_t last_epoch = held->epoch();
+  // 120 publishes of every kind of change; each one frees the fleet view
+  // before it, so both shards recycle their buffers all the while.
+  for (int p = 0; p < 120; ++p) {
+    clock->advance(kNsPerMs);
+    const auto k = static_cast<std::size_t>(p);
+    hub.beat(ids[k % ids.size()]);
+    if (p % 10 == 0) {
+      ids.push_back(hub.register_app("late-" + std::to_string(p), {2.0, 3.0}));
+    }
+    if (p % 7 == 0) hub.set_target(ids[k % 6], {static_cast<double>(p), 1e3});
+    if (p % 13 == 0) hub.evict(ids[(k + 1) % 6]);
+    const auto snap = hub.snapshot();
+    EXPECT_GT(snap->epoch(), last_epoch);
+    last_epoch = snap->epoch();
+  }
+  copy.expect_matches(*held);
+  EXPECT_EQ(held->app_count(), 6u);
+}
+
+TEST(SnapshotRecycling, PublishesReuseAReturnedBuffer) {
+  auto clock = std::make_shared<util::ManualClock>();
+  HubShard shard(0, {.window_capacity = 8, .clock = clock});
+  shard.add_app("a", {});
+
+  // Nobody but the shard holds a snapshot: the one a publish replaces
+  // goes back to the shard, and the publish after takes it.
+  const ShardSnapshot* first = shard.publish().get();
+  clock->advance(1);
+  const ShardSnapshot* second = shard.publish().get();
+  EXPECT_NE(second, first);
+  for (int k = 0; k < 10; ++k) {
+    clock->advance(1);
+    EXPECT_EQ(shard.publish().get(), k % 2 == 0 ? first : second);
+  }
+
+  // A held snapshot is never reused while it is held, and once let go it
+  // is reused again.
+  clock->advance(1);
+  auto held = shard.publish();
+  const ShardSnapshot* held_at = held.get();
+  for (int k = 0; k < 10; ++k) {
+    clock->advance(1);
+    EXPECT_NE(shard.publish().get(), held_at);
+  }
+  EXPECT_EQ(held->epoch, 13u);
+  held.reset();
+  bool reused = false;
+  for (int k = 0; k < 3; ++k) {
+    clock->advance(1);
+    reused = reused || shard.publish().get() == held_at;
+  }
+  EXPECT_TRUE(reused);
+}
+
+TEST(SnapshotRecycling, AGrownBufferNamesItsNewSlots) {
+  auto clock = std::make_shared<util::ManualClock>();
+  HubShard shard(3, {.window_capacity = 8, .clock = clock});
+  shard.add_app("a", {1.0, 2.0});
+  const ShardSnapshot* one_app = shard.publish().get();
+  clock->advance(1);
+  shard.publish();  // one_app goes back to the shard
+
+  // The next publish reuses the one-slot buffer for two slots, then three.
+  shard.add_app("b", {3.0, 4.0});
+  clock->advance(1);
+  auto snap = shard.publish();
+  ASSERT_EQ(snap.get(), one_app);
+  ASSERT_EQ(snap->apps.size(), 2u);
+  EXPECT_EQ(snap->apps[0].name, "a");
+  EXPECT_EQ(snap->apps[1].name, "b");
+  EXPECT_EQ(snap->apps[1].id, make_app_id(3, 1));
+  EXPECT_DOUBLE_EQ(snap->apps[1].target.min_bps, 3.0);
+  snap.reset();
+  clock->advance(1);
+  shard.publish();
+
+  shard.add_app("c", {});
+  clock->advance(1);
+  snap = shard.publish();
+  ASSERT_EQ(snap.get(), one_app);
+  ASSERT_EQ(snap->apps.size(), 3u);
+  EXPECT_EQ(snap->apps[0].name, "a");
+  EXPECT_EQ(snap->apps[1].name, "b");
+  EXPECT_EQ(snap->apps[2].name, "c");
+  EXPECT_EQ(snap->apps[2].id, make_app_id(3, 2));
+}
+
+TEST(SnapshotRecycling, ASnapshotMayOutliveItsHub) {
+  // The spare pool lives as long as its last snapshot: freeing one after
+  // its hub is gone must neither touch freed memory nor leak (CI runs
+  // this suite under ASan).
+  std::shared_ptr<const FleetSnapshot> fleet;
+  std::shared_ptr<const ShardSnapshot> shard_snap;
+  {
+    auto clock = std::make_shared<util::ManualClock>();
+    HeartbeatHub hub(manual_hub_opts(clock, /*shards=*/2));
+    const AppId id = hub.register_app("survivor");
+    for (int k = 0; k < 5; ++k) {  // leave spares in both pools
+      clock->advance(kNsPerMs);
+      hub.beat(id);
+      hub.snapshot();
+    }
+    fleet = hub.snapshot();
+    shard_snap = hub.shard(app_id_shard(id)).published();
+  }
+  EXPECT_EQ(total_beats(*fleet), 5u);
+  EXPECT_EQ(shard_snap->apps.at(0).name, "survivor");
+  fleet.reset();
+  EXPECT_EQ(shard_snap->apps.at(0).total_beats, 5u);
+  shard_snap.reset();
 }
 
 }  // namespace

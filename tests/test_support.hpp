@@ -1,8 +1,10 @@
 // Shared helpers for the heartbeat test suites.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,6 +67,30 @@ inline std::uint64_t total_beats(const hub::FleetSnapshot& snap) {
       [&total](const hub::AppSummary& s) { total += s.total_beats; },
       /*include_evicted=*/true);
   return total;
+}
+
+/// True when both lists hold the same summaries, every field equal bit
+/// for bit (doubles compared as bits, so an infinite rate compares too).
+inline bool same_summaries(std::span<const hub::AppSummary> a,
+                           std::span<const hub::AppSummary> b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const hub::AppSummary& x = a[i];
+    const hub::AppSummary& y = b[i];
+    if (x.name != y.name || x.id != y.id || x.total_beats != y.total_beats ||
+        x.window_beats != y.window_beats ||
+        bits(x.rate_bps) != bits(y.rate_bps) ||
+        x.last_beat_ns != y.last_beat_ns || x.staleness_ns != y.staleness_ns ||
+        x.evicted != y.evicted ||
+        bits(x.target.min_bps) != bits(y.target.min_bps) ||
+        bits(x.target.max_bps) != bits(y.target.max_bps) ||
+        bits(x.interval_mean_ns) != bits(y.interval_mean_ns) ||
+        bits(x.interval_stddev_ns) != bits(y.interval_stddev_ns)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Beat every listed app once per round, advancing the virtual clock by

@@ -342,6 +342,7 @@ TEST_F(ShmIngestTest, PumpSuggestsIdleBackoffSleeps) {
   EXPECT_EQ(pump.poll(), 1u);  // stall budget spent: torn skipped, record in
   EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
   EXPECT_EQ(pump.stats().torn, 1u);
+  EXPECT_EQ(pump.stats().timed_out, 0u);  // a dead owner, not the timeout
 }
 
 TEST_F(ShmIngestTest, HubSinkMirrorsSharedChannelOnly) {
@@ -587,6 +588,8 @@ TEST_F(ShmIngestTest, MidBatchCrashTearsOnlyTheDeadClaim) {
   EXPECT_EQ(out[0].app, "live");
   EXPECT_EQ(out[1].app, "after");
   EXPECT_EQ(cur.torn, 4u);
+  // Every tear was a dead owner's: none waited out the liveness timeout.
+  EXPECT_EQ(cur.timed_out, 0u);
   EXPECT_EQ(cur.consumed_frames + cur.dropped + cur.torn, q->produced());
 }
 
@@ -712,6 +715,7 @@ TEST_F(ShmIngestTest, LiveClaimIsNeverTornByTheStallBudget) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].app, "slow");
   EXPECT_EQ(cur.torn, 0u);
+  EXPECT_EQ(cur.timed_out, 0u);
 
   // A live claim that is never published is torn only once the liveness
   // timeout has passed on top of the budget, and the record behind it
@@ -729,6 +733,8 @@ TEST_F(ShmIngestTest, LiveClaimIsNeverTornByTheStallBudget) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].app, "behind");
   EXPECT_EQ(cur.torn, 1u);
+  // Its owner is alive: the tear is the timeout's, not a crash's.
+  EXPECT_EQ(cur.timed_out, 1u);
 }
 
 TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
