@@ -5,9 +5,9 @@
 //
 // `config` holds the knobs that shaped the run (apps, producers, reps,
 // smoke), `metrics` the measured results. scripts/check_bench_json.py
-// validates emitted files against exactly this shape in CI. The git sha is
-// baked in at compile time (CMake passes -DHB_GIT_SHA=<short sha> to bench
-// targets; "unknown" outside a git checkout).
+// validates emitted files against exactly this shape in CI. The git sha
+// comes from hb_git_sha.h, which the build regenerates from the checkout
+// on every build (cmake/git_sha.cmake; "unknown" outside a git checkout).
 #pragma once
 
 #include <cmath>
@@ -17,9 +17,7 @@
 #include <utility>
 #include <vector>
 
-#ifndef HB_GIT_SHA
-#define HB_GIT_SHA "unknown"
-#endif
+#include "hb_git_sha.h"
 
 namespace hb::bench {
 

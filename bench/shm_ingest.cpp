@@ -19,8 +19,8 @@
 // The bench also measures the doorbell's reason to exist: a consumer
 // parked on an idle ring should cost ~zero CPU. The idle section runs the
 // canonical pump loop (poll + wait) over a quiet second and reads
-// CLOCK_THREAD_CPUTIME_ID around it; with the futex doorbell available the
-// consumer thread must stay under 1% CPU, and the bench FAILS otherwise.
+// CLOCK_THREAD_CPUTIME_ID around it; the consumer thread must stay under
+// 1% CPU, and the bench FAILS otherwise.
 //
 // Every run ends with a conservation coda: frames consumed + frames
 // dropped + frames torn must equal frames produced (the ring head),
@@ -508,11 +508,8 @@ int main(int argc, char** argv) {
   const double idle_window_s = 1.0;
   const double idle_cpu = run_idle(dir, idle_window_s, &idle_wall);
   const double idle_pct = idle_wall > 0 ? 100.0 * idle_cpu / idle_wall : 0.0;
-  const bool doorbell = ShmIngestQueue::doorbell_supported();
-  // 1% of the window when the futex doorbell is parking the consumer; the
-  // portable backoff fallback wakes every idle_sleep_max_ns and gets a
-  // looser informational bill instead of a gate.
-  const bool idle_ok = !doorbell || idle_cpu < 0.01 * idle_window_s;
+  // The doorbell parks the consumer: under 1% of the window.
+  const bool idle_ok = idle_cpu < 0.01 * idle_window_s;
 
   fs::remove_all(dir);
   const bool packed_wins = packed_at_64 > per_record_at_64;
@@ -520,8 +517,7 @@ int main(int argc, char** argv) {
       "\n# packed_faster_at_64=%s (sustained: packed %.0f/s vs "
       "per_record %.0f/s)\n",
       packed_wins ? "yes" : "no", packed_at_64, per_record_at_64);
-  std::printf("# idle_consumer_cpu_pct=%.3f (doorbell=%s, gate=%s)\n",
-              idle_pct, doorbell ? "futex" : "fallback",
+  std::printf("# idle_consumer_cpu_pct=%.3f (gate=%s)\n", idle_pct,
               idle_ok ? "ok" : "FAIL");
   std::printf("# frames_conserved=%s\n", conserved ? "yes" : "NO");
   // No producer crashed: every torn frame must be one a live owner held
@@ -547,7 +543,6 @@ int main(int argc, char** argv) {
     rec.config("beats_per_producer", beats);
     rec.config("repeat", repeat);
     rec.config("smoke", smoke);
-    rec.config("doorbell", doorbell ? "futex" : "fallback");
     rec.config("repeat_p64", smoke ? repeat : kRepeatP64);
     for (const Row& row : rows) {
       rec.metric(row.key.c_str(), row.rate);

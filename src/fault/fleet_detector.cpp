@@ -72,7 +72,7 @@ Health FleetDetector::classify(const hub::AppSummary& s) const {
   // An evicted app was already judged dead by the hub's staleness bound.
   if (s.evicted) return Health::kDead;
 
-  // Discount transport lag (pump poll interval + producer batch hold)
+  // Discount transport lag (pump delivery lag + producer batch hold)
   // before judging silence; see FleetDetectorOptions::staleness_slack_ns.
   const util::TimeNs staleness = s.staleness_ns > opts_.staleness_slack_ns
                                      ? s.staleness_ns - opts_.staleness_slack_ns

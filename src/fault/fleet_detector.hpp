@@ -55,9 +55,9 @@ struct FleetDetectorOptions {
   /// Transport allowance (ns) subtracted from observed staleness before any
   /// staleness verdict. For hubs fed across a process boundary (the shm
   /// ingest pump) a beat is only as fresh as the last drain: observed
-  /// staleness includes up to one pump poll interval plus the producer's
-  /// batch hold, on top of the cross-process clock-sampling skew of the
-  /// shared CLOCK_MONOTONIC epoch. Set to roughly poll_interval +
+  /// staleness includes the pump's delivery lag plus the producer's batch
+  /// hold, on top of the cross-process clock-sampling skew of the shared
+  /// CLOCK_MONOTONIC epoch. Set to roughly that lag +
   /// ShmHubSinkOptions::max_hold_ns so transport lag is never read as
   /// death. 0 (the default) is correct for in-process ingestion.
   util::TimeNs staleness_slack_ns = 0;

@@ -8,9 +8,7 @@
 #include <string_view>
 #include <thread>
 
-#if defined(__linux__)
 #include <sys/prctl.h>
-#endif
 
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
@@ -52,16 +50,12 @@ struct PumpMetrics {
 };
 
 /// How late the kernel may end this thread's timed sleeps: its timer
-/// slack (50 us by default on Linux), read once per thread; 0 where it
-/// cannot be read.
+/// slack (50 us by default), read once per thread; 0 where it cannot be
+/// read.
 util::TimeNs timer_slack_ns() {
-#if defined(__linux__)
   thread_local const util::TimeNs slack =
       std::max(0, prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
   return slack;
-#else
-  return 0;
-#endif
 }
 
 }  // namespace
@@ -167,19 +161,15 @@ std::size_t ShmIngestPump::poll() {
   // The applies read staged_ through the runs: clear it only now.
   staged_.clear();
   runs_.clear();
-  // Only a genuinely idle poll (cursor caught up to the ring head)
-  // feeds the backoff and lets the next wait() park. A drain that returned
-  // nothing while frames are pending is BLOCKED — head-of-line slot
-  // claimed but unpublished (a producer preempted, or crashed mid-batch)
-  // — and counts as busy: wait() naps at the floor, so the stall budget is
-  // spent at floor pace and the committed frames queued behind a dead
-  // producer's unpublished run reach the hub within max_stall_polls naps.
-  if (drained == 0 && !queue_->has_frames(cursor_)) {
-    if (empty_polls_ < 31) ++empty_polls_;  // cap the shift, not the count
-    metrics.empty_polls->add(1);
-  } else {
-    empty_polls_ = 0;
-  }
+  // Only a genuinely idle poll (cursor caught up to the ring head) lets
+  // the next wait() park. A drain that returned nothing while frames are
+  // pending is BLOCKED — head-of-line slot claimed but unpublished (a
+  // producer preempted, or crashed mid-batch) — and counts as busy: wait()
+  // naps at the floor, so the stall budget is spent at floor pace and the
+  // committed frames queued behind a dead producer's unpublished run reach
+  // the hub within max_stall_polls naps.
+  idle_ = drained == 0 && !queue_->has_frames(cursor_);
+  if (idle_) metrics.empty_polls->add(1);
   if (drained > 0) metrics.records->add(drained);
   span.set_arg(drained);
   return drained;
@@ -193,14 +183,15 @@ bool ShmIngestPump::wait(util::TimeNs budget_ns) {
   const util::TimeNs slack = timer_slack_ns();
   if (budget_ns <= slack) return false;
   budget_ns -= slack;
-  if (empty_polls_ == 0) {
+  if (!idle_) {
     // The last poll left the ring busy (it drained records, or it is
-    // blocked on a claimed slot): nap at the floor without advertising
-    // `parked`, so producers publishing meanwhile skip the futex wake and
-    // the next poll drains what they coalesced — and a stalled slot's
-    // budget is spent at floor pace, not in microseconds.
-    std::this_thread::sleep_for(std::chrono::nanoseconds(
-        std::min(budget_ns, suggested_sleep_ns())));
+    // blocked on a claimed slot), or a doorbell woke the pump since: nap
+    // at the floor without advertising `parked`, so producers publishing
+    // meanwhile skip the futex wake and the next poll drains what they
+    // coalesced — and a stalled slot's budget is spent at floor pace, not
+    // in microseconds.
+    std::this_thread::sleep_for(std::chrono::nanoseconds(std::min(
+        budget_ns, std::max<util::TimeNs>(opts_.idle_sleep_min_ns, 1))));
     return true;
   }
   using transport::ShmIngestQueue;
@@ -216,9 +207,9 @@ bool ShmIngestPump::wait(util::TimeNs budget_ns) {
       ++doorbell_wakes_;
       metrics.parks->add(1);
       metrics.wakes->add(1);
-      // The wake says producers just published: back to the floor, so a
-      // wait() before the next poll naps instead of parking again.
-      empty_polls_ = 0;
+      // The wake says producers just published: a wait() before the next
+      // poll naps instead of parking again.
+      idle_ = false;
       if (!queue_->has_frames(cursor_)) {
         // Signal/EINTR or a ring for frames another consumer's cursor
         // covers — rare; count it so an unhealthy rate is visible.
@@ -227,28 +218,13 @@ bool ShmIngestPump::wait(util::TimeNs budget_ns) {
       }
       return true;
     case ShmIngestQueue::WaitResult::kTimeout:
-      ++parks_;
-      ++wait_timeouts_;
-      metrics.parks->add(1);
-      metrics.wait_timeouts->add(1);
-      return false;
-    case ShmIngestQueue::WaitResult::kUnsupported:
-      break;  // no futex: sleep the backoff schedule instead of parking
+      break;
   }
-  std::this_thread::sleep_for(std::chrono::nanoseconds(
-      std::min(budget_ns, suggested_sleep_ns())));
+  ++parks_;
+  ++wait_timeouts_;
+  metrics.parks->add(1);
+  metrics.wait_timeouts->add(1);
   return false;
-}
-
-util::TimeNs ShmIngestPump::suggested_sleep_ns() const {
-  const util::TimeNs floor =
-      opts_.idle_sleep_min_ns > 0 ? opts_.idle_sleep_min_ns : 1;
-  const util::TimeNs cap =
-      opts_.idle_sleep_max_ns > floor ? opts_.idle_sleep_max_ns : floor;
-  // floor << empty_polls_, saturating at the cap without overflow.
-  util::TimeNs sleep = floor;
-  for (std::uint32_t i = 0; i < empty_polls_ && sleep < cap; ++i) sleep *= 2;
-  return sleep < cap ? sleep : cap;
 }
 
 ShmIngestPumpStats ShmIngestPump::stats() const {

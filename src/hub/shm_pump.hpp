@@ -45,8 +45,8 @@
 //     first producer to publish rings it and the pump wakes at once.
 //
 // So a busy ring is drained about once per idle_sleep_min_ns and producers
-// ring only after the pump found the ring empty. Without futex, wait()
-// sleeps the suggested_sleep_ns backoff instead of parking.
+// ring only after the pump found the ring empty. A doorbell wake counts as
+// busy: the wait() after it naps.
 //
 // Threading: a pump is single-consumer by construction (it owns its
 // cursor). Call poll()/wait() from one thread — typically a poll loop
@@ -81,13 +81,13 @@ struct ShmIngestPumpOptions {
   /// transport::ShmIngestQueue::drain.
   std::uint32_t max_stall_polls = 3;
   /// The coalescing interval: wait()'s nap after a poll that drained
-  /// records or was blocked on a claimed slot. Also the floor of
-  /// suggested_sleep_ns() and the pace at which the stall budget is spent.
+  /// records or was blocked on a claimed slot, or after a doorbell wake
+  /// (clamped to >= 1 ns). Also the pace at which the stall budget is
+  /// spent.
   util::TimeNs idle_sleep_min_ns = 1 * util::kNsPerMs;
-  /// Cap of the suggested_sleep_ns() backoff, which consecutive empty polls
-  /// double from the floor. wait() only sleeps it where futex is missing
-  /// (a quiet ring then costs ~1 wakeup per cap interval instead of a
-  /// busy-spin). Clamped to >= idle_sleep_min_ns.
+  /// Unused: no code reads it. Kept only because pipebench/src/main.cpp
+  /// sets it, and pipebench/ changes only with the benchmark itself; the
+  /// benchmark half of ROADMAP item 2a deletes it, as it does lane_records.
   util::TimeNs idle_sleep_max_ns = 64 * util::kNsPerMs;
   /// Longest single doorbell park. This bounds the missed-wake window the
   /// producers' relaxed parked-check admits AND doubles as a liveness
@@ -145,15 +145,8 @@ class ShmIngestPump {
   /// doorbell wake: nap idle_sleep_min_ns without parking and return true.
   /// After an empty poll: park on the doorbell (clamped to
   /// doorbell_timeout_ns) and return true on a wake, false when the budget
-  /// or timeout lapsed quietly; without futex, sleep suggested_sleep_ns()
-  /// and return false. Callers poll() next either way.
+  /// or timeout lapsed quietly. Callers poll() next either way.
   bool wait(util::TimeNs budget_ns);
-
-  /// The backoff schedule wait() follows: idle_sleep_min_ns after a busy
-  /// poll or a doorbell wake, doubling per consecutive empty poll up to
-  /// idle_sleep_max_ns. At the floor wait() naps; past it wait() parks on
-  /// the doorbell, and sleeps this value only where futex is missing.
-  util::TimeNs suggested_sleep_ns() const;
 
   ShmIngestPumpStats stats() const;
 
@@ -199,8 +192,9 @@ class ShmIngestPump {
 
   transport::ShmIngestQueue::Cursor cursor_;
   std::uint64_t polls_ = 0;
-  /// Consecutive empty polls; 0 means busy, so the next wait() naps.
-  std::uint32_t empty_polls_ = 0;
+  /// The last poll found the ring empty and no doorbell woke the pump
+  /// since: the next wait() parks. Otherwise it naps.
+  bool idle_ = false;
   std::uint64_t parks_ = 0;
   std::uint64_t doorbell_wakes_ = 0;
   std::uint64_t spurious_wakes_ = 0;

@@ -11,19 +11,19 @@
 //   hbmon watch <app> [-n samples] [-i interval_ms] [-w window]
 //   hbmon history <app> [-n beats]     # recent beats (seq, time, tag, tid)
 //   hbmon fleet [-s dead_ms]           # one-sweep health verdict table
-//   hbmon fleet --live [-d run_ms] [-i poll_ms] [-s dead_ms]
+//   hbmon fleet --live [-d run_ms] [-s dead_ms]
 //                                      # sweep LIVE external producers via the
 //                                      # shm ingest ring (no registry replay)
-//   hbmon fleet --watch [-d run_ms] [-i poll_ms] [-s dead_ms] [-p sweep_ms]
+//   hbmon fleet --watch [-d run_ms] [-s dead_ms] [-p sweep_ms]
 //                                      # continuous decide loop: stream policy
 //                                      # events until SIGINT/SIGTERM (-d 0)
-//   hbmon metrics [--json] [-d run_ms] [-i poll_ms]
+//   hbmon metrics [--json] [-d run_ms]
 //                                      # run the live pipeline briefly, then
 //                                      # dump the self-telemetry registry
-//   hbmon trace [-o trace.json] [-d run_ms] [-i poll_ms]
+//   hbmon trace [-o trace.json] [-d run_ms]
 //                                      # same, exporting the stage-span ring
 //                                      # as Chrome trace-event JSON
-//   hbmon timeline [-d run_ms] [-i poll_ms] [-p sweep_ms]
+//   hbmon timeline [-d run_ms] [-p sweep_ms]
 //                  [--since ms] [--app NAME] [--json]
 //                                      # run the live pipeline with a
 //                                      # FlightRecorder attached and render
@@ -92,14 +92,13 @@ int usage() {
                "       hbmon history <app> [-n beats]\n"
                "       hbmon fleet [-s dead_ms] [-n history_beats] "
                "[--metrics]\n"
-               "       hbmon fleet --live [-d run_ms] [-i poll_ms] "
-               "[-s dead_ms] [--metrics]\n"
-               "       hbmon fleet --watch [-d run_ms] [-i poll_ms] "
-               "[-s dead_ms] [-p sweep_ms] [--metrics]\n"
-               "       hbmon metrics [--json] [-d run_ms] [-i poll_ms]\n"
-               "       hbmon trace [-o trace.json] [-d run_ms] "
-               "[-i poll_ms]\n"
-               "       hbmon timeline [-d run_ms] [-i poll_ms] [-p sweep_ms] "
+               "       hbmon fleet --live [-d run_ms] [-s dead_ms] "
+               "[--metrics]\n"
+               "       hbmon fleet --watch [-d run_ms] [-s dead_ms] "
+               "[-p sweep_ms] [--metrics]\n"
+               "       hbmon metrics [--json] [-d run_ms]\n"
+               "       hbmon trace [-o trace.json] [-d run_ms]\n"
+               "       hbmon timeline [-d run_ms] [-p sweep_ms] "
                "[--since ms] [--app NAME] [--json]\n"
                "       hbmon postmortem [--list | <id>] [--dir DIR]\n"
                "       hbmon scenario --list\n"
@@ -372,16 +371,19 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
   return code;
 }
 
+// The staleness every ring-fed mode forgives as transport lag: 50 ms for
+// the pump to deliver a beat, plus the producer-side batch hold. A fixed
+// allowance, not a measured lag.
+constexpr hb::util::TimeNs kTransportSlackNs =
+    50 * hb::util::kNsPerMs + hb::transport::ShmHubSinkOptions{}.max_hold_ns;
+
 // Shared wiring for every ring-fed mode: a policy::Monitor over the
 // ingest queue at the registry's well-known path, a hub on the producers'
-// monotonic epoch, an adaptively polled pump (floor 1 ms behind a busy
-// ring, backing off to poll_ms while it is quiet), and a detector whose
-// staleness slack discounts transport lag — a beat can be one poll
-// interval old before the pump sees it, plus the producer-side batch
-// hold. One function, so the slack formula can never diverge between the
-// modes.
+// monotonic epoch, a pump that naps 1 ms behind a busy ring and parks on
+// the doorbell while it is quiet, and a detector whose staleness slack is
+// kTransportSlackNs. One function, so the modes can never diverge.
 hb::policy::Monitor make_live_pipeline(const hb::transport::Registry& registry,
-                                       int poll_ms, int dead_ms,
+                                       int dead_ms,
                                        hb::util::TimeNs evict_after_ns = 0) {
   hb::hub::HubOptions opts;
   opts.shard_count = 8;
@@ -393,12 +395,9 @@ hb::policy::Monitor make_live_pipeline(const hb::transport::Registry& registry,
       hb::transport::ShmIngestQueue::open(
           registry.ingest_queue_path(),
           hb::transport::Registry::kDefaultIngestCapacity),
-      std::make_shared<hb::hub::HeartbeatHub>(opts),
-      {.idle_sleep_min_ns = hb::util::kNsPerMs,
-       .idle_sleep_max_ns = ms(poll_ms)},
+      std::make_shared<hb::hub::HeartbeatHub>(opts), {},
       {.absolute_staleness_ns = ms(dead_ms),
-       .staleness_slack_ns =
-           ms(poll_ms) + hb::transport::ShmHubSinkOptions{}.max_hold_ns});
+       .staleness_slack_ns = kTransportSlackNs});
 }
 
 // Sweep LIVE producers: external processes publish beats into the fleet
@@ -406,10 +405,9 @@ hb::policy::Monitor make_live_pipeline(const hb::transport::Registry& registry,
 // dir); we pump the ring into a hub for run_ms and classify the fleet from
 // real-time state — no registry history replay, producers never linked.
 int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
-                   int poll_ms, int dead_ms, bool metrics) {
+                   int dead_ms, bool metrics) {
   if (run_ms <= 0) run_ms = 2000;
-  if (poll_ms <= 0) poll_ms = 50;
-  hb::policy::Monitor monitor = make_live_pipeline(registry, poll_ms, dead_ms);
+  hb::policy::Monitor monitor = make_live_pipeline(registry, dead_ms);
   // Tick during the run: each tick publishes the shards AND fires the self
   // heartbeat, so by the final sweep "__hub/self" has a cadence to be
   // judged on instead of one lone beat.
@@ -435,7 +433,7 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
   return code;
 }
 
-// Continuous observe-decide loop over the live ring: pump adaptively, run a
+// Continuous observe-decide loop over the live ring: pump it, run a
 // FleetDetector sweep every sweep_ms, and stream the PolicyEngine's
 // edge-triggered events (transitions, correlated failures, flap
 // quarantines) to stdout as they happen — level-triggered spam is exactly
@@ -443,14 +441,13 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
 // positive); the final table + transport footer print on exit, with the
 // usual fleet exit-code contract.
 int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
-                    int poll_ms, int dead_ms, int sweep_ms, bool metrics) {
-  if (poll_ms <= 0) poll_ms = 50;
+                    int dead_ms, int sweep_ms, bool metrics) {
   if (sweep_ms <= 0) sweep_ms = 1000;
   // Long watches accumulate dead producers; evict them once they are far
   // beyond the death bound so sweeps do not slow down over hours. Evicted
   // apps still classify dead (and revive on their next beat).
   hb::policy::Monitor monitor =
-      make_live_pipeline(registry, poll_ms, dead_ms, 20 * ms(dead_ms));
+      make_live_pipeline(registry, dead_ms, 20 * ms(dead_ms));
   hb::policy::PolicyEngine& engine = monitor.engine();
   // Event stamps live on the hub's monotonic clock (machine uptime);
   // anchor the printed lines to the start of this watch.
@@ -505,15 +502,15 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
 
 // Shared body for `hbmon metrics` and `hbmon trace`: tick the full stack
 // every 100 ms for run_ms, so every stage's instrument sites have fired.
-void run_pipeline_briefly(const hb::transport::Registry& registry, int run_ms,
-                          int poll_ms) {
-  make_live_pipeline(registry, poll_ms > 0 ? poll_ms : 50, 5000)
+void run_pipeline_briefly(const hb::transport::Registry& registry,
+                          int run_ms) {
+  make_live_pipeline(registry, 5000)
       .run(ms(run_ms > 0 ? run_ms : 500), ms(100));
 }
 
 int cmd_metrics(const hb::transport::Registry& registry, int run_ms,
-                int poll_ms, bool json) {
-  run_pipeline_briefly(registry, run_ms, poll_ms);
+                bool json) {
+  run_pipeline_briefly(registry, run_ms);
   const hb::obs::MetricsSnapshot snap =
       hb::obs::MetricsRegistry::global().snapshot();
   if (json) {
@@ -525,8 +522,8 @@ int cmd_metrics(const hb::transport::Registry& registry, int run_ms,
 }
 
 int cmd_trace(const hb::transport::Registry& registry, int run_ms,
-              int poll_ms, const char* out_path) {
-  run_pipeline_briefly(registry, run_ms, poll_ms);
+              const char* out_path) {
+  run_pipeline_briefly(registry, run_ms);
   const auto& ring = hb::obs::TraceRing::global();
   std::FILE* out = std::strcmp(out_path, "-") == 0
                        ? stdout
@@ -559,12 +556,11 @@ int cmd_trace(const hb::transport::Registry& registry, int run_ms,
 // trailing window of the run; --app keeps only the frames whose events
 // mention that app (with only the matching event lines).
 int cmd_timeline(const hb::transport::Registry& registry, int run_ms,
-                 int poll_ms, int sweep_ms, int since_ms,
-                 const char* app_filter, bool json) {
+                 int sweep_ms, int since_ms, const char* app_filter,
+                 bool json) {
   if (run_ms <= 0) run_ms = 2000;
-  if (poll_ms <= 0) poll_ms = 50;
   if (sweep_ms <= 0) sweep_ms = 500;
-  hb::policy::Monitor monitor = make_live_pipeline(registry, poll_ms, 5000);
+  hb::policy::Monitor monitor = make_live_pipeline(registry, 5000);
 
   // Anchor rendered stamps to the start of the run (event times live on
   // the hub's monotonic clock — machine uptime — which nobody wants raw).
@@ -884,17 +880,14 @@ int main(int argc, char** argv) {
     if (cmd == "list") return cmd_list(registry);
     if (cmd == "metrics") {
       return cmd_metrics(registry, parse_flag(argc, argv, "-d", 500),
-                         parse_flag(argc, argv, "-i", 50),
                          has_flag(argc, argv, "--json"));
     }
     if (cmd == "trace") {
       return cmd_trace(registry, parse_flag(argc, argv, "-d", 500),
-                       parse_flag(argc, argv, "-i", 50),
                        parse_sflag(argc, argv, "-o", "trace.json"));
     }
     if (cmd == "timeline") {
       return cmd_timeline(registry, parse_flag(argc, argv, "-d", 2000),
-                          parse_flag(argc, argv, "-i", 50),
                           parse_flag(argc, argv, "-p", 500),
                           parse_flag(argc, argv, "--since", 0),
                           parse_sflag(argc, argv, "--app", ""),
@@ -912,13 +905,11 @@ int main(int argc, char** argv) {
       const bool metrics = has_flag(argc, argv, "--metrics");
       if (has_flag(argc, argv, "--watch")) {
         return cmd_fleet_watch(registry, parse_flag(argc, argv, "-d", 0),
-                               parse_flag(argc, argv, "-i", 50),
                                parse_flag(argc, argv, "-s", 5000),
                                parse_flag(argc, argv, "-p", 1000), metrics);
       }
       if (has_flag(argc, argv, "--live")) {
         return cmd_fleet_live(registry, parse_flag(argc, argv, "-d", 2000),
-                              parse_flag(argc, argv, "-i", 50),
                               parse_flag(argc, argv, "-s", 5000), metrics);
       }
       // -n sizes the hub window, so it must fit one before any app is read.

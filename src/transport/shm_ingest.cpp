@@ -1,18 +1,14 @@
 #include "transport/shm_ingest.hpp"
 
 #include <fcntl.h>
+#include <linux/futex.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <unistd.h>
-
-#include <sys/file.h>
-
-#if defined(__linux__)
-#include <linux/futex.h>
 #include <sys/syscall.h>
-#endif
+#include <unistd.h>
 
 #include <bit>
 #include <cerrno>
@@ -97,10 +93,6 @@ std::size_t fit_name(std::string_view app, char out[kIngestNameCap]) {
 // std::atomic<u32> is address-free (static_assert in the header), so its
 // storage can be handed to the kernel directly.
 
-#if defined(__linux__)
-
-constexpr bool kFutexAvailable = true;
-
 long futex_call(std::atomic<std::uint32_t>* word, int op, std::uint32_t val,
                 const timespec* ts) {
   return ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(word), op, val,
@@ -125,17 +117,6 @@ bool futex_wait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
 void futex_wake_all(std::atomic<std::uint32_t>* word) {
   futex_call(word, FUTEX_WAKE, INT_MAX, nullptr);
 }
-
-#else  // !__linux__
-
-constexpr bool kFutexAvailable = false;
-
-bool futex_wait(std::atomic<std::uint32_t>*, std::uint32_t, util::TimeNs) {
-  return false;
-}
-void futex_wake_all(std::atomic<std::uint32_t>*) {}
-
-#endif
 
 /// True when a claim mark names a process that no longer exists (ESRCH)
 /// or no process at all (pid <= 0 or beyond pid_t, so kill(0|-1, 0) is
@@ -424,8 +405,6 @@ const ShmIngestSlot* ShmIngestQueue::slots() const {
 
 // ---------------------------------------------------------------- doorbell
 
-bool ShmIngestQueue::doorbell_supported() { return kFutexAvailable; }
-
 void ShmIngestQueue::ring_doorbell() {
   ShmIngestHeader* hdr = header();
   // relaxed: advisory fast-path check. A consumer parking concurrently
@@ -442,7 +421,6 @@ void ShmIngestQueue::ring_doorbell() {
 
 ShmIngestQueue::WaitResult ShmIngestQueue::wait_for_frames(
     const Cursor& cur, util::TimeNs timeout_ns) {
-  if (!kFutexAvailable) return WaitResult::kUnsupported;
   if (timeout_ns <= 0) timeout_ns = 1;
   ShmIngestHeader* hdr = header();
   // Sample the generation BEFORE the work check: a ring that lands after

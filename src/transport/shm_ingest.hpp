@@ -408,10 +408,9 @@ class ShmIngestQueue {
   // -------------------------------------------------------------- doorbell
 
   enum class WaitResult {
-    kReady,        ///< frames were already pending; did not block
-    kWoken,        ///< a producer rang the doorbell (or a signal arrived)
-    kTimeout,      ///< timeout_ns elapsed with no ring
-    kUnsupported,  ///< no futex on this platform; caller must backoff-poll
+    kReady,    ///< frames were already pending; did not block
+    kWoken,    ///< a producer rang the doorbell (or a signal arrived)
+    kTimeout,  ///< timeout_ns elapsed with no ring
   };
 
   /// Block until a producer publishes frames, for at most `timeout_ns`.
@@ -423,9 +422,6 @@ class ShmIngestQueue {
   /// publish + check completing entirely inside the consumer's park
   /// window). See ARCHITECTURE.md "The ingest fast path".
   WaitResult wait_for_frames(const Cursor& cur, util::TimeNs timeout_ns);
-
-  /// True when wait_for_frames can actually block (futex available).
-  static bool doorbell_supported();
 
   /// Total doorbell rings producers have performed (diagnostic).
   std::uint64_t doorbell_rings() const;

@@ -2,21 +2,15 @@
 
 #include <atomic>
 
-#if defined(__linux__)
 #include <sys/syscall.h>
 #include <unistd.h>
-#endif
 
 namespace hb::util {
 
 std::uint32_t current_thread_id() {
-#if defined(__linux__)
   thread_local const std::uint32_t tid =
       static_cast<std::uint32_t>(::syscall(SYS_gettid));
   return tid;
-#else
-  return current_thread_index();
-#endif
 }
 
 std::uint32_t current_thread_index() {

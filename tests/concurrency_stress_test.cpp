@@ -384,9 +384,6 @@ TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
 // wake (the ring is sized so nothing can drop, so every record must be
 // consumed).
 TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
-  if (!transport::ShmIngestQueue::doorbell_supported()) {
-    GTEST_SKIP() << "no futex on this platform";
-  }
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(4000);
   const auto total = kProducers * beats_per_producer;

@@ -300,51 +300,6 @@ TEST_F(ShmIngestTest, IndependentConsumersSeeTheFullStream) {
   EXPECT_EQ(drain_all(*q, c2).size(), 5u);  // non-destructive reads
 }
 
-TEST_F(ShmIngestTest, PumpSuggestsIdleBackoffSleeps) {
-  // The adaptive poll schedule: a pump that keeps draining nothing should
-  // suggest exponentially longer sleeps (up to the cap) so a quiet ring is
-  // not busy-spun; one drained record snaps it back to the floor.
-  auto q = ShmIngestQueue::create(file(), 32);
-  hub::HeartbeatHub hub;
-  hub::ShmIngestPump pump(q, hub,
-                          {.max_stall_polls = 2,
-                           .idle_sleep_min_ns = 1 * kNsPerMs,
-                           .idle_sleep_max_ns = 8 * kNsPerMs});
-
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);  // nothing seen yet
-  EXPECT_EQ(pump.poll(), 0u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 2 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 4 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 8 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);  // capped, however long the quiet lasts
-  EXPECT_EQ(pump.suggested_sleep_ns(), 8 * kNsPerMs);
-
-  const AppHandle a = q->join("a", {});
-  q->append(a, kNsPerMs);
-  EXPECT_EQ(pump.poll(), 1u);  // records reset the schedule to the floor
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 2 * kNsPerMs);
-
-  // A BLOCKED ring is not an idle ring: a producer claims a slot and dies
-  // unpublished with a live record queued behind it. Drains return 0 while
-  // the stall budget burns, but the backoff must stay at the floor — the
-  // stalled run should be skipped at floor pace, not at the cap, or the
-  // records behind a crash wait longest exactly during the failure.
-  crash_mid_claim(file(), 1, {});
-  q->append(a, 2 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);  // blocked on the unpublished slot
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);  // still blocked, still at the floor
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 1u);  // stall budget spent: torn skipped, record in
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
-  EXPECT_EQ(pump.stats().torn, 1u);
-  EXPECT_EQ(pump.stats().timed_out, 0u);  // a dead owner, not the timeout
-}
-
 TEST_F(ShmIngestTest, HubSinkMirrorsSharedChannelOnly) {
   auto q = ShmIngestQueue::create(file(), 64);
   auto clock = std::make_shared<util::ManualClock>();
@@ -738,9 +693,6 @@ TEST_F(ShmIngestTest, LiveClaimIsNeverTornByTheStallBudget) {
 }
 
 TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
-  if (!ShmIngestQueue::doorbell_supported()) {
-    GTEST_SKIP() << "no futex on this platform";
-  }
   auto q = ShmIngestQueue::create(file(), 32);
   ShmIngestQueue::Cursor cur;
 
@@ -769,29 +721,28 @@ TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
   EXPECT_EQ(drain_all(*q, cur).size(), 1u);
 }
 
-TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
-  if (!ShmIngestQueue::doorbell_supported()) {
-    GTEST_SKIP() << "no futex on this platform";
-  }
+TEST_F(ShmIngestTest, PumpWaitParksWhenIdleAndNapsAfterAWake) {
   auto q = ShmIngestQueue::create(file(), 32);
   hub::HeartbeatHub hub;
   // The park may not lapse before the producer rings; phase 1's 2 ms
-  // budget still ends its park by timeout.
+  // budgets still end its parks by timeout.
+  constexpr util::TimeNs kFloor = 5 * kNsPerMs;
   hub::ShmIngestPump pump(q, hub,
-                          {.idle_sleep_min_ns = 1 * kNsPerMs,
-                           .idle_sleep_max_ns = 8 * kNsPerMs,
+                          {.idle_sleep_min_ns = kFloor,
                            .doorbell_timeout_ns = 5000 * kNsPerMs});
 
-  // Idle: waits end in timeouts; empty polls still grow the backoff.
+  // Idle: a wait() after an empty poll parks and times out, however many
+  // empty polls came before it.
   EXPECT_EQ(pump.poll(), 0u);
   EXPECT_FALSE(pump.wait(2 * kNsPerMs));
-  EXPECT_EQ(pump.poll(), 0u);
   EXPECT_EQ(pump.stats().wait_timeouts, 1u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 4 * kNsPerMs);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(pump.poll(), 0u);
+  EXPECT_FALSE(pump.wait(2 * kNsPerMs));
+  EXPECT_EQ(pump.stats().wait_timeouts, 2u);
 
-  // A producer ringing the doorbell mid-wait: wait() reports work and the
-  // backoff schedule snaps back to the floor (the doorbell wake IS the
-  // "ring went busy" signal). The producer appends only once the header's
+  // A producer ringing the doorbell mid-wait: wait() reports work, and the
+  // next wait() naps instead of parking (the doorbell wake IS the "ring
+  // went busy" signal). The producer appends only once the header's
   // `parked` word shows the pump parked, plus a settle: the pump re-checks
   // for frames just after advertising `parked`, and a frame that lands
   // before that re-check ends the wait without a park.
@@ -814,12 +765,19 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
   const bool woke = pump.wait(5000 * kNsPerMs);
   producer.join();
   EXPECT_TRUE(woke);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
+  // A nap: it sleeps the floor and does not park. (A park would return at
+  // once, the frame being pending.)
+  const std::uint64_t parks = pump.stats().parks;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(pump.wait(50 * kNsPerMs));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::nanoseconds(kFloor));
+  EXPECT_EQ(pump.stats().parks, parks);
   EXPECT_EQ(pump.poll(), 1u);
   const auto stats = pump.stats();
-  EXPECT_GE(stats.parks, 2u);
+  EXPECT_GE(stats.parks, 3u);
   EXPECT_GE(stats.doorbell_wakes, 1u);
-  EXPECT_EQ(stats.wait_timeouts, 1u);
+  EXPECT_EQ(stats.wait_timeouts, 2u);
 }
 
 TEST_F(ShmIngestTest, PumpDefaultStallBudgetOutlastsABriefClaim) {
@@ -873,9 +831,6 @@ TEST_F(ShmIngestTest, PumpDefaultStallBudgetOutlastsABriefClaim) {
 }
 
 TEST_F(ShmIngestTest, PumpNapsWhileBusyAndParksWhenEmpty) {
-  if (!ShmIngestQueue::doorbell_supported()) {
-    GTEST_SKIP() << "no futex on this platform";
-  }
   auto q = ShmIngestQueue::create(file(), 32);
   hub::HeartbeatHub hub;
   // A wide floor so the producer's append lands inside the nap.
@@ -920,9 +875,6 @@ TEST_F(ShmIngestTest, PumpNapsWhileBusyAndParksWhenEmpty) {
 }
 
 TEST_F(ShmIngestTest, PumpWaitEndsByItsDeadline) {
-  if (!ShmIngestQueue::doorbell_supported()) {
-    GTEST_SKIP() << "no futex on this platform";
-  }
   auto q = ShmIngestQueue::create(file(), 32);
   hub::HeartbeatHub hub;
   hub::ShmIngestPump pump(q, hub);
