@@ -11,7 +11,6 @@ Channel::Channel(std::shared_ptr<BeatStore> store,
                  std::shared_ptr<util::Clock> clock)
     : store_(std::move(store)), clock_(std::move(clock)) {
   assert(store_ && clock_);
-  created_at_ = clock_->now();
 }
 
 std::uint64_t Channel::beat(std::uint64_t tag) {
@@ -23,19 +22,7 @@ std::uint64_t Channel::beat(std::uint64_t tag) {
 }
 
 double Channel::rate(std::uint32_t window) const {
-  std::uint32_t w = window == 0 ? store_->default_window() : window;
-  if (w == 0) w = 1;
-  // A window of w beats needs w records to span w-1 intervals, but a
-  // 1-beat window still needs the previous beat to mean anything: fetch at
-  // least 2 records so rate(1) is the instantaneous rate.
-  const std::size_t want = w < 2 ? 2 : w;
-  const auto records = store_->history(want);
-  return window_rate(records);
-}
-
-double Channel::instant_rate() const {
-  const auto records = store_->history(2);
-  return core::instant_rate(records);
+  return store_rate(*store_, window);
 }
 
 std::vector<HeartbeatRecord> Channel::history(std::size_t n) const {
@@ -44,18 +31,6 @@ std::vector<HeartbeatRecord> Channel::history(std::size_t n) const {
 
 void Channel::set_target(double min_bps, double max_bps) {
   store_->set_target(TargetRate{min_bps, max_bps});
-}
-
-util::TimeNs Channel::last_beat_time() const {
-  const auto records = store_->history(1);
-  return records.empty() ? 0 : records.back().timestamp_ns;
-}
-
-util::TimeNs Channel::staleness_ns() const {
-  const auto records = store_->history(1);
-  const util::TimeNs ref =
-      records.empty() ? created_at_ : records.back().timestamp_ns;
-  return clock_->now() - ref;
 }
 
 bool Channel::meeting_target(std::uint32_t window) const {

@@ -28,11 +28,9 @@ class Channel {
   /// Average heart rate over the last `window` beats (paper:
   /// HB_current_rate). window == 0 selects the default window from
   /// initialization; windows larger than the store capacity are silently
-  /// clipped (paper, Section 3). Returns 0 until two beats exist.
+  /// clipped (paper, Section 3); rate(1) is the instantaneous rate. Returns
+  /// 0 until two beats exist.
   double rate(std::uint32_t window = 0) const;
-
-  /// Rate implied by the most recent beat interval.
-  double instant_rate() const;
 
   /// Total beats registered on this channel.
   std::uint64_t count() const { return store_->count(); }
@@ -47,13 +45,6 @@ class Channel {
   std::uint32_t default_window() const { return store_->default_window(); }
   void set_default_window(std::uint32_t w) { store_->set_default_window(w); }
 
-  /// Timestamp of the most recent beat; 0 if none.
-  util::TimeNs last_beat_time() const;
-
-  /// Time since the most recent beat (or since creation if none) — the
-  /// staleness signal failure detectors use (paper, Sections 2.3/2.6).
-  util::TimeNs staleness_ns() const;
-
   /// True if rate(window) lies inside the registered target range.
   bool meeting_target(std::uint32_t window = 0) const;
 
@@ -64,7 +55,6 @@ class Channel {
  private:
   std::shared_ptr<BeatStore> store_;
   std::shared_ptr<util::Clock> clock_;
-  util::TimeNs created_at_;
 };
 
 }  // namespace hb::core

@@ -1,9 +1,7 @@
 #include "core/rate.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
-
-#include "util/stats.hpp"
 
 namespace hb::core {
 
@@ -15,26 +13,9 @@ double window_rate(std::span<const HeartbeatRecord> records) {
   return static_cast<double>(records.size() - 1) / util::to_seconds(span);
 }
 
-double instant_rate(std::span<const HeartbeatRecord> records) {
-  if (records.size() < 2) return 0.0;
-  return window_rate(records.subspan(records.size() - 2));
-}
-
-double mean_interval_ns(std::span<const HeartbeatRecord> records) {
-  if (records.size() < 2) return 0.0;
-  const util::TimeNs span =
-      records.back().timestamp_ns - records.front().timestamp_ns;
-  return static_cast<double>(span) / static_cast<double>(records.size() - 1);
-}
-
-double interval_jitter_ns(std::span<const HeartbeatRecord> records) {
-  if (records.size() < 3) return 0.0;
-  util::RunningStats stats;
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    stats.add(static_cast<double>(records[i].timestamp_ns -
-                                  records[i - 1].timestamp_ns));
-  }
-  return stats.stddev();
+double store_rate(const BeatStore& store, std::uint32_t window) {
+  const std::uint32_t w = window == 0 ? store.default_window() : window;
+  return window_rate(store.history(std::max<std::uint32_t>(w, 2)));
 }
 
 }  // namespace hb::core

@@ -11,9 +11,11 @@
 // intervals; the instantaneous rate is the window-2 case.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "core/record.hpp"
+#include "core/store.hpp"
 
 namespace hb::core {
 
@@ -22,15 +24,11 @@ namespace hb::core {
 /// (beats closer together than the clock can resolve).
 double window_rate(std::span<const HeartbeatRecord> records);
 
-/// Rate implied by the last two records only.
-double instant_rate(std::span<const HeartbeatRecord> records);
-
-/// Mean interval between consecutive records, in nanoseconds (0 if < 2).
-double mean_interval_ns(std::span<const HeartbeatRecord> records);
-
-/// Sample standard deviation of inter-beat intervals in ns (0 if < 3).
-/// Erratic (high-jitter) heartbeats are an early failure indicator
-/// (paper, Section 2.6).
-double interval_jitter_ns(std::span<const HeartbeatRecord> records);
+/// Rate over the store's last `window` beats (paper: HB_current_rate):
+/// the one window rule Channel::rate and HeartbeatReader::current_rate
+/// share. window == 0 selects the store's default window; windows below 2
+/// read 2 records, so rate(1) is the instantaneous rate; windows larger
+/// than the store's capacity are silently clipped (paper, Section 3).
+double store_rate(const BeatStore& store, std::uint32_t window);
 
 }  // namespace hb::core

@@ -27,11 +27,11 @@ class HeartbeatReader {
                            std::shared_ptr<const util::Clock> clock = nullptr);
 
   /// Average heart rate over the last `window` beats; 0 selects the
-  /// producer's default window (paper: HB_current_rate).
-  double current_rate(std::uint32_t window = 0) const;
-
-  /// Rate from the most recent beat interval only.
-  double instant_rate() const;
+  /// producer's default window (paper: HB_current_rate). The same window
+  /// rule as Channel::rate (core::store_rate).
+  double current_rate(std::uint32_t window = 0) const {
+    return store_rate(*store_, window);
+  }
 
   /// Total beats registered so far.
   std::uint64_t count() const { return store_->count(); }
@@ -53,18 +53,10 @@ class HeartbeatReader {
   /// (paper, Sections 2.3, 2.4, 2.6).
   util::TimeNs staleness_ns() const;
 
-  /// Standard deviation of recent beat intervals; erratic beats can signal
-  /// imminent failure (paper, Section 2.6).
-  double jitter_ns(std::uint32_t window = 0) const;
-
   /// True if the current rate is within the producer's target range.
   bool meeting_target(std::uint32_t window = 0) const {
     return store_->target().contains(current_rate(window));
   }
-
-  /// Signed error relative to the target range: 0 inside the range,
-  /// negative when below min (units: beats/s), positive when above max.
-  double target_error(std::uint32_t window = 0) const;
 
   const BeatStore& store() const { return *store_; }
 

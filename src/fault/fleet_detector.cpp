@@ -44,7 +44,7 @@ const char* to_string(Health h) {
   return "unknown";
 }
 
-Health FleetDetector::classify(const core::HeartbeatReader& reader) const {
+hub::AppSummary summarize(const core::HeartbeatReader& reader) {
   const auto history = reader.history(kReaderWindow);
   hub::AppSummary s;
   s.total_beats = reader.count();
@@ -65,7 +65,11 @@ Health FleetDetector::classify(const core::HeartbeatReader& reader) const {
   }
   s.interval_mean_ns = intervals.mean();
   s.interval_stddev_ns = intervals.stddev();
-  return classify(s);
+  return s;
+}
+
+Health FleetDetector::classify(const core::HeartbeatReader& reader) const {
+  return classify(summarize(reader));
 }
 
 Health FleetDetector::classify(const hub::AppSummary& s) const {

@@ -11,8 +11,9 @@
 // At fleet scale (thousands of VMs feeding one hub) sweep() judges every
 // registered app from one HeartbeatHub::snapshot() — one publish per
 // shard, no per-app queries. A single producer watched through its
-// HeartbeatReader goes through the same rule: classify(reader) summarizes
-// the reader's recent beats the way a hub shard would and judges that.
+// HeartbeatReader goes through the same rule: summarize(reader) sums up
+// the reader's recent beats the way a hub shard would, and
+// classify(reader) judges that summary.
 #pragma once
 
 #include <cstdint>
@@ -111,6 +112,13 @@ struct FleetReport {
 /// (docs/OPERATIONS.md).
 int print_fleet_report(std::FILE* out, const FleetReport& report);
 
+/// One producer's recent beats as a hub shard would summarize them: its
+/// last 16 beats, the core (n-1)/span rate, and the mean and population
+/// stddev of their intervals, a backward interval clamped to 0 as
+/// HubShard::apply_locked clamps it. Staleness is the reader's. Name and
+/// id stay empty: a reader knows neither.
+hub::AppSummary summarize(const core::HeartbeatReader& reader);
+
 /// Stateless verdict math over hub summaries. Thread-safe: sweep() and
 /// classify() are const and share nothing mutable, so one detector may
 /// serve concurrent sweepers.
@@ -128,10 +136,9 @@ class FleetDetector {
   /// Verdict for a single app from its hub summary alone (no hub access).
   Health classify(const hub::AppSummary& summary) const;
 
-  /// Verdict for one producer observed through its reader: the reader's
-  /// last 16 beats summarized as a hub shard would (population interval
-  /// stddev, core (n-1)/span rate), then judged by classify(summary) —
-  /// every option applies, staleness_slack_ns included.
+  /// Verdict for one producer observed through its reader:
+  /// classify(summarize(reader)) — every option applies,
+  /// staleness_slack_ns included.
   Health classify(const core::HeartbeatReader& reader) const;
 
   const FleetDetectorOptions& options() const { return opts_; }

@@ -2,10 +2,10 @@
 // the ingest hot path.
 //
 // Before this layer existed, every hub query (fleet sweep, single-app
-// summary) forced a flush-and-copy UNDER each shard's stripe lock — four
-// observers in the control loop (FleetDetector, GlobalScheduler,
-// PolicyEngine, hbmon) meant four full-fleet copies per tick, all
-// contending directly with producer ingest. The snapshot plane inverts the
+// summary) forced a flush-and-copy UNDER each shard's stripe lock — three
+// observers in the control loop (FleetDetector, PolicyEngine, hbmon) meant
+// three full-fleet copies per tick, all contending directly with producer
+// ingest. The snapshot plane inverts the
 // flow:
 //
 //   ingest ──▶ HubShard ──publish──▶ ShardSnapshot (immutable, epoch N)
@@ -14,7 +14,7 @@
 //   HeartbeatHub::snapshot() ──▶ FleetSnapshot (composed, cached)
 //                                        │ rebuilt only when some shard's
 //                                        ▼ epoch advanced
-//   FleetDetector / GlobalScheduler / PolicyEngine / hbmon
+//   FleetDetector / PolicyEngine / hbmon
 //
 // Invariants:
 //   * A ShardSnapshot is immutable while anyone holds it. Readers never

@@ -3,9 +3,6 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
-
-#include "hub/hub.hpp"
 
 namespace hb::sched {
 
@@ -14,44 +11,19 @@ GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts) : opts_(opts) {
   if (opts_.min_cores_per_app < 0) opts_.min_cores_per_app = 0;
 }
 
-GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts,
-                                 hub::HeartbeatHub& hub)
-    : GlobalScheduler(opts) {
-  hub_ = &hub;
-}
-
-int GlobalScheduler::add_app_impl(App app) {
-  assert(app.actuator);
+int GlobalScheduler::add_app(std::string name, core::HeartbeatReader reader,
+                             Actuator actuator) {
+  assert(actuator);
   if (static_cast<int>(apps_.size() + 1) * opts_.min_cores_per_app >
       opts_.total_cores) {
     throw std::runtime_error(
         "GlobalScheduler: not enough cores for another app's minimum");
   }
-  app.alloc = opts_.min_cores_per_app;
+  App app{std::move(name), std::move(reader), std::move(actuator),
+          opts_.min_cores_per_app};
   app.actuator(app.alloc);
   apps_.push_back(std::move(app));
   return static_cast<int>(apps_.size()) - 1;
-}
-
-int GlobalScheduler::add_app(std::string name, core::HeartbeatReader reader,
-                             Actuator actuator) {
-  App app;
-  app.name = std::move(name);
-  app.reader = std::move(reader);
-  app.actuator = std::move(actuator);
-  return add_app_impl(std::move(app));
-}
-
-int GlobalScheduler::add_app(std::string name, Actuator actuator) {
-  if (!hub_) {
-    throw std::logic_error(
-        "GlobalScheduler: hub-backed add_app requires construction from a "
-        "HeartbeatHub");
-  }
-  App app;
-  app.name = std::move(name);
-  app.actuator = std::move(actuator);
-  return add_app_impl(std::move(app));
 }
 
 int GlobalScheduler::allocation(int app) const {
@@ -70,47 +42,16 @@ int GlobalScheduler::free_cores() const {
 
 std::vector<GlobalScheduler::Snapshot> GlobalScheduler::observe() const {
   std::vector<Snapshot> out(apps_.size());
-
-  // One FleetSnapshot serves every hub-backed app this poll — grabbed
-  // once, read in place (the snapshot is immutable and shared, so the
-  // name index points straight into it; no flat copy of the fleet).
-  // Between hub flushes this is the cached snapshot: polling faster than
-  // the fleet changes costs pointer reads, not per-shard walks. Evicted
-  // apps stay listed: an eviction is the hub's own death verdict, and
-  // classify() below turns it into snap.dead.
-  std::unordered_map<std::string, const hub::AppSummary*> by_name;
-  std::shared_ptr<const hub::FleetSnapshot> fleet;
-  if (hub_) {
-    fleet = hub_->snapshot();
-    by_name.reserve(fleet->app_count());
-    fleet->for_each_app(
-        [&by_name](const hub::AppSummary& s) { by_name.emplace(s.name, &s); },
-        /*include_evicted=*/true);
-  }
-
   const fault::FleetDetector detector(opts_.fault_options);
-
   for (std::size_t i = 0; i < apps_.size(); ++i) {
-    const App& app = apps_[i];
+    const core::HeartbeatReader& reader = apps_[i].reader;
     Snapshot& snap = out[i];
-    if (app.reader) {
-      snap.rate = app.reader->current_rate(opts_.window);
-      snap.beats = app.reader->count();
-      snap.target = app.reader->target();
-      if (opts_.detect_failures) {
-        snap.dead = detector.classify(*app.reader) == fault::Health::kDead;
-      }
-    } else if (auto it = by_name.find(app.name); it != by_name.end()) {
-      snap.rate = it->second->rate_bps;
-      snap.beats = it->second->total_beats;
-      snap.target = it->second->target;
-      if (opts_.detect_failures) {
-        snap.dead = detector.classify(*it->second) == fault::Health::kDead;
-      }
+    snap.rate = reader.current_rate(opts_.window);
+    snap.beats = reader.count();
+    snap.target = reader.target();
+    if (opts_.detect_failures) {
+      snap.dead = detector.classify(reader) == fault::Health::kDead;
     }
-    // Unknown hub names stay zeroed: the producer has not registered yet,
-    // so the app reads as still warming up (never as dead — registered
-    // names never leave the listing, even when evicted).
   }
   return out;
 }

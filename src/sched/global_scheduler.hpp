@@ -16,27 +16,18 @@
 // out before anyone is taxed. One move per poll keeps the loop observable
 // and avoids thrash, mirroring the single-step policy of Section 5.3.
 //
-// Observation sources: each app is watched either through its own
-// HeartbeatReader (the paper's one-observer-per-channel shape) or through a
-// hub::HeartbeatHub. Hub-backed scheduling grabs ONE epoch-coherent
-// FleetSnapshot per poll — every app's windowed rate, beat count, and
-// target behind a single shared pointer — instead of polling channels one
-// by one; polls between hub flushes reuse the cached snapshot outright,
-// which is what makes thousands of registered apps affordable.
+// Observation: each app is watched through its own HeartbeatReader (the
+// paper's one-observer-per-channel shape, Figure 1b): every poll reads its
+// windowed rate, beat count and target, and — with detect_failures — its
+// verdict from FleetDetector::classify(reader).
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/reader.hpp"
 #include "fault/fleet_detector.hpp"
-
-namespace hb::hub {
-class HeartbeatHub;
-}
 
 namespace hb::sched {
 
@@ -44,7 +35,6 @@ struct GlobalSchedulerOptions {
   int total_cores = 8;
   int min_cores_per_app = 1;
   /// Rate window used for decisions; 0 = each app's default window.
-  /// (Hub-backed apps always use the hub's configured rate window.)
   std::uint32_t window = 0;
   /// Beats an app must have produced before it participates in decisions.
   std::uint64_t warmup_beats = 3;
@@ -59,9 +49,8 @@ struct GlobalSchedulerOptions {
   /// (fault_options) and skips dead apps when reallocating: a dead app is
   /// never a receiver, and its cores are reclaimed before any live app is
   /// taxed — "a lack of heartbeats ... would indicate that it has failed"
-  /// (paper, Section 2.6). Hub-backed apps classify from the cluster
-  /// snapshot, reader-backed apps from their reader — one FleetDetector,
-  /// one rule.
+  /// (paper, Section 2.6). Each app is classified from its reader by the
+  /// fleet detector's one rule.
   bool detect_failures = false;
   fault::FleetDetectorOptions fault_options{};
 };
@@ -72,21 +61,11 @@ class GlobalScheduler {
 
   explicit GlobalScheduler(GlobalSchedulerOptions opts = {});
 
-  /// Hub-backed scheduler: apps added by name are observed through `hub`'s
-  /// fleet snapshot (one query per poll for all of them). Non-owning: `hub`
-  /// must outlive the scheduler.
-  GlobalScheduler(GlobalSchedulerOptions opts, hub::HeartbeatHub& hub);
-
   /// Register an application observed through its own reader. Initial
   /// allocation is min_cores_per_app (actuated immediately). Returns the
   /// app's index.
   int add_app(std::string name, core::HeartbeatReader reader,
               Actuator actuator);
-
-  /// Register an application observed through the hub (hub-backed
-  /// constructor only; throws std::logic_error otherwise). The name must be
-  /// the one registered with the hub.
-  int add_app(std::string name, Actuator actuator);
 
   /// Observe all apps, perform at most one reallocation. Returns true if an
   /// allocation changed.
@@ -97,18 +76,16 @@ class GlobalScheduler {
   std::size_t app_count() const { return apps_.size(); }
   int free_cores() const;
   std::uint64_t moves() const { return moves_; }
-  bool hub_backed() const { return hub_ != nullptr; }
 
  private:
   struct App {
     std::string name;
-    /// Engaged for reader-observed apps; hub-backed apps read the snapshot.
-    std::optional<core::HeartbeatReader> reader;
+    core::HeartbeatReader reader;
     Actuator actuator;
     int alloc = 0;
   };
 
-  /// What one poll knows about one app, regardless of observation source.
+  /// What one poll knows about one app.
   struct Snapshot {
     double rate = 0.0;
     std::uint64_t beats = 0;
@@ -116,9 +93,7 @@ class GlobalScheduler {
     bool dead = false;  ///< verdict under opts_.fault_options (if enabled)
   };
 
-  int add_app_impl(App app);
-
-  /// Gather all snapshots: per-reader queries, or one hub cluster view.
+  /// Gather all snapshots, one reader query each.
   std::vector<Snapshot> observe() const;
 
   /// Normalized target error: negative = deficient (below min), positive =
@@ -126,7 +101,6 @@ class GlobalScheduler {
   static double normalized_error(const Snapshot& snap);
 
   GlobalSchedulerOptions opts_;
-  hub::HeartbeatHub* hub_ = nullptr;
   std::vector<App> apps_;
   std::uint64_t moves_ = 0;
   int cooldown_left_ = 0;

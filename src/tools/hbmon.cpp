@@ -266,20 +266,28 @@ int cmd_list(const hb::transport::Registry& registry) {
 int cmd_show(const hb::transport::Registry& registry, const std::string& app,
              std::uint32_t window) {
   const auto reader = registry.reader(app);
-  hb::fault::FleetDetector detector;
+  // One reading: the staleness, interval and health lines all come from
+  // the summary the verdict judges.
+  const hb::hub::AppSummary summary = hb::fault::summarize(reader);
+  const double rate = reader.current_rate(window);
   std::printf("application:    %s\n", app.c_str());
   std::printf("beats:          %llu\n",
-              static_cast<unsigned long long>(reader.count()));
-  std::printf("rate:           %.2f beats/s (window %u)\n",
-              reader.current_rate(window), window);
-  std::printf("target:         [%.2f, %g] beats/s\n", reader.target_min(),
-              reader.target_max());
-  std::printf("meeting target: %s\n", reader.meeting_target() ? "yes" : "no");
+              static_cast<unsigned long long>(summary.total_beats));
+  std::printf("rate:           %.2f beats/s (window %u)\n", rate,
+              window == 0 ? reader.default_window() : window);
+  std::printf("target:         [%.2f, %g] beats/s\n", summary.target.min_bps,
+              summary.target.max_bps);
+  std::printf("meeting target: %s\n",
+              summary.target.contains(rate) ? "yes" : "no");
   std::printf("staleness:      %.1f ms\n",
-              static_cast<double>(reader.staleness_ns()) / 1e6);
-  std::printf("jitter:         %.3f ms\n", reader.jitter_ns() / 1e6);
+              static_cast<double>(summary.staleness_ns) / 1e6);
+  std::printf(
+      "interval:       %.3f ms mean, %.3f ms jitter (last %llu beats)\n",
+      summary.interval_mean_ns / 1e6, summary.interval_stddev_ns / 1e6,
+      static_cast<unsigned long long>(summary.window_beats));
   std::printf("health:         %s\n",
-              hb::fault::to_string(detector.classify(reader)));
+              hb::fault::to_string(
+                  hb::fault::FleetDetector().classify(summary)));
   return 0;
 }
 

@@ -60,7 +60,7 @@ TEST_F(ChannelFixture, SteadyRate) {
   beats(21, kNsPerSec / 10);  // 10 beats/s
   EXPECT_NEAR(ch.rate(), 10.0, 1e-9);        // default window (20)
   EXPECT_NEAR(ch.rate(5), 10.0, 1e-9);       // explicit window
-  EXPECT_NEAR(ch.instant_rate(), 10.0, 1e-9);
+  EXPECT_NEAR(ch.rate(1), 10.0, 1e-9);        // last interval
 }
 
 TEST_F(ChannelFixture, WindowSelectsRecentHistoryOnly) {
@@ -83,7 +83,7 @@ TEST_F(ChannelFixture, WindowOneIsInstantaneous) {
   beats(5, kNsPerSec);
   beats(1, kNsPerSec / 8);
   EXPECT_NEAR(ch.rate(1), 8.0, 1e-9);
-  EXPECT_DOUBLE_EQ(ch.rate(1), ch.instant_rate());
+  EXPECT_DOUBLE_EQ(ch.rate(1), 1.0 / util::to_seconds(kNsPerSec / 8));
 }
 
 TEST_F(ChannelFixture, OversizedWindowSilentlyClipped) {
@@ -152,20 +152,6 @@ TEST_F(ChannelFixture, MeetingTarget) {
   EXPECT_TRUE(ch.meeting_target());
   ch.set_target(20.0, 30.0);
   EXPECT_FALSE(ch.meeting_target());
-}
-
-TEST_F(ChannelFixture, LastBeatTimeAndStaleness) {
-  EXPECT_EQ(ch.last_beat_time(), 0);
-  clock->advance(100);
-  ch.beat();
-  EXPECT_EQ(ch.last_beat_time(), 100);
-  clock->advance(250);
-  EXPECT_EQ(ch.staleness_ns(), 250);
-}
-
-TEST_F(ChannelFixture, StalenessBeforeAnyBeatCountsFromCreation) {
-  clock->advance(500);
-  EXPECT_EQ(ch.staleness_ns(), 500);
 }
 
 TEST_F(ChannelFixture, DefaultWindowMutable) {

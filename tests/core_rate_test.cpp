@@ -67,40 +67,6 @@ TEST(WindowRate, SubSecondRates) {
   EXPECT_DOUBLE_EQ(window_rate(recs), 0.01);
 }
 
-TEST(InstantRate, UsesLastIntervalOnly) {
-  const auto recs = at_times({0, 10 * kNsPerSec, 10 * kNsPerSec + kNsPerSec / 2});
-  EXPECT_DOUBLE_EQ(instant_rate(recs), 2.0);
-}
-
-TEST(InstantRate, FewRecords) {
-  EXPECT_DOUBLE_EQ(instant_rate({}), 0.0);
-  EXPECT_DOUBLE_EQ(instant_rate(evenly_spaced(1, kNsPerSec)), 0.0);
-}
-
-TEST(MeanInterval, EvenSpacing) {
-  const auto recs = evenly_spaced(5, 250);
-  EXPECT_DOUBLE_EQ(mean_interval_ns(recs), 250.0);
-}
-
-TEST(MeanInterval, FewRecordsIsZero) {
-  EXPECT_DOUBLE_EQ(mean_interval_ns(evenly_spaced(1, 100)), 0.0);
-}
-
-TEST(Jitter, EvenSpacingIsZero) {
-  const auto recs = evenly_spaced(10, 1000);
-  EXPECT_DOUBLE_EQ(interval_jitter_ns(recs), 0.0);
-}
-
-TEST(Jitter, KnownSpread) {
-  // Intervals: 100, 300 -> sample stddev = sqrt(((100-200)^2+(300-200)^2)/1)
-  const auto recs = at_times({0, 100, 400});
-  EXPECT_NEAR(interval_jitter_ns(recs), std::sqrt(20000.0), 1e-9);
-}
-
-TEST(Jitter, FewRecordsIsZero) {
-  EXPECT_DOUBLE_EQ(interval_jitter_ns(at_times({0, 100})), 0.0);
-}
-
 // Property sweep: for any (count, interval) grid the computed rate matches
 // the closed form (count-1)/((count-1)*interval) = 1/interval.
 class RateGrid : public ::testing::TestWithParam<
@@ -112,10 +78,6 @@ TEST_P(RateGrid, MatchesClosedForm) {
   const double expect =
       n < 2 ? 0.0 : static_cast<double>(kNsPerSec) / static_cast<double>(interval);
   EXPECT_NEAR(window_rate(recs), expect, expect * 1e-12);
-  if (n >= 2) {
-    EXPECT_NEAR(mean_interval_ns(recs), static_cast<double>(interval), 1e-9);
-    EXPECT_DOUBLE_EQ(interval_jitter_ns(recs), 0.0);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -172,7 +134,7 @@ TEST_F(WindowEdgeFixture, ZeroDefaultWindowClampsToOne) {
   EXPECT_DOUBLE_EQ(ch->rate(0), 0.0);  // one beat: no interval yet
   beats(*ch, 1, kNsPerSec / 4);
   EXPECT_DOUBLE_EQ(ch->rate(0), 4.0);  // default(=1) window: last interval
-  EXPECT_DOUBLE_EQ(ch->rate(0), ch->instant_rate());
+  EXPECT_DOUBLE_EQ(ch->rate(1), 4.0);
 }
 
 TEST_F(WindowEdgeFixture, WindowOfOneIsInstantaneous) {
@@ -180,7 +142,7 @@ TEST_F(WindowEdgeFixture, WindowOfOneIsInstantaneous) {
   beats(*ch, 5, kNsPerSec);      // slow era
   beats(*ch, 1, kNsPerSec / 10); // one fast interval
   EXPECT_DOUBLE_EQ(ch->rate(1), 10.0);
-  EXPECT_DOUBLE_EQ(ch->rate(1), ch->instant_rate());
+  EXPECT_DOUBLE_EQ(ch->rate(1), 1.0 / util::to_seconds(kNsPerSec / 10));
   EXPECT_DOUBLE_EQ(ch->rate(2), 10.0);  // 2 beats = the same single interval
 }
 

@@ -39,7 +39,7 @@ TEST_F(ReaderFixture, RateMatchesProducerView) {
   beats(21, kNsPerSec / 10);
   EXPECT_DOUBLE_EQ(reader.current_rate(), producer.rate());
   EXPECT_DOUBLE_EQ(reader.current_rate(5), producer.rate(5));
-  EXPECT_DOUBLE_EQ(reader.instant_rate(), producer.instant_rate());
+  EXPECT_DOUBLE_EQ(reader.current_rate(1), producer.rate(1));
 }
 
 TEST_F(ReaderFixture, DefaultWindowComesFromProducer) {
@@ -81,29 +81,6 @@ TEST_F(ReaderFixture, MeetingTarget) {
   EXPECT_TRUE(reader.meeting_target());
   producer.set_target(0.5, 1.0);
   EXPECT_FALSE(reader.meeting_target());
-}
-
-TEST_F(ReaderFixture, TargetErrorSignConvention) {
-  producer.set_target(9.0, 11.0);
-  beats(21, kNsPerSec / 10);  // 10 beats/s: inside
-  EXPECT_DOUBLE_EQ(reader.target_error(), 0.0);
-  producer.set_target(20.0, 30.0);  // below min by 10
-  EXPECT_NEAR(reader.target_error(), -10.0, 1e-9);
-  producer.set_target(1.0, 2.0);  // above max by 8
-  EXPECT_NEAR(reader.target_error(), 8.0, 1e-9);
-}
-
-TEST_F(ReaderFixture, JitterZeroOnSteadyBeat) {
-  beats(30, kNsPerSec / 10);
-  EXPECT_DOUBLE_EQ(reader.jitter_ns(10), 0.0);
-}
-
-TEST_F(ReaderFixture, JitterPositiveOnErraticBeat) {
-  beats(1, 100);
-  beats(1, 5000);
-  beats(1, 100);
-  beats(1, 9000);
-  EXPECT_GT(reader.jitter_ns(4), 0.0);
 }
 
 TEST(Reader, WorksAgainstHeartbeatGlobalStore) {

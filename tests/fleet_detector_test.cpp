@@ -1,10 +1,13 @@
 // Fleet-wide failure detection over the hub (paper §2.6 at fleet scale):
 // verdicts from aggregated summaries alone, one hub snapshot per sweep,
-// wired through CloudSim fleets and the hub-backed GlobalScheduler.
+// wired through CloudSim fleets and the GlobalScheduler.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,6 +22,7 @@
 #include "policy/policy_engine.hpp"
 #include "sched/global_scheduler.hpp"
 #include "test_support.hpp"
+#include "transport/shm_store.hpp"
 #include "util/clock.hpp"
 #include "util/time.hpp"
 
@@ -143,8 +147,11 @@ TEST(FleetClassify, EmptyWindowAfterAgingIsWarmingUpNotSlow) {
 }
 
 TEST(FleetClassify, ReaderAndHubAgree) {
-  // The same beats, fed to a MemoryStore channel and to a hub under one
-  // clock, must get the same verdict whichever way they are observed.
+  // The same beats, appended to a registry segment (ShmStore, the store
+  // hbmon show reads) and ingested by a hub under one clock, must give the
+  // same summary, field by field, and so the same verdict, whichever way
+  // they are observed. The segment keeps each timestamp as stamped, as
+  // the hub does, so a backward one reaches summarize() unchanged.
   struct Row {
     const char* name;
     double target_min;
@@ -165,6 +172,10 @@ TEST(FleetClassify, ReaderAndHubAgree) {
   for (int i = 0; i < 9; ++i) {
     borderline.push_back(i % 2 == 0 ? 120 * kNsPerMs : 10 * kNsPerMs);
   }
+  // Beat 5 is stamped 30 ms before beat 4: both sides clamp that interval
+  // to 0 and measure the next one from the backward beat.
+  std::vector<util::TimeNs> backward = repeat(10, 100 * kNsPerMs);
+  backward[4] = -30 * kNsPerMs;
   const Row rows[] = {
       {"warming-up", 1.0, repeat(2, 100 * kNsPerMs), 100 * kNsPerSec,
        Health::kWarmingUp},
@@ -173,29 +184,52 @@ TEST(FleetClassify, ReaderAndHubAgree) {
       {"erratic", 1.0, alternating, 0, Health::kErratic},
       {"dead", 1.0, repeat(10, 100 * kNsPerMs), kNsPerSec, Health::kDead},
       {"jitter-borderline", 1.0, borderline, 0, Health::kHealthy},
+      {"backward-timestamp", 1.0, backward, 0, Health::kHealthy},
   };
 
   const FleetDetector det;
   const auto inf = std::numeric_limits<double>::infinity();
+  const std::filesystem::path file =
+      std::filesystem::temp_directory_path() /
+      ("hb_reader_hub_agree_" + std::to_string(::getpid()) + ".hb");
   for (const Row& row : rows) {
     auto clock = std::make_shared<util::ManualClock>();
-    auto store = std::make_shared<core::MemoryStore>(256, 16);
-    core::Channel producer{store, clock};
-    producer.set_target(row.target_min, inf);
+    auto store = transport::ShmStore::create(file, row.name, 256, 16);
+    store->set_target({row.target_min, inf});
     hub::HeartbeatHub hub(test::manual_hub_opts(clock));
     const hub::AppId id = hub.register_app(row.name, {row.target_min, inf});
+    util::TimeNs t = 0;
     for (const util::TimeNs interval : row.intervals) {
-      clock->advance(interval);
-      producer.beat();
-      hub.beat(id);
+      t += interval;
+      clock->set(std::max(clock->now(), t));
+      store->append(core::HeartbeatRecord{.timestamp_ns = t});
+      hub.ingest(id, t);
     }
     clock->advance(row.silence);
 
-    const Health from_reader =
-        det.classify(core::HeartbeatReader(store, clock));
-    EXPECT_EQ(from_reader, det.classify(hub.summary(id))) << row.name;
-    EXPECT_EQ(from_reader, row.expected) << row.name;
+    const hub::AppSummary from_reader =
+        summarize(core::HeartbeatReader(store, clock));
+    const hub::AppSummary from_hub = hub.summary(id);
+    EXPECT_EQ(from_reader.total_beats, from_hub.total_beats) << row.name;
+    EXPECT_EQ(from_reader.window_beats, from_hub.window_beats) << row.name;
+    EXPECT_EQ(from_reader.rate_bps, from_hub.rate_bps) << row.name;
+    EXPECT_EQ(from_reader.interval_mean_ns, from_hub.interval_mean_ns)
+        << row.name;
+    EXPECT_EQ(from_reader.interval_stddev_ns, from_hub.interval_stddev_ns)
+        << row.name;
+    // Jitter is zero exactly when every interval after the lead-in is the
+    // same: steady beats read none, erratic ones some.
+    const bool steady =
+        std::adjacent_find(row.intervals.begin() + 1, row.intervals.end(),
+                           std::not_equal_to<>()) == row.intervals.end();
+    EXPECT_EQ(from_reader.interval_stddev_ns == 0.0, steady) << row.name;
+
+    const Health verdict = det.classify(core::HeartbeatReader(store, clock));
+    EXPECT_EQ(verdict, det.classify(from_reader)) << row.name;
+    EXPECT_EQ(verdict, det.classify(from_hub)) << row.name;
+    EXPECT_EQ(verdict, row.expected) << row.name;
   }
+  std::filesystem::remove(file);
 }
 
 // -------------------------------------------------------------- hub sweeps
@@ -468,66 +502,9 @@ TEST(FleetSweepCloud, FleetHealthRequiresAnAttachedHub) {
 
 // ------------------------------------------- scheduler integration (dead)
 
-TEST(FleetScheduler, DeadAppsDonateTheirCores) {
-  auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<hub::HeartbeatHub>([&] {
-    hub::HubOptions opts;
-    opts.shard_count = 2;
-    opts.window_capacity = 8;
-    opts.clock = clock;
-    return opts;
-  }());
-  const auto inf = std::numeric_limits<double>::infinity();
-  const hub::AppId a = hub->register_app("a", {10.0, inf});
-  const hub::AppId b = hub->register_app("b", {1.0, inf});
-
-  sched::GlobalScheduler scheduler(
-      {.total_cores = 4,
-       .min_cores_per_app = 1,
-       .cooldown_polls = 0,
-       .detect_failures = true,
-       .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      *hub);
-  int cores_a = 0, cores_b = 0;
-  scheduler.add_app("a", [&](int c) { cores_a = c; });
-  scheduler.add_app("b", [&](int c) { cores_b = c; });
-
-  // Both beat; b hoovers up the free cores by being needy first.
-  auto beat_both = [&](int n, bool with_b) {
-    for (int i = 0; i < n; ++i) {
-      clock->advance(100 * kNsPerMs);
-      hub->beat(a);
-      if (with_b) {
-        hub->beat(b);
-        hub->beat(b);
-      }
-    }
-  };
-  beat_both(10, true);
-  hub->set_target(b, {30.0, inf});  // b needy: gets the 2 free cores
-  EXPECT_TRUE(scheduler.poll());
-  EXPECT_TRUE(scheduler.poll());
-  EXPECT_EQ(cores_b, 3);
-  EXPECT_EQ(scheduler.free_cores(), 0);
-  hub->set_target(b, {1.0, inf});
-
-  // Now b dies. a (rate ~10 < min 10 after its target tightens) is needy;
-  // the only core available must come from the dead app, min floor aside.
-  beat_both(30, false);  // b silent for 3s > 2s bound
-  hub->set_target(a, {20.0, inf});  // a deficient
-  EXPECT_TRUE(scheduler.poll());
-  EXPECT_EQ(cores_b, 2);  // dead donor taxed first
-  EXPECT_EQ(cores_a, 2);
-  EXPECT_TRUE(scheduler.poll());
-  EXPECT_EQ(cores_b, 1);  // taxed down to the min floor
-  EXPECT_EQ(cores_a, 3);
-  // At the floor the dead app has nothing left to give; no further moves.
-  EXPECT_FALSE(scheduler.poll());
-}
-
 TEST(FleetScheduler, DeadReaderBackedAppsDonateTheirCores) {
-  // The reader-backed twin of DeadAppsDonateTheirCores: apps observed
-  // through their own HeartbeatReaders are judged by the same rule.
+  // Apps observed through their own HeartbeatReaders are judged by the
+  // fleet detector's rule; a dead one donates before any live app is taxed.
   auto clock = std::make_shared<util::ManualClock>();
   auto store_a = std::make_shared<core::MemoryStore>(512, 8);
   auto store_b = std::make_shared<core::MemoryStore>(512, 8);
@@ -581,16 +558,13 @@ TEST(FleetScheduler, DeadReaderBackedAppsDonateTheirCores) {
 
 TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
   auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<hub::HeartbeatHub>([&] {
-    hub::HubOptions opts;
-    opts.shard_count = 2;
-    opts.window_capacity = 8;
-    opts.clock = clock;
-    return opts;
-  }());
+  auto store_a = std::make_shared<core::MemoryStore>(512, 8);
+  auto store_b = std::make_shared<core::MemoryStore>(512, 8);
+  core::Channel a{store_a, clock};
+  core::Channel b{store_b, clock};
   const auto inf = std::numeric_limits<double>::infinity();
-  const hub::AppId a = hub->register_app("a", {1.0, inf});
-  hub->register_app("b", {50.0, inf});  // huge min: permanently "deficient"
+  a.set_target(1.0, inf);
+  b.set_target(50.0, inf);  // huge min: permanently "deficient"
 
   sched::GlobalScheduler scheduler(
       {.total_cores = 4,
@@ -598,125 +572,26 @@ TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
        .warmup_beats = 3,
        .cooldown_polls = 0,
        .detect_failures = true,
-       .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      *hub);
+       .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}});
   int cores_b = 0;
-  scheduler.add_app("a", [](int) {});
-  scheduler.add_app("b", [&](int c) { cores_b = c; });
+  scheduler.add_app("a", core::HeartbeatReader(store_a, clock), [](int) {});
+  scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
+                    [&](int c) { cores_b = c; });
 
   // b beat a little once (warm), then died; a stays healthy.
   for (int i = 0; i < 5; ++i) {
     clock->advance(100 * kNsPerMs);
-    hub->beat(a);
-    hub->beat(hub->id_of("b"));
+    a.beat();
+    b.beat();
   }
   for (int i = 0; i < 50; ++i) {
     clock->advance(100 * kNsPerMs);
-    hub->beat(a);
+    a.beat();
   }
   // Without failure detection b's stale deficit would attract the free
   // cores; with it, nothing moves toward the dead app.
   EXPECT_FALSE(scheduler.poll());
   EXPECT_EQ(cores_b, 1);  // untouched at its initial minimum
-}
-
-TEST(FleetScheduler, NotYetRegisteredAppsAreWarmingUpNotDead) {
-  // Regression: an app added to the scheduler before its producer registers
-  // with the hub (the normal startup ordering) must be treated as warming
-  // up — not presumed dead and taxed down to its minimum.
-  auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<hub::HeartbeatHub>([&] {
-    hub::HubOptions opts;
-    opts.shard_count = 2;
-    opts.window_capacity = 8;
-    opts.clock = clock;
-    return opts;
-  }());
-  const auto inf = std::numeric_limits<double>::infinity();
-  const hub::AppId a = hub->register_app("a", {1.0, inf});
-
-  sched::GlobalScheduler scheduler(
-      {.total_cores = 4,
-       .min_cores_per_app = 1,
-       .cooldown_polls = 0,
-       .detect_failures = true,
-       .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      *hub);
-  int cores_a = 0, cores_late = 0;
-  scheduler.add_app("a", [&](int c) { cores_a = c; });
-  scheduler.add_app("late", [&](int c) { cores_late = c; });  // not in hub yet
-
-  for (int i = 0; i < 50; ++i) {
-    clock->advance(100 * kNsPerMs);
-    hub->beat(a);
-  }
-  // 5s in (far past the 2s staleness bound), "late" still must not read as
-  // a dead donor: a is healthy, nobody needy, nothing to reclaim.
-  EXPECT_FALSE(scheduler.poll());
-  EXPECT_EQ(cores_late, 1);
-
-  // Once the producer registers and beats, the app joins normally — and
-  // gets free cores when needy.
-  const hub::AppId late = hub->register_app("late", {50.0, inf});
-  for (int i = 0; i < 10; ++i) {
-    clock->advance(100 * kNsPerMs);
-    hub->beat(a);
-    hub->beat(late);  // 10 b/s << min 50: needy once warm
-  }
-  EXPECT_TRUE(scheduler.poll());
-  EXPECT_EQ(cores_late, 2);
-  (void)cores_a;
-}
-
-TEST(FleetScheduler, HubEvictedAppsReadAsDead) {
-  // The other side of the same coin: an auto-evicted app stays listed
-  // (flagged) in the scheduler's snapshot and classifies dead — its cores
-  // are reclaimed.
-  auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<hub::HeartbeatHub>([&] {
-    hub::HubOptions opts;
-    opts.shard_count = 2;
-    opts.window_capacity = 8;
-    opts.evict_after_ns = 2 * kNsPerSec;
-    opts.clock = clock;
-    return opts;
-  }());
-  const auto inf = std::numeric_limits<double>::infinity();
-  const hub::AppId a = hub->register_app("a", {1.0, inf});
-  const hub::AppId b = hub->register_app("b", {1.0, inf});
-
-  sched::GlobalScheduler scheduler(
-      {.total_cores = 3,
-       .min_cores_per_app = 1,
-       .cooldown_polls = 0,
-       .detect_failures = true,
-       .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      *hub);
-  int cores_a = 0, cores_b = 0;
-  scheduler.add_app("a", [&](int c) { cores_a = c; });
-  scheduler.add_app("b", [&](int c) { cores_b = c; });
-
-  // b grabs the free core while alive (and gets listed: seen in the hub).
-  hub->set_target(b, {30.0, inf});
-  for (int i = 0; i < 10; ++i) {
-    clock->advance(100 * kNsPerMs);
-    hub->beat(a);
-    hub->beat(b);
-  }
-  EXPECT_TRUE(scheduler.poll());
-  EXPECT_EQ(cores_b, 2);
-
-  // b dies; past evict_after_ns the hub drops it from the listing. The
-  // scheduler must still hand its core to needy a.
-  for (int i = 0; i < 40; ++i) {
-    clock->advance(100 * kNsPerMs);
-    hub->beat(a);
-  }
-  EXPECT_TRUE(hub->summary(b).evicted);
-  hub->set_target(a, {30.0, inf});  // a needy at ~10 b/s
-  EXPECT_TRUE(scheduler.poll());
-  EXPECT_EQ(cores_b, 1);
-  EXPECT_EQ(cores_a, 2);
 }
 
 }  // namespace

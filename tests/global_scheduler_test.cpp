@@ -7,7 +7,6 @@
 #include "core/channel.hpp"
 #include "core/memory_store.hpp"
 #include "core/reader.hpp"
-#include "hub/hub.hpp"
 #include "sched/global_scheduler.hpp"
 #include "sim/machine.hpp"
 #include "util/clock.hpp"
@@ -195,97 +194,6 @@ TEST(GlobalSchedulerClosedLoop, ShiftsCoresBetweenPhasedApps) {
   EXPECT_GE(core::HeartbeatReader(store_a, clock).current_rate(8), 1.8);
   EXPECT_GE(core::HeartbeatReader(store_b, clock).current_rate(8), 1.8);
   EXPECT_GT(scheduler.moves(), 2u);
-}
-
-// ------------------------------------------------- hub-backed observation
-
-// The scheduler built on a hub: one fleet snapshot per poll instead
-// of one reader query per app, same policy decisions.
-struct HubBackedFixture : ::testing::Test {
-  std::shared_ptr<util::ManualClock> clock =
-      std::make_shared<util::ManualClock>();
-  std::shared_ptr<hub::HeartbeatHub> hub = std::make_shared<hub::HeartbeatHub>(
-      [&] {
-        hub::HubOptions opts;
-        opts.shard_count = 4;
-        opts.window_capacity = 10;
-        opts.clock = clock;
-        return opts;
-      }());
-  GlobalScheduler scheduler{
-      {.total_cores = 8, .min_cores_per_app = 1, .cooldown_polls = 0},
-      *hub};
-
-  hub::AppId beats(const std::string& name, int n, util::TimeNs interval) {
-    const hub::AppId id = hub->id_of(name);
-    for (int i = 0; i < n; ++i) {
-      clock->advance(interval);
-      hub->beat(id);
-    }
-    return id;
-  }
-};
-
-TEST_F(HubBackedFixture, ConstructedFromHubGrantsFreeCores) {
-  hub->register_app("a", core::TargetRate{10.0, 20.0});
-  hub->register_app("b", core::TargetRate{0.1, 20.0});
-  std::vector<int> allocs_a;
-  scheduler.add_app("a", [&](int c) { allocs_a.push_back(c); });
-  scheduler.add_app("b", [](int) {});
-  EXPECT_TRUE(scheduler.hub_backed());
-
-  beats("a", 12, kNsPerSec);      // 1 beat/s << min 10: needy
-  beats("b", 12, kNsPerSec / 2);  // 2 beats/s: in band
-  EXPECT_TRUE(scheduler.poll());
-  EXPECT_EQ(scheduler.allocation(0), 2);  // a got a free core
-  EXPECT_EQ(scheduler.allocation(1), 1);
-  ASSERT_EQ(allocs_a.size(), 2u);
-  EXPECT_EQ(allocs_a.back(), 2);
-}
-
-TEST_F(HubBackedFixture, WarmupAndInBandAppsAreLeftAlone) {
-  hub->register_app("a", core::TargetRate{10.0, 20.0});
-  hub->register_app("b", core::TargetRate{0.5, 3.0});
-  scheduler.add_app("a", [](int) {});
-  scheduler.add_app("b", [](int) {});
-
-  beats("a", 2, kNsPerSec);  // below warmup_beats = 3: ignored
-  beats("b", 12, kNsPerSec);
-  EXPECT_FALSE(scheduler.poll());
-  EXPECT_EQ(scheduler.moves(), 0u);
-}
-
-TEST_F(HubBackedFixture, AppsUnknownToTheHubStayAtMinimum) {
-  // Added to the scheduler but never registered with the hub: treated as
-  // warming up, never starves anyone else.
-  scheduler.add_app("ghost", [](int) {});
-  EXPECT_FALSE(scheduler.poll());
-  EXPECT_EQ(scheduler.allocation(0), 1);
-}
-
-TEST(HubBackedErrors, NameOnlyAddAppRequiresHub) {
-  GlobalScheduler plain({.total_cores = 4});
-  EXPECT_THROW(plain.add_app("a", [](int) {}), std::logic_error);
-}
-
-TEST_F(HubBackedFixture, TaxesSurplusDonorForNeedyApp) {
-  hub->register_app("needy", core::TargetRate{10.0, 1e18});
-  hub->register_app("rich", core::TargetRate{0.05, 0.2});
-  GlobalScheduler tight({.total_cores = 2, .min_cores_per_app = 0,
-                         .cooldown_polls = 0},
-                        *hub);
-  tight.add_app("needy", [](int) {});
-  tight.add_app("rich", [](int) {});
-
-  beats("needy", 6, kNsPerSec);      // 1 beat/s << 10
-  beats("rich", 6, kNsPerSec);       // 1 beat/s >> 0.2 (surplus)
-  for (int i = 0; i < 4; ++i) {
-    beats("needy", 1, kNsPerSec);
-    beats("rich", 1, kNsPerSec);
-    tight.poll();
-  }
-  EXPECT_EQ(tight.allocation(0), 2);
-  EXPECT_EQ(tight.allocation(1), 0);
 }
 
 }  // namespace
