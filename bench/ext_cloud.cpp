@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "cloud/cloud_sim.hpp"
+#include "fault/fleet_detector.hpp"
+#include "hub/hub.hpp"
 #include "util/clock.hpp"
 
 namespace {
@@ -30,8 +32,11 @@ struct Sample {
 
 std::vector<Sample> run(bool managed) {
   auto clock = std::make_shared<hb::util::ManualClock>();
-  hb::cloud::CloudSim sim(8, /*capacity=*/10.0, clock);
-  std::vector<int> vms;
+  hb::hub::HubOptions hub_opts;
+  hub_opts.window_capacity = 8;  // rates over each VM's last 8 beats
+  hub_opts.clock = clock;
+  hb::cloud::CloudSim sim(8, /*capacity=*/10.0, clock,
+                          std::make_shared<hb::hub::HeartbeatHub>(hub_opts));
   for (int i = 0; i < 8; ++i) {
     hb::cloud::VmSpec spec;
     spec.name = "vm" + std::to_string(i);
@@ -43,9 +48,7 @@ std::vector<Sample> run(bool managed) {
     };
     spec.work_per_beat = 1.0;
     spec.target_min_bps = 0.9 * 2.0;  // target keyed to baseline demand
-    const int v = sim.add_vm(spec);
-    sim.migrate(v, i);  // start spread out, one VM per machine
-    vms.push_back(v);
+    sim.migrate(sim.add_vm(spec), i);  // start spread out, one per machine
   }
 
   hb::cloud::HeartbeatConsolidator manager({.headroom = 1.05, .period_s = 2.0});
@@ -56,11 +59,10 @@ std::vector<Sample> run(bool managed) {
     if (managed) manager.poll(sim);
     if (++step % 10 == 0) {  // sample once per simulated second
       int misses = 0;
-      for (const int v : vms) {
-        if (sim.vm_finished(v)) continue;
-        const auto reader = sim.reader(v);
-        if (reader.count() >= 4 &&
-            reader.current_rate() < reader.target_min()) {
+      for (const auto& app :
+           sim.fleet_health(hb::fault::FleetDetector()).apps) {
+        if (sim.vm_finished(sim.find_vm(app.name))) continue;
+        if (app.total_beats >= 4 && app.rate_bps < app.target.min_bps) {
           ++misses;
         }
       }

@@ -48,7 +48,6 @@ int run_refill_scenario() {
   using hb::util::kNsPerSec;
 
   auto clock = std::make_shared<hb::util::ManualClock>();
-  hb::cloud::CloudSim sim(4, /*capacity=*/100.0, clock);
   hb::hub::HubOptions hub_opts;
   hub_opts.shard_count = 4;
   hub_opts.window_capacity = 64;
@@ -57,7 +56,7 @@ int run_refill_scenario() {
       std::make_shared<hb::hub::HeartbeatHub>(hub_opts),
       hb::fault::FleetDetectorOptions{.absolute_staleness_ns = 5 * kNsPerSec},
       hb::policy::PolicyOptions{.flap_threshold = 100});
-  sim.attach_hub(monitor->hub());
+  hb::cloud::CloudSim sim(4, /*capacity=*/100.0, clock, monitor->hub());
 
   int storm = -1;
   for (int v = 0; v < 4; ++v) {

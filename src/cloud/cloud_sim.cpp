@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/memory_store.hpp"
 #include "hub/hub.hpp"
 #include "policy/monitor.hpp"
 #include "util/time.hpp"
@@ -13,24 +12,23 @@
 namespace hb::cloud {
 
 CloudSim::CloudSim(int machines, double machine_capacity,
-                   std::shared_ptr<util::ManualClock> clock)
+                   std::shared_ptr<util::ManualClock> clock,
+                   std::shared_ptr<hub::HeartbeatHub> hub)
     : num_machines_(machines), capacity_(machine_capacity),
-      clock_(std::move(clock)) {
+      clock_(std::move(clock)), hub_(std::move(hub)) {
   assert(clock_);
   if (machines <= 0 || machine_capacity <= 0.0) {
     throw std::invalid_argument("CloudSim: need machines and capacity");
   }
+  if (!hub_) throw std::invalid_argument("CloudSim: need a hub");
+  hub_runs_.assign(hub_->shard_count(), {});
 }
 
 int CloudSim::add_vm(VmSpec spec) {
-  Vm vm;
-  vm.channel = std::make_shared<core::Channel>(
-      std::make_shared<core::MemoryStore>(512, 8), clock_);
-  vm.channel->set_target(spec.target_min_bps,
-                         std::numeric_limits<double>::infinity());
-  vm.spec = std::move(spec);
-  vms_.push_back(std::move(vm));
-  if (hub_) hub_ids_.push_back(register_with_hub(vms_.back()));
+  hub_ids_.push_back(hub_->register_app(
+      spec.name, core::TargetRate{spec.target_min_bps,
+                                  std::numeric_limits<double>::infinity()}));
+  vms_.push_back(Vm{.spec = std::move(spec)});
   const int id = static_cast<int>(vms_.size()) - 1;
   vm_by_name_.emplace(vms_.back().spec.name, id);  // first name wins
   // First-fit by demand headroom: one O(V) load pass then an O(M) machine
@@ -54,20 +52,6 @@ int CloudSim::add_vm(VmSpec spec) {
     }
   }
   return id;
-}
-
-hub::AppId CloudSim::register_with_hub(const Vm& vm) {
-  return hub_->register_app(
-      vm.spec.name, core::TargetRate{vm.spec.target_min_bps,
-                                     std::numeric_limits<double>::infinity()});
-}
-
-void CloudSim::attach_hub(std::shared_ptr<hub::HeartbeatHub> hub) {
-  assert(hub);
-  hub_ = std::move(hub);
-  hub_ids_.clear();
-  for (const Vm& vm : vms_) hub_ids_.push_back(register_with_hub(vm));
-  hub_runs_.assign(hub_->shard_count(), {});
 }
 
 void CloudSim::migrate(int vm, int machine) {
@@ -107,8 +91,7 @@ int CloudSim::find_vm(const std::string& name) const {
 void CloudSim::set_monitor(std::shared_ptr<policy::Monitor> monitor,
                            double period_s) {
   if (monitor && monitor->hub() != hub_) {
-    throw std::logic_error(hub_ ? "CloudSim::set_monitor: foreign hub"
-                                : "CloudSim::set_monitor: attach_hub first");
+    throw std::logic_error("CloudSim::set_monitor: foreign hub");
   }
   monitor_ = std::move(monitor);
   policy_period_s_ = period_s > 0.0 ? period_s : 1.0;
@@ -117,9 +100,6 @@ void CloudSim::set_monitor(std::shared_ptr<policy::Monitor> monitor,
 
 fault::FleetReport CloudSim::fleet_health(
     const fault::FleetDetector& detector) const {
-  if (!hub_) {
-    throw std::logic_error("CloudSim::fleet_health: attach_hub first");
-  }
   // Sweep the hub's coherent snapshot directly: the policy tick, an
   // external fleet_health caller, and a consolidator poll inside the same
   // sim tick all reuse the one cached FleetSnapshot instead of forcing
@@ -171,8 +151,8 @@ void CloudSim::step(double dt_seconds) {
     demand_of[v] = d;
     machine_load[static_cast<std::size_t>(machine_of_[v])] += d;
   }
-  // Beats each VM mirrors to the hub this step, parallel to vms_.
-  std::vector<std::uint32_t> hub_beats(hub_ ? vms_.size() : 0, 0);
+  // Beats each VM sends the hub this step, parallel to vms_.
+  std::vector<std::uint32_t> hub_beats(vms_.size(), 0);
   for (std::size_t v = 0; v < vms_.size(); ++v) {
     Vm& vm = vms_[v];
     if (vm.killed) continue;  // no work, no beats — only silence
@@ -187,15 +167,11 @@ void CloudSim::step(double dt_seconds) {
     vm.pending_work += d * scale * dt_seconds;
     while (vm.pending_work >= vm.spec.work_per_beat) {
       vm.pending_work -= vm.spec.work_per_beat;
-      vm.channel->beat();
-      if (hub_) {
-        // Mirror a beat stamped from the SIM clock (not hub.beat(), which
-        // would stamp the hub's own clock): hub rates then agree with
-        // per-VM reader rates even if the hub keeps a different clock.
-        // Staleness queries still need a shared clock.
-        hub_stamps_.push_back(clock_->now());
-        ++hub_beats[v];
-      }
+      // Stamped from the SIM clock (not hub.beat(), which would stamp the
+      // hub's own clock), so rates are exact even if the hub keeps a
+      // different clock. Staleness queries still need a shared clock.
+      hub_stamps_.push_back(clock_->now());
+      ++hub_beats[v];
     }
   }
   // Nothing reads the hub during the loop above: apply the step's beats
@@ -226,36 +202,32 @@ void CloudSim::step(double dt_seconds) {
 
 double CloudSim::now_seconds() const { return util::to_seconds(clock_->now()); }
 
-core::Channel& CloudSim::channel(int vm) {
-  return *vms_.at(static_cast<std::size_t>(vm)).channel;
-}
-
-core::HeartbeatReader CloudSim::reader(int vm) const {
-  const Vm& v = vms_.at(static_cast<std::size_t>(vm));
-  // Share the channel's store; readers are cheap views.
-  return core::HeartbeatReader(
-      std::shared_ptr<const core::BeatStore>(v.channel,
-                                             &v.channel->store()),
-      clock_);
-}
-
 int HeartbeatConsolidator::poll(CloudSim& sim) {
   if (sim.now_seconds() - last_poll_s_ < opts_.period_s) return 0;
   last_poll_s_ = sim.now_seconds();
 
-  int moved = 0;
+  // One sweep judges every VM; its verdicts come in hub shard order, so
+  // map them back to VM indices and walk the VMs in index order.
   const int n = static_cast<int>(sim.vm_count());
-  const fault::FleetDetector detector;
+  const fault::FleetReport report = sim.fleet_health(fault::FleetDetector());
+  std::vector<const fault::AppHealth*> health_of(static_cast<std::size_t>(n),
+                                                 nullptr);
+  for (const fault::AppHealth& app : report.apps) {
+    const int v = sim.find_vm(app.name);
+    if (v >= 0) health_of[static_cast<std::size_t>(v)] = &app;
+  }
+
+  int moved = 0;
   for (int v = 0; v < n; ++v) {
-    if (sim.vm_finished(v)) continue;
-    const auto reader = sim.reader(v);
-    const double rate = reader.current_rate();
-    const double target = reader.target_min();
+    const fault::AppHealth* app = health_of[static_cast<std::size_t>(v)];
+    if (app == nullptr || sim.vm_finished(v)) continue;
+    const double rate = app->rate_bps;
+    const double target = app->target.min_bps;
     if (rate <= 0.0) continue;  // warming up
     // A dead VM's windowed rate is stale, not low — migrating it to
     // "dedicated resources" would rescue nobody. Heartbeat silence is the
     // only signal used (§2.6); the sim's killed flag stays ground truth.
-    if (detector.classify(reader) == fault::Health::kDead) continue;
+    if (app->health == fault::Health::kDead) continue;
 
     if (rate < target) {
       // Struggling: move to the machine with the most headroom (other than

@@ -9,11 +9,11 @@
 //
 // Model: physical machines with a fixed service capacity; VMs with phased
 // service demand and a registered target rate. Co-located VMs share machine
-// capacity (demand-proportional). Each VM beats through a real heartbeat
-// channel; the consolidation manager only ever reads heart rates and
-// targets. bench/ext_cloud compares heartbeat-driven packing against a
-// machine-load threshold policy (the RightScale-style baseline the paper
-// contrasts with).
+// capacity (demand-proportional). Each VM is an app on the heartbeat hub
+// the sim is built on, and its beats go there and nowhere else; the
+// consolidation manager only ever reads heart rates and targets, from one
+// fleet sweep of that hub. bench/ext_cloud compares heartbeat-driven
+// packing against static placement.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/channel.hpp"
-#include "core/reader.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/summary.hpp"
 #include "util/clock.hpp"
@@ -53,23 +51,20 @@ struct VmSpec {
 
 class CloudSim {
  public:
+  /// The hub is the one record of the VMs' beats. Beats are stamped from
+  /// the sim's clock, so the hub's rates are exact whatever clock it
+  /// holds; give it the sim's ManualClock if you also want meaningful
+  /// AppSummary::staleness_ns. Throws std::invalid_argument for a null
+  /// hub or no machines or capacity.
   CloudSim(int machines, double machine_capacity,
-           std::shared_ptr<util::ManualClock> clock);
+           std::shared_ptr<util::ManualClock> clock,
+           std::shared_ptr<hub::HeartbeatHub> hub);
 
-  int add_vm(VmSpec spec);  ///< placed on the first machine with room
-
-  /// Register every current and future VM with a heartbeat aggregation hub:
-  /// each VM becomes a hub app (named by its VmSpec, target [min, inf)) and
-  /// every beat the sim emits is mirrored into the hub, stamped from the
-  /// sim's clock — so hub rates match per-VM reader rates whatever clock
-  /// the hub holds. Give the hub the sim's ManualClock if you also want
-  /// meaningful AppSummary::staleness_ns. Cluster managers can then watch
-  /// the whole fleet through one HeartbeatHub::snapshot() instead of one
-  /// reader per VM.
+  /// Register the VM with the hub as an app named by its VmSpec, target
+  /// [target_min_bps, inf), and place it on the first machine with room.
   /// VM names should be unique — the hub keys apps by name.
-  void attach_hub(std::shared_ptr<hub::HeartbeatHub> hub);
+  int add_vm(VmSpec spec);
 
-  int machines() const { return static_cast<int>(machine_of_.size() ? used_machines() : 0); }
   int total_machines() const { return num_machines_; }
   double machine_capacity() const { return capacity_; }
   std::size_t vm_count() const { return vms_.size(); }
@@ -90,10 +85,6 @@ class CloudSim {
 
   double now_seconds() const;
 
-  /// The VM's heartbeat channel / observer view.
-  core::Channel& channel(int vm);
-  core::HeartbeatReader reader(int vm) const;
-
   /// The VM's current phase demand (ground truth; managers should NOT use
   /// this — it exists for tests and for the load-based baseline, which in
   /// real clouds sees machine utilization but not application goals).
@@ -113,15 +104,14 @@ class CloudSim {
   /// policy sinks use to map hub app names back to sim VMs).
   int find_vm(const std::string& name) const;
 
-  /// Sweep the whole fleet's health through the attached hub in one pass —
-  /// no per-VM reader queries. Throws std::logic_error without attach_hub.
+  /// Sweep the whole fleet's health from one snapshot of the hub.
   fault::FleetReport fleet_health(const fault::FleetDetector& detector) const;
 
   /// Attach the decide/act layer: every `period_s` of simulated time,
   /// step() ends with one monitor->tick(), whose sinks may act back on the
   /// sim (a CloudRestartSink makes the fleet self-heal); their actions take
-  /// effect from the next step on. Throws std::logic_error without
-  /// attach_hub or for a monitor on another hub. nullptr detaches.
+  /// effect from the next step on. Throws std::logic_error for a monitor
+  /// on another hub. nullptr detaches.
   void set_monitor(std::shared_ptr<policy::Monitor> monitor,
                    double period_s = 1.0);
 
@@ -131,10 +121,7 @@ class CloudSim {
     double elapsed_s = 0.0;
     double pending_work = 0.0;
     bool killed = false;
-    std::shared_ptr<core::Channel> channel;
   };
-
-  hub::AppId register_with_hub(const Vm& vm);
 
   int num_machines_;
   double capacity_;
@@ -143,8 +130,8 @@ class CloudSim {
   std::vector<int> machine_of_;
   std::unordered_map<std::string, int> vm_by_name_;
   std::shared_ptr<hub::HeartbeatHub> hub_;
-  std::vector<hub::AppId> hub_ids_;  ///< parallel to vms_ when hub_ is set
-  /// One step's mirrored beats: their timestamps in VM order, and per hub
+  std::vector<hub::AppId> hub_ids_;  ///< parallel to vms_
+  /// One step's beats: their timestamps in VM order, and per hub
   /// shard one run per beating VM, in VM order, pointing into hub_stamps_.
   std::vector<util::TimeNs> hub_stamps_;
   std::vector<std::vector<hub::AppRun>> hub_runs_;
@@ -172,10 +159,11 @@ class HeartbeatConsolidator {
 
   explicit HeartbeatConsolidator(Options opts = Options()) : opts_(opts) {}
 
-  /// Observe all VMs and issue migrations: struggling VMs (rate < target)
-  /// are moved to the least-loaded machine; meeting-with-headroom VMs are
-  /// packed onto the fullest machine that still has demand headroom.
-  /// Returns the number of migrations performed.
+  /// Judge all VMs from one fleet sweep and issue migrations: struggling
+  /// VMs (rate < target) are moved to the least-loaded machine;
+  /// meeting-with-headroom VMs are packed onto the fullest machine that
+  /// still has demand headroom. VMs are walked in index order; dead ones
+  /// are left alone. Returns the number of migrations performed.
   int poll(CloudSim& sim);
 
   int migrations() const { return migrations_; }

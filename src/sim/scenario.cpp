@@ -116,11 +116,6 @@ ScenarioRunner::~ScenarioRunner() = default;
 
 void ScenarioRunner::build_world() {
   clock_ = std::make_shared<util::ManualClock>();
-  // Capacity leaves 2x headroom over nominal demand, so co-placement never
-  // oversubscribes and every healthy VM beats at exactly demand/work_per_beat.
-  sim_ = std::make_unique<cloud::CloudSim>(
-      config_.racks, config_.vms_per_rack * config_.vm_demand * 2.0, clock_);
-
   hub::HubOptions hub_opts;
   hub_opts.shard_count = config_.hub_shards;
   hub_opts.window_capacity = 64;
@@ -136,7 +131,11 @@ void ScenarioRunner::build_world() {
                             .flap_threshold = 4,
                             .quarantine_cooldown_ns = 120 * util::kNsPerSec,
                             .correlated_min_apps = 3});
-  sim_->attach_hub(monitor_->hub());
+  // Capacity leaves 2x headroom over nominal demand, so co-placement never
+  // oversubscribes and every healthy VM beats at exactly demand/work_per_beat.
+  sim_ = std::make_unique<cloud::CloudSim>(
+      config_.racks, config_.vms_per_rack * config_.vm_demand * 2.0, clock_,
+      monitor_->hub());
   policy::PolicyEngine& engine = monitor_->engine();
   events_ = std::make_shared<policy::TestSink>();
   engine.add_sink(events_);

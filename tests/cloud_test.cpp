@@ -11,6 +11,7 @@
 #include "cloud/cloud_sim.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
+#include "test_support.hpp"
 #include "util/clock.hpp"
 
 namespace hb::cloud {
@@ -26,29 +27,40 @@ VmSpec light_vm(const std::string& name, double demand = 1.0,
   return spec;
 }
 
+// The VMs' one record: a hub on the sim's clock, rates over each VM's
+// last 8 beats.
 struct CloudFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
       std::make_shared<util::ManualClock>();
-  CloudSim sim{4, /*capacity=*/10.0, clock};
+  std::shared_ptr<hub::HeartbeatHub> hub =
+      std::make_shared<hub::HeartbeatHub>(
+          test::manual_hub_opts(clock, /*shards=*/4, /*window=*/8));
+  CloudSim sim{4, /*capacity=*/10.0, clock, hub};
+
+  hub::AppSummary of(const std::string& name) {
+    return hub->summary(hub->id_of(name));
+  }
+  fault::Health health(const std::string& name) {
+    return fault::FleetDetector().classify(of(name));
+  }
 };
 
 TEST_F(CloudFixture, VmServedAtDemandWhenUncontended) {
-  const int v = sim.add_vm(light_vm("a", 2.0));
+  sim.add_vm(light_vm("a", 2.0));
   for (int i = 0; i < 100; ++i) sim.step(0.1);
   // 2 units/s demand, 1 unit/beat -> 2 beats/s.
-  EXPECT_NEAR(sim.reader(v).current_rate(), 2.0, 0.05);
+  EXPECT_NEAR(of("a").rate_bps, 2.0, 0.05);
 }
 
 TEST_F(CloudFixture, OversubscriptionSlowsAllVmsProportionally) {
   // 3 VMs of demand 6 on one machine of capacity 10: each gets 10/18 share.
-  std::vector<int> vms;
   for (int i = 0; i < 3; ++i) {
-    vms.push_back(sim.add_vm(light_vm("v" + std::to_string(i), 6.0)));
-    sim.migrate(vms.back(), 0);
+    sim.migrate(sim.add_vm(light_vm("v" + std::to_string(i), 6.0)), 0);
   }
   for (int i = 0; i < 200; ++i) sim.step(0.05);
-  for (const int v : vms) {
-    EXPECT_NEAR(sim.reader(v).current_rate(), 6.0 * 10.0 / 18.0, 0.15);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NEAR(of("v" + std::to_string(i)).rate_bps, 6.0 * 10.0 / 18.0,
+                0.15);
   }
 }
 
@@ -94,11 +106,8 @@ TEST_F(CloudFixture, PhasedDemand) {
 TEST_F(CloudFixture, ConsolidatorPacksLightVms) {
   // Four light VMs spread over four machines; all meet target with huge
   // headroom -> consolidation should shrink the footprint.
-  std::vector<int> vms;
   for (int i = 0; i < 4; ++i) {
-    const int v = sim.add_vm(light_vm("v" + std::to_string(i), 2.0));
-    sim.migrate(v, i);
-    vms.push_back(v);
+    sim.migrate(sim.add_vm(light_vm("v" + std::to_string(i), 2.0)), i);
   }
   HeartbeatConsolidator manager({.headroom = 1.0, .period_s = 1.0});
   for (int i = 0; i < 400; ++i) {
@@ -109,20 +118,17 @@ TEST_F(CloudFixture, ConsolidatorPacksLightVms) {
   EXPECT_LE(sim.used_machines(), 2);
   EXPECT_GT(manager.migrations(), 0);
   // And everyone still meets target after packing.
-  for (const int v : vms) {
-    EXPECT_GE(sim.reader(v).current_rate(),
-              sim.reader(v).target_min() * 0.95);
+  for (int i = 0; i < 4; ++i) {
+    const hub::AppSummary s = of("v" + std::to_string(i));
+    EXPECT_GE(s.rate_bps, s.target.min_bps * 0.95);
   }
 }
 
 TEST_F(CloudFixture, ConsolidatorRescuesStrugglingVm) {
   // Overpack machine 0 beyond capacity; the manager must migrate someone
   // out once heart rates drop below target.
-  std::vector<int> vms;
   for (int i = 0; i < 3; ++i) {
-    const int v = sim.add_vm(light_vm("v" + std::to_string(i), 6.0));
-    sim.migrate(v, 0);
-    vms.push_back(v);
+    sim.migrate(sim.add_vm(light_vm("v" + std::to_string(i), 6.0)), 0);
   }
   HeartbeatConsolidator manager({.headroom = 2.0, .period_s = 1.0});
   for (int i = 0; i < 600; ++i) {
@@ -131,10 +137,10 @@ TEST_F(CloudFixture, ConsolidatorRescuesStrugglingVm) {
   }
   EXPECT_GT(manager.migrations(), 0);
   // After rebalancing, all VMs meet their targets.
-  for (const int v : vms) {
-    EXPECT_GE(sim.reader(v).current_rate(),
-              sim.reader(v).target_min() * 0.95)
-        << "vm " << v << " still starved";
+  for (int i = 0; i < 3; ++i) {
+    const hub::AppSummary s = of("v" + std::to_string(i));
+    EXPECT_GE(s.rate_bps, s.target.min_bps * 0.95)
+        << s.name << " still starved";
   }
   EXPECT_GE(sim.used_machines(), 2);
 }
@@ -143,14 +149,11 @@ TEST_F(CloudFixture, DeadVmDetectedByStaleness) {
   // §2.6: "A lack of heartbeats from a particular node would indicate that
   // it has failed." A VM whose phases end stops beating; the failure
   // detector flags it from heartbeat staleness alone.
-  const int v = sim.add_vm(light_vm("mortal", 2.0, /*duration=*/5.0));
-  fault::FleetDetector detector;
+  sim.add_vm(light_vm("mortal", 2.0, /*duration=*/5.0));
   for (int i = 0; i < 45; ++i) sim.step(0.1);  // t = 4.5: alive
-  auto r1 = sim.reader(v);
-  EXPECT_EQ(detector.classify(r1), fault::Health::kHealthy);
+  EXPECT_EQ(health("mortal"), fault::Health::kHealthy);
   for (int i = 0; i < 200; ++i) sim.step(0.1);  // long past the end
-  auto r2 = sim.reader(v);
-  EXPECT_EQ(detector.classify(r2), fault::Health::kDead);
+  EXPECT_EQ(health("mortal"), fault::Health::kDead);
 }
 
 TEST_F(CloudFixture, KilledVmGoesSilentAndRestartResumes) {
@@ -158,26 +161,25 @@ TEST_F(CloudFixture, KilledVmGoesSilentAndRestartResumes) {
   const int bystander = sim.add_vm(light_vm("bystander", 2.0));
   sim.migrate(bystander, 1);
   for (int i = 0; i < 50; ++i) sim.step(0.1);
-  const std::uint64_t beats_at_kill = sim.reader(v).count();
+  const std::uint64_t beats_at_kill = of("victim").total_beats;
   EXPECT_GT(beats_at_kill, 0u);
 
   sim.kill_vm(v);
   EXPECT_TRUE(sim.vm_killed(v));
   for (int i = 0; i < 50; ++i) sim.step(0.1);
   // Silence, zero demand, and a freed machine — but no other announcement.
-  EXPECT_EQ(sim.reader(v).count(), beats_at_kill);
+  EXPECT_EQ(of("victim").total_beats, beats_at_kill);
   EXPECT_DOUBLE_EQ(sim.machine_demand(sim.placement(v)), 0.0);
   EXPECT_EQ(sim.used_machines(), 1);
   EXPECT_FALSE(sim.vm_finished(v));  // frozen mid-phase, not done
 
-  fault::FleetDetector detector;
-  EXPECT_EQ(detector.classify(sim.reader(v)), fault::Health::kDead);
+  EXPECT_EQ(health("victim"), fault::Health::kDead);
 
   sim.restart_vm(v);
   EXPECT_FALSE(sim.vm_killed(v));
   for (int i = 0; i < 100; ++i) sim.step(0.1);
-  EXPECT_GT(sim.reader(v).count(), beats_at_kill);
-  EXPECT_EQ(detector.classify(sim.reader(v)), fault::Health::kHealthy);
+  EXPECT_GT(of("victim").total_beats, beats_at_kill);
+  EXPECT_EQ(health("victim"), fault::Health::kHealthy);
 }
 
 TEST_F(CloudFixture, ConsolidatorLeavesDeadVmsAlone) {
@@ -201,76 +203,66 @@ TEST_F(CloudFixture, ConsolidatorLeavesDeadVmsAlone) {
 
 TEST(CloudSimCtor, Validation) {
   auto clock = std::make_shared<util::ManualClock>();
-  EXPECT_THROW(CloudSim(0, 10.0, clock), std::invalid_argument);
-  EXPECT_THROW(CloudSim(2, 0.0, clock), std::invalid_argument);
+  auto hub = std::make_shared<hub::HeartbeatHub>();
+  EXPECT_THROW(CloudSim(0, 10.0, clock, hub), std::invalid_argument);
+  EXPECT_THROW(CloudSim(2, 0.0, clock, hub), std::invalid_argument);
+  EXPECT_THROW(CloudSim(2, 10.0, clock, nullptr), std::invalid_argument);
 }
 
 // ------------------------------------------------- hub-fed fleet monitoring
 
-TEST_F(CloudFixture, AttachedHubMirrorsVmBeats) {
-  auto hub = std::make_shared<hub::HeartbeatHub>([&] {
-    hub::HubOptions opts;
-    opts.shard_count = 4;
-    opts.window_capacity = 8;  // match the VM channels' default window
-    opts.clock = clock;
-    return opts;
-  }());
-  const int before = sim.add_vm(light_vm("early", 2.0));
-  sim.attach_hub(hub);  // picks up VMs added before AND after
-  const int after = sim.add_vm(light_vm("late", 3.0));
+// Steps of 0.25 s and demands of 2 and 4 units/s keep the work sums exact
+// in binary floating point, so beat counts and rates have closed forms:
+// beats land every 0.5 s and every 0.25 s, and 7 intervals over the last
+// 8 beats give exactly 2 and 4 beats/s.
+TEST_F(CloudFixture, HubRecordsVmBeatsExactly) {
+  sim.add_vm(light_vm("half", 2.0));
+  sim.add_vm(light_vm("quarter", 4.0));
 
-  for (int i = 0; i < 100; ++i) sim.step(0.1);
+  for (int i = 0; i < 100; ++i) sim.step(0.25);  // t = 25 s
 
-  const hub::AppSummary early = hub->summary(hub->id_of("early"));
-  const hub::AppSummary late = hub->summary(hub->id_of("late"));
-  // The hub saw exactly the beats the VM channels emitted, with identical
-  // timestamps, so windowed rates agree bit-for-bit.
-  EXPECT_EQ(early.total_beats, sim.reader(before).count());
-  EXPECT_EQ(late.total_beats, sim.reader(after).count());
-  EXPECT_DOUBLE_EQ(early.rate_bps, sim.reader(before).current_rate(8));
-  EXPECT_DOUBLE_EQ(late.rate_bps, sim.reader(after).current_rate(8));
+  const hub::AppSummary half = of("half");
+  const hub::AppSummary quarter = of("quarter");
+  EXPECT_EQ(half.total_beats, 50u);
+  EXPECT_EQ(quarter.total_beats, 100u);
+  EXPECT_DOUBLE_EQ(half.rate_bps, 2.0);
+  EXPECT_DOUBLE_EQ(quarter.rate_bps, 4.0);
+  EXPECT_EQ(half.last_beat_ns, util::from_seconds(25.0));
   // Targets registered from the VmSpecs.
-  EXPECT_DOUBLE_EQ(early.target.min_bps, 0.9 * 2.0);
+  EXPECT_DOUBLE_EQ(half.target.min_bps, 0.9 * 2.0);
 }
 
 TEST_F(CloudFixture, HubWithDifferentClockStillGetsExactRates) {
-  // Regression: mirrored beats are stamped from the SIM clock, so a hub
-  // holding a different (default monotonic) clock still reports exact
-  // per-VM rates and beat counts.
-  auto hub = std::make_shared<hub::HeartbeatHub>([] {
+  // Regression: beats are stamped from the SIM clock, so a hub holding a
+  // different (default monotonic) clock still reports exact per-VM rates
+  // and beat counts.
+  auto mono_hub = std::make_shared<hub::HeartbeatHub>([] {
     hub::HubOptions opts;
     opts.shard_count = 2;
     opts.window_capacity = 8;
     return opts;  // no clock: defaults to the real MonotonicClock
   }());
-  sim.attach_hub(hub);
-  const int v = sim.add_vm(light_vm("vm", 2.0));
-  for (int i = 0; i < 100; ++i) sim.step(0.1);
+  CloudSim mono_sim(4, /*capacity=*/10.0, clock, mono_hub);
+  mono_sim.add_vm(light_vm("vm", 2.0));
+  for (int i = 0; i < 100; ++i) mono_sim.step(0.25);
 
-  const hub::AppSummary s = hub->summary(hub->id_of("vm"));
-  EXPECT_EQ(s.total_beats, sim.reader(v).count());
-  EXPECT_DOUBLE_EQ(s.rate_bps, sim.reader(v).current_rate(8));
+  const hub::AppSummary s = mono_hub->summary(mono_hub->id_of("vm"));
+  EXPECT_EQ(s.total_beats, 50u);
+  EXPECT_DOUBLE_EQ(s.rate_bps, 2.0);
 }
 
 // The multi-producer stress scenario: a whole fleet beating through one hub,
 // with the consolidator packing machines at the same time. The hub's cluster
-// rollup must track the fleet exactly — no lost beats, coherent rollups —
-// which is what lets one dashboard watch "thousands of producers" instead of
-// one reader per VM.
+// rollup must track the fleet exactly — every ingested beat in exactly one
+// summary, coherent rollups — which is what lets one dashboard watch
+// "thousands of producers" instead of one reader per VM.
 TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
   auto clock = std::make_shared<util::ManualClock>();
-  CloudSim sim(8, /*capacity=*/10.0, clock);
-  auto hub = std::make_shared<hub::HeartbeatHub>([&] {
-    hub::HubOptions opts;
-    opts.shard_count = 4;
-    opts.window_capacity = 8;
-    opts.clock = clock;
-    return opts;
-  }());
-  sim.attach_hub(hub);
+  auto hub = std::make_shared<hub::HeartbeatHub>(
+      test::manual_hub_opts(clock, /*shards=*/4, /*window=*/8));
+  CloudSim sim(8, /*capacity=*/10.0, clock, hub);
 
   constexpr int kVms = 48;
-  std::vector<int> vms;
   for (int i = 0; i < kVms; ++i) {
     // Mixed fleet: demands 0.5 .. 2.0, a third of them phased.
     VmSpec spec;
@@ -283,7 +275,7 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
     }
     spec.work_per_beat = 1.0;
     spec.target_min_bps = demand * 0.9;
-    vms.push_back(sim.add_vm(spec));
+    sim.add_vm(spec);
   }
 
   HeartbeatConsolidator consolidator;
@@ -292,13 +284,10 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
     consolidator.poll(sim);
   }
 
-  // Exactness: every VM's hub summary equals its own channel.
-  std::uint64_t channel_total = 0;
-  for (const int v : vms) {
-    const hub::AppSummary s =
-        hub->summary(hub->id_of("vm-" + std::to_string(v)));
-    EXPECT_EQ(s.total_beats, sim.reader(v).count()) << "vm " << v;
-    channel_total += sim.reader(v).count();
+  // Exactness: the summaries account for every beat the shards applied.
+  std::uint64_t ingested = 0;
+  for (std::size_t i = 0; i < hub->shard_count(); ++i) {
+    ingested += hub->shard(i).stats().ingested;
   }
   // Fleet totals over the live apps' summaries. A rate needs two windowed
   // beats, and an infinite (zero-span) one is no evidence of either.
@@ -312,7 +301,7 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
     if (s.window_beats >= 2 && s.target.contains(s.rate_bps)) ++meeting_target;
   });
   EXPECT_EQ(apps, static_cast<std::uint64_t>(kVms));
-  EXPECT_EQ(total_beats, channel_total);
+  EXPECT_EQ(total_beats, ingested);
   EXPECT_GT(total_beats, 1000u);
   // Aggregate rate is in the ballpark of total served demand (~60 units/s
   // across 8 machines of capacity 10, minus contention).

@@ -420,10 +420,9 @@ TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   // Capacity is deliberately plentiful: no machine ever oversubscribes, so
   // beat patterns stay exactly as injected (contention would add jitter on
   // innocent VMs and muddy the class assertions).
-  cloud::CloudSim sim(25, /*capacity=*/200.0, clock);
   auto hub = std::make_shared<hub::HeartbeatHub>(
       test::manual_hub_opts(clock, /*shards=*/16));
-  sim.attach_hub(hub);
+  cloud::CloudSim sim(25, /*capacity=*/200.0, clock, hub);
 
   constexpr int kVms = 1000;
   std::vector<int> killed, slow, erratic;
@@ -492,12 +491,6 @@ TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   const FleetReport healed =
       test::sweep_until_stable(sim, det, /*max_steps=*/600);
   EXPECT_EQ(healed.fleet.dead, 0u);
-}
-
-TEST(FleetSweepCloud, FleetHealthRequiresAnAttachedHub) {
-  auto clock = std::make_shared<util::ManualClock>();
-  cloud::CloudSim sim(2, 10.0, clock);
-  EXPECT_THROW(sim.fleet_health(FleetDetector{}), std::logic_error);
 }
 
 // ------------------------------------------- scheduler integration (dead)

@@ -286,7 +286,9 @@ TEST(PolicyFlap, SlowEdgesInsideWindowNeverQuarantine) {
 struct RestartFixture : ::testing::Test {
   std::shared_ptr<util::ManualClock> clock =
       std::make_shared<util::ManualClock>();
-  cloud::CloudSim sim{4, /*capacity=*/100.0, clock};
+  std::shared_ptr<hub::HeartbeatHub> hub =
+      std::make_shared<hub::HeartbeatHub>();
+  cloud::CloudSim sim{4, /*capacity=*/100.0, clock, hub};
 
   int add_vm(const std::string& name) {
     cloud::VmSpec spec;
@@ -460,15 +462,11 @@ TEST_F(RestartFixture, RefillNeverBanksCreditsAboveTheBudget) {
   EXPECT_TRUE(sim.vm_killed(v));
 }
 
-TEST_F(RestartFixture, SetMonitorRequiresAttachedHub) {
-  auto hub = std::make_shared<hub::HeartbeatHub>();
-  EXPECT_THROW(sim.set_monitor(std::make_shared<Monitor>(hub)),
-               std::logic_error);
+TEST_F(RestartFixture, SetMonitorRejectsForeignHub) {
   // A monitor on another hub would sweep a fleet that never beats.
-  sim.attach_hub(std::make_shared<hub::HeartbeatHub>());
-  EXPECT_THROW(sim.set_monitor(std::make_shared<Monitor>(hub)),
+  EXPECT_THROW(sim.set_monitor(std::make_shared<Monitor>(
+                   std::make_shared<hub::HeartbeatHub>())),
                std::logic_error);
-  sim.attach_hub(hub);
   EXPECT_NO_THROW(sim.set_monitor(std::make_shared<Monitor>(hub)));
 }
 
