@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cloud/cloud_sim.hpp"
 #include "fault/fleet_detector.hpp"
