@@ -25,12 +25,17 @@ CloudSim::CloudSim(int machines, double machine_capacity,
 }
 
 int CloudSim::add_vm(VmSpec spec) {
+  // Before the hub registers it: two VMs of one name would feed one app.
+  if (vm_by_name_.contains(spec.name)) {
+    throw std::invalid_argument("CloudSim: VM name '" + spec.name +
+                                "' is already in use");
+  }
   hub_ids_.push_back(hub_->register_app(
       spec.name, core::TargetRate{spec.target_min_bps,
                                   std::numeric_limits<double>::infinity()}));
   vms_.push_back(Vm{.spec = std::move(spec)});
   const int id = static_cast<int>(vms_.size()) - 1;
-  vm_by_name_.emplace(vms_.back().spec.name, id);  // first name wins
+  vm_by_name_.emplace(vms_.back().spec.name, id);
   // First-fit by demand headroom: one O(V) load pass then an O(M) machine
   // scan. (A per-machine machine_demand() rescan made fleet spinup
   // quadratic; scenario perf machines place tens of thousands of VMs.)

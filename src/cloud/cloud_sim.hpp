@@ -62,7 +62,8 @@ class CloudSim {
 
   /// Register the VM with the hub as an app named by its VmSpec, target
   /// [target_min_bps, inf), and place it on the first machine with room.
-  /// VM names should be unique — the hub keys apps by name.
+  /// Throws std::invalid_argument, before registering anything, for a
+  /// name another VM holds: the hub keys apps by name.
   int add_vm(VmSpec spec);
 
   int total_machines() const { return num_machines_; }

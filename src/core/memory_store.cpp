@@ -16,11 +16,9 @@ std::uint64_t MemoryStore::append(const HeartbeatRecord& rec) {
   HeartbeatRecord stamped = rec;
   stamped.seq = buf_.total_pushed();
   // Producers stamp their clock before taking this lock, so two racing
-  // beats can arrive with timestamps opposing their sequence order. Clamp
-  // to keep history monotone in seq order — observers' windowed-rate math
-  // (t_last - t_first over last-n records) assumes it, and the racing
-  // beats genuinely happened "at the same time" as far as the channel can
-  // tell. Same zero-interval convention as the hub's ingest path.
+  // beats can arrive with timestamps opposing their sequence order. The
+  // window rule (util::BeatWindow::push) raises a stamp to the newest
+  // beat's, and so does history: it stays monotone in seq order.
   if (!buf_.empty() && stamped.timestamp_ns < buf_.back(0).timestamp_ns) {
     stamped.timestamp_ns = buf_.back(0).timestamp_ns;
   }

@@ -50,7 +50,8 @@ class HeartbeatReader {
 
   /// Nanoseconds since the last beat (monotone increasing between beats).
   /// The liveness signal: a hung or dead application stops beating
-  /// (paper, Sections 2.3, 2.4, 2.6).
+  /// (paper, Sections 2.3, 2.4, 2.6). A beat stamped in the future reads
+  /// 0; a gap past INT64_MAX reads INT64_MAX.
   util::TimeNs staleness_ns() const;
 
   /// True if the current rate is within the producer's target range.

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/rate.hpp"
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/exact_moments.hpp"
+#include "util/beat_window.hpp"
 
 namespace hb::fault {
 
@@ -45,26 +44,21 @@ const char* to_string(Health h) {
 }
 
 hub::AppSummary summarize(const core::HeartbeatReader& reader) {
-  const auto history = reader.history(kReaderWindow);
+  // The hub's window step, so the same beats read the same from a reader
+  // and from a hub.
+  util::BeatWindow window(kReaderWindow);
+  for (const core::HeartbeatRecord& rec : reader.history(kReaderWindow)) {
+    window.push(rec.timestamp_ns);
+  }
+  const util::WindowSummary w = window.summary();
   hub::AppSummary s;
   s.total_beats = reader.count();
   s.staleness_ns = reader.staleness_ns();
-  s.window_beats = history.size();
-  s.rate_bps = core::window_rate(history);
+  s.window_beats = w.beats;
+  s.rate_bps = w.rate_bps;
   s.target = reader.target();
-  // Mean and population stddev of the intervals, clamped and accumulated
-  // exactly as HubShard::apply_locked does, so the same beats get the same
-  // jitter verdict from a reader and from a hub.
-  util::ExactMoments intervals;
-  for (std::size_t i = 1; i < history.size(); ++i) {
-    const util::TimeNs prev_ns = history[i - 1].timestamp_ns;
-    const util::TimeNs ns = history[i].timestamp_ns;
-    intervals.add(ns > prev_ns ? static_cast<std::uint64_t>(ns) -
-                                     static_cast<std::uint64_t>(prev_ns)
-                               : 0);
-  }
-  s.interval_mean_ns = intervals.mean();
-  s.interval_stddev_ns = intervals.stddev();
+  s.interval_mean_ns = w.interval_mean_ns;
+  s.interval_stddev_ns = w.interval_stddev_ns;
   return s;
 }
 

@@ -113,10 +113,11 @@ struct FleetReport {
 int print_fleet_report(std::FILE* out, const FleetReport& report);
 
 /// One producer's recent beats as a hub shard would summarize them: its
-/// last 16 beats, the core (n-1)/span rate, and the mean and population
-/// stddev of their intervals, a backward interval clamped to 0 as
-/// HubShard::apply_locked clamps it. Staleness is the reader's. Name and
-/// id stay empty: a reader knows neither.
+/// last 16 beats folded through a util::BeatWindow, the hub's window step
+/// (a backward stamp raised to the newest beat), which gives the window's
+/// beats, (n-1)/span rate, and the mean and population stddev of its
+/// intervals. Staleness is the reader's. Name and id stay empty: a reader
+/// knows neither.
 hub::AppSummary summarize(const core::HeartbeatReader& reader);
 
 /// Stateless verdict math over hub summaries. Thread-safe: sweep() and

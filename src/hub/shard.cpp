@@ -1,13 +1,11 @@
 #include "hub/shard.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/time.hpp"
 
 namespace hb::hub {
 
@@ -201,21 +199,24 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
     }
     AppState& app = apps_[k];
     const util::TimeNs staleness = maintain_locked(app, now);
-    if (app.dirty) refresh_locked(app);
+    if (app.dirty) {
+      app.summary = app.window.summary();
+      app.dirty = false;
+    }
     AppSummary& s = next->apps[k];
     if (k >= named) {
       s.name = names_[k];
       s.id = make_app_id(index_, static_cast<std::uint32_t>(k));
     }
     s.total_beats = app.total_beats;
-    s.window_beats = app.window.size();
-    s.rate_bps = app.rate_bps;
-    s.last_beat_ns = app.last_beat_ns;
+    s.window_beats = app.summary.beats;
+    s.rate_bps = app.summary.rate_bps;
+    s.last_beat_ns = app.window.newest_ns();
     s.staleness_ns = staleness;
     s.evicted = app.evicted;
     s.target = app.target;
-    s.interval_mean_ns = app.interval_mean_ns;
-    s.interval_stddev_ns = app.interval_stddev_ns;
+    s.interval_mean_ns = app.summary.interval_mean_ns;
+    s.interval_stddev_ns = app.summary.interval_stddev_ns;
   }
   state_dirty_ = false;
 
@@ -244,8 +245,8 @@ ShardStats HubShard::stats() const {
 util::TimeNs HubShard::maintain_locked(AppState& app, util::TimeNs now) {
   // Staleness since the last beat, or since registration for an app that
   // has not beaten yet ("registered and silent since it appeared").
-  const util::TimeNs since =
-      app.last_beat_ns > 0 ? app.last_beat_ns : app.born_ns;
+  const util::TimeNs last_beat_ns = app.window.newest_ns();
+  const util::TimeNs since = last_beat_ns > 0 ? last_beat_ns : app.born_ns;
   const util::TimeNs staleness = now > since ? now - since : 0;
   if (config_.evict_after_ns > 0 && !app.evicted &&
       staleness > config_.evict_after_ns) {
@@ -256,25 +257,9 @@ util::TimeNs HubShard::maintain_locked(AppState& app, util::TimeNs now) {
 
 void HubShard::evict_locked(AppState& app) {
   app.window.clear();
-  app.moments.clear();
   app.evicted = true;
   app.dirty = true;
 }
-
-namespace {
-
-/// Interval between a beat and the one before it. Out-of-order or
-/// same-tick beats clamp to a zero interval rather than wrapping; the rate
-/// math keeps its own zero-span convention. The difference is taken
-/// unsigned: producer timestamps are untrusted and may span more than
-/// INT64_MAX.
-std::uint64_t interval_between(util::TimeNs prev_ns, util::TimeNs next_ns) {
-  return next_ns > prev_ns ? static_cast<std::uint64_t>(next_ns) -
-                                 static_cast<std::uint64_t>(prev_ns)
-                           : 0;
-}
-
-}  // namespace
 
 void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
   // Group prefetching: while run i is applied, run i + kApplyFetchAhead
@@ -290,8 +275,8 @@ void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
     }
     if (i + kWindowFetchAhead < n) {
       // The window slot that run's first beat overwrites. Once the window
-      // is full it is the oldest beat, and the retirement's back(n - 2) is
-      // the slot after it: one line serves both 7 times in 8. Inline on
+      // is full it is the oldest beat, which the retirement reads with the
+      // slot after it: one line serves both 7 times in 8. Inline on
       // purpose: GCC deletes a call to a function holding only a prefetch.
       const std::uint32_t slot = app_id_slot(runs[i + kWindowFetchAhead].id);
       __builtin_prefetch(apps_[slot].window.next_slot(), 1);
@@ -313,53 +298,10 @@ void HubShard::apply_locked(std::uint32_t slot, util::TimeNs timestamp_ns) {
   AppState& app = apps_[slot];
   ++app.total_beats;
   app.evicted = false;  // any beat revives an evicted app
-  const util::TimeNs newest_ns = app.last_beat_ns;
-  app.last_beat_ns = timestamp_ns;
-
-  const std::size_t n = app.window.size();
-  if (n == app.window.capacity()) {
-    // The push below overwrites the oldest beat: retire the interval that
-    // joined it to the next-oldest beat (a window holds at least two),
-    // which becomes the oldest.
-    const util::TimeNs next_oldest = app.window.back(n - 2);
-    app.moments.remove(interval_between(app.oldest_ns, next_oldest));
-    app.oldest_ns = next_oldest;
-  }
-  if (n > 0) {
-    // The interval since the newest beat, which last_beat_ns held.
-    app.moments.add(interval_between(newest_ns, timestamp_ns));
-  } else {
-    // After eviction the window is empty and the first new beat starts
-    // fresh: the silent gap is staleness, not an interval.
-    app.oldest_ns = timestamp_ns;
-  }
+  // After eviction the window is empty and this beat starts it afresh:
+  // the silent gap is staleness, not an interval.
   app.window.push(timestamp_ns);
   app.dirty = true;
-}
-
-void HubShard::refresh_locked(AppState& app) {
-  // Windowed rate, same (n-1)/span semantics as core::window_rate, over
-  // the whole window: its ends are oldest_ns and last_beat_ns, so no
-  // window line is read.
-  const std::size_t have = app.window.size();
-  if (have < 2) {
-    app.rate_bps = 0.0;
-  } else {
-    // Unsigned, like every interval: untrusted timestamps may span more
-    // than INT64_MAX. A disordered window's span clamps to 0.
-    const std::uint64_t span = interval_between(app.oldest_ns, app.last_beat_ns);
-    app.rate_bps = span > 0 ? static_cast<double>(have - 1) /
-                                  (static_cast<double>(span) /
-                                   static_cast<double>(util::kNsPerSec))
-                            : std::numeric_limits<double>::infinity();
-  }
-
-  // The moments hold the window's have - 1 intervals: both read 0 below
-  // two beats. Population stddev — the jitter signal ("slow or erratic
-  // heartbeats", paper Section 2.6).
-  app.interval_mean_ns = app.moments.mean();
-  app.interval_stddev_ns = app.moments.stddev();
-  app.dirty = false;
 }
 
 }  // namespace hb::hub

@@ -19,26 +19,26 @@
 //   copies.
 //
 // Window statistics are maintained per beat, so a publish does O(1) work
-// per changed app. Applying a beat updates the app's exact integer sum
-// and sum of squares of its windowed intervals, and the window's oldest
-// timestamp; a refresh reads the mean and stddev off the sums and the
-// rate off the oldest and newest timestamps. A run (one app's consecutive
-// beats) is applied beat by beat, in order, with the one-beat step. The
-// shard keeps nothing that no reader reads: no interval bounds,
-// percentiles or rollups.
+// per changed app. Each app holds a util::BeatWindow, the one window step
+// the reader side (fault::summarize) shares: a beat is pushed with its
+// stamp raised to the window's newest, the exact moments of the window's
+// intervals follow, and a refresh reads the rate, mean and stddev off the
+// moments (their exact sum is the monotone window's span). A run (one
+// app's consecutive beats) is applied beat by beat, in order. The shard
+// keeps nothing that no reader reads: no interval bounds, percentiles or
+// rollups.
 //
 // Per-app layout. An app keeps only what a reader reads: 8 bytes per
 // windowed beat plus one 192-byte AppState, three cache lines (2.2 KB in
 // all at the default window of 256 beats):
 //   * the window: a ring of beat timestamps, written by apply and read by
-//     nobody else: its intervals are its consecutive timestamp pairs, so
-//     the interval a push retires is derived from the two oldest beats;
-//   * the window's ends, copied out: the newest beat (last_beat_ns) and
-//     the oldest (oldest_ns);
-//   * the exact moments.
-// The fields a beat's apply touches fill the app's first two cache lines,
-// and the beat writes one window line besides; the third holds the
-// target, the registration time and the cached rate, mean and stddev.
+//     nobody else (the interval a push retires is derived from the two
+//     oldest beats), its newest beat (the summary's last_beat_ns, kept
+//     across eviction as the staleness basis) and its exact moments;
+//   * the cached summary a refresh derives from them.
+// The fields a beat's apply touches fit in the app's first two cache lines,
+// and the beat writes one window line besides; the rest hold the target,
+// the registration time and the cached summary.
 // Names live in a per-shard column beside the apps. A publish reads each
 // app's three lines, and a name only for a slot its buffer lacks, and
 // assembles the AppSummary from them: it touches no window line.
@@ -68,9 +68,8 @@
 #include "hub/snapshot.hpp"
 #include "hub/summary.hpp"
 #include "util/clock.hpp"
-#include "util/exact_moments.hpp"
+#include "util/beat_window.hpp"
 #include "util/mutex.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace hb::hub {
@@ -136,17 +135,12 @@ class HubShard {
 
  private:
   /// Cache-line aligned, so the fields apply touches (total_beats through
-  /// moments) span exactly the app's first two lines.
+  /// window) span exactly the app's first two lines.
   struct alignas(64) AppState {
     std::uint64_t total_beats = 0;
-    util::TimeNs last_beat_ns = 0;  ///< survives eviction (staleness basis)
-    /// The window's oldest beat; meaningful while the window is non-empty.
-    util::TimeNs oldest_ns = 0;
-    util::RingBuffer<util::TimeNs> window;  ///< beat timestamps
     bool evicted = false;
     bool dirty = false;  ///< applied to since the last refresh
-    /// Exactly the window's intervals: their mean and stddev.
-    util::ExactMoments moments;
+    util::BeatWindow window;
     // End of the fields apply touches.
     core::TargetRate target;
     /// Registration time on the hub clock: the staleness baseline until the
@@ -154,10 +148,8 @@ class HubShard {
     /// clock (epoch = boot) would read as stale for the whole uptime and be
     /// instantly auto-evicted / classified dead.
     util::TimeNs born_ns = 0;
-    /// What a refresh derives: the windowed rate and interval moments.
-    double rate_bps = 0.0;
-    double interval_mean_ns = 0.0;
-    double interval_stddev_ns = 0.0;
+    /// What a refresh derives from the window.
+    util::WindowSummary summary;
 
     explicit AppState(const ShardConfig& config)
         : window(config.window_capacity) {}
@@ -166,7 +158,7 @@ class HubShard {
   /// exactly these.
   static constexpr std::size_t kApplyBytes = 128;
   static_assert(std::is_standard_layout_v<AppState>);
-  static_assert(offsetof(AppState, moments) + sizeof(util::ExactMoments) <=
+  static_assert(offsetof(AppState, window) + sizeof(util::BeatWindow) <=
                     kApplyBytes,
                 "the fields apply touches fit the app's first two lines");
   static_assert(sizeof(AppState) <= 192, "an app's state fits 3 lines");
@@ -175,11 +167,10 @@ class HubShard {
   /// runs ahead.
   void apply_runs_locked(std::span<const AppRun> runs) HB_REQUIRES(state_mu_);
   /// Prefetch the lines apply_locked touches first: the app's leading
-  /// kApplyBytes, total_beats through moments.
+  /// kApplyBytes, total_beats through window.
   void prefetch_app_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
   void apply_locked(std::uint32_t slot, util::TimeNs timestamp_ns)
       HB_REQUIRES(state_mu_);
-  void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Throws out_of_range unless `slot` is registered here.
   void check_slot_locked(std::uint32_t slot) const HB_REQUIRES(state_mu_);
   /// Per-app time maintenance: auto-evict past evict_after_ns. Returns the

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "cloud/cloud_sim.hpp"
@@ -206,6 +207,16 @@ TEST(CloudSimCtor, Validation) {
   EXPECT_THROW(CloudSim(0, 10.0, clock, hub), std::invalid_argument);
   EXPECT_THROW(CloudSim(2, 0.0, clock, hub), std::invalid_argument);
   EXPECT_THROW(CloudSim(2, 10.0, clock, nullptr), std::invalid_argument);
+}
+
+TEST_F(CloudFixture, DuplicateVmNameIsRejectedBeforeTheHubSeesIt) {
+  // Two VMs under one name would feed one hub app, and a killed one would
+  // hide behind the live one's beats.
+  sim.add_vm(light_vm("dup"));
+  EXPECT_THROW(sim.add_vm(light_vm("dup")), std::invalid_argument);
+  EXPECT_EQ(sim.vm_count(), 1u);
+  EXPECT_EQ(hub->app_count(), 1u);
+  EXPECT_EQ(sim.add_vm(light_vm("other")), 1);
 }
 
 // ------------------------------------------------- hub-fed fleet monitoring

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 
@@ -65,6 +66,24 @@ TEST(WindowRate, SubSecondRates) {
   // 2 beats 100s apart: 0.01 beats/s (streamcluster territory, Table 2).
   const auto recs = at_times({0, 100 * kNsPerSec});
   EXPECT_DOUBLE_EQ(window_rate(recs), 0.01);
+}
+
+// Producer stamps are untrusted: the span between any two int64 stamps is
+// taken unsigned, never overflowing.
+TEST(WindowRate, SpanAcrossTheWholeInt64RangeIsExact) {
+  constexpr util::TimeNs kMin = std::numeric_limits<util::TimeNs>::min();
+  constexpr util::TimeNs kMax = std::numeric_limits<util::TimeNs>::max();
+  const double full_span_s =
+      static_cast<double>(std::numeric_limits<std::uint64_t>::max()) /
+      static_cast<double>(kNsPerSec);
+  EXPECT_EQ(window_rate(at_times({kMin, kMax})), 1.0 / full_span_s);
+  EXPECT_EQ(window_rate(at_times({kMin, 0, kMax})), 2.0 / full_span_s);
+  EXPECT_EQ(window_rate(at_times({-1, kMax})),
+            1.0 / (static_cast<double>(std::uint64_t{1} << 63) /
+                   static_cast<double>(kNsPerSec)));
+  // A backward window reads as a zero span, however far back.
+  EXPECT_TRUE(std::isinf(window_rate(at_times({kMax, kMin}))));
+  EXPECT_TRUE(std::isinf(window_rate(at_times({0, kMin}))));
 }
 
 // Property sweep: for any (count, interval) grid the computed rate matches

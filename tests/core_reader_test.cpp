@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/heartbeat.hpp"
@@ -73,6 +74,34 @@ TEST_F(ReaderFixture, StalenessGrowsBetweenBeats) {
 TEST_F(ReaderFixture, StalenessWithNoBeatsIsClockNow) {
   clock->advance(777);
   EXPECT_EQ(reader.staleness_ns(), 777);
+}
+
+// The last stamp is untrusted: staleness never reads negative for a
+// future stamp, and a gap past INT64_MAX saturates instead of overflowing.
+TEST(Reader, StalenessOfAnUntrustedStampIsClampedAndSaturated) {
+  constexpr util::TimeNs kMin = std::numeric_limits<util::TimeNs>::min();
+  constexpr util::TimeNs kMax = std::numeric_limits<util::TimeNs>::max();
+  struct Row {
+    util::TimeNs stamp;
+    util::TimeNs now;
+    util::TimeNs staleness;
+  };
+  const Row rows[] = {
+      {1000, 400, 0},       // stamped in the future
+      {kMax, 0, 0},         // the far future
+      {kMax, kMin, 0},
+      {-5, 5, 10},          // an ordinary gap across zero
+      {kMin, -1, kMax},     // the widest gap that fits
+      {kMin, 0, kMax},      // 2^63: saturates
+      {kMin, kMax, kMax},   // 2^64 - 1: saturates
+  };
+  for (const Row& row : rows) {
+    auto store = std::make_shared<MemoryStore>(4, 2);
+    store->append(HeartbeatRecord{.timestamp_ns = row.stamp});
+    auto clock = std::make_shared<util::ManualClock>(row.now);
+    EXPECT_EQ(HeartbeatReader(store, clock).staleness_ns(), row.staleness)
+        << row.stamp << " at " << row.now;
+  }
 }
 
 TEST_F(ReaderFixture, MeetingTarget) {

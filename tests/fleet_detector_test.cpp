@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/cloud_sim.hpp"
@@ -148,10 +149,12 @@ TEST(FleetClassify, EmptyWindowAfterAgingIsWarmingUpNotSlow) {
 
 TEST(FleetClassify, ReaderAndHubAgree) {
   // The same beats, appended to a registry segment (ShmStore, the store
-  // hbmon show reads) and ingested by a hub under one clock, must give the
-  // same summary, field by field, and so the same verdict, whichever way
-  // they are observed. The segment keeps each timestamp as stamped, as
-  // the hub does, so a backward one reaches summarize() unchanged.
+  // hbmon show reads) and to an in-process MemoryStore, and ingested by a
+  // hub under one clock, must give the same summary, field by field, and
+  // so the same verdict, whichever way they are observed. A backward
+  // timestamp reaches summarize() as stamped from the segment and already
+  // raised from the MemoryStore; the hub raises it on push. All three
+  // read it alike.
   struct Row {
     const char* name;
     double target_min;
@@ -172,8 +175,8 @@ TEST(FleetClassify, ReaderAndHubAgree) {
   for (int i = 0; i < 9; ++i) {
     borderline.push_back(i % 2 == 0 ? 120 * kNsPerMs : 10 * kNsPerMs);
   }
-  // Beat 5 is stamped 30 ms before beat 4: both sides clamp that interval
-  // to 0 and measure the next one from the backward beat.
+  // Beat 5 is stamped 30 ms before beat 4: every side raises it to beat
+  // 4 (a zero interval) and measures the next interval from beat 4.
   std::vector<util::TimeNs> backward = repeat(10, 100 * kNsPerMs);
   backward[4] = -30 * kNsPerMs;
   const Row rows[] = {
@@ -196,6 +199,8 @@ TEST(FleetClassify, ReaderAndHubAgree) {
     auto clock = std::make_shared<util::ManualClock>();
     auto store = transport::ShmStore::create(file, row.name, 256, 16);
     store->set_target({row.target_min, inf});
+    auto memory = std::make_shared<core::MemoryStore>(256, 16);
+    memory->set_target({row.target_min, inf});
     hub::HeartbeatHub hub(test::manual_hub_opts(clock));
     const hub::AppId id = hub.register_app(row.name, {row.target_min, inf});
     util::TimeNs t = 0;
@@ -203,6 +208,7 @@ TEST(FleetClassify, ReaderAndHubAgree) {
       t += interval;
       clock->set(std::max(clock->now(), t));
       store->append(core::HeartbeatRecord{.timestamp_ns = t});
+      memory->append(core::HeartbeatRecord{.timestamp_ns = t});
       hub.ingest(id, t);
     }
     clock->advance(row.silence);
@@ -210,13 +216,19 @@ TEST(FleetClassify, ReaderAndHubAgree) {
     const hub::AppSummary from_reader =
         summarize(core::HeartbeatReader(store, clock));
     const hub::AppSummary from_hub = hub.summary(id);
-    EXPECT_EQ(from_reader.total_beats, from_hub.total_beats) << row.name;
-    EXPECT_EQ(from_reader.window_beats, from_hub.window_beats) << row.name;
-    EXPECT_EQ(from_reader.rate_bps, from_hub.rate_bps) << row.name;
-    EXPECT_EQ(from_reader.interval_mean_ns, from_hub.interval_mean_ns)
-        << row.name;
-    EXPECT_EQ(from_reader.interval_stddev_ns, from_hub.interval_stddev_ns)
-        << row.name;
+    const std::pair<const char*, hub::AppSummary> others[] = {
+        {"hub", from_hub},
+        {"MemoryStore", summarize(core::HeartbeatReader(memory, clock))}};
+    for (const auto& [side, other] : others) {
+      SCOPED_TRACE(side);
+      EXPECT_EQ(from_reader.total_beats, other.total_beats) << row.name;
+      EXPECT_EQ(from_reader.window_beats, other.window_beats) << row.name;
+      EXPECT_EQ(from_reader.rate_bps, other.rate_bps) << row.name;
+      EXPECT_EQ(from_reader.interval_mean_ns, other.interval_mean_ns)
+          << row.name;
+      EXPECT_EQ(from_reader.interval_stddev_ns, other.interval_stddev_ns)
+          << row.name;
+    }
     // Jitter is zero exactly when every interval after the lead-in is the
     // same: steady beats read none, erratic ones some.
     const bool steady =

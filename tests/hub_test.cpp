@@ -304,9 +304,9 @@ TEST(HubRates, WindowedRateMatchesCoreSemantics) {
 }
 
 TEST(HubRates, RateSpanRestartsAfterEvictAndRevive) {
-  // The rate spans the window's oldest beat to its newest, both kept
-  // beside the window. An eviction empties the window, so the span after a
-  // revive starts at the first new beat, never at the old oldest.
+  // The rate's span is the exact sum of the window's intervals. An
+  // eviction empties the window, so the span after a revive starts at the
+  // first new beat, never at the old oldest.
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
@@ -329,16 +329,19 @@ TEST(HubRates, RateSpanRestartsAfterEvictAndRevive) {
   EXPECT_EQ(s.window_beats, 2u);
   EXPECT_DOUBLE_EQ(s.rate_bps, 2.0);  // 1 interval over 0.5 s
 
-  // A beat older than the window's oldest: the span clamps as core's does.
+  // A beat older than the window's oldest is raised to the newest beat:
+  // a zero interval, so the span stands and the rate reads core's rule
+  // over the raised window.
   hub.ingest(id, 99 * kNsPerSec);
   std::vector<core::HeartbeatRecord> window(3);
   window[0].timestamp_ns = 100 * kNsPerSec;
   window[1].timestamp_ns = 100 * kNsPerSec + kNsPerSec / 2;
-  window[2].timestamp_ns = 99 * kNsPerSec;
+  window[2].timestamp_ns = 100 * kNsPerSec + kNsPerSec / 2;
   s = hub.summary(id);
   EXPECT_EQ(s.window_beats, 3u);
   EXPECT_EQ(s.rate_bps, core::window_rate(window));
-  EXPECT_TRUE(std::isinf(s.rate_bps));
+  EXPECT_EQ(s.rate_bps, 4.0);  // 2 intervals over 0.5 s
+  EXPECT_EQ(s.last_beat_ns, window[2].timestamp_ns);
 }
 
 TEST(HubRates, FewerThanTwoBeatsIsZeroRate) {
@@ -467,15 +470,21 @@ TEST(HubTimeWindow, MeanForgetsHugeIntervalsThatLeftTheWindow) {
   // subtracted from forever. Intervals near 2^55 ns round in it, and the
   // residue outlived them: after 4000 such beats a window of three 1000 ns
   // intervals read a mean of about -4320 ns. The mean is now the exact
-  // integer sum over the count, so it is exactly 1000.
+  // integer sum over the count, so it is exactly 1000. Here 1000 jumps of
+  // 2^53 + 1 ns, odd sums no double above 2^53 holds, pass through it.
   auto clock = std::make_shared<util::ManualClock>();
   HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
-  for (util::TimeNs i = 0; i < 4000; ++i) {
-    // Even beats jump ~2^55 + 2i ns ahead; odd beats step back (interval 0).
-    hub.ingest(id, i % 2 == 0 ? (util::TimeNs{1} << 55) + 3 * i : i);
+  util::TimeNs newest = 0;
+  for (util::TimeNs i = 0; i < 2000; ++i) {
+    // Even beats jump 2^53 + 1 ns ahead; odd beats step back and are
+    // raised to the newest beat (interval 0).
+    if (i % 2 == 0) newest = (i / 2) * ((util::TimeNs{1} << 53) + 1);
+    hub.ingest(id, i % 2 == 0 ? newest : i);
   }
-  for (util::TimeNs i = 0; i < 8; ++i) hub.ingest(id, kNsPerSec + 1000 * i);
+  for (util::TimeNs i = 1; i <= 8; ++i) {
+    hub.ingest(id, newest + kNsPerSec + 1000 * i);
+  }
   const AppSummary s = hub.summary(id);
   EXPECT_EQ(s.interval_mean_ns, 1000.0);
   EXPECT_EQ(s.interval_stddev_ns, 0.0);

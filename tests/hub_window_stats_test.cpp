@@ -9,8 +9,10 @@
 //   * monotone drift up and down: every push retires the window's
 //     smallest (resp. largest) interval, so no retired interval cancels
 //     the one added with it;
-//   * out-of-order and repeated timestamps (zero intervals);
-//   * intervals near 2^63, whose squares overflow 128-bit sums;
+//   * backward and repeated timestamps: each is raised to the window's
+//     newest beat (a zero interval), and the next interval is measured
+//     from that beat;
+//   * intervals near 2^63, whose squares need 128-bit sums;
 //   * explicit and staleness-driven evictions, revivals, and set_target;
 //   * runs of one app's beats, applied in one call, at every length that
 //     meets the window differently (HubRuns).
@@ -53,9 +55,24 @@ struct App {
   Stream stream;
   AppId id = 0;
   util::TimeNs born_ns = 0;
-  util::TimeNs last_ts = 0;  ///< newest timestamp emitted (the staleness basis)
+  util::TimeNs last_ts = 0;  ///< latest timestamp emitted, as stamped
+  /// The window's newest beat, kept across eviction: the staleness basis.
+  util::TimeNs newest_ns = 0;
   std::uint64_t beats = 0;   ///< emitted so far; drives the drift streams
-  std::deque<core::HeartbeatRecord> window;  ///< oldest first
+  /// Oldest first, each stamp raised to the newest beat before it.
+  std::deque<core::HeartbeatRecord> window;
+
+  /// The model of one beat: stamped `ts`, raised to the newest beat while
+  /// the window holds any, and the oldest retired past `capacity`.
+  void push(util::TimeNs ts, std::size_t capacity) {
+    last_ts = ts;
+    if (!window.empty()) ts = std::max(ts, window.back().timestamp_ns);
+    newest_ns = ts;
+    core::HeartbeatRecord rec;
+    rec.timestamp_ns = ts;
+    window.push_back(rec);
+    if (window.size() > capacity) window.pop_front();
+  }
   core::TargetRate target;
   bool evicted = false;
 };
@@ -73,13 +90,16 @@ util::TimeNs next_timestamp(App& app, util::TimeNs base, util::Rng& rng) {
     case Stream::kDriftDown:
       return app.last_ts + 1'000'000'000 - 7 * k;
     case Stream::kDisordered:
-      // Back, repeat, or forward: a third of the intervals clamp to zero.
-      return app.last_ts + static_cast<util::TimeNs>(rng.next_below(3)) *
+      // Back, repeat, or forward by one or two ticks from the last stamp:
+      // about half the intervals read zero, and the one after a backward
+      // stamp is measured from the newest beat, not from that stamp.
+      return app.last_ts + static_cast<util::TimeNs>(rng.next_below(4)) *
                                kTick - kTick;
     case Stream::kHuge: {
-      // Alternate between the two ends of [-2^62, 2^62): the upward steps
-      // are intervals of 2^63-1 minus a small jitter (up to INT64_MAX), the
-      // downward ones clamp to 0.
+      // Alternate between the two ends of [-2^62, 2^62): the first upward
+      // step of a fresh window is an interval of 2^63-1 minus a small
+      // jitter (up to INT64_MAX); every later stamp is raised to the
+      // newest beat, so it reads 0 or a few ns.
       const auto jitter = static_cast<util::TimeNs>(rng.next_below(4));
       constexpr util::TimeNs kHalf = util::TimeNs{1} << 62;
       return k % 2 == 0 ? -kHalf + jitter : kHalf - 1 - jitter;
@@ -91,11 +111,9 @@ util::TimeNs next_timestamp(App& app, util::TimeNs base, util::Rng& rng) {
 std::vector<std::uint64_t> intervals_of(const App& app) {
   std::vector<std::uint64_t> out;
   for (std::size_t i = 1; i < app.window.size(); ++i) {
-    const util::TimeNs prev = app.window[i - 1].timestamp_ns;
-    const util::TimeNs cur = app.window[i].timestamp_ns;
-    out.push_back(cur > prev ? static_cast<std::uint64_t>(cur) -
-                                   static_cast<std::uint64_t>(prev)
-                             : 0);
+    // The window is monotone: each difference is exact, taken unsigned.
+    out.push_back(static_cast<std::uint64_t>(app.window[i].timestamp_ns) -
+                  static_cast<std::uint64_t>(app.window[i - 1].timestamp_ns));
   }
   return out;
 }
@@ -187,14 +205,11 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
   }
 
   void beat(App& app) {
-    core::HeartbeatRecord rec;
-    rec.timestamp_ns = next_timestamp(app, clock_->now(), rng_);
-    hub_->ingest(app.id, rec.timestamp_ns);
-    app.last_ts = rec.timestamp_ns;
+    const util::TimeNs ts = next_timestamp(app, clock_->now(), rng_);
+    hub_->ingest(app.id, ts);
+    app.push(ts, GetParam().window);
     ++app.beats;
     app.evicted = false;
-    app.window.push_back(rec);
-    if (app.window.size() > GetParam().window) app.window.pop_front();
   }
 
   /// Publish, apply the staleness eviction rule to the model exactly as
@@ -205,7 +220,8 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
     for (App& app : apps_) {
       // Same basis as the hub: the newest beat, or registration before
       // the first positive timestamp.
-      const util::TimeNs since = app.last_ts > 0 ? app.last_ts : app.born_ns;
+      const util::TimeNs since =
+          app.newest_ns > 0 ? app.newest_ns : app.born_ns;
       const util::TimeNs staleness = now > since ? now - since : 0;
       if (GetParam().evict_after_ns > 0 && !app.evicted &&
           staleness > GetParam().evict_after_ns) {
@@ -269,7 +285,8 @@ INSTANTIATE_TEST_SUITE_P(
 // the same run wrote), and lapping it three times — must leave the same
 // summary as a from-scratch recompute, whether the run starts on an empty,
 // a partly full or a full window, or revives an evicted app. Timestamps
-// inside a run repeat and go backwards, so their intervals clamp to 0.
+// inside a run repeat and go backwards, so they are raised to the newest
+// beat and their intervals read 0.
 class HubRuns : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(HubRuns, EveryRunLengthMatchesABruteForceRecompute) {
@@ -297,13 +314,10 @@ TEST_P(HubRuns, EveryRunLengthMatchesABruteForceRecompute) {
       for (std::size_t k = 0; k < len; ++k) {
         // Back, repeat, or forward by one or two ticks, jittered.
         const auto step = static_cast<util::TimeNs>(rng.next_below(4)) - 1;
-        app.last_ts += step * kTick +
-                       (step > 0 ? static_cast<util::TimeNs>(rng.next_below(kTick)) : 0);
-        ts.push_back(app.last_ts);
-        core::HeartbeatRecord rec;
-        rec.timestamp_ns = app.last_ts;
-        app.window.push_back(rec);
-        if (app.window.size() > cap) app.window.pop_front();
+        const auto jitter =
+            step > 0 ? static_cast<util::TimeNs>(rng.next_below(kTick)) : 0;
+        ts.push_back(app.last_ts + step * kTick + jitter);
+        app.push(ts.back(), cap);
       }
       app.beats += len;
       app.evicted = false;

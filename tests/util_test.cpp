@@ -1,16 +1,19 @@
-// Unit tests for hb::util — clocks, ring buffer, statistics, RNG, thread
-// ids.
+// Unit tests for hb::util — clocks, ring buffer, beat window, statistics,
+// RNG, thread ids.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "util/beat_window.hpp"
 #include "util/clock.hpp"
 #include "util/exact_moments.hpp"
 #include "util/ring_buffer.hpp"
@@ -175,6 +178,130 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(0, 1, 5, 63, 64, 65,
                                                       4096)));
 
+// ------------------------------------------------------------ beat window
+
+TEST(BeatWindow, ABackwardStampIsRaisedToTheNewestBeat) {
+  // 100 ms cadence; the fifth beat is stamped 30 ms before the fourth. It
+  // reads as the fourth beat's twin (interval 0), and the next interval
+  // is measured from the fourth: 70 ms.
+  BeatWindow w(16);
+  for (const TimeNs ms : {100, 200, 300, 400, 370, 470}) {
+    w.push(ms * kNsPerMs);
+  }
+  EXPECT_EQ(w.newest_ns(), 470 * kNsPerMs);
+  const WindowSummary s = w.summary();
+  EXPECT_EQ(s.beats, 6u);
+  EXPECT_EQ(s.rate_bps, 5.0 / 0.37);
+  EXPECT_EQ(s.interval_mean_ns, 74.0 * kNsPerMs);
+}
+
+/// The window a fresh fold of every stamp pushed since the last clear()
+/// leaves: each stamp raised to the running maximum, then the last
+/// `capacity` of them.
+std::vector<TimeNs> fold(const std::vector<TimeNs>& pushed,
+                         std::size_t capacity) {
+  std::vector<TimeNs> out;
+  for (const TimeNs ts : pushed) {
+    out.push_back(out.empty() ? ts : std::max(ts, out.back()));
+  }
+  if (out.size() > capacity) {
+    out.erase(out.begin(), out.end() - static_cast<std::ptrdiff_t>(capacity));
+  }
+  return out;
+}
+
+void expect_fold(const BeatWindow& w, const std::vector<TimeNs>& window) {
+  using U128 = unsigned __int128;
+  const WindowSummary s = w.summary();
+  ASSERT_EQ(s.beats, window.size());
+  std::vector<std::uint64_t> iv;
+  for (std::size_t i = 1; i < window.size(); ++i) {
+    iv.push_back(static_cast<std::uint64_t>(window[i]) -
+                 static_cast<std::uint64_t>(window[i - 1]));
+  }
+  if (iv.empty()) {
+    EXPECT_EQ(s.rate_bps, 0.0);
+    EXPECT_EQ(s.interval_mean_ns, 0.0);
+    EXPECT_EQ(s.interval_stddev_ns, 0.0);
+    return;
+  }
+  // Rate: (n - 1) over the span between the window's ends.
+  const std::uint64_t span = static_cast<std::uint64_t>(window.back()) -
+                             static_cast<std::uint64_t>(window.front());
+  const double n = static_cast<double>(iv.size());
+  EXPECT_EQ(s.rate_bps,
+            span > 0 ? n / (static_cast<double>(span) /
+                            static_cast<double>(kNsPerSec))
+                     : std::numeric_limits<double>::infinity());
+  U128 sum = 0;
+  for (const std::uint64_t v : iv) sum += v;
+  EXPECT_EQ(s.interval_mean_ns, static_cast<double>(sum) / n);
+  // Population stddev, two-pass with exact integer deviations n*v - sum.
+  long double sq = 0.0L;
+  for (const std::uint64_t v : iv) {
+    const auto d = static_cast<long double>(
+        static_cast<__int128>(iv.size()) * v - static_cast<__int128>(sum));
+    sq += d * d;
+  }
+  const auto nl = static_cast<long double>(iv.size());
+  const auto stddev = static_cast<double>(std::sqrt(sq / (nl * nl * nl)));
+  if (stddev == 0.0) {
+    EXPECT_EQ(s.interval_stddev_ns, 0.0);
+  } else {
+    EXPECT_NEAR(s.interval_stddev_ns / stddev, 1.0, 1e-9);
+  }
+}
+
+// Push by push, the incremental window equals a from-scratch fold of the
+// same stamps: forward, repeated and backward steps, jumps to both ends
+// of the int64 range (intervals near 2^63 and up to 2^64 - 1), and clear()
+// followed by a revival that starts a fresh window at any stamp.
+class BeatWindowFold : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BeatWindowFold, EveryPushMatchesAFreshFold) {
+  constexpr TimeNs kTick = 20'000'000;
+  constexpr TimeNs kMin = std::numeric_limits<TimeNs>::min();
+  constexpr TimeNs kMax = std::numeric_limits<TimeNs>::max();
+  constexpr TimeNs kQuarter = TimeNs{1} << 62;
+  const std::size_t cap = GetParam();
+  BeatWindow w(cap);
+  Rng rng(cap);
+  std::vector<TimeNs> pushed;  // since the last clear()
+  TimeNs last = 0;             // the previous stamp, as stamped
+  TimeNs newest = 0;
+  for (int op = 0; op < 4000; ++op) {
+    if (rng.chance(0.003)) {
+      w.clear();
+      pushed.clear();
+    } else {
+      const auto j = static_cast<TimeNs>(rng.next_below(4));
+      const auto step = static_cast<TimeNs>(rng.next_below(kTick));
+      switch (rng.next_below(pushed.empty() ? 8 : 400)) {
+        case 0: last = kMin + j; break;
+        case 1: last = -kQuarter + j; break;
+        case 2: last = kQuarter - j; break;
+        case 3: last = kMax - j; break;
+        default:
+          // Forward, repeat or back, a tick at most, inside +-2^62.
+          if (rng.next_below(3) == 0 && last > -kQuarter) {
+            last -= step;
+          } else if (rng.chance(0.5) && last < kQuarter) {
+            last += step;
+          }
+      }
+      w.push(last);
+      pushed.push_back(last);
+      newest = fold(pushed, cap).back();
+    }
+    EXPECT_EQ(w.newest_ns(), newest);
+    expect_fold(w, fold(pushed, cap));
+    if (HasFailure()) FAIL() << "diverged at op " << op;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, BeatWindowFold,
+                         ::testing::Values(2, 3, 256));
+
 // ----------------------------------------------------------- exact moments
 
 TEST(ExactMoments, MeanAndStddevOfSmallSets) {
@@ -193,9 +320,10 @@ TEST(ExactMoments, MeanAndStddevOfSmallSets) {
 }
 
 TEST(ExactMoments, IdenticalValuesHaveZeroSpreadAtAnyMagnitude) {
+  // 300 values each, summing up to nearly 2^64.
   for (const std::uint64_t v :
-       {std::uint64_t{0}, std::uint64_t{1000}, std::uint64_t{1} << 62,
-        std::numeric_limits<std::uint64_t>::max()}) {
+       {std::uint64_t{0}, std::uint64_t{1000}, (std::uint64_t{1} << 55) - 1,
+        std::uint64_t{1} << 55}) {
     ExactMoments m;
     for (int i = 0; i < 300; ++i) m.add(v);
     EXPECT_EQ(m.mean(), static_cast<double>(v));
@@ -204,8 +332,8 @@ TEST(ExactMoments, IdenticalValuesHaveZeroSpreadAtAnyMagnitude) {
 }
 
 TEST(ExactMoments, RemoveCancelsExactlyAfterHugeValues) {
-  // 2^64 - 1 squared overflows 128 bits after two adds; the 192-bit sum of
-  // squares must still cancel to nothing.
+  // Values near 2^64 wrap the sum at the second add and the sum of squares
+  // at the first few; removing them must still cancel to nothing.
   ExactMoments m;
   const std::uint64_t huge = std::numeric_limits<std::uint64_t>::max();
   for (int i = 0; i < 255; ++i) m.add(huge - static_cast<std::uint64_t>(i));
@@ -218,21 +346,26 @@ TEST(ExactMoments, RemoveCancelsExactlyAfterHugeValues) {
 }
 
 TEST(ExactMoments, SpreadOfHugeValuesIsExactToDoublePrecision) {
-  // {2^63 - 1, 0} alternating: mean 2^62 - 0.5, stddev the same.
-  ExactMoments m;
-  const std::uint64_t top = (std::uint64_t{1} << 63) - 1;
-  for (int i = 0; i < 128; ++i) {
-    m.add(top);
-    m.add(0);
+  // {top, 0} alternating: mean top / 2, stddev the same. 128 pairs sum to
+  // nearly 2^63; one pair of 2^64 - 1 and 0 has a sum of squares of
+  // nearly 2^128.
+  const std::pair<std::uint64_t, int> cases[] = {
+      {(std::uint64_t{1} << 56) - 1, 128},
+      {std::numeric_limits<std::uint64_t>::max(), 1}};
+  for (const auto& [top, pairs] : cases) {
+    ExactMoments m;
+    for (int i = 0; i < pairs; ++i) {
+      m.add(top);
+      m.add(0);
+    }
+    const double half = static_cast<double>(top) / 2.0;
+    EXPECT_EQ(m.mean(), half);
+    EXPECT_NEAR(m.stddev() / half, 1.0, 1e-15) << top;
   }
-  const double half = static_cast<double>(top) / 2.0;
-  EXPECT_EQ(m.mean(), half);
-  EXPECT_NEAR(m.stddev() / half, 1.0, 1e-15);
 }
 
-// The mean and stddev formulas at full width, the way ExactMoments computed
-// them before its 64-bit fast path: a u128 divide and a u128 -> double
-// conversion. Valid while the sum of squares fits in 128 bits.
+// The mean and stddev formulas at full width: a u128 divide and a u128 ->
+// double conversion. Valid while the sum of squares fits in 128 bits.
 struct WideMoments {
   using U128 = unsigned __int128;
   std::uint64_t n = 0;
@@ -259,17 +392,16 @@ struct WideMoments {
   }
 };
 
-TEST(ExactMoments, FastPathMatchesTheWidePathBitForBit) {
+TEST(ExactMoments, MatchesTheFullWidthFormulasBitForBit) {
+  // ExactMoments divides and converts its sum at 64 bits.
   constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
   const std::vector<std::vector<std::uint64_t>> cases = {
-      // Sums just below 2^64: the fast path.
+      // Sums just below 2^64.
       {kTop - 1, kTop - 2},
       {kTop - 1, kTop - 1 - 12345, 12345},
       {kTop - 3, kTop + 2},
-      // Sums just above 2^64: the wide path.
-      {kTop, kTop},
-      {kTop + 1, kTop + 2},
-      {kTop + 7, kTop - 3, 1},
+      {std::numeric_limits<std::uint64_t>::max()},
+      {std::numeric_limits<std::uint64_t>::max() - 1, 1},
       // Values near 2^63 with a sum far from 2^64.
       {kTop - 1},
       {kTop + 1, 3},
@@ -291,20 +423,22 @@ TEST(ExactMoments, FastPathMatchesTheWidePathBitForBit) {
   }
 }
 
-TEST(ExactMoments, CrossingTwoToTheSixtyFourKeepsTheWideResults) {
-  // Step a window's sum up through 2^64 and back down: every read on
-  // either side equals the full-width formula.
+TEST(ExactMoments, SumsThatWrapReadExactOnceTheHeldValuesFit) {
+  // While values come and go the sum may pass 2^64 and wrap: every read
+  // after it falls below 2^64 again equals the full-width formula.
   constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
   ExactMoments m;
-  m.add(kTop);
+  m.add(kTop - 1);
   for (std::uint64_t v = kTop - 3; v <= kTop + 3; ++v) {
-    m.add(v);
-    const WideMoments wide({kTop, v});
+    m.add(v);  // the sum wraps for v > kTop
+    m.add(12345);
+    m.remove(v);
+    const WideMoments wide({kTop - 1, 12345});
     EXPECT_EQ(std::bit_cast<std::uint64_t>(m.mean()),
               std::bit_cast<std::uint64_t>(wide.mean()));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(m.stddev()),
               std::bit_cast<std::uint64_t>(wide.stddev()));
-    m.remove(v);
+    m.remove(12345);
   }
 }
 
