@@ -117,7 +117,7 @@ int print_fleet_report(std::FILE* out, const FleetReport& report);
 /// (a backward stamp raised to the newest beat), which gives the window's
 /// beats, (n-1)/span rate, and the mean and population stddev of its
 /// intervals. Staleness is the reader's. Name and id stay empty: a reader
-/// knows neither.
+/// knows neither. A stamp past the clock is not lowered, as a hub does.
 hub::AppSummary summarize(const core::HeartbeatReader& reader);
 
 /// Stateless verdict math over hub summaries. Thread-safe: sweep() and

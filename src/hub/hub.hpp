@@ -122,6 +122,7 @@ class HeartbeatHub {
   /// app state under one shard-lock acquire; pass the runs grouped by
   /// shard to pay one acquire per shard, and one app's consecutive beats
   /// as one run. Runs apply in span order, each run's beats in its order.
+  /// A beat stamped past the hub clock applies at the clock's reading.
   /// Throws std::out_of_range, before applying a stretch, if an id in it
   /// did not come from this hub. Thread-safe.
   void ingest_batch(std::span<const AppRun> runs);

@@ -265,6 +265,9 @@ void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
   // Group prefetching: while run i is applied, run i + kApplyFetchAhead
   // has its app's leading lines in flight and run i + kWindowFetchAhead
   // its window line, so an app's misses overlap the applies before it.
+  // A stamp past the clock is bad: lowered to the clock's reading, it
+  // cannot hold every later beat at its value (util::BeatWindow::push).
+  const util::TimeNs now = config_.clock->now();
   const std::size_t n = runs.size();
   for (std::size_t i = 0; i < std::min(n, kApplyFetchAhead); ++i) {
     prefetch_app_locked(app_id_slot(runs[i].id));
@@ -284,7 +287,7 @@ void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
     // A run's beats take the one-beat step in order.
     const std::uint32_t slot = app_id_slot(runs[i].id);
     for (const util::TimeNs timestamp_ns : runs[i].timestamps) {
-      apply_locked(slot, timestamp_ns);
+      apply_locked(slot, std::min(timestamp_ns, now));
     }
   }
 }

@@ -21,12 +21,12 @@
 // Window statistics are maintained per beat, so a publish does O(1) work
 // per changed app. Each app holds a util::BeatWindow, the one window step
 // the reader side (fault::summarize) shares: a beat is pushed with its
-// stamp raised to the window's newest, the exact moments of the window's
-// intervals follow, and a refresh reads the rate, mean and stddev off the
-// moments (their exact sum is the monotone window's span). A run (one
-// app's consecutive beats) is applied beat by beat, in order. The shard
-// keeps nothing that no reader reads: no interval bounds, percentiles or
-// rollups.
+// stamp lowered to the clock and raised to the window's newest, the exact
+// moments of its intervals follow, and a refresh reads the rate, mean and
+// stddev off them (their exact sum is the monotone window's span). A run
+// (one app's consecutive beats) is applied beat by beat, in order. The
+// shard keeps nothing that no reader reads: no interval bounds,
+// percentiles or rollups.
 //
 // Per-app layout. An app keeps only what a reader reads: 8 bytes per
 // windowed beat plus one 192-byte AppState, three cache lines (2.2 KB in

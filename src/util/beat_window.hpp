@@ -6,10 +6,12 @@
 // One timestamp rule, in push(): a beat stamped before the window's newest
 // is raised to it. Its interval reads 0, and the next interval is measured
 // from the newest beat. Producer stamps are untrusted, and this keeps the
-// window monotone, as core::MemoryStore keeps its history. A monotone
-// window's intervals telescope: their exact sum is its span, at most
-// 2^64 - 1 (differences are taken unsigned), and the rate (n - 1) / span
-// is read off the moments without touching a window slot.
+// window monotone, as core::MemoryStore keeps its history; the hub lowers
+// a stamp past its clock first, or one far-future stamp would hold every
+// later beat at its value. A monotone window's intervals telescope: their
+// exact sum is its span, at most 2^64 - 1 (differences are taken
+// unsigned), and the rate (n - 1) / span is read off the moments without
+// touching a window slot.
 #pragma once
 
 #include <cassert>

@@ -150,18 +150,31 @@ TEST(FleetClassify, EmptyWindowAfterAgingIsWarmingUpNotSlow) {
 TEST(FleetClassify, ReaderAndHubAgree) {
   // The same beats, appended to a registry segment (ShmStore, the store
   // hbmon show reads) and to an in-process MemoryStore, and ingested by a
-  // hub under one clock, must give the same summary, field by field, and
-  // so the same verdict, whichever way they are observed. A backward
-  // timestamp reaches summarize() as stamped from the segment and already
-  // raised from the MemoryStore; the hub raises it on push. All three
-  // read it alike.
+  // hub under one clock with summarize()'s 16-beat window, must give the
+  // same summary, field by field, and so the same verdict, whichever way
+  // they are observed. A backward timestamp reaches summarize() as stamped
+  // from the segment and already raised from the MemoryStore; the hub
+  // raises it on push. All three read it alike.
+  //
+  // A stamp far past the clock reaches summarize() as stamped from the
+  // segment, and the hub applies it at the clock's reading. The two differ
+  // while it is in the window, and agree once 16 beats have pushed it out:
+  // the raise it caused in the hub ended with the next beat. A
+  // MemoryStore holds its own process's Channel stamps, which never run
+  // ahead of its clock, and raises without a bound: it is not fed that
+  // beat.
   struct Row {
     const char* name;
     double target_min;
     std::vector<util::TimeNs> intervals;  // one beat after each
     util::TimeNs silence;                 // after the last beat
     Health expected;
+    /// Beats after which one extra beat stamped kFuture past the clock
+    /// reaches the segment and the hub; -1: none.
+    int future_after = -1;
   };
+  constexpr util::TimeNs kFuture = 10 * kNsPerSec;
+  constexpr std::size_t kSummarizeWindow = 16;
   const auto repeat = [](int n, util::TimeNs interval) {
     return std::vector<util::TimeNs>(static_cast<std::size_t>(n), interval);
   };
@@ -188,6 +201,8 @@ TEST(FleetClassify, ReaderAndHubAgree) {
       {"dead", 1.0, repeat(10, 100 * kNsPerMs), kNsPerSec, Health::kDead},
       {"jitter-borderline", 1.0, borderline, 0, Health::kHealthy},
       {"backward-timestamp", 1.0, backward, 0, Health::kHealthy},
+      {"future-timestamp", 1.0, repeat(36, 100 * kNsPerMs), 0,
+       Health::kHealthy, /*future_after=*/20},
   };
 
   const FleetDetector det;
@@ -201,11 +216,15 @@ TEST(FleetClassify, ReaderAndHubAgree) {
     store->set_target({row.target_min, inf});
     auto memory = std::make_shared<core::MemoryStore>(256, 16);
     memory->set_target({row.target_min, inf});
-    hub::HeartbeatHub hub(test::manual_hub_opts(clock));
+    hub::HeartbeatHub hub(test::manual_hub_opts(clock, 4, kSummarizeWindow));
     const hub::AppId id = hub.register_app(row.name, {row.target_min, inf});
     util::TimeNs t = 0;
-    for (const util::TimeNs interval : row.intervals) {
-      t += interval;
+    for (std::size_t i = 0; i < row.intervals.size(); ++i) {
+      if (static_cast<int>(i) == row.future_after) {
+        store->append(core::HeartbeatRecord{.timestamp_ns = t + kFuture});
+        hub.ingest(id, t + kFuture);
+      }
+      t += row.intervals[i];
       clock->set(std::max(clock->now(), t));
       store->append(core::HeartbeatRecord{.timestamp_ns = t});
       memory->append(core::HeartbeatRecord{.timestamp_ns = t});
@@ -221,6 +240,9 @@ TEST(FleetClassify, ReaderAndHubAgree) {
         {"MemoryStore", summarize(core::HeartbeatReader(memory, clock))}};
     for (const auto& [side, other] : others) {
       SCOPED_TRACE(side);
+      if (row.future_after >= 0 && std::string(side) == "MemoryStore") {
+        continue;  // not fed the future beat
+      }
       EXPECT_EQ(from_reader.total_beats, other.total_beats) << row.name;
       EXPECT_EQ(from_reader.window_beats, other.window_beats) << row.name;
       EXPECT_EQ(from_reader.rate_bps, other.rate_bps) << row.name;

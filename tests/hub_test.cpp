@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/rate.hpp"
+#include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
 #include "util/clock.hpp"
@@ -223,8 +224,8 @@ TEST(HubBatching, OneRecordIngestsThenABulkApplyInCallOrder) {
   // Beats 1..3 ms arrive one record at a time; beats 4..7 ms then arrive
   // in bulk. Both apply in call order, or the window would hold 4..7
   // before 1..3: a 0-clamped interval, a newest beat at 3 ms, and a
-  // negative span.
-  auto clock = std::make_shared<util::ManualClock>();
+  // negative span. The clock stands at the last stamp, so none is lowered.
+  auto clock = std::make_shared<util::ManualClock>(7 * kNsPerMs);
   HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("a");
   for (int i = 1; i <= 3; ++i) hub.ingest(id, i * kNsPerMs);
@@ -306,8 +307,9 @@ TEST(HubRates, WindowedRateMatchesCoreSemantics) {
 TEST(HubRates, RateSpanRestartsAfterEvictAndRevive) {
   // The rate's span is the exact sum of the window's intervals. An
   // eviction empties the window, so the span after a revive starts at the
-  // first new beat, never at the old oldest.
-  auto clock = std::make_shared<util::ManualClock>();
+  // first new beat, never at the old oldest. The clock stands past every
+  // stamp, so none is lowered to it.
+  auto clock = std::make_shared<util::ManualClock>(101 * kNsPerSec);
   HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
   // Beats at 1, 2, 4, 8, 16 and 32 s wrap the window: it holds 4..32 s.
@@ -372,8 +374,10 @@ TEST(HubRates, ASpanWiderThanInt64IsTakenUnsigned) {
   // Producer timestamps are untrusted: a hostile ring may send a window
   // that spans more than INT64_MAX. Its span is 2^64 - 2 ns, taken
   // unsigned like every interval; a signed subtraction would overflow
-  // (undefined behaviour, caught by the sanitizer build).
-  auto clock = std::make_shared<util::ManualClock>();
+  // (undefined behaviour, caught by the sanitizer build). The clock stands
+  // at the last stamp, so the hub takes it as stamped.
+  auto clock = std::make_shared<util::ManualClock>(
+      std::numeric_limits<util::TimeNs>::max());
   HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("hostile");
   const std::vector<util::TimeNs> ts = {
@@ -472,7 +476,9 @@ TEST(HubTimeWindow, MeanForgetsHugeIntervalsThatLeftTheWindow) {
   // intervals read a mean of about -4320 ns. The mean is now the exact
   // integer sum over the count, so it is exactly 1000. Here 1000 jumps of
   // 2^53 + 1 ns, odd sums no double above 2^53 holds, pass through it.
-  auto clock = std::make_shared<util::ManualClock>();
+  // The clock stands past every stamp, so none is lowered to it.
+  auto clock = std::make_shared<util::ManualClock>(
+      std::numeric_limits<util::TimeNs>::max());
   HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
   util::TimeNs newest = 0;
@@ -579,6 +585,41 @@ TEST(HubEviction, AutoEvictionAfterTheStalenessBound) {
   const FleetCounts c = counts_of(hub);
   EXPECT_EQ(c.live, 1u);
   EXPECT_EQ(c.evicted, 1u);
+}
+
+TEST(HubEviction, AFarFutureStampCannotHoldOffDeath) {
+  // Producer stamps are untrusted. A stamp far past the hub clock is
+  // applied at the clock's reading, so the beats after it read their own
+  // cadence, and silence after them is staleness: the app dies and is
+  // evicted. Kept as stamped, it would raise every later beat to itself
+  // and read staleness 0 for good.
+  auto clock = std::make_shared<util::ManualClock>(kNsPerSec);
+  HubOptions opts = manual_opts(clock, 1, /*window=*/16);
+  opts.evict_after_ns = 5 * kNsPerSec;
+  HeartbeatHub hub(opts);
+  const AppId id = hub.register_app("skewed", core::TargetRate{
+      1.0, std::numeric_limits<double>::infinity()});
+  const auto beats = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      clock->advance(100 * kNsPerMs);
+      hub.beat(id);
+    }
+  };
+  beats(20);
+  hub.ingest(id, std::numeric_limits<util::TimeNs>::max() / 2);
+  EXPECT_EQ(hub.summary(id).last_beat_ns, clock->now());
+  beats(50);
+  AppSummary s = hub.summary(id);
+  EXPECT_EQ(s.total_beats, 71u);
+  EXPECT_DOUBLE_EQ(s.rate_bps, 10.0);
+  EXPECT_EQ(s.interval_mean_ns, static_cast<double>(100 * kNsPerMs));
+  EXPECT_EQ(fault::FleetDetector().classify(s), fault::Health::kHealthy);
+
+  clock->advance(60 * kNsPerSec);
+  s = hub.summary(id);
+  EXPECT_EQ(s.staleness_ns, 60 * kNsPerSec);
+  EXPECT_TRUE(s.evicted);
+  EXPECT_EQ(fault::FleetDetector().classify(s), fault::Health::kDead);
 }
 
 // ------------------------------------------------------------- determinism

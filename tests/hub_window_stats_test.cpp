@@ -12,6 +12,8 @@
 //   * backward and repeated timestamps: each is raised to the window's
 //     newest beat (a zero interval), and the next interval is measured
 //     from that beat;
+//   * timestamps past the hub clock: each is lowered to the clock's
+//     reading before that raise;
 //   * intervals near 2^63, whose squares need 128-bit sums;
 //   * explicit and staleness-driven evictions, revivals, and set_target;
 //   * runs of one app's beats, applied in one call, at every length that
@@ -62,10 +64,12 @@ struct App {
   /// Oldest first, each stamp raised to the newest beat before it.
   std::deque<core::HeartbeatRecord> window;
 
-  /// The model of one beat: stamped `ts`, raised to the newest beat while
-  /// the window holds any, and the oldest retired past `capacity`.
-  void push(util::TimeNs ts, std::size_t capacity) {
+  /// The model of one beat: stamped `ts`, lowered to the hub clock's
+  /// reading `now`, raised to the newest beat while the window holds any,
+  /// and the oldest retired past `capacity`.
+  void push(util::TimeNs ts, std::size_t capacity, util::TimeNs now) {
     last_ts = ts;
+    ts = std::min(ts, now);
     if (!window.empty()) ts = std::max(ts, window.back().timestamp_ns);
     newest_ns = ts;
     core::HeartbeatRecord rec;
@@ -81,14 +85,17 @@ util::TimeNs next_timestamp(App& app, util::TimeNs base, util::Rng& rng) {
   const auto k = static_cast<util::TimeNs>(app.beats);
   switch (app.stream) {
     case Stream::kJittered:
-      return base + kTick / 2 +
-             static_cast<util::TimeNs>(rng.next_below(kTick));
+      // Within a tick before the clock or half a tick past it: a third of
+      // the stamps are past the clock and apply at its reading.
+      return base - kTick +
+             static_cast<util::TimeNs>(rng.next_below(kTick + kTick / 2));
     case Stream::kConstant:
       return app.last_ts + kTick;
     case Stream::kDriftUp:
       return app.last_ts + 1000 + 7 * k;
     case Stream::kDriftDown:
-      return app.last_ts + 1'000'000'000 - 7 * k;
+      // 1 ms steps fall behind the clock, so none is lowered to it.
+      return app.last_ts + 1'000'000 - 7 * k;
     case Stream::kDisordered:
       // Back, repeat, or forward by one or two ticks from the last stamp:
       // about half the intervals read zero, and the one after a backward
@@ -99,7 +106,8 @@ util::TimeNs next_timestamp(App& app, util::TimeNs base, util::Rng& rng) {
       // Alternate between the two ends of [-2^62, 2^62): the first upward
       // step of a fresh window is an interval of 2^63-1 minus a small
       // jitter (up to INT64_MAX); every later stamp is raised to the
-      // newest beat, so it reads 0 or a few ns.
+      // newest beat, so it reads 0 or a few ns. The clock starts past
+      // 2^62, so neither end is lowered to it.
       const auto jitter = static_cast<util::TimeNs>(rng.next_below(4));
       constexpr util::TimeNs kHalf = util::TimeNs{1} << 62;
       return k % 2 == 0 ? -kHalf + jitter : kHalf - 1 - jitter;
@@ -175,6 +183,9 @@ void expect_model(const AppSummary& s, const App& app) {
 /// 150 ms staleness bound of the last config.
 constexpr int kSparseChecks = 256;
 
+/// Where the clock starts: past the kHuge stream's upper end.
+constexpr util::TimeNs kClockStart = (util::TimeNs{1} << 62) + 1'000'000'000;
+
 struct Config {
   std::size_t window;
   int check_every;  ///< operations between checks
@@ -186,7 +197,7 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
  protected:
   void SetUp() override {
     const Config& c = GetParam();
-    clock_ = std::make_shared<util::ManualClock>(1'000'000'000);
+    clock_ = std::make_shared<util::ManualClock>(kClockStart);
     HubOptions opts;
     opts.shard_count = 3;
     opts.window_capacity = c.window;
@@ -207,7 +218,7 @@ class HubWindowStats : public ::testing::TestWithParam<Config> {
   void beat(App& app) {
     const util::TimeNs ts = next_timestamp(app, clock_->now(), rng_);
     hub_->ingest(app.id, ts);
-    app.push(ts, GetParam().window);
+    app.push(ts, GetParam().window, clock_->now());
     ++app.beats;
     app.evicted = false;
   }
@@ -286,7 +297,8 @@ INSTANTIATE_TEST_SUITE_P(
 // summary as a from-scratch recompute, whether the run starts on an empty,
 // a partly full or a full window, or revives an evicted app. Timestamps
 // inside a run repeat and go backwards, so they are raised to the newest
-// beat and their intervals read 0.
+// beat and their intervals read 0, and the clock stands at the run's
+// middle stamp, so the stamps past it are lowered to it.
 class HubRuns : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(HubRuns, EveryRunLengthMatchesABruteForceRecompute) {
@@ -316,9 +328,11 @@ TEST_P(HubRuns, EveryRunLengthMatchesABruteForceRecompute) {
         const auto step = static_cast<util::TimeNs>(rng.next_below(4)) - 1;
         const auto jitter =
             step > 0 ? static_cast<util::TimeNs>(rng.next_below(kTick)) : 0;
-        ts.push_back(app.last_ts + step * kTick + jitter);
-        app.push(ts.back(), cap);
+        ts.push_back((ts.empty() ? app.last_ts : ts.back()) + step * kTick +
+                     jitter);
       }
+      clock->set(std::max(clock->now(), ts[len / 2]));
+      for (const util::TimeNs t : ts) app.push(t, cap, clock->now());
       app.beats += len;
       app.evicted = false;
       const AppRun run{app.id, ts};
