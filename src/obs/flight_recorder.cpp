@@ -193,18 +193,32 @@ std::string render_timeline_json(
       if (!first_event) out += ',';
       first_event = false;
       out += '"';
-      // Event lines contain no characters needing JSON escapes (app names
-      // are [A-Za-z0-9_/-]), but escape defensively anyway.
-      for (const char c : policy::to_line(e, base_ns)) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-      }
+      append_json_escaped(out, policy::to_line(e, base_ns));
       out += '"';
     }
     out += "]}";
   }
   out += "\n]\n";
   return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace hb::obs

@@ -45,6 +45,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/fleet_detector.hpp"
@@ -176,5 +177,10 @@ std::string render_timeline_text(
 std::string render_timeline_json(
     const std::vector<std::shared_ptr<const TimelineFrame>>& frames,
     util::TimeNs base_ns = 0);
+
+/// Append `s` (untrusted: any bytes) to `out` as the inside of a JSON
+/// string: `"`, `\` and every byte below 0x20 escaped. The one escaper of
+/// the timeline and the postmortem bundle.
+void append_json_escaped(std::string& out, std::string_view s);
 
 }  // namespace hb::obs

@@ -18,31 +18,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_str(std::string& out, std::string_view key, std::string_view val,
                 bool comma = true) {
   out += '"';
   out += key;
   out += "\":\"";
-  append_escaped(out, val);
+  append_json_escaped(out, val);
   out += '"';
   if (comma) out += ',';
 }
@@ -193,7 +174,7 @@ std::string PostmortemSink::render_bundle(const policy::FleetEvent& event,
   for (std::size_t i = 0; i < event.apps.size(); ++i) {
     if (i) out += ',';
     out += '"';
-    append_escaped(out, event.apps[i]);
+    append_json_escaped(out, event.apps[i]);
     out += '"';
   }
   out += "],";
@@ -253,7 +234,7 @@ std::string PostmortemSink::render_bundle(const policy::FleetEvent& event,
   for (std::size_t i = 0; i < pending.size(); ++i) {
     if (i) out += ',';
     out += '"';
-    append_escaped(out, policy::to_line(pending[i]));
+    append_json_escaped(out, policy::to_line(pending[i]));
     out += '"';
   }
   out += "],";
@@ -303,7 +284,7 @@ std::string PostmortemSink::render_bundle(const policy::FleetEvent& event,
       if (!first) out += ',';
       first = false;
       out += '"';
-      append_escaped(out, m.name);
+      append_json_escaped(out, m.name);
       out += "\":";
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%" PRIu64, m.count);

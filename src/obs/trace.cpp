@@ -1,18 +1,15 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/clock.hpp"
 #include "util/thread_id.hpp"
-#include "util/tsan.hpp"
 
 namespace hb::obs {
 
-TraceRing::TraceRing(std::size_t capacity) {
-  capacity = std::max<std::size_t>(capacity, 16);
-  slots_ = std::vector<Slot>(std::bit_ceil(capacity));
-}
+TraceRing::TraceRing(std::size_t capacity)
+    : slots_(std::max<std::size_t>(capacity, 16)),
+      ring_(&head_, slots_.data(), slots_.size()) {}
 
 TraceRing& TraceRing::global() {
   // Leaked on purpose: spans may close during static destruction.
@@ -21,43 +18,11 @@ TraceRing& TraceRing::global() {
 }
 
 void TraceRing::record(const SpanRecord& rec) {
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = slots_[seq & (slots_.size() - 1)];
-  // Seqlock write, same order as the shm ingest ring: invalidate, payload,
-  // publish — a concurrent snapshot() re-checks commit after its copy and
-  // discards anything we were mid-overwrite on.
-  slot.commit.store(0, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
-  util::tsan_relaxed_copy(slot.rec, rec);
-  slot.commit.store(seq + 1, std::memory_order_release);
+  ring_.push([&rec](std::uint64_t) { return rec; });
 }
 
 std::vector<SpanRecord> TraceRing::snapshot(std::uint64_t* skipped) const {
-  const std::uint64_t cap = slots_.size();
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t first = head > cap ? head - cap : 0;
-  std::uint64_t skips = 0;
-  std::vector<SpanRecord> out;
-  out.reserve(static_cast<std::size_t>(head - first));
-  for (std::uint64_t seq = first; seq < head; ++seq) {
-    const Slot& slot = slots_[seq & (cap - 1)];
-    const std::uint64_t c1 = slot.commit.load(std::memory_order_acquire);
-    if (c1 != seq + 1) {  // in flight, or a concurrent writer lapped it
-      ++skips;
-      continue;
-    }
-    SpanRecord rec;
-    util::tsan_relaxed_copy(rec, slot.rec);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    // relaxed: the fence above orders the copy before this re-check.
-    if (slot.commit.load(std::memory_order_relaxed) != c1) {
-      ++skips;  // torn out from under the copy — dropped, never emitted
-      continue;
-    }
-    out.push_back(rec);
-  }
-  if (skipped) *skipped = skips;
-  return out;
+  return ring_.last(ring_.capacity(), skipped);
 }
 
 void TraceRing::export_chrome_json(std::FILE* out) const {

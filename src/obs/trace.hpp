@@ -7,14 +7,12 @@
 // `hbmon trace` exports as Chrome trace-event JSON (load it in
 // chrome://tracing or https://ui.perfetto.dev).
 //
-// The ring reuses the transport/ShmIngestQueue seqlock discipline, minus
-// the shared memory: writers claim a sequence with one fetch_add and
-// commit each slot (invalidate -> payload -> publish), readers copy slots
-// non-destructively and re-check the commit word, so a concurrent writer
-// can never hand a reader a torn record — the same "performance-metric
-// machine never corrupts the correctness machine" split as the metrics
-// registry. Old spans are overwritten once the ring laps: tracing keeps
-// the freshest window, it never backpressures the pipeline.
+// The ring is util::SeqlockRing, the record ring of the `.hb` segments,
+// over process-local slots: a concurrent writer can never hand a reader a
+// torn record — the same "performance-metric machine never corrupts the
+// correctness machine" split as the metrics registry. Old spans are
+// overwritten once the ring laps: tracing keeps the freshest window, it
+// never backpressures the pipeline.
 //
 // Span names must be string literals (the ring stores the pointer, not
 // the bytes). Runtime-gated by obs::enabled(): a disabled plane records
@@ -28,6 +26,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/seqlock_ring.hpp"
 #include "util/time.hpp"
 
 namespace hb::obs {
@@ -43,7 +42,7 @@ struct SpanRecord {
 
 class TraceRing {
  public:
-  /// `capacity` is clamped to >= 16 and rounded up to a power of two.
+  /// `capacity` is clamped to >= 16.
   explicit TraceRing(std::size_t capacity = kDefaultCapacity);
 
   TraceRing(const TraceRing&) = delete;
@@ -65,9 +64,7 @@ class TraceRing {
   std::vector<SpanRecord> snapshot(std::uint64_t* skipped = nullptr) const;
 
   /// Spans ever recorded (monotone; may exceed capacity).
-  std::uint64_t recorded() const {
-    return head_.load(std::memory_order_acquire);
-  }
+  std::uint64_t recorded() const { return ring_.count(); }
 
   std::size_t capacity() const { return slots_.size(); }
 
@@ -89,6 +86,7 @@ class TraceRing {
 
   std::atomic<std::uint64_t> head_{0};
   std::vector<Slot> slots_;
+  util::SeqlockRing<Slot> ring_;  ///< over head_ and slots_
 };
 
 /// RAII stage span: stamps start on construction, records into

@@ -42,11 +42,11 @@
 //                                      # exit 0 ok / 4 invariant violation
 //
 // Fleet modes accept --metrics to append the registry table after the
-// verdict table. The ring-fed modes (--live, --watch, metrics, trace) run
-// with HubOptions::self_beat: the hub registers itself as "__hub/self" and
-// its own publish cadence is classified right alongside the fleet it
-// watches. The one-shot replay mode does not (one sweep of historical
-// beats would only ever show the self app warming up).
+// verdict table. The ring-fed modes (--live, --watch, metrics, trace,
+// timeline) run with HubOptions::self_beat: the hub registers itself as
+// "__hub/self" and its own publish cadence is classified right alongside
+// the fleet it watches. The one-shot replay mode does not (one sweep of
+// historical beats would only ever show the self app warming up).
 //
 // Registry directory: $HB_DIR or <tmp>/heartbeats.
 #include <algorithm>
@@ -651,7 +651,9 @@ std::string bundle_field(const std::string& text, const std::string& key) {
 }
 
 // Structural sanity for one bundle: readable, one brace-balanced JSON
-// object, and carries our schema marker. Returns false with a reason.
+// object with no raw control byte inside a string (JSON forbids one, and
+// scripts/check_postmortem_json.py rejects it), and carries our schema
+// marker. Returns false with a reason.
 bool validate_bundle(const std::filesystem::path& path, std::string* text,
                      std::string* why) {
   std::ifstream f(path, std::ios::binary);
@@ -678,6 +680,10 @@ bool validate_bundle(const std::filesystem::path& path, std::string* text,
   for (std::size_t i = 0; i < body.size(); ++i) {
     const char c = body[i];
     if (in_str) {
+      if (static_cast<unsigned char>(c) < 0x20) {
+        *why = "raw control byte inside a string";
+        return false;
+      }
       if (c == '\\') ++i;
       else if (c == '"') in_str = false;
     } else if (c == '"') {

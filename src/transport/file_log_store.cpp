@@ -1,10 +1,9 @@
 #include "transport/file_log_store.hpp"
 
 #include <cinttypes>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -24,12 +23,13 @@ std::string format_target_line(core::TargetRate t) {
 std::shared_ptr<FileLogStore> FileLogStore::create(
     const std::filesystem::path& file, const std::string& channel_name,
     std::size_t mirror_capacity, std::uint32_t default_window) {
-  if (mirror_capacity == 0) mirror_capacity = 1;
   if (default_window == 0) default_window = 1;
   if (mirror_capacity < default_window) mirror_capacity = default_window;
   if (file.has_parent_path()) {
     std::filesystem::create_directories(file.parent_path());
   }
+  auto mirror =
+      std::make_unique<core::MemoryStore>(mirror_capacity, default_window);
   std::FILE* out = std::fopen(file.c_str(), "w");
   if (out == nullptr) {
     throw std::system_error(errno, std::generic_category(),
@@ -37,12 +37,10 @@ std::shared_ptr<FileLogStore> FileLogStore::create(
   }
   std::fprintf(out, "#hblog v1 name=%s window=%u\n", channel_name.c_str(),
                default_window);
-  core::TargetRate t{0.0, std::numeric_limits<double>::infinity()};
-  std::fputs(format_target_line(t).c_str(), out);
+  std::fputs(format_target_line(mirror->target()).c_str(), out);
   std::fflush(out);
   return std::shared_ptr<FileLogStore>(
-      new FileLogStore(file, channel_name, out, mirror_capacity,
-                       default_window, t));
+      new FileLogStore(file, channel_name, out, std::move(mirror)));
 }
 
 std::shared_ptr<FileLogStore> FileLogStore::attach(
@@ -51,80 +49,63 @@ std::shared_ptr<FileLogStore> FileLogStore::attach(
     throw std::runtime_error("FileLogStore::attach: no such log: " +
                              file.string());
   }
-  auto store = std::shared_ptr<FileLogStore>(new FileLogStore(
-      file, "", nullptr, 1, 1, core::TargetRate{0.0, 0.0}));
-  // Validate format and pick up name/window eagerly.
+  auto store = std::shared_ptr<FileLogStore>(
+      new FileLogStore(file, "", nullptr, nullptr));
+  // Validate the format and pick up the name eagerly.
   const Parsed p = store->parse(0);
   if (p.name.empty()) {
     throw std::runtime_error("FileLogStore::attach: bad log header: " +
                              file.string());
   }
   store->name_ = p.name;
-  {
-    // The store has no other owner yet; the lock exists for the analysis
-    // (default_window_ is guarded) and costs one uncontended acquire.
-    util::MutexLock lock(store->mu_);
-    store->default_window_ = p.window;
-  }
   return store;
 }
 
 FileLogStore::FileLogStore(std::filesystem::path file, std::string name,
-                           std::FILE* out, std::size_t mirror_capacity,
-                           std::uint32_t default_window,
-                           core::TargetRate target)
+                           std::FILE* out,
+                           std::unique_ptr<core::MemoryStore> mirror)
     : file_(std::move(file)),
       name_(std::move(name)),
       out_(out),
-      mirror_(mirror_capacity),
-      default_window_(default_window),
-      target_(target) {}
+      mirror_(std::move(mirror)) {}
 
 FileLogStore::~FileLogStore() {
   if (out_ != nullptr) std::fclose(out_);
 }
 
 std::uint64_t FileLogStore::append(const core::HeartbeatRecord& rec) {
-  if (out_ == nullptr) {
+  if (!mirror_) {
     throw std::logic_error("FileLogStore: appending on an attached store");
   }
   util::MutexLock lock(mu_);  // paper: mutex serializes writers
-  core::HeartbeatRecord stamped = rec;
-  stamped.seq = count_++;
+  mirror_->append(rec);
+  // The line carries the record as the mirror stored it: its seq, and its
+  // stamp raised to the newest beat's if it was older.
+  const core::HeartbeatRecord stored = mirror_->history(1).back();
   std::fprintf(out_, "%" PRIu64 " %" PRId64 " %" PRIu64 " %" PRIu32 "\n",
-               stamped.seq, stamped.timestamp_ns, stamped.tag,
-               stamped.thread_id);
+               stored.seq, stored.timestamp_ns, stored.tag, stored.thread_id);
   std::fflush(out_);  // observers read the file; make beats visible promptly
-  mirror_.push(stamped);
-  return stamped.seq;
+  return stored.seq;
 }
 
 std::uint64_t FileLogStore::count() const {
-  if (out_ != nullptr) {
-    util::MutexLock lock(mu_);
-    return count_;
-  }
-  return parse(0).count;
+  return mirror_ ? mirror_->count() : parse(0).count;
 }
 
 std::size_t FileLogStore::capacity() const {
   // Observer-side history is limited only by the file (paper: "can support
   // any value for n because the entire heartbeat history is kept in the
   // file"); the producer's in-memory mirror is ring-limited.
-  return out_ != nullptr ? mirror_.capacity()
-                         : std::numeric_limits<std::size_t>::max();
+  return mirror_ ? mirror_->capacity()
+                 : std::numeric_limits<std::size_t>::max();
 }
 
 std::vector<core::HeartbeatRecord> FileLogStore::history(std::size_t n) const {
-  if (out_ != nullptr) {
-    util::MutexLock lock(mu_);
-    return mirror_.last_n(n);
-  }
-  return parse(n).records;
+  return mirror_ ? mirror_->history(n) : parse(n).records;
 }
 
 void FileLogStore::set_target(core::TargetRate t) {
-  if (out_ == nullptr) {
+  if (!mirror_) {
     // Paper, Section 4: "This implementation does not support changing the
     // target heart rates from an external application."
     throw std::logic_error(
@@ -132,34 +113,25 @@ void FileLogStore::set_target(core::TargetRate t) {
         "(use the shm transport for external goal-setting)");
   }
   util::MutexLock lock(mu_);
-  target_ = t;
+  mirror_->set_target(t);
   std::fputs(format_target_line(t).c_str(), out_);
   std::fflush(out_);
 }
 
 core::TargetRate FileLogStore::target() const {
-  if (out_ != nullptr) {
-    util::MutexLock lock(mu_);
-    return target_;
-  }
-  return parse(0).target;
+  return mirror_ ? mirror_->target() : parse(0).target;
 }
 
 void FileLogStore::set_default_window(std::uint32_t w) {
-  if (out_ == nullptr) {
+  if (!mirror_) {
     throw std::logic_error("FileLogStore: attached observers cannot change "
                            "the default window");
   }
-  util::MutexLock lock(mu_);
-  default_window_ = w == 0 ? 1 : w;
+  mirror_->set_default_window(w);
 }
 
 std::uint32_t FileLogStore::default_window() const {
-  if (out_ != nullptr) {
-    util::MutexLock lock(mu_);
-    return default_window_;
-  }
-  return parse(0).window;
+  return mirror_ ? mirror_->default_window() : parse(0).window;
 }
 
 FileLogStore::Parsed FileLogStore::parse(std::size_t keep) const {

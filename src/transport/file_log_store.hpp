@@ -13,11 +13,11 @@
 //   #target min=<double> max=<double>          <- re-emitted on every change
 //   <seq> <timestamp_ns> <tag> <thread_id>     <- one line per beat
 //
-// The producer keeps an in-memory ring mirror so its own rate queries do not
-// re-read the file; an attached observer parses the file on each query
-// (matching the paper's "the corresponding file is read"). Like the paper's
-// implementation, HB_get_history supports any n on the observer side because
-// the entire history is in the file; the producer's mirror is ring-limited.
+// The producer keeps a core::MemoryStore mirror so its own queries do not
+// re-read the file, and writes each line as the mirror stored it (a
+// backward stamp raised), so its history and the file agree; an attached
+// observer parses the file on each query (the paper's "the corresponding
+// file is read"), so it supports any n; the mirror is ring-limited.
 //
 // Also like the paper's implementation, an *attached* store does not support
 // changing the target rate ("This implementation does not support changing
@@ -29,13 +29,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 
+#include "core/memory_store.hpp"
 #include "core/store.hpp"
 #include "util/mutex.hpp"
-#include "util/ring_buffer.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace hb::transport {
 
@@ -64,12 +62,11 @@ class FileLogStore final : public core::BeatStore {
 
   const std::filesystem::path& file() const { return file_; }
   const std::string& channel_name() const { return name_; }
-  bool is_producer() const { return out_ != nullptr; }
+  bool is_producer() const { return mirror_ != nullptr; }
 
  private:
   FileLogStore(std::filesystem::path file, std::string name, std::FILE* out,
-               std::size_t mirror_capacity, std::uint32_t default_window,
-               core::TargetRate target);
+               std::unique_ptr<core::MemoryStore> mirror);
 
   struct Parsed {
     std::vector<core::HeartbeatRecord> records;
@@ -84,12 +81,10 @@ class FileLogStore final : public core::BeatStore {
   std::filesystem::path file_;
   std::string name_;
   std::FILE* out_;  ///< nullptr when attached (observer mode)
-
-  mutable util::Mutex mu_;  // the paper's global-beat mutex
-  util::RingBuffer<core::HeartbeatRecord> mirror_ HB_GUARDED_BY(mu_);
-  std::uint64_t count_ HB_GUARDED_BY(mu_) = 0;
-  std::uint32_t default_window_ HB_GUARDED_BY(mu_);
-  core::TargetRate target_ HB_GUARDED_BY(mu_);
+  const std::unique_ptr<core::MemoryStore> mirror_;  ///< nullptr when attached
+  /// The paper's global-beat mutex: file lines in seq order. Taken before
+  /// the mirror's own.
+  util::Mutex mu_;
 };
 
 }  // namespace hb::transport

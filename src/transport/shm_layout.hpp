@@ -8,7 +8,8 @@
 //   offset 0    : ShmHeader   (128 bytes, version-stamped)
 //   offset 128  : ShmSlot[capacity]  (64 bytes each, cacheline-aligned)
 //
-// Concurrency protocol (multi-writer, any number of lock-free readers):
+// Concurrency protocol (multi-writer, any number of lock-free readers),
+// util::SeqlockRing over header.count and the slots:
 //   * A writer claims sequence number s with fetch_add on header.count.
 //   * It writes slot s % capacity: commit <- 0 (invalidate, release),
 //     payload bytes, commit <- s + 1 (publish, release).
@@ -16,6 +17,7 @@
 //     if commit == s + 1 both before and after copying the payload
 //     (per-slot seqlock). Torn or in-flight slots are simply skipped —
 //     dropping a beat under contention is benign for rate estimation.
+//   * capacity is read once, at attach, and checked against the file size.
 //
 // Every field is a fixed-width type, the structs are standard-layout, and
 // all atomics are required to be address-free (lock-free), so the segment is

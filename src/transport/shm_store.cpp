@@ -11,7 +11,6 @@
 #include <stdexcept>
 
 #include "transport/posix_util.hpp"
-#include "util/tsan.hpp"
 
 namespace hb::transport {
 
@@ -22,7 +21,6 @@ std::shared_ptr<ShmStore> ShmStore::create(const std::filesystem::path& file,
                                            const std::string& channel_name,
                                            std::uint32_t capacity,
                                            std::uint32_t default_window) {
-  if (capacity == 0) capacity = 1;
   if (default_window == 0) default_window = 1;
   // Paper, Section 3: store at least as much history as the default window.
   if (capacity < default_window) capacity = default_window;
@@ -57,7 +55,8 @@ std::shared_ptr<ShmStore> ShmStore::create(const std::filesystem::path& file,
       std::memory_order_relaxed);
   std::strncpy(hdr->name, channel_name.c_str(), sizeof(hdr->name) - 1);
 
-  return std::shared_ptr<ShmStore>(new ShmStore(file, base, bytes));
+  return std::shared_ptr<ShmStore>(
+      new ShmStore(file, base, bytes, capacity));
 }
 
 std::shared_ptr<ShmStore> ShmStore::attach(const std::filesystem::path& file) {
@@ -78,86 +77,49 @@ std::shared_ptr<ShmStore> ShmStore::attach(const std::filesystem::path& file) {
   if (base == MAP_FAILED) throw_errno("ShmStore::attach mmap " + file.string());
 
   const auto* hdr = static_cast<const ShmHeader*>(base);
+  // Geometry is read once and the checked copy is what the ring keeps: any
+  // local process may write the segment, so a second read could see a
+  // capacity this check never bounded. create() never writes 0.
+  const std::uint32_t capacity = hdr->capacity;
   if (hdr->magic != kShmMagic || hdr->version != kShmVersion ||
-      hdr->slot_size != sizeof(ShmSlot) ||
-      bytes < shm_segment_size(hdr->capacity)) {
+      hdr->slot_size != sizeof(ShmSlot) || capacity == 0 ||
+      bytes < shm_segment_size(capacity)) {
     ::munmap(base, bytes);
     throw std::runtime_error("ShmStore::attach: bad segment format: " +
                              file.string());
   }
-  return std::shared_ptr<ShmStore>(new ShmStore(file, base, bytes));
+  return std::shared_ptr<ShmStore>(
+      new ShmStore(file, base, bytes, capacity));
 }
 
-ShmStore::ShmStore(std::filesystem::path file, void* base, std::size_t bytes)
-    : file_(std::move(file)), base_(base), bytes_(bytes) {}
+ShmStore::ShmStore(std::filesystem::path file, void* base, std::size_t bytes,
+                   std::uint32_t capacity)
+    : file_(std::move(file)),
+      base_(base),
+      bytes_(bytes),
+      ring_(&header()->count,
+            reinterpret_cast<ShmSlot*>(static_cast<char*>(base) +
+                                       sizeof(ShmHeader)),
+            capacity) {}
 
 ShmStore::~ShmStore() {
   if (base_ != nullptr) ::munmap(base_, bytes_);
 }
 
-ShmSlot* ShmStore::slots() {
-  return reinterpret_cast<ShmSlot*>(static_cast<char*>(base_) +
-                                    sizeof(ShmHeader));
-}
-
-const ShmSlot* ShmStore::slots() const {
-  return reinterpret_cast<const ShmSlot*>(static_cast<const char*>(base_) +
-                                          sizeof(ShmHeader));
-}
-
 std::uint64_t ShmStore::append(const core::HeartbeatRecord& rec) {
-  ShmHeader* hdr = header();
-  const std::uint64_t seq =
-      hdr->count.fetch_add(1, std::memory_order_acq_rel);
-  ShmSlot& slot = slots()[seq % hdr->capacity];
-  // Seqlock write: invalidate, payload, publish. The fence orders the
-  // payload after the invalidation (a release store only orders what
-  // comes before it), so a lapped reader's commit re-check can never
-  // accept a half-overwritten record; mirrors the reader-side fence.
-  slot.commit.store(0, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
-  core::HeartbeatRecord stamped = rec;
-  stamped.seq = seq;
-  util::tsan_relaxed_copy(slot.rec, stamped);
-  slot.commit.store(seq + 1, std::memory_order_release);
-  return seq;
+  return ring_.push([&rec](std::uint64_t seq) {
+    core::HeartbeatRecord stamped = rec;
+    stamped.seq = seq;
+    return stamped;
+  });
 }
 
-std::uint64_t ShmStore::count() const {
-  return header()->count.load(std::memory_order_acquire);
-}
+std::uint64_t ShmStore::count() const { return ring_.count(); }
 
-std::size_t ShmStore::capacity() const { return header()->capacity; }
+std::size_t ShmStore::capacity() const { return ring_.capacity(); }
 
 std::vector<core::HeartbeatRecord> ShmStore::history(std::size_t n) const {
-  const ShmHeader* hdr = header();
-  const std::uint64_t total = hdr->count.load(std::memory_order_acquire);
-  std::size_t want = n;
-  if (want > hdr->capacity) want = hdr->capacity;
-  if (want > total) want = static_cast<std::size_t>(total);
-
-  std::vector<core::HeartbeatRecord> out;
-  out.reserve(want);
-  const ShmSlot* slot_arr = slots();
-  for (std::uint64_t seq = total - want; seq < total; ++seq) {
-    const ShmSlot& slot = slot_arr[seq % hdr->capacity];
-    // Per-slot seqlock read with bounded retries; skip torn/overwritten
-    // slots (benign for windowed rate computation).
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint64_t c1 = slot.commit.load(std::memory_order_acquire);
-      if (c1 != seq + 1) break;  // not (or no longer) the record we want
-      core::HeartbeatRecord copy;
-      util::tsan_relaxed_copy(copy, slot.rec);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      // relaxed: the fence above orders the copy before this re-check.
-      const std::uint64_t c2 = slot.commit.load(std::memory_order_relaxed);
-      if (c2 == c1) {
-        out.push_back(copy);
-        break;
-      }
-    }
-  }
-  return out;
+  return ring_.last(n);
 }
 
 void ShmStore::set_target(core::TargetRate t) {

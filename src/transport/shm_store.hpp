@@ -13,6 +13,7 @@
 
 #include "core/store.hpp"
 #include "transport/shm_layout.hpp"
+#include "util/seqlock_ring.hpp"
 
 namespace hb::transport {
 
@@ -26,7 +27,8 @@ class ShmStore final : public core::BeatStore {
                                           std::uint32_t default_window);
 
   /// Attach to an existing segment (observer or co-producer). Throws
-  /// std::runtime_error if the file is missing or has a bad magic/version.
+  /// std::runtime_error if the file is missing or has a bad magic, version
+  /// or slot size, or a capacity of 0 or past the file's end.
   static std::shared_ptr<ShmStore> attach(const std::filesystem::path& file);
 
   ~ShmStore() override;
@@ -47,16 +49,16 @@ class ShmStore final : public core::BeatStore {
   std::uint32_t producer_pid() const;
 
  private:
-  ShmStore(std::filesystem::path file, void* base, std::size_t bytes);
+  ShmStore(std::filesystem::path file, void* base, std::size_t bytes,
+           std::uint32_t capacity);
 
   ShmHeader* header() { return static_cast<ShmHeader*>(base_); }
   const ShmHeader* header() const { return static_cast<const ShmHeader*>(base_); }
-  ShmSlot* slots();
-  const ShmSlot* slots() const;
 
   std::filesystem::path file_;
   void* base_ = nullptr;
   std::size_t bytes_ = 0;
+  util::SeqlockRing<ShmSlot> ring_;  ///< keeps the capacity attach() checked
 };
 
 }  // namespace hb::transport

@@ -215,6 +215,23 @@ TEST(FlightRecorder, EventSinkFeedsRecordEvent) {
   EXPECT_EQ(rec.pending_events()[0].app, "vm-3");
 }
 
+TEST(FlightRecorder, TimelineJsonEscapesUntrustedAppNames) {
+  // A ring name is any bytes but NUL; the timeline must stay valid JSON.
+  obs::FlightRecorder rec;
+  rec.record_event(death_event(kNsPerSec, "evil\nname\x01\"q\\"));
+  rec.record_report(make_report(kNsPerSec, 1));
+  const std::string json = obs::render_timeline_json(rec.timeline());
+  // Between the array's own line breaks, no raw byte below 0x20.
+  const std::string body = json.substr(2, json.size() - 5);
+  ASSERT_EQ(json.substr(0, 2), "[\n");
+  ASSERT_EQ(json.substr(json.size() - 3), "\n]\n");
+  for (const char c : body) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
+  EXPECT_NE(json.find("evil\\nname\\u0001\\\"q\\\\"), std::string::npos)
+      << json;
+}
+
 // -------------------------------------------------------- PostmortemSink
 
 TEST(PostmortemSink, TriggerSetIsDeathQuarantineAndCorrelated) {

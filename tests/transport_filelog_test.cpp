@@ -74,6 +74,33 @@ TEST_F(FileLogTest, ProducerMirrorServesHistory) {
   EXPECT_EQ(h.back().tag, 19u);
 }
 
+TEST_F(FileLogTest, BackwardStampIsRaisedInTheMirrorAndTheFile) {
+  // Racing producers stamp before they take the log mutex, so a beat can
+  // arrive older than the newest. The producer's mirror raises it to the
+  // newest stamp (core::MemoryStore's rule), and the file carries the
+  // stamp the mirror stored: both sides read one monotone history.
+  auto producer = FileLogStore::create(file(), "c", 8, 4);
+  core::HeartbeatRecord r;
+  for (const util::TimeNs ts : {100, 300, 200, 400}) {
+    r.timestamp_ns = ts;
+    producer->append(r);
+  }
+  auto observer = FileLogStore::attach(file());
+  const auto mine = producer->history(4);
+  const auto theirs = observer->history(4);
+  ASSERT_EQ(mine.size(), 4u);
+  ASSERT_EQ(theirs.size(), 4u);
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    EXPECT_EQ(mine[i].seq, i);
+    EXPECT_EQ(theirs[i].seq, mine[i].seq);
+    EXPECT_EQ(theirs[i].timestamp_ns, mine[i].timestamp_ns);
+    if (i > 0) {
+      EXPECT_GE(mine[i].timestamp_ns, mine[i - 1].timestamp_ns);
+    }
+  }
+  EXPECT_EQ(mine[2].timestamp_ns, 300);
+}
+
 TEST_F(FileLogTest, ObserverParsesEverything) {
   auto producer = FileLogStore::create(file(), "myapp.global", 8, 12);
   core::HeartbeatRecord r;

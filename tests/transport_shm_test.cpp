@@ -1,12 +1,18 @@
 // Shared-memory transport: layout guarantees, create/attach, cross-process
 // visibility (fork), concurrent writers, seqlock behaviour.
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -15,6 +21,7 @@
 #include "transport/shm_layout.hpp"
 #include "transport/shm_store.hpp"
 #include "util/clock.hpp"
+#include "util/rng.hpp"
 
 namespace hb::transport {
 namespace {
@@ -158,6 +165,136 @@ TEST_F(ShmTest, AttachRejectsTruncatedSegment) {
   store.reset();
   fs::resize_file(file(), 64);  // smaller than the header
   EXPECT_THROW(ShmStore::attach(file()), std::runtime_error);
+}
+
+/// Overwrite `width` bytes of a segment file at `at` with the low bytes of
+/// `value` (little-endian). An attached store's MAP_SHARED mapping sees it
+/// at once.
+void poke(const fs::path& path, std::size_t at, std::size_t width,
+          std::uint64_t value) {
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(::pwrite(fd, &value, width, static_cast<off_t>(at)),
+            static_cast<ssize_t>(width));
+  ::close(fd);
+}
+
+TEST_F(ShmTest, AttachRejectsZeroCapacity) {
+  // create() never writes 0, and an attached co-producer's append would
+  // divide by it.
+  ShmStore::create(file(), "c", 8, 2).reset();
+  poke(file(), offsetof(ShmHeader, capacity), 4, 0);
+  EXPECT_THROW(ShmStore::attach(file()), std::runtime_error);
+}
+
+TEST_F(ShmTest, CapacityRaisedAfterAttachIsNotRead) {
+  // The capacity attach() checked against the file size is the one the
+  // store keeps: a header raised to 2^30 slots afterwards reads nothing
+  // past the 8-slot mapping.
+  auto producer = ShmStore::create(file(), "c", 8, 2);
+  auto observer = ShmStore::attach(file());
+  core::HeartbeatRecord r;
+  for (int i = 0; i < 12; ++i) {
+    r.tag = static_cast<std::uint64_t>(i);
+    producer->append(r);
+  }
+  poke(file(), offsetof(ShmHeader, capacity), 4, std::uint64_t{1} << 30);
+  for (const auto& store : {producer, observer}) {
+    EXPECT_EQ(store->capacity(), 8u);
+    const auto h = store->history(8);
+    ASSERT_EQ(h.size(), 8u);
+    EXPECT_EQ(h.front().tag, 4u);
+    EXPECT_EQ(h.back().tag, 11u);
+  }
+  EXPECT_EQ(observer->append(r), 12u);
+}
+
+// Hostile-header mutator for the per-app `.hb` segment. Any local process
+// may write the file, so for each seed 1-3 header words (capacity, count,
+// slot_size, version, default_window, a target bound) are damaged before
+// attach(), and 1-3 more once stores have it mapped. attach() either
+// rejects the segment with std::runtime_error, or every store's history,
+// current_rate, staleness_ns and append stay inside the mapping: each keeps
+// the capacity it started with, one the file holds. The segment ends on a
+// page boundary, so a read past it is likely to fault.
+TEST_F(ShmTest, HostileHeaderIsRejectedOrReadInBounds) {
+  constexpr std::uint32_t kCapacity = 62;  // 128 + 62 x 64 = 4096 bytes
+  static_assert(shm_segment_size(kCapacity) == 4096);
+  struct Word {
+    std::size_t at;
+    std::size_t width;
+  };
+  const Word words[] = {
+      {offsetof(ShmHeader, capacity), 4},
+      {offsetof(ShmHeader, count), 8},
+      {offsetof(ShmHeader, slot_size), 4},
+      {offsetof(ShmHeader, version), 4},
+      {offsetof(ShmHeader, default_window), 4},
+      {offsetof(ShmHeader, target_min_bits), 8},
+      {offsetof(ShmHeader, target_max_bits), 8},
+  };
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  auto clock = std::make_shared<util::ManualClock>();
+  clock->set(100 * kNsPerSec);
+  std::uint64_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    util::Rng rng(seed);
+    std::ostringstream done;
+    auto damage = [&] {
+      for (auto k = 1 + rng.next_below(3); k > 0; --k) {
+        const Word w = words[rng.next_below(std::size(words))];
+        const std::uint64_t edges[] = {0,
+                                       1,
+                                       kCapacity - 1,
+                                       kCapacity + 1,
+                                       std::uint64_t{1} << rng.next_below(64),
+                                       0xffffffffULL - rng.next_below(4),
+                                       kTop - rng.next_below(2 * kCapacity),
+                                       rng.next_u64()};
+        const std::uint64_t v = edges[rng.next_below(std::size(edges))];
+        poke(file(), w.at, w.width, v);
+        done << " " << w.at << "=" << v;
+      }
+    };
+    auto producer = ShmStore::create(file(), "c", kCapacity, 20);
+    core::HeartbeatRecord r;
+    for (std::uint64_t i = 0; i < kCapacity + 10; ++i) {
+      r.timestamp_ns = static_cast<util::TimeNs>(i) * kNsPerSec / 10;
+      producer->append(r);
+    }
+    auto early = ShmStore::attach(file());
+    damage();
+    std::shared_ptr<ShmStore> late;
+    try {
+      late = ShmStore::attach(file());
+      ASSERT_LE(shm_segment_size(static_cast<std::uint32_t>(late->capacity())),
+                fs::file_size(file()))
+          << "seed " << seed << done.str();
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+    damage();
+    for (const auto& store : {producer, early, late}) {
+      if (!store) continue;
+      const std::size_t cap = store->capacity();
+      SCOPED_TRACE("seed " + std::to_string(seed) + done.str());
+      ASSERT_LE(cap, kCapacity);
+      for (const std::size_t n : {std::size_t{1}, std::size_t{20}, cap,
+                                  std::numeric_limits<std::size_t>::max()}) {
+        EXPECT_LE(store->history(n).size(), std::min(n, cap));
+      }
+      core::HeartbeatReader reader(store, clock);
+      (void)reader.current_rate();
+      (void)reader.current_rate(5);
+      (void)reader.staleness_ns();
+      (void)store->target();
+      store->append(r);
+      EXPECT_EQ(store->capacity(), cap);
+    }
+  }
+  // Both outcomes happen: some damage is refused, some attaches.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, 1000u);
 }
 
 TEST_F(ShmTest, ConcurrentAppendersLoseNothing) {
