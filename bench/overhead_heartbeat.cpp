@@ -31,11 +31,20 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// <tmp>/hb_bench_<pid>, made on first use and removed with whatever is left
+// in it when the process exits.
 fs::path scratch_dir() {
-  const auto dir =
-      fs::temp_directory_path() / ("hb_bench_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  return dir;
+  struct Dir {
+    fs::path path =
+        fs::temp_directory_path() / ("hb_bench_" + std::to_string(::getpid()));
+    Dir() { fs::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
 }
 
 // --------------------------------------------------------- raw beat cost

@@ -213,7 +213,7 @@ def check_text(path: str, text: str) -> list[Finding]:
 
 
 def check_file(path: pathlib.Path, root: pathlib.Path) -> list[Finding]:
-    rel = str(path.relative_to(root))
+    rel = str(path.relative_to(root) if path.is_relative_to(root) else path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
@@ -326,7 +326,7 @@ def main() -> int:
 
     root = pathlib.Path(__file__).resolve().parent.parent
     roots = (
-        [pathlib.Path(p) for p in args.paths]
+        [pathlib.Path(p).resolve() for p in args.paths]
         if args.paths
         else [root / d for d in ("src", "tests", "bench", "examples")]
     )

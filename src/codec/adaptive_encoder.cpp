@@ -26,8 +26,7 @@ AdaptiveEncoder::AdaptiveEncoder(int width, int height,
       work_model_(std::move(work_model)),
       hb_(hb_options(opts_, std::move(clock))),
       encoder_(width, height),
-      ladder_(make_preset_ladder()),
-      controller_(opts_.controller) {
+      ladder_(make_preset_ladder()) {
   ladder_.set_level(opts_.initial_level < ladder_.size() ? opts_.initial_level
                                                          : 0);
   encoder_.set_config(ladder_.current());

@@ -43,9 +43,6 @@ struct AdaptiveEncoderOptions {
   bool adapt = true;
   /// Heartbeat channel name.
   std::string name = "x264";
-  /// Controller step options (cooldown avoids reacting to a window still
-  /// polluted by pre-adaptation beats).
-  control::StepControllerOptions controller{.patience = 1, .cooldown = 0};
 };
 
 class AdaptiveEncoder {
@@ -76,6 +73,8 @@ class AdaptiveEncoder {
   core::Heartbeat hb_;
   Encoder encoder_;
   PresetLadder ladder_;
+  /// The paper's single step per out-of-band check: patience 1, no
+  /// cooldown (StepControllerOptions' defaults).
   control::StepController controller_;
   int frames_since_check_ = 0;
   int adaptations_ = 0;

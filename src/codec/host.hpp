@@ -19,12 +19,14 @@ namespace hb::codec {
 
 class SimulatedHost {
  public:
+  /// Amdahl fraction of encoder work that scales with cores (x264
+  /// parallelizes well but not perfectly).
+  static constexpr double kParallelFraction = 0.95;
+
   /// `units_per_second_per_core`: single-core execution rate of encoder
-  /// work units. `parallel_fraction`: Amdahl fraction of encoder work that
-  /// scales with cores (x264 parallelizes well but not perfectly).
+  /// work units.
   SimulatedHost(std::shared_ptr<util::ManualClock> clock,
-                double units_per_second_per_core, int cores,
-                double parallel_fraction = 0.95);
+                double units_per_second_per_core, int cores);
 
   /// Advance virtual time by the duration `work_units` takes on the current
   /// core count. Returns the elapsed simulated seconds.
@@ -35,19 +37,15 @@ class SimulatedHost {
   /// Fail one core (no-op at zero). Returns the new count.
   int fail_core() { return cores_ = cores_ > 0 ? cores_ - 1 : 0; }
 
-  double throughput_units_per_second() const;
-  const std::shared_ptr<util::ManualClock>& clock() const { return clock_; }
-
   /// Pick units_per_second_per_core such that work arriving at
   /// `mean_work_per_frame` sustains `target_fps` on `cores` cores.
   static double calibrate_rate(double mean_work_per_frame, double target_fps,
-                               int cores, double parallel_fraction = 0.95);
+                               int cores);
 
  private:
   std::shared_ptr<util::ManualClock> clock_;
   double units_per_second_per_core_;
   int cores_;
-  double parallel_fraction_;
 };
 
 }  // namespace hb::codec

@@ -21,9 +21,8 @@ double black_scholes_call(double spot, double strike, double rate,
   return spot * norm_cdf(d1) - strike * std::exp(-rate * time) * norm_cdf(d2);
 }
 
-BlackScholes::BlackScholes(Scale scale, std::uint64_t beat_every)
-    : options_(scale == Scale::kNative ? 2'000'000 : 100'000),
-      beat_every_(beat_every == 0 ? 1 : beat_every) {}
+BlackScholes::BlackScholes(Scale scale)
+    : options_(scale == Scale::kNative ? 2'000'000 : 100'000) {}
 
 void BlackScholes::run(core::Heartbeat& hb) {
   util::Rng rng(101);
@@ -35,7 +34,7 @@ void BlackScholes::run(core::Heartbeat& hb) {
     const double vol = rng.uniform(0.10, 0.60);
     const double t = rng.uniform(0.25, 2.0);
     acc += black_scholes_call(spot, strike, rate, vol, t);
-    if ((i + 1) % beat_every_ == 0) hb.beat((i + 1) / beat_every_);
+    if ((i + 1) % kBeatEvery == 0) hb.beat((i + 1) / kBeatEvery);
   }
   checksum_ = acc / static_cast<double>(options_);
 }

@@ -12,20 +12,20 @@ namespace hb::kernels {
 
 class BlackScholes final : public Kernel {
  public:
-  explicit BlackScholes(Scale scale, std::uint64_t beat_every = 25000);
+  /// Heartbeat granularity (paper, Table 2).
+  static constexpr std::uint64_t kBeatEvery = 25000;
+
+  explicit BlackScholes(Scale scale);
 
   std::string name() const override { return "blackscholes"; }
   std::string heartbeat_location() const override {
-    return "Every " + std::to_string(beat_every_) + " options";
+    return "Every " + std::to_string(kBeatEvery) + " options";
   }
   void run(core::Heartbeat& hb) override;
   double checksum() const override { return checksum_; }
 
-  std::uint64_t options_priced() const { return options_; }
-
  private:
   std::uint64_t options_;
-  std::uint64_t beat_every_;
   double checksum_ = 0.0;
 };
 

@@ -8,10 +8,9 @@
 
 namespace hb::kernels {
 
-Canneal::Canneal(Scale scale, std::uint64_t beat_every)
+Canneal::Canneal(Scale scale)
     : grid_(scale == Scale::kNative ? 64 : 24),
-      moves_(scale == Scale::kNative ? 400'000 : 30'000),
-      beat_every_(beat_every == 0 ? 1 : beat_every) {}
+      moves_(scale == Scale::kNative ? 400'000 : 30'000) {}
 
 void Canneal::run(core::Heartbeat& hb) {
   util::Rng rng(303);
@@ -72,7 +71,7 @@ void Canneal::run(core::Heartbeat& hb) {
                 position[static_cast<std::size_t>(b)]);  // undo
     }
     temperature *= cooling;
-    if ((m + 1) % beat_every_ == 0) hb.beat((m + 1) / beat_every_);
+    if ((m + 1) % kBeatEvery == 0) hb.beat((m + 1) / kBeatEvery);
   }
   final_cost_ = cost;
   checksum_ = cost;

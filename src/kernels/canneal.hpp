@@ -12,11 +12,14 @@ namespace hb::kernels {
 
 class Canneal final : public Kernel {
  public:
-  explicit Canneal(Scale scale, std::uint64_t beat_every = 1875);
+  /// Heartbeat granularity (paper, Table 2).
+  static constexpr std::uint64_t kBeatEvery = 1875;
+
+  explicit Canneal(Scale scale);
 
   std::string name() const override { return "canneal"; }
   std::string heartbeat_location() const override {
-    return "Every " + std::to_string(beat_every_) + " moves";
+    return "Every " + std::to_string(kBeatEvery) + " moves";
   }
   void run(core::Heartbeat& hb) override;
   double checksum() const override { return checksum_; }
@@ -27,7 +30,6 @@ class Canneal final : public Kernel {
  private:
   int grid_;            ///< grid side (grid_^2 element slots)
   std::uint64_t moves_;
-  std::uint64_t beat_every_;
   double checksum_ = 0.0;
   double initial_cost_ = 0.0;
   double final_cost_ = 0.0;

@@ -203,22 +203,49 @@ std::string render_timeline_json(
 }
 
 void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
+  char buf[8];
+  for (std::size_t i = 0; i < s.size();) {
+    const auto byte = static_cast<unsigned char>(s[i]);
+    const std::size_t n = utf8_sequence_length(s.substr(i));
+    if (n > 1) {
+      out.append(s, i, n);
+      i += n;
+      continue;
+    }
+    ++i;
+    switch (byte) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        if (byte < 0x20 || n == 0) {
+          std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
           out += buf;
         } else {
-          out += c;
+          out += static_cast<char>(byte);
         }
     }
   }
+}
+
+std::size_t utf8_sequence_length(std::string_view s) {
+  const auto at = [&](std::size_t i) -> unsigned {
+    return i < s.size() ? static_cast<unsigned char>(s[i]) : 0;
+  };
+  const unsigned lead = at(0);
+  if (!s.empty() && lead < 0x80) return 1;
+  // The lead byte fixes the length and the second byte's range, which
+  // rules out overlong forms, surrogates and code points past U+10FFFF.
+  const std::size_t n = lead < 0xC2 ? 0 : lead < 0xE0 ? 2 : lead < 0xF0 ? 3
+                        : lead < 0xF5 ? 4 : 0;
+  const unsigned lo = lead == 0xE0 ? 0xA0 : lead == 0xF0 ? 0x90 : 0x80;
+  const unsigned hi = lead == 0xED ? 0x9F : lead == 0xF4 ? 0x8F : 0xBF;
+  if (n == 0 || at(1) < lo || at(1) > hi) return 0;
+  for (std::size_t i = 2; i < n; ++i) {
+    if (at(i) < 0x80 || at(i) > 0xBF) return 0;
+  }
+  return n;
 }
 
 }  // namespace hb::obs

@@ -179,8 +179,15 @@ std::string render_timeline_json(
     util::TimeNs base_ns = 0);
 
 /// Append `s` (untrusted: any bytes) to `out` as the inside of a JSON
-/// string: `"`, `\` and every byte below 0x20 escaped. The one escaper of
-/// the timeline and the postmortem bundle.
+/// string: `"`, `\` and every byte below 0x20 escaped, well-formed UTF-8
+/// copied as it is, and each byte of an ill-formed sequence escaped as
+/// `\u00XX`, so a strict JSON reader accepts the result. The one escaper
+/// of the timeline and the postmortem bundle.
 void append_json_escaped(std::string& out, std::string_view s);
+
+/// Length (1-4) of the well-formed UTF-8 sequence that starts `s`, or 0 if
+/// `s` is empty or starts ill-formed (Unicode's Table 3-7: a stray or
+/// missing continuation byte, an overlong form, a surrogate, > U+10FFFF).
+std::size_t utf8_sequence_length(std::string_view s);
 
 }  // namespace hb::obs

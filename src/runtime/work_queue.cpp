@@ -65,7 +65,7 @@ std::size_t HeartbeatDispatcher::pick(
   std::size_t best = 0;
   double best_eta = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < workers.size(); ++i) {
-    const double rate = workers[i]->channel().rate(window_);  // tasks/s
+    const double rate = workers[i]->channel().rate(kWindow);  // tasks/s
     double eta;
     if (rate <= 0.0 || !std::isfinite(rate)) {
       // Unobserved worker: assume it is instantly available.

@@ -91,14 +91,12 @@ class ShortestQueueDispatcher final : public Dispatcher {
 /// rate and send the task where the predicted completion is earliest.
 class HeartbeatDispatcher final : public Dispatcher {
  public:
-  /// `window`: beats used for the rate estimate.
-  explicit HeartbeatDispatcher(std::uint32_t window = 8) : window_(window) {}
+  /// Beats used for each worker's rate estimate.
+  static constexpr std::uint32_t kWindow = 8;
+
   const char* name() const override { return "heartbeat"; }
   std::size_t pick(const std::vector<std::unique_ptr<Worker>>& workers,
                    double work_units) override;
-
- private:
-  std::uint32_t window_;
 };
 
 /// The closed simulation: submit tasks through a dispatcher, tick workers.

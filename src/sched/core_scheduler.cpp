@@ -14,14 +14,13 @@ CoreScheduler::CoreScheduler(core::HeartbeatReader reader,
       allocation_(opts.min_cores) {
   assert(controller_ && actuator_);
   if (opts_.max_cores < opts_.min_cores) opts_.max_cores = opts_.min_cores;
-  if (opts_.decide_every_beats == 0) opts_.decide_every_beats = 1;
   actuator_(allocation_);
 }
 
 bool CoreScheduler::poll() {
   const std::uint64_t beats = reader_.count();
   if (beats < opts_.warmup_beats) return false;
-  if (beats < last_decision_count_ + opts_.decide_every_beats) return false;
+  if (beats <= last_decision_count_) return false;
   last_decision_count_ = beats;
 
   last_rate_ = reader_.current_rate(opts_.window);

@@ -26,9 +26,6 @@ struct CoreSchedulerOptions {
   int max_cores = 8;
   /// Window (in beats) for the rate the controller sees; 0 = app default.
   std::uint32_t window = 0;
-  /// Decide at most once per this many newly observed beats (the paper's
-  /// schedulers react beat-by-beat; larger values slow the loop down).
-  std::uint64_t decide_every_beats = 1;
   /// Skip decisions until the app has produced at least this many beats
   /// (a rate needs history to mean anything).
   std::uint64_t warmup_beats = 2;
@@ -45,8 +42,9 @@ class CoreScheduler {
                 Actuator actuator, CoreSchedulerOptions opts = {});
 
   /// Observe and possibly act. Call whenever new beats may have arrived
-  /// (each sim tick, or on a polling interval in native mode).
-  /// Returns true if the allocation changed.
+  /// (each sim tick, or on a polling interval in native mode). Decides only
+  /// when a beat arrived since the last decision: the paper's schedulers
+  /// react beat by beat. Returns true if the allocation changed.
   bool poll();
 
   int allocation() const { return allocation_; }

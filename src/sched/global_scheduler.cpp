@@ -42,16 +42,13 @@ int GlobalScheduler::free_cores() const {
 
 std::vector<GlobalScheduler::Snapshot> GlobalScheduler::observe() const {
   std::vector<Snapshot> out(apps_.size());
-  const fault::FleetDetector detector(opts_.fault_options);
   for (std::size_t i = 0; i < apps_.size(); ++i) {
     const core::HeartbeatReader& reader = apps_[i].reader;
     Snapshot& snap = out[i];
     snap.rate = reader.current_rate(opts_.window);
     snap.beats = reader.count();
     snap.target = reader.target();
-    if (opts_.detect_failures) {
-      snap.dead = detector.classify(reader) == fault::Health::kDead;
-    }
+    snap.dead = detector_.classify(reader) == fault::Health::kDead;
   }
   return out;
 }
@@ -70,6 +67,22 @@ double GlobalScheduler::normalized_error(const Snapshot& snap) {
   return 0.0;
 }
 
+bool GlobalScheduler::move_core(int from, int to) {
+  if (from != kFreePool) {
+    App& giver = apps_[static_cast<std::size_t>(from)];
+    --giver.alloc;
+    giver.actuator(giver.alloc);
+  }
+  if (to != kFreePool) {
+    App& receiver = apps_[static_cast<std::size_t>(to)];
+    ++receiver.alloc;
+    receiver.actuator(receiver.alloc);
+  }
+  ++moves_;
+  cooldown_left_ = kCooldownPolls;
+  return true;
+}
+
 bool GlobalScheduler::poll() {
   if (apps_.empty()) return false;
   if (cooldown_left_ > 0) {
@@ -78,101 +91,66 @@ bool GlobalScheduler::poll() {
   }
 
   const std::vector<Snapshot> snaps = observe();
+  const int min_alloc = opts_.min_cores_per_app;
+  const auto live_and_warm = [&](std::size_t i) {
+    return !snaps[i].dead && snaps[i].beats >= opts_.warmup_beats;
+  };
 
   // Find the neediest app (most negative error) among warmed-up, live apps.
   // A dead app never receives: feeding cores to a producer that stopped
   // beating is the one reallocation guaranteed to help nobody.
-  int needy = -1;
-  double worst = -opts_.deficit_deadband;
+  int needy = kFreePool;
+  double worst = -kDeficitDeadband;
   for (std::size_t i = 0; i < apps_.size(); ++i) {
-    if (snaps[i].dead) continue;
-    if (snaps[i].beats < opts_.warmup_beats) continue;
+    if (!live_and_warm(i)) continue;
     const double e = normalized_error(snaps[i]);
     if (e < worst) {
       worst = e;
       needy = static_cast<int>(i);
     }
   }
-  if (needy < 0) {
-    // Nobody is starving. Reclaim from the dead first, then from an app
-    // above its max (back toward the "minimum resources" goal of §5.3).
-    for (std::size_t i = 0; i < apps_.size(); ++i) {
-      App& app = apps_[i];
-      if (snaps[i].dead && app.alloc > opts_.min_cores_per_app) {
-        --app.alloc;
-        app.actuator(app.alloc);
-        ++moves_;
-        cooldown_left_ = opts_.cooldown_polls;
-        return true;
-      }
+
+  // Free cores go to the needy app first.
+  if (needy >= 0 && free_cores() > 0) return move_core(kFreePool, needy);
+
+  // Then the dead donate, to the needy app or, if nobody is starving, back
+  // to the pool: their cores serve nobody.
+  for (std::size_t i = 0; i < apps_.size(); ++i) {
+    if (snaps[i].dead && apps_[i].alloc > min_alloc) {
+      return move_core(static_cast<int>(i), needy);
     }
+  }
+
+  if (needy == kFreePool) {
+    // Nobody is starving: reclaim from an app above its max (back toward
+    // the "minimum resources" goal of §5.3).
     for (std::size_t i = 0; i < apps_.size(); ++i) {
-      App& app = apps_[i];
-      if (snaps[i].dead || snaps[i].beats < opts_.warmup_beats) continue;
-      if (normalized_error(snaps[i]) > opts_.deficit_deadband &&
-          app.alloc > opts_.min_cores_per_app) {
-        --app.alloc;
-        app.actuator(app.alloc);
-        ++moves_;
-        cooldown_left_ = opts_.cooldown_polls;
-        return true;
+      if (live_and_warm(i) && apps_[i].alloc > min_alloc &&
+          normalized_error(snaps[i]) > kDeficitDeadband) {
+        return move_core(static_cast<int>(i), kFreePool);
       }
     }
     return false;
   }
 
-  App& receiver = apps_[static_cast<std::size_t>(needy)];
-
-  // Free cores first.
-  if (free_cores() > 0) {
-    ++receiver.alloc;
-    receiver.actuator(receiver.alloc);
-    ++moves_;
-    cooldown_left_ = opts_.cooldown_polls;
-    return true;
-  }
-
-  // Dead apps donate unconditionally — their cores serve nobody.
+  // Otherwise tax the most generous live donor: prefer the largest
+  // positive error (above max); fall back to the app with the smallest
+  // deficit that can still give (best-effort fairness), as long as the
+  // donor is strictly better off than the receiver.
   int donor = -1;
+  double donor_error = worst;  // must beat the receiver's error
   for (std::size_t i = 0; i < apps_.size(); ++i) {
-    if (static_cast<int>(i) == needy) continue;
-    if (snaps[i].dead && apps_[i].alloc > opts_.min_cores_per_app) {
+    if (static_cast<int>(i) == needy || !live_and_warm(i)) continue;
+    if (apps_[i].alloc <= min_alloc) continue;
+    const double e = normalized_error(snaps[i]);
+    if (e > donor_error) {
+      donor_error = e;
       donor = static_cast<int>(i);
-      break;
     }
   }
-
-  if (donor < 0) {
-    // Otherwise tax the most generous live donor: prefer the largest
-    // positive error (above max); fall back to the app with the smallest
-    // deficit that can still give (best-effort fairness), as long as the
-    // donor is strictly better off than the receiver.
-    double donor_error = worst;  // must beat the receiver's error
-    for (std::size_t i = 0; i < apps_.size(); ++i) {
-      if (static_cast<int>(i) == needy) continue;
-      App& app = apps_[i];
-      if (snaps[i].dead) continue;
-      if (app.alloc <= opts_.min_cores_per_app) continue;
-      if (snaps[i].beats < opts_.warmup_beats) continue;
-      const double e = normalized_error(snaps[i]);
-      if (e > donor_error) {
-        donor_error = e;
-        donor = static_cast<int>(i);
-      }
-    }
-    // Only move a core if the donor is meaningfully better off.
-    if (donor < 0 || donor_error - worst < 2.0 * opts_.deficit_deadband) {
-      return false;
-    }
-  }
-  App& giver = apps_[static_cast<std::size_t>(donor)];
-  --giver.alloc;
-  giver.actuator(giver.alloc);
-  ++receiver.alloc;
-  receiver.actuator(receiver.alloc);
-  ++moves_;
-  cooldown_left_ = opts_.cooldown_polls;
-  return true;
+  // Only move a core if the donor is meaningfully better off.
+  if (donor < 0 || donor_error - worst < 2.0 * kDeficitDeadband) return false;
+  return move_core(donor, needy);
 }
 
 }  // namespace hb::sched

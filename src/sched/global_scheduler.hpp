@@ -18,8 +18,9 @@
 //
 // Observation: each app is watched through its own HeartbeatReader (the
 // paper's one-observer-per-channel shape, Figure 1b): every poll reads its
-// windowed rate, beat count and target, and — with detect_failures — its
-// verdict from FleetDetector::classify(reader).
+// windowed rate, beat count and target, and a default FleetDetector's
+// classify(reader) verdict: a dead app never receives and donates first
+// ("a lack of heartbeats ... would indicate that it has failed", §2.6).
 #pragma once
 
 #include <functional>
@@ -38,26 +39,19 @@ struct GlobalSchedulerOptions {
   std::uint32_t window = 0;
   /// Beats an app must have produced before it participates in decisions.
   std::uint64_t warmup_beats = 3;
-  /// Normalized deficit below which an app is not considered needy
-  /// (hysteresis against window noise).
-  double deficit_deadband = 0.02;
-  /// Polls skipped after every reallocation: the moving averages still
-  /// reflect pre-move beats, and acting on them causes the classic
-  /// give-take oscillation. Sized to the observation window.
-  int cooldown_polls = 10;
-  /// When true, every poll classifies apps with the fleet detector's rules
-  /// (fault_options) and skips dead apps when reallocating: a dead app is
-  /// never a receiver, and its cores are reclaimed before any live app is
-  /// taxed — "a lack of heartbeats ... would indicate that it has failed"
-  /// (paper, Section 2.6). Each app is classified from its reader by the
-  /// fleet detector's one rule.
-  bool detect_failures = false;
-  fault::FleetDetectorOptions fault_options{};
 };
 
 class GlobalScheduler {
  public:
   using Actuator = std::function<void(int cores)>;
+
+  /// Normalized deficit below which an app is not considered needy
+  /// (hysteresis against window noise).
+  static constexpr double kDeficitDeadband = 0.02;
+  /// Polls skipped after every reallocation: the moving averages still
+  /// reflect pre-move beats, and acting on them causes the classic
+  /// give-take oscillation. Sized to the observation window.
+  static constexpr int kCooldownPolls = 10;
 
   explicit GlobalScheduler(GlobalSchedulerOptions opts = {});
 
@@ -73,7 +67,6 @@ class GlobalScheduler {
 
   int allocation(int app) const;
   const std::string& name(int app) const;
-  std::size_t app_count() const { return apps_.size(); }
   int free_cores() const;
   std::uint64_t moves() const { return moves_; }
 
@@ -90,7 +83,7 @@ class GlobalScheduler {
     double rate = 0.0;
     std::uint64_t beats = 0;
     core::TargetRate target;
-    bool dead = false;  ///< verdict under opts_.fault_options (if enabled)
+    bool dead = false;  ///< the detector's verdict is kDead
   };
 
   /// Gather all snapshots, one reader query each.
@@ -100,7 +93,13 @@ class GlobalScheduler {
   /// surplus (above max), 0 in band. NaN-safe.
   static double normalized_error(const Snapshot& snap);
 
+  /// The one reallocation step: move a core between two apps or the free
+  /// pool, actuate, count the move and start the cooldown. Returns true.
+  static constexpr int kFreePool = -1;
+  bool move_core(int from, int to);
+
   GlobalSchedulerOptions opts_;
+  fault::FleetDetector detector_;
   std::vector<App> apps_;
   std::uint64_t moves_ = 0;
   int cooldown_left_ = 0;

@@ -105,8 +105,8 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec, ScenarioConfig config,
       rng_(seed ^ hub::fnv1a64(spec_.name)) {
   if (config_.racks <= 0 || config_.vms_per_rack <= 0)
     throw std::invalid_argument("scenario config needs racks and vms > 0");
-  if (config_.dt_s <= 0.0 || config_.duration_s <= 0.0)
-    throw std::invalid_argument("scenario config needs dt and duration > 0");
+  if (config_.duration_s <= 0.0)
+    throw std::invalid_argument("scenario config needs duration > 0");
   result_.name = spec_.name;
   result_.seed = seed_;
   result_.config = config_;
@@ -117,7 +117,7 @@ ScenarioRunner::~ScenarioRunner() = default;
 void ScenarioRunner::build_world() {
   clock_ = std::make_shared<util::ManualClock>();
   hub::HubOptions hub_opts;
-  hub_opts.shard_count = config_.hub_shards;
+  hub_opts.shard_count = kHubShards;
   hub_opts.window_capacity = 64;
   hub_opts.clock = clock_;
 
@@ -127,14 +127,11 @@ void ScenarioRunner::build_world() {
   monitor_ = std::make_shared<policy::Monitor>(
       std::make_shared<hub::HeartbeatHub>(hub_opts),
       fault::FleetDetectorOptions{.absolute_staleness_ns = 5 * util::kNsPerSec},
-      policy::PolicyOptions{.flap_window_ns = 60 * util::kNsPerSec,
-                            .flap_threshold = 4,
-                            .quarantine_cooldown_ns = 120 * util::kNsPerSec,
-                            .correlated_min_apps = 3});
+      policy::PolicyOptions{});
   // Capacity leaves 2x headroom over nominal demand, so co-placement never
   // oversubscribes and every healthy VM beats at exactly demand/work_per_beat.
   sim_ = std::make_unique<cloud::CloudSim>(
-      config_.racks, config_.vms_per_rack * config_.vm_demand * 2.0, clock_,
+      config_.racks, config_.vms_per_rack * kVmDemand * 2.0, clock_,
       monitor_->hub());
   policy::PolicyEngine& engine = monitor_->engine();
   events_ = std::make_shared<policy::TestSink>();
@@ -176,7 +173,7 @@ void ScenarioRunner::build_world() {
     for (int v = 0; v < config_.vms_per_rack; ++v) {
       cloud::VmSpec spec;
       spec.name = world_.rack_name(r) + "/vm-" + std::to_string(v);
-      spec.phases = {{config_.duration_s + 600.0, config_.vm_demand}};
+      spec.phases = {{config_.duration_s + 600.0, kVmDemand}};
       spec.work_per_beat = 1.0;
       spec.target_min_bps = config_.target_min_bps;
       if (spec_.customize_vm) spec_.customize_vm(world_, r, v, spec);
@@ -185,7 +182,7 @@ void ScenarioRunner::build_world() {
     }
   }
 
-  sim_->set_monitor(monitor_, config_.policy_period_s);
+  sim_->set_monitor(monitor_, kPolicyPeriodS);
 }
 
 void ScenarioRunner::enable_capture(std::string dir) {
@@ -207,7 +204,7 @@ const ScenarioResult& ScenarioRunner::run() {
                 spec_.name.c_str(),
                 static_cast<unsigned long long>(seed_), config_.racks,
                 config_.vms_per_rack, config_.apps(), config_.duration_s,
-                config_.dt_s, config_.policy_period_s,
+                kStepS, kPolicyPeriodS,
                 config_.restart_budget);
   log_.raw(head);
 
@@ -238,9 +235,9 @@ const ScenarioResult& ScenarioRunner::run() {
   };
 
   const auto steps =
-      static_cast<std::uint64_t>(std::llround(config_.duration_s / config_.dt_s));
+      static_cast<std::uint64_t>(std::llround(config_.duration_s / kStepS));
   for (std::uint64_t i = 0; i < steps; ++i) {
-    sim_->step(config_.dt_s);
+    sim_->step(kStepS);
     plan_.poll(clock_->now(), fire);
     if (hooks.tick) hooks.tick(world_);
   }

@@ -34,8 +34,8 @@
 // Determinism rules for scenario authors (docs/ARCHITECTURE.md):
 //   1. draw ONLY from world.rng, in arrange order (never in verify);
 //   2. quantize fault times that feed flap dynamics to the policy period
-//     (0.5 s) — the quarantine race is sweep-phase-aligned, and jitter off
-//     the grid changes outcomes, not just timestamps;
+//     (kPolicyPeriodS, 0.5 s) — the quarantine race is sweep-phase-aligned,
+//     and jitter off the grid changes outcomes, not just timestamps;
 //   3. never iterate an unordered container into the log — sort first;
 //   4. log integers and %.3f-second stamps only.
 #pragma once
@@ -62,16 +62,18 @@
 
 namespace hb::sim {
 
+/// One time grid, sweep cadence, VM demand and hub layout for every drill.
+inline constexpr double kStepS = 0.1;  ///< step quantum (the sim's time grid)
+inline constexpr double kPolicyPeriodS = 0.5;  ///< sweep cadence (flap grid!)
+inline constexpr double kVmDemand = 4.0;  ///< service units/s per VM: 4 beats/s
+inline constexpr std::size_t kHubShards = 16;
+
 /// One machine config for a scenario (the correctness/perf split).
 struct ScenarioConfig {
   int racks = 5;          ///< failure-domain groups; also CloudSim machines
   int vms_per_rack = 16;  ///< apps per group
   double duration_s = 60.0;  ///< simulated run length
-  double dt_s = 0.1;         ///< step quantum (the sim's time grid)
-  double policy_period_s = 0.5;   ///< sweep cadence (flap phase grid!)
-  double vm_demand = 4.0;         ///< service units/s per VM => 4 beats/s
   double target_min_bps = 2.0;    ///< registered heartbeat goal
-  std::size_t hub_shards = 16;
   std::uint32_t restart_budget = 3;  ///< 0 = observe-only (no acting sink)
 
   int apps() const { return racks * vms_per_rack; }

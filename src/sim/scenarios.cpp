@@ -560,7 +560,7 @@ ScenarioSpec make_slow_drift() {
     // in the closure — specs are shared, runs are not.)
     if (last_vm && w.result->facts["drifters"].empty()) drift = true;
     if (!drift) return;
-    spec.phases = {{20.0, cfg.vm_demand},
+    spec.phases = {{20.0, kVmDemand},
                    {20.0, 2.6},
                    {cfg.duration_s + 600.0, 1.2}};
     auto& names = w.result->facts["drifters"];

@@ -650,10 +650,10 @@ std::string bundle_field(const std::string& text, const std::string& key) {
   return out;
 }
 
-// Structural sanity for one bundle: readable, one brace-balanced JSON
-// object with no raw control byte inside a string (JSON forbids one, and
-// scripts/check_postmortem_json.py rejects it), and carries our schema
-// marker. Returns false with a reason.
+// Structural sanity for one bundle: readable, well-formed UTF-8, one
+// brace-balanced JSON object with no raw control byte inside a string
+// (JSON forbids both, and scripts/check_postmortem_json.py rejects both),
+// and carries our schema marker. Returns false with a reason.
 bool validate_bundle(const std::filesystem::path& path, std::string* text,
                      std::string* why) {
   std::ifstream f(path, std::ios::binary);
@@ -671,6 +671,12 @@ bool validate_bundle(const std::filesystem::path& path, std::string* text,
   if (body.empty() || body.front() != '{' || body.back() != '}') {
     *why = "not a JSON object";
     return false;
+  }
+  for (std::size_t i = 0, n = 0; i < body.size(); i += n) {
+    if ((n = hb::obs::utf8_sequence_length(body.substr(i))) == 0) {
+      *why = "raw invalid UTF-8";
+      return false;
+    }
   }
   // Brace balance outside strings: catches a truncated bundle (which the
   // atomic rename should make impossible — this is the check that notices

@@ -71,14 +71,13 @@ core::HeartbeatReader Registry::reader(
   return core::HeartbeatReader(attach(app + kGlobalSuffix), std::move(clock));
 }
 
-core::StoreFactory Registry::shm_factory(std::uint32_t capacity_hint) const {
+core::StoreFactory Registry::shm_factory() const {
   const auto dir = dir_;
-  return [dir, capacity_hint](const core::StoreSpec& spec) {
-    const std::uint32_t capacity =
-        capacity_hint != 0 ? capacity_hint
-                           : static_cast<std::uint32_t>(spec.capacity);
+  return [dir](const core::StoreSpec& spec) {
     return ShmStore::create(dir / (spec.channel_name + kShmExt),
-                            spec.channel_name, capacity, spec.default_window);
+                            spec.channel_name,
+                            static_cast<std::uint32_t>(spec.capacity),
+                            spec.default_window);
   };
 }
 
@@ -96,9 +95,8 @@ std::filesystem::path Registry::ingest_queue_path() const {
 }
 
 core::StoreFactory Registry::shm_ingest_factory(core::StoreFactory inner_factory,
-                                                ShmHubSinkOptions sink_opts,
-                                                std::uint32_t queue_capacity) const {
-  auto queue = ShmIngestQueue::open(ingest_queue_path(), queue_capacity);
+                                                ShmHubSinkOptions sink_opts) const {
+  auto queue = ShmIngestQueue::open(ingest_queue_path(), kDefaultIngestCapacity);
   return ShmHubSink::wrap_factory(std::move(queue), std::move(inner_factory),
                                   sink_opts);
 }

@@ -49,9 +49,10 @@ class Registry {
                                std::shared_ptr<const util::Clock> clock =
                                    nullptr) const;
 
-  /// StoreFactory that creates shm segments in this registry's directory;
-  /// plug into HeartbeatOptions::store_factory to publish an application.
-  core::StoreFactory shm_factory(std::uint32_t capacity_hint = 0) const;
+  /// StoreFactory that creates shm segments in this registry's directory,
+  /// each sized by its StoreSpec; plug into HeartbeatOptions::store_factory
+  /// to publish an application.
+  core::StoreFactory shm_factory() const;
 
   /// StoreFactory creating file logs (the paper's reference transport).
   core::StoreFactory filelog_factory() const;
@@ -63,14 +64,13 @@ class Registry {
 
   /// StoreFactory that mirrors shared channels into the fleet ingest ring
   /// via transport::ShmHubSink. Opens (create-or-attach) the ring at
-  /// ingest_queue_path() immediately. `inner_factory` builds the store the
-  /// sink wraps — pass shm_factory() to stay observer-walkable too;
-  /// default is the in-process MemoryStore factory. `sink_opts` tunes the
-  /// producer-side batching (ShmHubSinkOptions).
+  /// ingest_queue_path() immediately, kDefaultIngestCapacity frames when it
+  /// creates it. `inner_factory` builds the store the sink wraps — pass
+  /// shm_factory() to stay observer-walkable too; default is the
+  /// in-process MemoryStore factory. `sink_opts` tunes the producer-side
+  /// batching (ShmHubSinkOptions).
   core::StoreFactory shm_ingest_factory(core::StoreFactory inner_factory = {},
-                                        ShmHubSinkOptions sink_opts = {},
-                                        std::uint32_t queue_capacity =
-                                            kDefaultIngestCapacity) const;
+                                        ShmHubSinkOptions sink_opts = {}) const;
 
   /// 32768 frames x 64 bytes plus 32768 directory entries x 128 bytes =
   /// 6 MiB: roomy enough that a fleet of ~100 producers at ~100 beats/s

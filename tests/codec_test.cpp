@@ -519,8 +519,7 @@ TEST(Presets, QualityTrendsDownAlongLadder) {
 
 TEST(SimulatedHost, AdvancesClockByWorkOverThroughput) {
   auto clock = std::make_shared<util::ManualClock>();
-  SimulatedHost host(clock, /*ups=*/1000.0, /*cores=*/1,
-                     /*parallel_fraction=*/1.0);
+  SimulatedHost host(clock, /*ups=*/1000.0, /*cores=*/1);
   const double sec = host.run(500);
   EXPECT_DOUBLE_EQ(sec, 0.5);
   EXPECT_EQ(clock->now(), util::from_seconds(0.5));
@@ -528,17 +527,18 @@ TEST(SimulatedHost, AdvancesClockByWorkOverThroughput) {
 
 TEST(SimulatedHost, MoreCoresFaster) {
   auto clock = std::make_shared<util::ManualClock>();
-  SimulatedHost host(clock, 1000.0, 1, 0.95);
+  SimulatedHost host(clock, 1000.0, 1);
   const double t1 = host.run(1000);
   host.set_cores(8);
   const double t8 = host.run(1000);
   EXPECT_LT(t8, t1);
-  EXPECT_NEAR(t1 / t8, sim::amdahl_speedup(8, 0.95), 1e-9);
+  EXPECT_NEAR(t1 / t8,
+              sim::amdahl_speedup(8, SimulatedHost::kParallelFraction), 1e-9);
 }
 
 TEST(SimulatedHost, FailCoreDecrements) {
   auto clock = std::make_shared<util::ManualClock>();
-  SimulatedHost host(clock, 1000.0, 2, 1.0);
+  SimulatedHost host(clock, 1000.0, 2);
   EXPECT_EQ(host.fail_core(), 1);
   EXPECT_EQ(host.fail_core(), 0);
   EXPECT_EQ(host.fail_core(), 0);  // floor at zero
@@ -546,7 +546,7 @@ TEST(SimulatedHost, FailCoreDecrements) {
 
 TEST(SimulatedHost, ZeroCoresStallsTime) {
   auto clock = std::make_shared<util::ManualClock>();
-  SimulatedHost host(clock, 1000.0, 0, 1.0);
+  SimulatedHost host(clock, 1000.0, 0);
   host.run(100);
   EXPECT_GT(clock->now(), 0);  // time passes, work does not complete faster
 }
@@ -554,9 +554,9 @@ TEST(SimulatedHost, ZeroCoresStallsTime) {
 TEST(SimulatedHost, CalibrationHitsTargetFps) {
   const double ups =
       SimulatedHost::calibrate_rate(/*work=*/50000.0, /*fps=*/8.8,
-                                    /*cores=*/8, 0.95);
+                                    /*cores=*/8);
   auto clock = std::make_shared<util::ManualClock>();
-  SimulatedHost host(clock, ups, 8, 0.95);
+  SimulatedHost host(clock, ups, 8);
   const double frame_time = host.run(50000);
   EXPECT_NEAR(1.0 / frame_time, 8.8, 1e-6);
 }

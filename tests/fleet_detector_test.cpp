@@ -541,12 +541,7 @@ TEST(FleetScheduler, DeadReaderBackedAppsDonateTheirCores) {
   a.set_target(10.0, inf);
   b.set_target(30.0, inf);
 
-  sched::GlobalScheduler scheduler(
-      {.total_cores = 4,
-       .min_cores_per_app = 1,
-       .cooldown_polls = 0,
-       .detect_failures = true,
-       .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}});
+  sched::GlobalScheduler scheduler({.total_cores = 4, .min_cores_per_app = 1});
   int cores_a = 0, cores_b = 0;
   scheduler.add_app("a", core::HeartbeatReader(store_a, clock),
                     [&](int c) { cores_a = c; });
@@ -563,24 +558,85 @@ TEST(FleetScheduler, DeadReaderBackedAppsDonateTheirCores) {
       if (with_b) b.beat();
     }
   };
+  // Polls through the cooldown that follows each move.
+  auto cool_down = [&] {
+    for (int i = 0; i < sched::GlobalScheduler::kCooldownPolls; ++i) {
+      EXPECT_FALSE(scheduler.poll());
+    }
+  };
   beat(10, true);
   EXPECT_TRUE(scheduler.poll());  // b gets the 2 free cores
+  cool_down();
   EXPECT_TRUE(scheduler.poll());
+  cool_down();
   EXPECT_EQ(cores_b, 3);
   EXPECT_EQ(scheduler.free_cores(), 0);
 
   // b dies; a turns mildly deficient. b's frozen window still reads the
   // deeper deficit (20 vs 30 b/s), so only its death verdict stops it
   // from outranking a and keeping its cores.
-  beat(30, false);  // b silent for 3s > 2s bound
+  beat(30, false);  // b silent for 3 s > 8 x its 50 ms interval
   a.set_target(12.0, inf);
   EXPECT_TRUE(scheduler.poll());
   EXPECT_EQ(cores_b, 2);  // dead donor taxed first
   EXPECT_EQ(cores_a, 2);
+  cool_down();
   EXPECT_TRUE(scheduler.poll());
+  cool_down();
   EXPECT_EQ(cores_b, 1);  // taxed down to the min floor
   EXPECT_EQ(cores_a, 3);
   EXPECT_FALSE(scheduler.poll());
+}
+
+TEST(FleetScheduler, DeadAppsReturnTheirCoresWhenNobodyStarves) {
+  // With no needy app, a dead app's cores go back to the free pool one
+  // move at a time, down to the per-app minimum.
+  auto clock = std::make_shared<util::ManualClock>();
+  auto store_a = std::make_shared<core::MemoryStore>(512, 8);
+  auto store_b = std::make_shared<core::MemoryStore>(512, 8);
+  core::Channel a{store_a, clock};
+  core::Channel b{store_b, clock};
+  const auto inf = std::numeric_limits<double>::infinity();
+  a.set_target(1.0, inf);   // 10 b/s: in band
+  b.set_target(30.0, inf);  // 10 b/s: needy while alive
+
+  sched::GlobalScheduler scheduler({.total_cores = 4, .min_cores_per_app = 1});
+  int cores_b = 0;
+  scheduler.add_app("a", core::HeartbeatReader(store_a, clock), [](int) {});
+  scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
+                    [&](int c) { cores_b = c; });
+  auto cool_down = [&] {
+    for (int i = 0; i < sched::GlobalScheduler::kCooldownPolls; ++i) {
+      EXPECT_FALSE(scheduler.poll());
+    }
+  };
+  auto beat = [&](int n, bool with_b) {
+    for (int i = 0; i < n; ++i) {
+      clock->advance(100 * kNsPerMs);
+      a.beat();
+      if (with_b) b.beat();
+    }
+  };
+
+  beat(10, true);
+  EXPECT_TRUE(scheduler.poll());
+  cool_down();
+  EXPECT_TRUE(scheduler.poll());
+  cool_down();
+  EXPECT_EQ(cores_b, 3);
+  EXPECT_EQ(scheduler.free_cores(), 0);
+
+  beat(30, false);  // b silent for 3 s > 8 x its 100 ms interval
+  EXPECT_TRUE(scheduler.poll());
+  EXPECT_EQ(cores_b, 2);
+  EXPECT_EQ(scheduler.free_cores(), 1);
+  cool_down();
+  EXPECT_TRUE(scheduler.poll());
+  EXPECT_EQ(cores_b, 1);
+  EXPECT_EQ(scheduler.free_cores(), 2);
+  cool_down();
+  EXPECT_FALSE(scheduler.poll());  // at the minimum; a is in band
+  EXPECT_EQ(scheduler.allocation(0), 1);
 }
 
 TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
@@ -594,12 +650,7 @@ TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
   b.set_target(50.0, inf);  // huge min: permanently "deficient"
 
   sched::GlobalScheduler scheduler(
-      {.total_cores = 4,
-       .min_cores_per_app = 1,
-       .warmup_beats = 3,
-       .cooldown_polls = 0,
-       .detect_failures = true,
-       .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}});
+      {.total_cores = 4, .min_cores_per_app = 1, .warmup_beats = 3});
   int cores_b = 0;
   scheduler.add_app("a", core::HeartbeatReader(store_a, clock), [](int) {});
   scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
@@ -615,8 +666,8 @@ TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
     clock->advance(100 * kNsPerMs);
     a.beat();
   }
-  // Without failure detection b's stale deficit would attract the free
-  // cores; with it, nothing moves toward the dead app.
+  // b's frozen window still reads a deep deficit that would attract the
+  // free cores; its death verdict keeps anything from moving toward it.
   EXPECT_FALSE(scheduler.poll());
   EXPECT_EQ(cores_b, 1);  // untouched at its initial minimum
 }

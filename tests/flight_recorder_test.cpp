@@ -232,6 +232,35 @@ TEST(FlightRecorder, TimelineJsonEscapesUntrustedAppNames) {
       << json;
 }
 
+TEST(FlightRecorder, JsonEscapesIllFormedUtf8ByteByByte) {
+  // Ring names need not be UTF-8. Well-formed sequences pass through as
+  // they are; each byte of an ill-formed one becomes \u00XX, so a strict
+  // JSON reader can still load the timeline and the bundle.
+  const auto esc = [](std::string_view s) {
+    std::string out;
+    obs::append_json_escaped(out, s);
+    return out;
+  };
+  EXPECT_EQ(esc("bad\xff"), "bad\\u00ff");
+  EXPECT_EQ(esc("caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x92\x93"),
+            "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x92\x93");
+  EXPECT_EQ(esc("\xe2\x82"), "\\u00e2\\u0082");          // truncated
+  EXPECT_EQ(esc("\xc0\xaf"), "\\u00c0\\u00af");          // overlong '/'
+  EXPECT_EQ(esc("\xed\xa0\x80"), "\\u00ed\\u00a0\\u0080");  // surrogate
+  EXPECT_EQ(esc("\xf4\x90\x80\x80"),  // past U+10FFFF
+            "\\u00f4\\u0090\\u0080\\u0080");
+  EXPECT_EQ(esc("\x80x"), "\\u0080x");  // stray continuation byte
+
+  obs::FlightRecorder rec;
+  rec.record_event(death_event(kNsPerSec, "bad\xff"));
+  rec.record_report(make_report(kNsPerSec, 1));
+  const std::string json = obs::render_timeline_json(rec.timeline());
+  EXPECT_NE(json.find("bad\\u00ff"), std::string::npos) << json;
+  for (const char c : json) {
+    EXPECT_LT(static_cast<unsigned char>(c), 0x80) << json;
+  }
+}
+
 // -------------------------------------------------------- PostmortemSink
 
 TEST(PostmortemSink, TriggerSetIsDeathQuarantineAndCorrelated) {

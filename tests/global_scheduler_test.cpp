@@ -26,8 +26,7 @@ struct TwoAppFixture : ::testing::Test {
   core::Channel a{store_a, clock};
   core::Channel b{store_b, clock};
   std::vector<int> allocs_a, allocs_b;
-  GlobalScheduler scheduler{{.total_cores = 8, .min_cores_per_app = 1,
-                             .cooldown_polls = 0}};
+  GlobalScheduler scheduler{{.total_cores = 8, .min_cores_per_app = 1}};
 
   void register_apps() {
     scheduler.add_app("a", core::HeartbeatReader(store_a, clock),
@@ -42,6 +41,14 @@ struct TwoAppFixture : ::testing::Test {
       ch.beat();
     }
   }
+
+  // Polls through the cooldown that follows a move, so the next poll
+  // observes again.
+  static void cool_down(GlobalScheduler& s) {
+    for (int i = 0; i < GlobalScheduler::kCooldownPolls; ++i) {
+      EXPECT_FALSE(s.poll());
+    }
+  }
 };
 
 TEST_F(TwoAppFixture, AppsStartAtMinimum) {
@@ -54,8 +61,7 @@ TEST_F(TwoAppFixture, AppsStartAtMinimum) {
 }
 
 TEST_F(TwoAppFixture, RejectsMoreAppsThanCores) {
-  GlobalScheduler tiny({.total_cores = 2, .min_cores_per_app = 1,
-                        .cooldown_polls = 0});
+  GlobalScheduler tiny({.total_cores = 2, .min_cores_per_app = 1});
   auto actuator = [](int) {};
   tiny.add_app("a", core::HeartbeatReader(store_a, clock), actuator);
   tiny.add_app("b", core::HeartbeatReader(store_b, clock), actuator);
@@ -95,7 +101,7 @@ TEST_F(TwoAppFixture, ReclaimsFromAppAboveMax) {
   beats(a, 10, kNsPerSec);
   for (int i = 0; i < 3; ++i) {
     beats(b, 1, kNsPerSec);
-    scheduler.poll();
+    if (scheduler.poll()) cool_down(scheduler);
   }
   ASSERT_GT(scheduler.allocation(1), 1);
   // Now b is way above max: it should give a core back.
@@ -107,8 +113,7 @@ TEST_F(TwoAppFixture, ReclaimsFromAppAboveMax) {
 }
 
 TEST_F(TwoAppFixture, TaxesSurplusAppWhenNoFreeCores) {
-  GlobalScheduler tight({.total_cores = 2, .min_cores_per_app = 0,
-                         .cooldown_polls = 0});
+  GlobalScheduler tight({.total_cores = 2, .min_cores_per_app = 0});
   std::vector<int> aa, bb;
   tight.add_app("a", core::HeartbeatReader(store_a, clock),
                 [&aa](int c) { aa.push_back(c); });
@@ -119,12 +124,13 @@ TEST_F(TwoAppFixture, TaxesSurplusAppWhenNoFreeCores) {
   b.set_target(0.1, 0.2);
   beats(a, 5, kNsPerSec);
   beats(b, 5, kNsPerSec);
-  tight.poll();  // a (needy) gets free core 1
-  tight.poll();  // a gets free core 2? b surplus... drive to steady state:
+  if (tight.poll()) cool_down(tight);  // a (needy) gets free core 1
+  // a gets free core 2? b surplus... drive to steady state:
+  if (tight.poll()) cool_down(tight);
   for (int i = 0; i < 4; ++i) {
     beats(a, 1, kNsPerSec);
     beats(b, 1, kNsPerSec);
-    tight.poll();
+    if (tight.poll()) cool_down(tight);
   }
   // b beats 1/s over target max 0.2 (surplus), a starved: all cores to a.
   EXPECT_EQ(tight.allocation(0), 2);

@@ -88,13 +88,6 @@ TEST(BlackScholesKernel, DeepInTheMoneyApproachesForward) {
   EXPECT_NEAR(c, 500 - 10 * std::exp(-0.03), 1e-6);
 }
 
-TEST(BlackScholesKernel, BeatEveryOptionProducesManyBeats) {
-  BlackScholes bs(Scale::kSmall, /*beat_every=*/1);
-  auto hb = make_hb("bs");
-  bs.run(hb);
-  EXPECT_EQ(hb.global().count(), bs.options_priced());
-}
-
 TEST(BlackScholesKernel, DefaultBatchBeats) {
   BlackScholes bs(Scale::kSmall);  // 100k options, beat every 25k
   auto hb = make_hb("bs");

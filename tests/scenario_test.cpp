@@ -92,8 +92,7 @@ TEST(ScenarioInvariants, EverySpecVerifiesAcrossSeeds) {
       }
       EXPECT_EQ(res.steps,
                 static_cast<std::uint64_t>(
-                    llround(spec.correctness.duration_s /
-                            spec.correctness.dt_s)))
+                    llround(spec.correctness.duration_s / kStepS)))
           << spec.name;
       EXPECT_EQ(res.log_hash, runner.log().hash()) << spec.name;
     }

@@ -92,21 +92,6 @@ TEST_F(SchedFixture, HoldsInsideTarget) {
   EXPECT_NEAR(sched.last_rate(), 1.0, 1e-9);
 }
 
-TEST_F(SchedFixture, DecideEveryBeatsThrottles) {
-  auto sched = make_scheduler({.decide_every_beats = 10});
-  producer.set_target(2.5, 3.5);
-  beats(5, kNsPerSec);
-  EXPECT_FALSE(sched.poll());  // only 5 beats since construction
-  beats(5, kNsPerSec);
-  EXPECT_TRUE(sched.poll());  // 10th beat: decide
-  EXPECT_EQ(sched.decisions(), 1u);
-  beats(9, kNsPerSec);
-  EXPECT_FALSE(sched.poll());  // 9 more: not yet
-  beats(1, kNsPerSec);
-  sched.poll();
-  EXPECT_EQ(sched.decisions(), 2u);
-}
-
 TEST_F(SchedFixture, PollWithoutNewBeatsIsNoop) {
   auto sched = make_scheduler();
   producer.set_target(2.5, 3.5);

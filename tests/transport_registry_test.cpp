@@ -115,13 +115,5 @@ TEST_F(RegistryTest, RemoveDeletesChannelFiles) {
   EXPECT_TRUE(reg.list().empty());
 }
 
-TEST_F(RegistryTest, CapacityHintOverridesSpec) {
-  Registry reg(dir_);
-  auto factory = reg.shm_factory(/*capacity_hint=*/512);
-  core::StoreSpec spec{"x.global", true, 16, 4};
-  auto store = factory(spec);
-  EXPECT_EQ(store->capacity(), 512u);
-}
-
 }  // namespace
 }  // namespace hb::transport
