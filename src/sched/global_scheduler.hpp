@@ -93,9 +93,9 @@ class GlobalScheduler {
   /// surplus (above max), 0 in band. NaN-safe.
   static double normalized_error(const Snapshot& snap);
 
+  static constexpr int kFreePool = -1;  ///< the app index of the free pool
   /// The one reallocation step: move a core between two apps or the free
   /// pool, actuate, count the move and start the cooldown. Returns true.
-  static constexpr int kFreePool = -1;
   bool move_core(int from, int to);
 
   GlobalSchedulerOptions opts_;
