@@ -53,9 +53,9 @@ Series run(bool managed) {
 
   hb::sched::GlobalScheduler scheduler(
       {.total_cores = 8, .min_cores_per_app = 1, .window = 8});
-  scheduler.add_app("a", hb::core::HeartbeatReader(store_a, clock),
+  scheduler.add_app(hb::core::HeartbeatReader(store_a, clock),
                     [&](int c) { machine.set_allocation(app_a, c); });
-  scheduler.add_app("b", hb::core::HeartbeatReader(store_b, clock),
+  scheduler.add_app(hb::core::HeartbeatReader(store_b, clock),
                     [&](int c) { machine.set_allocation(app_b, c); });
   if (!managed) {
     // Static policy: an even 4/4 split for the whole run.

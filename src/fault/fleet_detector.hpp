@@ -142,8 +142,6 @@ class FleetDetector {
   /// staleness_slack_ns included.
   Health classify(const core::HeartbeatReader& reader) const;
 
-  const FleetDetectorOptions& options() const { return opts_; }
-
  private:
   FleetDetectorOptions opts_;
 };

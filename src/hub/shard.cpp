@@ -277,10 +277,10 @@ void HubShard::apply_runs_locked(std::span<const AppRun> runs) {
       prefetch_app_locked(app_id_slot(runs[i + kApplyFetchAhead].id));
     }
     if (i + kWindowFetchAhead < n) {
-      // The window slot that run's first beat overwrites. Once the window
-      // is full it is the oldest beat, which the retirement reads with the
-      // slot after it: one line serves both 7 times in 8. Inline on
-      // purpose: GCC deletes a call to a function holding only a prefetch.
+      // The window slot that run's first beat writes. Once the window is
+      // full it holds the oldest interval, which that beat retires: the
+      // one slot is all the push reads. Inline on purpose: GCC deletes a
+      // call to a function holding only a prefetch.
       const std::uint32_t slot = app_id_slot(runs[i + kWindowFetchAhead].id);
       __builtin_prefetch(apps_[slot].window.next_slot(), 1);
     }

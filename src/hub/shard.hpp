@@ -28,25 +28,29 @@
 // shard keeps nothing that no reader reads: no interval bounds,
 // percentiles or rollups.
 //
-// Per-app layout. An app keeps only what a reader reads: 8 bytes per
-// windowed beat plus one 192-byte AppState, three cache lines (2.2 KB in
+// Per-app layout. An app keeps only what a reader reads: 4 bytes per
+// windowed beat plus one 192-byte AppState, three cache lines (1.2 KB in
 // all at the default window of 256 beats):
-//   * the window: a ring of beat timestamps, written by apply and read by
-//     nobody else (the interval a push retires is derived from the two
-//     oldest beats), its newest beat (the summary's last_beat_ns, kept
-//     across eviction as the staleness basis) and its exact moments;
+//   * the window: a ring of 32-bit beat intervals, written by apply and
+//     read by nobody else (a push reads the one interval it retires, in
+//     the slot it then overwrites), its newest beat (the summary's
+//     last_beat_ns, kept across eviction as the staleness basis) and its
+//     exact moments. An interval of 2^32 ns (about 4.29 s) or more widens
+//     the ring to 64-bit slots, 8 bytes per windowed beat, until the next
+//     eviction;
 //   * the cached summary a refresh derives from them.
 // The fields a beat's apply touches fit in the app's first two cache lines,
-// and the beat writes one window line besides; the rest hold the target,
-// the registration time and the cached summary.
+// and the beat reads and writes one window slot besides; the rest hold the
+// target, the registration time and the cached summary.
 // Names live in a per-shard column beside the apps. A publish reads each
 // app's three lines, and a name only for a slot its buffer lacks, and
 // assembles the AppSummary from them: it touches no window line.
 //
 // Apply and publish each walk many apps whose state was last written on
 // another CPU, so both prefetch ahead: apply fetches the first lines of
-// the app eight runs ahead and, four runs ahead, the window line that
-// run's first beat writes (read off the ring head those lines hold);
+// the app eight runs ahead and, four runs ahead, the window slot that
+// run's first beat reads and writes (read off the ring head those lines
+// hold);
 // publish fetches the whole app four slots ahead.
 //
 // A publish that finds nothing new (no beats applied, no dirty targets or
@@ -75,7 +79,8 @@
 namespace hb::hub {
 
 /// Largest sliding window, in beats. It bounds what one app's window may
-/// cost the hub: 8 bytes per windowed beat, 512 KB at the cap.
+/// cost the hub: 4 bytes per windowed beat, 256 KB at the cap, and twice
+/// that while an interval of 2^32 ns or more widens it.
 inline constexpr std::size_t kMaxWindowCapacity = 65535;
 
 /// Sizing knobs a shard needs (subset of HubOptions, kept separately so the

@@ -11,16 +11,14 @@ GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts) : opts_(opts) {
   if (opts_.min_cores_per_app < 0) opts_.min_cores_per_app = 0;
 }
 
-int GlobalScheduler::add_app(std::string name, core::HeartbeatReader reader,
-                             Actuator actuator) {
+int GlobalScheduler::add_app(core::HeartbeatReader reader, Actuator actuator) {
   assert(actuator);
   if (static_cast<int>(apps_.size() + 1) * opts_.min_cores_per_app >
       opts_.total_cores) {
     throw std::runtime_error(
         "GlobalScheduler: not enough cores for another app's minimum");
   }
-  App app{std::move(name), std::move(reader), std::move(actuator),
-          opts_.min_cores_per_app};
+  App app{std::move(reader), std::move(actuator), opts_.min_cores_per_app};
   app.actuator(app.alloc);
   apps_.push_back(std::move(app));
   return static_cast<int>(apps_.size()) - 1;
@@ -28,10 +26,6 @@ int GlobalScheduler::add_app(std::string name, core::HeartbeatReader reader,
 
 int GlobalScheduler::allocation(int app) const {
   return apps_.at(static_cast<std::size_t>(app)).alloc;
-}
-
-const std::string& GlobalScheduler::name(int app) const {
-  return apps_.at(static_cast<std::size_t>(app)).name;
 }
 
 int GlobalScheduler::free_cores() const {

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/reader.hpp"
@@ -58,21 +57,18 @@ class GlobalScheduler {
   /// Register an application observed through its own reader. Initial
   /// allocation is min_cores_per_app (actuated immediately). Returns the
   /// app's index.
-  int add_app(std::string name, core::HeartbeatReader reader,
-              Actuator actuator);
+  int add_app(core::HeartbeatReader reader, Actuator actuator);
 
   /// Observe all apps, perform at most one reallocation. Returns true if an
   /// allocation changed.
   bool poll();
 
   int allocation(int app) const;
-  const std::string& name(int app) const;
   int free_cores() const;
   std::uint64_t moves() const { return moves_; }
 
  private:
   struct App {
-    std::string name;
     core::HeartbeatReader reader;
     Actuator actuator;
     int alloc = 0;

@@ -543,9 +543,9 @@ TEST(FleetScheduler, DeadReaderBackedAppsDonateTheirCores) {
 
   sched::GlobalScheduler scheduler({.total_cores = 4, .min_cores_per_app = 1});
   int cores_a = 0, cores_b = 0;
-  scheduler.add_app("a", core::HeartbeatReader(store_a, clock),
+  scheduler.add_app(core::HeartbeatReader(store_a, clock),
                     [&](int c) { cores_a = c; });
-  scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
+  scheduler.add_app(core::HeartbeatReader(store_b, clock),
                     [&](int c) { cores_b = c; });
 
   // a beats at 10 b/s (on target), b at 20 b/s while alive (needy).
@@ -602,8 +602,8 @@ TEST(FleetScheduler, DeadAppsReturnTheirCoresWhenNobodyStarves) {
 
   sched::GlobalScheduler scheduler({.total_cores = 4, .min_cores_per_app = 1});
   int cores_b = 0;
-  scheduler.add_app("a", core::HeartbeatReader(store_a, clock), [](int) {});
-  scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
+  scheduler.add_app(core::HeartbeatReader(store_a, clock), [](int) {});
+  scheduler.add_app(core::HeartbeatReader(store_b, clock),
                     [&](int c) { cores_b = c; });
   auto cool_down = [&] {
     for (int i = 0; i < sched::GlobalScheduler::kCooldownPolls; ++i) {
@@ -652,8 +652,8 @@ TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
   sched::GlobalScheduler scheduler(
       {.total_cores = 4, .min_cores_per_app = 1, .warmup_beats = 3});
   int cores_b = 0;
-  scheduler.add_app("a", core::HeartbeatReader(store_a, clock), [](int) {});
-  scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
+  scheduler.add_app(core::HeartbeatReader(store_a, clock), [](int) {});
+  scheduler.add_app(core::HeartbeatReader(store_b, clock),
                     [&](int c) { cores_b = c; });
 
   // b beat a little once (warm), then died; a stays healthy.

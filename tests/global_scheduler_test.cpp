@@ -29,9 +29,9 @@ struct TwoAppFixture : ::testing::Test {
   GlobalScheduler scheduler{{.total_cores = 8, .min_cores_per_app = 1}};
 
   void register_apps() {
-    scheduler.add_app("a", core::HeartbeatReader(store_a, clock),
+    scheduler.add_app(core::HeartbeatReader(store_a, clock),
                       [this](int c) { allocs_a.push_back(c); });
-    scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
+    scheduler.add_app(core::HeartbeatReader(store_b, clock),
                       [this](int c) { allocs_b.push_back(c); });
   }
 
@@ -63,10 +63,10 @@ TEST_F(TwoAppFixture, AppsStartAtMinimum) {
 TEST_F(TwoAppFixture, RejectsMoreAppsThanCores) {
   GlobalScheduler tiny({.total_cores = 2, .min_cores_per_app = 1});
   auto actuator = [](int) {};
-  tiny.add_app("a", core::HeartbeatReader(store_a, clock), actuator);
-  tiny.add_app("b", core::HeartbeatReader(store_b, clock), actuator);
+  tiny.add_app(core::HeartbeatReader(store_a, clock), actuator);
+  tiny.add_app(core::HeartbeatReader(store_b, clock), actuator);
   EXPECT_THROW(
-      tiny.add_app("c", core::HeartbeatReader(store_a, clock), actuator),
+      tiny.add_app(core::HeartbeatReader(store_a, clock), actuator),
       std::runtime_error);
 }
 
@@ -115,9 +115,9 @@ TEST_F(TwoAppFixture, ReclaimsFromAppAboveMax) {
 TEST_F(TwoAppFixture, TaxesSurplusAppWhenNoFreeCores) {
   GlobalScheduler tight({.total_cores = 2, .min_cores_per_app = 0});
   std::vector<int> aa, bb;
-  tight.add_app("a", core::HeartbeatReader(store_a, clock),
+  tight.add_app(core::HeartbeatReader(store_a, clock),
                 [&aa](int c) { aa.push_back(c); });
-  tight.add_app("b", core::HeartbeatReader(store_b, clock),
+  tight.add_app(core::HeartbeatReader(store_b, clock),
                 [&bb](int c) { bb.push_back(c); });
   // Manually hand both apps one core by making each needy once.
   a.set_target(10.0, 1e18);
@@ -171,9 +171,9 @@ TEST(GlobalSchedulerClosedLoop, ShiftsCoresBetweenPhasedApps) {
 
   GlobalScheduler scheduler(
       {.total_cores = 8, .min_cores_per_app = 1, .window = 8});
-  scheduler.add_app("a", core::HeartbeatReader(store_a, clock),
+  scheduler.add_app(core::HeartbeatReader(store_a, clock),
                     [&](int c) { machine.set_allocation(app_a, c); });
-  scheduler.add_app("b", core::HeartbeatReader(store_b, clock),
+  scheduler.add_app(core::HeartbeatReader(store_b, clock),
                     [&](int c) { machine.set_allocation(app_b, c); });
 
   std::uint64_t beats_seen = 0;

@@ -302,6 +302,31 @@ TEST_P(BeatWindowFold, EveryPushMatchesAFreshFold) {
 INSTANTIATE_TEST_SUITE_P(Capacities, BeatWindowFold,
                          ::testing::Values(2, 3, 256));
 
+// A full 50 Hz window sees one 5 s pause, an interval past 2^32 ns, and
+// then 300 more beats: push by push, the window matches a fresh fold
+// while the long interval enters, while it is held and once it has left.
+TEST(BeatWindow, APauseLongerThan32BitsEntersAndLeavesTheWindow) {
+  constexpr std::size_t kCap = 256;
+  constexpr TimeNs kTick = 20 * kNsPerMs;
+  BeatWindow w(kCap);
+  std::vector<TimeNs> pushed;
+  TimeNs t = 1'000 * kNsPerSec;
+  const auto beat = [&](TimeNs ts) {
+    w.push(ts);
+    pushed.push_back(ts);
+    EXPECT_EQ(w.newest_ns(), ts);
+    expect_fold(w, fold(pushed, kCap));
+  };
+  for (std::size_t i = 0; i < kCap && !HasFailure(); ++i) beat(t += kTick);
+  beat(t += 5 * kNsPerSec);
+  for (int i = 0; i < 300 && !HasFailure(); ++i) beat(t += kTick);
+  const WindowSummary s = w.summary();
+  EXPECT_EQ(s.beats, kCap);
+  EXPECT_EQ(s.rate_bps, 50.0);
+  EXPECT_EQ(s.interval_mean_ns, static_cast<double>(kTick));
+  EXPECT_EQ(s.interval_stddev_ns, 0.0);
+}
+
 // ----------------------------------------------------------- exact moments
 
 TEST(ExactMoments, MeanAndStddevOfSmallSets) {
