@@ -67,9 +67,10 @@ int main() {
       registry.ingest_queue_path(),
       hb::transport::Registry::kDefaultIngestCapacity);
 
-  // Hub side: pump the ring the child mirrors its beats into. Constructed
-  // BEFORE the fork — a pump consumes from the ring head it sees at birth,
-  // so beats published earlier would be (correctly) treated as history.
+  // Hub side: pump the ring the child mirrors its beats into; each hub read
+  // drains it through the pump. Constructed BEFORE the fork — a pump
+  // consumes from the ring head it sees at birth, so beats published
+  // earlier would be (correctly) treated as history.
   hb::hub::HubOptions hub_opts;
   hub_opts.shard_count = 2;
   hb::hub::HeartbeatHub hub(hub_opts);
@@ -82,13 +83,17 @@ int main() {
   }
   if (pid == 0) ::_exit(child_main());
   // The pump registers "worker" with the hub on its first drained beat;
-  // until then the hub has nothing to report.
+  // until then the hub has nothing to report. No loop polls the pump: the
+  // snapshot drains the ring itself, so it goes before the name lookup.
   const auto worker_summary = [&hub]() -> std::optional<hb::hub::AppSummary> {
+    const auto snap = hub.snapshot();
     try {
-      return hub.summary(hub.id_of("worker"));
+      if (const auto* summary = snap->find(hub.id_of("worker"))) {
+        return *summary;
+      }
     } catch (const std::out_of_range&) {
-      return std::nullopt;
     }
+    return std::nullopt;
   };
   hb::fault::FleetDetector fleet_detector(
       {.absolute_staleness_ns = 1000 * hb::util::kNsPerMs,
@@ -106,7 +111,6 @@ int main() {
       "sample,reader_beats,reader_rate,reader_health,hub_beats,hub_rate,"
       "hub_health\n");
   for (int s = 0; s < 40; ++s) {
-    pump.poll();
     std::string hub_cell = "-,-,unseen";
     if (const auto summary = worker_summary()) {
       char buf[64];
@@ -134,7 +138,6 @@ int main() {
   ::waitpid(pid, &status, 0);
   // One more sample after the child died: beats have stopped on BOTH paths.
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
-  pump.poll();
   auto reader = registry.reader("worker");
   const auto summary = worker_summary();
   std::printf("final,%llu,%.1f,%s,%llu,%.1f,%s\n",

@@ -1,6 +1,7 @@
 #include "hub/hub.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -118,7 +119,21 @@ void HeartbeatHub::evict(AppId id) {
   shards_.at(app_id_shard(id))->evict(app_id_slot(id));
 }
 
+void HeartbeatHub::set_feed(std::function<void()> feed) {
+  util::MutexLock lock(feed_mu_);
+  if (feed && feed_) {
+    throw std::logic_error("HeartbeatHub: a feed is installed already");
+  }
+  feed_ = std::move(feed);
+}
+
+void HeartbeatHub::run_feed() {
+  util::MutexLock lock(feed_mu_);
+  if (feed_) feed_();
+}
+
 void HeartbeatHub::flush() {
+  run_feed();
   for (auto& shard : shards_) shard->publish();
   // The beat applies now and the next flush or snapshot publishes it —
   // what matters for the staleness signal is that the timestamp was
@@ -128,6 +143,7 @@ void HeartbeatHub::flush() {
 
 std::shared_ptr<const FleetSnapshot> HeartbeatHub::snapshot() {
   obs::ObsSpan span("hub.snapshot", shards_.size());
+  run_feed();
   // Phase 1, no fleet lock held: publish every shard. Each publish
   // republishes only if something changed; unchanged shards hand back
   // their existing pointer with the epoch standing still.
@@ -189,6 +205,7 @@ std::shared_ptr<const FleetSnapshot> HeartbeatHub::snapshot() {
 }
 
 AppSummary HeartbeatHub::summary(AppId id) {
+  run_feed();
   // shard() and the slot check both throw out_of_range for foreign ids.
   const auto snap = shard(app_id_shard(id)).publish();
   const std::uint32_t slot = app_id_slot(id);

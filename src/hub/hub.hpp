@@ -16,6 +16,10 @@
 //   snapshot() ◀── FleetSnapshot: every app's summary, one coherent view
 //   summary(id) ◀── one app, publishing only its owning shard
 //
+// A read first runs the hub's feed (set_feed): with a pump installed, the
+// reader drains the ring itself, so a beat is visible at the read rather
+// than at the pump's next wake.
+//
 // Beats reach a shard as AppRuns: one app's AppId and its consecutive
 // timestamps, all the hub reads of a beat. A shard applies a run's beats
 // to that app's state in order, taking the app's slot and prefetch once
@@ -30,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
@@ -141,26 +146,38 @@ class HeartbeatHub {
   /// staleness exceeds HubOptions::evict_after_ns.
   void evict(AppId id);
 
-  /// Publish every shard — re-stamp staleness, apply auto-eviction —
-  /// without composing a fleet snapshot, then self-beat.
+  /// Run the feed, then publish every shard — re-stamp staleness, apply
+  /// auto-eviction — without composing a fleet snapshot, then self-beat.
   /// snapshot() and summary() publish implicitly.
-  void flush();
+  void flush() HB_EXCLUDES(feed_mu_);
 
   /// The read side: a coherent, epoch-stamped view of the whole fleet.
-  /// Publishes every shard first, then returns
+  /// Runs the feed (set_feed), so the view holds every beat its ring had
+  /// committed at the call. Publishes every shard first, then returns
   /// the cached FleetSnapshot if no shard's epoch advanced — repeated
   /// queries between flushes are pointer reads — or composes and caches a
   /// new one. Thread-safe; the returned snapshot is immutable and shared.
-  std::shared_ptr<const FleetSnapshot> snapshot() HB_EXCLUDES(snap_mu_);
+  std::shared_ptr<const FleetSnapshot> snapshot()
+      HB_EXCLUDES(snap_mu_, feed_mu_);
 
-  /// One app's windowed summary, publishing only its OWNING shard — a
-  /// per-app poller never forces the rest of the fleet to republish. Worst
-  /// case per call is that one shard's republish (O(apps/shard)); hot
-  /// polling loops over many apps should read the fleet once via
-  /// snapshot() instead.
+  /// One app's windowed summary, after running the feed and publishing
+  /// only its OWNING shard — a per-app poller never forces the rest of
+  /// the fleet to republish. Worst case per call is that one shard's
+  /// republish (O(apps/shard)) plus the feed; hot polling loops over many
+  /// apps should read the fleet once via snapshot() instead.
   /// Evicted apps still answer. Throws std::out_of_range for an id that
   /// did not come from this hub. Thread-safe.
-  AppSummary summary(AppId id);
+  AppSummary summary(AppId id) HB_EXCLUDES(feed_mu_);
+
+  /// Install the hub's one feed: a call that flush(), snapshot() and
+  /// summary() make on their caller's thread before they publish, so a
+  /// read sees what its source holds at the call instead of what a
+  /// background loop last moved. ShmIngestPump installs its drain here in
+  /// its constructor and removes it in its destructor. An empty `feed`
+  /// removes the installed one, returning once a feed call in progress
+  /// has ended; installing over an installed feed throws
+  /// std::logic_error. Thread-safe; must not be called from the feed.
+  void set_feed(std::function<void()> feed) HB_EXCLUDES(feed_mu_);
 
   /// Cache effectiveness counters for snapshot() (rebuilds vs hits).
   SnapshotStats snapshot_stats() const HB_EXCLUDES(snap_mu_);
@@ -206,6 +223,8 @@ class HeartbeatHub {
   /// Beat kSelfAppName unless self_beat is off or paused. Must be called
   /// with snap_mu_ NOT held (it funnels into shard ingest).
   void maybe_self_beat() HB_EXCLUDES(snap_mu_);
+  /// Call the feed, if one is installed.
+  void run_feed() HB_EXCLUDES(feed_mu_);
 
   HubOptions opts_;
   std::vector<std::unique_ptr<HubShard>> shards_;
@@ -215,6 +234,11 @@ class HeartbeatHub {
   AppId self_id_ = 0;
   bool has_self_ = false;
   std::atomic<bool> self_beat_paused_{false};
+
+  /// Held through each feed call, so removing the feed waits it out.
+  /// Taken before any other hub lock (the feed ingests and registers).
+  util::Mutex feed_mu_;
+  std::function<void()> feed_ HB_GUARDED_BY(feed_mu_);
 
   mutable util::Mutex names_mu_;
   std::unordered_map<std::string, AppId> names_ HB_GUARDED_BY(names_mu_);

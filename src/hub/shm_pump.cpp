@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -13,6 +14,7 @@
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/clock.hpp"
 
 namespace hb::hub {
 
@@ -66,17 +68,19 @@ ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
       hub_(&hub),
       opts_(opts),
       cursor_(queue_->tail_cursor()),
-      shard_runs_(hub_->shard_count()) {}
+      rate_since_ns_(util::MonotonicClock::instance()->now()),
+      shard_runs_(hub_->shard_count()) {
+  hub_->set_feed([this] { drain(/*reader=*/true); });
+}
 
 ShmIngestPump::ShmIngestPump(std::shared_ptr<transport::ShmIngestQueue> queue,
                              std::shared_ptr<HeartbeatHub> hub,
                              ShmIngestPumpOptions opts)
-    : queue_(std::move(queue)),
-      hub_(hub.get()),
-      owner_(std::move(hub)),
-      opts_(opts),
-      cursor_(queue_->tail_cursor()),
-      shard_runs_(hub_->shard_count()) {}
+    : ShmIngestPump(std::move(queue), *hub, opts) {
+  owner_ = std::move(hub);
+}
+
+ShmIngestPump::~ShmIngestPump() { hub_->set_feed({}); }
 
 void ShmIngestPump::stage(std::uint32_t entry, std::uint32_t gen,
                           std::span<const util::TimeNs> timestamps) {
@@ -131,9 +135,12 @@ AppId ShmIngestPump::resolve(const StagedRun& run) {
   return id;
 }
 
-std::size_t ShmIngestPump::poll() {
+std::size_t ShmIngestPump::poll() { return drain(/*reader=*/false); }
+
+std::size_t ShmIngestPump::drain(bool reader) {
   const PumpMetrics& metrics = PumpMetrics::get();
   obs::ObsSpan span("pump.poll");
+  util::MutexLock lock(mu_);
   ++polls_;
   metrics.polls->add(1);
   // Pass 1: drain and stage.
@@ -161,18 +168,53 @@ std::size_t ShmIngestPump::poll() {
   // The applies read staged_ through the runs: clear it only now.
   staged_.clear();
   runs_.clear();
-  // Only a genuinely idle poll (cursor caught up to the ring head) lets
+  // Only a genuinely empty poll (cursor caught up to the ring head) lets
   // the next wait() park. A drain that returned nothing while frames are
   // pending is BLOCKED — head-of-line slot claimed but unpublished (a
-  // producer preempted, or crashed mid-batch) — and counts as busy: wait()
-  // naps at the floor, so the stall budget is spent at floor pace and the
-  // committed frames queued behind a dead producer's unpublished run reach
-  // the hub within max_stall_polls naps.
-  idle_ = drained == 0 && !queue_->has_frames(cursor_);
-  if (idle_) metrics.empty_polls->add(1);
-  if (drained > 0) metrics.records->add(drained);
+  // producer preempted, or crashed mid-batch): wait() naps the floor, so
+  // the stall budget is spent at floor pace and the committed frames
+  // queued behind a dead producer's unpublished run reach the hub within
+  // max_stall_polls naps. A reader's poll that drains nothing leaves the
+  // loop's choice alone: the loop's own polls say whether to park.
+  if (drained > 0) {
+    ring_ = Ring::kBusy;
+    reader_drained_ = reader_drained_ || reader;
+    metrics.records->add(drained);
+  } else if (queue_->has_frames(cursor_)) {
+    if (!reader) ring_ = Ring::kBlocked;
+  } else {
+    if (!reader) ring_ = Ring::kEmpty;
+    metrics.empty_polls->add(1);
+  }
   span.set_arg(drained);
   return drained;
+}
+
+util::TimeNs ShmIngestPump::next_nap() {
+  const util::TimeNs now = util::MonotonicClock::instance()->now();
+  const std::uint64_t arrived = cursor_.consumed - rate_consumed_;
+  const util::TimeNs span = now - rate_since_ns_;
+  rate_since_ns_ = now;
+  rate_consumed_ = cursor_.consumed;
+  const util::TimeNs floor = std::max<util::TimeNs>(opts_.idle_sleep_min_ns, 1);
+  const bool reader_drained = reader_drained_;
+  reader_drained_ = false;
+  if (ring_ == Ring::kBlocked) return floor;
+  if (ring_ == Ring::kEmpty && !reader_drained) return 0;
+  // The time the ring takes to fill 1/16 at the rate since the previous
+  // wait(); with nothing arrived, only the cap below bounds it.
+  const double target = std::max(queue_->capacity() / 16, 1u);
+  const double fill_ns = arrived > 0 ? target * static_cast<double>(span) /
+                                           static_cast<double>(arrived)
+                                     : HUGE_VAL;
+  // At most twice the last nap, so one quiet interval cannot stretch the
+  // nap past what the ring holds at the previous rate; and no longer than
+  // the longest park.
+  const double cap =
+      std::min(2.0 * static_cast<double>(nap_ns_),
+               static_cast<double>(opts_.doorbell_timeout_ns));
+  nap_ns_ = std::max(floor, static_cast<util::TimeNs>(std::min(fill_ns, cap)));
+  return nap_ns_;
 }
 
 bool ShmIngestPump::wait(util::TimeNs budget_ns) {
@@ -183,51 +225,57 @@ bool ShmIngestPump::wait(util::TimeNs budget_ns) {
   const util::TimeNs slack = timer_slack_ns();
   if (budget_ns <= slack) return false;
   budget_ns -= slack;
-  if (!idle_) {
-    // The last poll left the ring busy (it drained records, or it is
-    // blocked on a claimed slot), or a doorbell woke the pump since: nap
-    // at the floor without advertising `parked`, so producers publishing
-    // meanwhile skip the futex wake and the next poll drains what they
-    // coalesced — and a stalled slot's budget is spent at floor pace, not
-    // in microseconds.
-    std::this_thread::sleep_for(std::chrono::nanoseconds(std::min(
-        budget_ns, std::max<util::TimeNs>(opts_.idle_sleep_min_ns, 1))));
+  util::TimeNs nap = 0;
+  transport::ShmIngestQueue::Cursor at;
+  {
+    util::MutexLock lock(mu_);
+    nap = next_nap();
+    at = cursor_;
+  }
+  if (nap > 0) {
+    // Nap without advertising `parked`, so producers publishing meanwhile
+    // skip the futex wake and the next poll drains what they coalesced —
+    // and a stalled slot's budget is spent at floor pace, not in
+    // microseconds.
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(std::min(budget_ns, nap)));
     return true;
   }
   using transport::ShmIngestQueue;
   const PumpMetrics& metrics = PumpMetrics::get();
   const util::TimeNs timeout =
       std::min(budget_ns, std::max<util::TimeNs>(opts_.doorbell_timeout_ns, 1));
-  switch (queue_->wait_for_frames(cursor_, timeout)) {
-    case ShmIngestQueue::WaitResult::kReady:
-      // Frames were already pending — no park happened; poll now.
-      return true;
-    case ShmIngestQueue::WaitResult::kWoken:
-      ++parks_;
-      ++doorbell_wakes_;
-      metrics.parks->add(1);
-      metrics.wakes->add(1);
-      // The wake says producers just published: a wait() before the next
-      // poll naps instead of parking again.
-      idle_ = false;
-      if (!queue_->has_frames(cursor_)) {
-        // Signal/EINTR or a ring for frames another consumer's cursor
-        // covers — rare; count it so an unhealthy rate is visible.
-        ++spurious_wakes_;
-        metrics.spurious_wakes->add(1);
-      }
-      return true;
-    case ShmIngestQueue::WaitResult::kTimeout:
-      break;
+  // Parked without the consumer mutex: readers drain meanwhile, and the
+  // doorbell rings for frames past `at` whoever drains them.
+  const ShmIngestQueue::WaitResult result = queue_->wait_for_frames(at, timeout);
+  if (result == ShmIngestQueue::WaitResult::kReady) {
+    // Frames were already pending — no park happened; poll now.
+    return true;
   }
+  util::MutexLock lock(mu_);
   ++parks_;
-  ++wait_timeouts_;
   metrics.parks->add(1);
-  metrics.wait_timeouts->add(1);
-  return false;
+  if (result == ShmIngestQueue::WaitResult::kTimeout) {
+    ++wait_timeouts_;
+    metrics.wait_timeouts->add(1);
+    return false;
+  }
+  ++doorbell_wakes_;
+  metrics.wakes->add(1);
+  // The wake says producers just published: a wait() before the next
+  // poll naps instead of parking again.
+  ring_ = Ring::kBusy;
+  if (!queue_->has_frames(at)) {
+    // Signal/EINTR, or a ring for frames another consumer's cursor
+    // covers — rare; count it so an unhealthy rate is visible.
+    ++spurious_wakes_;
+    metrics.spurious_wakes->add(1);
+  }
+  return true;
 }
 
 ShmIngestPumpStats ShmIngestPump::stats() const {
+  util::MutexLock lock(mu_);
   ShmIngestPumpStats s;
   s.polls = polls_;
   s.consumed = cursor_.consumed;

@@ -33,26 +33,43 @@
 //
 //   for (;;) { pump.poll(); pump.wait(budget_to_next_deadline); }
 //
-// and wait() picks one of two sleeps from what the last poll() saw:
+// and the hub's readers drain too: the pump installs poll() as the hub's
+// feed (HeartbeatHub::set_feed), so snapshot(), flush() and summary() each
+// poll on their caller's thread before they publish, and a read shows every
+// frame committed before it that no pending claim holds back. The loop only
+// keeps the ring from filling between reads; wait() picks one of two sleeps
+// from what the last poll() saw:
 //
-//   * NAP — the poll left the ring busy (it drained records, or it is
-//     blocked on a claimed but unpublished slot). wait() sleeps
-//     idle_sleep_min_ns (capped by the budget) WITHOUT advertising itself
-//     as parked, so producers publishing meanwhile pay no futex wake; the
-//     next poll drains everything they coalesced in one pass.
-//   * PARK — the poll found the ring empty. wait() blocks on the
+//   * NAP — the last poll drained records, or a doorbell woke the pump
+//     since. wait() sleeps as long as the ring takes to collect
+//     capacity / 16 records at the arrival rate since the previous wait()
+//     (records drained by any caller count): at least idle_sleep_min_ns,
+//     at most twice the previous nap, at most doorbell_timeout_ns, and at
+//     most the budget. It does NOT advertise itself as parked, so
+//     producers publishing meanwhile pay no futex wake; the next poll
+//     drains everything they coalesced in one pass. A poll blocked on a
+//     claimed but unpublished slot naps the floor, idle_sleep_min_ns, so
+//     the stall budget is spent at that pace.
+//   * PARK — the loop's last poll found the ring empty, and no reader's
+//     poll drained a record since the previous wait(). wait() blocks on the
 //     ring's futex doorbell (near-zero CPU while the fleet is quiet); the
 //     first producer to publish rings it and the pump wakes at once.
 //
-// So a busy ring is drained about once per idle_sleep_min_ns and producers
-// ring only after the pump found the ring empty. A doorbell wake counts as
-// busy: the wait() after it naps.
+// So a busy ring is kept under 1/16 full between the loop's drains, the
+// wake rate follows the arrival rate instead of the floor, and producers
+// ring only after the pump found the ring empty. A reader's poll that
+// finds the ring empty leaves the sleep choice as it was, and an empty
+// loop poll after a reader drained records naps: the ring is still busy,
+// the reader was just there first.
 //
-// Threading: a pump is single-consumer by construction (it owns its
-// cursor). Call poll()/wait() from one thread — typically a poll loop
-// alongside the sweep/query thread, which is safe because the hub itself is
-// thread-safe. Multiple *pumps* on the same ring are fine: frames are read
-// non-destructively, so each pump sees the full stream.
+// Threading: one consumer mutex guards the cursor, the staging buffers,
+// the routes and every counter stats() returns, so poll() from the loop
+// and from the hub's readers take turns, and a poll blocks while another
+// is applying. wait() holds it only to choose its sleep and to count its
+// wake, never while sleeping. Call wait() from one thread: the loop's.
+// Multiple *pumps* on the same ring are fine — frames are read
+// non-destructively, so each pump sees the full stream — but a hub takes
+// one pump: its feed is one.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +81,8 @@
 #include "core/record.hpp"
 #include "hub/summary.hpp"
 #include "transport/shm_ingest.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/time.hpp"
 
 namespace hb::hub {
@@ -73,23 +92,24 @@ class HeartbeatHub;
 struct ShmIngestPumpOptions {
   /// Polls a claimed-but-unpublished frame may block before the pump skips
   /// it as torn, if its claim names a dead process (crashed producer). A
-  /// blocked poll counts as busy, so the polls come one nap apart: a
+  /// blocked poll naps the floor, so the polls come one nap apart: a
   /// crashed producer's slots are skipped after about max_stall_polls ×
   /// idle_sleep_min_ns (~3 ms by default). A slot whose owner is alive (or
   /// cannot be told) waits transport::kClaimLivenessTimeoutNs more, so a
   /// page-faulting or preempted producer is not torn. Forwarded to
   /// transport::ShmIngestQueue::drain.
   std::uint32_t max_stall_polls = 3;
-  /// The coalescing interval: wait()'s nap after a poll that drained
-  /// records or was blocked on a claimed slot, or after a doorbell wake
-  /// (clamped to >= 1 ns). Also the pace at which the stall budget is
-  /// spent.
+  /// The shortest nap (clamped to >= 1 ns): wait()'s nap after a busy
+  /// poll or a doorbell wake never goes below it, and a poll blocked on a
+  /// claimed slot naps exactly this long — the pace at which the stall
+  /// budget is spent.
   util::TimeNs idle_sleep_min_ns = 1 * util::kNsPerMs;
   /// Unused: no code reads it. Kept only because pipebench/src/main.cpp
   /// sets it, and pipebench/ changes only with the benchmark itself; the
   /// benchmark half of ROADMAP item 2a deletes it, as it does lane_records.
   util::TimeNs idle_sleep_max_ns = 64 * util::kNsPerMs;
-  /// Longest single doorbell park. This bounds the missed-wake window the
+  /// Longest single doorbell park, and longest nap. This bounds the
+  /// missed-wake window the
   /// producers' relaxed parked-check admits AND doubles as a liveness
   /// heartbeat for the poll loop; it is NOT a staleness bound (a beat rings
   /// the doorbell and wakes the pump immediately).
@@ -98,7 +118,7 @@ struct ShmIngestPumpOptions {
 
 /// Cumulative pump counters (all monotonic since construction).
 struct ShmIngestPumpStats {
-  std::uint64_t polls = 0;     ///< poll() calls
+  std::uint64_t polls = 0;     ///< poll() calls, the hub's reads' included
   std::uint64_t consumed = 0;  ///< records drained, rejected ones included
   std::uint64_t dropped = 0;   ///< ring frames lapped before this pump read them
   std::uint64_t torn = 0;      ///< frames skipped (producer died mid-batch)
@@ -130,25 +150,31 @@ class ShmIngestPump {
                 std::shared_ptr<HeartbeatHub> hub,
                 ShmIngestPumpOptions opts = {});
 
+  /// Removes the hub's feed, after any read draining through it returns.
+  ~ShmIngestPump();
+
   ShmIngestPump(const ShmIngestPump&) = delete;
   ShmIngestPump& operator=(const ShmIngestPump&) = delete;
 
   /// One drain pass: every committed ring record is batched per app and
   /// ingested, except those under kSelfAppName. Returns the number of
-  /// records drained by this call, rejected ones included.
-  std::size_t poll();
+  /// records drained by this call, rejected ones included. Blocks while
+  /// another poll (a hub read's) is applying.
+  std::size_t poll() HB_EXCLUDES(mu_);
 
   /// Sleep until the next poll() is worth making, for at most `budget_ns`:
   /// sleeps aim one timer slack (how late the kernel may end them) short
   /// of the budget, and a budget within that slack returns false at once.
-  /// After a busy poll (records drained, or blocked on a claimed slot) or a
-  /// doorbell wake: nap idle_sleep_min_ns without parking and return true.
-  /// After an empty poll: park on the doorbell (clamped to
-  /// doorbell_timeout_ns) and return true on a wake, false when the budget
-  /// or timeout lapsed quietly. Callers poll() next either way.
-  bool wait(util::TimeNs budget_ns);
+  /// After a poll that drained records, or a doorbell wake: nap to the
+  /// arrival rate (see the header) without parking and return true. After
+  /// a poll blocked on a claimed slot: nap idle_sleep_min_ns and return
+  /// true. After an empty poll, unless a hub read drained records since
+  /// the previous wait(): park on the doorbell (clamped to doorbell_timeout_ns) and
+  /// return true on a wake, false when the budget or timeout lapsed
+  /// quietly. Callers poll() next either way.
+  bool wait(util::TimeNs budget_ns) HB_EXCLUDES(mu_);
 
-  ShmIngestPumpStats stats() const;
+  ShmIngestPumpStats stats() const HB_EXCLUDES(mu_);
 
   const std::shared_ptr<transport::ShmIngestQueue>& queue() const {
     return queue_;
@@ -174,45 +200,73 @@ class ShmIngestPump {
     std::uint32_t records = 0;
   };
 
+  /// What the last poll saw, or a doorbell wake since: the next wait()'s
+  /// choice of sleep.
+  enum class Ring : std::uint8_t {
+    kBusy,     ///< records drained, or a doorbell woke the pump: nap
+    kBlocked,  ///< nothing drained, a claimed slot holds frames back
+    kEmpty,    ///< nothing drained or pending: park, unless a reader drained
+  };
+
+  /// poll()'s body; the hub's feed runs it with `reader` set, and a
+  /// reader's empty poll leaves ring_ as it was.
+  std::size_t drain(bool reader) HB_EXCLUDES(mu_);
   /// Pass 1: stage one drained frame's timestamps.
   void stage(std::uint32_t entry, std::uint32_t gen,
-             std::span<const util::TimeNs> timestamps);
+             std::span<const util::TimeNs> timestamps) HB_REQUIRES(mu_);
   /// Pass 2: the run's AppId from the route cache, or resolve() on a miss.
-  AppId route(const StagedRun& run);
+  AppId route(const StagedRun& run) HB_REQUIRES(mu_);
   /// A route-cache miss: check the run against its directory entry,
   /// resolve its name through the hub (registering or re-targeting the
   /// app), and cache the entry's route. kRejected for a frame the entry
   /// does not cover, or for the reserved kSelfAppName.
-  AppId resolve(const StagedRun& run);
+  AppId resolve(const StagedRun& run) HB_REQUIRES(mu_);
+  /// wait()'s sleep, chosen from ring_ and the records drained since the
+  /// previous wait(): 0 to park, idle_sleep_min_ns after a blocked poll,
+  /// else the time capacity / 16 records take at that rate, within
+  /// [idle_sleep_min_ns, 2 * nap_ns_] and at most doorbell_timeout_ns.
+  /// Starts a new rate interval.
+  util::TimeNs next_nap() HB_REQUIRES(mu_);
 
   std::shared_ptr<transport::ShmIngestQueue> queue_;
   HeartbeatHub* hub_;
   std::shared_ptr<HeartbeatHub> owner_;
   ShmIngestPumpOptions opts_;
 
-  transport::ShmIngestQueue::Cursor cursor_;
-  std::uint64_t polls_ = 0;
-  /// The last poll found the ring empty and no doorbell woke the pump
-  /// since: the next wait() parks. Otherwise it naps.
-  bool idle_ = false;
-  std::uint64_t parks_ = 0;
-  std::uint64_t doorbell_wakes_ = 0;
-  std::uint64_t spurious_wakes_ = 0;
-  std::uint64_t wait_timeouts_ = 0;
-  std::uint64_t rejected_ = 0;
+  /// The consumer mutex: everything below is shared by poll(), wait() and
+  /// stats().
+  mutable util::Mutex mu_;
+  transport::ShmIngestQueue::Cursor cursor_ HB_GUARDED_BY(mu_);
+  std::uint64_t polls_ HB_GUARDED_BY(mu_) = 0;
+  Ring ring_ HB_GUARDED_BY(mu_) = Ring::kBusy;
+  /// A reader's poll drained records since the previous wait(): the ring
+  /// is busy even if the loop's own poll then found it empty.
+  bool reader_drained_ HB_GUARDED_BY(mu_) = false;
+  /// The last busy nap, before the budget cut it; the next may be at most
+  /// twice as long. 0 before the first, so the first is the floor.
+  util::TimeNs nap_ns_ HB_GUARDED_BY(mu_) = 0;
+  /// When the previous wait() began, and cursor_.consumed then: the start
+  /// of the interval the arrival rate is measured over.
+  util::TimeNs rate_since_ns_ HB_GUARDED_BY(mu_) = 0;
+  std::uint64_t rate_consumed_ HB_GUARDED_BY(mu_) = 0;
+  std::uint64_t parks_ HB_GUARDED_BY(mu_) = 0;
+  std::uint64_t doorbell_wakes_ HB_GUARDED_BY(mu_) = 0;
+  std::uint64_t spurious_wakes_ HB_GUARDED_BY(mu_) = 0;
+  std::uint64_t wait_timeouts_ HB_GUARDED_BY(mu_) = 0;
+  std::uint64_t rejected_ HB_GUARDED_BY(mu_) = 0;
 
   /// Routes by directory entry; grows to the highest entry seen.
-  std::vector<EntryRoute> routes_;
+  std::vector<EntryRoute> routes_ HB_GUARDED_BY(mu_);
   /// Distinct AppIds resolved, kRejected standing for kSelfAppName: one
   /// per producer name seen, so stats().apps. Touched on misses only.
-  std::unordered_set<AppId> apps_;
+  std::unordered_set<AppId> apps_ HB_GUARDED_BY(mu_);
   /// One poll's staging: record timestamps in drain order, and the runs
   /// that cover them in order.
-  std::vector<util::TimeNs> staged_;
-  std::vector<StagedRun> runs_;
+  std::vector<util::TimeNs> staged_ HB_GUARDED_BY(mu_);
+  std::vector<StagedRun> runs_ HB_GUARDED_BY(mu_);
   /// One poll's accepted runs per hub shard, indexed by shard; their spans
   /// point into staged_.
-  std::vector<std::vector<AppRun>> shard_runs_;
+  std::vector<std::vector<AppRun>> shard_runs_ HB_GUARDED_BY(mu_);
 };
 
 }  // namespace hb::hub

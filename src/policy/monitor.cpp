@@ -63,8 +63,7 @@ void Monitor::run(util::TimeNs run_ns, util::TimeNs period_ns,
                     std::min(next_tick, deadline) - Clock::now())
                     .count());
   }
-  pump_->poll();
-  tick();
+  tick();  // its snapshot drains the ring first
 }
 
 }  // namespace hb::policy

@@ -54,9 +54,10 @@ class Monitor {
   /// `after_tick`, if set), and park on the ring's doorbell until the next
   /// tick or the deadline. Missed ticks are skipped, not burst-replayed —
   /// each tick reads current state. Stops after `run_ns` (<= 0: never) or
-  /// once `*stop` reads true, then polls and ticks one final time so
-  /// last_report() reflects everything drained. Throws std::logic_error on
-  /// an in-process monitor, std::invalid_argument on a period <= 0.
+  /// once `*stop` reads true, then ticks one final time — its snapshot
+  /// drains the ring — so last_report() reflects everything published.
+  /// Throws std::logic_error on an in-process monitor,
+  /// std::invalid_argument on a period <= 0.
   void run(util::TimeNs run_ns, util::TimeNs period_ns,
            const std::atomic<bool>* stop = nullptr,
            const std::function<void()>& after_tick = {});

@@ -387,8 +387,9 @@ constexpr hb::util::TimeNs kTransportSlackNs =
 
 // Shared wiring for every ring-fed mode: a policy::Monitor over the
 // ingest queue at the registry's well-known path, a hub on the producers'
-// monotonic epoch, a pump that naps 1 ms behind a busy ring and parks on
-// the doorbell while it is quiet, and a detector whose staleness slack is
+// monotonic epoch, a pump that each sweep's snapshot drains and that naps
+// to the arrival rate behind a busy ring and parks on the doorbell while
+// it is quiet, and a detector whose staleness slack is
 // kTransportSlackNs. One function, so the modes can never diverge.
 hb::policy::Monitor make_live_pipeline(const hb::transport::Registry& registry,
                                        int dead_ms,

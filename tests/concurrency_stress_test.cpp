@@ -26,7 +26,9 @@
 #include <thread>
 #include <vector>
 
+#include "hub/hub.hpp"
 #include "hub/shard.hpp"
+#include "hub/shm_pump.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_support.hpp"
@@ -440,6 +442,80 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
   EXPECT_EQ(cur.consumed, total);
   EXPECT_EQ(cur.dropped, 0u);
   EXPECT_EQ(cur.torn, 0u);
+
+  queue.reset();
+  fs::remove_all(dir);
+}
+
+// Hub reads drain the ring: producers append while the pump's own loop
+// polls and naps and two reader threads call snapshot() back to back, each
+// of which polls the pump on its own thread. The consumer mutex must hand
+// the cursor, the staging buffers and the routes from one poller to the
+// next whole: every frame is applied exactly once, to its own app.
+TEST(ConcurrencyStress, ReadersDrainBesideThePumpThread) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kReaders = 2;
+  const std::size_t beats_per_producer = scaled(8000);
+  const auto total = kProducers * beats_per_producer;
+
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("hb_conc_readers_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  // The ring holds the full run: with laps impossible, the books must
+  // balance to the record.
+  auto queue = transport::ShmIngestQueue::create(
+      dir / "ring.hbq", static_cast<std::uint32_t>(total));
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(queue, hub);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      pump.poll();
+      pump.wait(5 * util::kNsPerMs);
+    }
+  });
+  std::atomic<std::uint64_t> reads{0};
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        EXPECT_NE(hub.snapshot(), nullptr);
+        // relaxed: a count read after the join, which orders it.
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      const transport::AppHandle app =
+          queue->join("app" + std::to_string(p), {});
+      for (std::size_t i = 0; i < beats_per_producer; ++i) {
+        queue->append(app, stamp_of(p, i));
+        if (i % 64 == 0) std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  // Everything is published; a read now must see all of it.
+  const auto snap = hub.snapshot();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+
+  const hub::ShmIngestPumpStats stats = pump.stats();
+  EXPECT_EQ(queue->produced(), total);
+  EXPECT_EQ(stats.consumed, total);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.torn, 0u);
+  // relaxed: the joins above order every reader's count before this read.
+  EXPECT_GT(reads.load(std::memory_order_relaxed), 0u);
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    const hub::AppSummary* s = snap->find(hub.id_of("app" + std::to_string(p)));
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->total_beats, beats_per_producer);
+  }
 
   queue.reset();
   fs::remove_all(dir);

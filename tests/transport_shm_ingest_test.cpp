@@ -944,6 +944,160 @@ TEST_F(ShmIngestTest, PumpDrillLosesNothingAndRarelyRings) {
   EXPECT_LT(q->doorbell_rings(), kTotal / 10);
 }
 
+TEST_F(ShmIngestTest, HubReadsDrainTheirPump) {
+  // No loop polls this pump: every hub read drains the ring itself, on the
+  // reader's thread, before it publishes.
+  auto q = ShmIngestQueue::create(file(), 32);
+  hub::HeartbeatHub hub;
+  auto pump = std::make_unique<hub::ShmIngestPump>(q, hub);
+  const AppHandle a = q->join("a", {});
+
+  q->append(a, 1 * kNsPerMs);
+  const auto first = hub.snapshot();
+  const hub::AppId id = hub.id_of("a");  // registered by that drain
+  ASSERT_NE(first->find(id), nullptr);
+  EXPECT_EQ(first->find(id)->total_beats, 1u);
+
+  q->append(a, 2 * kNsPerMs);
+  EXPECT_EQ(hub.summary(id).total_beats, 2u);
+
+  q->append(a, 3 * kNsPerMs);
+  hub.flush();
+  EXPECT_EQ(pump->stats().consumed, 3u);  // the flush drained it
+  EXPECT_EQ(hub.snapshot()->find(id)->total_beats, 3u);
+  EXPECT_EQ(pump->stats().polls, 4u);
+
+  // The feed is one: a second pump on the same hub is refused.
+  EXPECT_THROW(hub::ShmIngestPump(q, hub), std::logic_error);
+
+  // A destroyed pump leaves no feed behind: reads still work, and what is
+  // appended after stays in the ring.
+  pump.reset();
+  EXPECT_EQ(hub.snapshot()->find(id)->total_beats, 3u);
+  q->append(a, 4 * kNsPerMs);
+  EXPECT_EQ(hub.snapshot()->find(id)->total_beats, 3u);
+  EXPECT_EQ(hub.summary(id).total_beats, 3u);
+  hub.flush();
+  EXPECT_EQ(hub.snapshot()->find(id)->total_beats, 3u);
+}
+
+TEST_F(ShmIngestTest, PumpNapFollowsTheArrivalRate) {
+  // Every timing below is a lower bound, or a comparison of two naps
+  // measured side by side: a loaded host only lengthens sleeps.
+  using Clock = std::chrono::steady_clock;
+  constexpr util::TimeNs kFloor = 1 * kNsPerMs;
+  constexpr util::TimeNs kBudget = 80 * kNsPerMs;
+  // wait() aims one timer slack short of its budget.
+  const util::TimeNs slack = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  const auto timed_wait = [](hub::ShmIngestPump& pump, util::TimeNs budget) {
+    const auto t0 = Clock::now();
+    EXPECT_TRUE(pump.wait(budget));
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                t0)
+        .count();
+  };
+
+  // A slow producer on a large ring: one record per nap would take ages
+  // to fill 1/16 of it, so each busy nap doubles the last, from the floor
+  // up to the budget.
+  auto slow_q = ShmIngestQueue::create(file("slow"), 1u << 15);
+  hub::HeartbeatHub slow_hub;
+  hub::ShmIngestPump slow(slow_q, slow_hub, {.idle_sleep_min_ns = kFloor});
+  const AppHandle s = slow_q->join("slow", {});
+  std::vector<util::TimeNs> naps;
+  for (int k = 0; k < 10; ++k) {
+    slow_q->append(s, (k + 1) * kNsPerMs);
+    ASSERT_EQ(slow.poll(), 1u);
+    naps.push_back(timed_wait(slow, kBudget));
+    EXPECT_GE(naps.back(), std::min(kFloor << k, kBudget - slack)) << k;
+  }
+  // The growth is stepwise: the first three naps (nominally 1 + 2 + 4 ms)
+  // together stay well short of one budget-long nap (nominally 80 ms).
+  EXPECT_LT(naps[0] + naps[1] + naps[2], naps.back() / 2);
+  EXPECT_EQ(slow.stats().parks, 0u);
+
+  // A poll blocked on a claimed slot naps the floor, however long the busy
+  // naps have grown: the stall budget is spent at floor pace.
+  const std::uint64_t seq = slow_q->claim(1);
+  ASSERT_EQ(slow.poll(), 0u);
+  const util::TimeNs blocked = timed_wait(slow, kBudget);
+  EXPECT_GE(blocked, kFloor);
+  EXPECT_LT(blocked, naps.back() / 2);
+  slow_q->publish(seq, s, 20 * kNsPerMs);
+  EXPECT_EQ(slow.poll(), 1u);
+
+  // A fast producer on a small ring: 16 records per nap fill 1/16 of a
+  // 64-frame ring four times over, so the naps stay at the floor.
+  auto fast_q = ShmIngestQueue::create(file("fast"), 64);
+  hub::HeartbeatHub fast_hub;
+  hub::ShmIngestPump fast(fast_q, fast_hub, {.idle_sleep_min_ns = kFloor});
+  const AppHandle f = fast_q->join("fast", {});
+  util::TimeNs fast_total = 0;
+  util::TimeNs ts = 0;
+  for (int k = 0; k < 8; ++k) {
+    for (int i = 0; i < 16; ++i) fast_q->append(f, ts += kNsPerMs);
+    ASSERT_EQ(fast.poll(), 16u);
+    const util::TimeNs nap = timed_wait(fast, kBudget);
+    EXPECT_GE(nap, kFloor) << k;
+    fast_total += nap;
+  }
+  // Eight floor naps take less than half a budget-long nap; doubling naps
+  // would have reached the budget.
+  EXPECT_LT(fast_total, naps.back() / 2);
+  EXPECT_EQ(fast.stats().dropped, 0u);
+}
+
+TEST_F(ShmIngestTest, ALongBudgetNeverLapsTheRing) {
+  // 100k frames/s into a 4096-frame ring, which they lap in ~41 ms, and a
+  // pump loop whose budget is a full second with no reader draining
+  // beside it: the naps must follow the arrival rate, not the budget.
+  constexpr std::uint64_t kFramesPerMs = 100;
+  constexpr std::uint64_t kTotal = util::kTsanBuild ? 20000 : 60000;
+  auto q = ShmIngestQueue::create(file(), 4096);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub);
+
+  std::atomic<bool> done{false};
+  std::thread producer([&q, &done] {
+    const AppHandle a = q->join("fast", {});
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t sent = 0;
+    while (sent < kTotal) {
+      const auto ms = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count() /
+                      1000.0;
+      // Catch up at most 256 frames at once: a producer the host
+      // descheduled must not burst past the rate under test.
+      const auto due = static_cast<std::uint64_t>(ms * kFramesPerMs);
+      const std::uint64_t until = std::min({due, sent + 256, kTotal});
+      while (sent < until) {
+        ++sent;
+        q->append(a, static_cast<util::TimeNs>(sent));
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const bool finished = done.load(std::memory_order_acquire);
+    pump.poll();
+    const auto s = pump.stats();
+    // A lapped ring would never deliver them all: stop once every frame
+    // is accounted for (one record per frame).
+    if (finished && s.consumed + s.dropped + s.torn >= kTotal) break;
+    pump.wait(1000 * kNsPerMs);
+  }
+  producer.join();
+
+  const auto stats = pump.stats();
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.torn, 0u);
+  EXPECT_EQ(stats.consumed, kTotal);
+}
+
 // The acceptance-shaping smoke: P forked producer processes feed the ring;
 // the pump-fed hub must reach exactly the verdicts an in-process hub
 // reaches on identical records. Timestamps are synthetic (deterministic) on
