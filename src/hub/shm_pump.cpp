@@ -200,9 +200,18 @@ util::TimeNs ShmIngestPump::next_nap() {
   const bool reader_drained = reader_drained_;
   reader_drained_ = false;
   if (ring_ == Ring::kBlocked) return floor;
-  if (ring_ == Ring::kEmpty && !reader_drained) return 0;
-  // The time the ring takes to fill 1/16 at the rate since the previous
-  // wait(); with nothing arrived, only the cap below bounds it.
+  if (ring_ == Ring::kEmpty && !reader_drained) {
+    // Park. The rate across a quiet spell says nothing of the traffic
+    // that ends it, and a nap does not hear the doorbell: the first nap
+    // after the park is the floor, and each after it at most twice the
+    // last.
+    nap_ns_ = 0;
+    return 0;
+  }
+  // The time capacity / 16 records take at the rate since the previous
+  // wait(); with nothing arrived, only the cap below bounds it. Capacity
+  // counts frames and a frame holds one record or more, so the ring
+  // stays under 1/16 full in frames too.
   const double target = std::max(queue_->capacity() / 16, 1u);
   const double fill_ns = arrived > 0 ? target * static_cast<double>(span) /
                                            static_cast<double>(arrived)

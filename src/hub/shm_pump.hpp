@@ -41,26 +41,30 @@
 // from what the last poll() saw:
 //
 //   * NAP — the last poll drained records, or a doorbell woke the pump
-//     since. wait() sleeps as long as the ring takes to collect
-//     capacity / 16 records at the arrival rate since the previous wait()
-//     (records drained by any caller count): at least idle_sleep_min_ns,
-//     at most twice the previous nap, at most doorbell_timeout_ns, and at
-//     most the budget. It does NOT advertise itself as parked, so
-//     producers publishing meanwhile pay no futex wake; the next poll
-//     drains everything they coalesced in one pass. A poll blocked on a
-//     claimed but unpublished slot naps the floor, idle_sleep_min_ns, so
-//     the stall budget is spent at that pace.
+//     since. wait() sleeps as long as capacity / 16 records take to
+//     arrive at the rate since the previous wait() (records drained by any
+//     caller count; capacity counts frames, and a frame holds one record
+//     or more, so the ring stays under 1/16 full in frames too): at least
+//     idle_sleep_min_ns, at most twice the previous nap, at most
+//     doorbell_timeout_ns, and at most the budget. It does NOT advertise
+//     itself as parked, so producers publishing meanwhile pay no futex
+//     wake; the next poll drains everything they coalesced in one pass. A
+//     poll blocked on a claimed but unpublished slot naps the floor,
+//     idle_sleep_min_ns, so the stall budget is spent at that pace.
 //   * PARK — the loop's last poll found the ring empty, and no reader's
-//     poll drained a record since the previous wait(). wait() blocks on the
-//     ring's futex doorbell (near-zero CPU while the fleet is quiet); the
-//     first producer to publish rings it and the pump wakes at once.
+//     poll drained a record since the previous wait(). wait() blocks on
+//     the ring's futex doorbell (near-zero CPU while the fleet is quiet);
+//     the first producer to publish rings it and the pump wakes at once.
+//     A park restarts the naps from the floor: the rate across a quiet
+//     spell says nothing of the burst that ends it.
 //
-// So a busy ring is kept under 1/16 full between the loop's drains, the
-// wake rate follows the arrival rate instead of the floor, and producers
-// ring only after the pump found the ring empty. A reader's poll that
-// finds the ring empty leaves the sleep choice as it was, and an empty
-// loop poll after a reader drained records naps: the ring is still busy,
-// the reader was just there first.
+// So a busy ring is kept under 1/16 full between the loop's drains unless
+// its rate rises more than 16-fold within one nap, the wake rate follows
+// the arrival rate instead of the floor, and producers ring only after
+// the pump found the ring empty. A reader's poll that finds the ring empty
+// leaves the sleep choice as it was, and an empty loop poll after a reader
+// drained records naps: the ring is still busy, the reader was just there
+// first.
 //
 // Threading: one consumer mutex guards the cursor, the staging buffers,
 // the routes and every counter stats() returns, so poll() from the loop
@@ -169,9 +173,9 @@ class ShmIngestPump {
   /// arrival rate (see the header) without parking and return true. After
   /// a poll blocked on a claimed slot: nap idle_sleep_min_ns and return
   /// true. After an empty poll, unless a hub read drained records since
-  /// the previous wait(): park on the doorbell (clamped to doorbell_timeout_ns) and
-  /// return true on a wake, false when the budget or timeout lapsed
-  /// quietly. Callers poll() next either way.
+  /// the previous wait(): park on the doorbell (clamped to
+  /// doorbell_timeout_ns) and return true on a wake, false when the
+  /// budget or timeout lapsed quietly. Callers poll() next either way.
   bool wait(util::TimeNs budget_ns) HB_EXCLUDES(mu_);
 
   ShmIngestPumpStats stats() const HB_EXCLUDES(mu_);
@@ -222,10 +226,10 @@ class ShmIngestPump {
   /// does not cover, or for the reserved kSelfAppName.
   AppId resolve(const StagedRun& run) HB_REQUIRES(mu_);
   /// wait()'s sleep, chosen from ring_ and the records drained since the
-  /// previous wait(): 0 to park, idle_sleep_min_ns after a blocked poll,
-  /// else the time capacity / 16 records take at that rate, within
-  /// [idle_sleep_min_ns, 2 * nap_ns_] and at most doorbell_timeout_ns.
-  /// Starts a new rate interval.
+  /// previous wait(): 0 to park (and restart the naps from the floor),
+  /// idle_sleep_min_ns after a blocked poll, else the time capacity / 16
+  /// records take at that rate, within [idle_sleep_min_ns, 2 * nap_ns_]
+  /// and at most doorbell_timeout_ns. Starts a new rate interval.
   util::TimeNs next_nap() HB_REQUIRES(mu_);
 
   std::shared_ptr<transport::ShmIngestQueue> queue_;
@@ -243,7 +247,8 @@ class ShmIngestPump {
   /// is busy even if the loop's own poll then found it empty.
   bool reader_drained_ HB_GUARDED_BY(mu_) = false;
   /// The last busy nap, before the budget cut it; the next may be at most
-  /// twice as long. 0 before the first, so the first is the floor.
+  /// twice as long. 0 before the first and after a park, so the nap after
+  /// either is the floor.
   util::TimeNs nap_ns_ HB_GUARDED_BY(mu_) = 0;
   /// When the previous wait() began, and cursor_.consumed then: the start
   /// of the interval the arrival rate is measured over.

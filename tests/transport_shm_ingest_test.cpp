@@ -982,8 +982,9 @@ TEST_F(ShmIngestTest, HubReadsDrainTheirPump) {
 }
 
 TEST_F(ShmIngestTest, PumpNapFollowsTheArrivalRate) {
-  // Every timing below is a lower bound, or a comparison of two naps
-  // measured side by side: a loaded host only lengthens sleeps.
+  // The naps are told apart by lower bounds. The three upper bounds hold
+  // short naps to one budget (80 ms), ten times their nominal length or
+  // more, so a loaded host that stretches short sleeps does not trip them.
   using Clock = std::chrono::steady_clock;
   constexpr util::TimeNs kFloor = 1 * kNsPerMs;
   constexpr util::TimeNs kBudget = 80 * kNsPerMs;
@@ -1012,8 +1013,8 @@ TEST_F(ShmIngestTest, PumpNapFollowsTheArrivalRate) {
     EXPECT_GE(naps.back(), std::min(kFloor << k, kBudget - slack)) << k;
   }
   // The growth is stepwise: the first three naps (nominally 1 + 2 + 4 ms)
-  // together stay well short of one budget-long nap (nominally 80 ms).
-  EXPECT_LT(naps[0] + naps[1] + naps[2], naps.back() / 2);
+  // together stay short of one budget (80 ms).
+  EXPECT_LT(naps[0] + naps[1] + naps[2], kBudget);
   EXPECT_EQ(slow.stats().parks, 0u);
 
   // A poll blocked on a claimed slot naps the floor, however long the busy
@@ -1022,7 +1023,7 @@ TEST_F(ShmIngestTest, PumpNapFollowsTheArrivalRate) {
   ASSERT_EQ(slow.poll(), 0u);
   const util::TimeNs blocked = timed_wait(slow, kBudget);
   EXPECT_GE(blocked, kFloor);
-  EXPECT_LT(blocked, naps.back() / 2);
+  EXPECT_LT(blocked, kBudget);
   slow_q->publish(seq, s, 20 * kNsPerMs);
   EXPECT_EQ(slow.poll(), 1u);
 
@@ -1041,9 +1042,9 @@ TEST_F(ShmIngestTest, PumpNapFollowsTheArrivalRate) {
     EXPECT_GE(nap, kFloor) << k;
     fast_total += nap;
   }
-  // Eight floor naps take less than half a budget-long nap; doubling naps
-  // would have reached the budget.
-  EXPECT_LT(fast_total, naps.back() / 2);
+  // Eight floor naps (nominally 8 ms) take less than one budget; doubling
+  // naps would have reached it by the seventh.
+  EXPECT_LT(fast_total, kBudget);
   EXPECT_EQ(fast.stats().dropped, 0u);
 }
 
@@ -1096,6 +1097,74 @@ TEST_F(ShmIngestTest, ALongBudgetNeverLapsTheRing) {
   EXPECT_EQ(stats.dropped, 0u);
   EXPECT_EQ(stats.torn, 0u);
   EXPECT_EQ(stats.consumed, kTotal);
+}
+
+TEST_F(ShmIngestTest, ABurstAfterAQuietSpellNeverLapsTheRing) {
+  // A trickle lets the busy naps grow to the longest park, a quiet spell
+  // parks the pump, and then a burst four times the ring arrives within
+  // one such nap. The rate across the park says nothing of the burst: the
+  // first nap after it must be the floor, not twice the trickle's nap.
+  constexpr util::TimeNs kLongest = 200 * kNsPerMs;
+  constexpr std::uint32_t kCapacity = 2048;
+  constexpr std::uint64_t kBurst = 4 * kCapacity;
+  auto q = ShmIngestQueue::create(file(), kCapacity);
+  hub::HeartbeatHub hub;
+  hub::ShmIngestPump pump(q, hub, {.doorbell_timeout_ns = kLongest});
+  std::atomic<bool> stop{false};
+  std::thread loop([&pump, &stop] {
+    while (!stop.load(std::memory_order_acquire)) {
+      pump.poll();
+      pump.wait(kLongest);
+    }
+  });
+  const AppHandle a = q->join("a", {});
+  util::TimeNs ts = 0;
+
+  // 250 frames/s would take 512 ms to fill 1/16 of the ring, so the naps
+  // double from the floor up to kLongest (1 + 2 + ... + 128 ms first).
+  std::uint64_t sent = 0;
+  const auto trickle_end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(700);
+  while (std::chrono::steady_clock::now() < trickle_end) {
+    q->append(a, ts += kNsPerMs);
+    ++sent;
+    std::this_thread::sleep_for(std::chrono::milliseconds(4));
+  }
+  // Quiet until the pump has parked and timed out once, and half a park
+  // into the next: a rate measured across that park is a trickle's.
+  const auto park_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pump.stats().wait_timeouts == 0 &&
+         std::chrono::steady_clock::now() < park_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(pump.stats().wait_timeouts, 0u);
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kLongest / 2));
+
+  // The burst: at most 64 frames a millisecond, so a floor nap (1 ms)
+  // sees 1/32 of the ring and a kLongest nap would see it lapped.
+  for (std::uint64_t i = 0; i < kBurst; ++i) {
+    q->append(a, ts += kNsPerMs);
+    if (i % 64 == 63) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  sent += kBurst;
+  const auto drain_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    const auto s = pump.stats();
+    if (s.consumed + s.dropped + s.torn >= sent ||
+        std::chrono::steady_clock::now() > drain_deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop.store(true, std::memory_order_release);
+  loop.join();
+
+  const auto stats = pump.stats();
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.torn, 0u);
+  EXPECT_EQ(stats.consumed, sent);
 }
 
 // The acceptance-shaping smoke: P forked producer processes feed the ring;
